@@ -7,7 +7,6 @@ classical feed-forward, verifies every measurement branch against the ideal
 gate, and accounts the entanglement resources each strategy consumes.
 """
 
-from .backend import active_backend, use_backend
 from .circuit import (Condition, DistCircuit, GateRef, Instruction, NodeLayout,
                       ResourceTally, count_messages, deserialize, serialize,
                       tally, validate)
@@ -17,7 +16,7 @@ from .qudit_protocols import (QuditEncoding, build_dcsum4, build_dcsum4_multitar
                               build_dcz4_pow, build_qudit_gcz, decode, encode,
                               qudit_gcz_local_pair)
 from .resources import CostReport, GczConfig, fanout_gain, gcz_costs, gms_costs
-from .simulate import enumerate_branches, infer_dims
+from .simulate import enumerate_branches, infer_dims, peak_register_dim
 from .statevec import (BranchResult, MixedRegister, Unitary, apply_unitary,
                        fidelity_up_to_phase, measure_enumerate, permute,
                        random_register, tensor)

@@ -1,125 +1,29 @@
-"""Hot statevector kernels: numba-jitted gather/scatter with a pure-numpy fallback.
+"""Hot statevector kernel: apply a small matrix to some subsystems of a register.
 
-Backend selection order: the ``DISTGATES_BACKEND`` environment variable
-("numba" or "numpy") wins; otherwise numba is used whenever it imports.
-``use_backend`` switches the active backend at runtime, which the
-backend-parity tests and the micro-benchmark rely on.
+Amplitudes may carry trailing batch axes (one column per input state); the
+kernel treats them like untouched subsystems, so a batch of states costs one
+call instead of one per state.
 """
 
 from __future__ import annotations
 
-import os
-from contextlib import contextmanager
-
 import numpy as np
-
-try:
-    from numba import njit
-
-    HAS_NUMBA = True
-except ImportError:  # numpy path is feature-complete on its own
-    HAS_NUMBA = False
-
-
-def _initial_choice() -> str:
-    choice = os.environ.get("DISTGATES_BACKEND", "").strip().lower()
-    if choice == "numpy":
-        return "numpy"
-    if choice == "numba":
-        if not HAS_NUMBA:
-            raise RuntimeError("DISTGATES_BACKEND=numba but numba is not importable")
-        return "numba"
-    if choice:
-        raise RuntimeError(f"DISTGATES_BACKEND must be 'numba' or 'numpy', got {choice!r}")
-    return "numba" if HAS_NUMBA else "numpy"
-
-
-_ACTIVE = _initial_choice()
-
-
-def active_backend() -> str:
-    """Name of the kernel backend currently in use ("numba" or "numpy")."""
-    return _ACTIVE
-
-
-@contextmanager
-def use_backend(name: str):
-    """Temporarily force a backend ("numba" or "numpy")."""
-    global _ACTIVE
-    if name not in ("numba", "numpy"):
-        raise ValueError(f"unknown backend {name!r}")
-    if name == "numba" and not HAS_NUMBA:
-        raise RuntimeError("numba backend requested but numba is not importable")
-    previous, _ACTIVE = _ACTIVE, name
-    try:
-        yield
-    finally:
-        _ACTIVE = previous
-
-
-def _strides(dims: tuple[int, ...]) -> np.ndarray:
-    # big-endian: first subsystem has the largest stride
-    s = np.ones(len(dims), dtype=np.int64)
-    for i in range(len(dims) - 2, -1, -1):
-        s[i] = s[i + 1] * dims[i + 1]
-    return s
-
-
-def _offsets(dims: tuple[int, ...], axes: tuple[int, ...]) -> tuple[np.ndarray, np.ndarray]:
-    """Flat-index offsets for the target axes (matrix index order) and for the rest."""
-    strides = _strides(dims)
-    offs = np.zeros(1, dtype=np.int64)
-    for a in axes:
-        offs = (offs[:, None] + np.arange(dims[a], dtype=np.int64) * strides[a]).ravel()
-    bases = np.zeros(1, dtype=np.int64)
-    for i, d in enumerate(dims):
-        if i in axes:
-            continue
-        bases = (bases[:, None] + np.arange(d, dtype=np.int64) * strides[i]).ravel()
-    return offs, bases
-
-
-if HAS_NUMBA:
-
-    @njit(cache=True)
-    def _matvec_at(amps, mat, offs, bases, out):  # pragma: no cover - jitted
-        h = offs.size
-        for bi in range(bases.size):
-            b = bases[bi]
-            for r in range(h):
-                acc = 0j
-                for c in range(h):
-                    acc += mat[r, c] * amps[b + offs[c]]
-                out[b + offs[r]] = acc
-
-
-def _apply_matrix_numba(amps: np.ndarray, dims: tuple[int, ...], axes: tuple[int, ...],
-                        mat: np.ndarray) -> np.ndarray:
-    offs, bases = _offsets(dims, axes)
-    out = np.empty_like(amps)
-    _matvec_at(amps, np.ascontiguousarray(mat), offs, bases, out)
-    return out
-
-
-def _apply_matrix_numpy(amps: np.ndarray, dims: tuple[int, ...], axes: tuple[int, ...],
-                        mat: np.ndarray) -> np.ndarray:
-    n = len(dims)
-    rest = [i for i in range(n) if i not in axes]
-    perm = list(axes) + rest
-    t = amps.reshape(dims).transpose(perm)
-    h = mat.shape[0]
-    out = (mat @ t.reshape(h, -1)).reshape([dims[p] for p in perm])
-    return np.ascontiguousarray(out.transpose(np.argsort(perm))).reshape(-1)
 
 
 def apply_matrix(amps: np.ndarray, dims: tuple[int, ...], axes: tuple[int, ...],
                  mat: np.ndarray) -> np.ndarray:
-    """Apply ``mat`` to the given subsystem axes of a flat amplitude vector.
+    """Apply ``mat`` to the given subsystem axes of a flat amplitude array.
 
-    The matrix row/column index runs over the target subsystems in the order
-    given by ``axes``, big-endian (first axis is the most significant digit).
-    Returns a new array; the input is never modified.
+    ``amps`` has shape ``(prod(dims),)`` or ``(prod(dims), k)``. The matrix
+    row/column index runs over the target subsystems in the order given by
+    ``axes``, big-endian (first axis is the most significant digit). Returns a
+    new array of the same shape; the input is never modified.
     """
-    if _ACTIVE == "numba":
-        return _apply_matrix_numba(amps, dims, axes, mat)
-    return _apply_matrix_numpy(amps, dims, axes, mat)
+    shape = tuple(dims) + amps.shape[1:]
+    perm = list(axes) + [i for i in range(len(shape)) if i not in axes]
+    inverse = [0] * len(perm)
+    for position, axis in enumerate(perm):
+        inverse[axis] = position
+    t = amps.reshape(shape).transpose(perm)
+    out = (mat @ t.reshape(mat.shape[0], -1)).reshape(t.shape)
+    return np.ascontiguousarray(out.transpose(inverse)).reshape(amps.shape)

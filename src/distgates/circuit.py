@@ -74,6 +74,10 @@ class Condition:
         return total % self.mod
 
 
+def _is_dimension(value) -> bool:
+    return isinstance(value, int) and not isinstance(value, bool) and value >= 2
+
+
 @dataclass(frozen=True)
 class Instruction:
     kind: str
@@ -89,11 +93,17 @@ class Instruction:
     layer: int | None = None        # concurrency metadata (builders set it)
 
     def __post_init__(self):
-        object.__setattr__(self, "targets", tuple(self.targets))
+        for name in ("targets", "parties"):
+            value = getattr(self, name)
+            labels = () if isinstance(value, str) else tuple(value)
+            if isinstance(value, str) or not all(isinstance(v, str) for v in labels):
+                raise ValueError(f"{name} must be a sequence of label strings, got {value!r}")
+            object.__setattr__(self, name, labels)
         object.__setattr__(self, "params", tuple(float(p) for p in self.params))
-        object.__setattr__(self, "parties", tuple(self.parties))
         if self.kind not in KINDS:
             raise ValueError(f"unknown instruction kind {self.kind!r}")
+        if self.dim is not None and not _is_dimension(self.dim):
+            raise ValueError(f"dim must be an integer >= 2, got {self.dim!r}")
 
 
 @dataclass(frozen=True)
@@ -308,15 +318,25 @@ def _instruction_from_json(obj, index: int) -> Instruction:
     gate = obj.get("gate")
     if gate is not None and gate not in WIRE_GATES:
         raise CircuitParseError(f"instruction {index}: unknown gate name {gate!r}")
+    labels = {}
+    for name in ("targets", "parties"):
+        value = obj.get(name, [])
+        if not isinstance(value, list) or not all(isinstance(v, str) for v in value):
+            raise CircuitParseError(
+                f"instruction {index}: {name!r} must be a list of strings, got {value!r}")
+        labels[name] = tuple(value)
+    dim = obj.get("dim")
+    if dim is not None and not _is_dimension(dim):
+        raise CircuitParseError(f"instruction {index}: 'dim' must be an integer >= 2, got {dim!r}")
     cond = obj.get("condition")
     return Instruction(
         kind=kind,
-        targets=tuple(obj.get("targets", ())),
+        targets=labels["targets"],
         gate=gate,
         params=tuple(parse_angle(p) for p in obj.get("params", ())),
         condition=_condition_from_json(cond) if cond is not None else None,
-        parties=tuple(obj.get("parties", ())),
-        dim=obj.get("dim"),
+        parties=labels["parties"],
+        dim=dim,
         outcome=obj.get("outcome"),
         symbol=obj.get("symbol"),
         bits=obj.get("bits"),

@@ -2,8 +2,7 @@
 
 Exit codes: 0 success, 1 verification failure, 2 usage error. Angles accept
 exact forms like "pi/2" and "-2pi/3" as well as decimals. The register-size
-cap can be raised with the DISTGATES_MAX_DIM environment variable; the kernel
-backend is chosen with DISTGATES_BACKEND ("numba" or "numpy").
+cap can be raised with the DISTGATES_MAX_DIM environment variable.
 """
 
 from __future__ import annotations
@@ -97,16 +96,11 @@ def cmd_simulate(args) -> int:
     branches = enumerate_branches(circuit, state, merge_equal=args.merge)
     for br in branches:
         record = " ".join(f"{s}={v}" for s, v in br.outcomes) or "(no measurements)"
-        terms = []
-        for i, amp in enumerate(br.state.amps):
-            if abs(amp) > 1e-9:
-                digits = []
-                v = i
-                for d in reversed(br.state.dims):
-                    digits.append(v % d)
-                    v //= d
-                ket = "".join(str(x) for x in reversed(digits))
-                terms.append(f"({amp.real:+.4f}{amp.imag:+.4f}j)|{ket}>")
+        shown = np.flatnonzero(np.abs(br.state.amps) > 1e-9)
+        dims = br.state.dims
+        kets = zip(*np.unravel_index(shown, dims)) if dims else [()] * len(shown)
+        terms = [f"({amp.real:+.4f}{amp.imag:+.4f}j)|{''.join(map(str, ket))}>"
+                 for amp, ket in zip(br.state.amps[shown], kets)]
         print(f"p={br.probability:.6f} weight={br.weight} {record}: {' + '.join(terms)}")
     total = sum(br.probability for br in branches)
     print(f"branches={sum(br.weight for br in branches)} total_probability={total:.12f}")
@@ -121,8 +115,7 @@ def cmd_verify(args) -> int:
             print(str(p), file=sys.stderr)
         return 2
     theta = parse_angle(args.theta) if args.theta else None
-    spec = OracleSpec(kind=args.oracle, labels=circuit.inputs, theta=theta,
-                      power=args.power)
+    spec = OracleSpec(kind=args.oracle, theta=theta)
     if args.inputs == "basis":
         inputs = basis_inputs(circuit)
     elif args.inputs.startswith("random"):
@@ -232,7 +225,6 @@ def make_parser() -> argparse.ArgumentParser:
                    choices=["gms", "gcz", "cnot", "csum4", "csum4_multi",
                             "cz4", "cz4_sq", "qudit_gcz"])
     p.add_argument("--theta", help="GMS oracle angle")
-    p.add_argument("--power", type=int, default=2)
     p.add_argument("--inputs", default="basis",
                    help="'basis', 'random:N', or a JSON file of amplitude lists")
     p.add_argument("--threshold", type=float, default=1 - 1e-9)

@@ -5,59 +5,97 @@ outcome; classically conditioned corrections apply the named gate raised to
 the condition's value. Results are deterministic and ordered by outcome
 record.
 
+The frontier carries a batch of inputs at once. The circuits are linear in
+their input, so one enumeration serves every input: each branch holds a
+``(state_dim, k)`` amplitude matrix, one column per input, and a boolean
+per-column *alive* mask. A measurement applies the single-state rule to each
+column on its own (prune an outcome below ``PRUNE_TOL``, zero tiny amplitudes,
+renormalize); a pruned column is dead in that branch, and a branch is dropped
+once none of its columns is alive. A single input state is the k = 1 case of
+the same code.
+
 Teleported-gate protocols reconverge: once corrections have been applied, all
 branches hold the same state. ``merge_equal=True`` collapses branches whose
-states coincide (and whose still-referenced outcome symbols agree), keeping
+labels, dims, alive masks, still-referenced outcome symbols and whole
+amplitude matrices agree (``allclose`` with ``atol=MERGE_ATOL``), keeping
 enumeration polynomial for circuits with many teleported gates while the
-reported ``weight`` preserves the underlying branch count.
+reported ``weight`` preserves the underlying branch count. Candidates are
+bucketed by the exactly-compared fields, and inside a bucket a fingerprint
+``r @ amps`` (a fixed vector ``r``, ``||r||_1 = 1``) skips only pairs that
+``allclose`` would reject: if every element differs by at most ``MERGE_ATOL``,
+the fingerprints differ by at most ``MERGE_ATOL`` plus a rounding slack. The
+merges, and the order of the kept branches, are those of a plain first-match
+scan.
+
+Every branch builds the same registers, so ``peak_register_dim`` finds the
+largest register from the instruction list alone, and an over-cap circuit is
+rejected before anything is simulated.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from functools import lru_cache
 
 import numpy as np
 
-from .circuit import DistCircuit, Instruction
+from .circuit import RESOURCE_KINDS, DistCircuit, Instruction
 from .gates import gate_arity, gate_power, gate_unitary
-from .statevec import (BranchResult, MixedRegister, apply_unitary,
+from .statevec import (BranchResult, MixedRegister, apply_unitary, check_register_dim,
                        measure_enumerate, tensor)
 
 MERGE_ATOL = 1e-12
 
-_QUDIT_GATES = ("P3", "X23", "X4", "Z4_dag", "K4", "H4", "H4_dag",
-                "CSUM4", "CSUM4_dag", "CZ4")
+
+def _resource_dim(ins: Instruction) -> int:
+    if ins.kind in ("CreateBell", "CreateGHZ"):
+        return 2
+    return 4 if ins.dim is None else ins.dim
 
 
 def infer_dims(circuit: DistCircuit) -> dict[str, int]:
     """Subsystem dimensions implied by the circuit's gates and resources."""
     dims: dict[str, int] = {}
-
-    def put(label, d):
-        if dims.setdefault(label, d) != d:
-            raise ValueError(f"subsystem {label!r} used with dimensions {dims[label]} and {d}")
-
     for ins in circuit.instructions:
         if ins.kind in ("LocalGate", "CondGate") and ins.gate is not None:
-            for label, d in zip(ins.targets, gate_arity(ins.gate)):
-                put(label, d)
-        elif ins.kind in ("CreateBell", "CreateGHZ"):
-            for label in ins.targets:
-                put(label, 2)
-        elif ins.kind in ("CreateQuditPair", "CreateQuditGHZ"):
-            for label in ins.targets:
-                put(label, ins.dim or 4)
+            pairs = zip(ins.targets, gate_arity(ins.gate))
+        elif ins.kind in RESOURCE_KINDS:
+            pairs = ((label, _resource_dim(ins)) for label in ins.targets)
+        else:
+            continue
+        for label, d in pairs:
+            if dims.setdefault(label, d) != d:
+                raise ValueError(
+                    f"subsystem {label!r} used with dimensions {dims[label]} and {d}")
     for label in circuit.inputs:
         dims.setdefault(label, 2)
     return dims
 
 
+def peak_register_dim(circuit: DistCircuit, upto: int | None = None) -> int:
+    """Largest register dimension any branch reaches in the first ``upto`` instructions.
+
+    Computed from the instruction list alone: resources add subsystems and
+    measurements remove them, the same way in every branch.
+    """
+    dims = infer_dims(circuit)
+    present = {label: dims[label] for label in circuit.inputs}
+    size = peak = math.prod(present.values())
+    for ins in circuit.instructions[:upto]:
+        if ins.kind in RESOURCE_KINDS:
+            for label in ins.targets:
+                present[label] = dims[label]
+                size *= dims[label]
+        elif ins.kind == "Measure" and ins.targets and ins.targets[0] in present:
+            size //= present.pop(ins.targets[0])
+        peak = max(peak, size)
+    return peak
+
+
+@lru_cache(maxsize=1024)
 def _resource_state(ins: Instruction) -> MixedRegister:
-    if ins.kind in ("CreateBell", "CreateGHZ"):
-        d = 2
-    else:
-        d = ins.dim or 4
+    d = _resource_dim(ins)
     n = len(ins.targets)
     amps = np.zeros(d ** n, dtype=np.complex128)
     step = (d ** n - 1) // (d - 1)  # |kk...k> has flat index k * (1 + d + d^2 + ...)
@@ -68,38 +106,62 @@ def _resource_state(ins: Instruction) -> MixedRegister:
 @dataclass
 class _Branch:
     state: MixedRegister
-    prob: float
+    prob: np.ndarray  # per column; 0 where the column is dead
     outcomes: tuple[tuple[str, int], ...]
     values: dict[str, int]
     weight: int
+    alive: np.ndarray
 
 
-def _future_symbols(instructions) -> list[frozenset[str]]:
-    """For each index, the outcome symbols any later condition still reads."""
-    out = [frozenset()] * (len(instructions) + 1)
+def _future_symbols(instructions) -> list[tuple[str, ...]]:
+    """For each index, the outcome symbols any later condition still reads (sorted)."""
+    out = [()] * (len(instructions) + 1)
     live: frozenset[str] = frozenset()
     for i in range(len(instructions) - 1, -1, -1):
         ins = instructions[i]
         if ins.condition is not None:
             live = live | frozenset(ins.condition.terms)
-        out[i] = live
+        out[i] = tuple(sorted(live))
     return out
 
 
-def _merge(frontier: list[_Branch], live: frozenset[str]) -> list[_Branch]:
+@lru_cache(maxsize=64)
+def _fingerprint_vector(n: int) -> tuple[np.ndarray, float]:
+    """A fixed vector r with ||r||_1 = 1, and the prefilter bound for length n.
+
+    Amplitude columns are unit vectors or zero, so computing ``r @ column``
+    rounds by at most about n * eps; the bound allows that for both
+    fingerprints of a pair on top of ``MERGE_ATOL * ||r||_1``.
+    """
+    r = np.random.default_rng(n).random(n)
+    bound = MERGE_ATOL * (1 + 1e-6) + 8 * (n + 4) * np.finfo(float).eps
+    return (r / r.sum()).astype(np.complex128), bound
+
+
+def _merge(frontier: list[_Branch], live: tuple[str, ...]) -> list[_Branch]:
+    """Merge each branch into the first earlier kept branch equal to it."""
     merged: list[_Branch] = []
+    buckets: dict[tuple, list[list]] = {}  # exact key -> [[kept branch, fingerprint]]
     for br in frontier:
-        key_vals = tuple(br.values.get(s) for s in sorted(live))
-        for kept in merged:
-            if (kept.state.labels == br.state.labels
-                    and kept.state.dims == br.state.dims
-                    and tuple(kept.values.get(s) for s in sorted(live)) == key_vals
-                    and np.allclose(kept.state.amps, br.state.amps,
-                                    rtol=0.0, atol=MERGE_ATOL)):
-                kept.prob += br.prob
+        key = (br.state.labels, br.state.dims, br.alive.tobytes(),
+               tuple(map(br.values.get, live)))
+        bucket = buckets.setdefault(key, [])
+        fp = None
+        for entry in bucket:
+            kept = entry[0]
+            if fp is None:
+                r, bound = _fingerprint_vector(br.state.amps.shape[0])
+                fp = r @ br.state.amps
+            if entry[1] is None:
+                entry[1] = r @ kept.state.amps
+            # the second test is np.allclose(rtol=0, atol=MERGE_ATOL) on finite amplitudes
+            if (abs(entry[1] - fp).max() <= bound
+                    and abs(kept.state.amps - br.state.amps).max() <= MERGE_ATOL):
+                kept.prob = kept.prob + br.prob
                 kept.weight += br.weight
                 break
         else:
+            bucket.append([br, fp])
             merged.append(br)
     return merged
 
@@ -110,10 +172,13 @@ def enumerate_branches(circuit: DistCircuit, input_state: MixedRegister | None =
     """Run the circuit on ``input_state``, returning every measurement branch.
 
     ``input_state`` labels must equal the circuit's declared inputs in order
-    (defaults to the all-zeros basis state). ``upto`` executes only the first
-    ``upto`` instructions, which exposes intermediate protocol states.
+    (defaults to the all-zeros basis state). It may be a batch (one input per
+    amplitude column): then each result's ``probability`` is per column and
+    ``alive`` marks the columns the branch occurs for. ``upto`` executes only
+    the first ``upto`` instructions, which exposes intermediate protocol states.
     """
     dims = infer_dims(circuit)
+    check_register_dim(peak_register_dim(circuit, upto))
     if input_state is None:
         input_state = MixedRegister.basis(
             circuit.inputs, tuple(dims[l] for l in circuit.inputs),
@@ -127,14 +192,17 @@ def enumerate_branches(circuit: DistCircuit, input_state: MixedRegister | None =
 
     instructions = circuit.instructions[:upto] if upto is not None else circuit.instructions
     live_after = _future_symbols(circuit.instructions)
-    frontier = [_Branch(input_state, 1.0, (), {}, 1)]
+    amps = input_state.amps.reshape(input_state.amps.shape[0], -1)  # a single state: k = 1
+    start = MixedRegister._wrap(input_state.dims, amps, input_state.labels)
+    k = amps.shape[1]
+    frontier = [_Branch(start, np.ones(k), (), {}, 1, np.ones(k, dtype=bool))]
 
     for i, ins in enumerate(instructions):
         if ins.kind == "LocalGate":
             u = gate_unitary(ins.gate, ins.params)
             for br in frontier:
                 br.state = apply_unitary(br.state, u, ins.targets)
-        elif ins.kind in ("CreateBell", "CreateGHZ", "CreateQuditPair", "CreateQuditGHZ"):
+        elif ins.kind in RESOURCE_KINDS:
             resource = _resource_state(ins)
             for br in frontier:
                 br.state = tensor(br.state, resource)
@@ -148,7 +216,8 @@ def enumerate_branches(circuit: DistCircuit, input_state: MixedRegister | None =
                     new_frontier.append(_Branch(
                         sub.state, br.prob * sub.probability,
                         br.outcomes + ((symbol, outcome),),
-                        {**br.values, symbol: outcome}, br.weight))
+                        {**br.values, symbol: outcome}, br.weight,
+                        br.alive & (sub.probability > 0)))
             frontier = new_frontier
         elif ins.kind == "CondGate":
             for br in frontier:
@@ -163,4 +232,10 @@ def enumerate_branches(circuit: DistCircuit, input_state: MixedRegister | None =
         if merge_equal and len(frontier) > 1:
             frontier = _merge(frontier, live_after[i + 1])
 
-    return [BranchResult(br.outcomes, br.prob, br.state, br.weight) for br in frontier]
+    if input_state.amps.ndim == 1:
+        return [BranchResult(br.outcomes, float(br.prob[0]),
+                             MixedRegister._wrap(br.state.dims, br.state.amps[:, 0],
+                                                 br.state.labels), br.weight)
+                for br in frontier]
+    return [BranchResult(br.outcomes, br.prob, br.state, br.weight, br.alive)
+            for br in frontier]

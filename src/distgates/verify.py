@@ -6,6 +6,22 @@ every measurement branch, and compares each branch's post-correction state
 monolithic gate, up to global phase. Teleported-gate protocols rely on all
 branches converging to the same state, so branch merging is on by default;
 the reported branch count includes merged multiplicities.
+
+The circuits are linear in their input, so ``verify`` stacks the inputs as
+columns of one matrix, computes the ideal outputs with a single ``oracle @ Psi``
+and enumerates branches once per chunk of inputs rather than once per input
+(see ``simulate``). A chunk holds ``max(1, max_register_dim() //
+peak_register_dim(circuit))`` inputs, so a branch's amplitude matrix never
+exceeds the register cap; circuits near the cap run one input at a time. Each
+branch is checked on its alive columns only, and failures are recorded under
+the original input index. The register cap is checked from the instruction
+list before anything is allocated.
+
+A batch merges two branches only when they agree on every input of the chunk,
+so it can keep apart two branches that one input alone would merge. Their
+states for that input are equal, so fidelities and the weighted branch count
+are those of checking each input on its own; a failing outcome record could
+at most be listed once more.
 """
 
 from __future__ import annotations
@@ -21,8 +37,9 @@ from .circuit import DistCircuit, ResourceTally, tally
 from .gates import (cz4_sq_matrix, cz_matrix, czd_matrix, csum_matrix,
                     csum_multi_matrix, h_matrix, s_dag_matrix)
 from .qubit_protocols import lms_matrix
-from .simulate import enumerate_branches, infer_dims
-from .statevec import MixedRegister, Unitary, fidelity_up_to_phase, permute, random_register
+from .simulate import enumerate_branches, infer_dims, peak_register_dim
+from .statevec import (MixedRegister, Unitary, check_register_dim, fidelity_up_to_phase,
+                       max_register_dim, permute, random_register)
 
 DEFAULT_THRESHOLD = 1 - 1e-9
 
@@ -30,14 +47,8 @@ DEFAULT_THRESHOLD = 1 - 1e-9
 def embed_unitary(mat: np.ndarray, axes, dims) -> np.ndarray:
     """Embed a small matrix acting on the given axes into the full register space."""
     dims = tuple(dims)
-    total = math.prod(dims)
-    out = np.empty((total, total), dtype=np.complex128)
-    basis = np.zeros(total, dtype=np.complex128)
-    for col in range(total):
-        basis[:] = 0.0
-        basis[col] = 1.0
-        out[:, col] = backend.apply_matrix(basis, dims, tuple(axes), mat)
-    return out
+    eye = np.eye(math.prod(dims), dtype=np.complex128)
+    return backend.apply_matrix(eye, dims, tuple(axes), mat)
 
 
 def oracle_gms(n: int, theta: float) -> Unitary:
@@ -54,16 +65,21 @@ def oracle_gms(n: int, theta: float) -> Unitary:
     return Unitary(mat, dims)
 
 
+def _gcz_diagonal(n: int) -> np.ndarray:
+    """(-1)^(sum of q_i q_j over pairs) for every n-bit basis index, big-endian.
+
+    The pair sum of w set bits is w (w - 1) / 2.
+    """
+    bits = (np.arange(2 ** n)[:, None] >> np.arange(n - 1, -1, -1)) & 1
+    weight = bits.sum(axis=1)
+    return np.where((weight * (weight - 1) // 2) % 2, -1.0, 1.0).astype(np.complex128)
+
+
 def oracle_gcz(n: int) -> Unitary:
     """Global CZ on n qubits: diagonal phase (-1)^(sum of q_i q_j over pairs)."""
     if n < 2:
         raise ValueError("need at least 2 qubits")
-    diag = np.ones(2 ** n, dtype=np.complex128)
-    for idx in range(2 ** n):
-        bits = [(idx >> (n - 1 - p)) & 1 for p in range(n)]
-        parity = sum(bits[i] * bits[j] for i in range(n) for j in range(i + 1, n)) % 2
-        diag[idx] = -1.0 if parity else 1.0
-    return Unitary(np.diag(diag), (2,) * n)
+    return Unitary(np.diag(_gcz_diagonal(n)), (2,) * n)
 
 
 def oracle_multitarget_cu(gates) -> Unitary:
@@ -107,20 +123,12 @@ def oracle_cz4_sq_fanout(n_targets: int) -> Unitary:
 
 
 def oracle_qudit_gcz(n_qudits: int) -> Unitary:
-    """Encoded n-qubit GCZ on dimension-4 qudits: each digit is a qubit pair."""
-    diag = np.ones(4 ** n_qudits, dtype=np.complex128)
-    for idx in range(4 ** n_qudits):
-        digits = []
-        v = idx
-        for _ in range(n_qudits):
-            digits.append(v % 4)
-            v //= 4
-        digits.reverse()
-        bits = [b for d in digits for b in (d >> 1, d & 1)]
-        n = len(bits)
-        parity = sum(bits[i] * bits[j] for i in range(n) for j in range(i + 1, n)) % 2
-        diag[idx] = -1.0 if parity else 1.0
-    return Unitary(np.diag(diag), (4,) * n_qudits)
+    """Encoded n-qubit GCZ on dimension-4 qudits: each digit is a qubit pair.
+
+    Digit d stands for the bits (d >> 1, d & 1), so the qudit basis index read
+    in binary is the 2 n_qudits-qubit basis index.
+    """
+    return Unitary(np.diag(_gcz_diagonal(2 * n_qudits)), (4,) * n_qudits)
 
 
 @dataclass(frozen=True)
@@ -128,9 +136,7 @@ class OracleSpec:
     """Named ideal operation a compiled circuit is checked against."""
 
     kind: str
-    labels: tuple[str, ...] = ()
     theta: float | None = None
-    power: int = 2
 
     def unitary(self, n: int) -> Unitary:
         if self.kind == "gms":
@@ -198,16 +204,11 @@ def basis_inputs(circuit: DistCircuit) -> list[MixedRegister]:
     """Every computational basis state over the circuit's declared inputs."""
     dims = infer_dims(circuit)
     in_dims = tuple(dims[l] for l in circuit.inputs)
-    states = []
-    for idx in range(math.prod(in_dims)):
-        digits = []
-        v = idx
-        for d in reversed(in_dims):
-            digits.append(v % d)
-            v //= d
-        digits.reverse()
-        states.append(MixedRegister.basis(circuit.inputs, in_dims, digits))
-    return states
+    if not in_dims:
+        return [MixedRegister.basis((), (), ())]
+    digits = np.unravel_index(np.arange(math.prod(in_dims)), in_dims)
+    return [MixedRegister.basis(circuit.inputs, in_dims, column)
+            for column in zip(*digits)]
 
 
 def random_inputs(circuit: DistCircuit, count: int, seed: int = 7) -> list[MixedRegister]:
@@ -224,27 +225,47 @@ def verify(circuit: DistCircuit, oracle, inputs, threshold: float = DEFAULT_THRE
 
     ``oracle`` is a Unitary or an OracleSpec over the circuit's inputs. Each
     branch's final state is reordered to the declared outputs (output i holds
-    logical input i) before the fidelity check.
+    logical input i) before the fidelity check. The inputs are enumerated in
+    batches (see the module docstring).
     """
+    peak = peak_register_dim(circuit)
+    check_register_dim(peak)
+    dims = infer_dims(circuit)
+    in_dims = tuple(dims[l] for l in circuit.inputs)
+    inputs = list(inputs)
+    for idx, state in enumerate(inputs):
+        if state.labels != circuit.inputs or state.dims != in_dims or state.amps.ndim != 1:
+            raise ValueError(
+                f"input {idx} over {state.labels} with dims {state.dims} does not match "
+                f"the circuit inputs {circuit.inputs} with dims {in_dims}")
     if isinstance(oracle, OracleSpec):
         oracle = oracle.unitary(len(circuit.inputs))
     report = VerificationReport(resource_tally=tally(circuit), seed=seed,
-                                threshold=threshold)
-    for idx, state in enumerate(inputs):
-        expected_amps = oracle.entries @ state.amps
-        expected = MixedRegister(state.dims, expected_amps, circuit.outputs)
-        for branch in enumerate_branches(circuit, state, merge_equal=merge):
+                                threshold=threshold, inputs_checked=len(inputs))
+    if not inputs:
+        return report
+    psi = np.stack([state.amps for state in inputs], axis=1)
+    expected = oracle.entries @ psi
+    chunk = max(1, max_register_dim() // peak)
+    for start in range(0, len(inputs), chunk):
+        cols = slice(start, start + chunk)
+        batch = MixedRegister._wrap(in_dims, np.ascontiguousarray(psi[:, cols]),
+                                    circuit.inputs)
+        ideal = MixedRegister._wrap(in_dims, np.ascontiguousarray(expected[:, cols]),
+                                    circuit.outputs)
+        failures = []
+        for branch in enumerate_branches(circuit, batch, merge_equal=merge):
             if sorted(branch.state.labels) != sorted(circuit.outputs):
                 raise ValueError(
                     f"branch left subsystems {branch.state.labels}, expected {circuit.outputs}")
             final = permute(branch.state, circuit.outputs)
-            fid = fidelity_up_to_phase(final, expected)
-            report.branches += branch.weight
-            if fid < report.min_fidelity:
-                report.min_fidelity = fid
-            if fid < threshold:
-                report.failures.append(Failure(idx, branch.outcomes, fid))
-        report.inputs_checked += 1
+            fids = fidelity_up_to_phase(final, ideal)
+            report.branches += branch.weight * int(branch.alive.sum())
+            report.min_fidelity = min(report.min_fidelity, float(fids[branch.alive].min()))
+            for j in np.flatnonzero(branch.alive & (fids < threshold)):
+                failures.append(Failure(start + int(j), branch.outcomes, float(fids[j])))
+        failures.sort(key=lambda f: f.input_index)  # stable: branch order within an input
+        report.failures += failures
     return report
 
 

@@ -1,5 +1,6 @@
 """Circuit IR: JSON round-trips, validation rules, resource tally."""
 
+import json
 import math
 import random
 
@@ -81,6 +82,38 @@ def test_unknown_gate_name_rejected():
     text = serialize(CORPUS["dcnot"]).replace('"CNOT"', '"CROT"')
     with pytest.raises(CircuitParseError, match="unknown gate"):
         deserialize(text)
+
+
+def _with_field(name: str, field: str, value) -> str:
+    """The circuit's JSON with ``field`` of its first resource instruction replaced."""
+    doc = json.loads(serialize(CORPUS[name]))
+    first = next(ins for ins in doc["instructions"] if ins["kind"].startswith("Create"))
+    first[field] = value
+    return json.dumps(doc)
+
+
+@pytest.mark.parametrize("field,value", [
+    ("targets", "E0_node1"), ("targets", ["E0_n1", 3]), ("targets", {"a": 1}),
+    ("parties", "n1"), ("parties", [None, "n2"])])
+def test_label_lists_must_be_lists_of_strings(field, value):
+    with pytest.raises(CircuitParseError, match=f"'{field}' must be a list of strings"):
+        deserialize(_with_field("dcsum4", field, value))
+
+
+@pytest.mark.parametrize("value", [0, 1, -4, True, False, "4", 4.0, [4]])
+def test_dim_must_be_an_integer_of_at_least_two(value):
+    with pytest.raises(CircuitParseError, match="'dim' must be an integer >= 2"):
+        deserialize(_with_field("dcsum4", "dim", value))
+
+
+def test_instruction_rejects_bad_labels_and_dims():
+    with pytest.raises(ValueError, match="targets"):
+        Instruction("Measure", targets="ctrl")
+    with pytest.raises(ValueError, match="parties"):
+        Instruction("CreateBell", targets=("a", "b"), parties=("A", 2))
+    with pytest.raises(ValueError, match="dim"):
+        Instruction("CreateQuditPair", targets=("a", "b"), parties=("A", "B"), dim=0)
+    assert Instruction("Measure", targets=iter(["a"])).targets == ("a",)
 
 
 def test_undefined_outcome_symbol_rejected():

@@ -6,7 +6,7 @@ import json
 
 import pytest
 
-from distgates import deserialize, tally
+from distgates import MixedRegister, deserialize, enumerate_branches, infer_dims, tally
 from distgates.cli import main
 
 
@@ -105,6 +105,56 @@ def test_simulate_lists_branches(tmp_path, capsys):
     assert "total_probability=1.000000000000" in out
     assert out.count("p=0.25") == 4
     assert "|11>" in out
+
+
+def test_simulate_kets_match_digit_expansion(tmp_path, capsys):
+    # mixed qudit/qubit registers: each ket digit is the big-endian expansion
+    # of the amplitude index over the branch's subsystem dimensions
+    path = tmp_path / "q.json"
+    run(capsys, "compile", "--gate", "gcz", "--n", "4", "--nodes", "2", "--qudit",
+        "--out", str(path))
+    circuit = deserialize(path.read_text())
+    code, out, _ = run(capsys, "simulate", "--circuit", str(path), "--input", "31")
+    assert code == 0
+    dims = infer_dims(circuit)
+    state = MixedRegister.basis(circuit.inputs, [dims[l] for l in circuit.inputs], (3, 1))
+    lines = out.splitlines()[:-1]
+    branches = enumerate_branches(circuit, state)
+    assert len(lines) == len(branches)
+    for line, br in zip(lines, branches):
+        terms = []
+        for i, amp in enumerate(br.state.amps):
+            if abs(amp) > 1e-9:
+                digits, v = [], i
+                for d in reversed(br.state.dims):
+                    digits.append(v % d)
+                    v //= d
+                ket = "".join(str(x) for x in reversed(digits))
+                terms.append(f"({amp.real:+.4f}{amp.imag:+.4f}j)|{ket}>")
+        assert line.endswith(": " + " + ".join(terms))
+
+
+def test_verify_has_no_power_flag(tmp_path, capsys):
+    path = tmp_path / "c.json"
+    run(capsys, "compile", "--gate", "gcz", "--n", "2", "--nodes", "2", "--out", str(path))
+    with pytest.raises(SystemExit) as exc:
+        main(["verify", "--circuit", str(path), "--oracle", "cz4_sq", "--power", "1"])
+    assert exc.value.code == 2
+
+
+def test_misparsed_circuit_fields_exit_two(tmp_path, capsys):
+    path = tmp_path / "c.json"
+    run(capsys, "compile", "--gate", "gcz", "--n", "4", "--nodes", "2", "--qudit",
+        "--out", str(path))
+    doc = json.loads(path.read_text())
+    resource = next(ins for ins in doc["instructions"] if "dim" in ins)
+    for field, value in (("dim", 0), ("targets", "E0_node1")):
+        bad = json.loads(json.dumps(doc))
+        next(ins for ins in bad["instructions"] if ins == resource)[field] = value
+        path.write_text(json.dumps(bad))
+        for command in (["simulate"], ["verify", "--oracle", "qudit_gcz"]):
+            code, _, err = run(capsys, command[0], "--circuit", str(path), *command[1:])
+            assert code == 2 and f"'{field}'" in err
 
 
 def test_estimate_matches_table_row(capsys):

@@ -6,7 +6,6 @@ import numpy as np
 import pytest
 from conftest import digits_of, random_unitary
 
-from distgates import backend
 from distgates.gates import czd_matrix, gate_unitary
 from distgates.statevec import (MixedRegister, Unitary, apply_unitary,
                                 fidelity_up_to_phase, measure_enumerate, permute,
@@ -169,15 +168,3 @@ def test_register_cap(monkeypatch):
         MixedRegister.basis([f"q{i}" for i in range(15)], (2,) * 15, (0,) * 15)
     monkeypatch.setenv("DISTGATES_MAX_DIM", str(2 ** 15))
     MixedRegister.basis([f"q{i}" for i in range(15)], (2,) * 15, (0,) * 15)
-
-
-@pytest.mark.skipif(not backend.HAS_NUMBA, reason="numba not installed")
-def test_backends_agree():
-    rng = np.random.default_rng(21)
-    state = random_register(("a", "b", "c"), (4, 2, 4), rng)
-    u = Unitary(random_unitary(8, rng), (4, 2))
-    with backend.use_backend("numba"):
-        fast = apply_unitary(state, u, ("c", "b"))
-    with backend.use_backend("numpy"):
-        plain = apply_unitary(state, u, ("c", "b"))
-    np.testing.assert_allclose(fast.amps, plain.amps, atol=1e-13)

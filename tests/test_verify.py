@@ -7,11 +7,12 @@ import numpy as np
 import pytest
 from conftest import H, I2, expm_xx_sum, gcz_phase, kron_embed
 
-from distgates import (DistCircuit, GateRef, NodeLayout, build_dcontrol_u,
-                       build_dcsum4, enumerate_branches, lms_matrix)
+from distgates import (DistCircuit, GateRef, MixedRegister, NodeLayout, backend,
+                       build_dcontrol_u, build_dcsum4, enumerate_branches, lms_matrix)
 from distgates.gates import s_dag_matrix
-from distgates.verify import (OracleSpec, basis_inputs, identity_checks, oracle_gcz,
-                              oracle_gms, oracle_qudit_gcz, random_inputs, verify)
+from distgates.verify import (OracleSpec, basis_inputs, embed_unitary, identity_checks,
+                              oracle_gcz, oracle_gms, oracle_qudit_gcz, random_inputs,
+                              verify)
 
 LAY_AB = NodeLayout(("A", "B"), {"c": "A", "t": "B"})
 
@@ -175,3 +176,67 @@ def test_every_protocol_is_deterministic_up_to_corrections():
         branches = enumerate_branches(circuit, state, merge_equal=True)
         assert len(branches) == 1, f"{name} branches diverge"
         assert abs(branches[0].probability - 1) < 1e-10
+
+
+# The vectorized oracle, basis and embedding builders against the digit loops
+# they replaced: results must be bit-identical.
+
+def _loop_gcz_diagonal(bits_per_index):
+    diag = np.ones(len(bits_per_index), dtype=np.complex128)
+    for idx, bits in enumerate(bits_per_index):
+        n = len(bits)
+        parity = sum(bits[i] * bits[j] for i in range(n) for j in range(i + 1, n)) % 2
+        diag[idx] = -1.0 if parity else 1.0
+    return diag
+
+
+@pytest.mark.parametrize("n", range(2, 11))
+def test_oracle_gcz_equals_digit_loop(n):
+    bits = [[(idx >> (n - 1 - p)) & 1 for p in range(n)] for idx in range(2 ** n)]
+    np.testing.assert_array_equal(oracle_gcz(n).entries, np.diag(_loop_gcz_diagonal(bits)))
+
+
+@pytest.mark.parametrize("n_qudits", range(1, 6))
+def test_oracle_qudit_gcz_equals_digit_loop(n_qudits):
+    bits = []
+    for idx in range(4 ** n_qudits):
+        digits, v = [], idx
+        for _ in range(n_qudits):
+            digits.append(v % 4)
+            v //= 4
+        digits.reverse()
+        bits.append([b for d in digits for b in (d >> 1, d & 1)])
+    np.testing.assert_array_equal(oracle_qudit_gcz(n_qudits).entries,
+                                  np.diag(_loop_gcz_diagonal(bits)))
+
+
+@pytest.mark.parametrize("dims,axes", [((2, 4, 2), (2, 0)), ((4, 4, 4), (1,)),
+                                       ((2,) * 10, (7, 3)), ((2, 2), (0, 1))])
+def test_embed_unitary_equals_column_loop(dims, axes):
+    rng = np.random.default_rng(len(dims))
+    h = math.prod(dims[a] for a in axes)
+    mat = rng.standard_normal((h, h)) + 1j * rng.standard_normal((h, h))
+    total = math.prod(dims)
+    expected = np.empty((total, total), dtype=np.complex128)
+    basis = np.zeros(total, dtype=np.complex128)
+    for col in range(total):
+        basis[:] = 0.0
+        basis[col] = 1.0
+        expected[:, col] = backend.apply_matrix(basis, dims, axes, mat)
+    np.testing.assert_array_equal(embed_unitary(mat, axes, dims), expected)
+
+
+def test_basis_inputs_equal_digit_loop():
+    from conftest import builder_corpus
+    for name, circuit in builder_corpus().items():
+        states = basis_inputs(circuit)
+        in_dims = states[0].dims
+        assert len(states) == math.prod(in_dims), name
+        for idx, state in enumerate(states):
+            digits, v = [], idx
+            for d in reversed(in_dims):
+                digits.append(v % d)
+                v //= d
+            digits.reverse()
+            expected = MixedRegister.basis(circuit.inputs, in_dims, digits)
+            np.testing.assert_array_equal(state.amps, expected.amps)
