@@ -275,13 +275,21 @@ def _condition_to_json(cond: Condition) -> dict:
     return {"sum_mod": cond.mod, "terms": list(cond.terms)}
 
 
-def _condition_from_json(obj) -> Condition:
+def _labels_from_json(value, where: str) -> tuple[str, ...]:
+    """A JSON list of label strings; a bare string is not split into characters."""
+    if not isinstance(value, list) or not all(isinstance(v, str) for v in value):
+        raise CircuitParseError(f"{where} must be a list of strings, got {value!r}")
+    return tuple(value)
+
+
+def _condition_from_json(obj, where: str) -> Condition:
     if not isinstance(obj, dict):
         raise CircuitParseError(f"condition must be an object, got {obj!r}")
     if "xor" in obj:
-        return Condition(tuple(obj["xor"]), 2)
+        return Condition(_labels_from_json(obj["xor"], f"{where}: 'xor'"), 2)
     if "sum_mod" in obj:
-        return Condition(tuple(obj["terms"]), int(obj["sum_mod"]))
+        return Condition(_labels_from_json(obj["terms"], f"{where}: 'terms'"),
+                         int(obj["sum_mod"]))
     raise CircuitParseError(f"condition must use 'xor' or 'sum_mod': {obj!r}")
 
 
@@ -318,13 +326,8 @@ def _instruction_from_json(obj, index: int) -> Instruction:
     gate = obj.get("gate")
     if gate is not None and gate not in WIRE_GATES:
         raise CircuitParseError(f"instruction {index}: unknown gate name {gate!r}")
-    labels = {}
-    for name in ("targets", "parties"):
-        value = obj.get(name, [])
-        if not isinstance(value, list) or not all(isinstance(v, str) for v in value):
-            raise CircuitParseError(
-                f"instruction {index}: {name!r} must be a list of strings, got {value!r}")
-        labels[name] = tuple(value)
+    labels = {name: _labels_from_json(obj.get(name, []), f"instruction {index}: {name!r}")
+              for name in ("targets", "parties")}
     dim = obj.get("dim")
     if dim is not None and not _is_dimension(dim):
         raise CircuitParseError(f"instruction {index}: 'dim' must be an integer >= 2, got {dim!r}")
@@ -334,7 +337,8 @@ def _instruction_from_json(obj, index: int) -> Instruction:
         targets=labels["targets"],
         gate=gate,
         params=tuple(parse_angle(p) for p in obj.get("params", ())),
-        condition=_condition_from_json(cond) if cond is not None else None,
+        condition=(_condition_from_json(cond, f"instruction {index}: condition")
+                   if cond is not None else None),
         parties=labels["parties"],
         dim=dim,
         outcome=obj.get("outcome"),
@@ -366,7 +370,7 @@ def deserialize(text: str) -> DistCircuit:
     try:
         layout_doc = doc["layout"]
         layout = NodeLayout(
-            nodes=tuple(layout_doc["nodes"]),
+            nodes=_labels_from_json(layout_doc["nodes"], "layout 'nodes'"),
             placement=dict(layout_doc.get("placement", {})),
             comm_slots={k: int(v) for k, v in layout_doc.get("comm_slots", {}).items()},
         )
@@ -375,8 +379,8 @@ def deserialize(text: str) -> DistCircuit:
         circuit = DistCircuit(
             layout=layout,
             instructions=instructions,
-            inputs=tuple(doc["inputs"]),
-            outputs=tuple(doc["outputs"]),
+            inputs=_labels_from_json(doc["inputs"], "'inputs'"),
+            outputs=_labels_from_json(doc["outputs"], "'outputs'"),
         )
     except (KeyError, TypeError) as e:
         raise CircuitParseError(f"malformed circuit document: {e}") from None

@@ -62,12 +62,17 @@ def _build_from_flags(args) -> DistCircuit:
     return build_dgcz(labels, Partition(layout), args.strategy)
 
 
+def _report_violations(circuit: DistCircuit) -> bool:
+    """Print each validation problem to stderr; True when there was any."""
+    problems = validate(circuit)
+    for p in problems:
+        print(str(p), file=sys.stderr)
+    return bool(problems)
+
+
 def cmd_compile(args) -> int:
     circuit = _build_from_flags(args)
-    problems = validate(circuit)
-    if problems:  # builders must emit clean circuits; surface any defect loudly
-        for p in problems:
-            print(str(p), file=sys.stderr)
+    if _report_violations(circuit):  # builders must emit clean circuits; surface any defect loudly
         return 2
     text = serialize(circuit)
     if args.out:
@@ -86,6 +91,8 @@ def _load_circuit(path: str) -> DistCircuit:
 
 def cmd_simulate(args) -> int:
     circuit = _load_circuit(args.circuit)
+    if _report_violations(circuit):
+        return 2
     dims = infer_dims(circuit)
     in_dims = tuple(dims[l] for l in circuit.inputs)
     if args.input:
@@ -109,10 +116,7 @@ def cmd_simulate(args) -> int:
 
 def cmd_verify(args) -> int:
     circuit = _load_circuit(args.circuit)
-    problems = validate(circuit)
-    if problems:
-        for p in problems:
-            print(str(p), file=sys.stderr)
+    if _report_violations(circuit):
         return 2
     theta = parse_angle(args.theta) if args.theta else None
     spec = OracleSpec(kind=args.oracle, theta=theta)

@@ -117,25 +117,6 @@ def level_phase_flip_matrix(d: int, level: int) -> np.ndarray:
     return m
 
 
-def csum_multi_matrix(d: int, n_targets: int = 2) -> np.ndarray:
-    """Single-control multitarget sum: |i>|j>|k>... -> |i>|(i+j) mod d>|(i+k) mod d>..."""
-    size = d ** (n_targets + 1)
-    m = np.zeros((size, size), dtype=complex)
-    for src in range(size):
-        digits = []
-        v = src
-        for _ in range(n_targets + 1):
-            digits.append(v % d)
-            v //= d
-        digits.reverse()
-        ctrl = digits[0]
-        dst = ctrl
-        for t in digits[1:]:
-            dst = dst * d + (ctrl + t) % d
-        m[dst, src] = 1.0
-    return m
-
-
 def cz4_sq_matrix() -> np.ndarray:
     """(CZ_4)^2: diagonal (-1)^(jk) over |j>|k>."""
     m = czd_matrix(4)

@@ -80,15 +80,16 @@ def _emit_controlled(b: CircuitBuilder, ctrl: str, tgt: str, u: GateRef,
         raise ValueError(f"controlled {u.name} is not expressible in the wire gate set")
 
 
-def _fanout_core(b: CircuitBuilder, control: str, groups: dict[str, list[str]],
-                 receiver, layer: int | None = None):
-    """Skeleton of a distributed fan-out from ``control`` to remote nodes.
+def _fanout_core(b: CircuitBuilder, control: str, groups: dict[str, list],
+                 layer: int | None = None):
+    """Distributed fan-out from ``control`` to remote nodes.
 
-    One GHZ share per participating node; the control-side share is entangled
-    with the control and measured (X corrections follow on the remote shares),
-    ``receiver`` emits the per-node target operations driven by the share, and
-    the final Z correction on the control XORs the H-basis outcomes of the
-    remote shares.
+    ``groups`` maps each remote node to its (label, GateRef) targets. One GHZ
+    share per participating node; the control-side share is entangled with
+    the control and measured (X corrections follow on the remote shares), each
+    remote share drives the controlled gates onto its node's targets, and the
+    final Z correction on the control XORs the H-basis outcomes of the remote
+    shares.
     """
     cnode = b.node_of(control)
     rnodes = list(groups)
@@ -100,7 +101,8 @@ def _fanout_core(b: CircuitBuilder, control: str, groups: dict[str, list[str]],
     h_outcomes = []
     for node, comm in zip(rnodes, comms):
         b.cond("X", (comm,), (m0,), layer=layer)
-        receiver(b, comm, node, groups[node], layer)
+        for label, u in groups[node]:
+            _emit_controlled(b, comm, label, u, layer)
         b.gate("H", (comm,), layer=layer)
         m = b.measure(comm, layer=layer)
         b.send(m, node, [cnode], bits=1, layer=layer)
@@ -140,13 +142,8 @@ def build_fanout(control: str, targets, layout: NodeLayout) -> DistCircuit:
     local, groups = _group_remote(b, control, targets)
     for label, u in local:
         _emit_controlled(b, control, label, u)
-
-    def receiver(bb, comm, node, node_targets, layer):
-        for label, u in node_targets:
-            _emit_controlled(bb, comm, label, u, layer)
-
     if groups:
-        _fanout_core(b, control, groups, receiver)
+        _fanout_core(b, control, groups)
     inputs = (control, *(label for label, _ in targets))
     return b.build(inputs)
 
@@ -158,12 +155,7 @@ def build_dcontrol_u(control: str, target: str, u: GateRef,
     b = CircuitBuilder(layout)
     if b.node_of(control) == b.node_of(target):
         raise ValueError(f"{control} and {target} share a node; use a local gate")
-
-    def receiver(bb, comm, node, node_targets, layer):
-        for label, uu in node_targets:
-            _emit_controlled(bb, comm, label, uu, layer)
-
-    _fanout_core(b, control, {b.node_of(target): [(target, u)]}, receiver)
+    _fanout_core(b, control, {b.node_of(target): [(target, u)]})
     return b.build((control, target))
 
 
@@ -173,12 +165,7 @@ def _emit_cu_distributed(b: CircuitBuilder, ctrl: str, tgt: str, u: GateRef,
     if b.node_of(ctrl) == b.node_of(tgt):
         _emit_controlled(b, ctrl, tgt, u, layer)
         return
-
-    def receiver(bb, comm, node, node_targets, lay):
-        for label, uu in node_targets:
-            _emit_controlled(bb, comm, label, uu, lay)
-
-    _fanout_core(b, ctrl, {b.node_of(tgt): [(tgt, u)]}, receiver, layer)
+    _fanout_core(b, ctrl, {b.node_of(tgt): [(tgt, u)]}, layer)
 
 
 def build_dgms(spec: GmsSpec, layout: NodeLayout, strategy: str) -> DistCircuit:
@@ -224,11 +211,6 @@ def build_dgms(spec: GmsSpec, layout: NodeLayout, strategy: str) -> DistCircuit:
         if len(set(nodes)) != n:
             raise ValueError("fanout strategy assumes one qubit per node; "
                              "use the GCZ builder for multi-qubit nodes")
-
-        def receiver(bb, comm, node, node_targets, layer):
-            for label, u in node_targets:
-                _emit_controlled(bb, comm, label, u, layer)
-
         for i in range(n - 1):
             control = labels[i]
             rest = labels[i + 1:]
@@ -237,7 +219,7 @@ def build_dgms(spec: GmsSpec, layout: NodeLayout, strategy: str) -> DistCircuit:
                 b.gate("H", (t,), layer=i)
                 b.gate("RZ", (t,), (theta,), layer=i)
             groups = {b.node_of(t): [(t, GateRef("RZ", (-2 * theta,)))] for t in rest}
-            _fanout_core(b, control, groups, receiver, layer=i)
+            _fanout_core(b, control, groups, layer=i)
             for t in rest:
                 b.gate("H", (t,), layer=i)
             b.gate("H", (control,), layer=i)
@@ -269,10 +251,6 @@ def build_dgcz(qubit_labels, partition: Partition, strategy: str) -> DistCircuit
         return b.build(labels)
 
     if strategy == "fanout":
-        def receiver(bb, comm, node, node_targets, layer):
-            for label, u in node_targets:
-                _emit_controlled(bb, comm, label, u, layer)
-
         for i, control in enumerate(labels[:-1]):
             cnode = b.node_of(control)
             groups: dict[str, list] = {}
@@ -283,7 +261,7 @@ def build_dgcz(qubit_labels, partition: Partition, strategy: str) -> DistCircuit
                 else:
                     groups.setdefault(node, []).append((t, GateRef("Z")))
             if groups:
-                _fanout_core(b, control, groups, receiver, layer=i)
+                _fanout_core(b, control, groups, layer=i)
         return b.build(labels)
 
     if strategy == "teleport_all":

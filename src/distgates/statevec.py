@@ -28,6 +28,7 @@ from . import backend
 DEFAULT_MAX_DIM = 2 ** 14
 PRUNE_TOL = 1e-14
 NORM_TOL = 1e-10
+UNITARY_TOL = 1e-12
 
 
 def max_register_dim() -> int:
@@ -124,12 +125,16 @@ class Unitary:
         if mat.shape != (dim, dim):
             raise ValueError(f"matrix shape {mat.shape} does not match arity {self.arity}")
         dev = np.max(np.abs(mat @ mat.conj().T - np.eye(dim)))
-        if dev > 1e-12:
+        if dev > UNITARY_TOL:
             raise ValueError(f"matrix is not unitary (max |U U+ - I| = {dev:.3e})")
 
     @property
     def dim(self) -> int:
         return math.prod(self.arity)
+
+    def apply(self, amps: np.ndarray) -> np.ndarray:
+        """The gate applied to a state vector over exactly its subsystems, or to a batch."""
+        return self.entries @ amps
 
 
 @dataclass(frozen=True, eq=False)

@@ -7,10 +7,22 @@ monolithic gate, up to global phase. Teleported-gate protocols rely on all
 branches converging to the same state, so branch merging is on by default;
 the reported branch count includes merged multiplicities.
 
+The ideal gate is never built as a dense matrix over the whole register.
+Each oracle builder returns the structure of its gate: a ``PhaseOracle`` holds
+the diagonal of a phase gate (GCZ, qudit-compressed GCZ) as one vector, and a
+``ProductOracle`` holds an ordered list of small ``Unitary`` factors on given
+register axes (one MS factor per pair for GMS, one controlled gate per target
+for the fan-out kinds, one factor on both qudits for CSUM_4 and CZ_4).
+Unitarity is checked per part when the oracle is built: every phase has
+modulus 1 within ``UNITARY_TOL``, and every factor is a validated
+``Unitary``. A caller may still pass a dense ``Unitary``, which is applied as
+a matrix product.
+
 The circuits are linear in their input, so ``verify`` stacks the inputs as
-columns of one matrix, computes the ideal outputs with a single ``oracle @ Psi``
-and enumerates branches once per chunk of inputs rather than once per input
-(see ``simulate``). A chunk holds ``max(1, max_register_dim() //
+columns of one matrix, applies the oracle to all of them at once (phases times
+columns, or each factor in turn through ``backend.apply_matrix``) and
+enumerates branches once per chunk of inputs rather than once per input (see
+``simulate``). A chunk holds ``max(1, max_register_dim() //
 peak_register_dim(circuit))`` inputs, so a branch's amplitude matrix never
 exceeds the register cap; circuits near the cap run one input at a time. Each
 branch is checked on its alive columns only, and failures are recorded under
@@ -34,12 +46,12 @@ import numpy as np
 
 from . import backend
 from .circuit import DistCircuit, ResourceTally, tally
-from .gates import (cz4_sq_matrix, cz_matrix, czd_matrix, csum_matrix,
-                    csum_multi_matrix, h_matrix, s_dag_matrix)
+from .gates import (cz4_sq_matrix, cz_matrix, czd_matrix, csum_matrix, h_matrix,
+                    s_dag_matrix)
 from .qubit_protocols import lms_matrix
 from .simulate import enumerate_branches, infer_dims, peak_register_dim
-from .statevec import (MixedRegister, Unitary, check_register_dim, fidelity_up_to_phase,
-                       max_register_dim, permute, random_register)
+from .statevec import (UNITARY_TOL, MixedRegister, Unitary, check_register_dim,
+                       fidelity_up_to_phase, max_register_dim, permute, random_register)
 
 DEFAULT_THRESHOLD = 1 - 1e-9
 
@@ -51,18 +63,84 @@ def embed_unitary(mat: np.ndarray, axes, dims) -> np.ndarray:
     return backend.apply_matrix(eye, dims, tuple(axes), mat)
 
 
-def oracle_gms(n: int, theta: float) -> Unitary:
+@dataclass(frozen=True, eq=False)
+class PhaseOracle:
+    """Diagonal gate over the whole register: basis state x gains ``phases[x]``.
+
+    Every phase must have modulus 1 within ``UNITARY_TOL``.
+    """
+
+    phases: np.ndarray
+    arity: tuple[int, ...]
+
+    def __post_init__(self):
+        object.__setattr__(self, "arity", tuple(int(d) for d in self.arity))
+        phases = np.ascontiguousarray(self.phases, dtype=np.complex128)
+        object.__setattr__(self, "phases", phases)
+        if phases.shape != (self.dim,):
+            raise ValueError(f"phase vector shape {phases.shape} does not match arity {self.arity}")
+        dev = float(np.max(np.abs(np.abs(phases) - 1.0)))
+        if dev > UNITARY_TOL:
+            raise ValueError(f"phases are not unimodular (max ||d| - 1| = {dev:.3e})")
+
+    @property
+    def dim(self) -> int:
+        return math.prod(self.arity)
+
+    @property
+    def entries(self) -> np.ndarray:
+        """Dense matrix, for inspecting small oracles; ``verify`` never builds it."""
+        return np.diag(self.phases)
+
+    def apply(self, amps: np.ndarray) -> np.ndarray:
+        """The gate applied to a state vector or to each column of a batch."""
+        return self.phases.reshape((-1,) + (1,) * (amps.ndim - 1)) * amps
+
+
+@dataclass(frozen=True, eq=False)
+class ProductOracle:
+    """Ordered product of small validated unitaries, each on some register axes.
+
+    ``factors`` holds ``(axes, Unitary)`` pairs, applied first to last; a
+    factor's matrix runs over its axes in the order given, big-endian.
+    """
+
+    arity: tuple[int, ...]
+    factors: tuple[tuple[tuple[int, ...], Unitary], ...]
+
+    def __post_init__(self):
+        arity = tuple(int(d) for d in self.arity)
+        object.__setattr__(self, "arity", arity)
+        factors = tuple((tuple(axes), u) for axes, u in self.factors)
+        object.__setattr__(self, "factors", factors)
+        for axes, u in factors:
+            if len(set(axes)) != len(axes) or not all(0 <= a < len(arity) for a in axes):
+                raise ValueError(f"factor axes {axes} are not distinct axes of {arity}")
+            if tuple(arity[a] for a in axes) != u.arity:
+                raise ValueError(f"factor arity {u.arity} does not match axes {axes} of {arity}")
+
+    @property
+    def dim(self) -> int:
+        return math.prod(self.arity)
+
+    @property
+    def entries(self) -> np.ndarray:
+        """Dense matrix, for inspecting small oracles; ``verify`` never builds it."""
+        return self.apply(np.eye(self.dim, dtype=np.complex128))
+
+    def apply(self, amps: np.ndarray) -> np.ndarray:
+        """The gate applied to a state vector or to each column of a batch."""
+        for axes, u in self.factors:
+            amps = backend.apply_matrix(amps, self.arity, axes, u.entries)
+        return amps
+
+
+def oracle_gms(n: int, theta: float) -> ProductOracle:
     """Global MS gate on n qubits as the product of its commuting pair factors."""
     if n < 2:
         raise ValueError("need at least 2 qubits")
-    dims = (2,) * n
-    total = 2 ** n
-    mat = np.eye(total, dtype=np.complex128)
-    pair = lms_matrix(theta).entries
-    for i in range(n):
-        for j in range(i + 1, n):
-            mat = embed_unitary(pair, (i, j), dims) @ mat
-    return Unitary(mat, dims)
+    pair = lms_matrix(theta)
+    return ProductOracle((2,) * n, [((i, j), pair) for i in range(n) for j in range(i + 1, n)])
 
 
 def _gcz_diagonal(n: int) -> np.ndarray:
@@ -75,60 +153,60 @@ def _gcz_diagonal(n: int) -> np.ndarray:
     return np.where((weight * (weight - 1) // 2) % 2, -1.0, 1.0).astype(np.complex128)
 
 
-def oracle_gcz(n: int) -> Unitary:
+def oracle_gcz(n: int) -> PhaseOracle:
     """Global CZ on n qubits: diagonal phase (-1)^(sum of q_i q_j over pairs)."""
     if n < 2:
         raise ValueError("need at least 2 qubits")
-    return Unitary(np.diag(_gcz_diagonal(n)), (2,) * n)
+    return PhaseOracle(_gcz_diagonal(n), (2,) * n)
 
 
-def oracle_multitarget_cu(gates) -> Unitary:
+def _control_fanout(dims, pair_matrices) -> ProductOracle:
+    """One two-subsystem factor from control subsystem 0 onto each later subsystem."""
+    return ProductOracle(dims, [((0, t), Unitary(mat, (dims[0], dims[t])))
+                                for t, mat in enumerate(pair_matrices, start=1)])
+
+
+def oracle_multitarget_cu(gates) -> ProductOracle:
     """Single-control multitarget gate: product of controlled-u onto each target.
 
     ``gates`` is an ordered list of 2x2 target unitaries; the control qubit is
     subsystem 0, targets follow in order.
     """
-    n = len(gates) + 1
-    dims = (2,) * n
-    mat = np.eye(2 ** n, dtype=np.complex128)
-    for t, u in enumerate(gates, start=1):
+    cus = []
+    for u in gates:
         cu = np.eye(4, dtype=np.complex128)
         cu[2:, 2:] = u
-        mat = embed_unitary(cu, (0, t), dims) @ mat
-    return Unitary(mat, dims)
+        cus.append(cu)
+    return _control_fanout((2,) * (len(cus) + 1), cus)
 
 
-def oracle_csum4() -> Unitary:
-    return Unitary(csum_matrix(4), (4, 4))
+def oracle_csum4() -> ProductOracle:
+    return _control_fanout((4, 4), [csum_matrix(4)])
 
 
-def oracle_csum4_multi(n_targets: int = 2) -> Unitary:
-    return Unitary(csum_multi_matrix(4, n_targets), (4,) * (n_targets + 1))
+def oracle_csum4_multi(n_targets: int = 2) -> ProductOracle:
+    """CSUM_4 from one control qudit onto each of n_targets target qudits."""
+    return _control_fanout((4,) * (n_targets + 1), [csum_matrix(4)] * n_targets)
 
 
-def oracle_cz4_pow(power: int) -> Unitary:
+def oracle_cz4_pow(power: int) -> ProductOracle:
     if power not in (1, 2):
         raise ValueError("power must be 1 or 2")
-    mat = czd_matrix(4) if power == 1 else cz4_sq_matrix()
-    return Unitary(mat, (4, 4))
+    return _control_fanout((4, 4), [czd_matrix(4) if power == 1 else cz4_sq_matrix()])
 
 
-def oracle_cz4_sq_fanout(n_targets: int) -> Unitary:
+def oracle_cz4_sq_fanout(n_targets: int) -> ProductOracle:
     """(CZ_4)^2 from one control qudit onto each of n_targets target qudits."""
-    dims = (4,) * (n_targets + 1)
-    mat = np.eye(4 ** (n_targets + 1), dtype=np.complex128)
-    for t in range(1, n_targets + 1):
-        mat = embed_unitary(cz4_sq_matrix(), (0, t), dims) @ mat
-    return Unitary(mat, dims)
+    return _control_fanout((4,) * (n_targets + 1), [cz4_sq_matrix()] * n_targets)
 
 
-def oracle_qudit_gcz(n_qudits: int) -> Unitary:
+def oracle_qudit_gcz(n_qudits: int) -> PhaseOracle:
     """Encoded n-qubit GCZ on dimension-4 qudits: each digit is a qubit pair.
 
     Digit d stands for the bits (d >> 1, d & 1), so the qudit basis index read
     in binary is the 2 n_qudits-qubit basis index.
     """
-    return Unitary(np.diag(_gcz_diagonal(2 * n_qudits)), (4,) * n_qudits)
+    return PhaseOracle(_gcz_diagonal(2 * n_qudits), (4,) * n_qudits)
 
 
 @dataclass(frozen=True)
@@ -138,7 +216,8 @@ class OracleSpec:
     kind: str
     theta: float | None = None
 
-    def unitary(self, n: int) -> Unitary:
+    def unitary(self, n: int) -> PhaseOracle | ProductOracle:
+        """The gate on n subsystems, as the oracle builder of its kind returns it."""
         if self.kind == "gms":
             if self.theta is None:
                 raise ValueError("GMS oracle needs theta")
@@ -223,10 +302,13 @@ def verify(circuit: DistCircuit, oracle, inputs, threshold: float = DEFAULT_THRE
            merge: bool = True, seed: int | None = None) -> VerificationReport:
     """Compare every measurement branch of the circuit against the ideal gate.
 
-    ``oracle`` is a Unitary or an OracleSpec over the circuit's inputs. Each
-    branch's final state is reordered to the declared outputs (output i holds
-    logical input i) before the fidelity check. The inputs are enumerated in
-    batches (see the module docstring).
+    ``oracle`` is an OracleSpec, an oracle builder's ``PhaseOracle`` or
+    ``ProductOracle``, or a dense ``Unitary``, over the circuit's inputs. Its
+    unitarity was checked when it was built (per phase or per factor, see the
+    module docstring); here it is only applied, to all inputs at once, and its
+    dense matrix is never formed. Each branch's final state is reordered to
+    the declared outputs (output i holds logical input i) before the fidelity
+    check. The inputs are enumerated in batches (see the module docstring).
     """
     peak = peak_register_dim(circuit)
     check_register_dim(peak)
@@ -240,12 +322,15 @@ def verify(circuit: DistCircuit, oracle, inputs, threshold: float = DEFAULT_THRE
                 f"the circuit inputs {circuit.inputs} with dims {in_dims}")
     if isinstance(oracle, OracleSpec):
         oracle = oracle.unitary(len(circuit.inputs))
+    if oracle.dim != math.prod(in_dims):
+        raise ValueError(f"oracle dimension {oracle.dim} does not match the circuit "
+                         f"inputs {circuit.inputs} with dims {in_dims}")
     report = VerificationReport(resource_tally=tally(circuit), seed=seed,
                                 threshold=threshold, inputs_checked=len(inputs))
     if not inputs:
         return report
     psi = np.stack([state.amps for state in inputs], axis=1)
-    expected = oracle.entries @ psi
+    expected = oracle.apply(psi)
     chunk = max(1, max_register_dim() // peak)
     for start in range(0, len(inputs), chunk):
         cols = slice(start, start + chunk)

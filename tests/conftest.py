@@ -50,6 +50,20 @@ def gcz_phase(bits) -> int:
     return sum(bits[i] * bits[j] for i in range(n) for j in range(i + 1, n)) % 2
 
 
+def csum_multi_reference(d: int, n_targets: int) -> np.ndarray:
+    """Single-control multitarget sum |i>|j>|k>... -> |i>|i+j>|i+k>... (mod d), densely."""
+    size = d ** (n_targets + 1)
+    m = np.zeros((size, size), dtype=complex)
+    for src in range(size):
+        digits = digits_of(src, (d,) * (n_targets + 1))
+        ctrl = digits[0]
+        dst = 0
+        for v in [ctrl] + [(ctrl + t) % d for t in digits[1:]]:
+            dst = dst * d + v
+        m[dst, src] = 1.0
+    return m
+
+
 def random_unitary(dim: int, rng) -> np.ndarray:
     m = rng.standard_normal((dim, dim)) + 1j * rng.standard_normal((dim, dim))
     q, r = np.linalg.qr(m)

@@ -8,10 +8,11 @@ import pytest
 from conftest import builder_corpus
 from test_acceptance import _protocol_suite
 
-from distgates import (DistCircuit, GateRef, MixedRegister, NodeLayout, backend,
+from distgates import (DistCircuit, GateRef, MixedRegister, NodeLayout, Unitary, backend,
                        build_dcontrol_u, enumerate_branches, peak_register_dim, simulate)
 from distgates.simulate import MERGE_ATOL, _Branch, _merge
-from distgates.verify import OracleSpec, basis_inputs, random_inputs, verify
+from distgates.verify import (OracleSpec, PhaseOracle, ProductOracle, basis_inputs,
+                              oracle_gcz, random_inputs, verify)
 
 verify_module = importlib.import_module("distgates.verify")  # the package attribute is the function
 
@@ -108,10 +109,14 @@ def test_over_cap_circuit_is_rejected_before_any_simulation(monkeypatch):
     monkeypatch.setattr(backend, "apply_matrix", forbidden)
     monkeypatch.setattr(verify_module, "enumerate_branches", forbidden)
     monkeypatch.setattr(OracleSpec, "unitary", forbidden)
+    for oracle_type in (PhaseOracle, ProductOracle, Unitary):
+        monkeypatch.setattr(oracle_type, "apply", forbidden)
     monkeypatch.setenv("DISTGATES_MAX_DIM", str(peak - 1))
     state = random_inputs(circuit, 1)[0]
     with pytest.raises(ValueError, match=f"register dimension {peak} exceeds cap"):
         verify(circuit, OracleSpec("gcz"), [state])
+    with pytest.raises(ValueError, match=f"register dimension {peak} exceeds cap"):
+        verify(circuit, oracle_gcz(len(circuit.inputs)), [state])
     with pytest.raises(ValueError, match=f"register dimension {peak} exceeds cap"):
         enumerate_branches(circuit, state)
     monkeypatch.setenv("DISTGATES_MAX_DIM", str(peak))

@@ -100,6 +100,24 @@ def test_label_lists_must_be_lists_of_strings(field, value):
         deserialize(_with_field("dcsum4", field, value))
 
 
+def _first_condition(doc: dict) -> dict:
+    return next(ins["condition"] for ins in doc["instructions"] if "condition" in ins)
+
+
+@pytest.mark.parametrize("name,field,value", [
+    ("dcnot", "inputs", "ct"), ("dcnot", "outputs", "ct"), ("dcnot", "inputs", ["c", 1]),
+    ("dcnot", "outputs", None), ("dcnot", "nodes", "AB"), ("dcnot", "nodes", ["A", 2]),
+    ("dcnot", "xor", "m0"), ("dcsum4", "terms", "m0"), ("dcsum4", "terms", [0])])
+def test_document_label_lists_must_be_lists_of_strings(name, field, value):
+    # a string must not be split into one label per character
+    doc = json.loads(serialize(CORPUS[name]))
+    owner = (doc["layout"] if field == "nodes"
+             else _first_condition(doc) if field in ("xor", "terms") else doc)
+    owner[field] = value
+    with pytest.raises(CircuitParseError, match=f"'{field}' must be a list of strings"):
+        deserialize(json.dumps(doc))
+
+
 @pytest.mark.parametrize("value", [0, 1, -4, True, False, "4", 4.0, [4]])
 def test_dim_must_be_an_integer_of_at_least_two(value):
     with pytest.raises(CircuitParseError, match="'dim' must be an integer >= 2"):

@@ -157,6 +157,37 @@ def test_misparsed_circuit_fields_exit_two(tmp_path, capsys):
             assert code == 2 and f"'{field}'" in err
 
 
+def test_string_label_lists_exit_two(tmp_path, capsys):
+    path = tmp_path / "c.json"
+    run(capsys, "compile", "--gate", "gcz", "--n", "2", "--nodes", "2",
+        "--strategy", "pairwise", "--out", str(path))
+    doc = json.loads(path.read_text())
+    for field in ("inputs", "outputs", "nodes", "xor"):
+        bad = json.loads(json.dumps(doc))
+        owner = (bad["layout"] if field == "nodes"
+                 else next(ins["condition"] for ins in bad["instructions"]
+                           if "condition" in ins) if field == "xor" else bad)
+        owner[field] = "".join(owner[field])  # e.g. ["q1", "q2"] -> "q1q2"
+        path.write_text(json.dumps(bad))
+        for command in (["simulate"], ["verify", "--oracle", "gcz"]):
+            code, out, err = run(capsys, command[0], "--circuit", str(path), *command[1:])
+            assert code == 2 and f"'{field}' must be a list of strings" in err
+            assert out == ""
+
+
+def test_simulate_rejects_an_invalid_circuit_like_verify(tmp_path, capsys):
+    path = tmp_path / "c.json"
+    run(capsys, "compile", "--gate", "gcz", "--n", "2", "--nodes", "2",
+        "--strategy", "pairwise", "--out", str(path))
+    doc = json.loads(path.read_text())
+    doc["instructions"].insert(0, {"kind": "LocalGate", "targets": ["q1", "q2"], "gate": "CZ"})
+    path.write_text(json.dumps(doc))
+    code, out, err = run(capsys, "simulate", "--circuit", str(path))
+    assert code == 2 and out == ""
+    assert "instruction 0: cross-node local gate" in err
+    assert run(capsys, "verify", "--circuit", str(path), "--oracle", "gcz") == (2, "", err)
+
+
 def test_estimate_matches_table_row(capsys):
     code, out, _ = run(capsys, "estimate", "--sweep", "6:6", "--nodes", "3")
     assert code == 0

@@ -2,17 +2,19 @@
 
 import json
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
-from conftest import H, I2, expm_xx_sum, gcz_phase, kron_embed
+from conftest import (H, I2, X, bits_of, builder_corpus, csum_multi_reference, digits_of,
+                      expm_xx_sum, gcz_phase, kron_embed)
 
-from distgates import (DistCircuit, GateRef, MixedRegister, NodeLayout, backend,
+from distgates import (DistCircuit, GateRef, MixedRegister, NodeLayout, Unitary, backend,
                        build_dcontrol_u, build_dcsum4, enumerate_branches, lms_matrix)
 from distgates.gates import s_dag_matrix
-from distgates.verify import (OracleSpec, basis_inputs, embed_unitary, identity_checks,
-                              oracle_gcz, oracle_gms, oracle_qudit_gcz, random_inputs,
-                              verify)
+from distgates.verify import (OracleSpec, PhaseOracle, ProductOracle, basis_inputs,
+                              embed_unitary, identity_checks, oracle_gcz, oracle_gms,
+                              oracle_multitarget_cu, oracle_qudit_gcz, random_inputs, verify)
 
 LAY_AB = NodeLayout(("A", "B"), {"c": "A", "t": "B"})
 
@@ -240,3 +242,108 @@ def test_basis_inputs_equal_digit_loop():
             digits.reverse()
             expected = MixedRegister.basis(circuit.inputs, in_dims, digits)
             np.testing.assert_array_equal(state.amps, expected.amps)
+
+
+# Applied oracles against dense references built independently, digit by digit
+# or by Kronecker products: exact for the phase oracles, 1e-12 for the products.
+
+def _dense_reference(kind: str, n: int, theta: float) -> np.ndarray:
+    if kind == "gms":
+        return expm_xx_sum(n, theta)
+    if kind == "gcz":
+        return np.diag([(-1.0) ** gcz_phase(bits_of(idx, n)) for idx in range(2 ** n)])
+    if kind == "qudit_gcz":
+        return np.diag([(-1.0) ** gcz_phase([b for d in digits_of(idx, (4,) * n)
+                                              for b in (d >> 1, d & 1)])
+                        for idx in range(4 ** n)])
+    if kind == "cnot":
+        p0, p1 = np.diag([1, 0]).astype(complex), np.diag([0, 1]).astype(complex)
+        flips = np.eye(2 ** n, dtype=complex)
+        for t in range(1, n):
+            flips = kron_embed(X, t, n) @ flips
+        return kron_embed(p0, 0, n) + kron_embed(p1, 0, n) @ flips
+    if kind in ("csum4", "csum4_multi"):
+        return csum_multi_reference(4, n - 1)
+    if kind in ("cz4", "cz4_sq"):
+        power = 1 if kind == "cz4" else 2
+        return np.diag([np.exp(0.5j * math.pi * power * d[0] * sum(d[1:]))
+                        for d in (digits_of(idx, (4,) * n) for idx in range(4 ** n))])
+    raise AssertionError(kind)
+
+
+ORACLE_CASES = ([("gms", n) for n in (2, 3, 4, 5)] + [("gcz", n) for n in (2, 3, 5, 7)]
+                + [("qudit_gcz", n) for n in (1, 2, 3)] + [("cnot", n) for n in (2, 3, 5)]
+                + [("csum4", 2), ("csum4_multi", 3), ("csum4_multi", 4), ("cz4", 2)]
+                + [("cz4_sq", n) for n in (2, 3, 4)])
+
+
+@pytest.mark.parametrize("kind,n", ORACLE_CASES)
+def test_applied_oracle_equals_dense_reference(kind, n):
+    theta = 0.37 * n
+    oracle = OracleSpec(kind, theta).unitary(n)
+    reference = _dense_reference(kind, n, theta)
+    rng = np.random.default_rng(n)
+    psi = rng.standard_normal((oracle.dim, 5)) + 1j * rng.standard_normal((oracle.dim, 5))
+    applied = oracle.apply(psi)
+    if isinstance(oracle, PhaseOracle):
+        np.testing.assert_array_equal(applied, reference @ psi)
+        np.testing.assert_array_equal(oracle.apply(psi[:, 0]), applied[:, 0])
+    else:
+        np.testing.assert_allclose(applied, reference @ psi, rtol=0, atol=1e-12)
+        np.testing.assert_allclose(oracle.apply(psi[:, 0]), applied[:, 0], rtol=0, atol=1e-15)
+    np.testing.assert_allclose(oracle.entries, reference, rtol=0, atol=1e-12)
+
+
+def test_gcz12_oracle_is_applied_without_a_dense_matrix():
+    # a dense 4096 x 4096 complex matrix alone would take 256 MiB
+    rng = np.random.default_rng(12)
+    psi = rng.standard_normal((4096, 16)) + 1j * rng.standard_normal((4096, 16))
+    tracemalloc.start()
+    try:
+        applied = OracleSpec("gcz").unitary(12).apply(psi)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert applied.nbytes <= peak < 16 * 2 ** 20  # the result itself is traced
+    weights = np.array([bin(idx).count("1") for idx in range(4096)])
+    np.testing.assert_array_equal(applied, psi * (-1.0) ** (weights * (weights - 1) // 2)[:, None])
+
+
+def test_verify_never_builds_a_dense_oracle(monkeypatch):
+    def forbidden(self):
+        raise AssertionError("verify asked for a dense oracle")
+
+    monkeypatch.setattr(PhaseOracle, "entries", property(forbidden))
+    monkeypatch.setattr(ProductOracle, "entries", property(forbidden))
+    corpus = builder_corpus()
+    for name, kind, theta in (
+            ("dcnot", "cnot", None), ("gms4_fanout", "gms", math.pi / 2),
+            ("gcz6_3n_fanout", "gcz", None), ("dcsum4", "csum4", None),
+            ("dcsum4_multi", "csum4_multi", None), ("dcz4", "cz4", None),
+            ("dcz4_sq", "cz4_sq", None), ("dcz4_sq_multi", "cz4_sq", None),
+            ("qudit_gcz4", "qudit_gcz", None)):
+        circuit = corpus[name]
+        assert verify(circuit, OracleSpec(kind, theta), random_inputs(circuit, 2)).passed, name
+
+
+def test_non_unitary_phases_and_factors_are_rejected():
+    with pytest.raises(ValueError, match="not unimodular"):
+        PhaseOracle(np.array([1, -1, 1j, 1 + 1e-9]), (2, 2))
+    with pytest.raises(ValueError, match="does not match arity"):
+        PhaseOracle(np.ones(8), (2, 2))
+    assert PhaseOracle(np.array([1, -1, 1j, 1 + 1e-13]), (2, 2)).dim == 4
+    with pytest.raises(ValueError, match="not unitary"):
+        oracle_multitarget_cu([X, np.diag([1.0, 1.001])])
+    cz = Unitary(np.diag([1, 1, 1, -1]), (2, 2))
+    with pytest.raises(ValueError, match="does not match axes"):
+        ProductOracle((2, 4), [((0, 1), cz)])
+    with pytest.raises(ValueError, match="not distinct axes"):
+        ProductOracle((2, 2), [((0, 0), cz)])
+    with pytest.raises(ValueError, match="not distinct axes"):
+        ProductOracle((2, 2), [((1, 2), cz)])
+
+
+def test_verify_rejects_an_oracle_of_the_wrong_dimension():
+    circuit = build_dcontrol_u("c", "t", GateRef("X"), LAY_AB)
+    with pytest.raises(ValueError, match="oracle dimension 8"):
+        verify(circuit, oracle_gcz(3), basis_inputs(circuit))
