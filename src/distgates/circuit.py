@@ -282,14 +282,25 @@ def _labels_from_json(value, where: str) -> tuple[str, ...]:
     return tuple(value)
 
 
+def _object_from_json(value, where: str, item: type | None = None) -> dict:
+    """A JSON object; with ``item``, every value must be of that type (never a bool)."""
+    if not isinstance(value, dict) or item is not None and not all(
+            isinstance(v, item) and not isinstance(v, bool) for v in value.values()):
+        kind = "an object" if item is None else f"an object of {item.__name__} values"
+        raise CircuitParseError(f"{where} must be {kind}, got {value!r}")
+    return value
+
+
 def _condition_from_json(obj, where: str) -> Condition:
     if not isinstance(obj, dict):
         raise CircuitParseError(f"condition must be an object, got {obj!r}")
     if "xor" in obj:
         return Condition(_labels_from_json(obj["xor"], f"{where}: 'xor'"), 2)
     if "sum_mod" in obj:
-        return Condition(_labels_from_json(obj["terms"], f"{where}: 'terms'"),
-                         int(obj["sum_mod"]))
+        if not _is_dimension(obj["sum_mod"]):
+            raise CircuitParseError(
+                f"{where}: 'sum_mod' must be an integer >= 2, got {obj['sum_mod']!r}")
+        return Condition(_labels_from_json(obj["terms"], f"{where}: 'terms'"), obj["sum_mod"])
     raise CircuitParseError(f"condition must use 'xor' or 'sum_mod': {obj!r}")
 
 
@@ -331,12 +342,20 @@ def _instruction_from_json(obj, index: int) -> Instruction:
     dim = obj.get("dim")
     if dim is not None and not _is_dimension(dim):
         raise CircuitParseError(f"instruction {index}: 'dim' must be an integer >= 2, got {dim!r}")
+    for name, item, noun in (("outcome", str, "a string"), ("symbol", str, "a string"),
+                             ("bits", int, "an integer"), ("layer", int, "an integer")):
+        value = obj.get(name)
+        if value is not None and (not isinstance(value, item) or isinstance(value, bool)):
+            raise CircuitParseError(f"instruction {index}: {name!r} must be {noun}, got {value!r}")
+    params = obj.get("params", [])
+    if not isinstance(params, list):
+        raise CircuitParseError(f"instruction {index}: 'params' must be a list, got {params!r}")
     cond = obj.get("condition")
     return Instruction(
         kind=kind,
         targets=labels["targets"],
         gate=gate,
-        params=tuple(parse_angle(p) for p in obj.get("params", ())),
+        params=tuple(parse_angle(p) for p in params),
         condition=(_condition_from_json(cond, f"instruction {index}: condition")
                    if cond is not None else None),
         parties=labels["parties"],
@@ -368,11 +387,14 @@ def deserialize(text: str) -> DistCircuit:
     except json.JSONDecodeError as e:
         raise CircuitParseError(f"parse error at line {e.lineno}, column {e.colno}: {e.msg}") from None
     try:
-        layout_doc = doc["layout"]
+        layout_doc = _object_from_json(_object_from_json(doc, "circuit document")["layout"],
+                                       "'layout'")
         layout = NodeLayout(
             nodes=_labels_from_json(layout_doc["nodes"], "layout 'nodes'"),
-            placement=dict(layout_doc.get("placement", {})),
-            comm_slots={k: int(v) for k, v in layout_doc.get("comm_slots", {}).items()},
+            placement=_object_from_json(layout_doc.get("placement", {}),
+                                        "layout 'placement'", str),
+            comm_slots=_object_from_json(layout_doc.get("comm_slots", {}),
+                                         "layout 'comm_slots'", int),
         )
         instructions = tuple(
             _instruction_from_json(obj, i) for i, obj in enumerate(doc["instructions"]))
@@ -382,7 +404,9 @@ def deserialize(text: str) -> DistCircuit:
             inputs=_labels_from_json(doc["inputs"], "'inputs'"),
             outputs=_labels_from_json(doc["outputs"], "'outputs'"),
         )
-    except (KeyError, TypeError) as e:
+    except CircuitParseError:
+        raise
+    except (KeyError, TypeError, ValueError) as e:  # ValueError: a bad angle or a rejected field
         raise CircuitParseError(f"malformed circuit document: {e}") from None
     # a condition may only reference outcomes measured earlier
     defined: set[str] = set()
@@ -439,6 +463,9 @@ def validate(circuit: DistCircuit) -> list[Violation]:
                 v.append(Violation(i, "missing gate name", ins.kind))
             elif ins.gate not in WIRE_GATES:
                 v.append(Violation(i, "unknown gate name", ins.gate))
+            elif len(ins.targets) != len(gate_arity(ins.gate)):
+                v.append(Violation(i, "gate arity", f"{ins.gate} acts on "
+                                   f"{len(gate_arity(ins.gate))} subsystems, got {ins.targets}"))
         if ins.kind in ("CreateBell", "CreateQuditPair") and len(ins.parties) != 2:
             v.append(Violation(i, "resource arity", f"{ins.kind} needs exactly 2 parties"))
         if ins.kind in ("CreateGHZ", "CreateQuditGHZ") and len(ins.parties) < 3:
@@ -460,6 +487,8 @@ def validate(circuit: DistCircuit) -> list[Violation]:
                     if sym not in defined:
                         v.append(Violation(i, "unknown outcome symbol", sym))
         if ins.kind == "Measure":
+            if len(ins.targets) != 1:
+                v.append(Violation(i, "measure arity", f"one target needed, got {ins.targets}"))
             if ins.outcome:
                 defined.add(ins.outcome)
             measured.update(ins.targets)

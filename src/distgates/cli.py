@@ -124,15 +124,23 @@ def cmd_verify(args) -> int:
         inputs = basis_inputs(circuit)
     elif args.inputs.startswith("random"):
         count = int(args.inputs.split(":", 1)[1]) if ":" in args.inputs else 10
+        if count < 1:
+            raise UsageError(f"--inputs {args.inputs}: need at least one random input")
         inputs = random_inputs(circuit, count, seed=args.seed)
     else:
         with open(args.inputs) as fh:
             doc = json.load(fh)
+        if not isinstance(doc, list) or not doc:
+            raise UsageError(f"inputs file {args.inputs} must hold a non-empty list of "
+                             "amplitude lists")
         dims = infer_dims(circuit)
         in_dims = tuple(dims[l] for l in circuit.inputs)
-        inputs = [MixedRegister(in_dims, np.array([complex(re, im) for re, im in amps]),
-                                circuit.inputs)
-                  for amps in doc]
+        try:
+            inputs = [MixedRegister(in_dims, np.array([complex(re, im) for re, im in amps]),
+                                    circuit.inputs)
+                      for amps in doc]
+        except TypeError as e:
+            raise UsageError(f"inputs file {args.inputs}: {e}") from None
     report = verify(circuit, spec, inputs, threshold=args.threshold,
                     merge=not args.no_merge, seed=args.seed)
     print(report.to_json())

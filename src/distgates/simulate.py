@@ -29,7 +29,9 @@ scan.
 
 Every branch builds the same registers, so ``peak_register_dim`` finds the
 largest register from the instruction list alone, and an over-cap circuit is
-rejected before anything is simulated.
+rejected before anything is simulated. Likewise, without merging, a circuit
+whose measurements could fork more than ``MAX_BRANCHES`` branches
+(``unmerged_branch_bound``) is rejected up front.
 """
 
 from __future__ import annotations
@@ -46,6 +48,7 @@ from .statevec import (BranchResult, MixedRegister, apply_unitary, check_registe
                        measure_enumerate, tensor)
 
 MERGE_ATOL = 1e-12
+MAX_BRANCHES = 2 ** 16
 
 
 def _resource_dim(ins: Instruction) -> int:
@@ -91,6 +94,16 @@ def peak_register_dim(circuit: DistCircuit, upto: int | None = None) -> int:
             size //= present.pop(ins.targets[0])
         peak = max(peak, size)
     return peak
+
+
+def unmerged_branch_bound(circuit: DistCircuit, upto: int | None = None) -> int:
+    """Most branches an enumeration without merging can reach in the first ``upto`` instructions.
+
+    The product of the measured subsystems' dimensions: one fork per outcome.
+    """
+    dims = infer_dims(circuit)
+    return math.prod(dims.get(ins.targets[0], 1) for ins in circuit.instructions[:upto]
+                     if ins.kind == "Measure" and ins.targets)
 
 
 @lru_cache(maxsize=1024)
@@ -179,6 +192,9 @@ def enumerate_branches(circuit: DistCircuit, input_state: MixedRegister | None =
     """
     dims = infer_dims(circuit)
     check_register_dim(peak_register_dim(circuit, upto))
+    if not merge_equal and (bound := unmerged_branch_bound(circuit, upto)) > MAX_BRANCHES:
+        raise ValueError(f"up to {bound} unmerged branches exceed the limit {MAX_BRANCHES}; "
+                         "merging equal branches avoids it")
     if input_state is None:
         input_state = MixedRegister.basis(
             circuit.inputs, tuple(dims[l] for l in circuit.inputs),

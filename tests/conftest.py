@@ -64,6 +64,18 @@ def csum_multi_reference(d: int, n_targets: int) -> np.ndarray:
     return m
 
 
+def apply_matrix_reference(amps: np.ndarray, dims, axes, mat: np.ndarray) -> np.ndarray:
+    """``backend.apply_matrix`` for any matrix: transpose the targets first, matmul, transpose back."""
+    shape = tuple(dims) + amps.shape[1:]
+    perm = list(axes) + [i for i in range(len(shape)) if i not in axes]
+    inverse = [0] * len(perm)
+    for position, axis in enumerate(perm):
+        inverse[axis] = position
+    t = amps.reshape(shape).transpose(perm)
+    out = (mat @ t.reshape(mat.shape[0], -1)).reshape(t.shape)
+    return np.ascontiguousarray(out.transpose(inverse)).reshape(amps.shape)
+
+
 def random_unitary(dim: int, rng) -> np.ndarray:
     m = rng.standard_normal((dim, dim)) + 1j * rng.standard_normal((dim, dim))
     q, r = np.linalg.qr(m)

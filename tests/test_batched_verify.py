@@ -10,7 +10,7 @@ from test_acceptance import _protocol_suite
 
 from distgates import (DistCircuit, GateRef, MixedRegister, NodeLayout, Unitary, backend,
                        build_dcontrol_u, enumerate_branches, peak_register_dim, simulate)
-from distgates.simulate import MERGE_ATOL, _Branch, _merge
+from distgates.simulate import MAX_BRANCHES, MERGE_ATOL, _Branch, _merge, unmerged_branch_bound
 from distgates.verify import (OracleSpec, PhaseOracle, ProductOracle, basis_inputs,
                               oracle_gcz, random_inputs, verify)
 
@@ -122,6 +122,38 @@ def test_over_cap_circuit_is_rejected_before_any_simulation(monkeypatch):
     monkeypatch.setenv("DISTGATES_MAX_DIM", str(peak))
     assert peak_register_dim(circuit, upto=0) < peak
     enumerate_branches(circuit, state, upto=0)
+
+
+@pytest.mark.parametrize("name", ["gms4_pairwise", "gcz6_3n_pairwise"])
+def test_unmerged_branch_budget_is_checked_before_any_simulation(monkeypatch, tmp_path, capsys,
+                                                                 name):
+    from distgates import serialize
+    from distgates.cli import main
+    circuit = builder_corpus()[name]
+    assert unmerged_branch_bound(circuit) == 2 ** 24 > MAX_BRANCHES
+
+    def forbidden(*args, **kwargs):
+        raise AssertionError("simulated a circuit over the branch budget")
+
+    monkeypatch.setattr(backend, "apply_matrix", forbidden)
+    monkeypatch.setattr(simulate, "measure_enumerate", forbidden)
+    monkeypatch.setattr(simulate, "tensor", forbidden)
+    with pytest.raises(ValueError, match=f"up to {2 ** 24} unmerged branches exceed the "
+                                         f"limit {MAX_BRANCHES}; merging"):
+        enumerate_branches(circuit, random_inputs(circuit, 1)[0])
+    path = tmp_path / "c.json"
+    path.write_text(serialize(circuit))
+    for argv in (["simulate"], ["verify", "--oracle", "gcz", "--no-merge"]):
+        assert main([argv[0], "--circuit", str(path), *argv[1:]]) == 2
+        assert "merging equal branches avoids it" in capsys.readouterr().err
+    # merging is not limited: the same call with merge_equal=True starts simulating
+    with pytest.raises(AssertionError, match="over the branch budget"):
+        enumerate_branches(circuit, random_inputs(circuit, 1)[0], merge_equal=True)
+
+
+def test_corpus_circuits_under_the_branch_budget_are_unaffected():
+    bounds = {name: unmerged_branch_bound(c) for name, c in builder_corpus().items()}
+    assert max(b for name, b in bounds.items() if not name.endswith("_pairwise")) <= 4096
 
 
 def test_peak_register_dim_is_the_largest_register_simulated(monkeypatch):

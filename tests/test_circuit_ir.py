@@ -124,6 +124,33 @@ def test_dim_must_be_an_integer_of_at_least_two(value):
         deserialize(_with_field("dcsum4", "dim", value))
 
 
+@pytest.mark.parametrize("mutate,match", [
+    (lambda d: d.__setitem__("layout", ["A", "B"]), "'layout' must be an object"),
+    (lambda d: d["layout"].__setitem__("placement", None), "'placement' must be an object"),
+    (lambda d: d["layout"]["placement"].__setitem__("c", ["A"]), "of str values"),
+    (lambda d: d["layout"].__setitem__("comm_slots", {"A": "2"}), "of int values"),
+    (lambda d: d["instructions"][3].__setitem__("outcome", ["m0"]), "'outcome' must be a string"),
+    (lambda d: d["instructions"][3].__setitem__("bits", True), "'bits' must be an integer"),
+    (lambda d: d["instructions"][0].__setitem__("params", "1"), "'params' must be a list"),
+    (lambda d: d["instructions"][0].__setitem__("params", ["pi/"]), "cannot parse angle"),
+    (lambda d: _first_condition(d).__setitem__("sum_mod", 0), "'sum_mod' must be an integer"),
+    (lambda d: _first_condition(d).__setitem__("sum_mod", "4"), "'sum_mod' must be an integer"),
+])
+def test_document_fields_of_the_wrong_type_are_parse_errors(mutate, match):
+    doc = json.loads(serialize(CORPUS["dcsum4"]))
+    mutate(doc)
+    with pytest.raises(CircuitParseError, match=match):
+        deserialize(json.dumps(doc))
+
+
+def test_validate_measure_and_gate_arity():
+    circuit = DistCircuit(
+        NodeLayout(("A",), {"x": "A", "y": "A"}),
+        (Instruction("LocalGate", targets=("x",), gate="CNOT"), Instruction("Measure")),
+        ("x", "y"), ("x", "y"))
+    assert [v.rule for v in validate(circuit)] == ["gate arity", "measure arity"]
+
+
 def test_instruction_rejects_bad_labels_and_dims():
     with pytest.raises(ValueError, match="targets"):
         Instruction("Measure", targets="ctrl")

@@ -96,6 +96,19 @@ def test_verify_random_inputs_flag(tmp_path, capsys):
     assert json.loads(out)["inputs_checked"] == 4
 
 
+def test_verify_with_nothing_to_check_is_a_usage_error(tmp_path, capsys):
+    path = tmp_path / "c.json"
+    run(capsys, "compile", "--gate", "gcz", "--n", "2", "--nodes", "2",
+        "--strategy", "pairwise", "--out", str(path))
+    empty = tmp_path / "inputs.json"
+    empty.write_text("[]")
+    for inputs in ("random:0", "random:-3", str(empty)):
+        code, out, err = run(capsys, "verify", "--circuit", str(path), "--oracle", "gcz",
+                             "--inputs", inputs)
+        assert code == 2 and out == ""
+        assert err.startswith("error: ") and inputs in err
+
+
 def test_simulate_lists_branches(tmp_path, capsys):
     path = tmp_path / "c.json"
     run(capsys, "compile", "--gate", "gcz", "--n", "2", "--nodes", "2",
