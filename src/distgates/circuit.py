@@ -4,9 +4,10 @@ Instructions are placed operations over named subsystems. Cross-node effects
 happen only through entanglement-resource creation, classical messages, and
 classically conditioned local corrections; plain local gates never span nodes.
 
-JSON schema (all optional instruction fields omitted when empty):
+JSON schema (all optional instruction fields omitted when empty; unknown
+layout keys, such as the retired "comm_slots", are ignored):
 
-    {"layout": {"nodes": [...], "placement": {label: node}, "comm_slots": {node: int}},
+    {"layout": {"nodes": [...], "placement": {label: node}},
      "instructions": [{"kind": ..., "targets": [...], "gate": ..., "params": [...],
                        "condition": {"xor": [...]} | {"sum_mod": d, "terms": [...]},
                        "parties": [...], "dim": ..., "outcome": ..., "symbol": ...,
@@ -108,19 +109,14 @@ class Instruction:
 
 @dataclass(frozen=True)
 class NodeLayout:
-    """Placement of subsystems onto named nodes, with comm-slot capacities."""
+    """Placement of subsystems onto named nodes."""
 
     nodes: tuple[str, ...]
     placement: dict[str, str] = field(default_factory=dict)
-    comm_slots: dict[str, int] = field(default_factory=dict)
 
     def __post_init__(self):
         object.__setattr__(self, "nodes", tuple(self.nodes))
         object.__setattr__(self, "placement", dict(self.placement))
-        slots = dict(self.comm_slots)
-        for node in self.nodes:
-            slots.setdefault(node, 1)
-        object.__setattr__(self, "comm_slots", slots)
 
     def node_of(self, label: str) -> str:
         try:
@@ -372,7 +368,6 @@ def serialize(circuit: DistCircuit) -> str:
         "layout": {
             "nodes": list(circuit.layout.nodes),
             "placement": dict(circuit.layout.placement),
-            "comm_slots": dict(circuit.layout.comm_slots),
         },
         "instructions": [_instruction_to_json(i) for i in circuit.instructions],
         "inputs": list(circuit.inputs),
@@ -393,8 +388,6 @@ def deserialize(text: str) -> DistCircuit:
             nodes=_labels_from_json(layout_doc["nodes"], "layout 'nodes'"),
             placement=_object_from_json(layout_doc.get("placement", {}),
                                         "layout 'placement'", str),
-            comm_slots=_object_from_json(layout_doc.get("comm_slots", {}),
-                                         "layout 'comm_slots'", int),
         )
         instructions = tuple(
             _instruction_from_json(obj, i) for i, obj in enumerate(doc["instructions"]))
@@ -440,9 +433,6 @@ def validate(circuit: DistCircuit) -> list[Violation]:
     v: list[Violation] = []
     layout = circuit.layout
     declared = set(layout.nodes)
-    for node, slots in layout.comm_slots.items():
-        if slots < 0:
-            v.append(Violation(None, "negative comm slots", f"{node} has {slots}"))
     for label, node in layout.placement.items():
         if node not in declared:
             v.append(Violation(None, "placement on undeclared node", f"{label} -> {node}"))
@@ -515,7 +505,6 @@ class CircuitBuilder:
     def __init__(self, layout: NodeLayout):
         self.nodes = tuple(layout.nodes)
         self.placement = dict(layout.placement)
-        self.comm_slots = dict(layout.comm_slots)
         self.instructions: list[Instruction] = []
         self._resource_seq = 0
         self._outcome_seq = 0
@@ -525,39 +514,23 @@ class CircuitBuilder:
             raise ValueError(f"subsystem {label!r} is not placed on any node")
         return self.placement[label]
 
-    def _new_resource(self, kind: str, nodes, dim: int | None, prefix: str,
-                      layer: int | None) -> tuple[str, ...]:
-        idx = self._resource_seq
+    def ghz(self, nodes, dim: int = 2, layer: int | None = None) -> tuple[str, ...]:
+        """Create one share per node of a GHZ state over Z_dim (two nodes: a Bell pair).
+
+        Qubit shares are labelled ``a<k>_<node>`` and qudit shares ``E<k>_<node>``.
+        """
+        nodes = tuple(nodes)
+        pair = len(nodes) == 2
+        if dim == 2:
+            kind, prefix, dim = ("CreateBell" if pair else "CreateGHZ"), "a", None
+        else:
+            kind, prefix = ("CreateQuditPair" if pair else "CreateQuditGHZ"), "E"
+        labels = tuple(f"{prefix}{self._resource_seq}_{node}" for node in nodes)
         self._resource_seq += 1
-        labels = []
-        for node in nodes:
-            if self.comm_slots.get(node, 1) < 1:
-                raise ValueError(f"node {node} has no communication slot available")
-            label = f"{prefix}{idx}_{node}"
-            self.placement[label] = node
-            labels.append(label)
+        self.placement.update(zip(labels, nodes))
         self.instructions.append(Instruction(
-            kind=kind, targets=tuple(labels), parties=tuple(nodes), dim=dim, layer=layer))
-        return tuple(labels)
-
-    def bell(self, node_a: str, node_b: str, layer: int | None = None) -> tuple[str, str]:
-        return self._new_resource("CreateBell", (node_a, node_b), None, "a", layer)
-
-    def ghz(self, nodes, layer: int | None = None) -> tuple[str, ...]:
-        nodes = tuple(nodes)
-        if len(nodes) == 2:  # a 2-party GHZ is a Bell pair
-            return self.bell(nodes[0], nodes[1], layer)
-        return self._new_resource("CreateGHZ", nodes, None, "a", layer)
-
-    def qudit_pair(self, node_a: str, node_b: str, dim: int = 4,
-                   layer: int | None = None) -> tuple[str, str]:
-        return self._new_resource("CreateQuditPair", (node_a, node_b), dim, "E", layer)
-
-    def qudit_ghz(self, nodes, dim: int = 4, layer: int | None = None) -> tuple[str, ...]:
-        nodes = tuple(nodes)
-        if len(nodes) == 2:
-            return self.qudit_pair(nodes[0], nodes[1], dim, layer)
-        return self._new_resource("CreateQuditGHZ", nodes, dim, "E", layer)
+            kind=kind, targets=labels, parties=nodes, dim=dim, layer=layer))
+        return labels
 
     def gate(self, name: str, targets, params=(), layer: int | None = None):
         self.instructions.append(Instruction(
@@ -584,7 +557,7 @@ class CircuitBuilder:
             condition=Condition(tuple(terms), mod), layer=layer))
 
     def build(self, inputs, outputs=None) -> DistCircuit:
-        layout = NodeLayout(self.nodes, self.placement, self.comm_slots)
+        layout = NodeLayout(self.nodes, self.placement)
         inputs = tuple(inputs)
         return DistCircuit(layout, tuple(self.instructions), inputs,
                            tuple(outputs) if outputs is not None else inputs)

@@ -264,6 +264,8 @@ def main(argv=None) -> int:
     parser = make_parser()
     args = parser.parse_args(argv)
     try:
+        if getattr(args, "nodes", 1) < 1:  # compile and estimate divide by it
+            raise UsageError(f"--nodes must be at least 1, got {args.nodes}")
         return args.func(args)
     except (UsageError, CircuitParseError, ValueError, OSError) as e:
         print(f"error: {e}", file=sys.stderr)

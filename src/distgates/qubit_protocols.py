@@ -2,6 +2,28 @@
 GHZ-state fan-out, and the pairwise / conditional / fan-out realizations of
 global MS (GMS) and global CZ (GCZ) gates.
 
+Every distributed controlled operation, here and in ``qudit_protocols``, is
+one fan-out over Z_d (``_fanout``). Targets on the control's node are driven
+directly. Targets on r remote nodes share one (r+1)-party GHZ state over Z_d
+(a Bell pair when r = 1), one share per node however many targets it hosts.
+The control's share absorbs the control value c through CSUM_d^dag, is
+complemented by K_d (|j> -> |-j mod d>) and measured; its outcome m shifts
+every remote share by X_d^m into |c>. Each remote share drives the controlled
+operations onto its node's targets and is measured in the Fourier basis F_d;
+Z_d^dag raised to the sum of those outcomes removes the phase left on the
+control. Messages carry log2(d) bits and conditions are sums mod d.
+
+    role                         d = 2    d = 4
+    control-to-share sum         CNOT     CSUM4_dag
+    complement of the share      -        K4
+    shift of the remote shares   X        X4
+    Fourier measurement basis    H        H4
+    phase correction             Z        Z4_dag
+
+At d = 2, CSUM_2^dag is CNOT, F_2 is H, Z_2^dag is Z, and K_2 is the
+identity because -j = j mod 2, so no complement gate is emitted: this is the
+qubit fan-out of Yimsiriwattana & Lomonaco (quant-ph/0402148).
+
 All builders are pure: they take a layout of computation qubits, allocate
 communication qubits and outcome symbols, and return an immutable circuit.
 Entanglement use follows the standard accounting: a teleported controlled
@@ -62,63 +84,72 @@ def _check_single_qubit(u: GateRef):
         raise ValueError(f"target operation must be a single-qubit gate, got {u.name}")
 
 
-def _emit_controlled(b: CircuitBuilder, ctrl: str, tgt: str, u: GateRef,
+# Controlled operations from a control (or GHZ share) onto one target, keyed
+# by (dimension, operation), as wire gates in execution order with a scale for
+# the operation's parameters (None: the gate takes none). Two-subsystem gates
+# act on (control, target), one-subsystem gates on the target.
+_CONTROLLED = {
+    (2, "X"): (("CNOT", None),),
+    (2, "Z"): (("CZ", None),),
+    # C(I, RZ(phi)) = (I x RZ(phi/2)) CNOT (I x RZ(-phi/2)) CNOT
+    (2, "RZ"): (("CNOT", None), ("RZ", -0.5), ("CNOT", None), ("RZ", 0.5)),
+    (4, "csum"): (("CSUM4", None),),
+    # CZ_4 is CSUM_4 conjugated by the target's Fourier gate; (CZ_4)^2 sums twice
+    (4, "cz4"): (("H4_dag", None), ("CSUM4", None), ("H4", None)),
+    (4, "cz4_sq"): (("H4_dag", None), ("CSUM4", None), ("CSUM4", None), ("H4", None)),
+}
+
+# Fan-out gates by dimension (see the module docstring): control-to-share sum,
+# complement of the share, shift of the remote shares, Fourier gate, phase correction.
+_SKELETON = {
+    2: ("CNOT", None, "X", "H", "Z"),
+    4: ("CSUM4_dag", "K4", "X4", "H4", "Z4_dag"),
+}
+
+
+def _emit_controlled(b: CircuitBuilder, ctrl: str, tgt: str, op: str, params, dim: int,
                      layer: int | None = None):
-    """Controlled-u between co-located qubits, lowered to wire-format gates."""
-    if u.name == "X":
-        b.gate("CNOT", (ctrl, tgt), layer=layer)
-    elif u.name == "Z":
-        b.gate("CZ", (ctrl, tgt), layer=layer)
-    elif u.name == "RZ":
-        (phi,) = u.params
-        # C(I, RZ(phi)) = (I x RZ(phi/2)) CNOT (I x RZ(-phi/2)) CNOT
-        b.gate("CNOT", (ctrl, tgt), layer=layer)
-        b.gate("RZ", (tgt,), (-phi / 2,), layer=layer)
-        b.gate("CNOT", (ctrl, tgt), layer=layer)
-        b.gate("RZ", (tgt,), (phi / 2,), layer=layer)
-    else:
-        raise ValueError(f"controlled {u.name} is not expressible in the wire gate set")
+    """Controlled ``op`` between co-located subsystems, lowered to wire-format gates."""
+    if (dim, op) not in _CONTROLLED:
+        raise ValueError(f"controlled {op} is not expressible in the wire gate set")
+    for gate, scale in _CONTROLLED[dim, op]:
+        wires = (ctrl, tgt) if len(gate_arity(gate)) == 2 else (tgt,)
+        b.gate(gate, wires, () if scale is None else [scale * p for p in params], layer=layer)
 
 
-def _fanout_core(b: CircuitBuilder, control: str, groups: dict[str, list],
-                 layer: int | None = None):
-    """Distributed fan-out from ``control`` to remote nodes.
+def _fanout(b: CircuitBuilder, control: str, targets, dim: int, layer: int | None = None):
+    """Fan-out over Z_dim from ``control`` onto (label, op, params) targets.
 
-    ``groups`` maps each remote node to its (label, GateRef) targets. One GHZ
-    share per participating node; the control-side share is entangled with
-    the control and measured (X corrections follow on the remote shares), each
-    remote share drives the controlled gates onto its node's targets, and the
-    final Z correction on the control XORs the H-basis outcomes of the remote
-    shares.
+    Local targets are driven directly; remote targets are grouped per node onto
+    one GHZ share per node, in the order their nodes first appear.
     """
+    sum_gate, complement, shift, fourier, phase = _SKELETON[dim]
     cnode = b.node_of(control)
-    rnodes = list(groups)
-    labels = b.ghz([cnode] + rnodes, layer=layer)
-    comm0, comms = labels[0], labels[1:]
-    b.gate("CNOT", (control, comm0), layer=layer)
-    m0 = b.measure(comm0, layer=layer)
-    b.send(m0, cnode, rnodes, bits=1, layer=layer)
-    h_outcomes = []
-    for node, comm in zip(rnodes, comms):
-        b.cond("X", (comm,), (m0,), layer=layer)
-        for label, u in groups[node]:
-            _emit_controlled(b, comm, label, u, layer)
-        b.gate("H", (comm,), layer=layer)
-        m = b.measure(comm, layer=layer)
-        b.send(m, node, [cnode], bits=1, layer=layer)
-        h_outcomes.append(m)
-    b.cond("Z", (control,), tuple(h_outcomes), layer=layer)
-
-
-def _group_remote(b: CircuitBuilder, control: str, targets) -> tuple[list, dict]:
-    cnode = b.node_of(control)
-    local, groups = [], {}
-    for label, u in targets:
+    remote: dict[str, list] = {}
+    for label, op, params in targets:
         if b.node_of(label) == cnode:
-            local.append((label, u))
+            _emit_controlled(b, control, label, op, params, dim, layer)
         else:
-            groups.setdefault(b.node_of(label), []).append((label, u))
-    return local, groups
+            remote.setdefault(b.node_of(label), []).append((label, op, params))
+    if not remote:
+        return
+    bits = dim.bit_length() - 1
+    share0, *shares = b.ghz((cnode, *remote), dim, layer)
+    b.gate(sum_gate, (control, share0), layer=layer)
+    if complement:
+        b.gate(complement, (share0,), layer=layer)
+    m0 = b.measure(share0, layer=layer)
+    b.send(m0, cnode, list(remote), bits=bits, layer=layer)
+    fourier_outcomes = []
+    for (node, node_targets), share in zip(remote.items(), shares):
+        b.cond(shift, (share,), (m0,), mod=dim, layer=layer)
+        for label, op, params in node_targets:
+            _emit_controlled(b, share, label, op, params, dim, layer)
+        b.gate(fourier, (share,), layer=layer)
+        m = b.measure(share, layer=layer)
+        b.send(m, node, [cnode], bits=bits, layer=layer)
+        fourier_outcomes.append(m)
+    b.cond(phase, (control,), fourier_outcomes, mod=dim, layer=layer)
 
 
 def build_fanout(control: str, targets, layout: NodeLayout) -> DistCircuit:
@@ -139,13 +170,8 @@ def build_fanout(control: str, targets, layout: NodeLayout) -> DistCircuit:
             raise ValueError(f"duplicate qubit {label!r} in fan-out")
         seen.add(label)
     b = CircuitBuilder(layout)
-    local, groups = _group_remote(b, control, targets)
-    for label, u in local:
-        _emit_controlled(b, control, label, u)
-    if groups:
-        _fanout_core(b, control, groups)
-    inputs = (control, *(label for label, _ in targets))
-    return b.build(inputs)
+    _fanout(b, control, [(label, u.name, u.params) for label, u in targets], 2)
+    return b.build((control, *(label for label, _ in targets)))
 
 
 def build_dcontrol_u(control: str, target: str, u: GateRef,
@@ -155,17 +181,8 @@ def build_dcontrol_u(control: str, target: str, u: GateRef,
     b = CircuitBuilder(layout)
     if b.node_of(control) == b.node_of(target):
         raise ValueError(f"{control} and {target} share a node; use a local gate")
-    _fanout_core(b, control, {b.node_of(target): [(target, u)]})
+    _fanout(b, control, [(target, u.name, u.params)], 2)
     return b.build((control, target))
-
-
-def _emit_cu_distributed(b: CircuitBuilder, ctrl: str, tgt: str, u: GateRef,
-                         layer: int | None = None):
-    """Controlled-u via one Bell pair when the qubits sit on different nodes."""
-    if b.node_of(ctrl) == b.node_of(tgt):
-        _emit_controlled(b, ctrl, tgt, u, layer)
-        return
-    _fanout_core(b, ctrl, {b.node_of(tgt): [(tgt, u)]}, layer)
 
 
 def build_dgms(spec: GmsSpec, layout: NodeLayout, strategy: str) -> DistCircuit:
@@ -191,9 +208,9 @@ def build_dgms(spec: GmsSpec, layout: NodeLayout, strategy: str) -> DistCircuit:
                 qi, qj = labels[i], labels[j]
                 b.gate("H", (qi,))
                 b.gate("H", (qj,))
-                _emit_cu_distributed(b, qi, qj, GateRef("X"))
+                _fanout(b, qi, [(qj, "X", ())], 2)
                 b.gate("RZ", (qj,), (theta,))
-                _emit_cu_distributed(b, qi, qj, GateRef("X"))
+                _fanout(b, qi, [(qj, "X", ())], 2)
                 b.gate("H", (qi,))
                 b.gate("H", (qj,))
     elif strategy == "pairwise_conditional":
@@ -203,7 +220,7 @@ def build_dgms(spec: GmsSpec, layout: NodeLayout, strategy: str) -> DistCircuit:
                 b.gate("H", (qi,))
                 b.gate("H", (qj,))
                 b.gate("RZ", (qj,), (theta,))
-                _emit_cu_distributed(b, qi, qj, GateRef("RZ", (-2 * theta,)))
+                _fanout(b, qi, [(qj, "RZ", (-2 * theta,))], 2)
                 b.gate("H", (qi,))
                 b.gate("H", (qj,))
     elif strategy == "fanout":
@@ -218,8 +235,7 @@ def build_dgms(spec: GmsSpec, layout: NodeLayout, strategy: str) -> DistCircuit:
             for t in rest:
                 b.gate("H", (t,), layer=i)
                 b.gate("RZ", (t,), (theta,), layer=i)
-            groups = {b.node_of(t): [(t, GateRef("RZ", (-2 * theta,)))] for t in rest}
-            _fanout_core(b, control, groups, layer=i)
+            _fanout(b, control, [(t, "RZ", (-2 * theta,)) for t in rest], 2, layer=i)
             for t in rest:
                 b.gate("H", (t,), layer=i)
             b.gate("H", (control,), layer=i)
@@ -247,21 +263,12 @@ def build_dgcz(qubit_labels, partition: Partition, strategy: str) -> DistCircuit
     if strategy == "pairwise":
         for i in range(n):
             for j in range(i + 1, n):
-                _emit_cu_distributed(b, labels[i], labels[j], GateRef("Z"))
+                _fanout(b, labels[i], [(labels[j], "Z", ())], 2)
         return b.build(labels)
 
     if strategy == "fanout":
         for i, control in enumerate(labels[:-1]):
-            cnode = b.node_of(control)
-            groups: dict[str, list] = {}
-            for t in labels[i + 1:]:
-                node = b.node_of(t)
-                if node == cnode:
-                    b.gate("CZ", (control, t), layer=i)
-                else:
-                    groups.setdefault(node, []).append((t, GateRef("Z")))
-            if groups:
-                _fanout_core(b, control, groups, layer=i)
+            _fanout(b, control, [(t, "Z", ()) for t in labels[i + 1:]], 2, layer=i)
         return b.build(labels)
 
     if strategy == "teleport_all":
@@ -273,7 +280,7 @@ def build_dgcz(qubit_labels, partition: Partition, strategy: str) -> DistCircuit
         moved = [q for q in labels if b.node_of(q) == src]
 
         def teleport(data: str, node_from: str, node_to: str) -> str:
-            ea, eb = b.bell(node_from, node_to)
+            ea, eb = b.ghz((node_from, node_to))
             b.gate("CNOT", (data, ea))
             b.gate("H", (data,))
             ma = b.measure(ea)

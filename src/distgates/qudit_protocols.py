@@ -9,6 +9,15 @@ cross-pair phase (-1)^((q_a xor q_b)(q_c xor q_d)); P3 supplies the intra-pair
 phase (-1)^(q_a q_b). That decomposition turns an n-qubit GCZ into one
 diagonal block per node pair, distributable with one qudit pair or one qudit
 GHZ state per fan-out.
+
+Every distributed protocol here is the d = 4 case of the fan-out in
+``qubit_protocols`` (``_fanout``): CSUM4_dag sums the control into its share,
+K4 complements the share before it is measured (needed here because -j != j
+mod 4 for j = 1, 3), X4 shifts the remote shares by the 2-bit outcome, H4 is
+the Fourier measurement basis, and Z4_dag raised to the summed outcomes fixes
+the control's phase. A remote share drives its targets with CSUM4 ("csum"),
+with CSUM4 between H4_dag and H4 on the target (CZ_4, "cz4"), or with two
+CSUM4 between them ((CZ_4)^2, "cz4_sq").
 """
 
 from __future__ import annotations
@@ -16,7 +25,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 from .circuit import CircuitBuilder, DistCircuit, NodeLayout
-from .qubit_protocols import Partition
+from .qubit_protocols import _CONTROLLED, Partition, _fanout
 from .statevec import MixedRegister, permute
 
 
@@ -82,60 +91,12 @@ def qudit_gcz_local_pair() -> list[tuple[str, tuple[int, ...]]]:
     ]
 
 
-def _receiver_gates(op: str):
-    """Receiver-side block of the teleported qudit protocols.
-
-    csum: plain CSUM_4 from the entangled share onto the data qudit.
-    cz4: H4-conjugated CSUM_4, realizing CZ_4.
-    cz4_sq: H4-conjugated double CSUM_4, realizing (CZ_4)^2.
-    """
-    if op == "csum":
-        return lambda b, share, data, layer=None: b.gate("CSUM4", (share, data), layer=layer)
-    if op in ("cz4", "cz4_sq"):
-        reps = 1 if op == "cz4" else 2
-
-        def emit(b, share, data, layer=None):
-            b.gate("H4_dag", (data,), layer=layer)
-            for _ in range(reps):
-                b.gate("CSUM4", (share, data), layer=layer)
-            b.gate("H4", (data,), layer=layer)
-
-        return emit
-    raise ValueError(f"unknown receiver operation {op!r}")
-
-
-def _dcsum_skeleton(b: CircuitBuilder, control: str, groups: dict[str, list[str]],
-                    receiver, layer: int | None = None):
-    """Teleported qudit fan-out: control-side share absorbs the control value,
-    is complemented and measured; remote shares are shifted into |control>,
-    drive the receiver block, and are measured in the Fourier basis; the
-    summed Fourier outcomes fix the residual phase on the control."""
-    cnode = b.node_of(control)
-    rnodes = list(groups)
-    labels = b.qudit_ghz([cnode] + rnodes, dim=4, layer=layer)
-    share0, shares = labels[0], labels[1:]
-    b.gate("CSUM4_dag", (control, share0), layer=layer)
-    b.gate("K4", (share0,), layer=layer)
-    m0 = b.measure(share0, layer=layer)
-    b.send(m0, cnode, rnodes, bits=2, layer=layer)
-    fourier_outcomes = []
-    for node, share in zip(rnodes, shares):
-        b.cond("X4", (share,), (m0,), mod=4, layer=layer)
-        for data in groups[node]:
-            receiver(b, share, data, layer)
-        b.gate("H4", (share,), layer=layer)
-        m = b.measure(share, layer=layer)
-        b.send(m, node, [cnode], bits=2, layer=layer)
-        fourier_outcomes.append(m)
-    b.cond("Z4_dag", (control,), tuple(fourier_outcomes), mod=4, layer=layer)
-
-
 def build_dcsum4(q1: str, q2: str, layout: NodeLayout) -> DistCircuit:
     """Teleported CSUM_4 between qudits on two nodes, using one qudit pair."""
     b = CircuitBuilder(layout)
     if b.node_of(q1) == b.node_of(q2):
         raise ValueError(f"{q1} and {q2} share a node; use a local CSUM4")
-    _dcsum_skeleton(b, q1, {b.node_of(q2): [q2]}, _receiver_gates("csum"))
+    _fanout(b, q1, [(q2, "csum", ())], 4)
     return b.build((q1, q2))
 
 
@@ -146,8 +107,7 @@ def build_dcz4_pow(q1: str, q2: str, power: int, layout: NodeLayout) -> DistCirc
     b = CircuitBuilder(layout)
     if b.node_of(q1) == b.node_of(q2):
         raise ValueError(f"{q1} and {q2} share a node; use a local gate")
-    op = "cz4" if power == 1 else "cz4_sq"
-    _dcsum_skeleton(b, q1, {b.node_of(q2): [q2]}, _receiver_gates(op))
+    _fanout(b, q1, [(q2, "cz4" if power == 1 else "cz4_sq", ())], 4)
     return b.build((q1, q2))
 
 
@@ -162,18 +122,16 @@ def build_dcsum4_multitarget(control: str, targets, layout: NodeLayout,
     if not targets:
         raise ValueError("fan-out needs at least one target")
     b = CircuitBuilder(layout)
-    cnode = b.node_of(control)
-    groups: dict[str, list[str]] = {}
     seen = {control}
     for t in targets:
         if t in seen:
             raise ValueError(f"duplicate qudit {t!r} in fan-out")
         seen.add(t)
-        node = b.node_of(t)
-        if node == cnode:
+        if b.node_of(t) == b.node_of(control):
             raise ValueError(f"target {t!r} is co-located with the control")
-        groups.setdefault(node, []).append(t)
-    _dcsum_skeleton(b, control, groups, _receiver_gates(receiver_op))
+    if (4, receiver_op) not in _CONTROLLED:
+        raise ValueError(f"unknown receiver operation {receiver_op!r}")
+    _fanout(b, control, [(t, receiver_op, ()) for t in targets], 4)
     return b.build((control, *targets))
 
 
@@ -202,16 +160,11 @@ def build_qudit_gcz(n_qubits: int, partition: Partition,
         if pa is not None and pb is not None and pa != pb:
             raise ValueError(f"encoded pair ({qa}, {qb}) spans nodes {pa} and {pb}")
 
-    cz2 = _receiver_gates("cz4_sq")
     for i in range(d_nodes - 1):
         block = qudits[i:]
         for q in block:
             b.gate("X23", (q,), layer=i)
-        if len(block) == 2:
-            _dcsum_skeleton(b, block[0], {b.node_of(block[1]): [block[1]]}, cz2, layer=i)
-        else:
-            groups = {b.node_of(t): [t] for t in block[1:]}
-            _dcsum_skeleton(b, block[0], groups, cz2, layer=i)
+        _fanout(b, block[0], [(t, "cz4_sq", ()) for t in block[1:]], 4, layer=i)
         for q in block:
             b.gate("X23", (q,), layer=i)
     for q in enc.qudit_labels:

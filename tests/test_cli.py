@@ -248,6 +248,17 @@ def test_usage_errors_exit_two(capsys):
     assert code == 2 and "error" in err
 
 
+@pytest.mark.parametrize("argv", [
+    ("compile", "--gate", "gcz", "--n", "4", "--nodes", "0"),
+    ("estimate", "--sweep", "4:8", "--nodes", "0"),
+    ("compile", "--gate", "gcz", "--n", "4", "--nodes", "-2"),
+])
+def test_node_count_below_one_is_a_usage_error(argv, capsys):
+    code, out, err = run(capsys, *argv)
+    assert code == 2 and out == ""
+    assert "--nodes must be at least 1" in err
+
+
 def test_malformed_circuit_exits_two(tmp_path, capsys):
     bad = tmp_path / "bad.json"
     bad.write_text("{not json")
