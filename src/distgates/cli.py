@@ -15,11 +15,11 @@ import sys
 
 import numpy as np
 
-from .circuit import (CircuitParseError, DistCircuit, NodeLayout, deserialize,
-                      parse_angle, serialize, tally, validate)
-from .qubit_protocols import GmsSpec, Partition, build_dgcz, build_dgms
-from .qudit_protocols import QuditEncoding, build_qudit_gcz
-from .resources import GczConfig, CostReport, fanout_gain, gcz_costs, gms_costs
+from . import catalog
+from .catalog import block_layout  # noqa: F401  (callers still import cli.block_layout)
+from .circuit import (CircuitParseError, DistCircuit, deserialize, parse_angle, serialize,
+                      tally, validate)
+from .resources import GczConfig, fanout_gain, gcz_costs, gms_costs
 from .simulate import enumerate_branches, infer_dims
 from .statevec import MixedRegister
 from .verify import OracleSpec, basis_inputs, random_inputs, identity_checks, verify
@@ -29,37 +29,14 @@ class UsageError(Exception):
     pass
 
 
-def block_layout(n: int, nodes: int, labels=None) -> tuple[NodeLayout, tuple[str, ...]]:
-    """First k qubits on node1, next k on node2, ... (contiguous blocks)."""
-    if n % nodes:
-        raise UsageError(f"{n} qubits do not divide evenly over {nodes} nodes")
-    k = n // nodes
-    labels = tuple(labels) if labels else tuple(f"q{i + 1}" for i in range(n))
-    node_names = tuple(f"node{i + 1}" for i in range(nodes))
-    placement = {labels[i]: node_names[i // k] for i in range(n)}
-    return NodeLayout(node_names, placement), labels
-
-
 def _build_from_flags(args) -> DistCircuit:
-    layout, labels = block_layout(args.n, args.nodes)
     if args.gate == "gms":
         if args.qudit:
             raise UsageError("qudit compression is defined for GCZ, not generic GMS")
-        theta = parse_angle(args.theta)
-        return build_dgms(GmsSpec(labels, theta), layout, args.strategy)
+        return catalog.gms(args.n, args.nodes, parse_angle(args.theta), args.strategy)
     if args.qudit:
-        k = args.n // args.nodes
-        if k != 2:
-            raise UsageError("qudit compression packs 2 qubits per dimension-4 qudit; "
-                             "need exactly 2 qubits per node")
-        pairs = tuple((labels[2 * i], labels[2 * i + 1]) for i in range(args.n // 2))
-        qudits = tuple(f"Q{i + 1}" for i in range(args.n // 2))
-        qudit_layout = NodeLayout(
-            layout.nodes,
-            {**layout.placement, **{qudits[i]: layout.nodes[i] for i in range(len(qudits))}})
-        enc = QuditEncoding(pairs, qudits)
-        return build_qudit_gcz(args.n, Partition(qudit_layout), enc)
-    return build_dgcz(labels, Partition(layout), args.strategy)
+        return catalog.qudit_gcz(args.n, args.nodes)
+    return catalog.gcz(args.n, args.nodes, args.strategy)
 
 
 def _report_violations(circuit: DistCircuit) -> bool:
@@ -171,7 +148,7 @@ def cmd_estimate(args) -> int:
                      "gms_pairwise_ep", "gms_conditional_ep", "gms_fanout_ghz",
                      "time_pairwise", "time_fanout", "fanout_gain"])
     for n in range(lo, hi + 1, step):
-        if n % args.nodes:
+        if n < 2 or n % args.nodes:
             continue
         k = n // args.nodes
         m = args.qudit_m or k
@@ -179,12 +156,11 @@ def cmd_estimate(args) -> int:
             continue
         cfg = GczConfig(n=n, D=args.nodes, k=k, m=m, epsilon=eps)
         r = gcz_costs(cfg)
-        gms_fan = gms_costs(n, "fanout", eps) if n >= 2 else CostReport()
         writer.writerow([n, args.nodes, k, m, eps,
                          r.pairwise_ep, r.fanout_ghz, r.fanout_ep, r.qudit_ghz, r.qudit_ep,
                          gms_costs(n, "pairwise").pairwise_ep,
                          gms_costs(n, "pairwise_conditional").pairwise_ep,
-                         gms_fan.fanout_ghz,
+                         gms_costs(n, "fanout", eps).fanout_ghz,
                          r.time_pairwise, r.time_fanout, fanout_gain(n, eps)])
     text = buf.getvalue()
     if args.out:

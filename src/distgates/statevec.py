@@ -72,7 +72,7 @@ class MixedRegister:
             raise ValueError(f"amplitude vector must have length {total}, got {amps.shape}")
         check_register_dim(total)
         norm = np.linalg.norm(amps, axis=0) if amps.ndim == 2 else np.linalg.norm(amps)
-        if abs(norm - 1.0).max() > NORM_TOL:  # one norm per column of a batch
+        if not abs(norm - 1.0).max() <= NORM_TOL:  # one norm per column; NaN fails too
             raise ValueError(f"state not normalized: ||amps|| = {norm}")
 
     @classmethod
@@ -125,7 +125,7 @@ class Unitary:
         if mat.shape != (dim, dim):
             raise ValueError(f"matrix shape {mat.shape} does not match arity {self.arity}")
         dev = np.max(np.abs(mat @ mat.conj().T - np.eye(dim)))
-        if dev > UNITARY_TOL:
+        if not dev <= UNITARY_TOL:  # NaN fails too
             raise ValueError(f"matrix is not unitary (max |U U+ - I| = {dev:.3e})")
 
     @property

@@ -7,20 +7,13 @@ import math
 import time
 
 import numpy as np
-from conftest import (H, builder_corpus, kron_embed, one_per_node_layout,
-                      qudit_gcz_setup)
+from conftest import H, kron_embed
 
-from distgates import (GateRef, GmsSpec, NodeLayout, Partition, build_dcontrol_u,
-                       build_dcsum4, build_dcsum4_multitarget, build_dcz4_pow,
-                       build_dgcz, build_dgms, build_fanout, build_qudit_gcz,
-                       deserialize, lms_matrix, serialize, tally, validate)
-from distgates.cli import block_layout
+from distgates import catalog, deserialize, lms_matrix, serialize, tally, validate
 from distgates.circuit import DistCircuit
 from distgates.resources import GczConfig, gcz_costs
-from distgates.verify import (OracleSpec, basis_inputs, identity_checks,
-                              oracle_multitarget_cu, random_inputs, verify)
+from distgates.verify import basis_inputs, identity_checks, random_inputs, verify
 
-X_MAT = np.array([[0, 1], [1, 0]], dtype=complex)
 RANDOM_INPUTS = 20
 SEED = 2024
 
@@ -32,11 +25,9 @@ def _report(criterion: str, ok: bool, detail: str = ""):
 
 def test_criterion_1_gms_resource_counts():
     start = time.time()
-    layout, labels = one_per_node_layout(4)
-    spec = GmsSpec(labels, math.pi / 2)
-    ok = tally(build_dgms(spec, layout, "pairwise")).ep == 12
-    ok &= tally(build_dgms(spec, layout, "pairwise_conditional")).ep == 6
-    fan = tally(build_dgms(spec, layout, "fanout"))
+    ok = tally(catalog.gms(4, 4, math.pi / 2, "pairwise")).ep == 12
+    ok &= tally(catalog.gms(4, 4, math.pi / 2, "pairwise_conditional")).ep == 6
+    fan = tally(catalog.gms(4, 4, math.pi / 2, "fanout"))
     ok &= fan.ep == 1 and fan.ghz == {4: 1, 3: 1}
     ok &= fan.time_units == 2 * 1 + 1 and fan.time_units < 12
     elapsed = time.time() - start
@@ -69,79 +60,9 @@ def test_criterion_2_gcz_table_and_formulas():
             f"{elapsed:.2f}s")
 
 
-def _fanout_case(local_targets: int, remote_nodes: int):
-    """Fig. 2-style (control node hosts targets) or Fig. 3-style (all remote)."""
-    nodes = tuple(f"N{i}" for i in range(remote_nodes + 1))
-    placement = {"c": "N0"}
-    targets = []
-    for i in range(local_targets):
-        placement[f"s{i}"] = "N0"
-        targets.append((f"s{i}", GateRef("X")))
-    for i in range(remote_nodes):
-        placement[f"t{i}"] = f"N{i + 1}"
-        targets.append((f"t{i}", GateRef("X")))
-    circuit = build_fanout("c", targets, NodeLayout(nodes, placement))
-    oracle = oracle_multitarget_cu([X_MAT] * len(targets))
-    return circuit, oracle
-
-
 def _protocol_suite():
     """(name, circuit, oracle) for every protocol the correctness gate covers."""
-    cases = []
-    lay2 = NodeLayout(("A", "B"), {"c": "A", "t": "B"})
-    cases.append(("dCNOT", build_dcontrol_u("c", "t", GateRef("X"), lay2),
-                  OracleSpec("cnot")))
-
-    for remotes in (2, 3):
-        circuit, oracle = _fanout_case(1, remotes)
-        cases.append((f"fanout local+{remotes} remote", circuit, oracle))
-        circuit, oracle = _fanout_case(0, remotes)
-        cases.append((f"fanout {remotes} remote", circuit, oracle))
-
-    for theta_name, theta in (("pi/2", math.pi / 2), ("pi/3", math.pi / 3)):
-        lmslay, lmslabels = one_per_node_layout(2)
-        for strat, tag in (("pairwise", "two dCNOTs"), ("pairwise_conditional", "conditional")):
-            cases.append((f"dLMS {tag} theta={theta_name}",
-                          build_dgms(GmsSpec(lmslabels, theta), lmslay, strat),
-                          OracleSpec("gms", theta=theta)))
-        for n in (3, 4):
-            layout, labels = one_per_node_layout(n)
-            for strat in ("pairwise", "pairwise_conditional", "fanout"):
-                cases.append((f"dGMS n={n} {strat} theta={theta_name}",
-                              build_dgms(GmsSpec(labels, theta), layout, strat),
-                              OracleSpec("gms", theta=theta)))
-
-    lay44, labels4 = block_layout(4, 4)
-    for strat in ("pairwise", "fanout"):
-        cases.append((f"dGCZ n=4/4 nodes {strat}",
-                      build_dgcz(labels4, Partition(lay44), strat), OracleSpec("gcz")))
-    lay62, labels6 = block_layout(6, 2)
-    for strat in ("pairwise", "fanout", "teleport_all"):
-        cases.append((f"dGCZ n=6/2 nodes {strat}",
-                      build_dgcz(labels6, Partition(lay62), strat), OracleSpec("gcz")))
-    lay63, _ = block_layout(6, 3)
-    for strat in ("pairwise", "fanout"):
-        cases.append((f"dGCZ n=6/3 nodes {strat}",
-                      build_dgcz(labels6, Partition(lay63), strat), OracleSpec("gcz")))
-
-    qlay2 = NodeLayout(("n1", "n2"), {"Q1": "n1", "Q2": "n2"})
-    qlay3 = NodeLayout(("n1", "n2", "n3"), {"Q1": "n1", "Q2": "n2", "Q3": "n3"})
-    cases.append(("dCSUM4", build_dcsum4("Q1", "Q2", qlay2), OracleSpec("csum4")))
-    cases.append(("dCZ4", build_dcz4_pow("Q1", "Q2", 1, qlay2), OracleSpec("cz4")))
-    cases.append(("d(CZ4)^2", build_dcz4_pow("Q1", "Q2", 2, qlay2), OracleSpec("cz4_sq")))
-    cases.append(("dCSUM''4 two targets",
-                  build_dcsum4_multitarget("Q1", ("Q2", "Q3"), qlay3, "csum"),
-                  OracleSpec("csum4_multi")))
-    cases.append(("d(CZ4)^2 fan-out two targets",
-                  build_dcsum4_multitarget("Q1", ("Q2", "Q3"), qlay3, "cz4_sq"),
-                  OracleSpec("cz4_sq")))
-
-    for n_qubits in (4, 6):
-        partition, enc, _ = qudit_gcz_setup(n_qubits)
-        cases.append((f"qudit GCZ n={n_qubits}",
-                      build_qudit_gcz(n_qubits, partition, enc),
-                      OracleSpec("qudit_gcz")))
-    return cases
+    return [(name, e.build(), e.make_oracle()) for name, e in catalog.tagged("suite").items()]
 
 
 def test_criterion_3_protocol_correctness():
@@ -204,11 +125,9 @@ def test_criterion_5_commutation_properties():
 def test_criterion_6_negative_controls():
     ok = True
     details = []
-    lay2 = NodeLayout(("A", "B"), {"c": "A", "t": "B"})
-    qlay2 = NodeLayout(("n1", "n2"), {"Q1": "n1", "Q2": "n2"})
-    for name, circuit, oracle in (
-            ("dCNOT", build_dcontrol_u("c", "t", GateRef("X"), lay2), OracleSpec("cnot")),
-            ("dCSUM4", build_dcsum4("Q1", "Q2", qlay2), OracleSpec("csum4"))):
+    suite = catalog.tagged("suite")
+    for name in ("dCNOT", "dCSUM4"):
+        circuit, oracle = suite[name].build(), suite[name].make_oracle()
         corrections = [i for i, ins in enumerate(circuit.instructions)
                        if ins.kind == "CondGate"]
         for index in corrections:
@@ -223,7 +142,7 @@ def test_criterion_6_negative_controls():
 
 
 def test_criterion_7_serialization_round_trips():
-    corpus = builder_corpus()
+    corpus = catalog.circuits("corpus")
     ok = True
     for name, circuit in corpus.items():
         text = serialize(circuit)

@@ -5,11 +5,10 @@ import math
 
 import numpy as np
 import pytest
-from conftest import builder_corpus
 from test_acceptance import _protocol_suite
 
 from distgates import (DistCircuit, GateRef, MixedRegister, NodeLayout, Unitary, backend,
-                       build_dcontrol_u, enumerate_branches, peak_register_dim, simulate)
+                       build_dcontrol_u, catalog, enumerate_branches, peak_register_dim, simulate)
 from distgates.simulate import MAX_BRANCHES, MERGE_ATOL, _Branch, _merge, unmerged_branch_bound
 from distgates.verify import (OracleSpec, PhaseOracle, ProductOracle, basis_inputs,
                               oracle_gcz, random_inputs, verify)
@@ -100,7 +99,7 @@ def test_chunked_verify_gives_the_same_report(monkeypatch):
 
 
 def test_over_cap_circuit_is_rejected_before_any_simulation(monkeypatch):
-    circuit = builder_corpus()["gcz6_3n_fanout"]
+    circuit = catalog.tagged("corpus")["gcz6_3n_fanout"].build()
     peak = peak_register_dim(circuit)
 
     def forbidden(*args, **kwargs):
@@ -129,7 +128,7 @@ def test_unmerged_branch_budget_is_checked_before_any_simulation(monkeypatch, tm
                                                                  name):
     from distgates import serialize
     from distgates.cli import main
-    circuit = builder_corpus()[name]
+    circuit = catalog.tagged("corpus")[name].build()
     assert unmerged_branch_bound(circuit) == 2 ** 24 > MAX_BRANCHES
 
     def forbidden(*args, **kwargs):
@@ -152,7 +151,7 @@ def test_unmerged_branch_budget_is_checked_before_any_simulation(monkeypatch, tm
 
 
 def test_corpus_circuits_under_the_branch_budget_are_unaffected():
-    bounds = {name: unmerged_branch_bound(c) for name, c in builder_corpus().items()}
+    bounds = {name: unmerged_branch_bound(c) for name, c in catalog.circuits("corpus").items()}
     assert max(b for name, b in bounds.items() if not name.endswith("_pairwise")) <= 4096
 
 
@@ -166,7 +165,7 @@ def test_peak_register_dim_is_the_largest_register_simulated(monkeypatch):
 
     simulate_tensor = simulate.tensor
     monkeypatch.setattr(simulate, "tensor", recording)
-    for name, circuit in builder_corpus().items():
+    for name, circuit in catalog.circuits("corpus").items():
         seen.clear()
         start = random_inputs(circuit, 1)[0]
         enumerate_branches(circuit, start, merge_equal=True)
@@ -190,7 +189,7 @@ def test_verify_rejects_inputs_over_other_subsystems():
 def test_batch_columns_are_the_single_input_branches():
     # without merging, the branches alive in column j are, in order, exactly
     # the branches of input j run alone
-    circuit = builder_corpus()["dcsum4"]
+    circuit = catalog.tagged("corpus")["dcsum4"].build()
     inputs = basis_inputs(circuit)[:5] + random_inputs(circuit, 3, seed=2)
     batch = MixedRegister(inputs[0].dims, np.stack([s.amps for s in inputs], axis=1),
                           inputs[0].labels)

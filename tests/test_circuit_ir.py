@@ -5,13 +5,12 @@ import math
 import random
 
 import pytest
-from conftest import builder_corpus
 
-from distgates import (Condition, DistCircuit, Instruction, NodeLayout, count_messages,
-                       deserialize, serialize, tally, validate)
+from distgates import (Condition, DistCircuit, Instruction, NodeLayout, catalog,
+                       count_messages, deserialize, serialize, tally, validate)
 from distgates.circuit import CircuitParseError, format_angle, parse_angle
 
-CORPUS = builder_corpus()
+CORPUS = catalog.circuits("corpus")
 
 
 @pytest.mark.parametrize("name", sorted(CORPUS))

@@ -109,6 +109,18 @@ def test_verify_with_nothing_to_check_is_a_usage_error(tmp_path, capsys):
         assert err.startswith("error: ") and inputs in err
 
 
+def test_verify_rejects_nan_inputs(tmp_path, capsys):
+    path = tmp_path / "c.json"
+    run(capsys, "compile", "--gate", "gcz", "--n", "2", "--nodes", "2",
+        "--strategy", "pairwise", "--out", str(path))
+    states = tmp_path / "states.json"
+    states.write_text("[[[NaN, 0], [0, 0], [0, 0], [0, 0]]]")
+    code, out, err = run(capsys, "verify", "--circuit", str(path), "--oracle", "gcz",
+                         "--inputs", str(states))
+    assert code == 2 and out == ""
+    assert "not normalized" in err
+
+
 def test_simulate_lists_branches(tmp_path, capsys):
     path = tmp_path / "c.json"
     run(capsys, "compile", "--gate", "gcz", "--n", "2", "--nodes", "2",
@@ -221,6 +233,12 @@ def test_estimate_sweep_quadratic_column(capsys):
     gains = [float(r["fanout_gain"]) for r in rows]
     ns = [int(r["n"]) for r in rows]
     assert gains == [n - 1.0 for n in ns]  # linear in n at epsilon = 1
+
+
+def test_estimate_sweep_skips_fewer_than_two_qubits(capsys):
+    code, out, _ = run(capsys, "estimate", "--sweep", "0:4", "--nodes", "2")
+    assert code == 0
+    assert [row["n"] for row in csv.DictReader(io.StringIO(out))] == ["2", "4"]
 
 
 def test_estimate_epsilon_sweep(capsys):

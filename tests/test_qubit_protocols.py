@@ -4,14 +4,12 @@ import math
 
 import numpy as np
 import pytest
-from conftest import H, I2, X, expm_xx_sum, gcz_phase, kron_embed, one_per_node_layout
+from conftest import H, I2, X, expm_xx_sum, gcz_phase, kron_embed
 
-from distgates import (GateRef, GmsSpec, MixedRegister, NodeLayout, Partition,
-                       apply_unitary, build_dcontrol_u, build_dgcz, build_dgms,
-                       build_fanout, count_messages, enumerate_branches,
-                       fidelity_up_to_phase, lms_matrix, random_register, tally,
-                       validate)
-from distgates.cli import block_layout
+from distgates import (GateRef, GmsSpec, MixedRegister, NodeLayout, apply_unitary,
+                       build_dcontrol_u, build_dgms, build_fanout, catalog, count_messages,
+                       enumerate_branches, fidelity_up_to_phase, lms_matrix, random_register,
+                       tally, validate)
 from distgates.gates import gate_unitary
 from distgates.resources import GczConfig, gcz_costs
 from distgates.statevec import Unitary
@@ -167,29 +165,24 @@ def test_fanout_requires_targets():
 # ---------------------------------------------------------------------------
 
 def test_dgms_resource_counts_n4():
-    layout, labels = one_per_node_layout(4)
-    spec = GmsSpec(labels, math.pi / 2)
-    assert tally(build_dgms(spec, layout, "pairwise")).ep == 12
-    assert tally(build_dgms(spec, layout, "pairwise_conditional")).ep == 6
-    t = tally(build_dgms(spec, layout, "fanout"))
+    assert tally(catalog.gms(4, 4, math.pi / 2, "pairwise")).ep == 12
+    assert tally(catalog.gms(4, 4, math.pi / 2, "pairwise_conditional")).ep == 6
+    t = tally(catalog.gms(4, 4, math.pi / 2, "fanout"))
     assert t.ep == 1 and t.ghz == {4: 1, 3: 1}
     assert t.time_units == 3.0 and t.time_units < 12
 
 
 @pytest.mark.parametrize("n", [3, 4, 5, 6])
 def test_dgms_fanout_ghz_arities(n):
-    layout, labels = one_per_node_layout(n)
-    circuit = build_dgms(GmsSpec(labels, 0.3), layout, "fanout")
-    t = tally(circuit)
+    t = tally(catalog.gms(n, n, 0.3, "fanout"))
     assert t.ghz == {arity: 1 for arity in range(3, n + 1)}
     assert t.ep == 1
 
 
 @pytest.mark.parametrize("strategy", ["pairwise", "pairwise_conditional", "fanout"])
 def test_dgms_n3_branch_correctness(strategy):
-    layout, labels = one_per_node_layout(3)
     theta = math.pi / 2
-    circuit = build_dgms(GmsSpec(labels, theta), layout, strategy)
+    circuit = catalog.gms(3, 3, theta, strategy)
     oracle = Unitary(expm_xx_sum(3, theta), (2, 2, 2))
     rep = verify(circuit, oracle, basis_inputs(circuit) + random_inputs(circuit, 8))
     assert rep.min_fidelity > 1 - 1e-9, f"{strategy}: {rep.min_fidelity}"
@@ -213,22 +206,19 @@ def test_gms_spec_validation():
 # ---------------------------------------------------------------------------
 
 def test_dgcz_counts_match_worked_examples():
-    lay2, labels = block_layout(6, 2)
-    lay3, _ = block_layout(6, 3)
-    assert tally(build_dgcz(labels, Partition(lay2), "fanout")).ep == 3
-    assert tally(build_dgcz(labels, Partition(lay2), "pairwise")).ep == 9
-    assert tally(build_dgcz(labels, Partition(lay2), "teleport_all")).ep == 6
-    assert tally(build_dgcz(labels, Partition(lay3), "pairwise")).ep == 12
-    t3 = tally(build_dgcz(labels, Partition(lay3), "fanout"))
+    assert tally(catalog.gcz(6, 2, "fanout")).ep == 3
+    assert tally(catalog.gcz(6, 2, "pairwise")).ep == 9
+    assert tally(catalog.gcz(6, 2, "teleport_all")).ep == 6
+    assert tally(catalog.gcz(6, 3, "pairwise")).ep == 12
+    t3 = tally(catalog.gcz(6, 3, "fanout"))
     assert t3.ghz == {3: 2} and t3.ep == 2
 
 
 def test_dgcz_two_qubits_one_pair():
-    layout, labels = block_layout(2, 2)
-    assert tally(build_dgcz(labels, Partition(layout), "pairwise")).ep == 1
-    assert tally(build_dgcz(labels, Partition(layout), "fanout")).ep == 1
+    assert tally(catalog.gcz(2, 2, "pairwise")).ep == 1
+    assert tally(catalog.gcz(2, 2, "fanout")).ep == 1
     # moving the single qubit there and back costs two pairs
-    assert tally(build_dgcz(labels, Partition(layout), "teleport_all")).ep == 2
+    assert tally(catalog.gcz(2, 2, "teleport_all")).ep == 2
 
 
 @pytest.mark.parametrize("D,k", [(2, 1), (2, 2), (2, 3), (3, 1), (3, 2), (3, 3),
@@ -237,26 +227,23 @@ def test_dgcz_tally_matches_formulas(D, k):
     n = D * k
     if n < 2:
         pytest.skip("degenerate")
-    layout, labels = block_layout(n, D)
     costs = gcz_costs(GczConfig(n=n, D=D, k=k))
-    assert tally(build_dgcz(labels, Partition(layout), "pairwise")).ep == costs.pairwise_ep
-    t = tally(build_dgcz(labels, Partition(layout), "fanout"))
+    assert tally(catalog.gcz(n, D, "pairwise")).ep == costs.pairwise_ep
+    t = tally(catalog.gcz(n, D, "fanout"))
     assert t.ep == costs.fanout_ep
     assert sum(t.ghz.values()) == costs.fanout_ghz
     assert t.ghz == {a: c for a, c in costs.fanout_ghz_arities.items() if c}
 
 
 def test_dgcz_teleport_all_requires_two_nodes():
-    layout, labels = block_layout(6, 3)
     with pytest.raises(ValueError, match="two occupied nodes"):
-        build_dgcz(labels, Partition(layout), "teleport_all")
+        catalog.gcz(6, 3, "teleport_all")
 
 
 @pytest.mark.parametrize("nodes,strategy", [(4, "pairwise"), (4, "fanout"),
                                             (2, "teleport_all"), (2, "fanout")])
 def test_dgcz_n4_branch_correctness(nodes, strategy):
-    layout, labels = block_layout(4, nodes)
-    circuit = build_dgcz(labels, Partition(layout), strategy)
+    circuit = catalog.gcz(4, nodes, strategy)
     diag = np.array([(-1.0) ** gcz_phase([(i >> (3 - p)) & 1 for p in range(4)])
                      for i in range(16)])
     oracle = Unitary(np.diag(diag), (2,) * 4)

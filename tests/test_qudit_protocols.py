@@ -5,11 +5,11 @@ import math
 
 import numpy as np
 import pytest
-from conftest import digits_of, gcz_phase, kron_embed, qudit_gcz_setup
+from conftest import digits_of, gcz_phase, kron_embed
 
 from distgates import (MixedRegister, NodeLayout, QuditEncoding, apply_unitary,
                        build_dcsum4, build_dcsum4_multitarget, build_dcz4_pow,
-                       build_qudit_gcz, decode, encode, enumerate_branches,
+                       build_qudit_gcz, catalog, decode, encode, enumerate_branches,
                        fidelity_up_to_phase, qudit_gcz_local_pair, random_register,
                        tally, validate)
 from distgates.gates import cz4_sq_matrix, gate_unitary, level_swap_matrix
@@ -288,7 +288,7 @@ def test_multitarget_csum_matches_definition_oracle():
 # ---------------------------------------------------------------------------
 
 def test_qudit_gcz4_decode_route():
-    partition, enc, qubit_labels = qudit_gcz_setup(4)
+    partition, enc, qubit_labels = catalog.qudit_layout(4, 2)
     circuit = build_qudit_gcz(4, partition, enc)
     assert tally(circuit).ep_d == {4: 1} and tally(circuit).ghz_d == {}
     rng = np.random.default_rng(41)
@@ -302,8 +302,7 @@ def test_qudit_gcz4_decode_route():
 
 
 def test_qudit_gcz6_tally_and_basis_phase():
-    partition, enc, _ = qudit_gcz_setup(6)
-    circuit = build_qudit_gcz(6, partition, enc)
+    circuit = catalog.qudit_gcz(6, 3)
     t = tally(circuit)
     assert t.ghz_d == {(3, 4): 1} and t.ep_d == {4: 1}
     # |110000>: only the first intra-pair phase fires, so the sign is -1
@@ -313,14 +312,13 @@ def test_qudit_gcz6_tally_and_basis_phase():
 
 
 def test_qudit_gcz6_matches_encoded_oracle():
-    partition, enc, _ = qudit_gcz_setup(6)
-    circuit = build_qudit_gcz(6, partition, enc)
+    circuit = catalog.qudit_gcz(6, 3)
     rep = verify(circuit, OracleSpec("qudit_gcz"), random_inputs(circuit, 5))
     assert rep.min_fidelity > 1 - 1e-9
 
 
 def test_qudit_gcz_validation():
-    partition, enc, _ = qudit_gcz_setup(4)
+    partition, enc, _ = catalog.qudit_layout(4, 2)
     with pytest.raises(ValueError, match="even"):
         build_qudit_gcz(5, partition, enc)
     with pytest.raises(ValueError, match="cover"):

@@ -4,11 +4,8 @@ import math
 
 import pytest
 
-from distgates import GmsSpec, Partition, build_dgcz, build_dgms, tally
-from distgates.cli import block_layout
+from distgates import catalog, tally
 from distgates.resources import CostReport, GczConfig, fanout_gain, gcz_costs, gms_costs
-
-from conftest import one_per_node_layout
 
 
 def test_table_row_six_qubits_three_nodes():
@@ -91,24 +88,20 @@ def test_formulas_agree_with_built_circuit_tallies(D, k):
     n = D * k
     if n < 2:
         pytest.skip("degenerate")
-    layout, labels = block_layout(n, D)
     costs = gcz_costs(GczConfig(n=n, D=D, k=k))
-    pair_tally = tally(build_dgcz(labels, Partition(layout), "pairwise"))
-    assert pair_tally.ep == costs.pairwise_ep
-    fan_tally = tally(build_dgcz(labels, Partition(layout), "fanout"))
+    assert tally(catalog.gcz(n, D, "pairwise")).ep == costs.pairwise_ep
+    fan_tally = tally(catalog.gcz(n, D, "fanout"))
     assert fan_tally.ep == costs.fanout_ep
     assert sum(fan_tally.ghz.values()) == costs.fanout_ghz
 
 
 @pytest.mark.parametrize("n", [3, 4, 5])
 def test_gms_formulas_agree_with_tallies(n):
-    layout, labels = one_per_node_layout(n)
-    spec = GmsSpec(labels, math.pi / 2)
-    assert tally(build_dgms(spec, layout, "pairwise")).ep == gms_costs(n, "pairwise").pairwise_ep
-    assert tally(build_dgms(spec, layout, "pairwise_conditional")).ep == \
-        gms_costs(n, "pairwise_conditional").pairwise_ep
+    for strategy in ("pairwise", "pairwise_conditional"):
+        assert tally(catalog.gms(n, n, math.pi / 2, strategy)).ep == \
+            gms_costs(n, strategy).pairwise_ep
     fan = gms_costs(n, "fanout")
-    t = tally(build_dgms(spec, layout, "fanout"))
+    t = tally(catalog.gms(n, n, math.pi / 2, "fanout"))
     assert t.ghz == fan.fanout_ghz_arities and t.ep == fan.fanout_ep
 
 

@@ -6,15 +6,15 @@ import tracemalloc
 
 import numpy as np
 import pytest
-from conftest import (H, I2, X, bits_of, builder_corpus, csum_multi_reference, digits_of,
-                      expm_xx_sum, gcz_phase, kron_embed)
+from conftest import (H, I2, X, bits_of, csum_multi_reference, digits_of, expm_xx_sum,
+                      gcz_phase, kron_embed)
 
-from distgates import (DistCircuit, GateRef, MixedRegister, NodeLayout, Unitary, backend,
-                       build_dcontrol_u, build_dcsum4, enumerate_branches, lms_matrix)
+from distgates import (DistCircuit, GateRef, MixedRegister, NodeLayout, Unitary,
+                       build_dcontrol_u, build_dcsum4, catalog, enumerate_branches, lms_matrix)
 from distgates.gates import s_dag_matrix
 from distgates.verify import (OracleSpec, PhaseOracle, ProductOracle, basis_inputs,
-                              embed_unitary, identity_checks, oracle_gcz, oracle_gms,
-                              oracle_multitarget_cu, oracle_qudit_gcz, random_inputs, verify)
+                              identity_checks, oracle_gcz, oracle_gms, oracle_multitarget_cu,
+                              oracle_qudit_gcz, random_inputs, verify)
 
 LAY_AB = NodeLayout(("A", "B"), {"c": "A", "t": "B"})
 
@@ -172,8 +172,7 @@ def test_branch_weights_sum_probability_to_one():
 def test_every_protocol_is_deterministic_up_to_corrections():
     # merging only joins states equal within 1e-12, so a single surviving
     # branch means every measurement outcome led to the same corrected state
-    from conftest import builder_corpus
-    for name, circuit in builder_corpus().items():
+    for name, circuit in catalog.circuits("corpus").items():
         state = random_inputs(circuit, 1, seed=5)[0]
         branches = enumerate_branches(circuit, state, merge_equal=True)
         assert len(branches) == 1, f"{name} branches diverge"
@@ -212,25 +211,8 @@ def test_oracle_qudit_gcz_equals_digit_loop(n_qudits):
                                   np.diag(_loop_gcz_diagonal(bits)))
 
 
-@pytest.mark.parametrize("dims,axes", [((2, 4, 2), (2, 0)), ((4, 4, 4), (1,)),
-                                       ((2,) * 10, (7, 3)), ((2, 2), (0, 1))])
-def test_embed_unitary_equals_column_loop(dims, axes):
-    rng = np.random.default_rng(len(dims))
-    h = math.prod(dims[a] for a in axes)
-    mat = rng.standard_normal((h, h)) + 1j * rng.standard_normal((h, h))
-    total = math.prod(dims)
-    expected = np.empty((total, total), dtype=np.complex128)
-    basis = np.zeros(total, dtype=np.complex128)
-    for col in range(total):
-        basis[:] = 0.0
-        basis[col] = 1.0
-        expected[:, col] = backend.apply_matrix(basis, dims, axes, mat)
-    np.testing.assert_array_equal(embed_unitary(mat, axes, dims), expected)
-
-
 def test_basis_inputs_equal_digit_loop():
-    from conftest import builder_corpus
-    for name, circuit in builder_corpus().items():
+    for name, circuit in catalog.circuits("corpus").items():
         states = basis_inputs(circuit)
         in_dims = states[0].dims
         assert len(states) == math.prod(in_dims), name
@@ -315,15 +297,9 @@ def test_verify_never_builds_a_dense_oracle(monkeypatch):
 
     monkeypatch.setattr(PhaseOracle, "entries", property(forbidden))
     monkeypatch.setattr(ProductOracle, "entries", property(forbidden))
-    corpus = builder_corpus()
-    for name, kind, theta in (
-            ("dcnot", "cnot", None), ("gms4_fanout", "gms", math.pi / 2),
-            ("gcz6_3n_fanout", "gcz", None), ("dcsum4", "csum4", None),
-            ("dcsum4_multi", "csum4_multi", None), ("dcz4", "cz4", None),
-            ("dcz4_sq", "cz4_sq", None), ("dcz4_sq_multi", "cz4_sq", None),
-            ("qudit_gcz4", "qudit_gcz", None)):
-        circuit = corpus[name]
-        assert verify(circuit, OracleSpec(kind, theta), random_inputs(circuit, 2)).passed, name
+    for name, entry in catalog.tagged("corpus").items():  # every OracleSpec kind, and products
+        circuit = entry.build()
+        assert verify(circuit, entry.make_oracle(), random_inputs(circuit, 2)).passed, name
 
 
 def test_non_unitary_phases_and_factors_are_rejected():
@@ -341,6 +317,17 @@ def test_non_unitary_phases_and_factors_are_rejected():
         ProductOracle((2, 2), [((0, 0), cz)])
     with pytest.raises(ValueError, match="not distinct axes"):
         ProductOracle((2, 2), [((1, 2), cz)])
+
+
+@pytest.mark.parametrize("make", [
+    lambda v: MixedRegister((2,), np.array([v, 0]), ("q",)),
+    lambda v: Unitary(np.diag([v, 1]), (2,)),
+    lambda v: PhaseOracle(np.array([v, 1]), (2,)),
+], ids=["MixedRegister", "Unitary", "PhaseOracle"])
+def test_validators_reject_nan(make):
+    make(1.0)
+    with pytest.raises(ValueError):
+        make(np.nan)
 
 
 def test_verify_rejects_an_oracle_of_the_wrong_dimension():

@@ -7,15 +7,16 @@ import json
 import tempfile
 from pathlib import Path
 
-from conftest import builder_corpus
 from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
-from distgates import deserialize, serialize, validate
+from distgates import catalog, deserialize, serialize, validate
 from distgates.circuit import CircuitParseError
 from distgates.cli import main
+from distgates.verify import OracleSpec
 
-DOCS = {name: json.loads(serialize(c)) for name, c in builder_corpus().items()}
+CORPUS = catalog.tagged("corpus")
+DOCS = {name: json.loads(serialize(entry.build())) for name, entry in CORPUS.items()}
 NAMES = sorted(DOCS)
 
 # values put in place of any field: wrong types, strings for lists, out-of-range numbers
@@ -25,14 +26,10 @@ DIMS = [0, 1, -1, 3, 5, 100000, 2 ** 40, "4", 4.0, None, [4]]
 
 
 def oracle_args(name: str) -> list[str]:
-    if name.startswith("gms"):
-        return ["--oracle", "gms", "--theta", "pi/2"]
-    for prefix, kind in (("gcz", "gcz"), ("dcz", "gcz"), ("qudit_gcz", "qudit_gcz"),
-                         ("dcsum4_multi", "csum4_multi"), ("dcsum4", "csum4"),
-                         ("dcz4_sq", "cz4_sq"), ("dcz4", "cz4")):
-        if name.startswith(prefix):
-            return ["--oracle", kind]
-    return ["--oracle", "cnot"]
+    spec = CORPUS[name].oracle
+    if not isinstance(spec, OracleSpec):  # a controlled-u product: any kind exercises the CLI
+        return ["--oracle", "cnot"]
+    return ["--oracle", spec.kind] + (["--theta", repr(spec.theta)] if spec.theta else [])
 
 
 def paths(node, prefix=()):
