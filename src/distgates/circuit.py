@@ -14,6 +14,10 @@ layout keys, such as the retired "comm_slots", are ignored):
                        "bits": ..., "layer": ...}],
      "inputs": [...], "outputs": [...]}
 
+A resource kind says whether it makes a pair or a GHZ state (three or more
+parties) and of qubits or qudits (``RESOURCE_KINDS``). Only CreateQuditPair
+and CreateQuditGHZ carry "dim", and it must be > 2.
+
 Gate parameters serialize as exact multiples of pi ("pi/2", "-2pi/3") when the
 float is exactly representable that way, else as a repr'd decimal; both forms
 round-trip bit-stably.
@@ -32,7 +36,19 @@ from .gates import WIRE_GATES, gate_arity
 
 KINDS = ("LocalGate", "CreateBell", "CreateGHZ", "CreateQuditPair", "CreateQuditGHZ",
          "Measure", "ClassicalSend", "CondGate")
-RESOURCE_KINDS = ("CreateBell", "CreateGHZ", "CreateQuditPair", "CreateQuditGHZ")
+# resource kind -> (more than two parties?, qudit?); every reader of a resource goes by this
+RESOURCE_KINDS = {
+    "CreateBell": (False, False),
+    "CreateGHZ": (True, False),
+    "CreateQuditPair": (False, True),
+    "CreateQuditGHZ": (True, True),
+}
+_RESOURCE_KIND = {shape: kind for kind, shape in RESOURCE_KINDS.items()}
+
+
+def resource_shape(parties: int, dim: int) -> tuple[bool, bool]:
+    """The RESOURCE_KINDS entry of a resource over ``parties`` nodes and Z_dim."""
+    return parties > 2, dim > 2
 
 
 class CircuitParseError(ValueError):
@@ -87,7 +103,7 @@ class Instruction:
     params: tuple[float, ...] = ()
     condition: Condition | None = None
     parties: tuple[str, ...] = ()
-    dim: int | None = None          # qudit resource dimension
+    dim: int | None = None          # qudit resource dimension (> 2); None on a qubit resource
     outcome: str | None = None      # Measure: symbol the result binds to
     symbol: str | None = None       # ClassicalSend: symbol carried
     bits: int | None = None         # ClassicalSend: payload width in bits
@@ -105,6 +121,11 @@ class Instruction:
             raise ValueError(f"unknown instruction kind {self.kind!r}")
         if self.dim is not None and not _is_dimension(self.dim):
             raise ValueError(f"dim must be an integer >= 2, got {self.dim!r}")
+        if self.kind in RESOURCE_KINDS:
+            qudit = RESOURCE_KINDS[self.kind][1]
+            if (self.dim is not None) != qudit or self.dim == 2:
+                raise ValueError(f"{self.kind} takes {'a dim > 2' if qudit else 'no dim'}, "
+                                 f"got {self.dim!r}")
 
 
 @dataclass(frozen=True)
@@ -140,13 +161,30 @@ class DistCircuit:
 
 @dataclass
 class ResourceTally:
-    """Entanglement-resource counts plus a time estimate in t_ep units."""
+    """Resource counts by (parties, dim) plus a time estimate in t_ep units; ``ep``, ``ghz``
+    (by arity), ``ep_d`` (by dim) and ``ghz_d`` (by (arity, dim)) view them by ``resource_shape``."""
 
-    ep: int = 0
-    ghz: dict[int, int] = field(default_factory=dict)
-    ep_d: dict[int, int] = field(default_factory=dict)
-    ghz_d: dict[tuple[int, int], int] = field(default_factory=dict)
+    counts: dict[tuple[int, int], int] = field(default_factory=dict)
     time_units: float = 0.0
+
+    def add(self, parties: int, dim: int, count: int = 1) -> None:
+        self.counts[parties, dim] = self.counts.get((parties, dim), 0) + count
+
+    def _view(self, ghz: bool, qudit: bool) -> dict[tuple[int, int], int]:
+        return {k: c for k, c in self.counts.items() if resource_shape(*k) == (ghz, qudit)}
+
+    ep = property(lambda self: sum(self._view(False, False).values()))
+    ghz = property(lambda self: {a: c for (a, _), c in self._view(True, False).items()})
+    ep_d = property(lambda self: {d: c for (_, d), c in self._view(False, True).items()})
+    ghz_d = property(lambda self: self._view(True, True))
+
+    def total(self, ghz: bool) -> int:
+        """The number of GHZ states (``ghz``) or of pairs, of any dimension."""
+        return sum(c for k, c in self.counts.items() if resource_shape(*k)[0] == ghz)
+
+    def serial_time(self, epsilon=1.0) -> float:
+        """Time to make every resource in turn; ``fsum`` leaves the order of ``add`` out."""
+        return math.fsum(c * resource_cost(p, epsilon) for (p, _), c in self.counts.items())
 
     def as_dict(self) -> dict:
         return {
@@ -171,47 +209,34 @@ class ResourceTally:
         return f"{body}; time = {self.time_units:g} t_ep"
 
 
-def _eps_for(epsilon, arity: int) -> float:
+def resource_cost(parties: int, epsilon) -> float:
+    """Time of one resource in t_ep: a pair costs 1, a GHZ state epsilon (a scalar, a
+    per-arity mapping or a callable) at its arity."""
+    if parties <= 2:
+        return 1.0
     if callable(epsilon):
-        return float(epsilon(arity))
+        return float(epsilon(parties))
     if isinstance(epsilon, Mapping):
-        return float(epsilon.get(arity, 1.0))
+        return float(epsilon.get(parties, 1.0))
     return float(epsilon)
 
 
 def tally(circuit: DistCircuit, epsilon=1.0, schedule: str = "serial") -> ResourceTally:
     """Count entanglement resources and estimate time in t_ep units.
 
-    A Bell or qudit pair costs 1; a GHZ of any arity costs epsilon (scalar,
-    per-arity mapping, or callable). schedule="serial" sums every resource;
+    Each resource costs ``resource_cost`` (epsilon is a scalar, a per-arity
+    mapping, or a callable). schedule="serial" is ``ResourceTally.serial_time``;
     "layered" sums, per layer index, the maximum cost within the layer
     (instructions without a layer each form their own).
     """
     t = ResourceTally()
-    costs: dict[object, list[float]] = {}
-    serial = 0
-    for ins in circuit.instructions:
-        if ins.kind == "CreateBell":
-            t.ep += 1
-            cost = 1.0
-        elif ins.kind == "CreateGHZ":
-            arity = len(ins.parties)
-            t.ghz[arity] = t.ghz.get(arity, 0) + 1
-            cost = _eps_for(epsilon, arity)
-        elif ins.kind == "CreateQuditPair":
-            t.ep_d[ins.dim] = t.ep_d.get(ins.dim, 0) + 1
-            cost = 1.0
-        elif ins.kind == "CreateQuditGHZ":
-            arity = len(ins.parties)
-            key = (arity, ins.dim)
-            t.ghz_d[key] = t.ghz_d.get(key, 0) + 1
-            cost = _eps_for(epsilon, arity)
-        else:
-            continue
-        group = ins.layer if (schedule == "layered" and ins.layer is not None) else ("#", serial)
-        serial += 1
-        costs.setdefault(group, []).append(cost)
-    t.time_units = sum(max(v) for v in costs.values()) if costs else 0.0
+    layers: dict[object, float] = {}
+    for i, ins in enumerate(circuit.instructions):
+        if ins.kind in RESOURCE_KINDS:
+            t.add(len(ins.parties), ins.dim or 2)
+            group = ("#", i) if ins.layer is None else ins.layer
+            layers[group] = max(layers.get(group, 0.0), resource_cost(len(ins.parties), epsilon))
+    t.time_units = math.fsum(layers.values()) if schedule == "layered" else t.serial_time(epsilon)
     return t
 
 
@@ -456,12 +481,11 @@ def validate(circuit: DistCircuit) -> list[Violation]:
             elif len(ins.targets) != len(gate_arity(ins.gate)):
                 v.append(Violation(i, "gate arity", f"{ins.gate} acts on "
                                    f"{len(gate_arity(ins.gate))} subsystems, got {ins.targets}"))
-        if ins.kind in ("CreateBell", "CreateQuditPair") and len(ins.parties) != 2:
-            v.append(Violation(i, "resource arity", f"{ins.kind} needs exactly 2 parties"))
-        if ins.kind in ("CreateGHZ", "CreateQuditGHZ") and len(ins.parties) < 3:
-            v.append(Violation(i, "resource arity",
-                               f"{ins.kind} needs >= 3 parties (2 parties is a pair)"))
         if ins.kind in RESOURCE_KINDS:
+            ghz = RESOURCE_KINDS[ins.kind][0]
+            if len(ins.parties) < 2 or (len(ins.parties) > 2) != ghz:
+                v.append(Violation(i, "resource arity", f"{ins.kind} needs " + (
+                    ">= 3 parties (2 parties is a pair)" if ghz else "exactly 2 parties")))
             for node in ins.parties:
                 if node not in declared:
                     v.append(Violation(i, "undeclared party node", node))
@@ -520,11 +544,8 @@ class CircuitBuilder:
         Qubit shares are labelled ``a<k>_<node>`` and qudit shares ``E<k>_<node>``.
         """
         nodes = tuple(nodes)
-        pair = len(nodes) == 2
-        if dim == 2:
-            kind, prefix, dim = ("CreateBell" if pair else "CreateGHZ"), "a", None
-        else:
-            kind, prefix = ("CreateQuditPair" if pair else "CreateQuditGHZ"), "E"
+        kind = _RESOURCE_KIND[resource_shape(len(nodes), dim)]
+        prefix, dim = ("E", dim) if dim > 2 else ("a", None)
         labels = tuple(f"{prefix}{self._resource_seq}_{node}" for node in nodes)
         self._resource_seq += 1
         self.placement.update(zip(labels, nodes))

@@ -11,6 +11,7 @@ import argparse
 import csv
 import io
 import json
+import math
 import sys
 
 import numpy as np
@@ -22,21 +23,51 @@ from .circuit import (CircuitParseError, DistCircuit, deserialize, parse_angle, 
 from .resources import GczConfig, fanout_gain, gcz_costs, gms_costs
 from .simulate import enumerate_branches, infer_dims
 from .statevec import MixedRegister
-from .verify import OracleSpec, basis_inputs, random_inputs, identity_checks, verify
+from .verify import (DEFAULT_THRESHOLD, OracleSpec, basis_inputs, identity_checks,
+                     random_inputs, verify)
 
 
 class UsageError(Exception):
     pass
 
 
+def _epsilon(text: str) -> float:
+    """An --epsilon value: a GHZ state's cost in t_ep, finite and >= 0 ("pi/4" allowed)."""
+    try:
+        eps = parse_angle(text)
+    except ValueError as e:
+        raise argparse.ArgumentTypeError(str(e)) from None
+    if not math.isfinite(eps) or eps < 0:
+        raise argparse.ArgumentTypeError(f"must be a finite cost >= 0, got {text!r}")
+    return eps
+
+
+def _threshold(text: str) -> float:
+    """A --threshold value: a fidelity in (0, 1]."""
+    try:
+        value = float(text)
+    except ValueError:
+        value = math.nan
+    if not 0 < value <= 1:  # NaN fails this too
+        raise argparse.ArgumentTypeError(f"must be a number in (0, 1], got {text!r}")
+    return value
+
+
 def _build_from_flags(args) -> DistCircuit:
+    """The circuit the compile flags ask for; a flag the build would ignore is an error."""
     if args.gate == "gms":
         if args.qudit:
             raise UsageError("qudit compression is defined for GCZ, not generic GMS")
-        return catalog.gms(args.n, args.nodes, parse_angle(args.theta), args.strategy)
+        theta = parse_angle("pi/2" if args.theta is None else args.theta)
+        return catalog.gms(args.n, args.nodes, theta, args.strategy or "fanout")
+    if args.theta is not None:
+        raise UsageError("--theta is the GMS angle; --gate gcz takes none")
     if args.qudit:
+        if args.strategy not in (None, "fanout"):
+            raise UsageError(f"--qudit builds the qudit fan-out; "
+                             f"--strategy {args.strategy} does not apply")
         return catalog.qudit_gcz(args.n, args.nodes)
-    return catalog.gcz(args.n, args.nodes, args.strategy)
+    return catalog.gcz(args.n, args.nodes, args.strategy or "fanout")
 
 
 def _report_violations(circuit: DistCircuit) -> bool:
@@ -92,6 +123,8 @@ def cmd_simulate(args) -> int:
 
 
 def cmd_verify(args) -> int:
+    if args.theta is not None and args.oracle != "gms":
+        raise UsageError(f"--theta is the GMS angle; --oracle {args.oracle} takes none")
     circuit = _load_circuit(args.circuit)
     if _report_violations(circuit):
         return 2
@@ -140,7 +173,7 @@ def cmd_estimate(args) -> int:
         raise UsageError(f"sweep must be lo:hi[:step], got {args.sweep!r}")
     if hi < lo or step < 1:
         raise UsageError(f"empty sweep range {args.sweep!r}")
-    eps = parse_angle(args.epsilon) if "pi" in args.epsilon else float(args.epsilon)
+    eps = args.epsilon
     buf = io.StringIO()
     writer = csv.writer(buf)
     writer.writerow(["n", "D", "k", "m", "epsilon",
@@ -155,13 +188,14 @@ def cmd_estimate(args) -> int:
         if k % m:
             continue
         cfg = GczConfig(n=n, D=args.nodes, k=k, m=m, epsilon=eps)
-        r = gcz_costs(cfg)
+        gcz, gms = gcz_costs(cfg), gms_costs(n, eps)
         writer.writerow([n, args.nodes, k, m, eps,
-                         r.pairwise_ep, r.fanout_ghz, r.fanout_ep, r.qudit_ghz, r.qudit_ep,
-                         gms_costs(n, "pairwise").pairwise_ep,
-                         gms_costs(n, "pairwise_conditional").pairwise_ep,
-                         gms_costs(n, "fanout", eps).fanout_ghz,
-                         r.time_pairwise, r.time_fanout, fanout_gain(n, eps)])
+                         gcz["pairwise"].ep, gcz["fanout"].total(ghz=True), gcz["fanout"].ep,
+                         gcz["qudit"].total(ghz=True), gcz["qudit"].total(ghz=False),
+                         gms["pairwise"].ep, gms["pairwise_conditional"].ep,
+                         gms["fanout"].total(ghz=True),
+                         gcz["pairwise"].time_units, gcz["fanout"].time_units,
+                         fanout_gain(n, eps)])
     text = buf.getvalue()
     if args.out:
         with open(args.out, "w") as fh:
@@ -191,13 +225,14 @@ def make_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("compile", help="build a distributed GMS/GCZ circuit")
     p.add_argument("--gate", choices=["gms", "gcz"], required=True)
     p.add_argument("--n", type=int, required=True, help="number of qubits")
-    p.add_argument("--theta", default="pi/2", help="GMS angle (e.g. pi/2, 0.7)")
+    p.add_argument("--theta", help="GMS angle (e.g. pi/2, 0.7; default pi/2)")
     p.add_argument("--nodes", type=int, required=True)
-    p.add_argument("--strategy", default="fanout",
+    p.add_argument("--strategy", help="default fanout",
                    choices=["pairwise", "pairwise_conditional", "fanout", "teleport_all"])
     p.add_argument("--qudit", action="store_true",
                    help="compress qubit pairs into dimension-4 qudits (GCZ only)")
-    p.add_argument("--epsilon", type=float, default=1.0)
+    p.add_argument("--epsilon", type=_epsilon, default="1.0",
+                   help="GHZ cost in t_ep for the printed tally")
     p.add_argument("--out", help="write circuit JSON here (default stdout)")
     p.set_defaults(func=cmd_compile)
 
@@ -215,7 +250,7 @@ def make_parser() -> argparse.ArgumentParser:
     p.add_argument("--theta", help="GMS oracle angle")
     p.add_argument("--inputs", default="basis",
                    help="'basis', 'random:N', or a JSON file of amplitude lists")
-    p.add_argument("--threshold", type=float, default=1 - 1e-9)
+    p.add_argument("--threshold", type=_threshold, default=DEFAULT_THRESHOLD)
     p.add_argument("--seed", type=int, default=7)
     p.add_argument("--no-merge", action="store_true",
                    help="disable branch merging (exact branch records)")
@@ -226,7 +261,7 @@ def make_parser() -> argparse.ArgumentParser:
     p.add_argument("--nodes", type=int, required=True)
     p.add_argument("--qudit-m", type=int, default=0,
                    help="qubits per qudit (default: all of a node's qubits)")
-    p.add_argument("--epsilon", default="1.0")
+    p.add_argument("--epsilon", type=_epsilon, default="1.0")
     p.add_argument("--out")
     p.set_defaults(func=cmd_estimate)
 

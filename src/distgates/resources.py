@@ -5,13 +5,16 @@ Conventions: n qubits over D nodes with k = n/D qubits per node; a Bell or
 qudit pair costs one time unit t_ep, a GHZ state of any arity costs epsilon
 t_ep (epsilon may also be a per-arity mapping or callable). Qudit compression
 packs m qubits per qudit (dimension 2^m), so each node holds k/m qudits.
+
+``gcz_costs`` and ``gms_costs`` return a ``ResourceTally`` per strategy name the
+builders take, timed by ``serial_time``, so ``tally(built, epsilon=e) == costs[s]``.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
-from .circuit import _eps_for
+from .circuit import ResourceTally, resource_cost
 
 
 @dataclass(frozen=True)
@@ -37,47 +40,36 @@ class GczConfig:
             raise ValueError(f"qudit pack size m = {m} must divide k = {k}")
 
 
-@dataclass
-class CostReport:
-    """Resource counts per strategy plus time estimates in t_ep units."""
-
-    pairwise_ep: int = 0
-    fanout_ghz: int = 0
-    fanout_ep: int = 0
-    qudit_ghz: int = 0
-    qudit_ep: int = 0
-    time_pairwise: float = 0.0
-    time_fanout: float = 0.0
-    fanout_ghz_arities: dict[int, int] = field(default_factory=dict)
-    qudit_ghz_arities: dict[int, int] = field(default_factory=dict)
+def _tallies(epsilon, **strategies) -> dict[str, ResourceTally]:
+    """One tally per strategy from its (parties, dim, count) rows, timed serially."""
+    out = {}
+    for name, rows in strategies.items():
+        t = out[name] = ResourceTally()
+        for parties, dim, count in rows:
+            t.add(parties, dim, count)
+        t.time_units = t.serial_time(epsilon)
+    return out
 
 
-def gcz_costs(cfg: GczConfig) -> CostReport:
+def gcz_costs(cfg: GczConfig) -> dict[str, ResourceTally]:
     """Entanglement needs of an n-qubit GCZ over D nodes, k qubits per node.
 
     pairwise: one Bell pair per cross-node pair, n(n-k)/2 in all. fanout: one
     GHZ per fan-out layer with remote targets, k layers each of arity D,
     D-1, ..., 3 (so n-2k states), plus k Bell pairs for the final-node layers.
-    qudit compression with l = k/m qudits per node: n/m - 2k/m qudit GHZ
-    states and k/m qudit pairs (one qudit per node gives D-2 states and one
-    pair).
+    qudit: the same shape over dimension-2^m qudits with l = k/m per node, so
+    n/m - 2k/m qudit GHZ states and k/m qudit pairs (one qudit per node gives
+    D-2 states and one pair).
     """
     n, D, k, m = cfg.n, cfg.D, cfg.k, cfg.m
-    r = CostReport()
-    r.pairwise_ep = n * (n - k) // 2
-    r.fanout_ghz = n - 2 * k
-    r.fanout_ep = k
-    r.fanout_ghz_arities = {arity: k for arity in range(3, D + 1)}
-    r.qudit_ghz = n // m - 2 * k // m
-    r.qudit_ep = k // m
-    r.qudit_ghz_arities = {arity: k // m for arity in range(3, D + 1)}
-    r.time_pairwise = float(r.pairwise_ep)
-    r.time_fanout = r.fanout_ep + sum(
-        count * _eps_for(cfg.epsilon, arity) for arity, count in r.fanout_ghz_arities.items())
-    return r
+    return _tallies(
+        cfg.epsilon,
+        pairwise=[(2, 2, n * (n - k) // 2)],
+        fanout=[(2, 2, k)] + [(arity, 2, k) for arity in range(3, D + 1)],
+        qudit=[(2, 2 ** m, k // m)] + [(arity, 2 ** m, k // m) for arity in range(3, D + 1)])
 
 
-def gms_costs(n: int, strategy: str, epsilon: float = 1.0) -> CostReport:
+def gms_costs(n: int, epsilon: float = 1.0) -> dict[str, ResourceTally]:
     """Entanglement needs of an n-qubit GMS gate, one qubit per node.
 
     pairwise: two teleported CNOTs per two-qubit MS factor, n(n-1) Bell
@@ -87,25 +79,15 @@ def gms_costs(n: int, strategy: str, epsilon: float = 1.0) -> CostReport:
     """
     if n < 2:
         raise ValueError("need at least 2 qubits")
-    r = CostReport()
-    if strategy == "pairwise":
-        r.pairwise_ep = n * (n - 1)
-        r.time_pairwise = float(r.pairwise_ep)
-    elif strategy == "pairwise_conditional":
-        r.pairwise_ep = n * (n - 1) // 2
-        r.time_pairwise = float(r.pairwise_ep)
-    elif strategy == "fanout":
-        r.fanout_ghz = n - 2
-        r.fanout_ep = 1
-        r.fanout_ghz_arities = {arity: 1 for arity in range(3, n + 1)}
-        r.time_fanout = 1 + sum(_eps_for(epsilon, a) for a in r.fanout_ghz_arities)
-    else:
-        raise ValueError(f"unknown GMS strategy {strategy!r}")
-    return r
+    return _tallies(
+        epsilon,
+        pairwise=[(2, 2, n * (n - 1))],
+        pairwise_conditional=[(2, 2, n * (n - 1) // 2)],
+        fanout=[(2, 2, 1)] + [(arity, 2, 1) for arity in range(3, n + 1)])
 
 
 def fanout_gain(n: int, epsilon: float = 1.0) -> float:
-    """Time saved by one (n+1)-party GHZ fan-out over n Bell pairs: n - epsilon."""
+    """Time saved by one (n+1)-party GHZ fan-out over n Bell pairs: n - epsilon (0 at n = 1)."""
     if n < 1:
         raise ValueError("need at least one target")
-    return n - _eps_for(epsilon, n + 1)
+    return n - resource_cost(n + 1, epsilon)

@@ -51,12 +51,6 @@ MERGE_ATOL = 1e-12
 MAX_BRANCHES = 2 ** 16
 
 
-def _resource_dim(ins: Instruction) -> int:
-    if ins.kind in ("CreateBell", "CreateGHZ"):
-        return 2
-    return 4 if ins.dim is None else ins.dim
-
-
 def infer_dims(circuit: DistCircuit) -> dict[str, int]:
     """Subsystem dimensions implied by the circuit's gates and resources."""
     dims: dict[str, int] = {}
@@ -64,7 +58,7 @@ def infer_dims(circuit: DistCircuit) -> dict[str, int]:
         if ins.kind in ("LocalGate", "CondGate") and ins.gate is not None:
             pairs = zip(ins.targets, gate_arity(ins.gate))
         elif ins.kind in RESOURCE_KINDS:
-            pairs = ((label, _resource_dim(ins)) for label in ins.targets)
+            pairs = ((label, ins.dim or 2) for label in ins.targets)
         else:
             continue
         for label, d in pairs:
@@ -108,7 +102,7 @@ def unmerged_branch_bound(circuit: DistCircuit, upto: int | None = None) -> int:
 
 @lru_cache(maxsize=1024)
 def _resource_state(ins: Instruction) -> MixedRegister:
-    d = _resource_dim(ins)
+    d = ins.dim or 2
     n = len(ins.targets)
     amps = np.zeros(d ** n, dtype=np.complex128)
     step = (d ** n - 1) // (d - 1)  # |kk...k> has flat index k * (1 + d + d^2 + ...)

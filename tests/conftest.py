@@ -80,3 +80,27 @@ def random_unitary(dim: int, rng) -> np.ndarray:
     m = rng.standard_normal((dim, dim)) + 1j * rng.standard_normal((dim, dim))
     q, r = np.linalg.qr(m)
     return q * (np.diag(r) / np.abs(np.diag(r)))
+
+
+def bad_resource_documents() -> dict[str, str]:
+    """Circuit documents whose resource "dim" contradicts the resource kind.
+
+    ``qudit_pair_without_dim``: the dCSUM4 circuit plus a second, measured
+    CreateQuditPair that carries no "dim". ``bell_with_dim``: the dCNOT circuit
+    with "dim": 4 on its CreateBell.
+    """
+    import json
+
+    from distgates import catalog, serialize
+
+    corpus = catalog.circuits("corpus")
+    no_dim = json.loads(serialize(corpus["dcsum4"]))
+    a, b = no_dim["layout"]["nodes"][:2]
+    no_dim["layout"]["placement"].update({"F_a": a, "F_b": b})
+    no_dim["instructions"] += [
+        {"kind": "CreateQuditPair", "targets": ["F_a", "F_b"], "parties": [a, b]},
+        {"kind": "Measure", "targets": ["F_a"], "outcome": "f0"},
+        {"kind": "Measure", "targets": ["F_b"], "outcome": "f1"}]
+    bell = json.loads(serialize(corpus["dcnot"]))
+    next(ins for ins in bell["instructions"] if ins["kind"] == "CreateBell")["dim"] = 4
+    return {"qudit_pair_without_dim": json.dumps(no_dim), "bell_with_dim": json.dumps(bell)}

@@ -38,23 +38,24 @@ def test_criterion_1_gms_resource_counts():
 def test_criterion_2_gcz_table_and_formulas():
     start = time.time()
     row = gcz_costs(GczConfig(n=6, D=3, k=2))
-    ok = row.pairwise_ep == 12
-    ok &= row.fanout_ghz == 2 and row.fanout_ghz_arities == {3: 2} and row.fanout_ep == 2
-    ok &= row.qudit_ghz == 1 and row.qudit_ep == 1
-    ok &= row.qudit_ghz_arities == {3: 1}
+    ok = row["pairwise"].ep == 12
+    fan, qudit = row["fanout"], row["qudit"]
+    ok &= fan.total(ghz=True) == 2 and fan.ghz == {3: 2} and fan.ep == 2
+    ok &= qudit.total(ghz=True) == 1 and qudit.total(ghz=False) == 1
+    ok &= qudit.ghz_d == {(3, 4): 1}  # two qubits per dimension-4 qudit
     for D in range(2, 7):
         for k in range(1, 13):
             n = k * D
             if n > 24:
                 break
             r = gcz_costs(GczConfig(n=n, D=D, k=k))
-            ok &= r.pairwise_ep == n * (n - k) // 2
-            ok &= r.fanout_ghz + r.fanout_ep == (n - 2 * k) + k
-            ok &= r.qudit_ghz + r.qudit_ep == (n // k - 2) + 1
+            ok &= r["pairwise"].ep == n * (n - k) // 2
+            ok &= r["fanout"].total(ghz=True) + r["fanout"].total(ghz=False) == (n - 2 * k) + k
+            ok &= r["qudit"].total(ghz=True) + r["qudit"].total(ghz=False) == (n // k - 2) + 1
             for m in range(1, k + 1):
                 if k % m == 0:
-                    rm = gcz_costs(GczConfig(n=n, D=D, k=k, m=m))
-                    ok &= rm.qudit_ghz + rm.qudit_ep == (n // m - 2 * k // m) + k // m
+                    rm = gcz_costs(GczConfig(n=n, D=D, k=k, m=m))["qudit"]
+                    ok &= rm.total(ghz=True) + rm.total(ghz=False) == (n // m - 2 * k // m) + k // m
     elapsed = time.time() - start
     _report("criterion 2: GCZ resource table and closed forms", ok and elapsed < 1.0,
             f"{elapsed:.2f}s")

@@ -5,6 +5,7 @@ import math
 import random
 
 import pytest
+from conftest import bad_resource_documents
 
 from distgates import (Condition, DistCircuit, Instruction, NodeLayout, catalog,
                        count_messages, deserialize, serialize, tally, validate)
@@ -161,6 +162,22 @@ def test_instruction_rejects_bad_labels_and_dims():
     with pytest.raises(ValueError, match="dim"):
         Instruction("CreateQuditPair", targets=("a", "b"), parties=("A", "B"), dim=0)
     assert Instruction("Measure", targets=iter(["a"])).targets == ("a",)
+
+
+@pytest.mark.parametrize("kind,parties,dim", [
+    ("CreateBell", 2, 4), ("CreateGHZ", 3, 2), ("CreateQuditPair", 2, None),
+    ("CreateQuditGHZ", 3, None), ("CreateQuditPair", 2, 2)])
+def test_resource_dim_must_match_the_kind(kind, parties, dim):
+    # qubit kinds carry no dim; qudit kinds carry one above 2
+    nodes = tuple("ABC"[:parties])
+    with pytest.raises(ValueError, match="dim"):
+        Instruction(kind, targets=tuple(map(str.lower, nodes)), parties=nodes, dim=dim)
+
+
+@pytest.mark.parametrize("name", ["qudit_pair_without_dim", "bell_with_dim"])
+def test_resource_dim_contradicting_the_kind_is_a_parse_error(name):
+    with pytest.raises(CircuitParseError, match="dim"):
+        deserialize(bad_resource_documents()[name])
 
 
 def test_undefined_outcome_symbol_rejected():

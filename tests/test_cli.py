@@ -5,9 +5,11 @@ import io
 import json
 
 import pytest
+from conftest import bad_resource_documents
 
 from distgates import MixedRegister, deserialize, enumerate_branches, infer_dims, tally
 from distgates.cli import main
+from distgates.verify import DEFAULT_THRESHOLD
 
 
 def run(capsys, *argv):
@@ -304,3 +306,79 @@ def test_estimate_invalid_sweep(capsys):
     assert code == 2 and "empty sweep" in err
     code, _, err = run(capsys, "estimate", "--sweep", "a:b", "--nodes", "2")
     assert code == 2
+
+
+@pytest.mark.parametrize("name,oracle", [("qudit_pair_without_dim", "csum4"),
+                                         ("bell_with_dim", "cnot")])
+def test_resource_dim_contradicting_the_kind_exits_two(name, oracle, tmp_path, capsys):
+    path = tmp_path / "c.json"
+    path.write_text(bad_resource_documents()[name])
+    for command in (["simulate"], ["verify", "--oracle", oracle]):
+        code, out, err = run(capsys, command[0], "--circuit", str(path), *command[1:])
+        assert code == 2 and out == ""
+        assert err.startswith("error: ") and "dim" in err
+
+
+GCZ4 = ("compile", "--gate", "gcz", "--n", "4", "--nodes", "2")
+
+
+@pytest.mark.parametrize("extra,message", [
+    (("--qudit", "--strategy", "pairwise"), "--strategy pairwise does not apply"),
+    (("--theta", "0.3"), "--gate gcz takes none")])
+def test_compile_rejects_flags_it_would_ignore(extra, message, capsys):
+    code, out, err = run(capsys, *GCZ4, *extra)
+    assert code == 2 and out == ""
+    assert message in err
+
+
+def test_verify_rejects_theta_for_other_oracles(tmp_path, capsys):
+    path = tmp_path / "c.json"
+    run(capsys, *GCZ4, "--out", str(path))
+    code, out, err = run(capsys, "verify", "--circuit", str(path), "--oracle", "gcz",
+                         "--theta", "0.3")
+    assert code == 2 and out == ""
+    assert "--oracle gcz takes none" in err
+
+
+@pytest.mark.parametrize("argv,same_as", [
+    ((*GCZ4, "--qudit", "--strategy", "fanout"), (*GCZ4, "--qudit")),
+    (GCZ4, (*GCZ4, "--strategy", "fanout")),
+    (("compile", "--gate", "gms", "--n", "3", "--nodes", "3"),
+     ("compile", "--gate", "gms", "--n", "3", "--nodes", "3", "--theta", "pi/2",
+      "--strategy", "fanout"))])
+def test_compile_defaults_when_flags_are_absent(argv, same_as, capsys):
+    assert run(capsys, *argv) == run(capsys, *same_as)
+
+
+@pytest.mark.parametrize("value", ["nan", "0", "-0.5", "1.5", "inf", "high"])
+def test_verify_threshold_must_be_in_the_unit_interval(value):
+    with pytest.raises(SystemExit) as exc:
+        main(["verify", "--circuit", "c.json", "--oracle", "gcz", "--threshold", value])
+    assert exc.value.code == 2
+
+
+def test_verify_threshold_default_and_upper_end(tmp_path, capsys):
+    path = tmp_path / "c.json"
+    run(capsys, *GCZ4, "--out", str(path))
+    _, out, _ = run(capsys, "verify", "--circuit", str(path), "--oracle", "gcz")
+    assert json.loads(out)["threshold"] == DEFAULT_THRESHOLD
+    code, out, _ = run(capsys, "verify", "--circuit", str(path), "--oracle", "gcz",
+                       "--threshold", "1")
+    assert json.loads(out)["threshold"] == 1.0 and code in (0, 1)
+
+
+@pytest.mark.parametrize("command", [GCZ4, ("estimate", "--sweep", "4:8", "--nodes", "2")])
+@pytest.mark.parametrize("value", ["nan", "-3", "inf", "pi/0", "cheap"])
+def test_epsilon_must_be_a_finite_nonnegative_cost(command, value):
+    with pytest.raises(SystemExit) as exc:
+        main([*command, "--epsilon", value])
+    assert exc.value.code == 2
+
+
+def test_compile_and_estimate_parse_epsilon_alike(capsys):
+    code, _, err = run(capsys, "compile", "--gate", "gcz", "--n", "6", "--nodes", "3",
+                       "--epsilon", "pi/4")
+    assert code == 0 and "2 ep, 2 ghz(3); time = 3.5708 t_ep" in err
+    code, out, _ = run(capsys, "estimate", "--sweep", "6:6", "--nodes", "3", "--epsilon", "pi/4")
+    row = next(csv.DictReader(io.StringIO(out)))
+    assert code == 0 and float(row["time_fanout"]) == pytest.approx(3.5708, abs=1e-4)
