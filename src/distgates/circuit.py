@@ -227,8 +227,11 @@ def tally(circuit: DistCircuit, epsilon=1.0, schedule: str = "serial") -> Resour
     Each resource costs ``resource_cost`` (epsilon is a scalar, a per-arity
     mapping, or a callable). schedule="serial" is ``ResourceTally.serial_time``;
     "layered" sums, per layer index, the maximum cost within the layer
-    (instructions without a layer each form their own).
+    (instructions without a layer each form their own). Any other schedule
+    raises ValueError.
     """
+    if schedule not in ("serial", "layered"):
+        raise ValueError(f"schedule must be 'serial' or 'layered', got {schedule!r}")
     t = ResourceTally()
     layers: dict[object, float] = {}
     for i, ins in enumerate(circuit.instructions):

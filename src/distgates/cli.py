@@ -176,6 +176,7 @@ def cmd_estimate(args) -> int:
     eps = args.epsilon
     buf = io.StringIO()
     writer = csv.writer(buf)
+    rows = 0
     writer.writerow(["n", "D", "k", "m", "epsilon",
                      "pairwise_ep", "fanout_ghz", "fanout_ep", "qudit_ghz", "qudit_ep",
                      "gms_pairwise_ep", "gms_conditional_ep", "gms_fanout_ghz",
@@ -196,6 +197,11 @@ def cmd_estimate(args) -> int:
                          gms["fanout"].total(ghz=True),
                          gcz["pairwise"].time_units, gcz["fanout"].time_units,
                          fanout_gain(n, eps)])
+        rows += 1
+    if not rows:
+        raise UsageError(f"sweep {args.sweep!r} gives no row: each n must be at least 2 and "
+                         f"divisible by --nodes ({args.nodes}), and k = n / --nodes "
+                         f"divisible by --qudit-m ({args.qudit_m or 'default: k'})")
     text = buf.getvalue()
     if args.out:
         with open(args.out, "w") as fh:

@@ -13,6 +13,9 @@ register-size cap applies to ``prod(dims)`` only, never to the batch width.
 All operations are pure: they return new registers and never mutate inputs.
 Projective measurement enumerates every outcome branch deterministically,
 ordered by outcome value; the measured subsystem is removed from the register.
+It reads the register in two passes: one sums the squared amplitudes into
+every outcome's weight per column, and one makes each kept outcome's branch as
+a single scaled copy, renormalized; an outcome below ``PRUNE_TOL`` is pruned.
 """
 
 from __future__ import annotations
@@ -172,37 +175,44 @@ def measure_enumerate(state: MixedRegister, target: str) -> list[BranchResult]:
 
     Branches are ordered by outcome value. The measured subsystem is removed
     from each branch state. Each state (each column of a batch) is handled on
-    its own: an outcome with probability below ``PRUNE_TOL`` is pruned,
-    amplitudes below ``PRUNE_TOL`` are zeroed, and the rest is renormalized.
-    A pruned column keeps zero amplitudes and probability 0; an outcome is
-    dropped once every column is pruned. Probabilities of returned branches
-    sum to 1 per state (within float error).
+    its own: an outcome with probability below ``PRUNE_TOL`` is pruned, and
+    the rest is renormalized. A pruned column keeps zero amplitudes and
+    probability 0; an outcome is dropped once every column is pruned.
+    Probabilities of returned branches sum to 1 per state (within float error).
+
+    The register is read twice. The first pass squares the real and imaginary
+    parts of every amplitude and sums them into the (outcome, column) weights
+    with matrix-vector products, running down the longer of the two stretches
+    of subsystems, before or after the measured one, first. The second pass
+    makes each kept outcome's state as one scaled copy of its slice; the
+    input is never written or aliased.
     """
     axis = state.axis(target)
     d = state.dims[axis]
     batch = state.amps.shape[1:]
     k = batch[0] if batch else 1  # a single state is a batch of one
-    t = np.moveaxis(state.amps.reshape(state.dims + (k,)), axis, 0).reshape(d, -1, k)
+    pre = math.prod(state.dims[:axis])
+    post = math.prod(state.dims[axis + 1:])
     new_dims = state.dims[:axis] + state.dims[axis + 1:]
     new_labels = state.labels[:axis] + state.labels[axis + 1:]
-    mag2 = np.square(t.real) + np.square(t.imag)
-    small = mag2 < PRUNE_TOL ** 2  # |amplitude| < PRUNE_TOL
-    ones = np.ones(t.shape[1])  # sums over the remaining subsystems as one matmul
-    prob = ones @ mag2
-    mag2[small] = 0.0
-    norm = np.sqrt(ones @ mag2)
+    # pass 1: squared real and imaginary parts, a (pre, d * post * k * 2) matrix
+    sq = np.square(state.amps.view(np.float64)).reshape(pre, -1)
+    if pre >= post:  # one gemv down the long leading axis leaves d * post * k * 2 sums
+        prob = (np.ones(pre) @ sq).reshape(d, post, k, 2).sum(axis=(1, 3))
+    else:  # a short leading axis: sum each (post, k * 2) block first, one gemv per block
+        w = np.ones(post) @ sq.reshape(pre * d, post, 2 * k)
+        prob = (np.ones(pre) @ w.reshape(pre, -1)).reshape(d, k, 2).sum(axis=2)
     alive = prob >= PRUNE_TOL
     # a pruned column is scaled by 1 / inf: exact zeros
-    amps = t * (1.0 / np.where(alive, norm, np.inf))[:, None]
-    amps[small] = 0.0
+    scale = 1.0 / np.sqrt(np.where(alive, prob, np.inf))
+    # pass 2: the multiply makes the copy (a slice of `t` may be the input's memory)
+    t = state.amps.reshape(pre, d, post, k)
     branches = []
     for outcome in range(d):
         if not alive[outcome].any():
             continue
-        if batch:
-            p, sub = np.where(alive[outcome], prob[outcome], 0.0), amps[outcome]
-        else:
-            p, sub = float(prob[outcome, 0]), amps[outcome, :, 0]
+        sub = (t[:, outcome] * scale[outcome]).reshape((-1,) + batch)
+        p = np.where(alive[outcome], prob[outcome], 0.0) if batch else float(prob[outcome, 0])
         branch_state = MixedRegister._wrap(new_dims, sub, new_labels)
         branches.append(BranchResult(((target, outcome),), p, branch_state))
     return branches

@@ -76,6 +76,35 @@ def apply_matrix_reference(amps: np.ndarray, dims, axes, mat: np.ndarray) -> np.
     return np.ascontiguousarray(out.transpose(inverse)).reshape(amps.shape)
 
 
+def measure_reference(state, target: str) -> list[tuple[int, object, np.ndarray]]:
+    """``statevec.measure_enumerate`` the direct way: the measured axis moved to the front.
+
+    Returns ``(outcome, probability, amplitudes)`` for every kept outcome, in
+    outcome order. Per column, an outcome below ``PRUNE_TOL`` is pruned (zero
+    amplitudes, probability 0) and a kept one is renormalized; an outcome is
+    dropped once every column is pruned. A single state gives a float
+    probability and a vector, a batch one entry per column and a matrix.
+    """
+    from distgates.statevec import PRUNE_TOL
+
+    axis = state.axis(target)
+    d = state.dims[axis]
+    batch = state.amps.shape[1:]
+    k = batch[0] if batch else 1
+    t = np.moveaxis(state.amps.reshape(state.dims + (k,)), axis, 0).reshape(d, -1, k)
+    kept = []
+    for outcome in range(d):
+        prob = np.sum(np.abs(t[outcome]) ** 2, axis=0)
+        alive = prob >= PRUNE_TOL
+        if not alive.any():
+            continue
+        amps = np.where(alive, t[outcome] / np.sqrt(np.where(alive, prob, 1.0)), 0.0)
+        prob = np.where(alive, prob, 0.0)
+        kept.append((outcome, prob if batch else float(prob[0]),
+                     amps.reshape((-1,) + batch)))
+    return kept
+
+
 def random_unitary(dim: int, rng) -> np.ndarray:
     m = rng.standard_normal((dim, dim)) + 1j * rng.standard_normal((dim, dim))
     q, r = np.linalg.qr(m)

@@ -70,6 +70,12 @@ def test_tally_epsilon_models():
     assert tally(circuit, epsilon={4: 2.0, 3: 1.0}).time_units == pytest.approx(4.0)
     # layered: every builder layer holds one resource, so layered == serial here
     assert tally(circuit, schedule="layered").time_units == 3.0
+    assert tally(circuit, schedule="serial").time_units == 3.0
+
+
+def test_tally_rejects_an_unknown_schedule():
+    with pytest.raises(ValueError, match="'serial' or 'layered'"):
+        tally(CORPUS["gms4_fanout"], schedule="layerd")
 
 
 def test_dcnot_message_audit():

@@ -243,6 +243,18 @@ def test_estimate_sweep_skips_fewer_than_two_qubits(capsys):
     assert [row["n"] for row in csv.DictReader(io.StringIO(out))] == ["2", "4"]
 
 
+@pytest.mark.parametrize("argv", [
+    ("--sweep", "2:8", "--nodes", "2", "--qudit-m", "5"),
+    ("--sweep", "5:5", "--nodes", "2"),
+    ("--sweep", "0:1", "--nodes", "1"),
+])
+def test_estimate_sweep_without_rows_is_a_usage_error(argv, tmp_path, capsys):
+    out_file = tmp_path / "rows.csv"
+    code, out, err = run(capsys, "estimate", *argv, "--out", str(out_file))
+    assert code == 2 and out == "" and not out_file.exists()
+    assert "gives no row" in err and "--nodes" in err and "--qudit-m" in err
+
+
 def test_estimate_epsilon_sweep(capsys):
     code, out, _ = run(capsys, "estimate", "--sweep", "6:6", "--nodes", "3",
                        "--epsilon", "1.5")

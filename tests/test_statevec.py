@@ -4,12 +4,14 @@ import math
 
 import numpy as np
 import pytest
-from conftest import digits_of, random_unitary
+from conftest import digits_of, measure_reference, random_unitary
 
 from distgates.gates import czd_matrix, gate_unitary
 from distgates.statevec import (MixedRegister, Unitary, apply_unitary,
                                 fidelity_up_to_phase, measure_enumerate, permute,
                                 random_register, tensor)
+
+MIXED_DIMS = (4, 2, 4, 2)
 
 
 def test_x_flips_zero():
@@ -115,6 +117,65 @@ def test_branch_probabilities_sum_to_one():
         for label in ("a", "b", "c"):
             total = sum(b.probability for b in measure_enumerate(state, label))
             assert abs(total - 1) < 1e-10
+
+
+def _column(dims, axis, outcome0_weight, rng):
+    """A random state whose outcome-0 weight at ``axis`` is ``outcome0_weight`` (None: as drawn)."""
+    n = math.prod(dims)
+    t = (rng.standard_normal(n) + 1j * rng.standard_normal(n)).reshape(
+        math.prod(dims[:axis]), dims[axis], -1)
+    if outcome0_weight is not None:
+        t[:, 0] = 0.0
+        t *= math.sqrt(1 - outcome0_weight) / np.linalg.norm(t)
+        t[0, 0, 0] = math.sqrt(outcome0_weight)
+    else:
+        t /= np.linalg.norm(t)
+    return t.reshape(-1)
+
+
+# outcome-0 weights: as drawn, exactly zero, just below PRUNE_TOL (pruned), just above (kept);
+# each alone as a single state and as a batch of one, and 1e-13, 0, 1e-15 as one batch
+WEIGHTS = (None, 0.0, 1e-15, 1e-13)
+CASES = ([(False, (w,)) for w in WEIGHTS] + [(True, (w,)) for w in WEIGHTS]
+         + [(True, (1e-13, 0.0, 1e-15))])
+
+
+@pytest.mark.parametrize("axis", range(len(MIXED_DIMS)))
+@pytest.mark.parametrize("batched,columns", CASES, ids=[
+    f"{'k' + str(len(c)) if b else 'single'}-{'/'.join(map(str, c))}" for b, c in CASES])
+def test_measure_matches_the_direct_formulation(axis, batched, columns):
+    rng = np.random.default_rng([axis, len(columns), batched])
+    amps = np.stack([_column(MIXED_DIMS, axis, w, rng) for w in columns], axis=1)
+    labels = tuple("abcd")
+    state = MixedRegister(MIXED_DIMS, amps if batched else amps[:, 0], labels)
+    got = measure_enumerate(state, labels[axis])
+    want = measure_reference(state, labels[axis])
+    assert [b.outcomes for b in got] == [((labels[axis], m),) for m, _, _ in want]
+    for b, (_, prob, ref) in zip(got, want):
+        assert type(b.probability) is type(prob)
+        assert np.abs(b.probability - prob).max() <= 1e-14
+        assert b.state.amps.shape == ref.shape
+        assert np.abs(b.state.amps - ref).max() <= 1e-15
+        dead = np.asarray(prob) == 0
+        assert not np.asarray(b.probability)[dead].any()
+        assert not b.state.amps.reshape(len(ref), -1)[:, dead].any()
+    kept = {m for m, _, _ in want}
+    assert (0 in kept) == any(w is None or w >= 1e-13 for w in columns)
+
+
+@pytest.mark.parametrize("axis", [0, 1, 3], ids=["first", "middle", "last"])
+@pytest.mark.parametrize("k", [None, 3], ids=["single", "batch"])
+def test_measure_leaves_its_input_alone(axis, k):
+    labels = tuple("abcd")
+    state = random_register(labels, MIXED_DIMS, np.random.default_rng(axis))
+    if k is not None:
+        state = MixedRegister(MIXED_DIMS, np.stack([state.amps] * k, axis=1), labels)
+    before = state.amps.tobytes()
+    branches = measure_enumerate(state, labels[axis])
+    assert len(branches) == MIXED_DIMS[axis]
+    assert state.amps.tobytes() == before
+    for b in branches:
+        assert not np.shares_memory(b.state.amps, state.amps)
 
 
 def test_fidelity_global_phase_and_orthogonal():
