@@ -12,9 +12,9 @@ per-column *alive* mask. A measurement applies the single-state rule to each
 column on its own (prune an outcome below ``PRUNE_TOL``, renormalize the
 rest); a pruned column is dead in that branch, and a branch is dropped once
 none of its columns is alive. ``measure_enumerate`` reads the register twice:
-one pass of matrix-vector products gives every outcome's per-column weight,
-and one scaled copy per kept outcome gives its branch. A single input state
-is the k = 1 case of the same code.
+one matrix-vector product and a short sum give every outcome's per-column
+weight, and one scaled copy per kept outcome gives its branch. A single
+input state is the k = 1 case of the same code.
 
 Teleported-gate protocols reconverge: once corrections have been applied, all
 branches hold the same state. ``merge_equal=True`` collapses branches whose

@@ -181,11 +181,11 @@ def measure_enumerate(state: MixedRegister, target: str) -> list[BranchResult]:
     Probabilities of returned branches sum to 1 per state (within float error).
 
     The register is read twice. The first pass squares the real and imaginary
-    parts of every amplitude and sums them into the (outcome, column) weights
-    with matrix-vector products, running down the longer of the two stretches
-    of subsystems, before or after the measured one, first. The second pass
-    makes each kept outcome's state as one scaled copy of its slice; the
-    input is never written or aliased.
+    parts of every amplitude, sums them over the subsystems before the
+    measured one with one matrix-vector product, and then over the few
+    entries left for each (outcome, column) weight. The second pass makes
+    each kept outcome's state as one scaled copy of its slice; the input is
+    never written or aliased.
     """
     axis = state.axis(target)
     d = state.dims[axis]
@@ -195,13 +195,10 @@ def measure_enumerate(state: MixedRegister, target: str) -> list[BranchResult]:
     post = math.prod(state.dims[axis + 1:])
     new_dims = state.dims[:axis] + state.dims[axis + 1:]
     new_labels = state.labels[:axis] + state.labels[axis + 1:]
-    # pass 1: squared real and imaginary parts, a (pre, d * post * k * 2) matrix
-    sq = np.square(state.amps.view(np.float64)).reshape(pre, -1)
-    if pre >= post:  # one gemv down the long leading axis leaves d * post * k * 2 sums
-        prob = (np.ones(pre) @ sq).reshape(d, post, k, 2).sum(axis=(1, 3))
-    else:  # a short leading axis: sum each (post, k * 2) block first, one gemv per block
-        w = np.ones(post) @ sq.reshape(pre * d, post, 2 * k)
-        prob = (np.ones(pre) @ w.reshape(pre, -1)).reshape(d, k, 2).sum(axis=2)
+    # pass 1: one gemv sums the squared real and imaginary parts over `pre`
+    # (np.dot, not `@`, which bypasses BLAS and is slower when pre is 1)
+    x = state.amps.view(np.float64).reshape(pre, -1)
+    prob = np.dot(np.ones(pre), x * x).reshape(d, post, k, 2).sum(axis=(1, 3))
     alive = prob >= PRUNE_TOL
     # a pruned column is scaled by 1 / inf: exact zeros
     scale = 1.0 / np.sqrt(np.where(alive, prob, np.inf))
