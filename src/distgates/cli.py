@@ -132,7 +132,7 @@ def cmd_verify(args) -> int:
     spec = OracleSpec(kind=args.oracle, theta=theta)
     if args.inputs == "basis":
         inputs = basis_inputs(circuit)
-    elif args.inputs.startswith("random"):
+    elif args.inputs == "random" or args.inputs.startswith("random:"):
         count = int(args.inputs.split(":", 1)[1]) if ":" in args.inputs else 10
         if count < 1:
             raise UsageError(f"--inputs {args.inputs}: need at least one random input")
@@ -255,7 +255,8 @@ def make_parser() -> argparse.ArgumentParser:
                             "cz4", "cz4_sq", "qudit_gcz"])
     p.add_argument("--theta", help="GMS oracle angle")
     p.add_argument("--inputs", default="basis",
-                   help="'basis', 'random:N', or a JSON file of amplitude lists")
+                   help="'basis', 'random' (10 inputs), 'random:N', or a JSON file of "
+                        "amplitude lists")
     p.add_argument("--threshold", type=_threshold, default=DEFAULT_THRESHOLD)
     p.add_argument("--seed", type=int, default=7)
     p.add_argument("--no-merge", action="store_true",

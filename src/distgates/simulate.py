@@ -29,11 +29,28 @@ the fingerprints differ by at most ``MERGE_ATOL`` plus a rounding slack. The
 merges, and the order of the kept branches, are those of a plain first-match
 scan.
 
-Every branch builds the same registers, so ``peak_register_dim`` finds the
-largest register from the instruction list alone, and an over-cap circuit is
-rejected before anything is simulated. Likewise, without merging, a circuit
-whose measurements could fork more than ``MAX_BRANCHES`` branches
+Every branch builds the same registers: resources add subsystems and
+measurements remove them, the same way in every branch. So ``peak_register_dim``
+finds the largest register from the instruction list alone, and an over-cap
+circuit is rejected before anything is simulated. Likewise, without merging, a
+circuit whose measurements could fork more than ``MAX_BRANCHES`` branches
 (``unmerged_branch_bound``) is rejected up front.
+
+For the same reason the instruction list is compiled once into a ``Plan``
+(``compile_plan``) before any branch runs, walking the register layout the way
+``peak_register_dim`` does. A gate gets its target axes and its matrix, and a
+conditioned gate its axes, with the duplicate-target, unknown-label and arity
+checks; the powers a condition asks for are resolved once per distinct value.
+A resource gets its state and the label-collision check, and a measurement
+its target's place in the layout. A bad instruction therefore raises
+``ValueError`` before any kernel runs. The branch loop holds bare amplitude
+matrices (``_Branch``: amplitudes, per-column probability and alive mask,
+outcome record, symbol values, weight) and sends each gate straight to
+``backend.apply_matrix``; measurements and resources go through
+``measure_enumerate`` and ``tensor`` on a register wrapped with the plan's
+labels and dims. A ClassicalSend needs no merge after it unless it retires
+outcome symbols (see ``Plan``). ``verify`` compiles one plan and shares it
+across its input chunks.
 """
 
 from __future__ import annotations
@@ -41,16 +58,19 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from functools import lru_cache
+from typing import Callable, NamedTuple
 
 import numpy as np
 
-from .circuit import RESOURCE_KINDS, DistCircuit, Instruction
+from . import backend
+from .circuit import RESOURCE_KINDS, Condition, DistCircuit, Instruction
 from .gates import gate_arity, gate_power, gate_unitary
-from .statevec import (BranchResult, MixedRegister, apply_unitary, check_register_dim,
-                       measure_enumerate, tensor)
+from .statevec import (BranchResult, MixedRegister, check_register_dim, label_axis,
+                       measure_enumerate, target_axes, tensor)
 
 MERGE_ATOL = 1e-12
 MAX_BRANCHES = 2 ** 16
+MAX_INPUT_AMPLITUDES = 2 ** 24  # random inputs times their dimension; 256 MiB of amplitudes
 
 
 def infer_dims(circuit: DistCircuit) -> dict[str, int]:
@@ -72,13 +92,15 @@ def infer_dims(circuit: DistCircuit) -> dict[str, int]:
     return dims
 
 
-def peak_register_dim(circuit: DistCircuit, upto: int | None = None) -> int:
+def peak_register_dim(circuit: DistCircuit, upto: int | None = None,
+                      dims: dict[str, int] | None = None) -> int:
     """Largest register dimension any branch reaches in the first ``upto`` instructions.
 
     Computed from the instruction list alone: resources add subsystems and
-    measurements remove them, the same way in every branch.
+    measurements remove them, the same way in every branch. ``dims`` is
+    ``infer_dims(circuit)``, computed when not given.
     """
-    dims = infer_dims(circuit)
+    dims = infer_dims(circuit) if dims is None else dims
     present = {label: dims[label] for label in circuit.inputs}
     size = peak = math.prod(present.values())
     for ins in circuit.instructions[:upto]:
@@ -92,12 +114,14 @@ def peak_register_dim(circuit: DistCircuit, upto: int | None = None) -> int:
     return peak
 
 
-def unmerged_branch_bound(circuit: DistCircuit, upto: int | None = None) -> int:
+def unmerged_branch_bound(circuit: DistCircuit, upto: int | None = None,
+                          dims: dict[str, int] | None = None) -> int:
     """Most branches an enumeration without merging can reach in the first ``upto`` instructions.
 
     The product of the measured subsystems' dimensions: one fork per outcome.
+    ``dims`` is ``infer_dims(circuit)``, computed when not given.
     """
-    dims = infer_dims(circuit)
+    dims = infer_dims(circuit) if dims is None else dims
     return math.prod(dims.get(ins.targets[0], 1) for ins in circuit.instructions[:upto]
                      if ins.kind == "Measure" and ins.targets)
 
@@ -112,14 +136,92 @@ def _resource_state(ins: Instruction) -> MixedRegister:
     return MixedRegister((d,) * n, amps, ins.targets)
 
 
-@dataclass
+@dataclass(eq=False, slots=True)
 class _Branch:
-    state: MixedRegister
+    amps: np.ndarray  # (state_dim, k), over the plan's labels and dims at this step
     prob: np.ndarray  # per column; 0 where the column is dead
     outcomes: tuple[tuple[str, int], ...]
     values: dict[str, int]
     weight: int
     alive: np.ndarray
+
+
+def _gate_step(dims: tuple[int, ...], axes: tuple[int, ...], matrix: np.ndarray):
+    """A LocalGate: one matrix on fixed axes of every branch."""
+    def run(frontier: list[_Branch]) -> list[_Branch]:
+        apply = backend.apply_matrix
+        for br in frontier:
+            br.amps = apply(br.amps, dims, axes, matrix)
+        return frontier
+    return run
+
+
+def _cond_step(dims: tuple[int, ...], axes: tuple[int, ...], condition: Condition, gate: str,
+               params: tuple[float, ...]):
+    """A CondGate: the gate to the power of the condition's value, where that is nonzero.
+
+    Each power is resolved once, when its value first occurs.
+    """
+    powers: dict[int, np.ndarray] = {}
+
+    def run(frontier: list[_Branch]) -> list[_Branch]:
+        apply = backend.apply_matrix
+        for br in frontier:
+            value = condition.evaluate(br.values)
+            if value:
+                matrix = powers.get(value)
+                if matrix is None:
+                    matrix = powers[value] = gate_power(gate, params, value).entries
+                br.amps = apply(br.amps, dims, axes, matrix)
+        return frontier
+    return run
+
+
+def _resource_step(dims: tuple[int, ...], labels: tuple[str, ...], state: MixedRegister):
+    """A resource state appended to every branch's register."""
+    def run(frontier: list[_Branch]) -> list[_Branch]:
+        for br in frontier:
+            br.amps = tensor(MixedRegister._wrap(dims, br.amps, labels), state).amps
+        return frontier
+    return run
+
+
+def _measure_step(dims: tuple[int, ...], labels: tuple[str, ...], target: str, symbol: str):
+    """A measurement: every branch forks into one branch per kept outcome."""
+    def run(frontier: list[_Branch]) -> list[_Branch]:
+        forked: list[_Branch] = []
+        for br in frontier:
+            for sub in measure_enumerate(MixedRegister._wrap(dims, br.amps, labels), target):
+                outcome = sub.outcomes[0][1]
+                forked.append(_Branch(
+                    sub.state.amps, br.prob * sub.probability,
+                    br.outcomes + ((symbol, outcome),), {**br.values, symbol: outcome},
+                    br.weight, br.alive & (sub.probability > 0)))
+        return forked
+    return run
+
+
+class Plan(NamedTuple):
+    """A circuit's first ``upto`` instructions resolved once for every branch.
+
+    ``steps`` pairs each step, a function from frontier to frontier, with the
+    outcome symbols a later condition still reads, the live part of a merge
+    key. A ClassicalSend is free in simulation (the resource tally audits it),
+    so its step is None. It gets no pair at all when its live symbols are
+    those of the instruction before it: the merge after it would compare the
+    same frontier under the same keys as the merge before it, and so merge
+    nothing. ``labels`` and ``out_dims`` describe the register after the last
+    step.
+    """
+
+    circuit: DistCircuit
+    upto: int | None
+    dims: dict[str, int]
+    peak: int
+    branch_bound: int
+    steps: tuple[tuple[Callable | None, tuple[str, ...]], ...]
+    labels: tuple[str, ...]
+    out_dims: tuple[int, ...]
 
 
 def _future_symbols(instructions) -> list[tuple[str, ...]]:
@@ -152,20 +254,20 @@ def _merge(frontier: list[_Branch], live: tuple[str, ...]) -> list[_Branch]:
     merged: list[_Branch] = []
     buckets: dict[tuple, list[list]] = {}  # exact key -> [[kept branch, fingerprint]]
     for br in frontier:
-        key = (br.state.labels, br.state.dims, br.alive.tobytes(),
-               tuple(map(br.values.get, live)))
+        # every branch has the plan's labels and dims, so they are left out of the key
+        key = (br.alive.tobytes(), tuple(map(br.values.get, live)))
         bucket = buckets.setdefault(key, [])
         fp = None
         for entry in bucket:
             kept = entry[0]
             if fp is None:
-                r, bound = _fingerprint_vector(br.state.amps.shape[0])
-                fp = r @ br.state.amps
+                r, bound = _fingerprint_vector(br.amps.shape[0])
+                fp = r @ br.amps
             if entry[1] is None:
-                entry[1] = r @ kept.state.amps
+                entry[1] = r @ kept.amps
             # the second test is np.allclose(rtol=0, atol=MERGE_ATOL) on finite amplitudes
             if (abs(entry[1] - fp).max() <= bound
-                    and abs(kept.state.amps - br.state.amps).max() <= MERGE_ATOL):
+                    and abs(kept.amps - br.amps).max() <= MERGE_ATOL):
                 kept.prob = kept.prob + br.prob
                 kept.weight += br.weight
                 break
@@ -175,9 +277,50 @@ def _merge(frontier: list[_Branch], live: tuple[str, ...]) -> list[_Branch]:
     return merged
 
 
+def compile_plan(circuit: DistCircuit, upto: int | None = None) -> Plan:
+    """Resolve the first ``upto`` instructions against the register layout (see the module docstring).
+
+    Checks the register cap first, then every instruction, and raises
+    ValueError for the first bad one; no kernel runs.
+    """
+    dims = infer_dims(circuit)
+    peak = peak_register_dim(circuit, upto, dims)
+    check_register_dim(peak)
+    labels = tuple(circuit.inputs)
+    reg_dims = tuple(dims[label] for label in labels)
+    live_after = _future_symbols(circuit.instructions)
+    steps = []
+    for i, ins in enumerate(circuit.instructions[:upto]):
+        if ins.kind in ("LocalGate", "CondGate"):
+            u = gate_unitary(ins.gate, ins.params)
+            axes = target_axes(labels, reg_dims, ins.targets, u.arity)
+            step = (_gate_step(reg_dims, axes, u.entries) if ins.kind == "LocalGate" else
+                    _cond_step(reg_dims, axes, ins.condition, ins.gate, ins.params))
+        elif ins.kind in RESOURCE_KINDS:
+            resource = _resource_state(ins)
+            if collision := set(labels) & set(resource.labels):
+                raise ValueError(f"label collision: {collision}")
+            step = _resource_step(reg_dims, labels, resource)
+            labels, reg_dims = labels + resource.labels, reg_dims + resource.dims
+        elif ins.kind == "Measure":
+            axis = label_axis(labels, ins.targets[0])
+            step = _measure_step(reg_dims, labels, ins.targets[0], ins.outcome or f"_m{i}")
+            labels = labels[:axis] + labels[axis + 1:]
+            reg_dims = reg_dims[:axis] + reg_dims[axis + 1:]
+        elif ins.kind == "ClassicalSend":
+            if live_after[i + 1] == live_after[i]:
+                continue
+            step = None
+        else:  # pragma: no cover - Instruction rejects unknown kinds
+            raise ValueError(f"unknown instruction kind {ins.kind!r}")
+        steps.append((step, live_after[i + 1]))
+    return Plan(circuit, upto, dims, peak, unmerged_branch_bound(circuit, upto, dims),
+                tuple(steps), labels, reg_dims)
+
+
 def enumerate_branches(circuit: DistCircuit, input_state: MixedRegister | None = None,
                        merge_equal: bool = False, upto: int | None = None,
-                       ) -> list[BranchResult]:
+                       plan: Plan | None = None) -> list[BranchResult]:
     """Run the circuit on ``input_state``, returning every measurement branch.
 
     ``input_state`` labels must equal the circuit's declared inputs in order
@@ -185,12 +328,17 @@ def enumerate_branches(circuit: DistCircuit, input_state: MixedRegister | None =
     amplitude column): then each result's ``probability`` is per column and
     ``alive`` marks the columns the branch occurs for. ``upto`` executes only
     the first ``upto`` instructions, which exposes intermediate protocol states.
+    ``plan`` is ``compile_plan(circuit, upto)``, compiled here when not given;
+    a caller running several batches compiles it once.
     """
-    dims = infer_dims(circuit)
-    check_register_dim(peak_register_dim(circuit, upto))
-    if not merge_equal and (bound := unmerged_branch_bound(circuit, upto)) > MAX_BRANCHES:
-        raise ValueError(f"up to {bound} unmerged branches exceed the limit {MAX_BRANCHES}; "
-                         "merging equal branches avoids it")
+    if plan is None:
+        plan = compile_plan(circuit, upto)
+    elif plan.circuit is not circuit or plan.upto != upto:
+        raise ValueError("the plan was compiled for another circuit or instruction prefix")
+    if not merge_equal and plan.branch_bound > MAX_BRANCHES:
+        raise ValueError(f"up to {plan.branch_bound} unmerged branches exceed the limit "
+                         f"{MAX_BRANCHES}; merging equal branches avoids it")
+    dims = plan.dims
     if input_state is None:
         input_state = MixedRegister.basis(
             circuit.inputs, tuple(dims[l] for l in circuit.inputs),
@@ -202,52 +350,20 @@ def enumerate_branches(circuit: DistCircuit, input_state: MixedRegister | None =
         if dims.get(label, d) != d:
             raise ValueError(f"input {label!r} has dimension {d}, circuit expects {dims[label]}")
 
-    instructions = circuit.instructions[:upto] if upto is not None else circuit.instructions
-    live_after = _future_symbols(circuit.instructions)
     amps = input_state.amps.reshape(input_state.amps.shape[0], -1)  # a single state: k = 1
-    start = MixedRegister._wrap(input_state.dims, amps, input_state.labels)
     k = amps.shape[1]
-    frontier = [_Branch(start, np.ones(k), (), {}, 1, np.ones(k, dtype=bool))]
-
-    for i, ins in enumerate(instructions):
-        if ins.kind == "LocalGate":
-            u = gate_unitary(ins.gate, ins.params)
-            for br in frontier:
-                br.state = apply_unitary(br.state, u, ins.targets)
-        elif ins.kind in RESOURCE_KINDS:
-            resource = _resource_state(ins)
-            for br in frontier:
-                br.state = tensor(br.state, resource)
-        elif ins.kind == "Measure":
-            target = ins.targets[0]
-            symbol = ins.outcome or f"_m{i}"
-            new_frontier: list[_Branch] = []
-            for br in frontier:
-                for sub in measure_enumerate(br.state, target):
-                    outcome = sub.outcomes[0][1]
-                    new_frontier.append(_Branch(
-                        sub.state, br.prob * sub.probability,
-                        br.outcomes + ((symbol, outcome),),
-                        {**br.values, symbol: outcome}, br.weight,
-                        br.alive & (sub.probability > 0)))
-            frontier = new_frontier
-        elif ins.kind == "CondGate":
-            for br in frontier:
-                value = ins.condition.evaluate(br.values)
-                if value:
-                    u = gate_power(ins.gate, ins.params, value)
-                    br.state = apply_unitary(br.state, u, ins.targets)
-        elif ins.kind == "ClassicalSend":
-            pass  # free in simulation; audited by the resource tally
-        else:  # pragma: no cover - Instruction rejects unknown kinds
-            raise ValueError(f"unknown instruction kind {ins.kind!r}")
+    frontier = [_Branch(amps, np.ones(k), (), {}, 1, np.ones(k, dtype=bool))]
+    for step, live in plan.steps:
+        if step is not None:
+            frontier = step(frontier)
         if merge_equal and len(frontier) > 1:
-            frontier = _merge(frontier, live_after[i + 1])
+            frontier = _merge(frontier, live)
 
+    labels, out_dims = plan.labels, plan.out_dims
     if input_state.amps.ndim == 1:
         return [BranchResult(br.outcomes, float(br.prob[0]),
-                             MixedRegister._wrap(br.state.dims, br.state.amps[:, 0],
-                                                 br.state.labels), br.weight)
+                             MixedRegister._wrap(out_dims, br.amps[:, 0], labels), br.weight)
                 for br in frontier]
-    return [BranchResult(br.outcomes, br.prob, br.state, br.weight, br.alive)
+    return [BranchResult(br.outcomes, br.prob, MixedRegister._wrap(out_dims, br.amps, labels),
+                         br.weight, br.alive)
             for br in frontier]

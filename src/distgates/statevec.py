@@ -104,10 +104,7 @@ class MixedRegister:
         return cls(dims, amps, tuple(labels))
 
     def axis(self, label: str) -> int:
-        try:
-            return self.labels.index(label)
-        except ValueError:
-            raise ValueError(f"unknown subsystem label {label!r}") from None
+        return label_axis(self.labels, label)
 
     def dim_of(self, label: str) -> int:
         return self.dims[self.axis(label)]
@@ -157,15 +154,34 @@ class BranchResult:
     alive: np.ndarray | None = None
 
 
-def apply_unitary(state: MixedRegister, gate: Unitary, targets) -> MixedRegister:
-    """Apply ``gate`` to the named target subsystems (identity on the rest)."""
+def label_axis(labels: tuple[str, ...], label: str) -> int:
+    """The axis of ``label`` in a register over ``labels``."""
+    try:
+        return labels.index(label)
+    except ValueError:
+        raise ValueError(f"unknown subsystem label {label!r}") from None
+
+
+def target_axes(labels: tuple[str, ...], dims: tuple[int, ...], targets,
+                arity: tuple[int, ...]) -> tuple[int, ...]:
+    """The axes of a gate's ``targets`` in a register over ``labels`` and ``dims``.
+
+    Raises ValueError for a duplicate target, an unknown label, or target
+    dimensions other than the gate's ``arity``.
+    """
     targets = tuple(targets)
     if len(set(targets)) != len(targets):
         raise ValueError(f"duplicate target in {targets}")
-    axes = tuple(state.axis(t) for t in targets)
-    tdims = tuple(state.dims[a] for a in axes)
-    if tdims != gate.arity:
-        raise ValueError(f"gate arity {gate.arity} does not match target dims {tdims}")
+    axes = tuple([label_axis(labels, t) for t in targets])
+    tdims = tuple([dims[a] for a in axes])
+    if tdims != arity:
+        raise ValueError(f"gate arity {arity} does not match target dims {tdims}")
+    return axes
+
+
+def apply_unitary(state: MixedRegister, gate: Unitary, targets) -> MixedRegister:
+    """Apply ``gate`` to the named target subsystems (identity on the rest)."""
+    axes = target_axes(state.labels, state.dims, targets, gate.arity)
     amps = backend.apply_matrix(state.amps, state.dims, axes, gate.entries)
     return MixedRegister._wrap(state.dims, amps, state.labels)
 

@@ -22,12 +22,16 @@ The circuits are linear in their input, so ``verify`` stacks the inputs as
 columns of one matrix, applies the oracle to all of them at once (phases times
 columns, or each factor in turn through ``backend.apply_matrix``) and
 enumerates branches once per chunk of inputs rather than once per input (see
-``simulate``). A chunk holds ``max(1, max_register_dim() //
-peak_register_dim(circuit))`` inputs, so a branch's amplitude matrix never
-exceeds the register cap; circuits near the cap run one input at a time. Each
-branch is checked on its alive columns only, and failures are recorded under
-the original input index. The register cap is checked from the instruction
-list before anything is allocated.
+``simulate``). Before any of that, it compiles the circuit once into a
+``simulate.Plan``: the subsystem dimensions, the peak register, the outcome
+symbols each step still needs, and every instruction resolved against the
+register layout, with every instruction check, the register-cap check and
+the check of the final register against the declared outputs done before
+anything is allocated. All chunks share that plan. A chunk holds
+``max(1, max_register_dim() // plan.peak)`` inputs, so a branch's amplitude
+matrix never exceeds the register cap; circuits near the cap run one input at
+a time. Each branch is checked on its alive columns only, and failures are
+recorded under the original input index.
 
 A batch merges two branches only when they agree on every input of the chunk,
 so it can keep apart two branches that one input alone would merge. Their
@@ -49,9 +53,9 @@ from .circuit import DistCircuit, ResourceTally, tally
 from .gates import (cz4_sq_matrix, cz_matrix, czd_matrix, csum_matrix, h_matrix,
                     s_dag_matrix)
 from .qubit_protocols import lms_matrix
-from .simulate import enumerate_branches, infer_dims, peak_register_dim
-from .statevec import (UNITARY_TOL, MixedRegister, Unitary, check_register_dim,
-                       fidelity_up_to_phase, max_register_dim, permute, random_register)
+from .simulate import MAX_INPUT_AMPLITUDES, compile_plan, enumerate_branches, infer_dims
+from .statevec import (UNITARY_TOL, MixedRegister, Unitary, fidelity_up_to_phase,
+                       max_register_dim, permute, random_register)
 
 DEFAULT_THRESHOLD = 1 - 1e-9
 
@@ -284,9 +288,16 @@ def basis_inputs(circuit: DistCircuit) -> list[MixedRegister]:
 
 
 def random_inputs(circuit: DistCircuit, count: int, seed: int = 7) -> list[MixedRegister]:
-    """Seeded Haar-ish random input states over the circuit's declared inputs."""
+    """Seeded Haar-ish random input states over the circuit's declared inputs.
+
+    Raises ValueError, before generating any, when the ``count`` states would
+    hold more than ``MAX_INPUT_AMPLITUDES`` amplitudes in all.
+    """
     dims = infer_dims(circuit)
     in_dims = tuple(dims[l] for l in circuit.inputs)
+    if count * math.prod(in_dims) > MAX_INPUT_AMPLITUDES:
+        raise ValueError(f"{count} random inputs of {math.prod(in_dims)} amplitudes each "
+                         f"exceed the limit of {MAX_INPUT_AMPLITUDES} amplitudes")
     rng = np.random.default_rng(seed)
     return [random_register(circuit.inputs, in_dims, rng) for _ in range(count)]
 
@@ -303,10 +314,11 @@ def verify(circuit: DistCircuit, oracle, inputs, threshold: float = DEFAULT_THRE
     the declared outputs (output i holds logical input i) before the fidelity
     check. The inputs are enumerated in batches (see the module docstring).
     """
-    peak = peak_register_dim(circuit)
-    check_register_dim(peak)
-    dims = infer_dims(circuit)
-    in_dims = tuple(dims[l] for l in circuit.inputs)
+    plan = compile_plan(circuit)  # the register cap and every instruction, checked once
+    if sorted(plan.labels) != sorted(circuit.outputs):
+        raise ValueError(f"every branch leaves subsystems {plan.labels}, "
+                         f"expected the outputs {circuit.outputs}")
+    in_dims = tuple(plan.dims[l] for l in circuit.inputs)
     inputs = list(inputs)
     for idx, state in enumerate(inputs):
         if state.labels != circuit.inputs or state.dims != in_dims or state.amps.ndim != 1:
@@ -324,7 +336,7 @@ def verify(circuit: DistCircuit, oracle, inputs, threshold: float = DEFAULT_THRE
         return report
     psi = np.stack([state.amps for state in inputs], axis=1)
     expected = oracle.apply(psi)
-    chunk = max(1, max_register_dim() // peak)
+    chunk = max(1, max_register_dim() // plan.peak)
     for start in range(0, len(inputs), chunk):
         cols = slice(start, start + chunk)
         batch = MixedRegister._wrap(in_dims, np.ascontiguousarray(psi[:, cols]),
@@ -332,10 +344,7 @@ def verify(circuit: DistCircuit, oracle, inputs, threshold: float = DEFAULT_THRE
         ideal = MixedRegister._wrap(in_dims, np.ascontiguousarray(expected[:, cols]),
                                     circuit.outputs)
         failures = []
-        for branch in enumerate_branches(circuit, batch, merge_equal=merge):
-            if sorted(branch.state.labels) != sorted(circuit.outputs):
-                raise ValueError(
-                    f"branch left subsystems {branch.state.labels}, expected {circuit.outputs}")
+        for branch in enumerate_branches(circuit, batch, merge_equal=merge, plan=plan):
             final = permute(branch.state, circuit.outputs)
             fids = fidelity_up_to_phase(final, ideal)
             report.branches += branch.weight * int(branch.alive.sum())

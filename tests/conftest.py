@@ -105,6 +105,82 @@ def measure_reference(state, target: str) -> list[tuple[int, object, np.ndarray]
     return kept
 
 
+def enumerate_reference(circuit, input_state, merge_equal: bool = False, upto=None):
+    """``simulate.enumerate_branches`` the per-branch way: a register per branch, every
+    instruction looked up again in every branch.
+
+    Each branch holds a ``MixedRegister``; gates go through ``apply_unitary``,
+    which finds the target axes and checks them on every call, and merging is
+    a plain first-match scan over the kept branches (equal labels, dims, alive
+    mask and still-read outcome values, and every amplitude within
+    ``MERGE_ATOL``), after every instruction. ``input_state`` is a single state
+    or a batch. Returns ``(outcomes, probability, state, weight, alive)``
+    tuples in branch order, the fields of a ``BranchResult``; ``alive`` is None
+    for a single state.
+    """
+    import math
+
+    from distgates.circuit import RESOURCE_KINDS
+    from distgates.gates import gate_power, gate_unitary
+    from distgates.simulate import MERGE_ATOL
+    from distgates.statevec import MixedRegister, apply_unitary, measure_enumerate, tensor
+
+    def resource_state(ins):
+        d, n = ins.dim or 2, len(ins.targets)
+        amps = np.zeros(d ** n, dtype=complex)
+        amps[[sum(v * d ** p for p in range(n)) for v in range(d)]] = 1 / math.sqrt(d)
+        return MixedRegister((d,) * n, amps, ins.targets)
+
+    def live_after(i):
+        return sorted({s for ins in circuit.instructions[i:] if ins.condition is not None
+                       for s in ins.condition.terms})
+
+    amps = input_state.amps.reshape(input_state.amps.shape[0], -1)
+    k = amps.shape[1]
+    # [state, prob, outcomes, values, weight, alive]
+    frontier = [[MixedRegister._wrap(input_state.dims, amps, input_state.labels), np.ones(k),
+                 (), {}, 1, np.ones(k, dtype=bool)]]
+    for i, ins in enumerate(circuit.instructions[:upto]):
+        if ins.kind == "LocalGate":
+            for br in frontier:
+                br[0] = apply_unitary(br[0], gate_unitary(ins.gate, ins.params), ins.targets)
+        elif ins.kind in RESOURCE_KINDS:
+            for br in frontier:
+                br[0] = tensor(br[0], resource_state(ins))
+        elif ins.kind == "Measure":
+            symbol = ins.outcome or f"_m{i}"
+            frontier = [[sub.state, br[1] * sub.probability,
+                         br[2] + ((symbol, sub.outcomes[0][1]),),
+                         {**br[3], symbol: sub.outcomes[0][1]}, br[4],
+                         br[5] & (sub.probability > 0)]
+                        for br in frontier for sub in measure_enumerate(br[0], ins.targets[0])]
+        elif ins.kind == "CondGate":
+            for br in frontier:
+                if value := ins.condition.evaluate(br[3]):
+                    br[0] = apply_unitary(br[0], gate_power(ins.gate, ins.params, value),
+                                          ins.targets)
+        if merge_equal:
+            live = live_after(i + 1)
+            kept = []
+            for br in frontier:
+                for other in kept:
+                    if (other[0].labels == br[0].labels and other[0].dims == br[0].dims
+                            and np.array_equal(other[5], br[5])
+                            and [other[3].get(s) for s in live] == [br[3].get(s) for s in live]
+                            and np.allclose(other[0].amps, br[0].amps, rtol=0, atol=MERGE_ATOL)):
+                        other[1] = other[1] + br[1]
+                        other[4] += br[4]
+                        break
+                else:
+                    kept.append(br)
+            frontier = kept
+    if input_state.amps.ndim == 1:
+        return [(br[2], float(br[1][0]),
+                 MixedRegister._wrap(br[0].dims, br[0].amps[:, 0], br[0].labels), br[4], None)
+                for br in frontier]
+    return [(br[2], br[1], br[0], br[4], br[5]) for br in frontier]
+
+
 def random_unitary(dim: int, rng) -> np.ndarray:
     m = rng.standard_normal((dim, dim)) + 1j * rng.standard_normal((dim, dim))
     q, r = np.linalg.qr(m)

@@ -207,9 +207,8 @@ def test_batch_columns_are_the_single_input_branches():
 
 
 def _branch(amps, weight=1):
-    state = MixedRegister._wrap((amps.shape[0],), amps, ("q",))
     k = amps.shape[1]
-    return _Branch(state, np.full(k, 0.5), (), {}, weight, np.ones(k, dtype=bool))
+    return _Branch(amps, np.full(k, 0.5), (), {}, weight, np.ones(k, dtype=bool))
 
 
 @pytest.mark.parametrize("phase", [0.0, math.pi / 3, math.pi])

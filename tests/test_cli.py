@@ -313,6 +313,45 @@ def test_verify_inputs_from_file(tmp_path, capsys):
     assert json.loads(out)["inputs_checked"] == 2
 
 
+def test_an_inputs_file_named_like_random_is_read(tmp_path, monkeypatch, capsys):
+    monkeypatch.chdir(tmp_path)  # a relative path, as typed
+    run(capsys, "compile", "--gate", "gcz", "--n", "2", "--nodes", "2",
+        "--strategy", "pairwise", "--out", "c.json")
+    (tmp_path / "random_inputs.json").write_text(
+        json.dumps([[[0.0, 0.0], [1.0, 0.0], [0.0, 0.0], [0.0, 0.0]]]))
+    code, out, _ = run(capsys, "verify", "--circuit", "c.json", "--oracle", "gcz",
+                       "--inputs", "random_inputs.json")
+    assert code == 0
+    assert json.loads(out)["inputs_checked"] == 1
+    (tmp_path / "randomly").write_text("[]")  # any other name is a file path too
+    code, _, err = run(capsys, "verify", "--circuit", "c.json", "--oracle", "gcz",
+                       "--inputs", "randomly")
+    assert code == 2 and "inputs file randomly" in err
+
+
+def test_random_input_count_over_the_amplitude_budget_exits_two(tmp_path, capsys):
+    import tracemalloc
+
+    from distgates.simulate import MAX_INPUT_AMPLITUDES
+    path = tmp_path / "c.json"
+    run(capsys, "compile", "--gate", "gcz", "--n", "4", "--nodes", "2", "--out", str(path))
+    tracemalloc.start()
+    try:
+        code, out, err = run(capsys, "verify", "--circuit", str(path), "--oracle", "gcz",
+                             "--inputs", "random:1000000000")
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert code == 2 and out == ""
+    assert f"limit of {MAX_INPUT_AMPLITUDES} amplitudes" in err
+    assert peak < 2 ** 20
+    # the bound is exact: one input past the budget is already refused
+    ok = MAX_INPUT_AMPLITUDES // 16
+    assert main(["verify", "--circuit", str(path), "--oracle", "gcz",
+                 "--inputs", f"random:{ok + 1}"]) == 2
+    assert f"{ok + 1} random inputs" in capsys.readouterr().err
+
+
 def test_estimate_invalid_sweep(capsys):
     code, _, err = run(capsys, "estimate", "--sweep", "8:4", "--nodes", "2")
     assert code == 2 and "empty sweep" in err

@@ -1,0 +1,198 @@
+"""The compiled enumeration plan: the same branches as the per-branch loop, and every
+instruction check made before any kernel runs."""
+
+import numpy as np
+import pytest
+from conftest import enumerate_reference
+
+from distgates import (Condition, DistCircuit, Instruction, MixedRegister, NodeLayout, backend,
+                       catalog, enumerate_branches, peak_register_dim, simulate)
+from distgates.simulate import compile_plan, unmerged_branch_bound
+from distgates.statevec import DEFAULT_MAX_DIM, random_register
+from distgates.verify import OracleSpec, basis_inputs, random_inputs, verify
+
+UNDER_CAP = [name for name, entry in catalog.tagged("golden").items()
+             if peak_register_dim(entry.build()) <= DEFAULT_MAX_DIM]
+UNMERGED_BRANCHES = 64  # merge-off runs stop at the longest prefix forking this many
+
+
+def _assert_same_branches(got, want, name):
+    assert [br.outcomes for br in got] == [w[0] for w in want], name
+    assert [br.weight for br in got] == [w[3] for w in want], name
+    for br, (_, prob, state, _, alive) in zip(got, want):
+        if alive is None:
+            assert br.alive is None, name
+        else:
+            np.testing.assert_array_equal(br.alive, alive, err_msg=name)
+        assert np.max(np.abs(np.subtract(br.probability, prob))) <= 1e-15, name
+        assert (br.state.labels, br.state.dims) == (state.labels, state.dims), name
+        assert br.state.amps.shape == state.amps.shape, name
+        assert np.max(np.abs(br.state.amps - state.amps), initial=0.0) <= 1e-15, name
+
+
+def _longest_prefix(circuit, branches):
+    """The most instructions whose unmerged enumeration forks at most ``branches`` branches."""
+    upto = len(circuit.instructions)
+    while unmerged_branch_bound(circuit, upto) > branches:
+        upto -= 1
+    return upto
+
+
+@pytest.mark.parametrize("name", UNDER_CAP)
+def test_plan_matches_the_per_branch_loop(name):
+    circuit = catalog.tagged("golden")[name].build()
+    inputs = random_inputs(circuit, 3, seed=11) + basis_inputs(circuit)[-1:]
+    batch = MixedRegister(inputs[0].dims, np.stack([s.amps for s in inputs], axis=1),
+                          inputs[0].labels)
+    n = len(circuit.instructions)
+    unmerged = _longest_prefix(circuit, UNMERGED_BRANCHES)
+    runs = [(True, None), (True, n // 3), (True, 2 * n // 3), (False, unmerged)]
+    for state in (inputs[0], batch):
+        for merge, upto in runs:
+            label = f"{name} k={state.amps.ndim} merge={merge} upto={upto}"
+            got = enumerate_branches(circuit, state, merge_equal=merge, upto=upto)
+            _assert_same_branches(got, enumerate_reference(circuit, state, merge, upto), label)
+
+
+def test_every_entry_under_the_cap_is_compared():
+    assert len(UNDER_CAP) > 100
+
+
+def test_rare_instruction_forms_match_the_per_branch_loop():
+    # unnamed measurements record "_m<index>"; a ClassicalSend that carries a
+    # condition keeps its symbols live until it has run, and a merge after it
+    # then merges the branches that differed only in them
+    layout = NodeLayout(("A", "B"), {"a": "A", "b": "B", "e1": "A", "e2": "B"})
+    circuit = DistCircuit(layout, PREFIX + (
+        Instruction("CreateBell", ("f1", "f2"), parties=("A", "B")),
+        Instruction("Measure", ("f1",)),
+        Instruction("Measure", ("f2",)),
+        Instruction("ClassicalSend", parties=("B", "A"), symbol="n",
+                    condition=Condition(("n",))),
+    ), ("a", "b"), ("a", "b"))
+    start = MixedRegister.basis(("a", "b"), (2, 2), (1, 1))
+    for merge in (False, True):
+        got = enumerate_branches(circuit, start, merge_equal=merge)
+        _assert_same_branches(got, enumerate_reference(circuit, start, merge), f"merge={merge}")
+    assert {symbol for br in got for symbol, _ in br.outcomes} == {"m", "n", "_m9", "_m10"}
+    assert [br.weight for br in got] == [8]  # no condition reads a symbol any more
+    before_send = enumerate_branches(circuit, start, merge_equal=True, upto=11)
+    assert [br.weight for br in before_send] == [4, 4]  # n is still live
+
+
+# ---------------------------------------------------------------------------
+# instruction checks, made when the plan is compiled
+# ---------------------------------------------------------------------------
+
+LAYOUT = NodeLayout(("A", "B"), {"a": "A", "b": "B", "e1": "A", "e2": "B"})
+
+# a teleported CZ of a and b, which runs every kind of kernel: a resource, a gate, a
+# measurement and a conditioned correction, so that a check made per branch would
+# come too late
+PREFIX = (
+    Instruction("CreateBell", ("e1", "e2"), parties=("A", "B")),
+    Instruction("LocalGate", ("a", "e1"), gate="CNOT"),
+    Instruction("Measure", ("e1",), outcome="m"),
+    Instruction("CondGate", ("e2",), gate="X", condition=Condition(("m",))),
+    Instruction("LocalGate", ("e2", "b"), gate="CZ"),
+    Instruction("LocalGate", ("e2",), gate="H"),
+    Instruction("Measure", ("e2",), outcome="n"),
+    Instruction("CondGate", ("a",), gate="Z", condition=Condition(("n",))),
+)
+
+BAD = {
+    "duplicate target": (Instruction("LocalGate", ("a", "a"), gate="CZ"),
+                         "duplicate target in \\('a', 'a'\\)"),
+    "duplicate conditioned target": (
+        Instruction("CondGate", ("b", "b"), gate="CZ", condition=Condition(("m",))),
+        "duplicate target"),
+    "arity against target dims": (Instruction("LocalGate", ("b",), gate="X4"),
+                                  "subsystem 'b' used with dimensions 2 and 4"),
+    "unknown gate": (Instruction("LocalGate", ("a",), gate="NOPE"),
+                     "unknown gate name 'NOPE'"),
+    "unknown conditioned gate": (
+        Instruction("CondGate", ("a",), gate=None, condition=Condition(("m",))),
+        "unknown gate name None"),
+    "gate on an unknown label": (Instruction("LocalGate", ("zz",), gate="H"),
+                                 "unknown subsystem label 'zz'"),
+    "gate on a measured label": (Instruction("LocalGate", ("e1",), gate="H"),
+                                 "unknown subsystem label 'e1'"),
+    "unknown measured label": (Instruction("Measure", ("zz",), outcome="z"),
+                               "unknown subsystem label 'zz'"),
+    "resource label collision": (
+        Instruction("CreateBell", ("a", "f"), parties=("A", "B")),
+        "label collision: \\{'a'\\}"),
+}
+
+
+def _forbid_kernels(monkeypatch):
+    def forbidden(*args, **kwargs):
+        raise AssertionError("a kernel ran before the instruction checks")
+
+    monkeypatch.setattr(backend, "apply_matrix", forbidden)
+    monkeypatch.setattr(simulate, "measure_enumerate", forbidden)
+    monkeypatch.setattr(simulate, "tensor", forbidden)
+
+
+def test_the_valid_prefix_runs():
+    circuit = DistCircuit(LAYOUT, PREFIX, ("a", "b"), ("a", "b"))
+    report = verify(circuit, OracleSpec("gcz"), basis_inputs(circuit))
+    assert report.passed and report.branches == 16
+
+
+@pytest.mark.parametrize("case", sorted(BAD))
+def test_instruction_checks_raise_before_any_kernel(case, monkeypatch):
+    bad, message = BAD[case]
+    circuit = DistCircuit(LAYOUT, PREFIX + (bad,), ("a", "b"), ("a", "b"))
+    state = random_register(("a", "b"), (2, 2), seed=3)  # random_inputs would check the dims
+    _forbid_kernels(monkeypatch)
+    with pytest.raises(ValueError, match=message):
+        compile_plan(circuit)
+    for merge in (False, True):
+        with pytest.raises(ValueError, match=message):
+            enumerate_branches(circuit, state, merge_equal=merge)
+        with pytest.raises(ValueError, match=message):
+            verify(circuit, OracleSpec("gcz"), [state], merge=merge)
+
+
+def test_verify_checks_the_final_register_before_any_kernel(monkeypatch):
+    circuit = DistCircuit(LAYOUT, PREFIX, ("a", "b"), ("a", "e2"))
+    _forbid_kernels(monkeypatch)
+    for inputs in ([], [random_register(("a", "b"), (2, 2), seed=3)]):
+        with pytest.raises(ValueError, match="every branch leaves subsystems \\('a', 'b'\\)"):
+            verify(circuit, OracleSpec("gcz"), inputs)
+
+
+def test_a_prefix_is_checked_up_to_its_end():
+    bad, _ = BAD["gate on an unknown label"]
+    circuit = DistCircuit(LAYOUT, PREFIX + (bad,), ("a", "b"), ("a", "b"))
+    assert len(compile_plan(circuit, upto=len(PREFIX)).steps) == len(PREFIX)
+
+
+def test_a_plan_is_tied_to_its_circuit_and_prefix():
+    circuit = catalog.tagged("corpus")["dcsum4"].build()
+    other = catalog.tagged("corpus")["dcsum4"].build()
+    plan = compile_plan(circuit)
+    state = random_inputs(circuit, 1)[0]
+    assert enumerate_branches(circuit, state, plan=plan)
+    for args, kwargs in (((other, state), {}), ((circuit, state), {"upto": 3})):
+        with pytest.raises(ValueError, match="another circuit or instruction prefix"):
+            enumerate_branches(*args, plan=plan, **kwargs)
+
+
+def test_conditioned_powers_are_resolved_once_per_value(monkeypatch):
+    circuit = catalog.tagged("corpus")["dcsum4"].build()
+    conditioned = [ins for ins in circuit.instructions if ins.kind == "CondGate"]
+    calls = []
+
+    def counting(name, params, exponent):
+        calls.append((name, exponent))
+        return power(name, params, exponent)
+
+    power = simulate.gate_power
+    monkeypatch.setattr(simulate, "gate_power", counting)
+    inputs = basis_inputs(circuit) + random_inputs(circuit, 4)
+    monkeypatch.setenv("DISTGATES_MAX_DIM", str(peak_register_dim(circuit)))  # one input a chunk
+    assert verify(circuit, OracleSpec("csum4"), inputs).passed
+    # once per conditioned gate and nonzero value, for all 20 chunks together
+    assert 0 < len(calls) <= sum(ins.condition.mod - 1 for ins in conditioned)
