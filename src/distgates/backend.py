@@ -19,19 +19,35 @@ benchmark also counts:
 
 Each distinct matrix is classified once, keyed by its content (shape, dtype
 and bytes), so a recycled ``id()`` or a matrix mutated after first use cannot
-pick a stale plan. The phase tensor and int32 source index are cached per
-(matrix, dims, axes). Both caches are LRUs of ``CACHE_SIZE`` entries; a
-source index holds 4 bytes per register amplitude (64 KiB at the 2^14 cap).
+pick a stale plan. The transposes of a dense matrix, and the phase tensor and
+int32 source index of the others, are cached per (matrix, dims, axes). Both
+caches are LRUs of ``CACHE_SIZE`` entries; a source index holds 4 bytes per
+register amplitude (64 KiB at the 2^14 cap).
+
+Building the content key copies the matrix's bytes on every call, which costs
+about as much as the arithmetic on the small registers of a branch
+enumeration. So a read-only matrix that owns its data, such as the entries
+``gates.gate_unitary`` and ``gates.gate_power`` cache, is taken to keep its
+content: its kernel plan is found by the matrix's identity and
+``(dims, axes)`` in a third cache, of ``CACHE_SIZE`` entries, that drops its
+oldest entry when full (a miss costs what the content-keyed path costs). An
+entry holds the matrix itself, and a hit must be that very object, so a
+recycled ``id()`` gets its own plan. A writeable matrix, or a read-only view
+of another array, takes the content-keyed path on every call.
 """
 
 from __future__ import annotations
 
 import math
+from collections import OrderedDict
 from functools import lru_cache
 
 import numpy as np
 
 CACHE_SIZE = 256
+
+# (id(matrix), dims, axes) -> (matrix, _plan) for read-only matrices, oldest first
+_by_identity: OrderedDict[tuple, tuple[np.ndarray, tuple]] = OrderedDict()
 
 
 def _frozen(a: np.ndarray) -> np.ndarray:
@@ -58,8 +74,13 @@ def _structure(key) -> tuple[np.ndarray | None, np.ndarray] | None:
 
 @lru_cache(maxsize=CACHE_SIZE)
 def _plan(key, dims: tuple[int, ...], axes: tuple[int, ...]):
-    """``(shape, phase, src)`` for a diagonal or monomial matrix on ``axes``.
+    """``(shape, phase, src, perm, inverse)``: how to apply the matrix with content ``key``.
 
+    For a dense matrix, ``amps.reshape(shape)`` transposed by ``perm`` has the
+    targets first and the batch axis (1 for a single state) last; ``inverse``
+    undoes that transpose; ``phase`` and ``src`` are None.
+
+    For a diagonal or monomial matrix, ``perm`` and ``inverse`` are None, and
     ``amps.reshape(shape) * phase`` applies the row values, where ``shape``
     merges each run of adjacent targeted or untouched axes into one and ends
     with an untouched ``-1`` run that also takes any batch axis; ``phase`` is
@@ -67,7 +88,11 @@ def _plan(key, dims: tuple[int, ...], axes: tuple[int, ...]):
     (None for a diagonal matrix): output amplitude ``i`` is input amplitude
     ``src[i]``.
     """
-    col, val = _structure(key)
+    structure = _structure(key)
+    if structure is None:
+        perm = axes + tuple(i for i in range(len(dims) + 1) if i not in axes)
+        return dims + (-1,), None, None, perm, tuple(np.argsort(perm).tolist())
+    col, val = structure
     tdims = [dims[a] for a in axes]
     order = np.argsort(axes)
     shape, pshape, targeted = [], [], None
@@ -92,7 +117,11 @@ def _plan(key, dims: tuple[int, ...], axes: tuple[int, ...]):
         index = np.arange(math.prod(dims), dtype=np.int32).reshape(dims).transpose(perm)
         gathered = index.reshape(len(col), -1)[col].reshape(index.shape)
         src = _frozen(np.ascontiguousarray(gathered.transpose(np.argsort(perm))).reshape(-1))
-    return tuple(shape), phase, src
+    return tuple(shape), phase, src, None, None
+
+
+def _content_plan(mat: np.ndarray, dims, axes):
+    return _plan((mat.shape, mat.dtype.str, mat.tobytes()), tuple(dims), tuple(axes))
 
 
 def apply_matrix(amps: np.ndarray, dims: tuple[int, ...], axes: tuple[int, ...],
@@ -102,19 +131,27 @@ def apply_matrix(amps: np.ndarray, dims: tuple[int, ...], axes: tuple[int, ...],
     ``amps`` has shape ``(prod(dims),)`` or ``(prod(dims), k)``. The matrix
     row/column index runs over the target subsystems in the order given by
     ``axes``, big-endian (first axis is the most significant digit). Returns a
-    new array of the same shape; the input is never modified.
+    new array of the same shape; the input is never modified. A read-only
+    ``mat`` that owns its data must not be changed after its first use (see
+    the module docstring).
     """
-    key = (mat.shape, mat.dtype.str, mat.tobytes())
-    if _structure(key) is None:
-        shape = tuple(dims) + amps.shape[1:]
-        perm = list(axes) + [i for i in range(len(shape)) if i not in axes]
-        inverse = [0] * len(perm)
-        for position, axis in enumerate(perm):
-            inverse[axis] = position
+    if mat.flags.writeable or mat.base is not None:
+        plan = _content_plan(mat, dims, axes)
+    else:
+        key = (id(mat), dims, axes)
+        hit = _by_identity.get(key)
+        if hit is not None and hit[0] is mat:
+            plan = hit[1]
+        else:
+            plan = _content_plan(mat, dims, axes)
+            _by_identity[key] = (mat, plan)
+            if len(_by_identity) > CACHE_SIZE:
+                _by_identity.popitem(last=False)
+    shape, phase, src, perm, inverse = plan
+    if perm is not None:  # dense
         t = amps.reshape(shape).transpose(perm)
         out = (mat @ t.reshape(mat.shape[0], -1)).reshape(t.shape)
         return np.ascontiguousarray(out.transpose(inverse)).reshape(amps.shape)
-    shape, phase, src = _plan(key, tuple(dims), tuple(axes))
     if src is None:  # diagonal
         return (amps.reshape(shape) * phase).reshape(amps.shape)
     out = np.take(amps, src, axis=0)

@@ -21,7 +21,7 @@ from .catalog import block_layout  # noqa: F401  (callers still import cli.block
 from .circuit import (CircuitParseError, DistCircuit, deserialize, parse_angle, serialize,
                       tally, validate)
 from .resources import GczConfig, fanout_gain, gcz_costs, gms_costs
-from .simulate import enumerate_branches, infer_dims
+from .simulate import MAX_SWEEP_QUBITS, enumerate_branches, infer_dims
 from .statevec import MixedRegister
 from .verify import (DEFAULT_THRESHOLD, OracleSpec, basis_inputs, identity_checks,
                      random_inputs, verify)
@@ -173,6 +173,11 @@ def cmd_estimate(args) -> int:
         raise UsageError(f"sweep must be lo:hi[:step], got {args.sweep!r}")
     if hi < lo or step < 1:
         raise UsageError(f"empty sweep range {args.sweep!r}")
+    ns = range(lo, hi + 1, step)
+    ns = ns[max(0, -((lo - 2) // step)):]  # n < 2 gives no row
+    if ns and ((ns[-1] - ns[0]) // step + 1) * (ns[0] + ns[-1]) // 2 > MAX_SWEEP_QUBITS:
+        raise UsageError(f"sweep {args.sweep!r}: the n of its rows sum to more than the limit "
+                         f"of {MAX_SWEEP_QUBITS} (a row costs O(n))")
     eps = args.epsilon
     buf = io.StringIO()
     writer = csv.writer(buf)
@@ -181,8 +186,8 @@ def cmd_estimate(args) -> int:
                      "pairwise_ep", "fanout_ghz", "fanout_ep", "qudit_ghz", "qudit_ep",
                      "gms_pairwise_ep", "gms_conditional_ep", "gms_fanout_ghz",
                      "time_pairwise", "time_fanout", "fanout_gain"])
-    for n in range(lo, hi + 1, step):
-        if n < 2 or n % args.nodes:
+    for n in ns:
+        if n % args.nodes:
             continue
         k = n // args.nodes
         m = args.qudit_m or k

@@ -158,19 +158,32 @@ def gate_arity(name: str) -> tuple[int, ...]:
     return _REGISTRY[name][1]
 
 
+def _read_only(u: Unitary) -> Unitary:
+    # cached and shared by every caller in the process; backend.apply_matrix
+    # also finds its kernel by the matrix's identity, trusting it not to change
+    u.entries.flags.writeable = False
+    return u
+
+
 @lru_cache(maxsize=512)
 def gate_unitary(name: str, params: tuple[float, ...] = ()) -> Unitary:
-    """Resolve a wire-format gate name (plus parameters) to a validated Unitary."""
+    """Resolve a wire-format gate name (plus parameters) to a validated Unitary.
+
+    The result is cached, so its ``entries`` are read-only.
+    """
     if name not in _REGISTRY:
         raise ValueError(f"unknown gate name {name!r}")
     builder, arity, n_params = _REGISTRY[name]
     if len(params) != n_params:
         raise ValueError(f"gate {name} takes {n_params} parameter(s), got {len(params)}")
-    return Unitary(builder(*params), arity)
+    return _read_only(Unitary(builder(*params), arity))
 
 
 @lru_cache(maxsize=512)
 def gate_power(name: str, params: tuple[float, ...], exponent: int) -> Unitary:
-    """Integer power of a named gate (used by classically conditioned corrections)."""
+    """Integer power of a named gate (used by classically conditioned corrections).
+
+    The result is cached, so its ``entries`` are read-only.
+    """
     base = gate_unitary(name, params)
-    return Unitary(np.linalg.matrix_power(base.entries, exponent), base.arity)
+    return _read_only(Unitary(np.linalg.matrix_power(base.entries, exponent), base.arity))

@@ -22,12 +22,15 @@ labels, dims, alive masks, still-referenced outcome symbols and whole
 amplitude matrices agree (``allclose`` with ``atol=MERGE_ATOL``), keeping
 enumeration polynomial for circuits with many teleported gates while the
 reported ``weight`` preserves the underlying branch count. Candidates are
-bucketed by the exactly-compared fields, and inside a bucket a fingerprint
-``r @ amps`` (a fixed vector ``r``, ``||r||_1 = 1``) skips only pairs that
-``allclose`` would reject: if every element differs by at most ``MERGE_ATOL``,
-the fingerprints differ by at most ``MERGE_ATOL`` plus a rounding slack. The
-merges, and the order of the kept branches, are those of a plain first-match
-scan.
+bucketed by the exactly-compared fields. Inside a bucket, amplitude matrices
+of more than ``DIRECT_COMPARE_MAX`` entries are first compared by a
+fingerprint ``r @ amps`` (a fixed vector ``r``, ``||r||_1 = 1``), which skips
+only pairs that ``allclose`` would reject: if every element differs by at
+most ``MERGE_ATOL``, the fingerprints differ by at most ``MERGE_ATOL`` plus a
+rounding slack. Smaller matrices are compared whole straight away; on them
+the two fingerprints and their compare cost more than the compare they would
+skip. Either way the merges, and the order of the kept branches, are those
+of a plain first-match scan.
 
 Every branch builds the same registers: resources add subsystems and
 measurements remove them, the same way in every branch. So ``peak_register_dim``
@@ -69,8 +72,12 @@ from .statevec import (BranchResult, MixedRegister, check_register_dim, label_ax
                        measure_enumerate, target_axes, tensor)
 
 MERGE_ATOL = 1e-12
+# _merge compares amplitude matrices up to this many entries whole, without the
+# fingerprint prefilter, which costs more than the compare it skips on them
+DIRECT_COMPARE_MAX = 2 ** 9
 MAX_BRANCHES = 2 ** 16
 MAX_INPUT_AMPLITUDES = 2 ** 24  # random inputs times their dimension; 256 MiB of amplitudes
+MAX_SWEEP_QUBITS = 2 ** 20  # the summed n of an `estimate --sweep`; a row costs O(n)
 
 
 def infer_dims(circuit: DistCircuit) -> dict[str, int]:
@@ -196,7 +203,7 @@ def _measure_step(dims: tuple[int, ...], labels: tuple[str, ...], target: str, s
                 forked.append(_Branch(
                     sub.state.amps, br.prob * sub.probability,
                     br.outcomes + ((symbol, outcome),), {**br.values, symbol: outcome},
-                    br.weight, br.alive & (sub.probability > 0)))
+                    br.weight, br.alive & sub.alive))
         return forked
     return run
 
@@ -228,11 +235,13 @@ def _future_symbols(instructions) -> list[tuple[str, ...]]:
     """For each index, the outcome symbols any later condition still reads (sorted)."""
     out = [()] * (len(instructions) + 1)
     live: frozenset[str] = frozenset()
+    ordered: tuple[str, ...] = ()
     for i in range(len(instructions) - 1, -1, -1):
         ins = instructions[i]
-        if ins.condition is not None:
+        if ins.condition is not None and not live.issuperset(ins.condition.terms):
             live = live | frozenset(ins.condition.terms)
-        out[i] = tuple(sorted(live))
+            ordered = tuple(sorted(live))
+        out[i] = ordered
     return out
 
 
@@ -250,9 +259,10 @@ def _fingerprint_vector(n: int) -> tuple[np.ndarray, float]:
 
 
 def _merge(frontier: list[_Branch], live: tuple[str, ...]) -> list[_Branch]:
-    """Merge each branch into the first earlier kept branch equal to it."""
+    """Merge each branch into the first earlier kept branch equal to it (see the module docstring)."""
     merged: list[_Branch] = []
     buckets: dict[tuple, list[list]] = {}  # exact key -> [[kept branch, fingerprint]]
+    prefilter = frontier[0].amps.size > DIRECT_COMPARE_MAX  # every branch has the same shape
     for br in frontier:
         # every branch has the plan's labels and dims, so they are left out of the key
         key = (br.alive.tobytes(), tuple(map(br.values.get, live)))
@@ -260,14 +270,16 @@ def _merge(frontier: list[_Branch], live: tuple[str, ...]) -> list[_Branch]:
         fp = None
         for entry in bucket:
             kept = entry[0]
-            if fp is None:
-                r, bound = _fingerprint_vector(br.amps.shape[0])
-                fp = r @ br.amps
-            if entry[1] is None:
-                entry[1] = r @ kept.amps
-            # the second test is np.allclose(rtol=0, atol=MERGE_ATOL) on finite amplitudes
-            if (abs(entry[1] - fp).max() <= bound
-                    and abs(kept.amps - br.amps).max() <= MERGE_ATOL):
+            if prefilter:
+                if fp is None:
+                    r, bound = _fingerprint_vector(br.amps.shape[0])
+                    fp = r @ br.amps
+                if entry[1] is None:
+                    entry[1] = r @ kept.amps
+                if abs(entry[1] - fp).max() > bound:
+                    continue
+            # np.allclose(rtol=0, atol=MERGE_ATOL) on finite amplitudes
+            if abs(kept.amps - br.amps).max() <= MERGE_ATOL:
                 kept.prob = kept.prob + br.prob
                 kept.weight += br.weight
                 break

@@ -14,8 +14,9 @@ All operations are pure: they return new registers and never mutate inputs.
 Projective measurement enumerates every outcome branch deterministically,
 ordered by outcome value; the measured subsystem is removed from the register.
 It reads the register in two passes: one sums the squared amplitudes into
-every outcome's weight per column, and one makes each kept outcome's branch as
-a single scaled copy, renormalized; an outcome below ``PRUNE_TOL`` is pruned.
+every outcome's weight per column, and one scaled copy of the register holds
+every kept outcome's renormalized branch; an outcome below ``PRUNE_TOL`` is
+pruned.
 """
 
 from __future__ import annotations
@@ -23,6 +24,7 @@ from __future__ import annotations
 import math
 import os
 from dataclasses import dataclass
+from functools import lru_cache
 
 import numpy as np
 
@@ -82,9 +84,7 @@ class MixedRegister:
     def _wrap(cls, dims, amps, labels) -> "MixedRegister":
         # fast path for operations that preserve validity (unitaries, projections)
         reg = object.__new__(cls)
-        object.__setattr__(reg, "dims", dims)
-        object.__setattr__(reg, "amps", amps)
-        object.__setattr__(reg, "labels", labels)
+        vars(reg).update(dims=dims, amps=amps, labels=labels)  # one call, past the frozen setattr
         return reg
 
     @classmethod
@@ -186,6 +186,15 @@ def apply_unitary(state: MixedRegister, gate: Unitary, targets) -> MixedRegister
     return MixedRegister._wrap(state.dims, amps, state.labels)
 
 
+@lru_cache(maxsize=1024)
+def _measure_geometry(dims: tuple[int, ...], axis: int):
+    """``(d, pre, post, ones(pre), dims after)`` for measuring ``axis`` of a register over ``dims``."""
+    pre = math.prod(dims[:axis])
+    ones = np.ones(pre)
+    ones.flags.writeable = False  # cached: shared by every later call
+    return dims[axis], pre, math.prod(dims[axis + 1:]), ones, dims[:axis] + dims[axis + 1:]
+
+
 def measure_enumerate(state: MixedRegister, target: str) -> list[BranchResult]:
     """Projectively measure one subsystem, returning every nonzero branch.
 
@@ -193,42 +202,41 @@ def measure_enumerate(state: MixedRegister, target: str) -> list[BranchResult]:
     from each branch state. Each state (each column of a batch) is handled on
     its own: an outcome with probability below ``PRUNE_TOL`` is pruned, and
     the rest is renormalized. A pruned column keeps zero amplitudes and
-    probability 0; an outcome is dropped once every column is pruned.
+    probability 0, and is False in the branch's ``alive`` mask (a batch only);
+    an outcome is dropped once every column is pruned.
     Probabilities of returned branches sum to 1 per state (within float error).
 
     The register is read twice. The first pass squares the real and imaginary
     parts of every amplitude, sums them over the subsystems before the
     measured one with one matrix-vector product, and then over the few
-    entries left for each (outcome, column) weight. The second pass makes
-    each kept outcome's state as one scaled copy of its slice; the input is
-    never written or aliased.
+    entries left for each (outcome, column) weight; every outcome's
+    probability and scale follow from those weights at once. The second pass
+    is one scaled copy of the register with the measured axis moved to the
+    front, so each kept outcome's state is a contiguous slice of it; the input
+    is never written or aliased.
     """
     axis = state.axis(target)
-    d = state.dims[axis]
+    d, pre, post, ones, new_dims = _measure_geometry(state.dims, axis)
     batch = state.amps.shape[1:]
     k = batch[0] if batch else 1  # a single state is a batch of one
-    pre = math.prod(state.dims[:axis])
-    post = math.prod(state.dims[axis + 1:])
-    new_dims = state.dims[:axis] + state.dims[axis + 1:]
     new_labels = state.labels[:axis] + state.labels[axis + 1:]
     # pass 1: one gemv sums the squared real and imaginary parts over `pre`
     # (np.dot, not `@`, which bypasses BLAS and is slower when pre is 1)
     x = state.amps.view(np.float64).reshape(pre, -1)
-    prob = np.dot(np.ones(pre), x * x).reshape(d, post, k, 2).sum(axis=(1, 3))
+    prob = np.dot(ones, x * x).reshape(d, post, k, 2).sum(axis=(1, 3))
     alive = prob >= PRUNE_TOL
+    probs = np.where(alive, prob, 0.0) if batch else prob[:, 0].tolist()
     # a pruned column is scaled by 1 / inf: exact zeros
     scale = 1.0 / np.sqrt(np.where(alive, prob, np.inf))
-    # pass 2: the multiply makes the copy (a slice of `t` may be the input's memory)
-    t = state.amps.reshape(pre, d, post, k)
-    branches = []
-    for outcome in range(d):
-        if not alive[outcome].any():
-            continue
-        sub = (t[:, outcome] * scale[outcome]).reshape((-1,) + batch)
-        p = np.where(alive[outcome], prob[outcome], 0.0) if batch else float(prob[outcome, 0])
-        branch_state = MixedRegister._wrap(new_dims, sub, new_labels)
-        branches.append(BranchResult(((target, outcome),), p, branch_state))
-    return branches
+    # pass 2: scaled[outcome] is that outcome's state
+    scaled = np.empty((d, pre, post, k), dtype=np.complex128)
+    np.multiply(state.amps.reshape(pre, d, post, k).transpose(1, 0, 2, 3),
+                scale[:, None, None, :], out=scaled)
+    shape = (-1,) + batch
+    return [BranchResult(((target, outcome),), probs[outcome],
+                         MixedRegister._wrap(new_dims, scaled[outcome].reshape(shape), new_labels),
+                         1, alive[outcome] if batch else None)
+            for outcome, kept in enumerate(alive.any(axis=1).tolist()) if kept]
 
 
 def fidelity_up_to_phase(a: MixedRegister, b: MixedRegister) -> float | np.ndarray:

@@ -105,15 +105,68 @@ def measure_reference(state, target: str) -> list[tuple[int, object, np.ndarray]
     return kept
 
 
+def measure_loop_reference(state, target: str) -> list[tuple[int, object, np.ndarray]]:
+    """``statevec.measure_enumerate``'s arithmetic, one outcome at a time.
+
+    The same two passes in the same floating-point order (so the results must
+    be bitwise equal), but the kept test, the probability and the scaled copy
+    are made separately for each outcome. Returns ``(outcome, probability,
+    amplitudes)`` like ``measure_reference``.
+    """
+    import math
+
+    from distgates.statevec import PRUNE_TOL
+
+    axis = state.axis(target)
+    d = state.dims[axis]
+    batch = state.amps.shape[1:]
+    k = batch[0] if batch else 1
+    pre = math.prod(state.dims[:axis])
+    post = math.prod(state.dims[axis + 1:])
+    x = state.amps.view(np.float64).reshape(pre, -1)
+    prob = np.dot(np.ones(pre), x * x).reshape(d, post, k, 2).sum(axis=(1, 3))
+    alive = prob >= PRUNE_TOL
+    scale = 1.0 / np.sqrt(np.where(alive, prob, np.inf))
+    t = state.amps.reshape(pre, d, post, k)
+    kept = []
+    for outcome in range(d):
+        if not alive[outcome].any():
+            continue
+        amps = (t[:, outcome] * scale[outcome]).reshape((-1,) + batch)
+        p = np.where(alive[outcome], prob[outcome], 0.0) if batch else float(prob[outcome, 0])
+        kept.append((outcome, p, amps))
+    return kept
+
+
+def merge_reference(frontier: list[list], live) -> list[list]:
+    """A plain first-match merge scan over ``[state, prob, outcomes, values, weight, alive]``
+    branches: each merges into the first kept branch with equal labels, dims, alive mask
+    and values of the ``live`` symbols, and every amplitude within ``MERGE_ATOL``."""
+    from distgates.simulate import MERGE_ATOL
+
+    kept = []
+    for br in frontier:
+        for other in kept:
+            if (other[0].labels == br[0].labels and other[0].dims == br[0].dims
+                    and np.array_equal(other[5], br[5])
+                    and [other[3].get(s) for s in live] == [br[3].get(s) for s in live]
+                    and np.allclose(other[0].amps, br[0].amps, rtol=0, atol=MERGE_ATOL)):
+                other[1] = other[1] + br[1]
+                other[4] += br[4]
+                break
+        else:
+            kept.append(br)
+    return kept
+
+
 def enumerate_reference(circuit, input_state, merge_equal: bool = False, upto=None):
     """``simulate.enumerate_branches`` the per-branch way: a register per branch, every
     instruction looked up again in every branch.
 
     Each branch holds a ``MixedRegister``; gates go through ``apply_unitary``,
     which finds the target axes and checks them on every call, and merging is
-    a plain first-match scan over the kept branches (equal labels, dims, alive
-    mask and still-read outcome values, and every amplitude within
-    ``MERGE_ATOL``), after every instruction. ``input_state`` is a single state
+    ``merge_reference`` on the still-read outcome symbols, after every
+    instruction. ``input_state`` is a single state
     or a batch. Returns ``(outcomes, probability, state, weight, alive)``
     tuples in branch order, the fields of a ``BranchResult``; ``alive`` is None
     for a single state.
@@ -122,7 +175,6 @@ def enumerate_reference(circuit, input_state, merge_equal: bool = False, upto=No
 
     from distgates.circuit import RESOURCE_KINDS
     from distgates.gates import gate_power, gate_unitary
-    from distgates.simulate import MERGE_ATOL
     from distgates.statevec import MixedRegister, apply_unitary, measure_enumerate, tensor
 
     def resource_state(ins):
@@ -160,20 +212,7 @@ def enumerate_reference(circuit, input_state, merge_equal: bool = False, upto=No
                     br[0] = apply_unitary(br[0], gate_power(ins.gate, ins.params, value),
                                           ins.targets)
         if merge_equal:
-            live = live_after(i + 1)
-            kept = []
-            for br in frontier:
-                for other in kept:
-                    if (other[0].labels == br[0].labels and other[0].dims == br[0].dims
-                            and np.array_equal(other[5], br[5])
-                            and [other[3].get(s) for s in live] == [br[3].get(s) for s in live]
-                            and np.allclose(other[0].amps, br[0].amps, rtol=0, atol=MERGE_ATOL)):
-                        other[1] = other[1] + br[1]
-                        other[4] += br[4]
-                        break
-                else:
-                    kept.append(br)
-            frontier = kept
+            frontier = merge_reference(frontier, live_after(i + 1))
     if input_state.amps.ndim == 1:
         return [(br[2], float(br[1][0]),
                  MixedRegister._wrap(br[0].dims, br[0].amps[:, 0], br[0].labels), br[4], None)

@@ -5,11 +5,13 @@ import math
 
 import numpy as np
 import pytest
+from conftest import merge_reference
 from test_acceptance import _protocol_suite
 
 from distgates import (DistCircuit, GateRef, MixedRegister, NodeLayout, Unitary, backend,
                        build_dcontrol_u, catalog, enumerate_branches, peak_register_dim, simulate)
-from distgates.simulate import MAX_BRANCHES, MERGE_ATOL, _Branch, _merge, unmerged_branch_bound
+from distgates.simulate import (DIRECT_COMPARE_MAX, MAX_BRANCHES, MERGE_ATOL, _Branch, _merge,
+                                unmerged_branch_bound)
 from distgates.verify import (OracleSpec, PhaseOracle, ProductOracle, basis_inputs,
                               oracle_gcz, random_inputs, verify)
 
@@ -233,3 +235,39 @@ def test_merge_keeps_first_match_order():
     merged = _merge(frontier, ())
     assert merged == [frontier[0], frontier[1]]
     assert [br.weight for br in merged] == [3, 2]
+
+
+@pytest.mark.parametrize("rows", [8, DIRECT_COMPARE_MAX // 2, DIRECT_COMPARE_MAX // 2 + 1, 2048])
+def test_merge_is_the_plain_first_match_scan(rows):
+    # two columns: the first two sizes are compared whole, the last two after the
+    # fingerprint prefilter; near copies differ by 0.9 MERGE_ATOL (they merge) or by
+    # 1.1 MERGE_ATOL in one amplitude (they do not), in a shuffled order
+    rng = np.random.default_rng(rows)
+    bases = [rng.standard_normal((rows, 2)) + 1j * rng.standard_normal((rows, 2))
+             for _ in range(3)]
+    variants = []
+    for base in bases:
+        base /= np.linalg.norm(base, axis=0)
+        for i in range(4):
+            # a uniform shift moves the fingerprint by as much as any amplitude
+            near = base + 0.9 * MERGE_ATOL * np.exp(2j * np.pi * rng.random(base.shape[i % 2:]))
+            apart = base.copy()
+            apart[rng.integers(rows), rng.integers(2)] += 1.1 * MERGE_ATOL * 1j ** rng.integers(4)
+            variants += [base.copy(), near, apart]
+    frontier, reference = [], []
+    for i in rng.permutation(len(variants)):
+        amps = variants[i]
+        prob = rng.random(2)
+        values = {"s": int(rng.integers(2)), "t": int(rng.integers(2))}  # only s is live
+        alive = np.array([True, rng.random() > 0.2])
+        weight = int(rng.integers(1, 4))
+        outcomes = (("i", int(i)),)
+        frontier.append(_Branch(amps, prob, outcomes, values, weight, alive))
+        reference.append([MixedRegister._wrap((rows,), amps, ("r",)), prob, outcomes, values,
+                          weight, alive])
+    merged = _merge(frontier, ("s",))
+    want = merge_reference(reference, ("s",))
+    assert len(frontier) > len(merged) > 3 * len(bases)
+    assert [br.outcomes for br in merged] == [w[2] for w in want]
+    assert [br.weight for br in merged] == [w[4] for w in want]
+    assert [br.prob.tobytes() for br in merged] == [w[1].tobytes() for w in want]

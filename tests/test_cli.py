@@ -352,6 +352,22 @@ def test_random_input_count_over_the_amplitude_budget_exits_two(tmp_path, capsys
     assert f"{ok + 1} random inputs" in capsys.readouterr().err
 
 
+def test_estimate_sweep_over_the_work_budget_exits_two(capsys, monkeypatch):
+    import time
+
+    from distgates import cli
+    from distgates.simulate import MAX_SWEEP_QUBITS
+    start = time.perf_counter()
+    code, out, err = run(capsys, "estimate", "--sweep", "2:200000", "--nodes", "2")
+    assert time.perf_counter() - start < 1.0
+    assert code == 2 and out == "" and f"limit of {MAX_SWEEP_QUBITS}" in err
+    # the budget is the summed n of the rows that can exist (n >= 2), exactly
+    monkeypatch.setattr(cli, "MAX_SWEEP_QUBITS", 20)
+    for sweep, code in (("2:6", 0), ("-3:6", 0), ("-7:11:9", 0), ("2:7", 2), ("0:18:9", 2)):
+        assert main(["estimate", f"--sweep={sweep}", "--nodes", "2"]) == code, sweep
+    capsys.readouterr()
+
+
 def test_estimate_invalid_sweep(capsys):
     code, _, err = run(capsys, "estimate", "--sweep", "8:4", "--nodes", "2")
     assert code == 2 and "empty sweep" in err

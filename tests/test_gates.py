@@ -123,3 +123,20 @@ def test_general_dimension_constructors():
         np.testing.assert_allclose(np.linalg.matrix_power(shift_matrix(d), d), np.eye(d))
         m = csum_matrix(d)
         np.testing.assert_allclose(m @ m.conj().T, np.eye(d * d), atol=1e-13)
+
+
+@pytest.mark.parametrize("resolve", [lambda: gate_unitary("CZ", ()), lambda: gate_power("CZ", (), 1),
+                                     lambda: gate_power("X4", (), 3)])
+def test_cached_gate_matrices_are_read_only(resolve):
+    # they are shared by the whole process: one write would corrupt every later circuit
+    from distgates import catalog
+    from distgates.verify import random_inputs, verify
+
+    u = resolve()
+    with pytest.raises(ValueError, match="read-only"):
+        u.entries[-1, -1] = 1
+    assert resolve() is u
+    entry = catalog.tagged("corpus")["gcz6_3n_fanout"]
+    circuit = entry.build()  # built after the attempted write
+    report = verify(circuit, entry.make_oracle(), random_inputs(circuit, 4, seed=5))
+    assert report.passed and report.min_fidelity > 1 - 1e-9

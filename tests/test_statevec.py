@@ -4,7 +4,7 @@ import math
 
 import numpy as np
 import pytest
-from conftest import digits_of, measure_reference, random_unitary
+from conftest import digits_of, measure_loop_reference, measure_reference, random_unitary
 
 from distgates.gates import czd_matrix, gate_unitary
 from distgates.statevec import (MixedRegister, Unitary, apply_unitary,
@@ -161,6 +161,31 @@ def test_measure_matches_the_direct_formulation(axis, batched, columns):
         assert not b.state.amps.reshape(len(ref), -1)[:, dead].any()
     kept = {m for m, _, _ in want}
     assert (0 in kept) == any(w is None or w >= 1e-13 for w in columns)
+
+
+@pytest.mark.parametrize("axis", range(len(MIXED_DIMS)))
+@pytest.mark.parametrize("batched,columns", CASES + [(True, (None,) * 21)], ids=[
+    f"{'k' + str(len(c)) if b else 'single'}-{'/'.join(map(str, c[:3]))}"
+    for b, c in CASES + [(True, (None,) * 21)]])
+def test_measure_is_bitwise_the_per_outcome_loop(axis, batched, columns):
+    rng = np.random.default_rng([axis, len(columns), batched, 1])
+    amps = np.stack([_column(MIXED_DIMS, axis, w, rng) for w in columns], axis=1)
+    labels = tuple("abcd")
+    state = MixedRegister(MIXED_DIMS, amps if batched else amps[:, 0], labels)
+    got = measure_enumerate(state, labels[axis])
+    want = measure_loop_reference(state, labels[axis])
+    assert [b.outcomes for b in got] == [((labels[axis], m),) for m, _, _ in want]
+    for b, (_, prob, ref) in zip(got, want):
+        assert type(b.probability) is type(prob)
+        assert np.asarray(b.probability).tobytes() == np.asarray(prob).tobytes()
+        if batched:
+            np.testing.assert_array_equal(b.alive, prob > 0)
+        else:
+            assert b.alive is None
+        assert b.state.amps.shape == ref.shape and b.state.amps.flags.c_contiguous
+        assert b.state.amps.tobytes() == ref.tobytes()
+        assert (b.state.dims, b.state.labels) == (
+            MIXED_DIMS[:axis] + MIXED_DIMS[axis + 1:], labels[:axis] + labels[axis + 1:])
 
 
 @pytest.mark.parametrize("axis", [0, 1, 3], ids=["first", "middle", "last"])
