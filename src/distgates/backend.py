@@ -24,30 +24,21 @@ int32 source index of the others, are cached per (matrix, dims, axes). Both
 caches are LRUs of ``CACHE_SIZE`` entries; a source index holds 4 bytes per
 register amplitude (64 KiB at the 2^14 cap).
 
-Building the content key copies the matrix's bytes on every call, which costs
-about as much as the arithmetic on the small registers of a branch
-enumeration. So a read-only matrix that owns its data, such as the entries
-``gates.gate_unitary`` and ``gates.gate_power`` cache, is taken to keep its
-content: its kernel plan is found by the matrix's identity and
-``(dims, axes)`` in a third cache, of ``CACHE_SIZE`` entries, that drops its
-oldest entry when full (a miss costs what the content-keyed path costs). An
-entry holds the matrix itself, and a hit must be that very object, so a
-recycled ``id()`` gets its own plan. A writeable matrix, or a read-only view
-of another array, takes the content-keyed path on every call.
+Building the content key copies the matrix's bytes, which costs about as much
+as the arithmetic on the small registers of a branch enumeration. A caller
+that applies one matrix to many registers of the same layout therefore looks
+its plan up once with ``kernel_plan`` and hands it to every ``apply_matrix``
+call; the plan is only valid for the matrix content it was made from.
 """
 
 from __future__ import annotations
 
 import math
-from collections import OrderedDict
 from functools import lru_cache
 
 import numpy as np
 
 CACHE_SIZE = 256
-
-# (id(matrix), dims, axes) -> (matrix, _plan) for read-only matrices, oldest first
-_by_identity: OrderedDict[tuple, tuple[np.ndarray, tuple]] = OrderedDict()
 
 
 def _frozen(a: np.ndarray) -> np.ndarray:
@@ -120,34 +111,22 @@ def _plan(key, dims: tuple[int, ...], axes: tuple[int, ...]):
     return tuple(shape), phase, src, None, None
 
 
-def _content_plan(mat: np.ndarray, dims, axes):
+def kernel_plan(mat: np.ndarray, dims: tuple[int, ...], axes: tuple[int, ...]) -> tuple:
+    """How ``apply_matrix`` applies ``mat`` to ``axes`` of a register over ``dims``."""
     return _plan((mat.shape, mat.dtype.str, mat.tobytes()), tuple(dims), tuple(axes))
 
 
 def apply_matrix(amps: np.ndarray, dims: tuple[int, ...], axes: tuple[int, ...],
-                 mat: np.ndarray) -> np.ndarray:
+                 mat: np.ndarray, plan: tuple | None = None) -> np.ndarray:
     """Apply ``mat`` to the given subsystem axes of a flat amplitude array.
 
     ``amps`` has shape ``(prod(dims),)`` or ``(prod(dims), k)``. The matrix
     row/column index runs over the target subsystems in the order given by
     ``axes``, big-endian (first axis is the most significant digit). Returns a
-    new array of the same shape; the input is never modified. A read-only
-    ``mat`` that owns its data must not be changed after its first use (see
-    the module docstring).
+    new array of the same shape; the input is never modified. ``plan`` is
+    ``kernel_plan(mat, dims, axes)``, looked up here when not given.
     """
-    if mat.flags.writeable or mat.base is not None:
-        plan = _content_plan(mat, dims, axes)
-    else:
-        key = (id(mat), dims, axes)
-        hit = _by_identity.get(key)
-        if hit is not None and hit[0] is mat:
-            plan = hit[1]
-        else:
-            plan = _content_plan(mat, dims, axes)
-            _by_identity[key] = (mat, plan)
-            if len(_by_identity) > CACHE_SIZE:
-                _by_identity.popitem(last=False)
-    shape, phase, src, perm, inverse = plan
+    shape, phase, src, perm, inverse = plan or kernel_plan(mat, dims, axes)
     if perm is not None:  # dense
         t = amps.reshape(shape).transpose(perm)
         out = (mat @ t.reshape(mat.shape[0], -1)).reshape(t.shape)

@@ -174,25 +174,32 @@ def cmd_estimate(args) -> int:
     if hi < lo or step < 1:
         raise UsageError(f"empty sweep range {args.sweep!r}")
     ns = range(lo, hi + 1, step)
-    ns = ns[max(0, -((lo - 2) // step)):]  # n < 2 gives no row
-    if ns and ((ns[-1] - ns[0]) // step + 1) * (ns[0] + ns[-1]) // 2 > MAX_SWEEP_QUBITS:
+    if len(ns) > MAX_SWEEP_QUBITS:
+        raise UsageError(f"sweep {args.sweep!r}: more values of n than the limit "
+                         f"of {MAX_SWEEP_QUBITS}")
+    rows = []  # (n, k, m)
+    for n in ns:
+        if n < 2 or n % args.nodes:
+            continue
+        k = n // args.nodes
+        m = args.qudit_m or k
+        if not k % m:
+            rows.append((n, k, m))
+    if not rows:
+        raise UsageError(f"sweep {args.sweep!r} gives no row: each n must be at least 2 and "
+                         f"divisible by --nodes ({args.nodes}), and k = n / --nodes "
+                         f"divisible by --qudit-m ({args.qudit_m or 'default: k'})")
+    if sum(n for n, _, _ in rows) > MAX_SWEEP_QUBITS:
         raise UsageError(f"sweep {args.sweep!r}: the n of its rows sum to more than the limit "
                          f"of {MAX_SWEEP_QUBITS} (a row costs O(n))")
     eps = args.epsilon
     buf = io.StringIO()
     writer = csv.writer(buf)
-    rows = 0
     writer.writerow(["n", "D", "k", "m", "epsilon",
                      "pairwise_ep", "fanout_ghz", "fanout_ep", "qudit_ghz", "qudit_ep",
                      "gms_pairwise_ep", "gms_conditional_ep", "gms_fanout_ghz",
                      "time_pairwise", "time_fanout", "fanout_gain"])
-    for n in ns:
-        if n % args.nodes:
-            continue
-        k = n // args.nodes
-        m = args.qudit_m or k
-        if k % m:
-            continue
+    for n, k, m in rows:
         cfg = GczConfig(n=n, D=args.nodes, k=k, m=m, epsilon=eps)
         gcz, gms = gcz_costs(cfg), gms_costs(n, eps)
         writer.writerow([n, args.nodes, k, m, eps,
@@ -202,11 +209,6 @@ def cmd_estimate(args) -> int:
                          gms["fanout"].total(ghz=True),
                          gcz["pairwise"].time_units, gcz["fanout"].time_units,
                          fanout_gain(n, eps)])
-        rows += 1
-    if not rows:
-        raise UsageError(f"sweep {args.sweep!r} gives no row: each n must be at least 2 and "
-                         f"divisible by --nodes ({args.nodes}), and k = n / --nodes "
-                         f"divisible by --qudit-m ({args.qudit_m or 'default: k'})")
     text = buf.getvalue()
     if args.out:
         with open(args.out, "w") as fh:

@@ -159,8 +159,8 @@ def gate_arity(name: str) -> tuple[int, ...]:
 
 
 def _read_only(u: Unitary) -> Unitary:
-    # cached and shared by every caller in the process; backend.apply_matrix
-    # also finds its kernel by the matrix's identity, trusting it not to change
+    # cached and shared by every caller in the process: a write would change
+    # every later circuit that uses the gate
     u.entries.flags.writeable = False
     return u
 

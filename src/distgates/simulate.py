@@ -22,15 +22,9 @@ labels, dims, alive masks, still-referenced outcome symbols and whole
 amplitude matrices agree (``allclose`` with ``atol=MERGE_ATOL``), keeping
 enumeration polynomial for circuits with many teleported gates while the
 reported ``weight`` preserves the underlying branch count. Candidates are
-bucketed by the exactly-compared fields. Inside a bucket, amplitude matrices
-of more than ``DIRECT_COMPARE_MAX`` entries are first compared by a
-fingerprint ``r @ amps`` (a fixed vector ``r``, ``||r||_1 = 1``), which skips
-only pairs that ``allclose`` would reject: if every element differs by at
-most ``MERGE_ATOL``, the fingerprints differ by at most ``MERGE_ATOL`` plus a
-rounding slack. Smaller matrices are compared whole straight away; on them
-the two fingerprints and their compare cost more than the compare they would
-skip. Either way the merges, and the order of the kept branches, are those
-of a plain first-match scan.
+bucketed by the exactly-compared fields, and each is compared with the kept
+branches of its bucket in order, so the merges, and the order of the kept
+branches, are those of a plain first-match scan.
 
 Every branch builds the same registers: resources add subsystems and
 measurements remove them, the same way in every branch. So ``peak_register_dim``
@@ -41,9 +35,11 @@ circuit whose measurements could fork more than ``MAX_BRANCHES`` branches
 
 For the same reason the instruction list is compiled once into a ``Plan``
 (``compile_plan``) before any branch runs, walking the register layout the way
-``peak_register_dim`` does. A gate gets its target axes and its matrix, and a
-conditioned gate its axes, with the duplicate-target, unknown-label and arity
-checks; the powers a condition asks for are resolved once per distinct value.
+``peak_register_dim`` does. A gate gets its target axes, its matrix and the
+matrix's kernel plan (``backend.kernel_plan``), and a conditioned gate its
+axes, with the duplicate-target, unknown-label and arity checks; the powers a
+condition asks for, and their kernel plans, are resolved once per distinct
+value.
 A resource gets its state and the label-collision check, and a measurement
 its target's place in the layout. A bad instruction therefore raises
 ``ValueError`` before any kernel runs. The branch loop holds bare amplitude
@@ -72,12 +68,9 @@ from .statevec import (BranchResult, MixedRegister, check_register_dim, label_ax
                        measure_enumerate, target_axes, tensor)
 
 MERGE_ATOL = 1e-12
-# _merge compares amplitude matrices up to this many entries whole, without the
-# fingerprint prefilter, which costs more than the compare it skips on them
-DIRECT_COMPARE_MAX = 2 ** 9
 MAX_BRANCHES = 2 ** 16
 MAX_INPUT_AMPLITUDES = 2 ** 24  # random inputs times their dimension; 256 MiB of amplitudes
-MAX_SWEEP_QUBITS = 2 ** 20  # the summed n of an `estimate --sweep`; a row costs O(n)
+MAX_SWEEP_QUBITS = 2 ** 20  # the summed n of the rows of an `estimate --sweep`; a row costs O(n)
 
 
 def infer_dims(circuit: DistCircuit) -> dict[str, int]:
@@ -155,10 +148,12 @@ class _Branch:
 
 def _gate_step(dims: tuple[int, ...], axes: tuple[int, ...], matrix: np.ndarray):
     """A LocalGate: one matrix on fixed axes of every branch."""
+    plan = backend.kernel_plan(matrix, dims, axes)
+
     def run(frontier: list[_Branch]) -> list[_Branch]:
         apply = backend.apply_matrix
         for br in frontier:
-            br.amps = apply(br.amps, dims, axes, matrix)
+            br.amps = apply(br.amps, dims, axes, matrix, plan)
         return frontier
     return run
 
@@ -167,19 +162,20 @@ def _cond_step(dims: tuple[int, ...], axes: tuple[int, ...], condition: Conditio
                params: tuple[float, ...]):
     """A CondGate: the gate to the power of the condition's value, where that is nonzero.
 
-    Each power is resolved once, when its value first occurs.
+    Each power, and its kernel plan, is resolved once, when its value first occurs.
     """
-    powers: dict[int, np.ndarray] = {}
+    powers: dict[int, tuple[np.ndarray, tuple]] = {}
 
     def run(frontier: list[_Branch]) -> list[_Branch]:
         apply = backend.apply_matrix
         for br in frontier:
             value = condition.evaluate(br.values)
             if value:
-                matrix = powers.get(value)
-                if matrix is None:
-                    matrix = powers[value] = gate_power(gate, params, value).entries
-                br.amps = apply(br.amps, dims, axes, matrix)
+                power = powers.get(value)
+                if power is None:
+                    matrix = gate_power(gate, params, value).entries
+                    power = powers[value] = matrix, backend.kernel_plan(matrix, dims, axes)
+                br.amps = apply(br.amps, dims, axes, *power)
         return frontier
     return run
 
@@ -245,46 +241,22 @@ def _future_symbols(instructions) -> list[tuple[str, ...]]:
     return out
 
 
-@lru_cache(maxsize=64)
-def _fingerprint_vector(n: int) -> tuple[np.ndarray, float]:
-    """A fixed vector r with ||r||_1 = 1, and the prefilter bound for length n.
-
-    Amplitude columns are unit vectors or zero, so computing ``r @ column``
-    rounds by at most about n * eps; the bound allows that for both
-    fingerprints of a pair on top of ``MERGE_ATOL * ||r||_1``.
-    """
-    r = np.random.default_rng(n).random(n)
-    bound = MERGE_ATOL * (1 + 1e-6) + 8 * (n + 4) * np.finfo(float).eps
-    return (r / r.sum()).astype(np.complex128), bound
-
-
 def _merge(frontier: list[_Branch], live: tuple[str, ...]) -> list[_Branch]:
     """Merge each branch into the first earlier kept branch equal to it (see the module docstring)."""
     merged: list[_Branch] = []
-    buckets: dict[tuple, list[list]] = {}  # exact key -> [[kept branch, fingerprint]]
-    prefilter = frontier[0].amps.size > DIRECT_COMPARE_MAX  # every branch has the same shape
+    buckets: dict[tuple, list[_Branch]] = {}  # exact key -> kept branches
     for br in frontier:
         # every branch has the plan's labels and dims, so they are left out of the key
         key = (br.alive.tobytes(), tuple(map(br.values.get, live)))
         bucket = buckets.setdefault(key, [])
-        fp = None
-        for entry in bucket:
-            kept = entry[0]
-            if prefilter:
-                if fp is None:
-                    r, bound = _fingerprint_vector(br.amps.shape[0])
-                    fp = r @ br.amps
-                if entry[1] is None:
-                    entry[1] = r @ kept.amps
-                if abs(entry[1] - fp).max() > bound:
-                    continue
+        for kept in bucket:
             # np.allclose(rtol=0, atol=MERGE_ATOL) on finite amplitudes
             if abs(kept.amps - br.amps).max() <= MERGE_ATOL:
                 kept.prob = kept.prob + br.prob
                 kept.weight += br.weight
                 break
         else:
-            bucket.append([br, fp])
+            bucket.append(br)
             merged.append(br)
     return merged
 

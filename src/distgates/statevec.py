@@ -14,9 +14,9 @@ All operations are pure: they return new registers and never mutate inputs.
 Projective measurement enumerates every outcome branch deterministically,
 ordered by outcome value; the measured subsystem is removed from the register.
 It reads the register in two passes: one sums the squared amplitudes into
-every outcome's weight per column, and one scaled copy of the register holds
-every kept outcome's renormalized branch; an outcome below ``PRUNE_TOL`` is
-pruned.
+every outcome's weight per column, and one scaled copy of the kept outcomes'
+slices holds every kept outcome's renormalized branch; an outcome below
+``PRUNE_TOL`` is pruned.
 """
 
 from __future__ import annotations
@@ -24,7 +24,6 @@ from __future__ import annotations
 import math
 import os
 from dataclasses import dataclass
-from functools import lru_cache
 
 import numpy as np
 
@@ -34,6 +33,10 @@ DEFAULT_MAX_DIM = 2 ** 14
 PRUNE_TOL = 1e-14
 NORM_TOL = 1e-10
 UNITARY_TOL = 1e-12
+
+# measure_enumerate sums over its leading `pre` subsystems with a slice of this
+_ONES = np.ones(DEFAULT_MAX_DIM // 2)
+_ONES.flags.writeable = False
 
 
 def max_register_dim() -> int:
@@ -186,15 +189,6 @@ def apply_unitary(state: MixedRegister, gate: Unitary, targets) -> MixedRegister
     return MixedRegister._wrap(state.dims, amps, state.labels)
 
 
-@lru_cache(maxsize=1024)
-def _measure_geometry(dims: tuple[int, ...], axis: int):
-    """``(d, pre, post, ones(pre), dims after)`` for measuring ``axis`` of a register over ``dims``."""
-    pre = math.prod(dims[:axis])
-    ones = np.ones(pre)
-    ones.flags.writeable = False  # cached: shared by every later call
-    return dims[axis], pre, math.prod(dims[axis + 1:]), ones, dims[:axis] + dims[axis + 1:]
-
-
 def measure_enumerate(state: MixedRegister, target: str) -> list[BranchResult]:
     """Projectively measure one subsystem, returning every nonzero branch.
 
@@ -211,32 +205,42 @@ def measure_enumerate(state: MixedRegister, target: str) -> list[BranchResult]:
     measured one with one matrix-vector product, and then over the few
     entries left for each (outcome, column) weight; every outcome's
     probability and scale follow from those weights at once. The second pass
-    is one scaled copy of the register with the measured axis moved to the
-    front, so each kept outcome's state is a contiguous slice of it; the input
-    is never written or aliased.
+    copies the kept outcomes' slices of the register, scaled, into one buffer
+    with the measured axis first, so each kept outcome's state is a
+    contiguous slice of it (one multiply when every outcome is kept); the
+    input is never written or aliased.
     """
     axis = state.axis(target)
-    d, pre, post, ones, new_dims = _measure_geometry(state.dims, axis)
+    d = state.dims[axis]
     batch = state.amps.shape[1:]
     k = batch[0] if batch else 1  # a single state is a batch of one
+    pre = math.prod(state.dims[:axis])
+    post = math.prod(state.dims[axis + 1:])
+    new_dims = state.dims[:axis] + state.dims[axis + 1:]
     new_labels = state.labels[:axis] + state.labels[axis + 1:]
     # pass 1: one gemv sums the squared real and imaginary parts over `pre`
     # (np.dot, not `@`, which bypasses BLAS and is slower when pre is 1)
+    ones = _ONES[:pre] if pre <= _ONES.size else np.ones(pre)
     x = state.amps.view(np.float64).reshape(pre, -1)
     prob = np.dot(ones, x * x).reshape(d, post, k, 2).sum(axis=(1, 3))
     alive = prob >= PRUNE_TOL
     probs = np.where(alive, prob, 0.0) if batch else prob[:, 0].tolist()
     # a pruned column is scaled by 1 / inf: exact zeros
-    scale = 1.0 / np.sqrt(np.where(alive, prob, np.inf))
-    # pass 2: scaled[outcome] is that outcome's state
-    scaled = np.empty((d, pre, post, k), dtype=np.complex128)
-    np.multiply(state.amps.reshape(pre, d, post, k).transpose(1, 0, 2, 3),
-                scale[:, None, None, :], out=scaled)
+    scale = 1.0 / np.sqrt(np.where(alive, prob, np.inf))[:, None, None, :]
+    # pass 2: scaled[i] is the state of the i-th kept outcome
+    t = state.amps.reshape(pre, d, post, k).transpose(1, 0, 2, 3)
+    kept = [outcome for outcome, any_alive in enumerate(alive.any(axis=1).tolist()) if any_alive]
+    scaled = np.empty((len(kept), pre, post, k), dtype=np.complex128)
+    if len(kept) == d:
+        np.multiply(t, scale, out=scaled)
+    else:  # a dropped outcome is neither copied nor held
+        for i, outcome in enumerate(kept):
+            np.multiply(t[outcome], scale[outcome], out=scaled[i])
     shape = (-1,) + batch
     return [BranchResult(((target, outcome),), probs[outcome],
-                         MixedRegister._wrap(new_dims, scaled[outcome].reshape(shape), new_labels),
+                         MixedRegister._wrap(new_dims, scaled[i].reshape(shape), new_labels),
                          1, alive[outcome] if batch else None)
-            for outcome, kept in enumerate(alive.any(axis=1).tolist()) if kept]
+            for i, outcome in enumerate(kept)]
 
 
 def fidelity_up_to_phase(a: MixedRegister, b: MixedRegister) -> float | np.ndarray:

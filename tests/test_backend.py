@@ -89,65 +89,21 @@ def test_matrix_mutated_after_first_use_gives_the_new_result():
 
 
 @pytest.mark.parametrize("name", sorted(_REGISTRY))
-def test_identity_path_is_bitwise_the_content_path(name):
+def test_ready_plan_is_bitwise_the_looked_up_plan(name):
     params = PARAMS.get(name, ())
     for exponent in (0, 1, 2, 3):
         u = gate_power(name, params, exponent)
         mat, arity = u.entries, u.arity
-        assert not mat.flags.writeable
-        copy = mat.copy()  # writeable: keyed by content on every call
         for seed, dims in enumerate(REGISTERS):
             for amps in _states(dims, seed):
                 for axes in itertools.permutations(range(len(dims)), len(arity)):
                     if tuple(dims[a] for a in axes) != arity:
                         continue
-                    got = backend.apply_matrix(amps, dims, axes, mat)
-                    assert backend._by_identity[(id(mat), dims, axes)][0] is mat
-                    assert got.tobytes() == backend.apply_matrix(amps, dims, axes, copy).tobytes()
-
-
-def test_read_only_view_of_a_changed_matrix_gives_the_new_result():
-    dims, axes = (2, 4, 2), (2, 0)
-    amps, _ = _states(dims, 4)
-    mat = gate_power("CZ", (), 1).entries.copy()
-    view = mat.view()
-    view.flags.writeable = False
-    for new in (np.eye(4)[[1, 0, 3, 2]], np.diag([1, 1j, -1, 1]),
-                random_unitary(4, np.random.default_rng(6))):
-        mat[:] = new
-        np.testing.assert_allclose(backend.apply_matrix(amps, dims, axes, view),
-                                   apply_matrix_reference(amps, dims, axes, new),
-                                   rtol=0, atol=1e-12)
-
-
-def _read_only(mat):
-    mat = np.array(mat, dtype=np.complex128)
-    mat.flags.writeable = False
-    return mat
-
-
-def test_a_read_only_matrix_at_a_recycled_id_gets_its_own_plan():
-    dims, axes = (2, 4, 2), (0, 2)
-    amps, batch = _states(dims, 5)
-    old = _read_only(np.diag([1, 1j, -1, 1]))
-    new = _read_only(np.eye(4)[[3, 2, 1, 0]])
-    backend.apply_matrix(amps, dims, axes, old)
-    # an entry left at new's id by a matrix since freed: the identity check must miss it
-    backend._by_identity[(id(new), dims, axes)] = backend._by_identity[(id(old), dims, axes)]
-    for state in (amps, batch):
-        np.testing.assert_array_equal(backend.apply_matrix(state, dims, axes, new),
-                                      apply_matrix_reference(state, dims, axes, new))
-    assert backend._by_identity[(id(new), dims, axes)][0] is new
-    # and as it happens: fresh matrices, each freed once used, several times the cache size
-    rng = np.random.default_rng(9)
-    for i in range(3 * backend.CACHE_SIZE):
-        mat = _read_only(np.diag(np.exp(1j * rng.random(4)))[rng.permutation(4)]
-                         if i % 2 else random_unitary(4, rng))
-        np.testing.assert_allclose(backend.apply_matrix(batch, dims, axes, mat),
-                                   apply_matrix_reference(batch, dims, axes, mat),
-                                   rtol=0, atol=1e-12)
-        del mat
-    assert len(backend._by_identity) <= backend.CACHE_SIZE
+                    plan = backend.kernel_plan(mat, dims, axes)
+                    backend._plan.cache_clear()  # the ready plan must not need the cache
+                    got = backend.apply_matrix(amps, dims, axes, mat, plan)
+                    want = backend.apply_matrix(amps, dims, axes, mat)
+                    assert got.tobytes() == want.tobytes()
 
 
 def test_caches_stay_bounded():
@@ -162,4 +118,3 @@ def test_caches_stay_bounded():
     for cache in (backend._structure, backend._plan):
         assert cache.cache_info().currsize <= backend.CACHE_SIZE
     assert backend._plan.cache_info().currsize == backend.CACHE_SIZE
-    assert len(backend._by_identity) == backend.CACHE_SIZE  # x and z are read-only

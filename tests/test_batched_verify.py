@@ -10,8 +10,7 @@ from test_acceptance import _protocol_suite
 
 from distgates import (DistCircuit, GateRef, MixedRegister, NodeLayout, Unitary, backend,
                        build_dcontrol_u, catalog, enumerate_branches, peak_register_dim, simulate)
-from distgates.simulate import (DIRECT_COMPARE_MAX, MAX_BRANCHES, MERGE_ATOL, _Branch, _merge,
-                                unmerged_branch_bound)
+from distgates.simulate import MAX_BRANCHES, MERGE_ATOL, _Branch, _merge, unmerged_branch_bound
 from distgates.verify import (OracleSpec, PhaseOracle, ProductOracle, basis_inputs,
                               oracle_gcz, random_inputs, verify)
 
@@ -237,11 +236,10 @@ def test_merge_keeps_first_match_order():
     assert [br.weight for br in merged] == [3, 2]
 
 
-@pytest.mark.parametrize("rows", [8, DIRECT_COMPARE_MAX // 2, DIRECT_COMPARE_MAX // 2 + 1, 2048])
+@pytest.mark.parametrize("rows", [8, 256, 2048])
 def test_merge_is_the_plain_first_match_scan(rows):
-    # two columns: the first two sizes are compared whole, the last two after the
-    # fingerprint prefilter; near copies differ by 0.9 MERGE_ATOL (they merge) or by
-    # 1.1 MERGE_ATOL in one amplitude (they do not), in a shuffled order
+    # two columns; near copies differ by 0.9 MERGE_ATOL (they merge) or by 1.1 MERGE_ATOL
+    # in one amplitude (they do not), in a shuffled order
     rng = np.random.default_rng(rows)
     bases = [rng.standard_normal((rows, 2)) + 1j * rng.standard_normal((rows, 2))
              for _ in range(3)]
@@ -249,7 +247,7 @@ def test_merge_is_the_plain_first_match_scan(rows):
     for base in bases:
         base /= np.linalg.norm(base, axis=0)
         for i in range(4):
-            # a uniform shift moves the fingerprint by as much as any amplitude
+            # shifted per amplitude, or by one phase per column
             near = base + 0.9 * MERGE_ATOL * np.exp(2j * np.pi * rng.random(base.shape[i % 2:]))
             apart = base.copy()
             apart[rng.integers(rows), rng.integers(2)] += 1.1 * MERGE_ATOL * 1j ** rng.integers(4)

@@ -361,10 +361,26 @@ def test_estimate_sweep_over_the_work_budget_exits_two(capsys, monkeypatch):
     code, out, err = run(capsys, "estimate", "--sweep", "2:200000", "--nodes", "2")
     assert time.perf_counter() - start < 1.0
     assert code == 2 and out == "" and f"limit of {MAX_SWEEP_QUBITS}" in err
-    # the budget is the summed n of the rows that can exist (n >= 2), exactly
+    # a large --nodes leaves few rows: 11 rows whose n sum to 16,500 run
+    code, out, _ = run(capsys, "estimate", "--sweep", "1000:2000", "--nodes", "100")
+    assert code == 0 and len(out.splitlines()) == 12
+    # the budget is the summed n of the rows that are computed, exactly
     monkeypatch.setattr(cli, "MAX_SWEEP_QUBITS", 20)
-    for sweep, code in (("2:6", 0), ("-3:6", 0), ("-7:11:9", 0), ("2:7", 2), ("0:18:9", 2)):
-        assert main(["estimate", f"--sweep={sweep}", "--nodes", "2"]) == code, sweep
+    for argv, code in (
+            (("2:6", "2"), 0), (("-3:6", "2"), 0), (("-7:11:9", "2"), 0),
+            (("2:8", "2"), 0),  # 2 + 4 + 6 + 8 = 20
+            (("2:10", "2"), 2),  # 30
+            (("0:18:9", "2"), 0), (("0:36:18", "2"), 2),  # 18; 18 + 36
+            (("20:39", "20"), 0), (("20:40:2", "20"), 2),  # 20 (of 20 values); 20 + 40
+            (("2:14", "2", "3"), 0), (("2:18", "2", "3"), 2)):  # k % m: 6 + 12; 6 + 12 + 18
+        sweep, nodes, *qudit_m = argv
+        extra = ["--qudit-m", qudit_m[0]] if qudit_m else []
+        assert main(["estimate", f"--sweep={sweep}", "--nodes", nodes, *extra]) == code, argv
+        if code:
+            assert "limit of 20" in capsys.readouterr().err
+    # more n than the limit is refused before the n are looked at
+    code, _, err = run(capsys, "estimate", "--sweep", "100:120", "--nodes", "1000")
+    assert code == 2 and "more values of n than the limit of 20" in err
     capsys.readouterr()
 
 

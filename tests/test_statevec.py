@@ -188,6 +188,45 @@ def test_measure_is_bitwise_the_per_outcome_loop(axis, batched, columns):
             MIXED_DIMS[:axis] + MIXED_DIMS[axis + 1:], labels[:axis] + labels[axis + 1:])
 
 
+@pytest.mark.parametrize("n", [14, 15])
+def test_measure_sums_over_the_largest_registers(n, monkeypatch):
+    # measuring the last qubit sums over 2^(n - 1) amplitudes: all of the shared ones
+    # vector at the default cap of 2^14, and more than it holds when the cap is raised
+    monkeypatch.setenv("DISTGATES_MAX_DIM", str(2 ** n))
+    rng = np.random.default_rng(n)
+    amps = rng.standard_normal((2 ** n, 2)) + 1j * rng.standard_normal((2 ** n, 2))
+    labels = tuple(f"q{i}" for i in range(n))
+    state = MixedRegister((2,) * n, amps / np.linalg.norm(amps, axis=0), labels)
+    got = measure_enumerate(state, labels[-1])
+    want = measure_loop_reference(state, labels[-1])
+    assert [b.outcomes[0][1] for b in got] == [m for m, _, _ in want] == [0, 1]
+    for b, (_, prob, ref) in zip(got, want):
+        assert b.probability.tobytes() == prob.tobytes()
+        assert b.state.amps.tobytes() == ref.tobytes()
+
+
+@pytest.mark.parametrize("batched", [False, True], ids=["single", "batch"])
+def test_measure_holds_only_the_kept_outcomes(batched):
+    # basis states keep one or two of an axis's outcomes: the returned states must not
+    # hold copies of the dropped ones
+    labels = tuple("abcd")
+    digits = [(2, 1, 3, 0), (2, 1, 1, 0)]
+    columns = [MixedRegister.basis(labels, MIXED_DIMS, x).amps for x in digits]
+    state = MixedRegister(MIXED_DIMS, np.stack(columns, axis=1) if batched else columns[0],
+                          labels)
+    for axis, label in enumerate(labels):
+        got = measure_enumerate(state, label)
+        assert [b.outcomes[0][1] for b in got] == sorted(
+            {x[axis] for x in (digits if batched else digits[:1])})
+        kept_bytes = sum(b.state.amps.nbytes for b in got)
+        assert all(b.state.amps.base.nbytes == kept_bytes for b in got)
+        if not batched:
+            want = MixedRegister.basis(labels[:axis] + labels[axis + 1:],
+                                       MIXED_DIMS[:axis] + MIXED_DIMS[axis + 1:],
+                                       digits[0][:axis] + digits[0][axis + 1:])
+            np.testing.assert_array_equal(got[0].state.amps, want.amps)
+
+
 @pytest.mark.parametrize("axis", [0, 1, 3], ids=["first", "middle", "last"])
 @pytest.mark.parametrize("k", [None, 3], ids=["single", "batch"])
 def test_measure_leaves_its_input_alone(axis, k):
