@@ -29,6 +29,20 @@ as the arithmetic on the small registers of a branch enumeration. A caller
 that applies one matrix to many registers of the same layout therefore looks
 its plan up once with ``kernel_plan`` and hands it to every ``apply_matrix``
 call; the plan is only valid for the matrix content it was made from.
+
+Without a pool, ``apply_matrix`` is pure: it returns a new array and never
+writes its input. A branch enumeration passes a ``BufferPool``, which marks
+the amplitudes as run-owned (every array but the pool's ``foreign`` one, the
+caller's input). On a register of ``POOL_MIN_BYTES`` or more, a diagonal gate
+then multiplies run-owned amplitudes in place, a dense gate writes its result
+back into them, and a monomial gate gathers into a pooled buffer and recycles
+its input; small registers keep the pure path, where allocation is cheap.
+
+A dense gate on adjacent targets whose product would exceed
+``GEMM_SERIAL_WORK`` (m^2 times columns) runs one block of rows and columns
+at a time, each product under the size from which OpenBLAS starts a second
+thread: that thread spins, which doubles the CPU time of these small-matrix
+products and saves no wall time.
 """
 
 from __future__ import annotations
@@ -39,6 +53,36 @@ from functools import lru_cache
 import numpy as np
 
 CACHE_SIZE = 256
+POOL_MIN_BYTES = 128 * 1024  # glibc's default mmap threshold: smaller arrays come from the heap
+POOL_DEPTH = 3  # free arrays kept per shape
+GEMM_SERIAL_WORK = 2 ** 15  # m * m * columns of one zgemm call; OpenBLAS threads from 2^16
+BLOCK_AMPLITUDES = 2 ** 13  # of one block of a blocked kernel, whose temporaries stay small
+
+
+class BufferPool:
+    """Free lists of large arrays for one run, reused instead of freshly faulted in.
+
+    Every array the run hands to a kernel with this pool is the run's own and
+    read by no one else, except ``foreign`` (the caller's input), which is
+    never written or recycled. Each shape keeps at most ``POOL_DEPTH`` free
+    arrays; the pool is dropped with the run.
+    """
+
+    def __init__(self, foreign: np.ndarray | None = None):
+        self.foreign = foreign
+        self.free: dict[tuple, list[np.ndarray]] = {}
+
+    def take(self, shape: tuple[int, ...], dtype=np.complex128) -> np.ndarray:
+        """An uninitialized array of ``shape``, recycled when one is free."""
+        free = self.free.get((shape, dtype))
+        return free.pop() if free else np.empty(shape, dtype)
+
+    def give(self, arr: np.ndarray):
+        """Recycle ``arr``, which the run no longer reads; small arrays and views are left alone."""
+        if arr.base is None and arr.nbytes >= POOL_MIN_BYTES and arr is not self.foreign:
+            free = self.free.setdefault((arr.shape, arr.dtype.type), [])
+            if len(free) < POOL_DEPTH:
+                free.append(arr)
 
 
 def _frozen(a: np.ndarray) -> np.ndarray:
@@ -69,7 +113,9 @@ def _plan(key, dims: tuple[int, ...], axes: tuple[int, ...]):
 
     For a dense matrix, ``amps.reshape(shape)`` transposed by ``perm`` has the
     targets first and the batch axis (1 for a single state) last; ``inverse``
-    undoes that transpose; ``phase`` and ``src`` are None.
+    undoes that transpose; ``phase`` and ``src`` are None. When the targets
+    are adjacent axes in order, ``shape`` is ``(pre, m, -1)``: the axes before
+    them, the targets, and the rest with the batch.
 
     For a diagonal or monomial matrix, ``perm`` and ``inverse`` are None, and
     ``amps.reshape(shape) * phase`` applies the row values, where ``shape``
@@ -81,6 +127,9 @@ def _plan(key, dims: tuple[int, ...], axes: tuple[int, ...]):
     """
     structure = _structure(key)
     if structure is None:
+        if axes == tuple(range(axes[0], axes[0] + len(axes))):  # adjacent, in order
+            pre, m = math.prod(dims[:axes[0]]), math.prod(dims[a] for a in axes)
+            return (pre, m, -1), None, None, (1, 0, 2), (1, 0, 2)
         perm = axes + tuple(i for i in range(len(dims) + 1) if i not in axes)
         return dims + (-1,), None, None, perm, tuple(np.argsort(perm).tolist())
     col, val = structure
@@ -116,24 +165,70 @@ def kernel_plan(mat: np.ndarray, dims: tuple[int, ...], axes: tuple[int, ...]) -
     return _plan((mat.shape, mat.dtype.str, mat.tobytes()), tuple(dims), tuple(axes))
 
 
+def _matmul_blocks(mat: np.ndarray, src: np.ndarray, out: np.ndarray,
+                   pool: BufferPool | None):
+    """``out[p] = mat @ src[p]`` over ``(pre, m, rest)`` views, one small block at a time.
+
+    A block holds at most ``BLOCK_AMPLITUDES`` amplitudes and one product at
+    most ``GEMM_SERIAL_WORK``. Each block is copied out of ``src`` before its
+    product is written, so ``out`` may be ``src``.
+    """
+    m = mat.shape[0]
+    pre, _, rest = src.shape
+    cols = max(1, min(BLOCK_AMPLITUDES // m, GEMM_SERIAL_WORK // mat.size))  # of one product
+    width = min(rest, cols)
+    rows = max(1, cols // width)
+    size = m * rows * width
+    buf = pool.take((2 * size,)) if pool is not None else np.empty(2 * size, np.complex128)
+    for p in range(0, pre, rows):
+        for r in range(0, rest, width):
+            block = src[p:p + rows, :, r:r + width]
+            gathered = buf[:block.size].reshape(m, block.shape[0], block.shape[2])
+            np.copyto(gathered, block.transpose(1, 0, 2))
+            prod = np.matmul(mat, gathered.reshape(m, -1),
+                             out=buf[size:size + block.size].reshape(m, -1))
+            out[p:p + rows, :, r:r + width] = prod.reshape(gathered.shape).transpose(1, 0, 2)
+    if pool is not None:
+        pool.give(buf)
+
+
 def apply_matrix(amps: np.ndarray, dims: tuple[int, ...], axes: tuple[int, ...],
-                 mat: np.ndarray, plan: tuple | None = None) -> np.ndarray:
+                 mat: np.ndarray, plan: tuple | None = None,
+                 pool: BufferPool | None = None) -> np.ndarray:
     """Apply ``mat`` to the given subsystem axes of a flat amplitude array.
 
     ``amps`` has shape ``(prod(dims),)`` or ``(prod(dims), k)``. The matrix
     row/column index runs over the target subsystems in the order given by
-    ``axes``, big-endian (first axis is the most significant digit). Returns a
-    new array of the same shape; the input is never modified. ``plan`` is
-    ``kernel_plan(mat, dims, axes)``, looked up here when not given.
+    ``axes``, big-endian (first axis is the most significant digit). Returns
+    an array of the same shape. ``plan`` is ``kernel_plan(mat, dims, axes)``,
+    looked up here when not given. Without ``pool`` the input is never
+    modified; with it, the input is consumed: a large run-owned array may be
+    written in place and returned, or recycled into the pool (see the module
+    docstring).
     """
     shape, phase, src, perm, inverse = plan or kernel_plan(mat, dims, axes)
+    owned = amps.nbytes >= POOL_MIN_BYTES and pool is not None and amps is not pool.foreign
     if perm is not None:  # dense
-        t = amps.reshape(shape).transpose(perm)
-        out = (mat @ t.reshape(mat.shape[0], -1)).reshape(t.shape)
-        return np.ascontiguousarray(out.transpose(inverse)).reshape(amps.shape)
+        m = mat.shape[0]
+        adjacent = len(shape) == 3 and shape[1] == m  # the plan's (pre, m, rest) layout
+        if not adjacent or not owned and m * amps.size <= GEMM_SERIAL_WORK:  # one zgemm
+            t = amps.reshape(shape).transpose(perm)
+            out = (mat @ t.reshape(m, -1)).reshape(t.shape)
+            return np.ascontiguousarray(out.transpose(inverse)).reshape(amps.shape)
+        out = amps if owned else np.empty(amps.shape, np.complex128)
+        _matmul_blocks(mat, amps.reshape(shape), out.reshape(shape), pool if owned else None)
+        return out
     if src is None:  # diagonal
+        if owned:
+            view = amps.reshape(shape)
+            view *= phase
+            return amps
         return (amps.reshape(shape) * phase).reshape(amps.shape)
-    out = np.take(amps, src, axis=0)
+    if owned:  # 'clip' gathers straight into `out` ('raise' would buffer); src is in range
+        out = np.take(amps, src, axis=0, out=pool.take(amps.shape), mode="clip")
+        pool.give(amps)
+    else:
+        out = np.take(amps, src, axis=0)
     if phase is not None:
         view = out.reshape(shape)
         view *= phase

@@ -50,6 +50,14 @@ outcome record, symbol values, weight) and sends each gate straight to
 labels and dims. A ClassicalSend needs no merge after it unless it retires
 outcome symbols (see ``Plan``). ``verify`` compiles one plan and shares it
 across its input chunks.
+
+A run whose peak register reaches ``backend.POOL_MIN_BYTES`` owns one
+``backend.BufferPool``, passed to every kernel and dropped when the run
+returns (a smaller run passes none). Its one foreign array is the caller's
+input batch; every other matrix in the frontier belongs to exactly one
+branch, so the kernels may write a large one in place or recycle it (see
+``backend`` and ``statevec``), and a merge gives the merged branch's matrix
+back. Cached resource states and gate matrices are only read.
 """
 
 from __future__ import annotations
@@ -150,10 +158,10 @@ def _gate_step(dims: tuple[int, ...], axes: tuple[int, ...], matrix: np.ndarray)
     """A LocalGate: one matrix on fixed axes of every branch."""
     plan = backend.kernel_plan(matrix, dims, axes)
 
-    def run(frontier: list[_Branch]) -> list[_Branch]:
+    def run(frontier: list[_Branch], pool: backend.BufferPool | None) -> list[_Branch]:
         apply = backend.apply_matrix
         for br in frontier:
-            br.amps = apply(br.amps, dims, axes, matrix, plan)
+            br.amps = apply(br.amps, dims, axes, matrix, plan, pool)
         return frontier
     return run
 
@@ -166,7 +174,7 @@ def _cond_step(dims: tuple[int, ...], axes: tuple[int, ...], condition: Conditio
     """
     powers: dict[int, tuple[np.ndarray, tuple]] = {}
 
-    def run(frontier: list[_Branch]) -> list[_Branch]:
+    def run(frontier: list[_Branch], pool: backend.BufferPool | None) -> list[_Branch]:
         apply = backend.apply_matrix
         for br in frontier:
             value = condition.evaluate(br.values)
@@ -175,26 +183,27 @@ def _cond_step(dims: tuple[int, ...], axes: tuple[int, ...], condition: Conditio
                 if power is None:
                     matrix = gate_power(gate, params, value).entries
                     power = powers[value] = matrix, backend.kernel_plan(matrix, dims, axes)
-                br.amps = apply(br.amps, dims, axes, *power)
+                br.amps = apply(br.amps, dims, axes, *power, pool)
         return frontier
     return run
 
 
 def _resource_step(dims: tuple[int, ...], labels: tuple[str, ...], state: MixedRegister):
     """A resource state appended to every branch's register."""
-    def run(frontier: list[_Branch]) -> list[_Branch]:
+    def run(frontier: list[_Branch], pool: backend.BufferPool | None) -> list[_Branch]:
         for br in frontier:
-            br.amps = tensor(MixedRegister._wrap(dims, br.amps, labels), state).amps
+            br.amps = tensor(MixedRegister._wrap(dims, br.amps, labels), state, pool).amps
         return frontier
     return run
 
 
 def _measure_step(dims: tuple[int, ...], labels: tuple[str, ...], target: str, symbol: str):
     """A measurement: every branch forks into one branch per kept outcome."""
-    def run(frontier: list[_Branch]) -> list[_Branch]:
+    def run(frontier: list[_Branch], pool: backend.BufferPool | None) -> list[_Branch]:
         forked: list[_Branch] = []
         for br in frontier:
-            for sub in measure_enumerate(MixedRegister._wrap(dims, br.amps, labels), target):
+            for sub in measure_enumerate(MixedRegister._wrap(dims, br.amps, labels), target,
+                                         pool):
                 outcome = sub.outcomes[0][1]
                 forked.append(_Branch(
                     sub.state.amps, br.prob * sub.probability,
@@ -241,19 +250,41 @@ def _future_symbols(instructions) -> list[tuple[str, ...]]:
     return out
 
 
-def _merge(frontier: list[_Branch], live: tuple[str, ...]) -> list[_Branch]:
-    """Merge each branch into the first earlier kept branch equal to it (see the module docstring)."""
+def _distance(a: np.ndarray, b: np.ndarray) -> float:
+    """``abs(a - b).max()`` of two large matrices, or a value over ``MERGE_ATOL`` once one is seen.
+
+    Compared a block of rows at a time, so the temporaries stay small.
+    """
+    rows = max(1, backend.BLOCK_AMPLITUDES // a.shape[1])
+    worst = 0.0
+    for start in range(0, a.shape[0], rows):
+        worst = max(worst, abs(a[start:start + rows] - b[start:start + rows]).max())
+        if worst > MERGE_ATOL:
+            break
+    return worst
+
+
+def _merge(frontier: list[_Branch], live: tuple[str, ...],
+           pool: backend.BufferPool | None = None) -> list[_Branch]:
+    """Merge each branch into the first earlier kept branch equal to it (see the module docstring).
+
+    A merged branch's amplitudes go back to ``pool``, when given.
+    """
     merged: list[_Branch] = []
     buckets: dict[tuple, list[_Branch]] = {}  # exact key -> kept branches
     for br in frontier:
         # every branch has the plan's labels and dims, so they are left out of the key
         key = (br.alive.tobytes(), tuple(map(br.values.get, live)))
         bucket = buckets.setdefault(key, [])
+        small = br.amps.nbytes < backend.POOL_MIN_BYTES
         for kept in bucket:
             # np.allclose(rtol=0, atol=MERGE_ATOL) on finite amplitudes
-            if abs(kept.amps - br.amps).max() <= MERGE_ATOL:
+            if (abs(kept.amps - br.amps).max() if small else
+                    _distance(kept.amps, br.amps)) <= MERGE_ATOL:
                 kept.prob = kept.prob + br.prob
                 kept.weight += br.weight
+                if not small and pool is not None:
+                    pool.give(br.amps)
                 break
         else:
             bucket.append(br)
@@ -337,11 +368,14 @@ def enumerate_branches(circuit: DistCircuit, input_state: MixedRegister | None =
     amps = input_state.amps.reshape(input_state.amps.shape[0], -1)  # a single state: k = 1
     k = amps.shape[1]
     frontier = [_Branch(amps, np.ones(k), (), {}, 1, np.ones(k, dtype=bool))]
+    pool = None  # the run's large buffers, dropped on return; none when every register is small
+    if plan.peak * k * amps.itemsize >= backend.POOL_MIN_BYTES:
+        pool = backend.BufferPool(foreign=amps)
     for step, live in plan.steps:
         if step is not None:
-            frontier = step(frontier)
+            frontier = step(frontier, pool)
         if merge_equal and len(frontier) > 1:
-            frontier = _merge(frontier, live)
+            frontier = _merge(frontier, live, pool)
 
     labels, out_dims = plan.labels, plan.out_dims
     if input_state.amps.ndim == 1:

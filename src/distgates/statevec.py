@@ -10,7 +10,12 @@ amplitudes are then a ``(prod(dims), k)`` matrix, one column per state. Every
 operation below acts on each column as it would on a single state; the
 register-size cap applies to ``prod(dims)`` only, never to the batch width.
 
-All operations are pure: they return new registers and never mutate inputs.
+All operations are pure when called without a pool: they return new registers
+and never mutate inputs. A branch enumeration passes a run-scoped
+``backend.BufferPool``: then ``measure_enumerate`` and ``tensor`` write large
+results into pooled buffers, ``tensor`` recycles its input amplitudes when the
+run owns them (never the caller's input or a cached resource state), and
+``backend.apply_matrix`` may also write them in place.
 Projective measurement enumerates every outcome branch deterministically,
 ordered by outcome value; the measured subsystem is removed from the register.
 It reads the register in two passes: one sums the squared amplitudes into
@@ -189,7 +194,8 @@ def apply_unitary(state: MixedRegister, gate: Unitary, targets) -> MixedRegister
     return MixedRegister._wrap(state.dims, amps, state.labels)
 
 
-def measure_enumerate(state: MixedRegister, target: str) -> list[BranchResult]:
+def measure_enumerate(state: MixedRegister, target: str,
+                      pool: backend.BufferPool | None = None) -> list[BranchResult]:
     """Projectively measure one subsystem, returning every nonzero branch.
 
     Branches are ordered by outcome value. The measured subsystem is removed
@@ -201,46 +207,65 @@ def measure_enumerate(state: MixedRegister, target: str) -> list[BranchResult]:
     Probabilities of returned branches sum to 1 per state (within float error).
 
     The register is read twice. The first pass squares the real and imaginary
-    parts of every amplitude, sums them over the subsystems before the
-    measured one with one matrix-vector product, and then over the few
-    entries left for each (outcome, column) weight; every outcome's
-    probability and scale follow from those weights at once. The second pass
-    copies the kept outcomes' slices of the register, scaled, into one buffer
-    with the measured axis first, so each kept outcome's state is a
-    contiguous slice of it (one multiply when every outcome is kept); the
-    input is never written or aliased.
+    parts of every amplitude and sums them over the subsystems before the
+    measured one, and then over the few entries left for each (outcome,
+    column) weight; every outcome's probability and scale follow from those
+    weights at once. On a small register the sum over the leading subsystems
+    is one matrix-vector product of the squares (just the squares when there
+    are none); from ``backend.POOL_MIN_BYTES`` on it is one ``einsum``, which
+    needs neither a squared copy nor a BLAS call, whose threads would spin.
+    The second pass copies the kept outcomes' slices of the register, scaled,
+    into one buffer with the measured axis first, so each kept outcome's
+    state is a contiguous slice of it (one multiply when every outcome is
+    kept). With ``pool``, a large register's kept outcomes are each scaled
+    into a buffer of their own from the pool. The input is never written,
+    aliased or recycled: its shape comes back only when a resource regrows
+    the register, so the pool would mostly hold it for nothing.
     """
+    amps = state.amps
     axis = state.axis(target)
     d = state.dims[axis]
-    batch = state.amps.shape[1:]
+    batch = amps.shape[1:]
     k = batch[0] if batch else 1  # a single state is a batch of one
     pre = math.prod(state.dims[:axis])
     post = math.prod(state.dims[axis + 1:])
     new_dims = state.dims[:axis] + state.dims[axis + 1:]
     new_labels = state.labels[:axis] + state.labels[axis + 1:]
-    # pass 1: one gemv sums the squared real and imaginary parts over `pre`
-    # (np.dot, not `@`, which bypasses BLAS and is slower when pre is 1)
-    ones = _ONES[:pre] if pre <= _ONES.size else np.ones(pre)
-    x = state.amps.view(np.float64).reshape(pre, -1)
-    prob = np.dot(ones, x * x).reshape(d, post, k, 2).sum(axis=(1, 3))
+    large = amps.nbytes >= backend.POOL_MIN_BYTES
+    # pass 1: the squared real and imaginary parts, summed over `pre`
+    x = amps.view(np.float64).reshape(pre, -1)
+    if large:
+        weights = np.einsum("ij,ij->j", x, x)
+    elif pre == 1:
+        weights = (x * x).reshape(-1)  # what the gemv would give, bitwise
+    else:  # np.dot, not `@`, which bypasses BLAS and is slower
+        weights = np.dot(_ONES[:pre] if pre <= _ONES.size else np.ones(pre), x * x)
+    prob = weights.reshape(d, post, k, 2).sum(axis=(1, 3))
     alive = prob >= PRUNE_TOL
     probs = np.where(alive, prob, 0.0) if batch else prob[:, 0].tolist()
     # a pruned column is scaled by 1 / inf: exact zeros
     scale = 1.0 / np.sqrt(np.where(alive, prob, np.inf))[:, None, None, :]
-    # pass 2: scaled[i] is the state of the i-th kept outcome
-    t = state.amps.reshape(pre, d, post, k).transpose(1, 0, 2, 3)
+    # pass 2: outs[i] is the state of the i-th kept outcome
+    t = amps.reshape(pre, d, post, k).transpose(1, 0, 2, 3)
     kept = [outcome for outcome, any_alive in enumerate(alive.any(axis=1).tolist()) if any_alive]
-    scaled = np.empty((len(kept), pre, post, k), dtype=np.complex128)
-    if len(kept) == d:
-        np.multiply(t, scale, out=scaled)
-    else:  # a dropped outcome is neither copied nor held
-        for i, outcome in enumerate(kept):
-            np.multiply(t[outcome], scale[outcome], out=scaled[i])
-    shape = (-1,) + batch
+    if pool is not None and large:
+        outs = []
+        for outcome in kept:
+            out = pool.take((pre * post,) + batch)
+            np.multiply(t[outcome], scale[outcome], out=out.reshape(pre, post, k))
+            outs.append(out)
+    else:
+        scaled = np.empty((len(kept), pre, post, k), dtype=np.complex128)
+        if len(kept) == d:
+            np.multiply(t, scale, out=scaled)
+        else:  # a dropped outcome is neither copied nor held
+            for i, outcome in enumerate(kept):
+                np.multiply(t[outcome], scale[outcome], out=scaled[i])
+        outs = scaled.reshape((len(kept), pre * post) + batch)
     return [BranchResult(((target, outcome),), probs[outcome],
-                         MixedRegister._wrap(new_dims, scaled[i].reshape(shape), new_labels),
+                         MixedRegister._wrap(new_dims, out, new_labels),
                          1, alive[outcome] if batch else None)
-            for i, outcome in enumerate(kept)]
+            for out, outcome in zip(outs, kept)]
 
 
 def fidelity_up_to_phase(a: MixedRegister, b: MixedRegister) -> float | np.ndarray:
@@ -255,10 +280,14 @@ def fidelity_up_to_phase(a: MixedRegister, b: MixedRegister) -> float | np.ndarr
     return np.abs(np.einsum("i...,i...->...", a.amps.conj(), b.amps)) ** 2
 
 
-def tensor(a: MixedRegister, b: MixedRegister) -> MixedRegister:
+def tensor(a: MixedRegister, b: MixedRegister,
+           pool: backend.BufferPool | None = None) -> MixedRegister:
     """Kronecker product; ``a``'s subsystems become the more significant digits.
 
     ``a`` may be a batch (each column is tensored with ``b``); ``b`` may not.
+    With ``pool``, a large product is written into a pooled buffer and
+    ``a``'s amplitudes, when the pool owns them, are recycled; ``b`` is only
+    read.
     """
     if set(a.labels) & set(b.labels):
         raise ValueError(f"label collision: {set(a.labels) & set(b.labels)}")
@@ -266,9 +295,15 @@ def tensor(a: MixedRegister, b: MixedRegister) -> MixedRegister:
         raise ValueError("the second tensor factor must be a single state")
     check_register_dim(math.prod(a.dims + b.dims))
     batch = a.amps.shape[1:]
-    amps = a.amps[:, None] * b.amps.reshape((-1,) + (1,) * len(batch))
-    return MixedRegister._wrap(a.dims + b.dims, amps.reshape((-1,) + batch),
-                               a.labels + b.labels)
+    shape = (a.amps.shape[0] * b.amps.shape[0],) + batch
+    factor = b.amps.reshape((-1,) + (1,) * len(batch))
+    if pool is not None and a.amps.nbytes * b.amps.shape[0] >= backend.POOL_MIN_BYTES:
+        amps = pool.take(shape)
+        np.multiply(a.amps[:, None], factor, out=amps.reshape(a.amps.shape[:1] + (-1,) + batch))
+        pool.give(a.amps)
+    else:
+        amps = (a.amps[:, None] * factor).reshape(shape)
+    return MixedRegister._wrap(a.dims + b.dims, amps, a.labels + b.labels)
 
 
 def permute(state: MixedRegister, labels) -> MixedRegister:

@@ -28,9 +28,15 @@ symbols each step still needs, and every instruction resolved against the
 register layout, with every instruction check, the register-cap check and
 the check of the final register against the declared outputs done before
 anything is allocated. All chunks share that plan. A chunk holds
-``max(1, max_register_dim() // plan.peak)`` inputs, so a branch's amplitude
-matrix never exceeds the register cap; circuits near the cap run one input at
-a time. Each branch is checked on its alive columns only, and failures are
+``max(1, CHUNK_AMPLITUDES // plan.peak)`` inputs, so a branch's amplitude
+matrix holds about ``CHUNK_AMPLITUDES`` amplitudes at the peak register
+(2^16, 1 MiB); a circuit whose peak reaches the budget runs one input at a
+time. The budget is a fixed work size, apart from the register cap:
+``DISTGATES_MAX_DIM`` only bounds ``plan.peak``, the register of one input,
+and no longer sets the chunk width. Wider chunks pay fewer per-call costs
+but hold larger branch matrices: on a 2-core x86 host, 2^15 was slower on
+registers of 2^14 dimensions and 2^17 faster but with about 15 % more peak
+memory. Each branch is checked on its alive columns only, and failures are
 recorded under the original input index.
 
 A batch merges two branches only when they agree on every input of the chunk,
@@ -54,10 +60,11 @@ from .gates import (cz4_sq_matrix, cz_matrix, czd_matrix, csum_matrix, h_matrix,
                     s_dag_matrix)
 from .qubit_protocols import lms_matrix
 from .simulate import MAX_INPUT_AMPLITUDES, compile_plan, enumerate_branches, infer_dims
-from .statevec import (UNITARY_TOL, MixedRegister, Unitary, fidelity_up_to_phase,
-                       max_register_dim, permute, random_register)
+from .statevec import (UNITARY_TOL, MixedRegister, Unitary, fidelity_up_to_phase, permute,
+                       random_register)
 
 DEFAULT_THRESHOLD = 1 - 1e-9
+CHUNK_AMPLITUDES = 2 ** 16  # per branch matrix of a chunk, at the plan's peak register
 
 
 @dataclass(frozen=True, eq=False)
@@ -336,7 +343,7 @@ def verify(circuit: DistCircuit, oracle, inputs, threshold: float = DEFAULT_THRE
         return report
     psi = np.stack([state.amps for state in inputs], axis=1)
     expected = oracle.apply(psi)
-    chunk = max(1, max_register_dim() // plan.peak)
+    chunk = max(1, CHUNK_AMPLITUDES // plan.peak)
     for start in range(0, len(inputs), chunk):
         cols = slice(start, start + chunk)
         batch = MixedRegister._wrap(in_dims, np.ascontiguousarray(psi[:, cols]),

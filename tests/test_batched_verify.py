@@ -86,11 +86,11 @@ def test_chunked_verify_gives_the_same_report(monkeypatch):
     for name, circuit, oracle in cases:
         inputs = basis_inputs(circuit) + random_inputs(circuit, 7, seed=5)
         peak = peak_register_dim(circuit)
-        monkeypatch.setenv("DISTGATES_MAX_DIM", str(len(inputs) * peak))
+        monkeypatch.setattr(verify_module, "CHUNK_AMPLITUDES", len(inputs) * peak)
         calls.clear()
         whole = verify(circuit, oracle, inputs)
         assert calls == [len(inputs)], name
-        monkeypatch.setenv("DISTGATES_MAX_DIM", str(3 * peak))
+        monkeypatch.setattr(verify_module, "CHUNK_AMPLITUDES", 3 * peak)
         calls.clear()
         chunked = verify(circuit, oracle, inputs)
         assert calls == [min(3, len(inputs) - s) for s in range(0, len(inputs), 3)]
@@ -122,6 +122,34 @@ def test_over_cap_circuit_is_rejected_before_any_simulation(monkeypatch):
     monkeypatch.setenv("DISTGATES_MAX_DIM", str(peak))
     assert peak_register_dim(circuit, upto=0) < peak
     enumerate_branches(circuit, state, upto=0)
+
+
+def test_register_cap_does_not_set_the_chunk_width(monkeypatch):
+    # DISTGATES_MAX_DIM bounds one input's register; the chunk width is CHUNK_AMPLITUDES's alone
+    entry = catalog.tagged("corpus")["qudit_gcz6"]
+    circuit, oracle = entry.build(), entry.oracle
+    peak = peak_register_dim(circuit)
+    inputs = random_inputs(circuit, 40)
+    widths = []
+
+    def counting(*args, **kwargs):
+        widths.append(args[1].amps.shape[1])
+        return enumerate_branches(*args, **kwargs)
+
+    monkeypatch.setattr(verify_module, "enumerate_branches", counting)
+    width = max(1, verify_module.CHUNK_AMPLITUDES // peak)
+    expected = [min(width, len(inputs) - s) for s in range(0, len(inputs), width)]
+    assert len(expected) > 1
+    default = verify(circuit, oracle, inputs)
+    assert widths == expected
+    monkeypatch.setenv("DISTGATES_MAX_DIM", str(peak - 1))
+    with pytest.raises(ValueError, match=f"register dimension {peak} exceeds cap"):
+        verify(circuit, oracle, inputs)
+    for cap in (peak, 2 ** 20):
+        monkeypatch.setenv("DISTGATES_MAX_DIM", str(cap))
+        widths.clear()
+        assert verify(circuit, oracle, inputs).to_json() == default.to_json()
+        assert widths == expected, cap
 
 
 @pytest.mark.parametrize("name", ["gms4_pairwise", "gcz6_3n_pairwise"])
@@ -159,8 +187,8 @@ def test_corpus_circuits_under_the_branch_budget_are_unaffected():
 def test_peak_register_dim_is_the_largest_register_simulated(monkeypatch):
     seen = []
 
-    def recording(a, b):
-        out = simulate_tensor(a, b)
+    def recording(a, b, *pool):
+        out = simulate_tensor(a, b, *pool)
         seen.append(out.amps.shape[0])
         return out
 

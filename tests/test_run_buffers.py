@@ -1,0 +1,199 @@
+"""Blocked kernels and run-owned buffers: the same results, and the caller's data never written."""
+
+import importlib
+import itertools
+
+import numpy as np
+import pytest
+from conftest import (apply_matrix_reference, measure_loop_reference, measure_reference,
+                      random_unitary)
+from test_acceptance import _protocol_suite
+from test_batched_verify import _dropped_variants
+
+from distgates import backend
+from distgates.circuit import RESOURCE_KINDS
+from distgates.gates import gate_power, gate_unitary, h_matrix
+from distgates.simulate import _resource_state, enumerate_branches
+from distgates.statevec import DEFAULT_MAX_DIM, MixedRegister, measure_enumerate
+from distgates.verify import basis_inputs, random_inputs, verify
+
+verify_module = importlib.import_module("distgates.verify")  # the package attribute is the function
+
+H4 = np.exp(2j * np.pi * np.outer(range(4), range(4)) / 4) / 2
+
+
+def _unpooled_unblocked(monkeypatch):
+    """The kernels as they were before blocking and pooling, and chunks set by the register cap."""
+    monkeypatch.setattr(backend, "POOL_MIN_BYTES", float("inf"))
+    monkeypatch.setattr(backend, "GEMM_SERIAL_WORK", 2 ** 62)
+    monkeypatch.setattr(verify_module, "CHUNK_AMPLITUDES", DEFAULT_MAX_DIM)
+
+
+def _pooled_and_blocked_everywhere(monkeypatch):
+    """Every register pooled, written in place and blocked, down to the smallest."""
+    monkeypatch.setattr(backend, "POOL_MIN_BYTES", 0)
+    monkeypatch.setattr(backend, "GEMM_SERIAL_WORK", 2 ** 8)
+    monkeypatch.setattr(backend, "BLOCK_AMPLITUDES", 2 ** 8)
+
+
+def _random_batch(dims, k, seed):
+    rng = np.random.default_rng(seed)
+    amps = rng.standard_normal((int(np.prod(dims)), k)) + 1j * rng.standard_normal(
+        (int(np.prod(dims)), k))
+    return amps / np.linalg.norm(amps, axis=0)
+
+
+# (dims, batch width): 2^16, 2^14 and 24576 amplitudes, all at least POOL_MIN_BYTES
+LARGE = [((2,) * 14, 4), ((4,) * 6, 4), ((2, 3, 4, 2, 4, 2, 4), 16)]
+
+
+@pytest.mark.parametrize("dims,k", LARGE)
+def test_blocked_dense_kernel_matches_the_reference(dims, k):
+    rng = np.random.default_rng(5)
+    amps = _random_batch(dims, k, 1)
+    before = amps.copy()
+    cases = [((a,), h_matrix() if dims[a] == 2 else random_unitary(dims[a], rng))
+             for a in range(len(dims))]
+    cases += [((a,), H4) for a in range(len(dims)) if dims[a] == 4]
+    cases += [((a, a + 1), random_unitary(dims[a] * dims[a + 1], rng))
+              for a in range(len(dims) - 1)]
+    for axes, mat in cases:
+        want = apply_matrix_reference(amps, dims, axes, mat)
+        got = backend.apply_matrix(amps, dims, axes, mat)
+        assert np.abs(got - want).max() <= 1e-12, axes
+        np.testing.assert_array_equal(amps, before)  # no pool: the input is only read
+        owned = amps.copy()
+        pool = backend.BufferPool()
+        got = backend.apply_matrix(owned, dims, axes, mat, pool=pool)
+        assert np.abs(got - want).max() <= 1e-12, axes
+        foreign = backend.BufferPool(foreign=amps)
+        got = backend.apply_matrix(amps, dims, axes, mat, pool=foreign)
+        assert np.abs(got - want).max() <= 1e-12, axes
+        np.testing.assert_array_equal(amps, before)
+        assert not foreign.free
+
+
+@pytest.mark.parametrize("dims,k", LARGE)
+@pytest.mark.parametrize("pooled", [False, True], ids=["plain", "pool"])
+def test_large_measurement_matches_the_reference(dims, k, pooled):
+    amps = _random_batch(dims, k, 2)
+    labels = tuple(f"q{i}" for i in range(len(dims)))
+    state = MixedRegister(dims, amps, labels)
+    before = amps.copy()
+    for target in labels:
+        pool = backend.BufferPool(foreign=state.amps) if pooled else None
+        got = measure_enumerate(state, target, pool)
+        want = measure_reference(state, target)
+        assert [b.outcomes[0][1] for b in got] == [m for m, _, _ in want]
+        for b, (_, prob, ref) in zip(got, want):
+            assert np.abs(b.probability - prob).max() <= 1e-12
+            assert np.abs(b.state.amps - ref).max() <= 1e-12
+        np.testing.assert_array_equal(state.amps, before)
+        for x, y in itertools.combinations([b.state.amps for b in got] + [state.amps], 2):
+            assert not np.shares_memory(x, y)
+
+
+@pytest.mark.parametrize("dims,k", [((2, 4, 2), 1), ((2, 4, 2), 3), ((4, 2, 3), 1),
+                                    ((2,) * 14, 2), ((4,) * 7, 1), ((2,) * 13, 3)])
+def test_first_axis_weights_are_bitwise_the_gemv(dims, k):
+    # measuring the first subsystem leaves nothing to sum over: the squares are the weights,
+    # bitwise what the gemv of a one-row matrix gives (the loop reference takes that gemv)
+    amps = _random_batch(dims, k, 3)
+    labels = tuple(f"q{i}" for i in range(len(dims)))
+    for batch in (amps, amps[:, 0]) if k == 1 else (amps,):
+        state = MixedRegister(dims, batch, labels)
+        got = measure_enumerate(state, labels[0])
+        want = measure_loop_reference(state, labels[0])
+        assert [b.outcomes[0][1] for b in got] == [m for m, _, _ in want]
+        for b, (_, prob, ref) in zip(got, want):
+            assert np.asarray(b.probability).tobytes() == np.asarray(prob).tobytes()
+            assert b.state.amps.tobytes() == ref.tobytes()
+
+
+def _suite_and_variants():
+    """Every suite circuit on its basis inputs and 3 random ones, then every dropped-correction
+    variant on 2 basis inputs and 1 random one."""
+    rng = np.random.default_rng(77)
+    for name, circuit, oracle in _protocol_suite():
+        basis = basis_inputs(circuit)
+        yield name, circuit, oracle, basis + random_inputs(circuit, 3, seed=11)
+        for index, corrupted in _dropped_variants(circuit):
+            picks = rng.choice(len(basis), size=2, replace=False)
+            yield (f"{name} -#{index}", corrupted, oracle,
+                   [basis[i] for i in picks] + random_inputs(corrupted, 1, seed=index))
+
+
+def _reports(monkeypatch, configure):
+    with monkeypatch.context() as patch:
+        configure(patch)
+        return {name: verify(circuit, oracle, inputs)
+                for name, circuit, oracle, inputs in _suite_and_variants()}
+
+
+@pytest.mark.parametrize("configure", [lambda patch: None, _pooled_and_blocked_everywhere],
+                         ids=["default", "everywhere"])
+def test_verify_reports_match_the_unpooled_unblocked_kernels(monkeypatch, configure):
+    want = _reports(monkeypatch, _unpooled_unblocked)
+    got = _reports(monkeypatch, configure)
+    assert len(got) == 35 + 274
+    assert sum(not r.passed for r in got.values()) == 274
+    for name, report in got.items():
+        ref = want[name]
+        assert (report.passed, report.branches) == (ref.passed, ref.branches), name
+        assert abs(report.min_fidelity - ref.min_fidelity) <= 1e-12, name
+        fids = {(f.input_index, f.outcomes): f.fidelity for f in report.failures}
+        ref_fids = {(f.input_index, f.outcomes): f.fidelity for f in ref.failures}
+        assert fids.keys() == ref_fids.keys(), name
+        assert all(abs(fids[key] - ref_fids[key]) <= 1e-12 for key in fids), name
+
+
+def _cached_data(circuit):
+    """Copies of the cached resource states and gate matrices the circuit uses, by identity."""
+    cached = []
+    for ins in circuit.instructions:
+        if ins.kind in RESOURCE_KINDS:
+            cached.append(_resource_state(ins).amps)
+        elif ins.kind == "LocalGate":
+            cached.append(gate_unitary(ins.gate, ins.params).entries)
+        elif ins.kind == "CondGate":
+            cached += [gate_power(ins.gate, ins.params, value).entries
+                       for value in range(1, ins.condition.mod)]
+    return [(arr, arr.copy()) for arr in cached]
+
+
+def _read_only(state):
+    state.amps.flags.writeable = False
+    return state
+
+
+@pytest.mark.parametrize("configure", [lambda patch: None, _pooled_and_blocked_everywhere],
+                         ids=["default", "everywhere"])
+def test_callers_data_is_never_written(monkeypatch, configure):
+    configure(monkeypatch)
+    shared = []  # the caller's and the caches' arrays: no pool may ever keep one
+    give = backend.BufferPool.give
+
+    def checked_give(pool, arr):
+        give(pool, arr)
+        if any(arr is free for frees in pool.free.values() for free in frees):
+            assert not any(np.may_share_memory(arr, other) for other in shared)
+
+    monkeypatch.setattr(backend.BufferPool, "give", checked_give)
+    for name, circuit, oracle, inputs in _suite_and_variants():
+        cached = _cached_data(circuit)
+        shared[:] = [arr for arr, _ in cached] + [s.amps for s in inputs]
+        frozen = [_read_only(MixedRegister(s.dims, s.amps.copy(), s.labels)) for s in inputs]
+        shared += [s.amps for s in frozen]
+        assert (verify(circuit, oracle, frozen).to_json()
+                == verify(circuit, oracle, inputs).to_json()), name
+        batch = _read_only(MixedRegister(inputs[0].dims,
+                                         np.stack([s.amps for s in inputs], axis=1),
+                                         inputs[0].labels))
+        before = batch.amps.copy()
+        shared.append(batch.amps)
+        results = enumerate_branches(circuit, batch, merge_equal=True)
+        np.testing.assert_array_equal(batch.amps, before)
+        for x, y in itertools.combinations([r.state.amps for r in results], 2):
+            assert not np.shares_memory(x, y), name
+        for arr, copy in cached:
+            np.testing.assert_array_equal(arr, copy)

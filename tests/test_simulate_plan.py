@@ -1,6 +1,8 @@
 """The compiled enumeration plan: the same branches as the per-branch loop, and every
 instruction check made before any kernel runs."""
 
+import importlib
+
 import numpy as np
 import pytest
 from conftest import enumerate_reference
@@ -10,6 +12,8 @@ from distgates import (Condition, DistCircuit, Instruction, MixedRegister, NodeL
 from distgates.simulate import compile_plan, unmerged_branch_bound
 from distgates.statevec import DEFAULT_MAX_DIM, random_register
 from distgates.verify import OracleSpec, basis_inputs, random_inputs, verify
+
+verify_module = importlib.import_module("distgates.verify")  # the package attribute is the function
 
 UNDER_CAP = [name for name, entry in catalog.tagged("golden").items()
              if peak_register_dim(entry.build()) <= DEFAULT_MAX_DIM]
@@ -192,7 +196,8 @@ def test_conditioned_powers_are_resolved_once_per_value(monkeypatch):
     power = simulate.gate_power
     monkeypatch.setattr(simulate, "gate_power", counting)
     inputs = basis_inputs(circuit) + random_inputs(circuit, 4)
-    monkeypatch.setenv("DISTGATES_MAX_DIM", str(peak_register_dim(circuit)))  # one input a chunk
+    # one input a chunk
+    monkeypatch.setattr(verify_module, "CHUNK_AMPLITUDES", peak_register_dim(circuit))
     assert verify(circuit, OracleSpec("csum4"), inputs).passed
     # once per conditioned gate and nonzero value, for all 20 chunks together
     assert 0 < len(calls) <= sum(ins.condition.mod - 1 for ins in conditioned)
