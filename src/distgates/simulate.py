@@ -11,10 +11,11 @@ their input, so one enumeration serves every input: each branch holds a
 per-column *alive* mask. A measurement applies the single-state rule to each
 column on its own (prune an outcome below ``PRUNE_TOL``, renormalize the
 rest); a pruned column is dead in that branch, and a branch is dropped once
-none of its columns is alive. ``measure_enumerate`` reads the register twice:
-one matrix-vector product and a short sum give every outcome's per-column
-weight, and one scaled copy per kept outcome gives its branch. A single
-input state is the k = 1 case of the same code.
+none of its columns is alive. The measurement reads the register twice: one
+matrix-vector product and a short sum give every outcome's per-column weight,
+and one scaled copy per kept outcome gives its branch (see
+``statevec.measure_amps``). A single input state is the k = 1 case of the
+same code.
 
 Teleported-gate protocols reconverge: once corrections have been applied, all
 branches hold the same state. ``merge_equal=True`` collapses branches whose
@@ -25,6 +26,18 @@ reported ``weight`` preserves the underlying branch count. Candidates are
 bucketed by the exactly-compared fields, and each is compared with the kept
 branches of its bucket in order, so the merges, and the order of the kept
 branches, are those of a plain first-match scan.
+
+A merge runs only after a step where branches can meet: a conditioned gate,
+a measurement, or a ClassicalSend after which a later condition no longer
+reads some outcome symbol (see ``Plan``). A LocalGate or a resource applies
+one map to every branch, and the merge before it has already compared those
+branches under the same live symbols. One caveat: the merge test is on the
+largest amplitude difference, and a dense gate or a resource on
+d-dimensional subsystems can shrink that by up to a factor sqrt(d) (a
+resource's amplitudes are 1/sqrt(d)). A pair just over ``MERGE_ATOL`` before
+such a step may therefore be within it after, and then merges at the next
+conditioned gate or measurement instead, where merging after every
+instruction would have merged it at once.
 
 Every branch builds the same registers: resources add subsystems and
 measurements remove them, the same way in every branch. So ``peak_register_dim``
@@ -40,16 +53,16 @@ matrix's kernel plan (``backend.kernel_plan``), and a conditioned gate its
 axes, with the duplicate-target, unknown-label and arity checks; the powers a
 condition asks for, and their kernel plans, are resolved once per distinct
 value.
-A resource gets its state and the label-collision check, and a measurement
-its target's place in the layout. A bad instruction therefore raises
-``ValueError`` before any kernel runs. The branch loop holds bare amplitude
-matrices (``_Branch``: amplitudes, per-column probability and alive mask,
-outcome record, symbol values, weight) and sends each gate straight to
-``backend.apply_matrix``; measurements and resources go through
-``measure_enumerate`` and ``tensor`` on a register wrapped with the plan's
-labels and dims. A ClassicalSend needs no merge after it unless it retires
-outcome symbols (see ``Plan``). ``verify`` compiles one plan and shares it
-across its input chunks.
+A resource gets its state's amplitudes and the label-collision check, and a
+measurement its target's axis and the sizes around it. A bad instruction
+therefore raises ``ValueError`` before any kernel runs. The branch loop holds
+bare amplitude matrices (``_Branch``: amplitudes, per-column probability and
+alive mask, outcome record, symbol values, weight) and hands them straight
+to the kernels: each gate to ``backend.apply_matrix``, each measurement to
+``statevec.measure_amps`` and each resource to ``statevec.tensor_amps``,
+which are also the arithmetic of ``measure_enumerate`` and ``tensor``, minus
+their per-call label lookups and checks. ``verify`` compiles one plan and
+shares it across its input chunks.
 
 A run whose peak register reaches ``backend.POOL_MIN_BYTES`` owns one
 ``backend.BufferPool``, passed to every kernel and dropped when the run
@@ -73,7 +86,7 @@ from . import backend
 from .circuit import RESOURCE_KINDS, Condition, DistCircuit, Instruction
 from .gates import gate_arity, gate_power, gate_unitary
 from .statevec import (BranchResult, MixedRegister, check_register_dim, label_axis,
-                       measure_enumerate, target_axes, tensor)
+                       measure_amps, target_axes, tensor_amps)
 
 MERGE_ATOL = 1e-12
 MAX_BRANCHES = 2 ** 16
@@ -188,27 +201,28 @@ def _cond_step(dims: tuple[int, ...], axes: tuple[int, ...], condition: Conditio
     return run
 
 
-def _resource_step(dims: tuple[int, ...], labels: tuple[str, ...], state: MixedRegister):
-    """A resource state appended to every branch's register."""
+def _resource_step(factor: np.ndarray):
+    """A resource state, its amplitudes ``factor``, appended to every branch's register."""
     def run(frontier: list[_Branch], pool: backend.BufferPool | None) -> list[_Branch]:
         for br in frontier:
-            br.amps = tensor(MixedRegister._wrap(dims, br.amps, labels), state, pool).amps
+            br.amps = tensor_amps(br.amps, factor, pool)
         return frontier
     return run
 
 
-def _measure_step(dims: tuple[int, ...], labels: tuple[str, ...], target: str, symbol: str):
-    """A measurement: every branch forks into one branch per kept outcome."""
+def _measure_step(dims: tuple[int, ...], axis: int, symbol: str):
+    """A measurement of ``axis``: every branch forks into one branch per kept outcome."""
+    pre, d, post = math.prod(dims[:axis]), dims[axis], math.prod(dims[axis + 1:])
+    records = [((symbol, outcome),) for outcome in range(d)]
+
     def run(frontier: list[_Branch], pool: backend.BufferPool | None) -> list[_Branch]:
         forked: list[_Branch] = []
         for br in frontier:
-            for sub in measure_enumerate(MixedRegister._wrap(dims, br.amps, labels), target,
-                                         pool):
-                outcome = sub.outcomes[0][1]
+            kept, probs, alive, outs = measure_amps(br.amps, pre, d, post, pool)
+            for outcome, out in zip(kept, outs):
                 forked.append(_Branch(
-                    sub.state.amps, br.prob * sub.probability,
-                    br.outcomes + ((symbol, outcome),), {**br.values, symbol: outcome},
-                    br.weight, br.alive & sub.alive))
+                    out, br.prob * probs[outcome], br.outcomes + records[outcome],
+                    {**br.values, symbol: outcome}, br.weight, br.alive & alive[outcome]))
         return forked
     return run
 
@@ -218,12 +232,22 @@ class Plan(NamedTuple):
 
     ``steps`` pairs each step, a function from frontier to frontier, with the
     outcome symbols a later condition still reads, the live part of a merge
-    key. A ClassicalSend is free in simulation (the resource tally audits it),
-    so its step is None. It gets no pair at all when its live symbols are
-    those of the instruction before it: the merge after it would compare the
-    same frontier under the same keys as the merge before it, and so merge
-    nothing. ``labels`` and ``out_dims`` describe the register after the last
-    step.
+    key, or with None when no merge follows the step. Branches can only meet
+    after a step that treats them differently, or that stops reading a symbol
+    they differ in:
+
+    - a CondGate or a Measure is followed by a merge;
+    - a LocalGate or a resource applies one map to every branch and leaves
+      the live symbols as they were, so the merge after it would find nothing
+      the merge before it missed, and it gets None (but see the caveat in
+      the module docstring);
+    - a ClassicalSend is free in simulation (the resource tally audits it),
+      so its step is None. It gets no pair at all when its live symbols are
+      those of the instruction before it: the merge after it would compare
+      the same frontier under the same keys as the merge before it, and so
+      merge nothing.
+
+    ``labels`` and ``out_dims`` describe the register after the last step.
     """
 
     circuit: DistCircuit
@@ -231,7 +255,7 @@ class Plan(NamedTuple):
     dims: dict[str, int]
     peak: int
     branch_bound: int
-    steps: tuple[tuple[Callable | None, tuple[str, ...]], ...]
+    steps: tuple[tuple[Callable | None, tuple[str, ...] | None], ...]
     labels: tuple[str, ...]
     out_dims: tuple[int, ...]
 
@@ -251,14 +275,23 @@ def _future_symbols(instructions) -> list[tuple[str, ...]]:
 
 
 def _distance(a: np.ndarray, b: np.ndarray) -> float:
-    """``abs(a - b).max()`` of two large matrices, or a value over ``MERGE_ATOL`` once one is seen.
+    """A value at most ``MERGE_ATOL`` exactly when ``abs(a - b).max()`` of two large matrices is.
 
-    Compared a block of rows at a time, so the temporaries stay small.
+    Compared a block of rows at a time, so the temporaries stay small, up to
+    the first block over ``MERGE_ATOL``. A block's largest real or imaginary
+    difference m bounds its largest modulus from both sides,
+    m <= max |a - b| <= sqrt(2) m, so the modulus is taken only when m alone
+    cannot decide; the decisions are those of the modulus.
     """
     rows = max(1, backend.BLOCK_AMPLITUDES // a.shape[1])
     worst = 0.0
     for start in range(0, a.shape[0], rows):
-        worst = max(worst, abs(a[start:start + rows] - b[start:start + rows]).max())
+        diff = a[start:start + rows] - b[start:start + rows]
+        parts = diff.view(np.float64)
+        m = max(parts.max(), -parts.min())
+        if MERGE_ATOL / math.sqrt(2) < m <= MERGE_ATOL:  # only the modulus can decide
+            m = abs(diff).max()
+        worst = max(worst, m)
         if worst > MERGE_ATOL:
             break
     return worst
@@ -315,11 +348,11 @@ def compile_plan(circuit: DistCircuit, upto: int | None = None) -> Plan:
             resource = _resource_state(ins)
             if collision := set(labels) & set(resource.labels):
                 raise ValueError(f"label collision: {collision}")
-            step = _resource_step(reg_dims, labels, resource)
+            step = _resource_step(resource.amps)
             labels, reg_dims = labels + resource.labels, reg_dims + resource.dims
         elif ins.kind == "Measure":
             axis = label_axis(labels, ins.targets[0])
-            step = _measure_step(reg_dims, labels, ins.targets[0], ins.outcome or f"_m{i}")
+            step = _measure_step(reg_dims, axis, ins.outcome or f"_m{i}")
             labels = labels[:axis] + labels[axis + 1:]
             reg_dims = reg_dims[:axis] + reg_dims[axis + 1:]
         elif ins.kind == "ClassicalSend":
@@ -328,7 +361,8 @@ def compile_plan(circuit: DistCircuit, upto: int | None = None) -> Plan:
             step = None
         else:  # pragma: no cover - Instruction rejects unknown kinds
             raise ValueError(f"unknown instruction kind {ins.kind!r}")
-        steps.append((step, live_after[i + 1]))
+        same_map = ins.kind == "LocalGate" or ins.kind in RESOURCE_KINDS  # no merge: see Plan
+        steps.append((step, None if same_map else live_after[i + 1]))
     return Plan(circuit, upto, dims, peak, unmerged_branch_bound(circuit, upto, dims),
                 tuple(steps), labels, reg_dims)
 
@@ -374,7 +408,7 @@ def enumerate_branches(circuit: DistCircuit, input_state: MixedRegister | None =
     for step, live in plan.steps:
         if step is not None:
             frontier = step(frontier, pool)
-        if merge_equal and len(frontier) > 1:
+        if merge_equal and live is not None and len(frontier) > 1:
             frontier = _merge(frontier, live, pool)
 
     labels, out_dims = plan.labels, plan.out_dims

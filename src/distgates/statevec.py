@@ -12,16 +12,25 @@ register-size cap applies to ``prod(dims)`` only, never to the batch width.
 
 All operations are pure when called without a pool: they return new registers
 and never mutate inputs. A branch enumeration passes a run-scoped
-``backend.BufferPool``: then ``measure_enumerate`` and ``tensor`` write large
-results into pooled buffers, ``tensor`` recycles its input amplitudes when the
-run owns them (never the caller's input or a cached resource state), and
-``backend.apply_matrix`` may also write them in place.
+``backend.BufferPool``: then the measurement and tensor kernels write large
+results into pooled buffers, ``tensor_amps`` recycles its input amplitudes
+when the run owns them (never the caller's input or a cached resource state),
+and ``backend.apply_matrix`` may also write them in place.
 Projective measurement enumerates every outcome branch deterministically,
 ordered by outcome value; the measured subsystem is removed from the register.
 It reads the register in two passes: one sums the squared amplitudes into
 every outcome's weight per column, and one scaled copy of the kept outcomes'
 slices holds every kept outcome's renormalized branch; an outcome below
 ``PRUNE_TOL`` is pruned.
+
+Measurement and the tensor product each have one kernel over bare amplitude
+arrays, ``measure_amps`` and ``tensor_amps``. ``measure_enumerate`` and
+``tensor`` check and unwrap a register and call them; a branch enumeration,
+whose plan has already resolved the layout and made the checks, calls them
+directly. From ``backend.POOL_MIN_BYTES`` on, neither broadcasts over the
+batch axis, which is innermost and only a few columns wide: a measurement
+copies each kept slice and scales it in place along long rows, and a product
+writes one block per resource amplitude, zeros without a multiply.
 """
 
 from __future__ import annotations
@@ -38,6 +47,7 @@ DEFAULT_MAX_DIM = 2 ** 14
 PRUNE_TOL = 1e-14
 NORM_TOL = 1e-10
 UNITARY_TOL = 1e-12
+RUN_AMPLITUDES = 4096  # of one row of a large measurement's in-place scaling
 
 # measure_enumerate sums over its leading `pre` subsystems with a slice of this
 _ONES = np.ones(DEFAULT_MAX_DIM // 2)
@@ -107,6 +117,7 @@ class MixedRegister:
             if not 0 <= v < d:
                 raise ValueError(f"digit {v} out of range for dimension {d}")
             idx = idx * d + v
+        check_register_dim(math.prod(dims))  # before the amplitudes are allocated
         amps = np.zeros(math.prod(dims), dtype=np.complex128)
         amps[idx] = 1.0
         return cls(dims, amps, tuple(labels))
@@ -194,6 +205,59 @@ def apply_unitary(state: MixedRegister, gate: Unitary, targets) -> MixedRegister
     return MixedRegister._wrap(state.dims, amps, state.labels)
 
 
+def measure_amps(amps: np.ndarray, pre: int, d: int, post: int,
+                 pool: backend.BufferPool | None = None) -> tuple:
+    """Measure the middle axis of amplitudes over ``(pre, d, post)`` subsystems.
+
+    ``amps`` has shape ``(pre * d * post,)`` or ``(pre * d * post, k)``.
+    Returns ``(kept, probs, alive, outs)``: the kept outcomes in order, the
+    ``(d, k)`` per-column probabilities (0 where a column is pruned) and alive
+    mask, and one amplitude array over ``(pre, post)`` per kept outcome, of
+    ``amps``'s batch shape. The arithmetic of ``measure_enumerate``, which
+    describes it; a branch enumeration calls this directly with the layout
+    its plan resolved.
+    """
+    batch = amps.shape[1:]
+    k = batch[0] if batch else 1  # a single state is a batch of one
+    large = amps.nbytes >= backend.POOL_MIN_BYTES
+    # pass 1: the squared real and imaginary parts, summed over `pre`
+    x = amps.view(np.float64).reshape(pre, -1)
+    if large:
+        weights = np.einsum("ij,ij->j", x, x)
+    elif pre == 1:
+        weights = (x * x).reshape(-1)  # what the gemv would give, bitwise
+    else:  # np.dot, not `@`, which bypasses BLAS and is slower
+        weights = np.dot(_ONES[:pre] if pre <= _ONES.size else np.ones(pre), x * x)
+    prob = weights.reshape(d, post, k, 2).sum(axis=(1, 3))
+    alive = prob >= PRUNE_TOL
+    # a pruned column is scaled by 1 / inf: exact zeros
+    scale = 1.0 / np.sqrt(np.where(alive, prob, np.inf))
+    kept = [outcome for outcome, any_alive in enumerate(alive.any(axis=1).tolist()) if any_alive]
+    # pass 2: outs[i] is the state of the i-th kept outcome
+    t = amps.reshape(pre, d, post, k)
+    if large:  # copy each slice, then scale it along rows of about RUN_AMPLITUDES
+        rows = math.gcd(pre * post, max(1, RUN_AMPLITUDES // k))
+        tiled = np.tile(scale, rows)
+        outs = []
+        for outcome in kept:
+            shape = (pre * post,) + batch
+            out = pool.take(shape) if pool is not None else np.empty(shape, np.complex128)
+            np.copyto(out.reshape(pre, post, k), t[:, outcome])
+            view = out.reshape(-1, rows * k)
+            view *= tiled[outcome]
+            outs.append(out)
+    else:
+        t = t.transpose(1, 0, 2, 3)
+        scaled = np.empty((len(kept), pre, post, k), dtype=np.complex128)
+        if len(kept) == d:
+            np.multiply(t, scale[:, None, None, :], out=scaled)
+        else:  # a dropped outcome is neither copied nor held
+            for i, outcome in enumerate(kept):
+                np.multiply(t[outcome], scale[outcome], out=scaled[i])
+        outs = scaled.reshape((len(kept), pre * post) + batch)
+    return kept, np.where(alive, prob, 0.0), alive, outs
+
+
 def measure_enumerate(state: MixedRegister, target: str,
                       pool: backend.BufferPool | None = None) -> list[BranchResult]:
     """Projectively measure one subsystem, returning every nonzero branch.
@@ -206,62 +270,36 @@ def measure_enumerate(state: MixedRegister, target: str,
     an outcome is dropped once every column is pruned.
     Probabilities of returned branches sum to 1 per state (within float error).
 
-    The register is read twice. The first pass squares the real and imaginary
-    parts of every amplitude and sums them over the subsystems before the
-    measured one, and then over the few entries left for each (outcome,
-    column) weight; every outcome's probability and scale follow from those
-    weights at once. On a small register the sum over the leading subsystems
-    is one matrix-vector product of the squares (just the squares when there
-    are none); from ``backend.POOL_MIN_BYTES`` on it is one ``einsum``, which
-    needs neither a squared copy nor a BLAS call, whose threads would spin.
-    The second pass copies the kept outcomes' slices of the register, scaled,
-    into one buffer with the measured axis first, so each kept outcome's
-    state is a contiguous slice of it (one multiply when every outcome is
-    kept). With ``pool``, a large register's kept outcomes are each scaled
-    into a buffer of their own from the pool. The input is never written,
-    aliased or recycled: its shape comes back only when a resource regrows
-    the register, so the pool would mostly hold it for nothing.
+    The arithmetic is ``measure_amps``, the one kernel a branch enumeration
+    also calls. The register is read twice. The first pass squares the real
+    and imaginary parts of every amplitude and sums them over the subsystems
+    before the measured one, and then over the few entries left for each
+    (outcome, column) weight; every outcome's probability and scale follow
+    from those weights at once. On a small register the sum over the leading
+    subsystems is one matrix-vector product of the squares (just the squares
+    when there are none); from ``backend.POOL_MIN_BYTES`` on it is one
+    ``einsum``, which needs neither a squared copy nor a BLAS call, whose
+    threads would spin. The second pass, on a small register, copies the kept
+    outcomes' slices, scaled, into one buffer with the measured axis first, so
+    each kept outcome's state is a contiguous slice of it (one multiply when
+    every outcome is kept). On a large register it copies each kept outcome's
+    slice into a buffer of its own (from ``pool``, when given) and scales it
+    in place along rows of about ``RUN_AMPLITUDES`` amplitudes, with the
+    per-column scales tiled to match: a broadcast over a batch of k columns
+    would run numpy's inner loop only k amplitudes long. Both give the same
+    products, bitwise. The input is never written, aliased or recycled: its
+    shape comes back only when a resource regrows the register, so the pool
+    would mostly hold it for nothing.
     """
-    amps = state.amps
     axis = state.axis(target)
-    d = state.dims[axis]
-    batch = amps.shape[1:]
-    k = batch[0] if batch else 1  # a single state is a batch of one
-    pre = math.prod(state.dims[:axis])
-    post = math.prod(state.dims[axis + 1:])
-    new_dims = state.dims[:axis] + state.dims[axis + 1:]
+    dims = state.dims
+    kept, probs, alive, outs = measure_amps(state.amps, math.prod(dims[:axis]), dims[axis],
+                                            math.prod(dims[axis + 1:]), pool)
+    new_dims = dims[:axis] + dims[axis + 1:]
     new_labels = state.labels[:axis] + state.labels[axis + 1:]
-    large = amps.nbytes >= backend.POOL_MIN_BYTES
-    # pass 1: the squared real and imaginary parts, summed over `pre`
-    x = amps.view(np.float64).reshape(pre, -1)
-    if large:
-        weights = np.einsum("ij,ij->j", x, x)
-    elif pre == 1:
-        weights = (x * x).reshape(-1)  # what the gemv would give, bitwise
-    else:  # np.dot, not `@`, which bypasses BLAS and is slower
-        weights = np.dot(_ONES[:pre] if pre <= _ONES.size else np.ones(pre), x * x)
-    prob = weights.reshape(d, post, k, 2).sum(axis=(1, 3))
-    alive = prob >= PRUNE_TOL
-    probs = np.where(alive, prob, 0.0) if batch else prob[:, 0].tolist()
-    # a pruned column is scaled by 1 / inf: exact zeros
-    scale = 1.0 / np.sqrt(np.where(alive, prob, np.inf))[:, None, None, :]
-    # pass 2: outs[i] is the state of the i-th kept outcome
-    t = amps.reshape(pre, d, post, k).transpose(1, 0, 2, 3)
-    kept = [outcome for outcome, any_alive in enumerate(alive.any(axis=1).tolist()) if any_alive]
-    if pool is not None and large:
-        outs = []
-        for outcome in kept:
-            out = pool.take((pre * post,) + batch)
-            np.multiply(t[outcome], scale[outcome], out=out.reshape(pre, post, k))
-            outs.append(out)
-    else:
-        scaled = np.empty((len(kept), pre, post, k), dtype=np.complex128)
-        if len(kept) == d:
-            np.multiply(t, scale, out=scaled)
-        else:  # a dropped outcome is neither copied nor held
-            for i, outcome in enumerate(kept):
-                np.multiply(t[outcome], scale[outcome], out=scaled[i])
-        outs = scaled.reshape((len(kept), pre * post) + batch)
+    batch = state.amps.ndim == 2
+    if not batch:
+        probs = probs[:, 0].tolist()
     return [BranchResult(((target, outcome),), probs[outcome],
                          MixedRegister._wrap(new_dims, out, new_labels),
                          1, alive[outcome] if batch else None)
@@ -280,30 +318,55 @@ def fidelity_up_to_phase(a: MixedRegister, b: MixedRegister) -> float | np.ndarr
     return np.abs(np.einsum("i...,i...->...", a.amps.conj(), b.amps)) ** 2
 
 
+def tensor_amps(a: np.ndarray, b: np.ndarray,
+                pool: backend.BufferPool | None = None) -> np.ndarray:
+    """Kronecker product of amplitudes: ``a`` (a state or a batch) with the single state ``b``.
+
+    The arithmetic of ``tensor``, which describes it, without its checks; a
+    branch enumeration calls this directly, its plan having made them.
+    """
+    batch = a.shape[1:]
+    n, m = a.shape[0], b.shape[0]
+    shape = (n * m,) + batch
+    if a.nbytes * m < backend.POOL_MIN_BYTES:
+        return (a[:, None] * b.reshape((-1,) + (1,) * len(batch))).reshape(shape)
+    out = pool.take(shape) if pool is not None else np.empty(shape, np.complex128)
+    blocks = out.reshape((n, m) + batch)
+    start = 0  # the first block not yet written
+    for j in np.flatnonzero(b).tolist():
+        if j > start:
+            blocks[:, start:j] = 0
+        np.multiply(a, b[j], out=blocks[:, j])
+        start = j + 1
+    if start < m:
+        blocks[:, start:] = 0
+    if pool is not None:
+        pool.give(a)
+    return out
+
+
 def tensor(a: MixedRegister, b: MixedRegister,
            pool: backend.BufferPool | None = None) -> MixedRegister:
     """Kronecker product; ``a``'s subsystems become the more significant digits.
 
     ``a`` may be a batch (each column is tensored with ``b``); ``b`` may not.
-    With ``pool``, a large product is written into a pooled buffer and
-    ``a``'s amplitudes, when the pool owns them, are recycled; ``b`` is only
-    read.
+    The arithmetic is ``tensor_amps``, the one kernel a branch enumeration
+    also calls. A small product is one broadcast multiply. From
+    ``backend.POOL_MIN_BYTES`` on, the product is written one block per
+    amplitude of ``b``: ``a`` times each nonzero amplitude, and zeros for each
+    run of zero amplitudes, where the broadcast would multiply every zero (a
+    GHZ state has d nonzeros out of d^n) over a batch axis only k columns
+    long. The values are those of the broadcast. With
+    ``pool``, a large product is written into a pooled buffer and ``a``'s
+    amplitudes, when the pool owns them, are recycled; ``b`` is only read.
     """
     if set(a.labels) & set(b.labels):
         raise ValueError(f"label collision: {set(a.labels) & set(b.labels)}")
     if b.amps.ndim != 1:
         raise ValueError("the second tensor factor must be a single state")
     check_register_dim(math.prod(a.dims + b.dims))
-    batch = a.amps.shape[1:]
-    shape = (a.amps.shape[0] * b.amps.shape[0],) + batch
-    factor = b.amps.reshape((-1,) + (1,) * len(batch))
-    if pool is not None and a.amps.nbytes * b.amps.shape[0] >= backend.POOL_MIN_BYTES:
-        amps = pool.take(shape)
-        np.multiply(a.amps[:, None], factor, out=amps.reshape(a.amps.shape[:1] + (-1,) + batch))
-        pool.give(a.amps)
-    else:
-        amps = (a.amps[:, None] * factor).reshape(shape)
-    return MixedRegister._wrap(a.dims + b.dims, amps, a.labels + b.labels)
+    return MixedRegister._wrap(a.dims + b.dims, tensor_amps(a.amps, b.amps, pool),
+                               a.labels + b.labels)
 
 
 def permute(state: MixedRegister, labels) -> MixedRegister:

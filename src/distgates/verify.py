@@ -60,8 +60,8 @@ from .gates import (cz4_sq_matrix, cz_matrix, czd_matrix, csum_matrix, h_matrix,
                     s_dag_matrix)
 from .qubit_protocols import lms_matrix
 from .simulate import MAX_INPUT_AMPLITUDES, compile_plan, enumerate_branches, infer_dims
-from .statevec import (UNITARY_TOL, MixedRegister, Unitary, fidelity_up_to_phase, permute,
-                       random_register)
+from .statevec import (UNITARY_TOL, MixedRegister, Unitary, check_register_dim,
+                       fidelity_up_to_phase, permute, random_register)
 
 DEFAULT_THRESHOLD = 1 - 1e-9
 CHUNK_AMPLITUDES = 2 ** 16  # per branch matrix of a chunk, at the plan's peak register
@@ -283,10 +283,20 @@ class VerificationReport:
         return json.dumps(doc, indent=2, sort_keys=True)
 
 
-def basis_inputs(circuit: DistCircuit) -> list[MixedRegister]:
-    """Every computational basis state over the circuit's declared inputs."""
+def _input_dims(circuit: DistCircuit) -> tuple[int, ...]:
+    """The declared inputs' dimensions, checked against the register cap before any allocation."""
     dims = infer_dims(circuit)
     in_dims = tuple(dims[l] for l in circuit.inputs)
+    check_register_dim(math.prod(in_dims))
+    return in_dims
+
+
+def basis_inputs(circuit: DistCircuit) -> list[MixedRegister]:
+    """Every computational basis state over the circuit's declared inputs.
+
+    Raises ValueError, before generating any, when one input exceeds the register cap.
+    """
+    in_dims = _input_dims(circuit)
     if not in_dims:
         return [MixedRegister.basis((), (), ())]
     digits = np.unravel_index(np.arange(math.prod(in_dims)), in_dims)
@@ -297,11 +307,11 @@ def basis_inputs(circuit: DistCircuit) -> list[MixedRegister]:
 def random_inputs(circuit: DistCircuit, count: int, seed: int = 7) -> list[MixedRegister]:
     """Seeded Haar-ish random input states over the circuit's declared inputs.
 
-    Raises ValueError, before generating any, when the ``count`` states would
-    hold more than ``MAX_INPUT_AMPLITUDES`` amplitudes in all.
+    Raises ValueError, before generating any, when one input exceeds the
+    register cap or the ``count`` states would hold more than
+    ``MAX_INPUT_AMPLITUDES`` amplitudes in all.
     """
-    dims = infer_dims(circuit)
-    in_dims = tuple(dims[l] for l in circuit.inputs)
+    in_dims = _input_dims(circuit)
     if count * math.prod(in_dims) > MAX_INPUT_AMPLITUDES:
         raise ValueError(f"{count} random inputs of {math.prod(in_dims)} amplitudes each "
                          f"exceed the limit of {MAX_INPUT_AMPLITUDES} amplitudes")

@@ -164,8 +164,8 @@ def test_unmerged_branch_budget_is_checked_before_any_simulation(monkeypatch, tm
         raise AssertionError("simulated a circuit over the branch budget")
 
     monkeypatch.setattr(backend, "apply_matrix", forbidden)
-    monkeypatch.setattr(simulate, "measure_enumerate", forbidden)
-    monkeypatch.setattr(simulate, "tensor", forbidden)
+    monkeypatch.setattr(simulate, "measure_amps", forbidden)
+    monkeypatch.setattr(simulate, "tensor_amps", forbidden)
     with pytest.raises(ValueError, match=f"up to {2 ** 24} unmerged branches exceed the "
                                          f"limit {MAX_BRANCHES}; merging"):
         enumerate_branches(circuit, random_inputs(circuit, 1)[0])
@@ -187,13 +187,13 @@ def test_corpus_circuits_under_the_branch_budget_are_unaffected():
 def test_peak_register_dim_is_the_largest_register_simulated(monkeypatch):
     seen = []
 
-    def recording(a, b, *pool):
-        out = simulate_tensor(a, b, *pool)
-        seen.append(out.amps.shape[0])
+    def recording(a, b, pool):
+        out = tensor_amps(a, b, pool)
+        seen.append(out.shape[0])
         return out
 
-    simulate_tensor = simulate.tensor
-    monkeypatch.setattr(simulate, "tensor", recording)
+    tensor_amps = simulate.tensor_amps  # the resource kernel the branch loop calls
+    monkeypatch.setattr(simulate, "tensor_amps", recording)
     for name, circuit in catalog.circuits("corpus").items():
         seen.clear()
         start = random_inputs(circuit, 1)[0]

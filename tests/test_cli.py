@@ -465,3 +465,27 @@ def test_compile_and_estimate_parse_epsilon_alike(capsys):
     code, out, _ = run(capsys, "estimate", "--sweep", "6:6", "--nodes", "3", "--epsilon", "pi/4")
     row = next(csv.DictReader(io.StringIO(out)))
     assert code == 0 and float(row["time_fanout"]) == pytest.approx(3.5708, abs=1e-4)
+
+
+@pytest.mark.parametrize("n", [20, 40])
+def test_inputs_over_the_register_cap_exit_two_before_any_allocation(tmp_path, capsys, n):
+    # 2^20 amplitudes, or 2^40, which numpy could not even allocate
+    import tracemalloc
+
+    labels = [f"q{i}" for i in range(n)]
+    path = tmp_path / "wide.json"
+    path.write_text(json.dumps({"inputs": labels, "outputs": labels, "instructions": [],
+                                "layout": {"nodes": ["A"],
+                                           "placement": {q: "A" for q in labels}}}))
+    for argv in (("verify", "--circuit", str(path), "--oracle", "gcz"),
+                 ("verify", "--circuit", str(path), "--oracle", "gcz", "--inputs", "random:1"),
+                 ("simulate", "--circuit", str(path))):
+        tracemalloc.start()
+        try:
+            code, out, err = run(capsys, *argv)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert code == 2 and out == "", argv
+        assert f"register dimension {2 ** n} exceeds cap" in err, argv
+        assert peak < 2 ** 20, argv

@@ -13,8 +13,9 @@ from test_batched_verify import _dropped_variants
 from distgates import backend
 from distgates.circuit import RESOURCE_KINDS
 from distgates.gates import gate_power, gate_unitary, h_matrix
-from distgates.simulate import _resource_state, enumerate_branches
-from distgates.statevec import DEFAULT_MAX_DIM, MixedRegister, measure_enumerate
+from distgates.simulate import MERGE_ATOL, _distance, _resource_state, enumerate_branches
+from distgates.statevec import (DEFAULT_MAX_DIM, PRUNE_TOL, MixedRegister, measure_amps,
+                                measure_enumerate, tensor_amps)
 from distgates.verify import basis_inputs, random_inputs, verify
 
 verify_module = importlib.import_module("distgates.verify")  # the package attribute is the function
@@ -197,3 +198,130 @@ def test_callers_data_is_never_written(monkeypatch, configure):
             assert not np.shares_memory(x, y), name
         for arr, copy in cached:
             np.testing.assert_array_equal(arr, copy)
+
+
+# ---------------------------------------------------------------------------
+# the compiled measurement and resource kernels on large registers, against the
+# broadcast forms they replace
+# ---------------------------------------------------------------------------
+
+# (dims, batch width), each register at least POOL_MIN_BYTES: powers of two and mixed
+# dimensions, whose row length for the in-place scaling is not a power of two
+KERNEL_CASES = [((2,) * 13, 1), ((2, 3, 4, 2, 4, 2, 4, 2, 4), 1),
+                ((2,) * 12, 2), ((2, 3, 4, 2, 4, 2, 4, 2, 2), 2),
+                ((4,) * 6, 4), ((3, 2, 4, 2, 4, 2, 4, 2), 4),
+                ((2,) * 10, 16), ((2, 3, 4, 2, 4, 2, 4), 16)]
+
+
+def _measure_broadcast_reference(amps, pre, d, post):
+    """``measure_amps`` on a large register with each kept outcome scaled by one broadcast
+    multiply of its slice by its per-column scales."""
+    batch = amps.shape[1:]
+    k = batch[0] if batch else 1
+    x = amps.view(np.float64).reshape(pre, -1)
+    prob = np.einsum("ij,ij->j", x, x).reshape(d, post, k, 2).sum(axis=(1, 3))
+    alive = prob >= PRUNE_TOL
+    scale = 1.0 / np.sqrt(np.where(alive, prob, np.inf))
+    t = amps.reshape(pre, d, post, k)
+    kept = [outcome for outcome in range(d) if alive[outcome].any()]
+    outs = [(t[:, outcome] * scale[outcome]).reshape((-1,) + batch) for outcome in kept]
+    return kept, np.where(alive, prob, 0.0), alive, outs
+
+
+def _dirty_pool(foreign, shape):
+    """A pool whose free buffers of ``shape`` hold NaN, so an entry left unwritten shows."""
+    pool = backend.BufferPool(foreign=foreign)
+    for _ in range(backend.POOL_DEPTH):
+        pool.give(np.full(shape, np.nan, dtype=np.complex128))
+    return pool
+
+
+@pytest.mark.parametrize("dims,k", KERNEL_CASES)
+@pytest.mark.parametrize("pooled", [False, True], ids=["plain", "pool"])
+def test_large_measurement_kernel_is_bitwise_the_broadcast(dims, k, pooled):
+    amps = _random_batch(dims, k, 4)
+    # column 0 has no weight on the first outcome of the first subsystem: pruned there,
+    # and with k = 1 that outcome is dropped
+    amps[:amps.shape[0] // dims[0], 0] = 0
+    amps /= np.linalg.norm(amps, axis=0)
+    assert amps.nbytes >= backend.POOL_MIN_BYTES
+    for batch in (amps, amps[:, 0].copy()) if k == 1 else (amps,):
+        before = batch.copy()
+        for axis in range(len(dims)):
+            pre, d, post = (int(np.prod(dims[:axis])), dims[axis],
+                            int(np.prod(dims[axis + 1:])))
+            pool = _dirty_pool(batch, (pre * post,) + batch.shape[1:]) if pooled else None
+            kept, probs, alive, outs = measure_amps(batch, pre, d, post, pool)
+            want_kept, want_probs, want_alive, want_outs = _measure_broadcast_reference(
+                batch, pre, d, post)
+            assert kept == want_kept, axis
+            if axis == 0:
+                assert kept == list(range(k == 1, d)) and not alive[0, 0]
+            assert probs.tobytes() == want_probs.tobytes(), axis
+            np.testing.assert_array_equal(alive, want_alive)
+            assert len(outs) == len(kept)
+            for out, want in zip(outs, want_outs):
+                assert out.shape == want.shape and out.tobytes() == want.tobytes(), axis
+            np.testing.assert_array_equal(batch, before)
+            for x, y in itertools.combinations(list(outs) + [batch], 2):
+                assert not np.shares_memory(x, y)
+
+
+RESOURCES = {  # amplitude vectors of b, with runs of zeros inside, at the ends or none
+    "bell": np.array([1, 0, 0, 1]) / np.sqrt(2),
+    "ghz3": np.eye(8)[[0, 7]].sum(axis=0) / np.sqrt(2),
+    "qudit pair": np.eye(16)[[0, 5, 10, 15]].sum(axis=0) / 2,
+    "zero ends": np.array([0, 0.6, 0.8j, 0]),
+    "dense": np.exp(2j * np.pi * np.arange(3) / 3) / np.sqrt(3),
+}
+
+
+@pytest.mark.parametrize("k", [1, 2, 4, 16])
+@pytest.mark.parametrize("resource", sorted(RESOURCES))
+def test_large_resource_kernel_equals_the_broadcast(k, resource):
+    b = RESOURCES[resource].astype(np.complex128)
+    amps = _random_batch((2,) * 12, k, 5)
+    for a in (amps, amps[:, 0].copy()) if k == 1 else (amps,):
+        assert a.nbytes * b.size >= backend.POOL_MIN_BYTES
+        batch = a.shape[1:]
+        want = (a[:, None] * b.reshape((-1,) + (1,) * len(batch))).reshape(
+            (a.shape[0] * b.size,) + batch)
+        before, b_before = a.copy(), b.copy()
+        np.testing.assert_array_equal(tensor_amps(a, b), want)
+        np.testing.assert_array_equal(a, before)  # no pool: only read
+        foreign = _dirty_pool(a, want.shape)
+        got = tensor_amps(a, b, foreign)
+        np.testing.assert_array_equal(got, want)
+        np.testing.assert_array_equal(a, before)
+        assert not any(x is a for free in foreign.free.values() for x in free)
+        owned = a.copy()
+        pool = _dirty_pool(None, want.shape)
+        got = tensor_amps(owned, b, pool)
+        np.testing.assert_array_equal(got, want)
+        assert not np.shares_memory(got, owned)
+        recycled = any(x is owned for free in pool.free.values() for x in free)
+        assert recycled == (owned.nbytes >= backend.POOL_MIN_BYTES)  # a small one is left alone
+        np.testing.assert_array_equal(b, b_before)
+
+
+@pytest.mark.parametrize("delta,close", [  # in units of MERGE_ATOL
+    (0.8 * (1 + 1j), False),  # each part under 1, the modulus 1.131: decided by the modulus
+    (0.72 * (1 - 1j), False),  # modulus 1.018
+    (0.75 + 0.6j, True),  # modulus 0.960
+    (0.9, True),  # modulus 0.9
+    (0.70 * (1 + 1j), True),  # each part under 1/sqrt(2): decided by the parts alone
+    (-1.1, False),  # a part over 1: decided by the parts alone
+    (1.1j, False),
+])
+def test_distance_decides_as_the_complex_modulus(delta, close):
+    a = _random_batch((2,) * 14, 4, 6)
+    rows = backend.BLOCK_AMPLITUDES // 4
+    for where in ((5, 1), (5 * rows + 3, 2), (a.shape[0] - 1, 3)):  # first, middle, last block
+        b = a.copy()
+        b[where] += delta * MERGE_ATOL
+        # an earlier block that only its modulus shows to be close
+        b[rows + 7, 0] += (0.75 + 0.5j) * MERGE_ATOL
+        want = np.abs(a - b).max() <= MERGE_ATOL
+        assert want == close, where
+        assert (_distance(a, b) <= MERGE_ATOL) == want, where
+        assert (_distance(b, a) <= MERGE_ATOL) == want, where

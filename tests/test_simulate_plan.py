@@ -134,8 +134,8 @@ def _forbid_kernels(monkeypatch):
         raise AssertionError("a kernel ran before the instruction checks")
 
     monkeypatch.setattr(backend, "apply_matrix", forbidden)
-    monkeypatch.setattr(simulate, "measure_enumerate", forbidden)
-    monkeypatch.setattr(simulate, "tensor", forbidden)
+    monkeypatch.setattr(simulate, "measure_amps", forbidden)
+    monkeypatch.setattr(simulate, "tensor_amps", forbidden)
 
 
 def test_the_valid_prefix_runs():
@@ -201,3 +201,70 @@ def test_conditioned_powers_are_resolved_once_per_value(monkeypatch):
     assert verify(circuit, OracleSpec("csum4"), inputs).passed
     # once per conditioned gate and nonzero value, for all 20 chunks together
     assert 0 < len(calls) <= sum(ins.condition.mod - 1 for ins in conditioned)
+
+
+# ---------------------------------------------------------------------------
+# merges only after the steps where branches can meet
+# ---------------------------------------------------------------------------
+
+def _merges_expected(circuit) -> list[bool]:
+    """Per plan step, whether a merge follows it: after every CondGate and Measure and after
+    a ClassicalSend that retires an outcome symbol; never after a LocalGate or a resource."""
+    def live(i):
+        return {s for ins in circuit.instructions[i:] if ins.condition is not None
+                for s in ins.condition.terms}
+
+    expected = []
+    for i, ins in enumerate(circuit.instructions):
+        if ins.kind == "ClassicalSend":
+            if live(i + 1) != live(i):
+                expected.append(True)
+        else:
+            expected.append(ins.kind in ("CondGate", "Measure"))
+    return expected
+
+
+def test_only_steps_where_branches_can_meet_carry_a_merge():
+    circuits = [catalog.tagged("golden")[name].build() for name in UNDER_CAP]
+    circuits.append(DistCircuit(LAYOUT, PREFIX, ("a", "b"), ("a", "b")))
+    for circuit in circuits:
+        plan = compile_plan(circuit)
+        assert [live is not None for _, live in plan.steps] == _merges_expected(circuit)
+
+
+def test_merge_runs_only_after_the_steps_that_carry_one(monkeypatch):
+    trace = []  # ("step", carries a merge, branches after it) and ("merge",), in order
+
+    def recording(step, live):
+        def run(frontier, pool):
+            frontier = frontier if step is None else step(frontier, pool)
+            trace.append(("step", live is not None, len(frontier)))
+            return frontier
+        return run
+
+    def counting(frontier, live, pool=None):
+        trace.append(("merge",))
+        return merge(frontier, live, pool)
+
+    merge = simulate._merge
+    monkeypatch.setattr(simulate, "_merge", counting)
+    wide_unmerged_steps = 0
+    for name in ("dGMS n=4 pairwise theta=pi/3", "fanout local+3 remote"):
+        circuit = catalog.tagged("suite")[name].build()
+        inputs = random_inputs(circuit, 3, seed=4)
+        batch = MixedRegister(inputs[0].dims, np.stack([s.amps for s in inputs], axis=1),
+                              inputs[0].labels)
+        plan = compile_plan(circuit)
+        traced = plan._replace(steps=tuple((recording(step, live), live)
+                                           for step, live in plan.steps))
+        trace.clear()
+        got = enumerate_branches(circuit, batch, merge_equal=True, plan=traced)
+        want = []
+        for entry in (e for e in trace if e[0] == "step"):
+            want.append(entry)
+            if entry[1] and entry[2] > 1:
+                want.append(("merge",))
+        assert trace == want, name
+        wide_unmerged_steps += sum(1 for e in want if e[0] == "step" and not e[1] and e[2] > 1)
+        _assert_same_branches(got, enumerate_reference(circuit, batch, True), name)
+    assert wide_unmerged_steps > 0  # the per-instruction rule would have merged there
