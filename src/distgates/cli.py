@@ -21,7 +21,7 @@ from .catalog import block_layout  # noqa: F401  (callers still import cli.block
 from .circuit import (CircuitParseError, DistCircuit, deserialize, parse_angle, serialize,
                       tally, validate)
 from .resources import GczConfig, fanout_gain, gcz_costs, gms_costs
-from .simulate import MAX_SWEEP_QUBITS, enumerate_branches, infer_dims
+from .simulate import MAX_COMPILE_PAIRS, MAX_SWEEP_QUBITS, enumerate_branches, infer_dims
 from .statevec import MixedRegister
 from .verify import (DEFAULT_THRESHOLD, OracleSpec, basis_inputs, identity_checks,
                      random_inputs, verify)
@@ -54,7 +54,14 @@ def _threshold(text: str) -> float:
 
 
 def _build_from_flags(args) -> DistCircuit:
-    """The circuit the compile flags ask for; a flag the build would ignore is an error."""
+    """The circuit the compile flags ask for; a flag the build would ignore is an error.
+
+    A shape of more than ``MAX_COMPILE_PAIRS`` qubit pairs is refused before anything is built.
+    """
+    pairs = math.comb(max(args.n, 0), 2)
+    if pairs > MAX_COMPILE_PAIRS:
+        raise UsageError(f"--n {args.n}: {pairs} qubit pairs exceed the limit of "
+                         f"{MAX_COMPILE_PAIRS} (n <= 256)")
     if args.gate == "gms":
         if args.qudit:
             raise UsageError("qudit compression is defined for GCZ, not generic GMS")
@@ -262,8 +269,9 @@ def make_parser() -> argparse.ArgumentParser:
                             "cz4", "cz4_sq", "qudit_gcz"])
     p.add_argument("--theta", help="GMS oracle angle")
     p.add_argument("--inputs", default="basis",
-                   help="'basis', 'random' (10 inputs), 'random:N', or a JSON file of "
-                        "amplitude lists")
+                   help="'basis' (every basis state, up to 12 qubits: their amplitudes "
+                        "may not pass 2^24), 'random' (10 inputs), 'random:N', or a JSON "
+                        "file of amplitude lists")
     p.add_argument("--threshold", type=_threshold, default=DEFAULT_THRESHOLD)
     p.add_argument("--seed", type=int, default=7)
     p.add_argument("--no-merge", action="store_true",

@@ -65,12 +65,13 @@ their per-call label lookups and checks. ``verify`` compiles one plan and
 shares it across its input chunks.
 
 A run whose peak register reaches ``backend.POOL_MIN_BYTES`` owns one
-``backend.BufferPool``, passed to every kernel and dropped when the run
-returns (a smaller run passes none). Its one foreign array is the caller's
+``backend.BufferPool``, handed to every gate step and dropped when the run
+returns (a smaller run has none). Its one foreign array is the caller's
 input batch; every other matrix in the frontier belongs to exactly one
-branch, so the kernels may write a large one in place or recycle it (see
-``backend`` and ``statevec``), and a merge gives the merged branch's matrix
-back. Cached resource states and gate matrices are only read.
+branch, so ``backend.apply_matrix`` may write a large one in place or
+recycle it (see ``backend``). Measurements, resources and merges recycle
+nothing: their kernels are pure, and a merged branch's matrix is simply
+dropped. Cached resource states and gate matrices are only read.
 """
 
 from __future__ import annotations
@@ -92,6 +93,7 @@ MERGE_ATOL = 1e-12
 MAX_BRANCHES = 2 ** 16
 MAX_INPUT_AMPLITUDES = 2 ** 24  # random inputs times their dimension; 256 MiB of amplitudes
 MAX_SWEEP_QUBITS = 2 ** 20  # the summed n of the rows of an `estimate --sweep`; a row costs O(n)
+MAX_COMPILE_PAIRS = 2 ** 15  # qubit pairs of a `compile` shape (n <= 256); a build costs O(pairs)
 
 
 def infer_dims(circuit: DistCircuit) -> dict[str, int]:
@@ -205,7 +207,7 @@ def _resource_step(factor: np.ndarray):
     """A resource state, its amplitudes ``factor``, appended to every branch's register."""
     def run(frontier: list[_Branch], pool: backend.BufferPool | None) -> list[_Branch]:
         for br in frontier:
-            br.amps = tensor_amps(br.amps, factor, pool)
+            br.amps = tensor_amps(br.amps, factor)
         return frontier
     return run
 
@@ -218,7 +220,7 @@ def _measure_step(dims: tuple[int, ...], axis: int, symbol: str):
     def run(frontier: list[_Branch], pool: backend.BufferPool | None) -> list[_Branch]:
         forked: list[_Branch] = []
         for br in frontier:
-            kept, probs, alive, outs = measure_amps(br.amps, pre, d, post, pool)
+            kept, probs, alive, outs = measure_amps(br.amps, pre, d, post)
             for outcome, out in zip(kept, outs):
                 forked.append(_Branch(
                     out, br.prob * probs[outcome], br.outcomes + records[outcome],
@@ -230,11 +232,11 @@ def _measure_step(dims: tuple[int, ...], axis: int, symbol: str):
 class Plan(NamedTuple):
     """A circuit's first ``upto`` instructions resolved once for every branch.
 
-    ``steps`` pairs each step, a function from frontier to frontier, with the
-    outcome symbols a later condition still reads, the live part of a merge
-    key, or with None when no merge follows the step. Branches can only meet
-    after a step that treats them differently, or that stops reading a symbol
-    they differ in:
+    ``steps`` pairs each step, a function from frontier and the run's pool
+    (which only gate steps use) to frontier, with the outcome symbols a later
+    condition still reads, the live part of a merge key, or with None when no
+    merge follows the step. Branches can only meet after a step that treats
+    them differently, or that stops reading a symbol they differ in:
 
     - a CondGate or a Measure is followed by a merge;
     - a LocalGate or a resource applies one map to every branch and leaves
@@ -297,12 +299,8 @@ def _distance(a: np.ndarray, b: np.ndarray) -> float:
     return worst
 
 
-def _merge(frontier: list[_Branch], live: tuple[str, ...],
-           pool: backend.BufferPool | None = None) -> list[_Branch]:
-    """Merge each branch into the first earlier kept branch equal to it (see the module docstring).
-
-    A merged branch's amplitudes go back to ``pool``, when given.
-    """
+def _merge(frontier: list[_Branch], live: tuple[str, ...]) -> list[_Branch]:
+    """Merge each branch into the first earlier kept branch equal to it (see the module docstring)."""
     merged: list[_Branch] = []
     buckets: dict[tuple, list[_Branch]] = {}  # exact key -> kept branches
     for br in frontier:
@@ -316,8 +314,6 @@ def _merge(frontier: list[_Branch], live: tuple[str, ...],
                     _distance(kept.amps, br.amps)) <= MERGE_ATOL:
                 kept.prob = kept.prob + br.prob
                 kept.weight += br.weight
-                if not small and pool is not None:
-                    pool.give(br.amps)
                 break
         else:
             bucket.append(br)
@@ -409,7 +405,7 @@ def enumerate_branches(circuit: DistCircuit, input_state: MixedRegister | None =
         if step is not None:
             frontier = step(frontier, pool)
         if merge_equal and live is not None and len(frontier) > 1:
-            frontier = _merge(frontier, live, pool)
+            frontier = _merge(frontier, live)
 
     labels, out_dims = plan.labels, plan.out_dims
     if input_state.amps.ndim == 1:

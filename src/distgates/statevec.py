@@ -10,12 +10,7 @@ amplitudes are then a ``(prod(dims), k)`` matrix, one column per state. Every
 operation below acts on each column as it would on a single state; the
 register-size cap applies to ``prod(dims)`` only, never to the batch width.
 
-All operations are pure when called without a pool: they return new registers
-and never mutate inputs. A branch enumeration passes a run-scoped
-``backend.BufferPool``: then the measurement and tensor kernels write large
-results into pooled buffers, ``tensor_amps`` recycles its input amplitudes
-when the run owns them (never the caller's input or a cached resource state),
-and ``backend.apply_matrix`` may also write them in place.
+Every operation is pure: it returns new registers and never mutates inputs.
 Projective measurement enumerates every outcome branch deterministically,
 ordered by outcome value; the measured subsystem is removed from the register.
 It reads the register in two passes: one sums the squared amplitudes into
@@ -205,8 +200,7 @@ def apply_unitary(state: MixedRegister, gate: Unitary, targets) -> MixedRegister
     return MixedRegister._wrap(state.dims, amps, state.labels)
 
 
-def measure_amps(amps: np.ndarray, pre: int, d: int, post: int,
-                 pool: backend.BufferPool | None = None) -> tuple:
+def measure_amps(amps: np.ndarray, pre: int, d: int, post: int) -> tuple:
     """Measure the middle axis of amplitudes over ``(pre, d, post)`` subsystems.
 
     ``amps`` has shape ``(pre * d * post,)`` or ``(pre * d * post, k)``.
@@ -240,8 +234,7 @@ def measure_amps(amps: np.ndarray, pre: int, d: int, post: int,
         tiled = np.tile(scale, rows)
         outs = []
         for outcome in kept:
-            shape = (pre * post,) + batch
-            out = pool.take(shape) if pool is not None else np.empty(shape, np.complex128)
+            out = np.empty((pre * post,) + batch, np.complex128)
             np.copyto(out.reshape(pre, post, k), t[:, outcome])
             view = out.reshape(-1, rows * k)
             view *= tiled[outcome]
@@ -258,8 +251,7 @@ def measure_amps(amps: np.ndarray, pre: int, d: int, post: int,
     return kept, np.where(alive, prob, 0.0), alive, outs
 
 
-def measure_enumerate(state: MixedRegister, target: str,
-                      pool: backend.BufferPool | None = None) -> list[BranchResult]:
+def measure_enumerate(state: MixedRegister, target: str) -> list[BranchResult]:
     """Projectively measure one subsystem, returning every nonzero branch.
 
     Branches are ordered by outcome value. The measured subsystem is removed
@@ -283,18 +275,16 @@ def measure_enumerate(state: MixedRegister, target: str,
     outcomes' slices, scaled, into one buffer with the measured axis first, so
     each kept outcome's state is a contiguous slice of it (one multiply when
     every outcome is kept). On a large register it copies each kept outcome's
-    slice into a buffer of its own (from ``pool``, when given) and scales it
-    in place along rows of about ``RUN_AMPLITUDES`` amplitudes, with the
-    per-column scales tiled to match: a broadcast over a batch of k columns
-    would run numpy's inner loop only k amplitudes long. Both give the same
-    products, bitwise. The input is never written, aliased or recycled: its
-    shape comes back only when a resource regrows the register, so the pool
-    would mostly hold it for nothing.
+    slice into a buffer of its own and scales it in place along rows of about
+    ``RUN_AMPLITUDES`` amplitudes, with the per-column scales tiled to match:
+    a broadcast over a batch of k columns would run numpy's inner loop only k
+    amplitudes long. Both give the same products, bitwise. The input is never
+    written or aliased.
     """
     axis = state.axis(target)
     dims = state.dims
     kept, probs, alive, outs = measure_amps(state.amps, math.prod(dims[:axis]), dims[axis],
-                                            math.prod(dims[axis + 1:]), pool)
+                                            math.prod(dims[axis + 1:]))
     new_dims = dims[:axis] + dims[axis + 1:]
     new_labels = state.labels[:axis] + state.labels[axis + 1:]
     batch = state.amps.ndim == 2
@@ -318,8 +308,7 @@ def fidelity_up_to_phase(a: MixedRegister, b: MixedRegister) -> float | np.ndarr
     return np.abs(np.einsum("i...,i...->...", a.amps.conj(), b.amps)) ** 2
 
 
-def tensor_amps(a: np.ndarray, b: np.ndarray,
-                pool: backend.BufferPool | None = None) -> np.ndarray:
+def tensor_amps(a: np.ndarray, b: np.ndarray) -> np.ndarray:
     """Kronecker product of amplitudes: ``a`` (a state or a batch) with the single state ``b``.
 
     The arithmetic of ``tensor``, which describes it, without its checks; a
@@ -330,7 +319,7 @@ def tensor_amps(a: np.ndarray, b: np.ndarray,
     shape = (n * m,) + batch
     if a.nbytes * m < backend.POOL_MIN_BYTES:
         return (a[:, None] * b.reshape((-1,) + (1,) * len(batch))).reshape(shape)
-    out = pool.take(shape) if pool is not None else np.empty(shape, np.complex128)
+    out = np.empty(shape, np.complex128)
     blocks = out.reshape((n, m) + batch)
     start = 0  # the first block not yet written
     for j in np.flatnonzero(b).tolist():
@@ -340,13 +329,10 @@ def tensor_amps(a: np.ndarray, b: np.ndarray,
         start = j + 1
     if start < m:
         blocks[:, start:] = 0
-    if pool is not None:
-        pool.give(a)
     return out
 
 
-def tensor(a: MixedRegister, b: MixedRegister,
-           pool: backend.BufferPool | None = None) -> MixedRegister:
+def tensor(a: MixedRegister, b: MixedRegister) -> MixedRegister:
     """Kronecker product; ``a``'s subsystems become the more significant digits.
 
     ``a`` may be a batch (each column is tensored with ``b``); ``b`` may not.
@@ -356,16 +342,14 @@ def tensor(a: MixedRegister, b: MixedRegister,
     amplitude of ``b``: ``a`` times each nonzero amplitude, and zeros for each
     run of zero amplitudes, where the broadcast would multiply every zero (a
     GHZ state has d nonzeros out of d^n) over a batch axis only k columns
-    long. The values are those of the broadcast. With
-    ``pool``, a large product is written into a pooled buffer and ``a``'s
-    amplitudes, when the pool owns them, are recycled; ``b`` is only read.
+    long. The values are those of the broadcast. Neither factor is written.
     """
     if set(a.labels) & set(b.labels):
         raise ValueError(f"label collision: {set(a.labels) & set(b.labels)}")
     if b.amps.ndim != 1:
         raise ValueError("the second tensor factor must be a single state")
     check_register_dim(math.prod(a.dims + b.dims))
-    return MixedRegister._wrap(a.dims + b.dims, tensor_amps(a.amps, b.amps, pool),
+    return MixedRegister._wrap(a.dims + b.dims, tensor_amps(a.amps, b.amps),
                                a.labels + b.labels)
 
 

@@ -294,12 +294,20 @@ def _input_dims(circuit: DistCircuit) -> tuple[int, ...]:
 def basis_inputs(circuit: DistCircuit) -> list[MixedRegister]:
     """Every computational basis state over the circuit's declared inputs.
 
-    Raises ValueError, before generating any, when one input exceeds the register cap.
+    Raises ValueError, before generating any, when one input exceeds the
+    register cap or the prod(in_dims) states of prod(in_dims) amplitudes each
+    would hold more than ``MAX_INPUT_AMPLITUDES`` amplitudes in all (past 12
+    qubits).
     """
     in_dims = _input_dims(circuit)
+    n = math.prod(in_dims)
+    if n * n > MAX_INPUT_AMPLITUDES:
+        raise ValueError(f"{n} basis inputs of {n} amplitudes each exceed the limit of "
+                         f"{MAX_INPUT_AMPLITUDES} amplitudes; check fewer, random inputs "
+                         "(--inputs random:N)")
     if not in_dims:
         return [MixedRegister.basis((), (), ())]
-    digits = np.unravel_index(np.arange(math.prod(in_dims)), in_dims)
+    digits = np.unravel_index(np.arange(n), in_dims)
     return [MixedRegister.basis(circuit.inputs, in_dims, column)
             for column in zip(*digits)]
 

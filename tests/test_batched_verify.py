@@ -187,8 +187,8 @@ def test_corpus_circuits_under_the_branch_budget_are_unaffected():
 def test_peak_register_dim_is_the_largest_register_simulated(monkeypatch):
     seen = []
 
-    def recording(a, b, pool):
-        out = tensor_amps(a, b, pool)
+    def recording(a, b):
+        out = tensor_amps(a, b)
         seen.append(out.shape[0])
         return out
 

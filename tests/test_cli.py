@@ -489,3 +489,64 @@ def test_inputs_over_the_register_cap_exit_two_before_any_allocation(tmp_path, c
         assert code == 2 and out == "", argv
         assert f"register dimension {2 ** n} exceeds cap" in err, argv
         assert peak < 2 ** 20, argv
+
+
+def _empty_circuit(path, n):
+    labels = [f"q{i}" for i in range(n)]
+    path.write_text(json.dumps({"inputs": labels, "outputs": labels, "instructions": [],
+                                "layout": {"nodes": ["A"],
+                                           "placement": {q: "A" for q in labels}}}))
+
+
+def test_basis_inputs_over_the_amplitude_budget_exit_two(tmp_path, capsys, monkeypatch):
+    # 13 inputs are under the register cap, but their 2^13 basis states of 2^13 amplitudes
+    # each would take 1 GiB before verify stacks a copy and the oracle makes another
+    import importlib
+    import tracemalloc
+
+    from distgates.simulate import MAX_INPUT_AMPLITUDES
+    path = tmp_path / "wide.json"
+    _empty_circuit(path, 13)
+    tracemalloc.start()
+    try:
+        code, out, err = run(capsys, "verify", "--circuit", str(path), "--oracle", "gcz")
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert code == 2 and out == ""
+    assert f"limit of {MAX_INPUT_AMPLITUDES} amplitudes" in err and "random:N" in err
+    assert peak < 2 ** 20
+    # the bound is exact: 12 qubits (4096 states of 4096 amplitudes) are in, and here,
+    # under a limit of 16^2, 4 qubits are in and 5 are out
+    assert 4096 ** 2 <= MAX_INPUT_AMPLITUDES
+    monkeypatch.setattr(importlib.import_module("distgates.verify"),
+                        "MAX_INPUT_AMPLITUDES", 16 ** 2)
+    for n, code in ((4, 0), (5, 2)):
+        _empty_circuit(path, n)
+        assert main(["verify", "--circuit", str(path), "--oracle", "gcz"]) == code, n
+    assert "32 basis inputs" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("gate,builder", [("gcz", "gcz"), ("gms", "gms"),
+                                          ("gcz --qudit", "qudit_gcz")])
+def test_compile_over_the_pair_budget_exits_two_before_building(capsys, monkeypatch, gate,
+                                                                 builder):
+    from distgates import catalog
+    from distgates.simulate import MAX_COMPILE_PAIRS
+    built = []
+    small = catalog.gcz(2, 2, "fanout")
+
+    def stub(n, *args):
+        built.append(n)
+        return small
+
+    monkeypatch.setattr(catalog, builder, stub)
+    flags = ["--gate", *gate.split()]
+    code, out, err = run(capsys, "compile", *flags, "--n", "258", "--nodes", "2")
+    assert code == 2 and out == "" and built == []
+    assert f"limit of {MAX_COMPILE_PAIRS}" in err
+    # 256 qubits have 32,640 pairs, under the limit of 2^15; 257 have 32,896
+    code, _, err = run(capsys, "compile", *flags, "--n", "257", "--nodes", "1")
+    assert code == 2 and built == [] and "32896 qubit pairs" in err
+    code, out, _ = run(capsys, "compile", *flags, "--n", "256", "--nodes", "2")
+    assert code == 0 and built == [256] and deserialize(out).inputs == small.inputs

@@ -2,6 +2,7 @@
 
 import importlib
 import itertools
+import sys
 
 import numpy as np
 import pytest
@@ -74,23 +75,42 @@ def test_blocked_dense_kernel_matches_the_reference(dims, k):
         assert not foreign.free
 
 
+def _run_owned(amps, dims):
+    """``amps`` as a run holds them after two monomial gates: bitwise equal, in a buffer a
+    pooled gather took, with the run's pool, which holds the buffers the gathers gave back."""
+    pool = backend.BufferPool()
+    shift = np.roll(np.eye(dims[0]), 1, axis=0)
+    once = backend.apply_matrix(amps.copy(), dims, (0,), shift, pool=pool)
+    return backend.apply_matrix(once, dims, (0,), shift.T, pool=pool), pool
+
+
+def _pooled(pool):
+    return [x for free in pool.free.values() for x in free]
+
+
 @pytest.mark.parametrize("dims,k", LARGE)
 @pytest.mark.parametrize("pooled", [False, True], ids=["plain", "pool"])
 def test_large_measurement_matches_the_reference(dims, k, pooled):
+    # pooled: the register comes out of a run's gathers; the measurement still writes
+    # fresh arrays, which no gather recycles
     amps = _random_batch(dims, k, 2)
+    pool = backend.BufferPool()
+    if pooled:
+        amps, pool = _run_owned(amps, dims)
+        assert _pooled(pool)
     labels = tuple(f"q{i}" for i in range(len(dims)))
     state = MixedRegister(dims, amps, labels)
     before = amps.copy()
     for target in labels:
-        pool = backend.BufferPool(foreign=state.amps) if pooled else None
-        got = measure_enumerate(state, target, pool)
+        got = measure_enumerate(state, target)
         want = measure_reference(state, target)
         assert [b.outcomes[0][1] for b in got] == [m for m, _, _ in want]
         for b, (_, prob, ref) in zip(got, want):
             assert np.abs(b.probability - prob).max() <= 1e-12
             assert np.abs(b.state.amps - ref).max() <= 1e-12
         np.testing.assert_array_equal(state.amps, before)
-        for x, y in itertools.combinations([b.state.amps for b in got] + [state.amps], 2):
+        for x, y in itertools.combinations([b.state.amps for b in got] + [state.amps]
+                                           + _pooled(pool), 2):
             assert not np.shares_memory(x, y)
 
 
@@ -200,6 +220,26 @@ def test_callers_data_is_never_written(monkeypatch, configure):
             np.testing.assert_array_equal(arr, copy)
 
 
+@pytest.mark.parametrize("configure", [lambda patch: None, _pooled_and_blocked_everywhere],
+                         ids=["default", "everywhere"])
+def test_only_the_monomial_gather_uses_the_pool(monkeypatch, configure):
+    calls = []  # (module, function, the kernel plan's gather index is set) of each caller
+
+    def recorded(method):
+        def call(pool, *args):
+            caller = sys._getframe(1)
+            calls.append((caller.f_globals["__name__"], caller.f_code.co_name,
+                          caller.f_locals.get("src") is not None))
+            return method(pool, *args)
+        return call
+
+    monkeypatch.setattr(backend.BufferPool, "take", recorded(backend.BufferPool.take))
+    monkeypatch.setattr(backend.BufferPool, "give", recorded(backend.BufferPool.give))
+    _reports(monkeypatch, configure)
+    assert calls
+    assert set(calls) == {("distgates.backend", "apply_matrix", True)}
+
+
 # ---------------------------------------------------------------------------
 # the compiled measurement and resource kernels on large registers, against the
 # broadcast forms they replace
@@ -228,17 +268,11 @@ def _measure_broadcast_reference(amps, pre, d, post):
     return kept, np.where(alive, prob, 0.0), alive, outs
 
 
-def _dirty_pool(foreign, shape):
-    """A pool whose free buffers of ``shape`` hold NaN, so an entry left unwritten shows."""
-    pool = backend.BufferPool(foreign=foreign)
-    for _ in range(backend.POOL_DEPTH):
-        pool.give(np.full(shape, np.nan, dtype=np.complex128))
-    return pool
-
-
 @pytest.mark.parametrize("dims,k", KERNEL_CASES)
 @pytest.mark.parametrize("pooled", [False, True], ids=["plain", "pool"])
 def test_large_measurement_kernel_is_bitwise_the_broadcast(dims, k, pooled):
+    # pooled: the register comes out of a run's gathers, and each kept outcome then goes
+    # through a pooled gather of its own, as a correction would, leaving the others intact
     amps = _random_batch(dims, k, 4)
     # column 0 has no weight on the first outcome of the first subsystem: pruned there,
     # and with k = 1 that outcome is dropped
@@ -246,12 +280,14 @@ def test_large_measurement_kernel_is_bitwise_the_broadcast(dims, k, pooled):
     amps /= np.linalg.norm(amps, axis=0)
     assert amps.nbytes >= backend.POOL_MIN_BYTES
     for batch in (amps, amps[:, 0].copy()) if k == 1 else (amps,):
+        pool = backend.BufferPool()
+        if pooled:
+            batch, pool = _run_owned(batch, dims)
         before = batch.copy()
         for axis in range(len(dims)):
             pre, d, post = (int(np.prod(dims[:axis])), dims[axis],
                             int(np.prod(dims[axis + 1:])))
-            pool = _dirty_pool(batch, (pre * post,) + batch.shape[1:]) if pooled else None
-            kept, probs, alive, outs = measure_amps(batch, pre, d, post, pool)
+            kept, probs, alive, outs = measure_amps(batch, pre, d, post)
             want_kept, want_probs, want_alive, want_outs = _measure_broadcast_reference(
                 batch, pre, d, post)
             assert kept == want_kept, axis
@@ -263,8 +299,16 @@ def test_large_measurement_kernel_is_bitwise_the_broadcast(dims, k, pooled):
             for out, want in zip(outs, want_outs):
                 assert out.shape == want.shape and out.tobytes() == want.tobytes(), axis
             np.testing.assert_array_equal(batch, before)
-            for x, y in itertools.combinations(list(outs) + [batch], 2):
+            for x, y in itertools.combinations(list(outs) + [batch] + _pooled(pool), 2):
                 assert not np.shares_memory(x, y)
+            if pooled:
+                out_dims = dims[:axis] + dims[axis + 1:]
+                shift = np.roll(np.eye(out_dims[0]), 1, axis=0)
+                shifted = [backend.apply_matrix(out, out_dims, (0,), shift, pool=pool)
+                           for out in outs]
+                for got, want in zip(shifted, want_outs):
+                    assert got.tobytes() == backend.apply_matrix(
+                        want, out_dims, (0,), shift).tobytes(), axis
 
 
 RESOURCES = {  # amplitude vectors of b, with runs of zeros inside, at the ends or none
@@ -287,20 +331,10 @@ def test_large_resource_kernel_equals_the_broadcast(k, resource):
         want = (a[:, None] * b.reshape((-1,) + (1,) * len(batch))).reshape(
             (a.shape[0] * b.size,) + batch)
         before, b_before = a.copy(), b.copy()
-        np.testing.assert_array_equal(tensor_amps(a, b), want)
-        np.testing.assert_array_equal(a, before)  # no pool: only read
-        foreign = _dirty_pool(a, want.shape)
-        got = tensor_amps(a, b, foreign)
+        got = tensor_amps(a, b)
         np.testing.assert_array_equal(got, want)
-        np.testing.assert_array_equal(a, before)
-        assert not any(x is a for free in foreign.free.values() for x in free)
-        owned = a.copy()
-        pool = _dirty_pool(None, want.shape)
-        got = tensor_amps(owned, b, pool)
-        np.testing.assert_array_equal(got, want)
-        assert not np.shares_memory(got, owned)
-        recycled = any(x is owned for free in pool.free.values() for x in free)
-        assert recycled == (owned.nbytes >= backend.POOL_MIN_BYTES)  # a small one is left alone
+        np.testing.assert_array_equal(a, before)  # only read
+        assert not np.shares_memory(got, a)
         np.testing.assert_array_equal(b, b_before)
 
 

@@ -242,9 +242,9 @@ def test_merge_runs_only_after_the_steps_that_carry_one(monkeypatch):
             return frontier
         return run
 
-    def counting(frontier, live, pool=None):
+    def counting(frontier, live):
         trace.append(("merge",))
-        return merge(frontier, live, pool)
+        return merge(frontier, live)
 
     merge = simulate._merge
     monkeypatch.setattr(simulate, "_merge", counting)
