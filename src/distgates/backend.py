@@ -22,7 +22,10 @@ and bytes), so a recycled ``id()`` or a matrix mutated after first use cannot
 pick a stale plan. The transposes of a dense matrix, and the phase tensor and
 int32 source index of the others, are cached per (matrix, dims, axes). Both
 caches are LRUs of ``CACHE_SIZE`` entries; a source index holds 4 bytes per
-register amplitude (64 KiB at the 2^14 cap).
+register amplitude (64 KiB at the 2^14 cap). A caller that holds its plans
+itself, such as a contracted gadget of ``simulate`` with its per-outcome
+unitaries, builds them with ``cached=False`` and leaves the plan LRU alone:
+hundreds of such plans would otherwise evict the ones every circuit shares.
 
 Building the content key copies the matrix's bytes, which costs about as much
 as the arithmetic on the small registers of a branch enumeration. A caller
@@ -118,8 +121,7 @@ def _structure(key) -> tuple[np.ndarray | None, np.ndarray] | None:
     return None
 
 
-@lru_cache(maxsize=CACHE_SIZE)
-def _plan(key, dims: tuple[int, ...], axes: tuple[int, ...]):
+def _build_plan(key, dims: tuple[int, ...], axes: tuple[int, ...]):
     """``(shape, phase, src, perm, inverse)``: how to apply the matrix with content ``key``.
 
     For a dense matrix, ``amps.reshape(shape)`` transposed by ``perm`` has the
@@ -171,9 +173,18 @@ def _plan(key, dims: tuple[int, ...], axes: tuple[int, ...]):
     return tuple(shape), phase, src, None, None
 
 
-def kernel_plan(mat: np.ndarray, dims: tuple[int, ...], axes: tuple[int, ...]) -> tuple:
-    """How ``apply_matrix`` applies ``mat`` to ``axes`` of a register over ``dims``."""
-    return _plan((mat.shape, mat.dtype.str, mat.tobytes()), tuple(dims), tuple(axes))
+_plan = lru_cache(maxsize=CACHE_SIZE)(_build_plan)
+
+
+def kernel_plan(mat: np.ndarray, dims: tuple[int, ...], axes: tuple[int, ...],
+                cached: bool = True) -> tuple:
+    """How ``apply_matrix`` applies ``mat`` to ``axes`` of a register over ``dims``.
+
+    A caller that keeps the plan itself passes ``cached=False``: the plan is
+    then built afresh and not entered into the shared LRU.
+    """
+    key = (mat.shape, mat.dtype.str, mat.tobytes())
+    return (_plan if cached else _build_plan)(key, tuple(dims), tuple(axes))
 
 
 def _matmul_blocks(mat: np.ndarray, src: np.ndarray, out: np.ndarray):

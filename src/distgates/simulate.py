@@ -50,28 +50,97 @@ For the same reason the instruction list is compiled once into a ``Plan``
 (``compile_plan``) before any branch runs, walking the register layout the way
 ``peak_register_dim`` does. A gate gets its target axes, its matrix and the
 matrix's kernel plan (``backend.kernel_plan``), and a conditioned gate its
-axes, with the duplicate-target, unknown-label and arity checks; the powers a
-condition asks for, and their kernel plans, are resolved once per distinct
-value.
-A resource gets its state's amplitudes and the label-collision check, and a
-measurement its target's axis and the sizes around it. A bad instruction
-therefore raises ``ValueError`` before any kernel runs. The branch loop holds
-bare amplitude matrices (``_Branch``: amplitudes, per-column probability and
-alive mask, outcome record, symbol values, weight) and hands them straight
-to the kernels: each gate to ``backend.apply_matrix``, each measurement to
-``statevec.measure_amps`` and each resource to ``statevec.tensor_amps``,
-which are also the arithmetic of ``measure_enumerate`` and ``tensor``, minus
-their per-call label lookups and checks. ``verify`` compiles one plan and
-shares it across its input chunks.
+axes and its powers, each resolved once per value, with the
+duplicate-target, unknown-label and arity checks; a power's kernel plan is
+looked up when its value first occurs. A resource gets its state's
+amplitudes and the label-collision check, and a measurement its target's
+axis and the sizes around it. A bad instruction therefore raises
+``ValueError`` before any kernel runs, and before any gadget is built (see
+below). The branch loop holds bare amplitude matrices (``_Branch``:
+amplitudes, per-column probability and alive mask, outcome record, symbol
+values, weight) and hands them straight to the kernels: each gate to
+``backend.apply_matrix``, each measurement to ``statevec.measure_amps`` and
+each resource to ``statevec.tensor_amps``, which are also the arithmetic of
+``measure_enumerate`` and ``tensor``, minus their per-call label lookups and
+checks. ``verify`` compiles one plan and shares it across its input chunks.
 
-A run whose peak register reaches ``backend.POOL_MIN_BYTES`` owns one
-``backend.BufferPool``, handed to every gate step and dropped when the run
-returns (a smaller run has none). Its one foreign array is the caller's
-input batch; every other matrix in the frontier belongs to exactly one
-branch, so ``backend.apply_matrix`` may write a large one in place or
-recycle it (see ``backend``). Measurements, resources and merges recycle
-nothing: their kernels are pure, and a merged branch's matrix is simply
-dropped. Cached resource states and gate matrices are only read.
+Gadgets. The teleported gates and fan-outs are chains of gate-teleportation
+gadgets (Gottesman & Chuang, Nature 402, 390 (1999); Eisert et al., PRA 62,
+052317 (2000)), and each is contracted into one step when the plan is
+compiled. A gadget is a resource instruction over labels A, every later
+instruction through the measurement of all of A, and then through the last
+CondGate that reads one of those outcomes. One backward pass
+(``_symbol_uses``) finds every measurement's last reader, and the walk that
+resolves the instructions also reads each gadget (``_Candidate``), so
+finding the gadgets is linear in the circuit. A gadget
+contracts when it measures only A, holds no other resource, conditions only
+on outcomes it has measured, ends within ``upto``, touches some data labels
+S, and d_S^2 d_A <= ``GADGET_AMPLITUDES`` (the build's register, below). At
+2^12 every two-qubit gadget and every fan-out with d_S <= 16 qualifies. The
+larger ones (the qudit gadgets with d_S = 64, the GHZ(7) layer of a 7-qubit
+GMS fan-out) keep their per-instruction steps, as does a circuit that
+measures a data qubit (``teleport_all``).
+
+The build (``_gadget``) runs the gadget once on the identity batch over S
+tensored with the resource state, forking at every measurement without
+renormalizing, which leaves one Kraus operator K_r on S per outcome record
+r. The gadget contracts only when every record has K_r^dagger K_r = p_r I
+(within ``UNITARY_TOL``) and p_r >= ``PRUNE_TOL``; otherwise its
+per-instruction steps stay. The contracted step then does what those steps
+would do. Proof: for a column psi of a branch, the part of record r up to
+its j-th measurement has probability sum_{r'} ||K_{r'} psi||^2 = sum_{r'}
+p_{r'} over the records r' that share that part, which is at least p_r. So
+every conditional probability the per-instruction steps compute inside the
+gadget is at least p_r >= ``PRUNE_TOL``, and they never prune a column
+there. The column's probability gains the factor p_r, and its state,
+renormalized after each measurement, ends as K_r psi / sqrt(p_r) = U_r psi
+with U_r = K_r / sqrt(p_r), which is unitary. A dead column (zero
+amplitudes) stays dead. So the step forks every branch into the gadget's
+records in the per-instruction order (lexicographic in measurement order),
+with the same outcome records and symbol values, the probability times p_r
+and the alive mask unchanged, and applies each U_r to the data axes with
+``backend.apply_matrix``: the register never grows by A. Entries of U_r
+within ``MERGE_ATOL / d_S`` of zero are rounding noise and are set to zero,
+so that the kernel sees a diagonal or monomial U_r as such.
+
+With merging, the records are grouped at plan time: a record joins the
+first group whose first record has the same values of the gadget's symbols
+that a later condition still reads and a unitary within ``MERGE_ATOL / d_S``
+of its own. For every normalized column the two states then differ by at
+most ``MERGE_ATOL`` in each amplitude, so the first-match merge would merge
+them anyway. A group forks one branch, of the group's size as weight and
+the sum of its records' probabilities, which keeps its first record; the
+usual merge follows the step. Without merging every record is a branch of
+its own, so ``MAX_BRANCHES`` and ``unmerged_branch_bound`` hold as before.
+
+Builds are cached by a canonical key (``_gadget``): data and resource
+labels are numbered in order of use, outcome symbols by their measurement,
+gates are their resolved unitaries, and ClassicalSends are left out, so the
+60 teleported CZs of a 12-qubit pairwise GCZ share one build. A build
+stores each distinct unitary once and keeps their kernel plans per register
+layout itself, outside the backend's LRU. A second cache (``_contract``)
+maps a gadget in its own labels and symbols to its build, so that compiling
+a circuit again, or another circuit with the same gadgets, repeats no
+canonicalization. Each cache holds 1024 entries; the benchmark's suite and
+dropped-correction workloads together need 277 and 63, so nothing is built
+twice.
+
+``peak_register_dim`` and the cap check keep the explicit peak, the largest
+register of the per-instruction steps, so contraction accepts and rejects
+the same circuits. ``Plan.simulated_peak`` is the largest register a step of
+the plan actually builds: it sizes ``verify``'s chunks and decides whether
+a run owns a pool.
+
+A run whose simulated peak reaches ``backend.POOL_MIN_BYTES`` owns one
+``backend.BufferPool``, handed to every gate and gadget step and dropped
+when the run returns (a smaller run has none). Its one foreign array is the
+caller's input batch; every other matrix in the frontier belongs to exactly
+one branch, so ``backend.apply_matrix`` may write a large one in place or
+recycle it (see ``backend``). A branch that a gadget step forks into more
+than one branch is read by all of their applies, so none of them gets the
+pool. Measurements, resources and merges recycle nothing: their kernels are
+pure, and a merged branch's matrix is simply dropped. Cached resource
+states, gate matrices and gadget unitaries are only read.
 """
 
 from __future__ import annotations
@@ -86,14 +155,15 @@ import numpy as np
 from . import backend
 from .circuit import RESOURCE_KINDS, Condition, DistCircuit, Instruction
 from .gates import gate_arity, gate_power, gate_unitary
-from .statevec import (BranchResult, MixedRegister, check_register_dim, label_axis,
-                       measure_amps, target_axes, tensor_amps)
+from .statevec import (PRUNE_TOL, UNITARY_TOL, BranchResult, MixedRegister, check_register_dim,
+                       label_axis, measure_amps, target_axes, tensor_amps)
 
 MERGE_ATOL = 1e-12
 MAX_BRANCHES = 2 ** 16
 MAX_INPUT_AMPLITUDES = 2 ** 24  # random inputs times their dimension; 256 MiB of amplitudes
 MAX_SWEEP_QUBITS = 2 ** 20  # the summed n of the rows of an `estimate --sweep`; a row costs O(n)
 MAX_COMPILE_PAIRS = 2 ** 15  # qubit pairs of a `compile` shape (n <= 256); a build costs O(pairs)
+GADGET_AMPLITUDES = 2 ** 12  # d_S^2 d_A of a gadget's build (see the module docstring)
 
 
 def infer_dims(circuit: DistCircuit) -> dict[str, int]:
@@ -103,7 +173,7 @@ def infer_dims(circuit: DistCircuit) -> dict[str, int]:
         if ins.kind in ("LocalGate", "CondGate") and ins.gate is not None:
             pairs = zip(ins.targets, gate_arity(ins.gate))
         elif ins.kind in RESOURCE_KINDS:
-            pairs = ((label, ins.dim or 2) for label in ins.targets)
+            pairs = zip(ins.targets, (ins.dim or 2,) * len(ins.targets))
         else:
             continue
         for label, d in pairs:
@@ -131,9 +201,9 @@ def peak_register_dim(circuit: DistCircuit, upto: int | None = None,
             for label in ins.targets:
                 present[label] = dims[label]
                 size *= dims[label]
+            peak = max(peak, size)
         elif ins.kind == "Measure" and ins.targets and ins.targets[0] in present:
             size //= present.pop(ins.targets[0])
-        peak = max(peak, size)
     return peak
 
 
@@ -149,14 +219,18 @@ def unmerged_branch_bound(circuit: DistCircuit, upto: int | None = None,
                      if ins.kind == "Measure" and ins.targets)
 
 
-@lru_cache(maxsize=1024)
-def _resource_state(ins: Instruction) -> MixedRegister:
-    d = ins.dim or 2
-    n = len(ins.targets)
+def _ghz_amps(d: int, n: int) -> np.ndarray:
+    """The amplitudes of the n-party GHZ state over Z_d (a pair when n = 2)."""
     amps = np.zeros(d ** n, dtype=np.complex128)
     step = (d ** n - 1) // (d - 1)  # |kk...k> has flat index k * (1 + d + d^2 + ...)
     amps[np.arange(d) * step] = 1 / math.sqrt(d)
-    return MixedRegister((d,) * n, amps, ins.targets)
+    return amps
+
+
+@lru_cache(maxsize=1024)
+def _resource_state(ins: Instruction) -> MixedRegister:
+    d = ins.dim or 2
+    return MixedRegister((d,) * len(ins.targets), _ghz_amps(d, len(ins.targets)), ins.targets)
 
 
 @dataclass(eq=False, slots=True)
@@ -173,7 +247,7 @@ def _gate_step(dims: tuple[int, ...], axes: tuple[int, ...], matrix: np.ndarray)
     """A LocalGate: one matrix on fixed axes of every branch."""
     plan = backend.kernel_plan(matrix, dims, axes)
 
-    def run(frontier: list[_Branch], pool: backend.BufferPool | None) -> list[_Branch]:
+    def run(frontier: list[_Branch], pool: backend.BufferPool | None, merge: bool) -> list[_Branch]:
         apply = backend.apply_matrix
         for br in frontier:
             br.amps = apply(br.amps, dims, axes, matrix, plan, pool)
@@ -181,31 +255,29 @@ def _gate_step(dims: tuple[int, ...], axes: tuple[int, ...], matrix: np.ndarray)
     return run
 
 
-def _cond_step(dims: tuple[int, ...], axes: tuple[int, ...], condition: Condition, gate: str,
-               params: tuple[float, ...]):
-    """A CondGate: the gate to the power of the condition's value, where that is nonzero.
+def _cond_step(dims: tuple[int, ...], axes: tuple[int, ...], condition: Condition,
+               powers: tuple[np.ndarray, ...]):
+    """A CondGate: ``powers[v - 1]``, the gate to the power v, where the condition's value v is
+    nonzero. Each power's kernel plan is looked up once, when its value first occurs."""
+    plans: dict[int, tuple] = {}
 
-    Each power, and its kernel plan, is resolved once, when its value first occurs.
-    """
-    powers: dict[int, tuple[np.ndarray, tuple]] = {}
-
-    def run(frontier: list[_Branch], pool: backend.BufferPool | None) -> list[_Branch]:
+    def run(frontier: list[_Branch], pool: backend.BufferPool | None, merge: bool) -> list[_Branch]:
         apply = backend.apply_matrix
         for br in frontier:
             value = condition.evaluate(br.values)
             if value:
-                power = powers.get(value)
-                if power is None:
-                    matrix = gate_power(gate, params, value).entries
-                    power = powers[value] = matrix, backend.kernel_plan(matrix, dims, axes)
-                br.amps = apply(br.amps, dims, axes, *power, pool)
+                matrix = powers[value - 1]
+                plan = plans.get(value)
+                if plan is None:
+                    plan = plans[value] = backend.kernel_plan(matrix, dims, axes)
+                br.amps = apply(br.amps, dims, axes, matrix, plan, pool)
         return frontier
     return run
 
 
 def _resource_step(factor: np.ndarray):
     """A resource state, its amplitudes ``factor``, appended to every branch's register."""
-    def run(frontier: list[_Branch], pool: backend.BufferPool | None) -> list[_Branch]:
+    def run(frontier: list[_Branch], pool: backend.BufferPool | None, merge: bool) -> list[_Branch]:
         for br in frontier:
             br.amps = tensor_amps(br.amps, factor)
         return frontier
@@ -217,7 +289,7 @@ def _measure_step(dims: tuple[int, ...], axis: int, symbol: str):
     pre, d, post = math.prod(dims[:axis]), dims[axis], math.prod(dims[axis + 1:])
     records = [((symbol, outcome),) for outcome in range(d)]
 
-    def run(frontier: list[_Branch], pool: backend.BufferPool | None) -> list[_Branch]:
+    def run(frontier: list[_Branch], pool: backend.BufferPool | None, merge: bool) -> list[_Branch]:
         forked: list[_Branch] = []
         for br in frontier:
             kept, probs, alive, outs = measure_amps(br.amps, pre, d, post)
@@ -229,16 +301,162 @@ def _measure_step(dims: tuple[int, ...], axis: int, symbol: str):
     return run
 
 
+class _Gadget(NamedTuple):
+    """A gadget's outcome records and their unitaries, built once per canonical key.
+
+    ``records`` holds ``(outcomes, u, p)`` per outcome record, in record order:
+    the outcome of each measurement in measurement order, the index of its
+    unitary in ``unitaries`` and its probability. ``groups`` holds
+    ``(record, count, p)``: the first record of each plan-time merge group, how
+    many records it stands for and their summed probability. ``plans`` holds
+    the kernel plan of each unitary per register layout, filled as layouts
+    occur.
+    """
+
+    unitaries: tuple[np.ndarray, ...]
+    records: tuple[tuple[tuple[int, ...], int, float], ...]
+    groups: tuple[tuple[int, int, float], ...]
+    plans: dict
+
+
+def _apply_small(amps: np.ndarray, dims: tuple[int, ...], axes: tuple[int, ...],
+                 mat: np.ndarray) -> np.ndarray:
+    """``backend.apply_matrix`` on a gadget's build register: one tensordot, no kernel plan."""
+    n = len(axes)
+    t = amps.reshape(dims + amps.shape[1:])
+    t = np.tensordot(mat.reshape(tuple(dims[a] for a in axes) * 2), t,
+                     axes=(tuple(range(n, 2 * n)), axes))
+    return np.moveaxis(t, tuple(range(n)), axes).reshape(amps.shape)
+
+
+@lru_cache(maxsize=1024)
+def _gadget(key: tuple) -> _Gadget | None:
+    """Build the gadget ``key`` describes (see ``_contract``), or None when it does not contract.
+
+    Runs the gadget on the identity batch over S tensored with the resource
+    state, forking at every measurement without renormalizing, so that each
+    outcome record r ends with its Kraus operator K_r on S. The gadget
+    contracts when every K_r^dagger K_r is p_r I within ``UNITARY_TOL`` with
+    p_r >= ``PRUNE_TOL``; record r then applies U_r = K_r / sqrt(p_r).
+    """
+    s_dims, d, n, ops, live = key
+    d_s = math.prod(s_dims)
+    register = list(range(len(s_dims))) + [-1 - k for k in range(n)]  # label ids, as in the key
+    dims = s_dims + (d,) * n
+    start = np.kron(np.eye(d_s, dtype=np.complex128), _ghz_amps(d, n).reshape(-1, 1))
+    branches = [(start, (), {})]  # (amplitudes, outcomes, symbol values)
+    for kind, *op in ops:
+        if kind == "M":
+            share, symbol = op
+            axis = register.index(share)
+            pre, post = math.prod(dims[:axis]), math.prod(dims[axis + 1:])
+            forked = []
+            for amps, outcomes, values in branches:
+                t = amps.reshape(pre, d, post, d_s)
+                forked += [(np.ascontiguousarray(t[:, o]).reshape(-1, d_s), outcomes + (o,),
+                            {**values, symbol: o}) for o in range(d)]
+            branches = forked
+            register.pop(axis)
+            dims = dims[:axis] + dims[axis + 1:]
+            continue
+        axes = tuple(register.index(label) for label in op[0])
+        if kind == "G":
+            mat = op[1].entries
+            branches = [(_apply_small(amps, dims, axes, mat), outcomes, values)
+                        for amps, outcomes, values in branches]
+        else:  # "C", a conditioned gate with its powers from 1 on
+            _, powers, terms, mod = op
+            branches = [(_apply_small(amps, dims, axes, powers[value - 1].entries) if value
+                         else amps, outcomes, values)
+                        for amps, outcomes, values in branches
+                        for value in [sum(values[t] for t in terms) % mod]]
+    eye = np.eye(d_s)
+    atol = MERGE_ATOL / d_s  # a column's amplitudes then move by at most MERGE_ATOL
+    unitaries: list[np.ndarray] = []
+    records = []
+    for k, outcomes, values in branches:
+        gram = k.conj().T @ k
+        p = gram.trace().real / d_s
+        if not (p >= PRUNE_TOL and abs(gram - p * eye).max() <= UNITARY_TOL):
+            return None
+        u = k / math.sqrt(p)
+        u[abs(u) <= atol] = 0  # rounding noise, which would make the kernel dense
+        index = next((i for i, v in enumerate(unitaries) if np.array_equal(u, v)), None)
+        if index is None:
+            u.flags.writeable = False  # shared by every plan of this key
+            index = len(unitaries)
+            unitaries.append(u)
+        records.append((outcomes, index, p))
+    groups: list[list] = []  # [record, count, p]
+    for r, (outcomes, index, p) in enumerate(records):
+        same = [outcomes[i] for i in live]
+        for group in groups:
+            first = records[group[0]]
+            if ([first[0][i] for i in live] == same
+                    and abs(unitaries[first[1]] - unitaries[index]).max() <= atol):
+                group[1] += 1
+                group[2] += p
+                break
+        else:
+            groups.append([r, 1, p])
+    return _Gadget(tuple(unitaries), tuple(records), tuple(map(tuple, groups)), {})
+
+
+def _gadget_step(gadget: _Gadget, dims: tuple[int, ...], axes: tuple[int, ...],
+                 symbols: tuple[str, ...]):
+    """A contracted gadget: every branch forks into the gadget's outcome records.
+
+    With merging, into one branch per plan-time group, of the group's weight;
+    without, into one branch per record. Each applies its record's unitary to
+    the data ``axes``. A branch that forks into more than one passes the pool
+    to none of its applies, since they all read its amplitudes.
+    """
+    forks: dict[bool, list] = {}
+
+    def make(merge: bool) -> list:
+        entries = gadget.groups if merge else [(r, 1, rec[2])
+                                               for r, rec in enumerate(gadget.records)]
+        out = []
+        for r, count, p in entries:
+            outcomes, index, _ = gadget.records[r]
+            u = gadget.unitaries[index]
+            key = (dims, axes, index)
+            plan = gadget.plans.get(key)
+            if plan is None:
+                plan = gadget.plans[key] = backend.kernel_plan(u, dims, axes, cached=False)
+            out.append((u, plan, tuple(zip(symbols, outcomes)), dict(zip(symbols, outcomes)),
+                        count, p))
+        return out
+
+    def run(frontier: list[_Branch], pool: backend.BufferPool | None, merge: bool) -> list[_Branch]:
+        fork = forks.get(merge)
+        if fork is None:
+            fork = forks[merge] = make(merge)
+        if len(fork) > 1:
+            pool = None
+        apply = backend.apply_matrix
+        forked: list[_Branch] = []
+        for br in frontier:
+            for u, plan, outcomes, values, count, p in fork:
+                forked.append(_Branch(
+                    apply(br.amps, dims, axes, u, plan, pool), br.prob * p,
+                    br.outcomes + outcomes, {**br.values, **values}, br.weight * count,
+                    br.alive))
+        return forked
+    return run
+
+
 class Plan(NamedTuple):
     """A circuit's first ``upto`` instructions resolved once for every branch.
 
-    ``steps`` pairs each step, a function from frontier and the run's pool
-    (which only gate steps use) to frontier, with the outcome symbols a later
-    condition still reads, the live part of a merge key, or with None when no
-    merge follows the step. Branches can only meet after a step that treats
-    them differently, or that stops reading a symbol they differ in:
+    ``steps`` pairs each step, a function from frontier, the run's pool
+    (which only gate and gadget steps use) and whether branches merge to
+    frontier, with the outcome symbols a later condition still reads, the
+    live part of a merge key, or with None when no merge follows the step.
+    Branches can only meet after a step that treats them differently, or
+    that stops reading a symbol they differ in:
 
-    - a CondGate or a Measure is followed by a merge;
+    - a contracted gadget, a CondGate or a Measure is followed by a merge;
     - a LocalGate or a resource applies one map to every branch and leaves
       the live symbols as they were, so the merge after it would find nothing
       the merge before it missed, and it gets None (but see the caveat in
@@ -249,31 +467,55 @@ class Plan(NamedTuple):
       the same frontier under the same keys as the merge before it, and so
       merge nothing.
 
-    ``labels`` and ``out_dims`` describe the register after the last step.
+    ``gadgets`` holds the first and last instruction index of each contracted
+    gadget, in order; its one step stands for the steps of all of those
+    instructions (see the module docstring for the rule, the proof, the
+    grouping, the budget and the cache). ``peak`` is
+    the explicit peak register (``peak_register_dim``), which the cap check
+    uses; ``simulated_peak`` is the largest register a step builds, at most
+    ``peak``. ``labels`` and ``out_dims`` describe the register after the
+    last step.
     """
 
     circuit: DistCircuit
     upto: int | None
     dims: dict[str, int]
     peak: int
+    simulated_peak: int
     branch_bound: int
     steps: tuple[tuple[Callable | None, tuple[str, ...] | None], ...]
+    gadgets: tuple[tuple[int, int], ...]
     labels: tuple[str, ...]
     out_dims: tuple[int, ...]
 
 
-def _future_symbols(instructions) -> list[tuple[str, ...]]:
-    """For each index, the outcome symbols any later condition still reads (sorted)."""
+def _symbol_uses(instructions) -> tuple[list[tuple[str, ...]], dict[int, int]]:
+    """``(live, readers)``, from one backward pass.
+
+    ``live[i]`` holds the outcome symbols a condition at index i or later still
+    reads (sorted). ``readers`` maps each Measure index to the last CondGate that
+    reads its outcome before the symbol is measured again.
+    """
     out = [()] * (len(instructions) + 1)
+    readers: dict[int, int] = {}
+    last: dict[str, int] = {}  # symbol -> its last reader after the current index
     live: frozenset[str] = frozenset()
     ordered: tuple[str, ...] = ()
     for i in range(len(instructions) - 1, -1, -1):
         ins = instructions[i]
-        if ins.condition is not None and not live.issuperset(ins.condition.terms):
-            live = live | frozenset(ins.condition.terms)
-            ordered = tuple(sorted(live))
+        if ins.condition is not None:
+            if ins.kind == "CondGate":
+                for symbol in ins.condition.terms:
+                    last.setdefault(symbol, i)
+            if not live.issuperset(ins.condition.terms):
+                live = live | frozenset(ins.condition.terms)
+                ordered = tuple(sorted(live))
+        elif ins.kind == "Measure":
+            reader = last.pop(ins.outcome or f"_m{i}", None)
+            if reader is not None:
+                readers[i] = reader
         out[i] = ordered
-    return out
+    return out, readers
 
 
 def _distance(a: np.ndarray, b: np.ndarray) -> float:
@@ -321,46 +563,201 @@ def _merge(frontier: list[_Branch], live: tuple[str, ...]) -> list[_Branch]:
     return merged
 
 
+class _Candidate:
+    """A gadget that ``compile_plan`` is reading, one instruction at a time.
+
+    It opens at a resource over labels A and closes once all of A is measured
+    and the last CondGate reading one of those outcomes (``readers``) has
+    been read. ``add`` returns False when an instruction shows that the
+    instructions are no gadget: another resource, a measurement outside A, or
+    a condition on an outcome the gadget has not measured. Meanwhile it
+    collects the gadget's operations, in its own labels and symbols, for
+    ``_contract``, and the per-instruction steps, ``makes``, that stand if it
+    does not contract.
+    """
+
+    __slots__ = ("start", "end", "resource", "labels", "dims", "grown", "pending", "measured",
+                 "ops", "makes")
+
+    def __init__(self, start: int, resource: Instruction, labels: tuple[str, ...],
+                 dims: tuple[int, ...]):
+        self.start = self.end = start
+        self.resource = resource
+        self.labels, self.dims = labels, dims  # the register before the resource
+        self.grown = math.prod(dims) * (resource.dim or 2) ** len(resource.targets)  # and after
+        self.pending = set(resource.targets)  # the labels of A not measured yet
+        self.measured: set[str] = set()  # outcome symbols
+        self.ops: list[tuple] = []
+        self.makes: list[tuple] = []  # (step constructor and arguments, merge key)
+
+    def add(self, i: int, ins: Instruction, gate, readers: dict[int, int]) -> bool:
+        """Read instruction ``i``, whose resolved gate is ``gate``; False if it is no gadget's."""
+        kind = ins.kind
+        if kind == "LocalGate":
+            self.ops.append(("G", ins.targets, gate))
+        elif kind == "CondGate":
+            if ins.condition is None:
+                return False
+            for term in ins.condition.terms:
+                if term not in self.measured:
+                    return False
+            self.ops.append(("C", ins.targets, gate, ins.condition.terms, ins.condition.mod))
+        elif kind == "Measure":
+            if ins.targets[0] not in self.pending:
+                return False
+            self.pending.remove(ins.targets[0])
+            symbol = ins.outcome or f"_m{i}"
+            self.measured.add(symbol)
+            self.ops.append(("M", ins.targets[0], symbol))
+            self.end = max(self.end, readers.get(i, i))
+        elif kind != "ClassicalSend":  # another resource
+            return False
+        return True
+
+
+@lru_cache(maxsize=1024)
+def _contract(shares: tuple[str, ...], d: int, ops: tuple, live: tuple[str, ...]):
+    """``(gadget, data labels, outcome symbols)`` of a gadget, or None when it does not contract.
+
+    ``shares`` are the resource's labels and ``d`` their dimension; ``ops``
+    are the gadget's operations from ``_Candidate`` and ``live`` its outcome
+    symbols that a later condition still reads. None when the gadget touches
+    no data label, its build would pass ``GADGET_AMPLITUDES``, or ``_gadget``
+    finds a record that is not unitary.
+
+    The build's key is canonical: data labels are numbered 0, 1, ... in order
+    of first use and the resource's labels -1, -2, ...; each measurement's
+    symbol is its position among the measurements, and gates are their
+    resolved unitaries (a conditioned gate's powers from 1 on).
+    ClassicalSends are left out. Gadgets that differ only in labels and
+    symbols therefore share one build.
+    """
+    numbers = {label: -1 - k for k, label in enumerate(shares)}
+    data: list[str] = []
+    s_dims: list[int] = []
+    symbols: list[str] = []  # of each measurement, in order
+    position: dict[str, int] = {}  # symbol -> its latest measurement
+    canonical = []
+    for kind, targets, *rest in ops:
+        if kind == "M":
+            position[rest[0]] = len(symbols)
+            canonical.append(("M", numbers[targets], len(symbols)))
+            symbols.append(rest[0])
+            continue
+        gate = rest[0][0] if kind == "C" else rest[0]
+        for label, dim in zip(targets, gate.arity):
+            if label not in numbers:
+                numbers[label] = len(data)
+                data.append(label)
+                s_dims.append(dim)
+        ids = tuple(numbers[label] for label in targets)
+        if kind == "G":
+            canonical.append(("G", ids, rest[0]))
+        else:
+            canonical.append(("C", ids, rest[0], tuple(position[t] for t in rest[1]), rest[2]))
+    if not data or math.prod(s_dims) ** 2 * d ** len(shares) > GADGET_AMPLITUDES:
+        return None
+    kept = tuple(sorted(position[s] for s in live))
+    gadget = _gadget((tuple(s_dims), d, len(shares), tuple(canonical), kept))
+    return gadget and (gadget, tuple(data), tuple(symbols))
+
+
+def _explicit(makes) -> list[tuple]:
+    """The ``(step, merge key)`` pairs of per-instruction ``(constructor and arguments, merge
+    key)`` pairs; a free ClassicalSend (None) has none, a merging one (``()``) no step."""
+    return [(make[0](*make[1:]) if make else None, live) for make, live in makes
+            if make is not None]
+
+
 def compile_plan(circuit: DistCircuit, upto: int | None = None) -> Plan:
     """Resolve the first ``upto`` instructions against the register layout (see the module docstring).
 
     Checks the register cap first, then every instruction, and raises
-    ValueError for the first bad one; no kernel runs.
+    ValueError for the first bad one. Only then are the gadgets contracted;
+    no simulation kernel runs.
     """
     dims = infer_dims(circuit)
     peak = peak_register_dim(circuit, upto, dims)
     check_register_dim(peak)
     labels = tuple(circuit.inputs)
     reg_dims = tuple(dims[label] for label in labels)
-    live_after = _future_symbols(circuit.instructions)
-    steps = []
-    for i, ins in enumerate(circuit.instructions[:upto]):
-        if ins.kind in ("LocalGate", "CondGate"):
-            u = gate_unitary(ins.gate, ins.params)
+    built = math.prod(reg_dims)  # the largest register a step builds
+    instructions = circuit.instructions[:upto]
+    live_after, readers = _symbol_uses(circuit.instructions)
+    steps: list = []  # (step, merge key) per instruction, or a _Candidate for a gadget
+    candidate = None  # the gadget being read
+    for i, ins in enumerate(instructions):
+        kind = ins.kind
+        gate = None  # a gate's unitary, or a conditioned gate's powers from 1 on
+        if kind == "LocalGate" or kind == "CondGate":
+            gate = u = gate_unitary(ins.gate, ins.params)
             axes = target_axes(labels, reg_dims, ins.targets, u.arity)
-            step = (_gate_step(reg_dims, axes, u.entries) if ins.kind == "LocalGate" else
-                    _cond_step(reg_dims, axes, ins.condition, ins.gate, ins.params))
-        elif ins.kind in RESOURCE_KINDS:
+            if kind == "LocalGate":
+                make = (_gate_step, reg_dims, axes, u.entries)
+            else:  # each power once per value; the conditions are evaluated at run time
+                gate = (u,)
+                if ins.condition is not None and ins.condition.mod > 2:
+                    gate += tuple([gate_power(ins.gate, ins.params, v)
+                                   for v in range(2, ins.condition.mod)])
+                make = (_cond_step, reg_dims, axes, ins.condition,
+                        (u.entries,) if len(gate) == 1 else tuple([g.entries for g in gate]))
+        elif kind in RESOURCE_KINDS:
             resource = _resource_state(ins)
             if collision := set(labels) & set(resource.labels):
                 raise ValueError(f"label collision: {collision}")
-            step = _resource_step(resource.amps)
+            make = (_resource_step, resource.amps)
+            before = labels, reg_dims
             labels, reg_dims = labels + resource.labels, reg_dims + resource.dims
-        elif ins.kind == "Measure":
+        elif kind == "Measure":
             axis = label_axis(labels, ins.targets[0])
-            step = _measure_step(reg_dims, axis, ins.outcome or f"_m{i}")
+            make = (_measure_step, reg_dims, axis, ins.outcome or f"_m{i}")
             labels = labels[:axis] + labels[axis + 1:]
             reg_dims = reg_dims[:axis] + reg_dims[axis + 1:]
-        elif ins.kind == "ClassicalSend":
-            if live_after[i + 1] == live_after[i]:
-                continue
-            step = None
+        elif kind == "ClassicalSend":
+            make = None if live_after[i + 1] == live_after[i] else ()
         else:  # pragma: no cover - Instruction rejects unknown kinds
-            raise ValueError(f"unknown instruction kind {ins.kind!r}")
-        same_map = ins.kind == "LocalGate" or ins.kind in RESOURCE_KINDS  # no merge: see Plan
-        steps.append((step, None if same_map else live_after[i + 1]))
-    return Plan(circuit, upto, dims, peak, unmerged_branch_bound(circuit, upto, dims),
-                tuple(steps), labels, reg_dims)
+            raise ValueError(f"unknown instruction kind {kind!r}")
+        # no merge after a LocalGate or a resource: see Plan
+        live = None if kind == "LocalGate" or kind in RESOURCE_KINDS else live_after[i + 1]
+        if candidate is not None:
+            if candidate.add(i, ins, gate, readers):
+                candidate.makes.append((make, live))
+                if not candidate.pending and i >= candidate.end:
+                    steps.append(candidate)
+                    candidate = None
+                continue
+            steps += _explicit(candidate.makes)  # no gadget: the steps of its instructions
+            built = max(built, candidate.grown)
+            candidate = None
+        if kind in RESOURCE_KINDS:
+            candidate = _Candidate(i, ins, *before)
+            candidate.makes.append((make, live))
+        elif make is not None:
+            steps.append((make[0](*make[1:]) if make else None, live))
+    if candidate is not None:  # cut by upto
+        steps += _explicit(candidate.makes)
+        built = max(built, candidate.grown)
+
+    plan_steps, gadgets = [], []  # every check has run: contract the gadgets
+    for entry in steps:
+        if type(entry) is not _Candidate:
+            plan_steps.append(entry)
+            continue
+        live = live_after[entry.end + 1]
+        res = entry.resource
+        found = _contract(res.targets, res.dim or 2, tuple(entry.ops),
+                          tuple([s for s in live if s in entry.measured]))
+        if found:
+            gadget, data, symbols = found
+            axes = tuple([entry.labels.index(label) for label in data])
+            plan_steps.append((_gadget_step(gadget, entry.dims, axes, symbols), live))
+            gadgets.append((entry.start, entry.end))
+            built = max(built, math.prod(entry.dims))
+        else:
+            plan_steps += _explicit(entry.makes)
+            built = max(built, entry.grown)
+    return Plan(circuit, upto, dims, peak, built, unmerged_branch_bound(circuit, upto, dims),
+                tuple(plan_steps), tuple(gadgets), labels, reg_dims)
 
 
 def enumerate_branches(circuit: DistCircuit, input_state: MixedRegister | None = None,
@@ -399,11 +796,11 @@ def enumerate_branches(circuit: DistCircuit, input_state: MixedRegister | None =
     k = amps.shape[1]
     frontier = [_Branch(amps, np.ones(k), (), {}, 1, np.ones(k, dtype=bool))]
     pool = None  # the run's large buffers, dropped on return; none when every register is small
-    if plan.peak * k * amps.itemsize >= backend.POOL_MIN_BYTES:
+    if plan.simulated_peak * k * amps.itemsize >= backend.POOL_MIN_BYTES:
         pool = backend.BufferPool(foreign=amps)
     for step, live in plan.steps:
         if step is not None:
-            frontier = step(frontier, pool)
+            frontier = step(frontier, pool, merge_equal)
         if merge_equal and live is not None and len(frontier) > 1:
             frontier = _merge(frontier, live)
 

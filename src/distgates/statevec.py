@@ -184,9 +184,14 @@ def target_axes(labels: tuple[str, ...], dims: tuple[int, ...], targets,
     dimensions other than the gate's ``arity``.
     """
     targets = tuple(targets)
-    if len(set(targets)) != len(targets):
+    if len(targets) > 1 and len(set(targets)) != len(targets):
         raise ValueError(f"duplicate target in {targets}")
-    axes = tuple([label_axis(labels, t) for t in targets])
+    try:
+        axes = tuple([labels.index(t) for t in targets])
+    except ValueError:
+        for t in targets:
+            label_axis(labels, t)  # raises for the first unknown label
+        raise
     tdims = tuple([dims[a] for a in axes])
     if tdims != arity:
         raise ValueError(f"gate arity {arity} does not match target dims {tdims}")

@@ -28,16 +28,19 @@ symbols each step still needs, and every instruction resolved against the
 register layout, with every instruction check, the register-cap check and
 the check of the final register against the declared outputs done before
 anything is allocated. All chunks share that plan. A chunk holds
-``max(1, CHUNK_AMPLITUDES // plan.peak)`` inputs, so a branch's amplitude
-matrix holds about ``CHUNK_AMPLITUDES`` amplitudes at the peak register
-(2^16, 1 MiB); a circuit whose peak reaches the budget runs one input at a
-time. The budget is a fixed work size, apart from the register cap:
-``DISTGATES_MAX_DIM`` only bounds ``plan.peak``, the register of one input,
-and no longer sets the chunk width. Wider chunks pay fewer per-call costs
-but hold larger branch matrices: on a 2-core x86 host, 2^15 was slower on
-registers of 2^14 dimensions and 2^17 faster but with about 15 % more peak
-memory. Each branch is checked on its alive columns only, and failures are
-recorded under the original input index.
+``max(1, CHUNK_AMPLITUDES // plan.simulated_peak)`` inputs, so a branch's
+amplitude matrix holds about ``CHUNK_AMPLITUDES`` amplitudes (2^16, 1 MiB)
+at the largest register the plan's steps build; a circuit whose register
+reaches the budget runs one input at a time. That register is smaller than
+the explicit peak ``plan.peak`` when the plan contracts the gadget that
+would build the peak (see ``simulate``): a contracted teleported gate never
+adds its resource to the register. The budget is a fixed work size, apart
+from the register cap: ``DISTGATES_MAX_DIM`` only bounds ``plan.peak``, the
+register of one input, and does not set the chunk width. Wider chunks pay
+fewer per-call costs but hold larger branch matrices: on a 2-core x86 host,
+2^15 was slower on registers of 2^14 dimensions and 2^17 faster but with
+about 15 % more peak memory. Each branch is checked on its alive columns
+only, and failures are recorded under the original input index.
 
 A batch merges two branches only when they agree on every input of the chunk,
 so it can keep apart two branches that one input alone would merge. Their
@@ -305,11 +308,8 @@ def basis_inputs(circuit: DistCircuit) -> list[MixedRegister]:
         raise ValueError(f"{n} basis inputs of {n} amplitudes each exceed the limit of "
                          f"{MAX_INPUT_AMPLITUDES} amplitudes; check fewer, random inputs "
                          "(--inputs random:N)")
-    if not in_dims:
-        return [MixedRegister.basis((), (), ())]
-    digits = np.unravel_index(np.arange(n), in_dims)
-    return [MixedRegister.basis(circuit.inputs, in_dims, column)
-            for column in zip(*digits)]
+    basis = np.eye(n, dtype=np.complex128)  # row i is basis state i, big-endian like the register
+    return [MixedRegister._wrap(in_dims, row, circuit.inputs) for row in basis]
 
 
 def random_inputs(circuit: DistCircuit, count: int, seed: int = 7) -> list[MixedRegister]:
@@ -361,7 +361,7 @@ def verify(circuit: DistCircuit, oracle, inputs, threshold: float = DEFAULT_THRE
         return report
     psi = np.stack([state.amps for state in inputs], axis=1)
     expected = oracle.apply(psi)
-    chunk = max(1, CHUNK_AMPLITUDES // plan.peak)
+    chunk = max(1, CHUNK_AMPLITUDES // plan.simulated_peak)
     for start in range(0, len(inputs), chunk):
         cols = slice(start, start + chunk)
         batch = MixedRegister._wrap(in_dims, np.ascontiguousarray(psi[:, cols]),

@@ -85,7 +85,8 @@ def test_chunked_verify_gives_the_same_report(monkeypatch):
     monkeypatch.setattr(verify_module, "enumerate_branches", counting)
     for name, circuit, oracle in cases:
         inputs = basis_inputs(circuit) + random_inputs(circuit, 7, seed=5)
-        peak = peak_register_dim(circuit)
+        peak = simulate.compile_plan(circuit).simulated_peak  # the chunk width's register
+        assert peak_register_dim(circuit) >= peak, name
         monkeypatch.setattr(verify_module, "CHUNK_AMPLITUDES", len(inputs) * peak)
         calls.clear()
         whole = verify(circuit, oracle, inputs)
@@ -198,7 +199,9 @@ def test_peak_register_dim_is_the_largest_register_simulated(monkeypatch):
         seen.clear()
         start = random_inputs(circuit, 1)[0]
         enumerate_branches(circuit, start, merge_equal=True)
-        assert peak_register_dim(circuit) == max(seen + [start.amps.size]), name
+        simulated = simulate.compile_plan(circuit).simulated_peak  # contracted gadgets grow none
+        assert simulated == max(seen + [start.amps.size]), name
+        assert peak_register_dim(circuit) >= simulated, name
 
 
 def test_verify_with_no_inputs():

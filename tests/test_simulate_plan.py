@@ -20,7 +20,12 @@ UNDER_CAP = [name for name, entry in catalog.tagged("golden").items()
 UNMERGED_BRANCHES = 64  # merge-off runs stop at the longest prefix forking this many
 
 
-def _assert_same_branches(got, want, name):
+def _assert_same_branches(got, want, name, contracted=False):
+    """Records, weights, alive masks, labels and dims exactly; amplitudes and probabilities
+    within 1e-15, or within 1e-14 and 1e-13 when the plan ``contracted`` a gadget, whose
+    arithmetic differs from the per-instruction loop's and whose merged probabilities are
+    summed in another order."""
+    amp_tol, prob_tol = (1e-14, 1e-13) if contracted else (1e-15, 1e-15)
     assert [br.outcomes for br in got] == [w[0] for w in want], name
     assert [br.weight for br in got] == [w[3] for w in want], name
     for br, (_, prob, state, _, alive) in zip(got, want):
@@ -28,10 +33,10 @@ def _assert_same_branches(got, want, name):
             assert br.alive is None, name
         else:
             np.testing.assert_array_equal(br.alive, alive, err_msg=name)
-        assert np.max(np.abs(np.subtract(br.probability, prob))) <= 1e-15, name
+        assert np.max(np.abs(np.subtract(br.probability, prob))) <= prob_tol, name
         assert (br.state.labels, br.state.dims) == (state.labels, state.dims), name
         assert br.state.amps.shape == state.amps.shape, name
-        assert np.max(np.abs(br.state.amps - state.amps), initial=0.0) <= 1e-15, name
+        assert np.max(np.abs(br.state.amps - state.amps), initial=0.0) <= amp_tol, name
 
 
 def _longest_prefix(circuit, branches):
@@ -55,7 +60,8 @@ def test_plan_matches_the_per_branch_loop(name):
         for merge, upto in runs:
             label = f"{name} k={state.amps.ndim} merge={merge} upto={upto}"
             got = enumerate_branches(circuit, state, merge_equal=merge, upto=upto)
-            _assert_same_branches(got, enumerate_reference(circuit, state, merge, upto), label)
+            _assert_same_branches(got, enumerate_reference(circuit, state, merge, upto), label,
+                                  bool(compile_plan(circuit, upto).gadgets))
 
 
 def test_every_entry_under_the_cap_is_compared():
@@ -170,7 +176,9 @@ def test_verify_checks_the_final_register_before_any_kernel(monkeypatch):
 def test_a_prefix_is_checked_up_to_its_end():
     bad, _ = BAD["gate on an unknown label"]
     circuit = DistCircuit(LAYOUT, PREFIX + (bad,), ("a", "b"), ("a", "b"))
-    assert len(compile_plan(circuit, upto=len(PREFIX)).steps) == len(PREFIX)
+    prefix = compile_plan(circuit, upto=len(PREFIX))
+    whole = compile_plan(DistCircuit(LAYOUT, PREFIX, ("a", "b"), ("a", "b")))
+    assert (len(prefix.steps), prefix.gadgets) == (len(whole.steps), whole.gadgets)
 
 
 def test_a_plan_is_tied_to_its_circuit_and_prefix():
@@ -207,16 +215,21 @@ def test_conditioned_powers_are_resolved_once_per_value(monkeypatch):
 # merges only after the steps where branches can meet
 # ---------------------------------------------------------------------------
 
-def _merges_expected(circuit) -> list[bool]:
-    """Per plan step, whether a merge follows it: after every CondGate and Measure and after
-    a ClassicalSend that retires an outcome symbol; never after a LocalGate or a resource."""
+def _merges_expected(circuit, gadgets) -> list[bool]:
+    """Per plan step, whether a merge follows it: after every contracted gadget, CondGate and
+    Measure and after a ClassicalSend that retires an outcome symbol; never after a LocalGate
+    or a resource. ``gadgets`` are the plan's contracted instruction ranges."""
     def live(i):
         return {s for ins in circuit.instructions[i:] if ins.condition is not None
                 for s in ins.condition.terms}
 
+    inside = {i: first == i for first, last in gadgets for i in range(first, last + 1)}
     expected = []
     for i, ins in enumerate(circuit.instructions):
-        if ins.kind == "ClassicalSend":
+        if i in inside:
+            if inside[i]:
+                expected.append(True)
+        elif ins.kind == "ClassicalSend":
             if live(i + 1) != live(i):
                 expected.append(True)
         else:
@@ -227,17 +240,21 @@ def _merges_expected(circuit) -> list[bool]:
 def test_only_steps_where_branches_can_meet_carry_a_merge():
     circuits = [catalog.tagged("golden")[name].build() for name in UNDER_CAP]
     circuits.append(DistCircuit(LAYOUT, PREFIX, ("a", "b"), ("a", "b")))
+    contracted = 0
     for circuit in circuits:
         plan = compile_plan(circuit)
-        assert [live is not None for _, live in plan.steps] == _merges_expected(circuit)
+        assert ([live is not None for _, live in plan.steps]
+                == _merges_expected(circuit, plan.gadgets))
+        contracted += len(plan.gadgets)
+    assert contracted > 0
 
 
 def test_merge_runs_only_after_the_steps_that_carry_one(monkeypatch):
     trace = []  # ("step", carries a merge, branches after it) and ("merge",), in order
 
     def recording(step, live):
-        def run(frontier, pool):
-            frontier = frontier if step is None else step(frontier, pool)
+        def run(frontier, pool, merge):
+            frontier = frontier if step is None else step(frontier, pool, merge)
             trace.append(("step", live is not None, len(frontier)))
             return frontier
         return run
@@ -248,8 +265,8 @@ def test_merge_runs_only_after_the_steps_that_carry_one(monkeypatch):
 
     merge = simulate._merge
     monkeypatch.setattr(simulate, "_merge", counting)
-    wide_unmerged_steps = 0
-    for name in ("dGMS n=4 pairwise theta=pi/3", "fanout local+3 remote"):
+    wide_unmerged_steps = contracted = 0
+    for name in ("dGMS n=4 pairwise theta=pi/3", "dGCZ n=6/3 nodes fanout"):
         circuit = catalog.tagged("suite")[name].build()
         inputs = random_inputs(circuit, 3, seed=4)
         batch = MixedRegister(inputs[0].dims, np.stack([s.amps for s in inputs], axis=1),
@@ -266,5 +283,8 @@ def test_merge_runs_only_after_the_steps_that_carry_one(monkeypatch):
                 want.append(("merge",))
         assert trace == want, name
         wide_unmerged_steps += sum(1 for e in want if e[0] == "step" and not e[1] and e[2] > 1)
-        _assert_same_branches(got, enumerate_reference(circuit, batch, True), name)
+        contracted += len(plan.gadgets)
+        _assert_same_branches(got, enumerate_reference(circuit, batch, True), name,
+                              bool(plan.gadgets))
     assert wide_unmerged_steps > 0  # the per-instruction rule would have merged there
+    assert contracted > 0  # gadget steps are among the traced steps
