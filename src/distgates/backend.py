@@ -24,8 +24,10 @@ int32 source index of the others, are cached per (matrix, dims, axes). Both
 caches are LRUs of ``CACHE_SIZE`` entries; a source index holds 4 bytes per
 register amplitude (64 KiB at the 2^14 cap). A caller that holds its plans
 itself, such as a contracted gadget of ``simulate`` with its per-outcome
-unitaries, builds them with ``cached=False`` and leaves the plan LRU alone:
-hundreds of such plans would otherwise evict the ones every circuit shares.
+unitaries, or ``simulate``'s own LRU of the cached, read-only gate matrices'
+plans, keyed by gate object, builds them with ``cached=False`` and leaves the
+plan LRU alone: hundreds of such plans would otherwise evict the ones every
+circuit shares.
 
 Building the content key copies the matrix's bytes, which costs about as much
 as the arithmetic on the small registers of a branch enumeration. A caller

@@ -44,23 +44,33 @@ measurements remove them, the same way in every branch. So ``peak_register_dim``
 finds the largest register from the instruction list alone, and an over-cap
 circuit is rejected before anything is simulated. Likewise, without merging, a
 circuit whose measurements could fork more than ``MAX_BRANCHES`` branches
-(``unmerged_branch_bound``) is rejected up front.
+(``unmerged_branch_bound``) is rejected up front. Both bounds come from one
+forward walk (``_bounds``). The subsystem dimensions they need are inferred
+once per circuit object and held by it (``circuit_dims``): ``infer_dims``,
+``verify``'s input generators and ``compile_plan`` on one circuit walk its
+instructions for them once, and ``infer_dims`` hands each caller a copy.
 
 For the same reason the instruction list is compiled once into a ``Plan``
 (``compile_plan``) before any branch runs, walking the register layout the way
-``peak_register_dim`` does. A gate gets its target axes, its matrix and the
-matrix's kernel plan (``backend.kernel_plan``), and a conditioned gate its
-axes and its powers, each resolved once per value, with the
-duplicate-target, unknown-label and arity checks; a power's kernel plan is
-looked up when its value first occurs. A resource gets its state's
-amplitudes and the label-collision check, and a measurement its target's
-axis and the sizes around it. A bad instruction therefore raises
-``ValueError`` before any kernel runs, and before any gadget is built (see
-below). The branch loop holds bare amplitude matrices (``_Branch``:
-amplitudes, per-column probability and alive mask, outcome record, symbol
-values, weight) and hands them straight to the kernels: each gate to
-``backend.apply_matrix``, each measurement to ``statevec.measure_amps`` and
-each resource to ``statevec.tensor_amps``, which are also the arithmetic of
+``peak_register_dim`` does. A label map, updated at each resource and
+measurement, gives each target's axis; wherever it finds no valid axes,
+``statevec.target_axes`` or ``label_axis`` resolves the targets again and
+raises its error. A gate gets its target axes, its matrix and the matrix's
+kernel plan, and a conditioned gate its axes and its powers, each resolved
+once per value, with the duplicate-target, unknown-label and arity checks; a
+power's kernel plan is looked up when its value first occurs. Gates and
+powers are the cached, read-only ``Unitary`` objects of ``gates``, so their
+kernel plans are cached by gate object and layout (``_gate_plan``), without
+the content key of ``backend.kernel_plan``. A resource gets its state's
+amplitudes, read-only and cached by dimension and party count, and the
+label-collision check, and a measurement its target's axis and the sizes
+around it. A bad instruction therefore raises ``ValueError`` before any
+kernel runs, and before any gadget is built (see below). The branch loop
+holds bare amplitude matrices (``_Branch``: amplitudes, per-column
+probability and alive mask, outcome record, symbol values, weight) and hands
+them straight to the kernels: each gate to ``backend.apply_matrix``, each
+measurement to ``statevec.measure_amps`` and each resource to
+``statevec.tensor_amps``, which are also the arithmetic of
 ``measure_enumerate`` and ``tensor``, minus their per-call label lookups and
 checks. ``verify`` compiles one plan and shares it across its input chunks.
 
@@ -155,8 +165,8 @@ import numpy as np
 from . import backend
 from .circuit import RESOURCE_KINDS, Condition, DistCircuit, Instruction
 from .gates import gate_arity, gate_power, gate_unitary
-from .statevec import (PRUNE_TOL, UNITARY_TOL, BranchResult, MixedRegister, check_register_dim,
-                       label_axis, measure_amps, target_axes, tensor_amps)
+from .statevec import (PRUNE_TOL, UNITARY_TOL, BranchResult, MixedRegister, Unitary,
+                       check_register_dim, label_axis, measure_amps, target_axes, tensor_amps)
 
 MERGE_ATOL = 1e-12
 MAX_BRANCHES = 2 ** 16
@@ -166,8 +176,15 @@ MAX_COMPILE_PAIRS = 2 ** 15  # qubit pairs of a `compile` shape (n <= 256); a bu
 GADGET_AMPLITUDES = 2 ** 12  # d_S^2 d_A of a gadget's build (see the module docstring)
 
 
-def infer_dims(circuit: DistCircuit) -> dict[str, int]:
-    """Subsystem dimensions implied by the circuit's gates and resources."""
+def circuit_dims(circuit: DistCircuit) -> dict[str, int]:
+    """``infer_dims`` without the copy: walked once per circuit object and held by it.
+
+    A circuit is frozen, so its dims never change; callers only read the
+    dict. A circuit whose dims conflict holds nothing and raises on every call.
+    """
+    held = vars(circuit)
+    if "_dims" in held:
+        return held["_dims"]
     dims: dict[str, int] = {}
     for ins in circuit.instructions:
         if ins.kind in ("LocalGate", "CondGate") and ins.gate is not None:
@@ -182,7 +199,38 @@ def infer_dims(circuit: DistCircuit) -> dict[str, int]:
                     f"subsystem {label!r} used with dimensions {dims[label]} and {d}")
     for label in circuit.inputs:
         dims.setdefault(label, 2)
+    held["_dims"] = dims
     return dims
+
+
+def infer_dims(circuit: DistCircuit) -> dict[str, int]:
+    """Subsystem dimensions implied by the circuit's gates and resources.
+
+    The circuit is walked once (``circuit_dims``); each call returns a new dict.
+    """
+    return dict(circuit_dims(circuit))
+
+
+def _bounds(circuit: DistCircuit, upto: int | None, dims: dict[str, int]) -> tuple[int, int]:
+    """``(peak_register_dim, unmerged_branch_bound)`` of the first ``upto`` instructions, from
+    one walk."""
+    present = {label: dims[label] for label in circuit.inputs}
+    size = peak = math.prod(present.values())
+    branches = 1
+    for ins in circuit.instructions[:upto]:
+        kind = ins.kind
+        if kind == "Measure":
+            if ins.targets:
+                label = ins.targets[0]
+                branches *= dims.get(label, 1)
+                if label in present:
+                    size //= present.pop(label)
+        elif kind in RESOURCE_KINDS:
+            for label in ins.targets:
+                present[label] = dims[label]
+                size *= dims[label]
+            peak = max(peak, size)
+    return peak, branches
 
 
 def peak_register_dim(circuit: DistCircuit, upto: int | None = None,
@@ -191,20 +239,9 @@ def peak_register_dim(circuit: DistCircuit, upto: int | None = None,
 
     Computed from the instruction list alone: resources add subsystems and
     measurements remove them, the same way in every branch. ``dims`` is
-    ``infer_dims(circuit)``, computed when not given.
+    ``infer_dims(circuit)``, taken from the circuit when not given.
     """
-    dims = infer_dims(circuit) if dims is None else dims
-    present = {label: dims[label] for label in circuit.inputs}
-    size = peak = math.prod(present.values())
-    for ins in circuit.instructions[:upto]:
-        if ins.kind in RESOURCE_KINDS:
-            for label in ins.targets:
-                present[label] = dims[label]
-                size *= dims[label]
-            peak = max(peak, size)
-        elif ins.kind == "Measure" and ins.targets and ins.targets[0] in present:
-            size //= present.pop(ins.targets[0])
-    return peak
+    return _bounds(circuit, upto, circuit_dims(circuit) if dims is None else dims)[0]
 
 
 def unmerged_branch_bound(circuit: DistCircuit, upto: int | None = None,
@@ -212,11 +249,9 @@ def unmerged_branch_bound(circuit: DistCircuit, upto: int | None = None,
     """Most branches an enumeration without merging can reach in the first ``upto`` instructions.
 
     The product of the measured subsystems' dimensions: one fork per outcome.
-    ``dims`` is ``infer_dims(circuit)``, computed when not given.
+    ``dims`` is ``infer_dims(circuit)``, taken from the circuit when not given.
     """
-    dims = infer_dims(circuit) if dims is None else dims
-    return math.prod(dims.get(ins.targets[0], 1) for ins in circuit.instructions[:upto]
-                     if ins.kind == "Measure" and ins.targets)
+    return _bounds(circuit, upto, circuit_dims(circuit) if dims is None else dims)[1]
 
 
 def _ghz_amps(d: int, n: int) -> np.ndarray:
@@ -228,9 +263,15 @@ def _ghz_amps(d: int, n: int) -> np.ndarray:
 
 
 @lru_cache(maxsize=1024)
-def _resource_state(ins: Instruction) -> MixedRegister:
-    d = ins.dim or 2
-    return MixedRegister((d,) * len(ins.targets), _ghz_amps(d, len(ins.targets)), ins.targets)
+def _resource_amps(d: int, n: int) -> np.ndarray:
+    """The read-only amplitudes of an n-party resource over Z_d, shared by every plan.
+
+    Validated once as a register of their own (``MixedRegister``); a resource
+    instruction brings its labels.
+    """
+    amps = MixedRegister((d,) * n, _ghz_amps(d, n), tuple(map(str, range(n)))).amps
+    amps.flags.writeable = False
+    return amps
 
 
 @dataclass(eq=False, slots=True)
@@ -243,9 +284,19 @@ class _Branch:
     alive: np.ndarray
 
 
-def _gate_step(dims: tuple[int, ...], axes: tuple[int, ...], matrix: np.ndarray):
+@lru_cache(maxsize=backend.CACHE_SIZE)
+def _gate_plan(gate: Unitary, dims: tuple[int, ...], axes: tuple[int, ...]) -> tuple:
+    """The kernel plan of a cached gate (``gate_unitary``, ``gate_power``) on a register layout.
+
+    Keyed by the gate object, which the cache holds and whose entries are
+    read-only, so a plan needs no content key (see ``backend``).
+    """
+    return backend.kernel_plan(gate.entries, dims, axes, cached=False)
+
+
+def _gate_step(dims: tuple[int, ...], axes: tuple[int, ...], gate: Unitary):
     """A LocalGate: one matrix on fixed axes of every branch."""
-    plan = backend.kernel_plan(matrix, dims, axes)
+    matrix, plan = gate.entries, _gate_plan(gate, dims, axes)
 
     def run(frontier: list[_Branch], pool: backend.BufferPool | None, merge: bool) -> list[_Branch]:
         apply = backend.apply_matrix
@@ -256,7 +307,7 @@ def _gate_step(dims: tuple[int, ...], axes: tuple[int, ...], matrix: np.ndarray)
 
 
 def _cond_step(dims: tuple[int, ...], axes: tuple[int, ...], condition: Condition,
-               powers: tuple[np.ndarray, ...]):
+               powers: tuple[Unitary, ...]):
     """A CondGate: ``powers[v - 1]``, the gate to the power v, where the condition's value v is
     nonzero. Each power's kernel plan is looked up once, when its value first occurs."""
     plans: dict[int, tuple] = {}
@@ -266,11 +317,11 @@ def _cond_step(dims: tuple[int, ...], axes: tuple[int, ...], condition: Conditio
         for br in frontier:
             value = condition.evaluate(br.values)
             if value:
-                matrix = powers[value - 1]
+                gate = powers[value - 1]
                 plan = plans.get(value)
                 if plan is None:
-                    plan = plans[value] = backend.kernel_plan(matrix, dims, axes)
-                br.amps = apply(br.amps, dims, axes, matrix, plan, pool)
+                    plan = plans[value] = _gate_plan(gate, dims, axes)
+                br.amps = apply(br.amps, dims, axes, gate.entries, plan, pool)
         return frontier
     return run
 
@@ -595,9 +646,7 @@ class _Candidate:
         kind = ins.kind
         if kind == "LocalGate":
             self.ops.append(("G", ins.targets, gate))
-        elif kind == "CondGate":
-            if ins.condition is None:
-                return False
+        elif kind == "CondGate":  # compile_plan has checked that it has a condition
             for term in ins.condition.terms:
                 if term not in self.measured:
                     return False
@@ -669,6 +718,30 @@ def _explicit(makes) -> list[tuple]:
             if make is not None]
 
 
+def _axis_map(labels: tuple[str, ...]) -> dict[str, int]:
+    """Each label's axis in a register over ``labels``, the first one as ``labels.index`` finds."""
+    return dict(zip(reversed(labels), range(len(labels) - 1, -1, -1)))
+
+
+def _target_axes(axis_of: dict[str, int], labels: tuple[str, ...], dims: tuple[int, ...],
+                 targets: tuple[str, ...], arity: tuple[int, ...]) -> tuple[int, ...]:
+    """``statevec.target_axes`` through the label map ``axis_of`` of ``labels``.
+
+    Wherever the map finds no valid answer, ``target_axes`` resolves the
+    targets again, and raises its error.
+    """
+    if len(targets) == 1:
+        axis = axis_of.get(targets[0])
+        if axis is not None and (dims[axis],) == arity:
+            return (axis,)
+    else:
+        axes = tuple([axis_of.get(t) for t in targets])
+        if (None not in axes and len(set(axes)) == len(axes)
+                and tuple([dims[a] for a in axes]) == arity):
+            return axes
+    return target_axes(labels, dims, targets, arity)
+
+
 def compile_plan(circuit: DistCircuit, upto: int | None = None) -> Plan:
     """Resolve the first ``upto`` instructions against the register layout (see the module docstring).
 
@@ -676,11 +749,12 @@ def compile_plan(circuit: DistCircuit, upto: int | None = None) -> Plan:
     ValueError for the first bad one. Only then are the gadgets contracted;
     no simulation kernel runs.
     """
-    dims = infer_dims(circuit)
-    peak = peak_register_dim(circuit, upto, dims)
+    dims = circuit_dims(circuit)
+    peak, branch_bound = _bounds(circuit, upto, dims)
     check_register_dim(peak)
     labels = tuple(circuit.inputs)
     reg_dims = tuple(dims[label] for label in labels)
+    axis_of = _axis_map(labels)
     built = math.prod(reg_dims)  # the largest register a step builds
     instructions = circuit.instructions[:upto]
     live_after, readers = _symbol_uses(circuit.instructions)
@@ -691,28 +765,38 @@ def compile_plan(circuit: DistCircuit, upto: int | None = None) -> Plan:
         gate = None  # a gate's unitary, or a conditioned gate's powers from 1 on
         if kind == "LocalGate" or kind == "CondGate":
             gate = u = gate_unitary(ins.gate, ins.params)
-            axes = target_axes(labels, reg_dims, ins.targets, u.arity)
+            axes = _target_axes(axis_of, labels, reg_dims, ins.targets, u.arity)
             if kind == "LocalGate":
-                make = (_gate_step, reg_dims, axes, u.entries)
+                make = (_gate_step, reg_dims, axes, u)
             else:  # each power once per value; the conditions are evaluated at run time
+                condition = ins.condition
+                if condition is None:
+                    raise ValueError(f"instruction {i}: CondGate {ins.gate} on "
+                                     f"{list(ins.targets)} has no condition")
                 gate = (u,)
-                if ins.condition is not None and ins.condition.mod > 2:
+                if condition.mod > 2:
                     gate += tuple([gate_power(ins.gate, ins.params, v)
-                                   for v in range(2, ins.condition.mod)])
-                make = (_cond_step, reg_dims, axes, ins.condition,
-                        (u.entries,) if len(gate) == 1 else tuple([g.entries for g in gate]))
+                                   for v in range(2, condition.mod)])
+                make = (_cond_step, reg_dims, axes, condition, gate)
         elif kind in RESOURCE_KINDS:
-            resource = _resource_state(ins)
-            if collision := set(labels) & set(resource.labels):
+            added = ins.targets
+            if len(set(added)) != len(added):
+                raise ValueError("labels must be unique")
+            amps = _resource_amps(ins.dim or 2, len(added))
+            if collision := set(labels) & set(added):
                 raise ValueError(f"label collision: {collision}")
-            make = (_resource_step, resource.amps)
+            make = (_resource_step, amps)
             before = labels, reg_dims
-            labels, reg_dims = labels + resource.labels, reg_dims + resource.dims
+            axis_of.update(zip(added, range(len(labels), len(labels) + len(added))))
+            labels, reg_dims = labels + added, reg_dims + (ins.dim or 2,) * len(added)
         elif kind == "Measure":
-            axis = label_axis(labels, ins.targets[0])
+            axis = axis_of.get(ins.targets[0])
+            if axis is None:
+                axis = label_axis(labels, ins.targets[0])  # raises
             make = (_measure_step, reg_dims, axis, ins.outcome or f"_m{i}")
             labels = labels[:axis] + labels[axis + 1:]
             reg_dims = reg_dims[:axis] + reg_dims[axis + 1:]
+            axis_of = _axis_map(labels)
         elif kind == "ClassicalSend":
             make = None if live_after[i + 1] == live_after[i] else ()
         else:  # pragma: no cover - Instruction rejects unknown kinds
@@ -756,8 +840,8 @@ def compile_plan(circuit: DistCircuit, upto: int | None = None) -> Plan:
         else:
             plan_steps += _explicit(entry.makes)
             built = max(built, entry.grown)
-    return Plan(circuit, upto, dims, peak, built, unmerged_branch_bound(circuit, upto, dims),
-                tuple(plan_steps), tuple(gadgets), labels, reg_dims)
+    return Plan(circuit, upto, dict(dims), peak, built, branch_bound, tuple(plan_steps),
+                tuple(gadgets), labels, reg_dims)
 
 
 def enumerate_branches(circuit: DistCircuit, input_state: MixedRegister | None = None,

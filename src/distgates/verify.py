@@ -18,6 +18,14 @@ modulus 1 within ``UNITARY_TOL``, and every factor is a validated
 ``Unitary``. A caller may still pass a dense ``Unitary``, which is applied as
 a matrix product.
 
+``OracleSpec.unitary`` builds each ``(kind, theta, n)`` once and returns the
+same oracle object afterwards, so the many circuits of one shape, and the
+dropped-correction variants of each, share one oracle. Every array of a
+memoized oracle is read-only, as the cached gate matrices of ``gates`` are: a
+write would change every later verify of that spec. A ``ProductOracle`` keeps
+its factors' kernel plans from its first ``apply`` on, so a later apply makes
+no content-keyed plan lookup (see ``backend``).
+
 The circuits are linear in their input, so ``verify`` stacks the inputs as
 columns of one matrix, applies the oracle to all of them at once (phases times
 columns, or each factor in turn through ``backend.apply_matrix``) and
@@ -54,6 +62,7 @@ from __future__ import annotations
 import json
 import math
 from dataclasses import dataclass, field
+from functools import lru_cache
 
 import numpy as np
 
@@ -62,7 +71,7 @@ from .circuit import DistCircuit, ResourceTally, tally
 from .gates import (cz4_sq_matrix, cz_matrix, czd_matrix, csum_matrix, h_matrix,
                     s_dag_matrix)
 from .qubit_protocols import lms_matrix
-from .simulate import MAX_INPUT_AMPLITUDES, compile_plan, enumerate_branches, infer_dims
+from .simulate import MAX_INPUT_AMPLITUDES, circuit_dims, compile_plan, enumerate_branches
 from .statevec import (UNITARY_TOL, MixedRegister, Unitary, check_register_dim,
                        fidelity_up_to_phase, permute, random_register)
 
@@ -120,6 +129,7 @@ class ProductOracle:
         object.__setattr__(self, "arity", arity)
         factors = tuple((tuple(axes), u) for axes, u in self.factors)
         object.__setattr__(self, "factors", factors)
+        object.__setattr__(self, "_plans", None)  # each factor's kernel plan, from the first apply
         for axes, u in factors:
             if len(set(axes)) != len(axes) or not all(0 <= a < len(arity) for a in axes):
                 raise ValueError(f"factor axes {axes} are not distinct axes of {arity}")
@@ -136,9 +146,18 @@ class ProductOracle:
         return self.apply(np.eye(self.dim, dtype=np.complex128))
 
     def apply(self, amps: np.ndarray) -> np.ndarray:
-        """The gate applied to a state vector or to each column of a batch."""
-        for axes, u in self.factors:
-            amps = backend.apply_matrix(amps, self.arity, axes, u.entries)
+        """The gate applied to a state vector or to each column of a batch.
+
+        The first call looks up each factor's kernel plan and keeps it, so
+        the factors' entries must not change after it.
+        """
+        plans = self._plans
+        if plans is None:
+            plans = tuple([backend.kernel_plan(u.entries, self.arity, axes)
+                           for axes, u in self.factors])
+            object.__setattr__(self, "_plans", plans)
+        for (axes, u), plan in zip(self.factors, plans):
+            amps = backend.apply_matrix(amps, self.arity, axes, u.entries, plan)
         return amps
 
 
@@ -223,8 +242,21 @@ class OracleSpec:
     kind: str
     theta: float | None = None
 
+    @lru_cache(maxsize=64)
     def unitary(self, n: int) -> PhaseOracle | ProductOracle:
-        """The gate on n subsystems, as the oracle builder of its kind returns it."""
+        """The gate on n subsystems, as the oracle builder of its kind returns it.
+
+        Memoized per ``(kind, theta, n)``: equal specs get the same oracle
+        object, and every array of it is read-only.
+        """
+        oracle = self._build(n)
+        # shared by every later verify of an equal spec: a write would change them all
+        for arr in ([oracle.phases] if isinstance(oracle, PhaseOracle)
+                    else [u.entries for _, u in oracle.factors]):
+            arr.flags.writeable = False
+        return oracle
+
+    def _build(self, n: int) -> PhaseOracle | ProductOracle:
         if self.kind == "gms":
             if self.theta is None:
                 raise ValueError("GMS oracle needs theta")
@@ -288,7 +320,7 @@ class VerificationReport:
 
 def _input_dims(circuit: DistCircuit) -> tuple[int, ...]:
     """The declared inputs' dimensions, checked against the register cap before any allocation."""
-    dims = infer_dims(circuit)
+    dims = circuit_dims(circuit)
     in_dims = tuple(dims[l] for l in circuit.inputs)
     check_register_dim(math.prod(in_dims))
     return in_dims

@@ -14,7 +14,7 @@ from test_batched_verify import _dropped_variants
 from distgates import backend
 from distgates.circuit import RESOURCE_KINDS
 from distgates.gates import gate_power, gate_unitary, h_matrix
-from distgates.simulate import MERGE_ATOL, _distance, _resource_state, enumerate_branches
+from distgates.simulate import MERGE_ATOL, _distance, _resource_amps, enumerate_branches
 from distgates.statevec import (DEFAULT_MAX_DIM, PRUNE_TOL, MixedRegister, measure_amps,
                                 measure_enumerate, tensor_amps)
 from distgates.verify import basis_inputs, random_inputs, verify
@@ -173,7 +173,7 @@ def _cached_data(circuit):
     cached = []
     for ins in circuit.instructions:
         if ins.kind in RESOURCE_KINDS:
-            cached.append(_resource_state(ins).amps)
+            cached.append(_resource_amps(ins.dim or 2, len(ins.targets)))
         elif ins.kind == "LocalGate":
             cached.append(gate_unitary(ins.gate, ins.params).entries)
         elif ins.kind == "CondGate":

@@ -8,7 +8,7 @@ import pytest
 from conftest import enumerate_reference
 
 from distgates import (Condition, DistCircuit, Instruction, MixedRegister, NodeLayout, backend,
-                       catalog, enumerate_branches, peak_register_dim, simulate)
+                       catalog, enumerate_branches, infer_dims, peak_register_dim, simulate)
 from distgates.simulate import compile_plan, unmerged_branch_bound
 from distgates.statevec import DEFAULT_MAX_DIM, random_register
 from distgates.verify import OracleSpec, basis_inputs, random_inputs, verify
@@ -123,6 +123,9 @@ BAD = {
     "unknown conditioned gate": (
         Instruction("CondGate", ("a",), gate=None, condition=Condition(("m",))),
         "unknown gate name None"),
+    "conditioned gate without a condition": (
+        Instruction("CondGate", ("a",), gate="X"),
+        "instruction 8: CondGate X on \\['a'\\] has no condition"),
     "gate on an unknown label": (Instruction("LocalGate", ("zz",), gate="H"),
                                  "unknown subsystem label 'zz'"),
     "gate on a measured label": (Instruction("LocalGate", ("e1",), gate="H"),
@@ -190,6 +193,30 @@ def test_a_plan_is_tied_to_its_circuit_and_prefix():
     for args, kwargs in (((other, state), {}), ((circuit, state), {"upto": 3})):
         with pytest.raises(ValueError, match="another circuit or instruction prefix"):
             enumerate_branches(*args, plan=plan, **kwargs)
+
+
+def test_dims_are_inferred_once_per_circuit_object(monkeypatch):
+    circuit = catalog.tagged("corpus")["dcsum4"].build()
+    walked = []
+    arity = simulate.gate_arity
+    monkeypatch.setattr(simulate, "gate_arity", lambda name: walked.append(name) or arity(name))
+    dims = infer_dims(circuit)
+    gates = len(walked)
+    assert gates == sum(ins.kind in ("LocalGate", "CondGate") for ins in circuit.instructions)
+    again = infer_dims(circuit)
+    assert again == dims and again is not dims
+    dims[circuit.inputs[0]] = 99  # a caller's dict is its own
+    assert infer_dims(circuit) == again
+    inputs = basis_inputs(circuit) + random_inputs(circuit, 2)
+    plan = compile_plan(circuit)
+    assert verify(circuit, OracleSpec("csum4"), inputs).passed
+    assert peak_register_dim(circuit) == plan.peak
+    assert unmerged_branch_bound(circuit) == plan.branch_bound
+    assert len(walked) == gates
+    plan.dims[circuit.inputs[0]] = 99
+    assert infer_dims(circuit) == again
+    copy = DistCircuit(circuit.layout, circuit.instructions, circuit.inputs, circuit.outputs)
+    assert infer_dims(copy) == again and len(walked) == 2 * gates
 
 
 def test_conditioned_powers_are_resolved_once_per_value(monkeypatch):

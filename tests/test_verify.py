@@ -9,11 +9,12 @@ import pytest
 from conftest import (H, I2, X, bits_of, csum_multi_reference, digits_of, expm_xx_sum,
                       gcz_phase, kron_embed)
 
-from distgates import (DistCircuit, GateRef, MixedRegister, NodeLayout, Unitary,
+from distgates import (DistCircuit, GateRef, MixedRegister, NodeLayout, Unitary, backend,
                        build_dcontrol_u, build_dcsum4, catalog, enumerate_branches, lms_matrix)
 from distgates.gates import s_dag_matrix
 from distgates.verify import (OracleSpec, PhaseOracle, ProductOracle, basis_inputs,
-                              identity_checks, oracle_gcz, oracle_gms, oracle_multitarget_cu,
+                              identity_checks, oracle_csum4, oracle_csum4_multi, oracle_cz4_pow,
+                              oracle_cz4_sq_fanout, oracle_gcz, oracle_gms, oracle_multitarget_cu,
                               oracle_qudit_gcz, random_inputs, verify)
 
 LAY_AB = NodeLayout(("A", "B"), {"c": "A", "t": "B"})
@@ -274,6 +275,60 @@ def test_applied_oracle_equals_dense_reference(kind, n):
         np.testing.assert_allclose(applied, reference @ psi, rtol=0, atol=1e-12)
         np.testing.assert_allclose(oracle.apply(psi[:, 0]), applied[:, 0], rtol=0, atol=1e-15)
     np.testing.assert_allclose(oracle.entries, reference, rtol=0, atol=1e-12)
+
+
+# a fresh call of each kind's builder, as OracleSpec.unitary(n) dispatches it
+FRESH_BUILDS = {
+    "gms": lambda n, theta: oracle_gms(n, theta),
+    "gcz": lambda n, theta: oracle_gcz(n),
+    "cnot": lambda n, theta: oracle_multitarget_cu([X] * (n - 1)),
+    "csum4": lambda n, theta: oracle_csum4(),
+    "csum4_multi": lambda n, theta: oracle_csum4_multi(n - 1),
+    "cz4": lambda n, theta: oracle_cz4_pow(1),
+    "cz4_sq": lambda n, theta: oracle_cz4_pow(2) if n == 2 else oracle_cz4_sq_fanout(n - 1),
+    "qudit_gcz": lambda n, theta: oracle_qudit_gcz(n),
+}
+
+
+def test_spec_oracles_are_memoized_per_kind_theta_and_n():
+    oracle = OracleSpec("gms", 0.3).unitary(4)
+    assert OracleSpec("gms", 0.3).unitary(4) is oracle
+    assert OracleSpec("gms", 0.4).unitary(4) is not oracle
+    assert OracleSpec("gms", 0.3).unitary(3) is not oracle
+    assert OracleSpec("gcz").unitary(4) is OracleSpec("gcz").unitary(4)
+    assert OracleSpec("gcz").unitary(4) is not OracleSpec("gcz").unitary(5)
+
+
+@pytest.mark.parametrize("kind,n", ORACLE_CASES)
+def test_memoized_oracle_is_read_only_and_equals_a_fresh_build(kind, n):
+    theta = 0.37 * n
+    oracle = OracleSpec(kind, theta).unitary(n)
+    fresh = FRESH_BUILDS[kind](n, theta)
+    assert type(oracle) is type(fresh) and oracle.arity == fresh.arity
+    if isinstance(oracle, PhaseOracle):
+        assert oracle.phases.tobytes() == fresh.phases.tobytes()
+        arrays = [oracle.phases]
+    else:
+        assert [axes for axes, _ in oracle.factors] == [axes for axes, _ in fresh.factors]
+        assert all(u.entries.tobytes() == v.entries.tobytes()
+                   for (_, u), (_, v) in zip(oracle.factors, fresh.factors))
+        arrays = [u.entries for _, u in oracle.factors]
+    for arr in arrays:
+        with pytest.raises(ValueError, match="read-only"):
+            arr[0] = 0
+
+
+def test_a_product_oracle_keeps_its_kernel_plans(monkeypatch):
+    oracle = OracleSpec("gms", 0.7).unitary(3)
+    psi = np.eye(8, dtype=complex)
+    first = oracle.apply(psi)
+
+    def forbidden(*args, **kwargs):
+        raise AssertionError("a kernel plan was looked up again")
+
+    monkeypatch.setattr(backend, "kernel_plan", forbidden)
+    np.testing.assert_array_equal(oracle.apply(psi), first)
+    np.testing.assert_array_equal(oracle.apply(psi[:, 3]), first[:, 3])
 
 
 def test_gcz12_oracle_is_applied_without_a_dense_matrix():
