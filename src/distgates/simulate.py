@@ -19,25 +19,43 @@ same code.
 
 Teleported-gate protocols reconverge: once corrections have been applied, all
 branches hold the same state. ``merge_equal=True`` collapses branches whose
-labels, dims, alive masks, still-referenced outcome symbols and whole
-amplitude matrices agree (``allclose`` with ``atol=MERGE_ATOL``), keeping
-enumeration polynomial for circuits with many teleported gates while the
-reported ``weight`` preserves the underlying branch count. Candidates are
-bucketed by the exactly-compared fields, and each is compared with the kept
-branches of its bucket in order, so the merges, and the order of the kept
-branches, are those of a plain first-match scan.
+labels, dims, alive masks, merge keys and whole amplitude matrices agree
+(``allclose`` with ``atol=MERGE_ATOL``), keeping enumeration polynomial for
+circuits with many teleported gates while the reported ``weight`` preserves
+the underlying branch count. Candidates are bucketed by the exactly-compared
+fields, and each is compared with the kept branches of its bucket in order,
+so the merges, and the order of the kept branches, are those of a plain
+first-match scan.
+
+A branch's merge key holds what the later conditions will read of the
+outcomes so far: for each condition at a later index j, the sum, mod its
+modulus, of its terms that are already measured and not measured again
+before j (``_symbol_uses``; an unmeasured term reads 0 in every branch). This
+is sound. A condition's value at j is that partial sum plus the terms
+measured between now and j, modulo its modulus, and those outcomes are
+forked the same way from equal states, so two branches with equal
+amplitudes, alive masks and keys pair up outcome by outcome from here on:
+each pair reads equal condition values, applies the same maps and stays
+equal. So the merged branch, with the summed probability and weight, stands
+for both. The key is what lets a GHZ fan-out reconverge early: each share is
+measured in the X basis and one correction reads the parity of all the
+outcomes, so branches merge on that parity as the outcomes come in, where a
+key of every outcome read later would keep all 2^k of them apart until the
+correction. An entry of one term whose outcomes stay below its modulus is
+just that symbol's value, so a circuit whose conditions read one outcome
+each pays for its key what a key of symbol values costs.
 
 A merge runs only after a step where branches can meet: a conditioned gate,
-a measurement, or a ClassicalSend after which a later condition no longer
-reads some outcome symbol (see ``Plan``). A LocalGate or a resource applies
-one map to every branch, and the merge before it has already compared those
-branches under the same live symbols. One caveat: the merge test is on the
-largest amplitude difference, and a dense gate or a resource on
-d-dimensional subsystems can shrink that by up to a factor sqrt(d) (a
-resource's amplitudes are 1/sqrt(d)). A pair just over ``MERGE_ATOL`` before
-such a step may therefore be within it after, and then merges at the next
-conditioned gate or measurement instead, where merging after every
-instruction would have merged it at once.
+a measurement, or a ClassicalSend that changes the key (see ``Plan``). A
+LocalGate or a resource applies one map to every branch and leaves the key
+as it was, and the merge before it has already compared those branches under
+the same key. One caveat: the merge test is on the largest amplitude
+difference, and a dense gate or a resource on d-dimensional subsystems can
+shrink that by up to a factor sqrt(d) (a resource's amplitudes are
+1/sqrt(d)). A pair just over ``MERGE_ATOL`` before such a step may therefore
+be within it after, and then merges at the next conditioned gate or
+measurement instead, where merging after every instruction would have merged
+it at once.
 
 Every branch builds the same registers: resources add subsystems and
 measurements remove them, the same way in every branch. So ``peak_register_dim``
@@ -48,7 +66,8 @@ circuit whose measurements could fork more than ``MAX_BRANCHES`` branches
 forward walk (``_bounds``). The subsystem dimensions they need are inferred
 once per circuit object and held by it (``circuit_dims``): ``infer_dims``,
 ``verify``'s input generators and ``compile_plan`` on one circuit walk its
-instructions for them once, and ``infer_dims`` hands each caller a copy.
+instructions for them once, and ``infer_dims`` hands each caller a copy. The
+same walk counts the resources that ``verify`` reports (``resource_counts``).
 
 For the same reason the instruction list is compiled once into a ``Plan``
 (``compile_plan``) before any branch runs, walking the register layout the way
@@ -113,15 +132,17 @@ and the alive mask unchanged, and applies each U_r to the data axes with
 within ``MERGE_ATOL / d_S`` of zero are rounding noise and are set to zero,
 so that the kernel sees a diagonal or monomial U_r as such.
 
-With merging, the records are grouped at plan time: a record joins the
-first group whose first record has the same values of the gadget's symbols
-that a later condition still reads and a unitary within ``MERGE_ATOL / d_S``
-of its own. For every normalized column the two states then differ by at
-most ``MERGE_ATOL`` in each amplitude, so the first-match merge would merge
-them anyway. A group forks one branch, of the group's size as weight and
-the sum of its records' probabilities, which keeps its first record; the
-usual merge follows the step. Without merging every record is a branch of
-its own, so ``MAX_BRANCHES`` and ``unmerged_branch_bound`` hold as before.
+With merging, the records are grouped at plan time: a record joins the first
+group whose first record has the same values of the gadget's symbols that
+the merge key after the gadget reads and a unitary within
+``MERGE_ATOL / d_S`` of its own. Those values decide the key's partial sums
+there, so the grouping is at least as fine as the merge key. For every
+normalized column the two states then differ by at most ``MERGE_ATOL`` in
+each amplitude, so the first-match merge would merge them anyway. A group
+forks one branch, of the group's size as weight and the sum of its records'
+probabilities, which keeps its first record; the usual merge follows the
+step. Without merging every record is a branch of its own, so
+``MAX_BRANCHES`` and ``unmerged_branch_bound`` hold as before.
 
 Builds are cached by a canonical key (``_gadget``): data and resource
 labels are numbered in order of use, outcome symbols by their measurement,
@@ -181,16 +202,21 @@ def circuit_dims(circuit: DistCircuit) -> dict[str, int]:
 
     A circuit is frozen, so its dims never change; callers only read the
     dict. A circuit whose dims conflict holds nothing and raises on every call.
+    The same walk counts the resources (``resource_counts``).
     """
     held = vars(circuit)
     if "_dims" in held:
         return held["_dims"]
     dims: dict[str, int] = {}
+    resources: dict[tuple[int, int], int] = {}
     for ins in circuit.instructions:
         if ins.kind in ("LocalGate", "CondGate") and ins.gate is not None:
             pairs = zip(ins.targets, gate_arity(ins.gate))
         elif ins.kind in RESOURCE_KINDS:
-            pairs = zip(ins.targets, (ins.dim or 2,) * len(ins.targets))
+            d = ins.dim or 2
+            pairs = zip(ins.targets, (d,) * len(ins.targets))
+            shape = len(ins.parties), d
+            resources[shape] = resources.get(shape, 0) + 1
         else:
             continue
         for label, d in pairs:
@@ -199,8 +225,16 @@ def circuit_dims(circuit: DistCircuit) -> dict[str, int]:
                     f"subsystem {label!r} used with dimensions {dims[label]} and {d}")
     for label in circuit.inputs:
         dims.setdefault(label, 2)
+    held["_resources"] = resources
     held["_dims"] = dims
     return dims
+
+
+def resource_counts(circuit: DistCircuit) -> dict[tuple[int, int], int]:
+    """The circuit's resources by ``(parties, dim)``, the counts of ``tally(circuit)``, from
+    the walk of ``circuit_dims``; callers only read the dict."""
+    circuit_dims(circuit)
+    return vars(circuit)["_resources"]
 
 
 def infer_dims(circuit: DistCircuit) -> dict[str, int]:
@@ -502,21 +536,25 @@ class Plan(NamedTuple):
 
     ``steps`` pairs each step, a function from frontier, the run's pool
     (which only gate and gadget steps use) and whether branches merge to
-    frontier, with the outcome symbols a later condition still reads, the
-    live part of a merge key, or with None when no merge follows the step.
-    Branches can only meet after a step that treats them differently, or
-    that stops reading a symbol they differ in:
+    frontier, with the merge key spec after it, or with None when no merge
+    follows the step. A spec is a tuple of entries, one for each distinct
+    partial sum that a later condition will read (see the module
+    docstring): an outcome symbol, whose value is the entry, or
+    ``(terms, mod)``, the sum of the terms' values mod ``mod``. Symbols come
+    first, so a spec without sums is a tuple of symbols. Branches can only
+    meet after a step that treats them differently, or after which the key
+    reads less of them:
 
     - a contracted gadget, a CondGate or a Measure is followed by a merge;
     - a LocalGate or a resource applies one map to every branch and leaves
-      the live symbols as they were, so the merge after it would find nothing
-      the merge before it missed, and it gets None (but see the caveat in
-      the module docstring);
+      the key as it was, so the merge after it would find nothing the merge
+      before it missed, and it gets None (but see the caveat in the module
+      docstring);
     - a ClassicalSend is free in simulation (the resource tally audits it),
-      so its step is None. It gets no pair at all when its live symbols are
-      those of the instruction before it: the merge after it would compare
-      the same frontier under the same keys as the merge before it, and so
-      merge nothing.
+      so its step is None. It gets no pair at all when its spec is that of
+      the instruction before it: the merge after it would compare the same
+      frontier under the same keys as the merge before it, and so merge
+      nothing.
 
     ``gadgets`` holds the first and last instruction index of each contracted
     gadget, in order; its one step stands for the steps of all of those
@@ -534,39 +572,84 @@ class Plan(NamedTuple):
     peak: int
     simulated_peak: int
     branch_bound: int
-    steps: tuple[tuple[Callable | None, tuple[str, ...] | None], ...]
+    steps: tuple[tuple[Callable | None, tuple | None], ...]
     gadgets: tuple[tuple[int, int], ...]
     labels: tuple[str, ...]
     out_dims: tuple[int, ...]
 
 
-def _symbol_uses(instructions) -> tuple[list[tuple[str, ...]], dict[int, int]]:
-    """``(live, readers)``, from one backward pass.
+def _symbol_uses(instructions, top: int) -> tuple[list[tuple], dict[int, int], dict[int, str]]:
+    """``(keys, readers, unmeasured)``, from one backward pass.
 
-    ``live[i]`` holds the outcome symbols a condition at index i or later still
-    reads (sorted). ``readers`` maps each Measure index to the last CondGate that
-    reads its outcome before the symbol is measured again.
+    ``keys[i]`` is the merge key spec before instruction i (see ``Plan``): for
+    each condition at index i or later, its terms that are not measured again
+    before it, summed mod its modulus. A Measure removes its symbol from the
+    conditions after it that still hold it, and a condition adds an entry. An
+    entry of one term whose values stay below the modulus (every subsystem
+    dimension is at most ``top``) is that symbol; equal entries appear once,
+    and a spec is rebuilt only where its entries change.
+    ``readers`` maps each Measure index to the last CondGate that reads its
+    outcome before the symbol is measured again. ``unmeasured`` maps each
+    CondGate that reads a symbol never measured before it to the first such
+    symbol.
     """
-    out = [()] * (len(instructions) + 1)
+    keys: list[tuple] = [()] * (len(instructions) + 1)
     readers: dict[int, int] = {}
     last: dict[str, int] = {}  # symbol -> its last reader after the current index
-    live: frozenset[str] = frozenset()
-    ordered: tuple[str, ...] = ()
+    rest: dict[int, tuple] = {}  # condition -> (its terms left, modulus, entry, entry table)
+    holders: dict[str, list[int]] = {}  # symbol -> the conditions in rest that hold it
+    symbols: dict[str, int] = {}  # one-term entry -> how many conditions in rest have it
+    sums: dict[tuple, int] = {}  # (terms, mod) entry -> the same
+
+    def enter(j: int, terms, mod: int) -> bool:
+        """Give condition j the entry of ``terms``; True if no condition had it."""
+        if len(terms) == 1 and mod >= top:
+            new, table = terms[0], symbols
+        else:
+            new, table = (tuple(sorted(terms)), mod), sums
+        rest[j] = terms, mod, new, table
+        count = table.get(new, 0)
+        table[new] = count + 1
+        return not count
+
+    spec: tuple | None = ()  # None once the entries have changed
     for i in range(len(instructions) - 1, -1, -1):
         ins = instructions[i]
-        if ins.condition is not None:
-            if ins.kind == "CondGate":
-                for symbol in ins.condition.terms:
-                    last.setdefault(symbol, i)
-            if not live.issuperset(ins.condition.terms):
-                live = live | frozenset(ins.condition.terms)
-                ordered = tuple(sorted(live))
-        elif ins.kind == "Measure":
-            reader = last.pop(ins.outcome or f"_m{i}", None)
+        if ins.kind == "Measure":
+            symbol = ins.outcome or f"_m{i}"
+            reader = last.pop(symbol, None)
             if reader is not None:
                 readers[i] = reader
-        out[i] = ordered
-    return out, readers
+            for j in holders.pop(symbol, ()):
+                terms, mod, old, table = rest.pop(j)
+                count = table.pop(old)
+                if count > 1:
+                    table[old] = count - 1
+                else:
+                    spec = None
+                if len(terms) > 1:
+                    terms = [t for t in terms if t != symbol]
+                    if terms and enter(j, terms, mod):
+                        spec = None
+        condition = ins.condition
+        if condition is not None and condition.terms:  # read before a measurement at i
+            terms = condition.terms
+            if ins.kind == "CondGate":
+                for symbol in terms:
+                    last.setdefault(symbol, i)
+            if len(terms) == 1:
+                holders.setdefault(terms[0], []).append(i)
+            else:
+                for symbol in set(terms):
+                    holders.setdefault(symbol, []).append(i)
+            if enter(i, terms, condition.mod):
+                spec = None
+        if spec is None:
+            spec = tuple(symbols) + tuple(sums) if sums else tuple(symbols)
+        keys[i] = spec
+    unmeasured = {j: entry[0][0] for j, entry in rest.items()
+                  if instructions[j].kind == "CondGate"}
+    return keys, readers, unmeasured
 
 
 def _distance(a: np.ndarray, b: np.ndarray) -> float:
@@ -592,13 +675,23 @@ def _distance(a: np.ndarray, b: np.ndarray) -> float:
     return worst
 
 
-def _merge(frontier: list[_Branch], live: tuple[str, ...]) -> list[_Branch]:
-    """Merge each branch into the first earlier kept branch equal to it (see the module docstring)."""
+def _merge(frontier: list[_Branch], spec: tuple) -> list[_Branch]:
+    """Merge each branch into the first earlier kept branch equal to it (see the module docstring).
+
+    ``spec`` is the step's merge key spec (see ``Plan``).
+    """
     merged: list[_Branch] = []
     buckets: dict[tuple, list[_Branch]] = {}  # exact key -> kept branches
+    symbols_only = not spec or type(spec[-1]) is str
     for br in frontier:
         # every branch has the plan's labels and dims, so they are left out of the key
-        key = (br.alive.tobytes(), tuple(map(br.values.get, live)))
+        get = br.values.get
+        if symbols_only:
+            key = (br.alive.tobytes(), tuple(map(get, spec)))
+        else:  # a term no branch has measured yet reads 0 in every branch
+            key = (br.alive.tobytes(), tuple([
+                get(e) if type(e) is str else sum([get(t, 0) for t in e[0]]) % e[1]
+                for e in spec]))
         bucket = buckets.setdefault(key, [])
         small = br.amps.nbytes < backend.POOL_MIN_BYTES
         for kept in bucket:
@@ -670,7 +763,7 @@ def _contract(shares: tuple[str, ...], d: int, ops: tuple, live: tuple[str, ...]
 
     ``shares`` are the resource's labels and ``d`` their dimension; ``ops``
     are the gadget's operations from ``_Candidate`` and ``live`` its outcome
-    symbols that a later condition still reads. None when the gadget touches
+    symbols that the merge key after it reads. None when the gadget touches
     no data label, its build would pass ``GADGET_AMPLITUDES``, or ``_gadget``
     finds a record that is not unitary.
 
@@ -746,7 +839,8 @@ def compile_plan(circuit: DistCircuit, upto: int | None = None) -> Plan:
     """Resolve the first ``upto`` instructions against the register layout (see the module docstring).
 
     Checks the register cap first, then every instruction, and raises
-    ValueError for the first bad one. Only then are the gadgets contracted;
+    ValueError for the first bad one (a CondGate that reads a symbol never
+    measured before it among them). Only then are the gadgets contracted;
     no simulation kernel runs.
     """
     dims = circuit_dims(circuit)
@@ -757,7 +851,7 @@ def compile_plan(circuit: DistCircuit, upto: int | None = None) -> Plan:
     axis_of = _axis_map(labels)
     built = math.prod(reg_dims)  # the largest register a step builds
     instructions = circuit.instructions[:upto]
-    live_after, readers = _symbol_uses(circuit.instructions)
+    keys, readers, unmeasured = _symbol_uses(circuit.instructions, max(dims.values(), default=2))
     steps: list = []  # (step, merge key) per instruction, or a _Candidate for a gadget
     candidate = None  # the gadget being read
     for i, ins in enumerate(instructions):
@@ -773,6 +867,9 @@ def compile_plan(circuit: DistCircuit, upto: int | None = None) -> Plan:
                 if condition is None:
                     raise ValueError(f"instruction {i}: CondGate {ins.gate} on "
                                      f"{list(ins.targets)} has no condition")
+                if i in unmeasured:
+                    raise ValueError(f"instruction {i}: condition references unmeasured "
+                                     f"symbol {unmeasured[i]!r}")
                 gate = (u,)
                 if condition.mod > 2:
                     gate += tuple([gate_power(ins.gate, ins.params, v)
@@ -798,11 +895,11 @@ def compile_plan(circuit: DistCircuit, upto: int | None = None) -> Plan:
             reg_dims = reg_dims[:axis] + reg_dims[axis + 1:]
             axis_of = _axis_map(labels)
         elif kind == "ClassicalSend":
-            make = None if live_after[i + 1] == live_after[i] else ()
+            make = None if keys[i + 1] == keys[i] else ()
         else:  # pragma: no cover - Instruction rejects unknown kinds
             raise ValueError(f"unknown instruction kind {kind!r}")
         # no merge after a LocalGate or a resource: see Plan
-        live = None if kind == "LocalGate" or kind in RESOURCE_KINDS else live_after[i + 1]
+        live = None if kind == "LocalGate" or kind in RESOURCE_KINDS else keys[i + 1]
         if candidate is not None:
             if candidate.add(i, ins, gate, readers):
                 candidate.makes.append((make, live))
@@ -827,10 +924,13 @@ def compile_plan(circuit: DistCircuit, upto: int | None = None) -> Plan:
         if type(entry) is not _Candidate:
             plan_steps.append(entry)
             continue
-        live = live_after[entry.end + 1]
+        live = keys[entry.end + 1]
+        read = set()  # the symbols the key reads; grouping on their values is finer, and sound
+        for e in live:
+            read.update((e,) if type(e) is str else e[0])
         res = entry.resource
         found = _contract(res.targets, res.dim or 2, tuple(entry.ops),
-                          tuple([s for s in live if s in entry.measured]))
+                          tuple(sorted(entry.measured & read)))
         if found:
             gadget, data, symbols = found
             axes = tuple([entry.labels.index(label) for label in data])

@@ -31,12 +31,16 @@ columns of one matrix, applies the oracle to all of them at once (phases times
 columns, or each factor in turn through ``backend.apply_matrix``) and
 enumerates branches once per chunk of inputs rather than once per input (see
 ``simulate``). Before any of that, it compiles the circuit once into a
-``simulate.Plan``: the subsystem dimensions, the peak register, the outcome
-symbols each step still needs, and every instruction resolved against the
-register layout, with every instruction check, the register-cap check and
-the check of the final register against the declared outputs done before
-anything is allocated. All chunks share that plan. A chunk holds
-``max(1, CHUNK_AMPLITUDES // plan.simulated_peak)`` inputs, so a branch's
+``simulate.Plan``: the subsystem dimensions, the peak register, the merge
+key of each step (what later conditions will read of the outcomes so far),
+and every instruction resolved against the register layout, with every
+instruction check, the register-cap check and the check of the final
+register against the declared outputs done before anything is allocated.
+All chunks share that plan. The report's resource tally is
+``tally(circuit)``'s, counted by the walk that infers the circuit's dims
+(``simulate.resource_counts``), so a verify walks no instruction list for
+it. A chunk holds ``max(1, CHUNK_AMPLITUDES // plan.simulated_peak)``
+inputs, so a branch's
 amplitude matrix holds about ``CHUNK_AMPLITUDES`` amplitudes (2^16, 1 MiB)
 at the largest register the plan's steps build; a circuit whose register
 reaches the budget runs one input at a time. That register is smaller than
@@ -67,11 +71,12 @@ from functools import lru_cache
 import numpy as np
 
 from . import backend
-from .circuit import DistCircuit, ResourceTally, tally
+from .circuit import DistCircuit, ResourceTally
 from .gates import (cz4_sq_matrix, cz_matrix, czd_matrix, csum_matrix, h_matrix,
                     s_dag_matrix)
 from .qubit_protocols import lms_matrix
-from .simulate import MAX_INPUT_AMPLITUDES, circuit_dims, compile_plan, enumerate_branches
+from .simulate import (MAX_INPUT_AMPLITUDES, circuit_dims, compile_plan, enumerate_branches,
+                       resource_counts)
 from .statevec import (UNITARY_TOL, MixedRegister, Unitary, check_register_dim,
                        fidelity_up_to_phase, permute, random_register)
 
@@ -387,7 +392,9 @@ def verify(circuit: DistCircuit, oracle, inputs, threshold: float = DEFAULT_THRE
     if oracle.dim != math.prod(in_dims):
         raise ValueError(f"oracle dimension {oracle.dim} does not match the circuit "
                          f"inputs {circuit.inputs} with dims {in_dims}")
-    report = VerificationReport(resource_tally=tally(circuit), seed=seed,
+    resources = ResourceTally(dict(resource_counts(circuit)))  # tally(circuit), walked once
+    resources.time_units = resources.serial_time()
+    report = VerificationReport(resource_tally=resources, seed=seed,
                                 threshold=threshold, inputs_checked=len(inputs))
     if not inputs:
         return report

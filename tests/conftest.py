@@ -138,18 +138,35 @@ def measure_loop_reference(state, target: str) -> list[tuple[int, object, np.nda
     return kept
 
 
-def merge_reference(frontier: list[list], live) -> list[list]:
+def merge_keys(circuit, point: int) -> list[tuple[tuple[str, ...], int]]:
+    """The merge key before instruction ``point``, the direct way: for each condition j at
+    ``point`` or later, ``(terms, mod)`` with its terms measured before ``point`` and not
+    measured again before j."""
+    before, again, keys = set(), set(), []
+    for j, ins in enumerate(circuit.instructions):
+        if j >= point and ins.condition is not None:  # read before a measurement at j
+            keys.append((tuple(t for t in ins.condition.terms
+                               if t in before and t not in again), ins.condition.mod))
+        if ins.kind == "Measure":
+            (before if j < point else again).add(ins.outcome or f"_m{j}")
+    return keys
+
+
+def merge_reference(frontier: list[list], keys) -> list[list]:
     """A plain first-match merge scan over ``[state, prob, outcomes, values, weight, alive]``
     branches: each merges into the first kept branch with equal labels, dims, alive mask
-    and values of the ``live`` symbols, and every amplitude within ``MERGE_ATOL``."""
+    and key, and every amplitude within ``MERGE_ATOL``. The key holds, for each
+    ``(terms, mod)`` of ``keys``, the sum of the terms' values mod ``mod``."""
     from distgates.simulate import MERGE_ATOL
+
+    def key(values):
+        return [sum(values[t] for t in terms) % mod for terms, mod in keys]
 
     kept = []
     for br in frontier:
         for other in kept:
             if (other[0].labels == br[0].labels and other[0].dims == br[0].dims
-                    and np.array_equal(other[5], br[5])
-                    and [other[3].get(s) for s in live] == [br[3].get(s) for s in live]
+                    and np.array_equal(other[5], br[5]) and key(other[3]) == key(br[3])
                     and np.allclose(other[0].amps, br[0].amps, rtol=0, atol=MERGE_ATOL)):
                 other[1] = other[1] + br[1]
                 other[4] += br[4]
@@ -165,11 +182,10 @@ def enumerate_reference(circuit, input_state, merge_equal: bool = False, upto=No
 
     Each branch holds a ``MixedRegister``; gates go through ``apply_unitary``,
     which finds the target axes and checks them on every call, and merging is
-    ``merge_reference`` on the still-read outcome symbols, after every
-    instruction. ``input_state`` is a single state
-    or a batch. Returns ``(outcomes, probability, state, weight, alive)``
-    tuples in branch order, the fields of a ``BranchResult``; ``alive`` is None
-    for a single state.
+    ``merge_reference`` on ``merge_keys``, after every instruction.
+    ``input_state`` is a single state or a batch. Returns ``(outcomes,
+    probability, state, weight, alive)`` tuples in branch order, the fields
+    of a ``BranchResult``; ``alive`` is None for a single state.
     """
     import math
 
@@ -182,10 +198,6 @@ def enumerate_reference(circuit, input_state, merge_equal: bool = False, upto=No
         amps = np.zeros(d ** n, dtype=complex)
         amps[[sum(v * d ** p for p in range(n)) for v in range(d)]] = 1 / math.sqrt(d)
         return MixedRegister((d,) * n, amps, ins.targets)
-
-    def live_after(i):
-        return sorted({s for ins in circuit.instructions[i:] if ins.condition is not None
-                       for s in ins.condition.terms})
 
     amps = input_state.amps.reshape(input_state.amps.shape[0], -1)
     k = amps.shape[1]
@@ -212,7 +224,7 @@ def enumerate_reference(circuit, input_state, merge_equal: bool = False, upto=No
                     br[0] = apply_unitary(br[0], gate_power(ins.gate, ins.params, value),
                                           ins.targets)
         if merge_equal:
-            frontier = merge_reference(frontier, live_after(i + 1))
+            frontier = merge_reference(frontier, merge_keys(circuit, i + 1))
     if input_state.amps.ndim == 1:
         return [(br[2], float(br[1][0]),
                  MixedRegister._wrap(br[0].dims, br[0].amps[:, 0], br[0].labels), br[4], None)

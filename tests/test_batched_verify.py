@@ -283,20 +283,20 @@ def test_merge_is_the_plain_first_match_scan(rows):
             apart = base.copy()
             apart[rng.integers(rows), rng.integers(2)] += 1.1 * MERGE_ATOL * 1j ** rng.integers(4)
             variants += [base.copy(), near, apart]
-    frontier, reference = [], []
-    for i in rng.permutation(len(variants)):
-        amps = variants[i]
-        prob = rng.random(2)
-        values = {"s": int(rng.integers(2)), "t": int(rng.integers(2))}  # only s is live
-        alive = np.array([True, rng.random() > 0.2])
-        weight = int(rng.integers(1, 4))
-        outcomes = (("i", int(i)),)
-        frontier.append(_Branch(amps, prob, outcomes, values, weight, alive))
-        reference.append([MixedRegister._wrap((rows,), amps, ("r",)), prob, outcomes, values,
-                          weight, alive])
-    merged = _merge(frontier, ("s",))
-    want = merge_reference(reference, ("s",))
-    assert len(frontier) > len(merged) > 3 * len(bases)
-    assert [br.outcomes for br in merged] == [w[2] for w in want]
-    assert [br.weight for br in merged] == [w[4] for w in want]
-    assert [br.prob.tobytes() for br in merged] == [w[1].tobytes() for w in want]
+    drawn = [(i, rng.random(2), {"s": int(rng.integers(2)), "t": int(rng.integers(2))},
+              np.array([True, rng.random() > 0.2]), int(rng.integers(1, 4)))
+             for i in rng.permutation(len(variants))]
+    # a merge key spec and the same key for merge_reference: the value of s, the parity of s, t
+    for spec, keys in ((("s",), [(("s",), 2)]), (((("s", "t"), 2),), [(("s", "t"), 2)])):
+        frontier, reference = [], []
+        for i, prob, values, alive, weight in drawn:
+            outcomes = (("i", int(i)),)
+            frontier.append(_Branch(variants[i], prob, outcomes, values, weight, alive))
+            reference.append([MixedRegister._wrap((rows,), variants[i], ("r",)), prob, outcomes,
+                              values, weight, alive])
+        merged = _merge(frontier, spec)
+        want = merge_reference(reference, keys)
+        assert len(frontier) > len(merged) > 3 * len(bases)
+        assert [br.outcomes for br in merged] == [w[2] for w in want]
+        assert [br.weight for br in merged] == [w[4] for w in want]
+        assert [br.prob.tobytes() for br in merged] == [w[1].tobytes() for w in want]

@@ -2,6 +2,7 @@
 instruction check made before any kernel runs."""
 
 import importlib
+import math
 
 import numpy as np
 import pytest
@@ -126,6 +127,9 @@ BAD = {
     "conditioned gate without a condition": (
         Instruction("CondGate", ("a",), gate="X"),
         "instruction 8: CondGate X on \\['a'\\] has no condition"),
+    "condition on an unmeasured symbol": (
+        Instruction("CondGate", ("a",), gate="X", condition=Condition(("m", "zz"))),
+        "instruction 8: condition references unmeasured symbol 'zz'"),
     "gate on an unknown label": (Instruction("LocalGate", ("zz",), gate="H"),
                                  "unknown subsystem label 'zz'"),
     "gate on a measured label": (Instruction("LocalGate", ("e1",), gate="H"),
@@ -315,3 +319,105 @@ def test_merge_runs_only_after_the_steps_that_carry_one(monkeypatch):
                               bool(plan.gadgets))
     assert wide_unmerged_steps > 0  # the per-instruction rule would have merged there
     assert contracted > 0  # gadget steps are among the traced steps
+
+
+# ---------------------------------------------------------------------------
+# merge keys: the values that later conditions will read
+# ---------------------------------------------------------------------------
+
+def _measured_pair(e, f, first, second, dim=None):
+    """A pair whose halves are both measured: ``first`` is a random outcome, ``second``
+    equals it, and the rest of the register is left as it was."""
+    kind, extra = ("CreateBell", {}) if dim is None else ("CreateQuditPair", {"dim": dim})
+    return (Instruction(kind, (e, f), parties=("A", "B"), **extra),
+            Instruction("Measure", (e,), outcome=first),
+            Instruction("Measure", (f,), outcome=second))
+
+
+def _weights(circuit, state, upto):
+    """The merged branch weights of the first ``upto`` instructions, checked against the
+    per-branch loop."""
+    got = enumerate_branches(circuit, state, merge_equal=True, upto=upto)
+    _assert_same_branches(got, enumerate_reference(circuit, state, True, upto), f"upto={upto}",
+                          bool(compile_plan(circuit, upto).gadgets))
+    return [br.weight for br in got]
+
+
+def test_equal_states_merge_on_equal_partial_sums_only():
+    # Z^(s xor t) on a: until it runs, the four (s, t) branches hold equal states, and
+    # those with equal parities merge; those whose parities differ do not
+    circuit = DistCircuit(LAYOUT, _measured_pair("e1", "e2", "s", "s2")
+                          + _measured_pair("f1", "f2", "t", "t2")
+                          + (Instruction("CondGate", ("a",), gate="Z",
+                                         condition=Condition(("s", "t"))),), ("a",), ("a",))
+    state = random_register(("a",), (2,), seed=5)
+    assert _weights(circuit, state, 3) == [1, 1]  # the partial sum is s
+    assert _weights(circuit, state, 6) == [2, 2]  # s xor t: (0, 0) with (1, 1), (0, 1) with (1, 0)
+    assert _weights(circuit, state, None) == [2, 2]
+
+
+def test_equal_partial_sums_of_different_states_do_not_merge():
+    # X^s on b makes the states of s = 0 and s = 1 differ before Z^(s xor t) reads the parity
+    circuit = DistCircuit(LAYOUT, _measured_pair("e1", "e2", "s", "s2")
+                          + _measured_pair("f1", "f2", "t", "t2")
+                          + (Instruction("CondGate", ("b",), gate="X", condition=Condition(("s",))),
+                             Instruction("CondGate", ("a",), gate="Z",
+                                         condition=Condition(("s", "t")))),
+                          ("a", "b"), ("a", "b"))
+    state = random_register(("a", "b"), (2, 2), seed=6)
+    assert _weights(circuit, state, 7) == [1, 1, 1, 1]
+    assert _weights(circuit, state, None) == [1, 1, 1, 1]
+
+
+def test_qudit_sums_are_taken_mod_their_modulus():
+    # Z4_dag^(s + t mod 4) on Q after two measured qudit pairs: sixteen branches of equal
+    # states in four classes; then K4^(u mod 2), where outcomes 0 and 2 read the same value
+    layout = NodeLayout(("A", "B"), {"Q": "A"})
+    circuit = DistCircuit(layout, _measured_pair("e1", "e2", "s", "s2", 4)
+                          + _measured_pair("f1", "f2", "t", "t2", 4)
+                          + (Instruction("CondGate", ("Q",), gate="Z4_dag",
+                                         condition=Condition(("s", "t"), 4)),)
+                          + _measured_pair("g1", "g2", "u", "u2", 4)
+                          + (Instruction("CondGate", ("Q",), gate="K4",
+                                         condition=Condition(("u",), 2)),), ("Q",), ("Q",))
+    state = random_register(("Q",), (4,), seed=7)
+    assert _weights(circuit, state, 6) == [4, 4, 4, 4]
+    assert _weights(circuit, state, 7) == [4, 4, 4, 4]
+    assert _weights(circuit, state, 10) == [8, 8, 8, 8, 8, 8, 8, 8]
+    assert _weights(circuit, state, None) == [8] * 8
+
+
+def test_a_symbol_measured_again_is_keyed_on_its_new_value():
+    # s is measured twice and read only after the second time: its first value splits nothing
+    circuit = DistCircuit(LAYOUT, _measured_pair("e1", "e2", "s", "s2")
+                          + _measured_pair("f1", "f2", "s", "t2")
+                          + (Instruction("CondGate", ("a",), gate="Z",
+                                         condition=Condition(("s",))),), ("a",), ("a",))
+    state = random_register(("a",), (2,), seed=8)
+    assert _weights(circuit, state, 3) == [2]
+    assert _weights(circuit, state, 6) == [2, 2]
+    assert _weights(circuit, state, None) == [2, 2]
+
+
+def test_gms_fanout_frontier_stays_narrow():
+    # each GHZ share is measured in the X basis and one correction reads the parity of all
+    # the outcomes: branches merge on that parity as the outcomes come in
+    circuit = catalog.gms(5, 5, math.pi / 3, "fanout")
+    inputs = random_inputs(circuit, 4, seed=9)
+    batch = MixedRegister(inputs[0].dims, np.stack([s.amps for s in inputs], axis=1),
+                          inputs[0].labels)
+    widths = []
+
+    def recording(step):
+        def run(frontier, pool, merge):
+            frontier = step(frontier, pool, merge)
+            widths.append(len(frontier))
+            return frontier
+        return run
+
+    plan = compile_plan(circuit)
+    traced = plan._replace(steps=tuple((step and recording(step), live)
+                                       for step, live in plan.steps))
+    enumerate_branches(circuit, batch, merge_equal=True, plan=traced)
+    assert max(widths) == 8
+    assert verify(circuit, OracleSpec("gms", math.pi / 3), inputs).passed

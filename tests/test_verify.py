@@ -10,7 +10,8 @@ from conftest import (H, I2, X, bits_of, csum_multi_reference, digits_of, expm_x
                       gcz_phase, kron_embed)
 
 from distgates import (DistCircuit, GateRef, MixedRegister, NodeLayout, Unitary, backend,
-                       build_dcontrol_u, build_dcsum4, catalog, enumerate_branches, lms_matrix)
+                       build_dcontrol_u, build_dcsum4, catalog, enumerate_branches, lms_matrix,
+                       tally)
 from distgates.gates import s_dag_matrix
 from distgates.verify import (OracleSpec, PhaseOracle, ProductOracle, basis_inputs,
                               identity_checks, oracle_csum4, oracle_csum4_multi, oracle_cz4_pow,
@@ -389,3 +390,14 @@ def test_verify_rejects_an_oracle_of_the_wrong_dimension():
     circuit = build_dcontrol_u("c", "t", GateRef("X"), LAY_AB)
     with pytest.raises(ValueError, match="oracle dimension 8"):
         verify(circuit, oracle_gcz(3), basis_inputs(circuit))
+
+
+def test_report_tally_is_the_circuits_tally():
+    # counted in the walk that infers the dims, not in a walk of its own
+    for name, entry in catalog.tagged("suite").items():
+        circuit = entry.build()
+        want = json.dumps(tally(circuit).as_dict())
+        report = verify(circuit, entry.make_oracle(), [])
+        assert json.dumps(report.resource_tally.as_dict()) == want, name
+        report.resource_tally.add(2, 2)  # a report's tally is its own
+        assert json.dumps(verify(circuit, entry.make_oracle(), []).resource_tally.as_dict()) == want
