@@ -51,6 +51,11 @@ def resource_shape(parties: int, dim: int) -> tuple[bool, bool]:
     return parties > 2, dim > 2
 
 
+def resource_key(ins: Instruction) -> tuple[int, int]:
+    """The ``ResourceTally.counts`` key of a resource instruction: ``(parties, dim)``."""
+    return len(ins.parties), ins.dim or 2
+
+
 class CircuitParseError(ValueError):
     """Raised when circuit JSON cannot be parsed or references undefined names."""
 
@@ -167,6 +172,13 @@ class ResourceTally:
     counts: dict[tuple[int, int], int] = field(default_factory=dict)
     time_units: float = 0.0
 
+    @classmethod
+    def serial(cls, counts: Mapping[tuple[int, int], int], epsilon=1.0) -> ResourceTally:
+        """A tally of its own copy of ``counts`` (by ``resource_key``), timed by ``serial_time``."""
+        t = cls(dict(counts))
+        t.time_units = t.serial_time(epsilon)
+        return t
+
     def add(self, parties: int, dim: int, count: int = 1) -> None:
         self.counts[parties, dim] = self.counts.get((parties, dim), 0) + count
 
@@ -232,15 +244,17 @@ def tally(circuit: DistCircuit, epsilon=1.0, schedule: str = "serial") -> Resour
     """
     if schedule not in ("serial", "layered"):
         raise ValueError(f"schedule must be 'serial' or 'layered', got {schedule!r}")
-    t = ResourceTally()
+    counts: dict[tuple[int, int], int] = {}
     layers: dict[object, float] = {}
     for i, ins in enumerate(circuit.instructions):
         if ins.kind in RESOURCE_KINDS:
-            t.add(len(ins.parties), ins.dim or 2)
+            key = resource_key(ins)
+            counts[key] = counts.get(key, 0) + 1
             group = ("#", i) if ins.layer is None else ins.layer
             layers[group] = max(layers.get(group, 0.0), resource_cost(len(ins.parties), epsilon))
-    t.time_units = math.fsum(layers.values()) if schedule == "layered" else t.serial_time(epsilon)
-    return t
+    if schedule == "layered":
+        return ResourceTally(counts, math.fsum(layers.values()))
+    return ResourceTally.serial(counts, epsilon)
 
 
 def count_messages(circuit: DistCircuit) -> int:

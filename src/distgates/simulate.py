@@ -41,9 +41,7 @@ for both. The key is what lets a GHZ fan-out reconverge early: each share is
 measured in the X basis and one correction reads the parity of all the
 outcomes, so branches merge on that parity as the outcomes come in, where a
 key of every outcome read later would keep all 2^k of them apart until the
-correction. An entry of one term whose outcomes stay below its modulus is
-just that symbol's value, so a circuit whose conditions read one outcome
-each pays for its key what a key of symbol values costs.
+correction.
 
 A merge runs only after a step where branches can meet: a conditioned gate,
 a measurement, or a ClassicalSend that changes the key (see ``Plan``). A
@@ -184,7 +182,7 @@ from typing import Callable, NamedTuple
 import numpy as np
 
 from . import backend
-from .circuit import RESOURCE_KINDS, Condition, DistCircuit, Instruction
+from .circuit import RESOURCE_KINDS, Condition, DistCircuit, Instruction, resource_key
 from .gates import gate_arity, gate_power, gate_unitary
 from .statevec import (PRUNE_TOL, UNITARY_TOL, BranchResult, MixedRegister, Unitary,
                        check_register_dim, label_axis, measure_amps, target_axes, tensor_amps)
@@ -213,10 +211,9 @@ def circuit_dims(circuit: DistCircuit) -> dict[str, int]:
         if ins.kind in ("LocalGate", "CondGate") and ins.gate is not None:
             pairs = zip(ins.targets, gate_arity(ins.gate))
         elif ins.kind in RESOURCE_KINDS:
-            d = ins.dim or 2
-            pairs = zip(ins.targets, (d,) * len(ins.targets))
-            shape = len(ins.parties), d
-            resources[shape] = resources.get(shape, 0) + 1
+            pairs = zip(ins.targets, (ins.dim or 2,) * len(ins.targets))
+            key = resource_key(ins)
+            resources[key] = resources.get(key, 0) + 1
         else:
             continue
         for label, d in pairs:
@@ -231,7 +228,7 @@ def circuit_dims(circuit: DistCircuit) -> dict[str, int]:
 
 
 def resource_counts(circuit: DistCircuit) -> dict[tuple[int, int], int]:
-    """The circuit's resources by ``(parties, dim)``, the counts of ``tally(circuit)``, from
+    """The circuit's resources by ``resource_key``, the counts of ``tally(circuit)``, from
     the walk of ``circuit_dims``; callers only read the dict."""
     circuit_dims(circuit)
     return vars(circuit)["_resources"]
@@ -537,13 +534,11 @@ class Plan(NamedTuple):
     ``steps`` pairs each step, a function from frontier, the run's pool
     (which only gate and gadget steps use) and whether branches merge to
     frontier, with the merge key spec after it, or with None when no merge
-    follows the step. A spec is a tuple of entries, one for each distinct
-    partial sum that a later condition will read (see the module
-    docstring): an outcome symbol, whose value is the entry, or
-    ``(terms, mod)``, the sum of the terms' values mod ``mod``. Symbols come
-    first, so a spec without sums is a tuple of symbols. Branches can only
-    meet after a step that treats them differently, or after which the key
-    reads less of them:
+    follows the step. A spec is a tuple of ``(terms, mod)`` entries, one for
+    each distinct partial sum that a later condition will read (see the
+    module docstring): the sum of the terms' values mod ``mod``. Branches can
+    only meet after a step that treats them differently, or after which the
+    key reads less of them:
 
     - a contracted gadget, a CondGate or a Measure is followed by a merge;
     - a LocalGate or a resource applies one map to every branch and leaves
@@ -578,38 +573,31 @@ class Plan(NamedTuple):
     out_dims: tuple[int, ...]
 
 
-def _symbol_uses(instructions, top: int) -> tuple[list[tuple], dict[int, int], dict[int, str]]:
+def _symbol_uses(instructions) -> tuple[list[tuple], dict[int, int], dict[int, str]]:
     """``(keys, readers, unmeasured)``, from one backward pass.
 
     ``keys[i]`` is the merge key spec before instruction i (see ``Plan``): for
     each condition at index i or later, its terms that are not measured again
-    before it, summed mod its modulus. A Measure removes its symbol from the
-    conditions after it that still hold it, and a condition adds an entry. An
-    entry of one term whose values stay below the modulus (every subsystem
-    dimension is at most ``top``) is that symbol; equal entries appear once,
-    and a spec is rebuilt only where its entries change.
-    ``readers`` maps each Measure index to the last CondGate that reads its
-    outcome before the symbol is measured again. ``unmeasured`` maps each
-    CondGate that reads a symbol never measured before it to the first such
-    symbol.
+    before it, with its modulus. A Measure removes its symbol from the
+    conditions after it that still hold it, and a condition adds an entry.
+    Equal entries appear once, and a spec is rebuilt only where its entries
+    change. ``readers`` maps each Measure index to the last CondGate that
+    reads its outcome before the symbol is measured again. ``unmeasured`` maps
+    each CondGate that reads a symbol never measured before it to the first
+    such symbol.
     """
     keys: list[tuple] = [()] * (len(instructions) + 1)
     readers: dict[int, int] = {}
     last: dict[str, int] = {}  # symbol -> its last reader after the current index
-    rest: dict[int, tuple] = {}  # condition -> (its terms left, modulus, entry, entry table)
+    rest: dict[int, tuple] = {}  # condition -> its entry, (its terms left, its modulus)
     holders: dict[str, list[int]] = {}  # symbol -> the conditions in rest that hold it
-    symbols: dict[str, int] = {}  # one-term entry -> how many conditions in rest have it
-    sums: dict[tuple, int] = {}  # (terms, mod) entry -> the same
+    entries: dict[tuple, int] = {}  # entry -> how many conditions in rest have it
 
-    def enter(j: int, terms, mod: int) -> bool:
-        """Give condition j the entry of ``terms``; True if no condition had it."""
-        if len(terms) == 1 and mod >= top:
-            new, table = terms[0], symbols
-        else:
-            new, table = (tuple(sorted(terms)), mod), sums
-        rest[j] = terms, mod, new, table
-        count = table.get(new, 0)
-        table[new] = count + 1
+    def enter(j: int, terms: tuple, mod: int) -> bool:
+        """Give condition j the entry ``(terms, mod)``; True if no condition had it."""
+        entry = rest[j] = terms, mod
+        count = entries.get(entry, 0)
+        entries[entry] = count + 1
         return not count
 
     spec: tuple | None = ()  # None once the entries have changed
@@ -621,15 +609,15 @@ def _symbol_uses(instructions, top: int) -> tuple[list[tuple], dict[int, int], d
             if reader is not None:
                 readers[i] = reader
             for j in holders.pop(symbol, ()):
-                terms, mod, old, table = rest.pop(j)
-                count = table.pop(old)
+                old = rest.pop(j)
+                count = entries.pop(old)
                 if count > 1:
-                    table[old] = count - 1
+                    entries[old] = count - 1
                 else:
                     spec = None
-                if len(terms) > 1:
-                    terms = [t for t in terms if t != symbol]
-                    if terms and enter(j, terms, mod):
+                if len(old[0]) > 1:  # else the condition has no term left
+                    terms = tuple([t for t in old[0] if t != symbol])
+                    if terms and enter(j, terms, old[1]):
                         spec = None
         condition = ins.condition
         if condition is not None and condition.terms:  # read before a measurement at i
@@ -645,7 +633,7 @@ def _symbol_uses(instructions, top: int) -> tuple[list[tuple], dict[int, int], d
             if enter(i, terms, condition.mod):
                 spec = None
         if spec is None:
-            spec = tuple(symbols) + tuple(sums) if sums else tuple(symbols)
+            spec = tuple(entries)
         keys[i] = spec
     unmeasured = {j: entry[0][0] for j, entry in rest.items()
                   if instructions[j].kind == "CondGate"}
@@ -682,16 +670,12 @@ def _merge(frontier: list[_Branch], spec: tuple) -> list[_Branch]:
     """
     merged: list[_Branch] = []
     buckets: dict[tuple, list[_Branch]] = {}  # exact key -> kept branches
-    symbols_only = not spec or type(spec[-1]) is str
     for br in frontier:
-        # every branch has the plan's labels and dims, so they are left out of the key
+        # every branch has the plan's labels and dims, so they are left out of the key;
+        # a term no branch has measured yet reads 0 in every branch
         get = br.values.get
-        if symbols_only:
-            key = (br.alive.tobytes(), tuple(map(get, spec)))
-        else:  # a term no branch has measured yet reads 0 in every branch
-            key = (br.alive.tobytes(), tuple([
-                get(e) if type(e) is str else sum([get(t, 0) for t in e[0]]) % e[1]
-                for e in spec]))
+        key = (br.alive.tobytes(),
+               tuple([sum([get(t, 0) for t in terms]) % mod for terms, mod in spec]))
         bucket = buckets.setdefault(key, [])
         small = br.amps.nbytes < backend.POOL_MIN_BYTES
         for kept in bucket:
@@ -851,7 +835,7 @@ def compile_plan(circuit: DistCircuit, upto: int | None = None) -> Plan:
     axis_of = _axis_map(labels)
     built = math.prod(reg_dims)  # the largest register a step builds
     instructions = circuit.instructions[:upto]
-    keys, readers, unmeasured = _symbol_uses(circuit.instructions, max(dims.values(), default=2))
+    keys, readers, unmeasured = _symbol_uses(circuit.instructions)
     steps: list = []  # (step, merge key) per instruction, or a _Candidate for a gadget
     candidate = None  # the gadget being read
     for i, ins in enumerate(instructions):
@@ -926,8 +910,8 @@ def compile_plan(circuit: DistCircuit, upto: int | None = None) -> Plan:
             continue
         live = keys[entry.end + 1]
         read = set()  # the symbols the key reads; grouping on their values is finer, and sound
-        for e in live:
-            read.update((e,) if type(e) is str else e[0])
+        for terms, _ in live:
+            read.update(terms)
         res = entry.resource
         found = _contract(res.targets, res.dim or 2, tuple(entry.ops),
                           tuple(sorted(entry.measured & read)))

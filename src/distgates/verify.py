@@ -40,10 +40,9 @@ All chunks share that plan. The report's resource tally is
 ``tally(circuit)``'s, counted by the walk that infers the circuit's dims
 (``simulate.resource_counts``), so a verify walks no instruction list for
 it. A chunk holds ``max(1, CHUNK_AMPLITUDES // plan.simulated_peak)``
-inputs, so a branch's
-amplitude matrix holds about ``CHUNK_AMPLITUDES`` amplitudes (2^16, 1 MiB)
-at the largest register the plan's steps build; a circuit whose register
-reaches the budget runs one input at a time. That register is smaller than
+inputs, so a branch's amplitude matrix holds about ``CHUNK_AMPLITUDES``
+amplitudes (2^16, 1 MiB) at the largest register the plan's steps build; a
+circuit whose register reaches the budget runs one input at a time. That register is smaller than
 the explicit peak ``plan.peak`` when the plan contracts the gadget that
 would build the peak (see ``simulate``): a contracted teleported gate never
 adds its resource to the register. The budget is a fixed work size, apart
@@ -392,10 +391,8 @@ def verify(circuit: DistCircuit, oracle, inputs, threshold: float = DEFAULT_THRE
     if oracle.dim != math.prod(in_dims):
         raise ValueError(f"oracle dimension {oracle.dim} does not match the circuit "
                          f"inputs {circuit.inputs} with dims {in_dims}")
-    resources = ResourceTally(dict(resource_counts(circuit)))  # tally(circuit), walked once
-    resources.time_units = resources.serial_time()
-    report = VerificationReport(resource_tally=resources, seed=seed,
-                                threshold=threshold, inputs_checked=len(inputs))
+    report = VerificationReport(resource_tally=ResourceTally.serial(resource_counts(circuit)),
+                                seed=seed, threshold=threshold, inputs_checked=len(inputs))
     if not inputs:
         return report
     psi = np.stack([state.amps for state in inputs], axis=1)

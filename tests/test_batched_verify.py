@@ -287,7 +287,7 @@ def test_merge_is_the_plain_first_match_scan(rows):
               np.array([True, rng.random() > 0.2]), int(rng.integers(1, 4)))
              for i in rng.permutation(len(variants))]
     # a merge key spec and the same key for merge_reference: the value of s, the parity of s, t
-    for spec, keys in ((("s",), [(("s",), 2)]), (((("s", "t"), 2),), [(("s", "t"), 2)])):
+    for spec, keys in ((((("s",), 2),), [(("s",), 2)]), (((("s", "t"), 2),), [(("s", "t"), 2)])):
         frontier, reference = [], []
         for i, prob, values, alive, weight in drawn:
             outcomes = (("i", int(i)),)
