@@ -14,9 +14,10 @@ layout keys, such as the retired "comm_slots", are ignored):
                        "bits": ..., "layer": ...}],
      "inputs": [...], "outputs": [...]}
 
-A resource kind says whether it makes a pair or a GHZ state (three or more
-parties) and of qubits or qudits (``RESOURCE_KINDS``). Only CreateQuditPair
-and CreateQuditGHZ carry "dim", and it must be > 2.
+Only a CondGate or a ClassicalSend carries "condition". A resource kind says
+whether it makes a pair or a GHZ state (three or more parties) and of qubits
+or qudits (``RESOURCE_KINDS``). Only CreateQuditPair and CreateQuditGHZ carry
+"dim", and it must be > 2.
 
 Gate parameters serialize as exact multiples of pi ("pi/2", "-2pi/3") when the
 float is exactly representable that way, else as a repr'd decimal; both forms
@@ -126,6 +127,9 @@ class Instruction:
             raise ValueError(f"unknown instruction kind {self.kind!r}")
         if self.dim is not None and not _is_dimension(self.dim):
             raise ValueError(f"dim must be an integer >= 2, got {self.dim!r}")
+        if self.condition is not None and self.kind not in ("CondGate", "ClassicalSend"):
+            raise ValueError(f"a {self.kind} takes no condition; "
+                             "only CondGate and ClassicalSend do")
         if self.kind in RESOURCE_KINDS:
             qudit = RESOURCE_KINDS[self.kind][1]
             if (self.dim is not None) != qudit or self.dim == 2:

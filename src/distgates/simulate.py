@@ -82,12 +82,12 @@ the content key of ``backend.kernel_plan``. A resource gets its state's
 amplitudes, read-only and cached by dimension and party count, and the
 label-collision check, and a measurement its target's axis and the sizes
 around it. A bad instruction therefore raises ``ValueError`` before any
-kernel runs, and before any gadget is built (see below). The branch loop
-holds bare amplitude matrices (``_Branch``: amplitudes, per-column
-probability and alive mask, outcome record, symbol values, weight) and hands
-them straight to the kernels: each gate to ``backend.apply_matrix``, each
-measurement to ``statevec.measure_amps`` and each resource to
-``statevec.tensor_amps``, which are also the arithmetic of
+kernel runs, and before any gadget is built (see below). The branch loop,
+``run_steps``, holds bare amplitude matrices (``_Branch``: amplitudes,
+per-column probability and alive mask, outcome record, symbol values,
+weight) and hands them straight to the kernels: each gate to
+``backend.apply_matrix``, each measurement to ``statevec.measure_amps`` and
+each resource to ``statevec.tensor_amps``, which are also the arithmetic of
 ``measure_enumerate`` and ``tensor``, minus their per-call label lookups and
 checks. ``verify`` compiles one plan and shares it across its input chunks.
 
@@ -108,24 +108,22 @@ larger ones (the qudit gadgets with d_S = 64, the GHZ(7) layer of a 7-qubit
 GMS fan-out) keep their per-instruction steps, as does a circuit that
 measures a data qubit (``teleport_all``).
 
-The build (``_gadget``) runs the gadget once on the identity batch over S
-tensored with the resource state, forking at every measurement without
-renormalizing, which leaves one Kraus operator K_r on S per outcome record
-r. The gadget contracts only when every record has K_r^dagger K_r = p_r I
-(within ``UNITARY_TOL``) and p_r >= ``PRUNE_TOL``; otherwise its
-per-instruction steps stay. The contracted step then does what those steps
-would do. Proof: for a column psi of a branch, the part of record r up to
-its j-th measurement has probability sum_{r'} ||K_{r'} psi||^2 = sum_{r'}
-p_{r'} over the records r' that share that part, which is at least p_r. So
-every conditional probability the per-instruction steps compute inside the
-gadget is at least p_r >= ``PRUNE_TOL``, and they never prune a column
-there. The column's probability gains the factor p_r, and its state,
-renormalized after each measurement, ends as K_r psi / sqrt(p_r) = U_r psi
-with U_r = K_r / sqrt(p_r), which is unitary. A dead column (zero
-amplitudes) stays dead. So the step forks every branch into the gadget's
-records in the per-instruction order (lexicographic in measurement order),
-with the same outcome records and symbol values, the probability times p_r
-and the alive mask unchanged, and applies each U_r to the data axes with
+The build (``_gadget``) runs the gadget's instructions as the plan's own
+steps (``run_steps``, without merging) on the identity batch over S
+tensored with the resource state. Record r ends as a branch whose column i
+is K_r e_i renormalized, of probability ||K_r e_i||^2, for the record's
+Kraus operator K_r on S: K_r is those amplitudes times the square roots of
+those probabilities. The gadget contracts only when all d_A records survive
+and each has K_r^dagger K_r = p_r I (within ``UNITARY_TOL``) and p_r >=
+``PRUNE_TOL``; otherwise its per-instruction steps stay. On a column psi
+those steps then compute conditional probabilities of at least p_r (each is
+the summed p of the records that share that prefix of r), so they prune
+nothing, and end with K_r psi / sqrt(p_r) = U_r psi, U_r unitary, of
+probability p_r. So the contracted step forks every branch into the
+gadget's records in the per-instruction order (lexicographic in measurement
+order), with the same outcome records and symbol values, the probability
+times p_r and the alive mask unchanged (a dead column, zero amplitudes,
+stays dead), and applies each U_r to the data axes with
 ``backend.apply_matrix``: the register never grows by A. Entries of U_r
 within ``MERGE_ATOL / d_S`` of zero are rounding noise and are set to zero,
 so that the kernel sees a diagonal or monomial U_r as such.
@@ -401,62 +399,46 @@ class _Gadget(NamedTuple):
     plans: dict
 
 
-def _apply_small(amps: np.ndarray, dims: tuple[int, ...], axes: tuple[int, ...],
-                 mat: np.ndarray) -> np.ndarray:
-    """``backend.apply_matrix`` on a gadget's build register: one tensordot, no kernel plan."""
-    n = len(axes)
-    t = amps.reshape(dims + amps.shape[1:])
-    t = np.tensordot(mat.reshape(tuple(dims[a] for a in axes) * 2), t,
-                     axes=(tuple(range(n, 2 * n)), axes))
-    return np.moveaxis(t, tuple(range(n)), axes).reshape(amps.shape)
-
-
 @lru_cache(maxsize=1024)
 def _gadget(key: tuple) -> _Gadget | None:
     """Build the gadget ``key`` describes (see ``_contract``), or None when it does not contract.
 
-    Runs the gadget on the identity batch over S tensored with the resource
-    state, forking at every measurement without renormalizing, so that each
-    outcome record r ends with its Kraus operator K_r on S. The gadget
-    contracts when every K_r^dagger K_r is p_r I within ``UNITARY_TOL`` with
-    p_r >= ``PRUNE_TOL``; record r then applies U_r = K_r / sqrt(p_r).
+    Runs the gadget's ops as the plan's own steps, without merging or a pool,
+    and takes each record's K_r from its branch (see the module docstring).
+    It contracts when all d^n records survive and every K_r^dagger K_r is p_r I
+    within ``UNITARY_TOL`` with p_r >= ``PRUNE_TOL``; record r then applies
+    U_r = K_r / sqrt(p_r).
     """
     s_dims, d, n, ops, live = key
     d_s = math.prod(s_dims)
     register = list(range(len(s_dims))) + [-1 - k for k in range(n)]  # label ids, as in the key
     dims = s_dims + (d,) * n
-    start = np.kron(np.eye(d_s, dtype=np.complex128), _ghz_amps(d, n).reshape(-1, 1))
-    branches = [(start, (), {})]  # (amplitudes, outcomes, symbol values)
+    steps = []
     for kind, *op in ops:
         if kind == "M":
             share, symbol = op
             axis = register.index(share)
-            pre, post = math.prod(dims[:axis]), math.prod(dims[axis + 1:])
-            forked = []
-            for amps, outcomes, values in branches:
-                t = amps.reshape(pre, d, post, d_s)
-                forked += [(np.ascontiguousarray(t[:, o]).reshape(-1, d_s), outcomes + (o,),
-                            {**values, symbol: o}) for o in range(d)]
-            branches = forked
+            steps.append((_measure_step(dims, axis, symbol), None))
             register.pop(axis)
             dims = dims[:axis] + dims[axis + 1:]
             continue
         axes = tuple(register.index(label) for label in op[0])
         if kind == "G":
-            mat = op[1].entries
-            branches = [(_apply_small(amps, dims, axes, mat), outcomes, values)
-                        for amps, outcomes, values in branches]
+            steps.append((_gate_step(dims, axes, op[1]), None))
         else:  # "C", a conditioned gate with its powers from 1 on
             _, powers, terms, mod = op
-            branches = [(_apply_small(amps, dims, axes, powers[value - 1].entries) if value
-                         else amps, outcomes, values)
-                        for amps, outcomes, values in branches
-                        for value in [sum(values[t] for t in terms) % mod]]
+            steps.append((_cond_step(dims, axes, Condition(terms, mod), powers), None))
+    start = np.kron(np.eye(d_s, dtype=np.complex128), _ghz_amps(d, n).reshape(-1, 1))
+    ones = np.ones(d_s)
+    branches = run_steps(steps, [_Branch(start, ones, (), {}, 1, ones > 0)], None, False)
+    if len(branches) < d ** n:  # a record pruned on every column
+        return None
     eye = np.eye(d_s)
     atol = MERGE_ATOL / d_s  # a column's amplitudes then move by at most MERGE_ATOL
     unitaries: list[np.ndarray] = []
     records = []
-    for k, outcomes, values in branches:
+    for br in branches:
+        k = br.amps * np.sqrt(br.prob)
         gram = k.conj().T @ k
         p = gram.trace().real / d_s
         if not (p >= PRUNE_TOL and abs(gram - p * eye).max() <= UNITARY_TOL):
@@ -468,7 +450,7 @@ def _gadget(key: tuple) -> _Gadget | None:
             u.flags.writeable = False  # shared by every plan of this key
             index = len(unitaries)
             unitaries.append(u)
-        records.append((outcomes, index, p))
+        records.append((tuple([outcome for _, outcome in br.outcomes]), index, p))
     groups: list[list] = []  # [record, count, p]
     for r, (outcomes, index, p) in enumerate(records):
         same = [outcomes[i] for i in live]
@@ -534,11 +516,11 @@ class Plan(NamedTuple):
     ``steps`` pairs each step, a function from frontier, the run's pool
     (which only gate and gadget steps use) and whether branches merge to
     frontier, with the merge key spec after it, or with None when no merge
-    follows the step. A spec is a tuple of ``(terms, mod)`` entries, one for
-    each distinct partial sum that a later condition will read (see the
-    module docstring): the sum of the terms' values mod ``mod``. Branches can
-    only meet after a step that treats them differently, or after which the
-    key reads less of them:
+    follows the step; ``run_steps`` runs them. A spec is a tuple of
+    ``(terms, mod)`` entries, one for each distinct partial sum that a later
+    condition will read (see the module docstring): the sum of the terms'
+    values mod ``mod``. Branches can only meet after a step that treats them
+    differently, or after which the key reads less of them:
 
     - a contracted gadget, a CondGate or a Measure is followed by a merge;
     - a LocalGate or a resource applies one map to every branch and leaves
@@ -584,7 +566,8 @@ def _symbol_uses(instructions) -> tuple[list[tuple], dict[int, int], dict[int, s
     change. ``readers`` maps each Measure index to the last CondGate that
     reads its outcome before the symbol is measured again. ``unmeasured`` maps
     each CondGate that reads a symbol never measured before it to the first
-    such symbol.
+    such symbol. Only a CondGate or a ClassicalSend has a condition (see
+    ``Instruction``); a ClassicalSend's is never evaluated: an unmeasured term reads 0.
     """
     keys: list[tuple] = [()] * (len(instructions) + 1)
     readers: dict[int, int] = {}
@@ -928,6 +911,20 @@ def compile_plan(circuit: DistCircuit, upto: int | None = None) -> Plan:
                 tuple(gadgets), labels, reg_dims)
 
 
+def run_steps(steps, frontier: list[_Branch], pool: backend.BufferPool | None,
+              merge: bool) -> list[_Branch]:
+    """Run ``(step, merge key spec)`` pairs (see ``Plan``) on ``frontier``; returns the last one.
+
+    With ``merge``, a spec that is not None merges the frontier after its step.
+    """
+    for step, live in steps:
+        if step is not None:
+            frontier = step(frontier, pool, merge)
+        if merge and live is not None and len(frontier) > 1:
+            frontier = _merge(frontier, live)
+    return frontier
+
+
 def enumerate_branches(circuit: DistCircuit, input_state: MixedRegister | None = None,
                        merge_equal: bool = False, upto: int | None = None,
                        plan: Plan | None = None) -> list[BranchResult]:
@@ -939,7 +936,7 @@ def enumerate_branches(circuit: DistCircuit, input_state: MixedRegister | None =
     ``alive`` marks the columns the branch occurs for. ``upto`` executes only
     the first ``upto`` instructions, which exposes intermediate protocol states.
     ``plan`` is ``compile_plan(circuit, upto)``, compiled here when not given;
-    a caller running several batches compiles it once.
+    a caller running several batches compiles it once; ``run_steps`` runs its steps.
     """
     if plan is None:
         plan = compile_plan(circuit, upto)
@@ -962,15 +959,11 @@ def enumerate_branches(circuit: DistCircuit, input_state: MixedRegister | None =
 
     amps = input_state.amps.reshape(input_state.amps.shape[0], -1)  # a single state: k = 1
     k = amps.shape[1]
-    frontier = [_Branch(amps, np.ones(k), (), {}, 1, np.ones(k, dtype=bool))]
     pool = None  # the run's large buffers, dropped on return; none when every register is small
     if plan.simulated_peak * k * amps.itemsize >= backend.POOL_MIN_BYTES:
         pool = backend.BufferPool(foreign=amps)
-    for step, live in plan.steps:
-        if step is not None:
-            frontier = step(frontier, pool, merge_equal)
-        if merge_equal and live is not None and len(frontier) > 1:
-            frontier = _merge(frontier, live)
+    ones = np.ones(k)  # the first frontier is built in the call, so that the runner drops it
+    frontier = run_steps(plan.steps, [_Branch(amps, ones, (), {}, 1, ones > 0)], pool, merge_equal)
 
     labels, out_dims = plan.labels, plan.out_dims
     if input_state.amps.ndim == 1:

@@ -260,3 +260,28 @@ def bad_resource_documents() -> dict[str, str]:
     bell = json.loads(serialize(corpus["dcnot"]))
     next(ins for ins in bell["instructions"] if ins["kind"] == "CreateBell")["dim"] = 4
     return {"qudit_pair_without_dim": json.dumps(no_dim), "bell_with_dim": json.dumps(bell)}
+
+
+def conditioned_document(kind: str = "LocalGate") -> str:
+    """Over inputs a and b, a Bell pair with both halves measured (``m``, ``n``), then an
+    X on ``a``, with the condition ``{"xor": ["m"]}`` on the last instruction of ``kind``.
+
+    For a ClassicalSend, one that sends m to B comes before the X. Only a
+    CondGate or a ClassicalSend may carry a condition; on any other kind no
+    step would evaluate it.
+    """
+    import json
+
+    instructions = [
+        {"kind": "CreateBell", "targets": ["e1", "e2"], "parties": ["A", "B"]},
+        {"kind": "Measure", "targets": ["e1"], "outcome": "m"},
+        {"kind": "Measure", "targets": ["e2"], "outcome": "n"},
+        {"kind": "LocalGate", "targets": ["a"], "gate": "X"}]
+    if kind == "ClassicalSend":
+        instructions.insert(3, {"kind": kind, "parties": ["A", "B"], "symbol": "m", "bits": 1})
+    next(ins for ins in reversed(instructions) if ins["kind"] == kind)["condition"] = {
+        "xor": ["m"]}
+    return json.dumps({"layout": {"nodes": ["A", "B"],
+                                  "placement": {"a": "A", "b": "B", "e1": "A", "e2": "B"}},
+                       "instructions": instructions, "inputs": ["a", "b"],
+                       "outputs": ["a", "b"]})

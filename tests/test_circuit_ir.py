@@ -5,7 +5,7 @@ import math
 import random
 
 import pytest
-from conftest import bad_resource_documents
+from conftest import bad_resource_documents, conditioned_document
 
 from distgates import (Condition, DistCircuit, Instruction, NodeLayout, catalog,
                        count_messages, deserialize, serialize, tally, validate)
@@ -184,6 +184,26 @@ def test_resource_dim_must_match_the_kind(kind, parties, dim):
 def test_resource_dim_contradicting_the_kind_is_a_parse_error(name):
     with pytest.raises(CircuitParseError, match="dim"):
         deserialize(bad_resource_documents()[name])
+
+
+@pytest.mark.parametrize("kind,fields", [
+    ("LocalGate", {"targets": ("a",), "gate": "X"}),
+    ("Measure", {"targets": ("a",), "outcome": "m"}),
+    ("CreateBell", {"targets": ("a", "b"), "parties": ("A", "B")})])
+def test_a_condition_outside_condgate_and_classicalsend_is_rejected(kind, fields):
+    # no step would evaluate it: the instruction would run unconditionally
+    with pytest.raises(ValueError, match=f"a {kind} takes no condition"):
+        Instruction(kind, condition=Condition(("m",)), **fields)
+    with pytest.raises(CircuitParseError, match=f"a {kind} takes no condition"):
+        deserialize(conditioned_document(kind))
+
+
+def test_a_classicalsend_may_carry_a_condition():
+    send = Instruction("ClassicalSend", parties=("A", "B"), symbol="m",
+                       condition=Condition(("m",)))
+    assert send.condition == Condition(("m",))
+    circuit = deserialize(conditioned_document("ClassicalSend"))
+    assert [ins.kind for ins in circuit.instructions if ins.condition] == ["ClassicalSend"]
 
 
 def test_undefined_outcome_symbol_rejected():

@@ -5,7 +5,7 @@ import io
 import json
 
 import pytest
-from conftest import bad_resource_documents
+from conftest import bad_resource_documents, conditioned_document
 
 from distgates import MixedRegister, deserialize, enumerate_branches, infer_dims, tally
 from distgates.cli import main
@@ -400,6 +400,15 @@ def test_resource_dim_contradicting_the_kind_exits_two(name, oracle, tmp_path, c
         code, out, err = run(capsys, command[0], "--circuit", str(path), *command[1:])
         assert code == 2 and out == ""
         assert err.startswith("error: ") and "dim" in err
+
+
+def test_a_conditioned_local_gate_exits_two(tmp_path, capsys):
+    path = tmp_path / "c.json"
+    path.write_text(conditioned_document("LocalGate"))
+    for command in (["simulate"], ["verify", "--oracle", "gcz"]):
+        code, out, err = run(capsys, command[0], "--circuit", str(path), *command[1:])
+        assert code == 2 and out == ""
+        assert "a LocalGate takes no condition" in err
 
 
 GCZ4 = ("compile", "--gate", "gcz", "--n", "4", "--nodes", "2")

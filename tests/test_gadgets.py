@@ -201,3 +201,38 @@ def test_records_group_only_when_their_live_symbols_agree(built):
         got = enumerate_branches(circuit, state, merge_equal=True, upto=upto)
         assert [br.weight for br in got] == ([2, 2] if upto else [4])
         _assert_same_branches(got, enumerate_reference(circuit, state, True, upto), upto, True)
+
+
+def _measured_bell(gate: str) -> DistCircuit:
+    """Bell(e1, e2), ``gate`` on (a, e1), both halves measured in Z, then Z^n on a."""
+    layout = NodeLayout(("A", "B"), {"a": "A", "e1": "A", "e2": "B"})
+    return DistCircuit(layout, (
+        Instruction("CreateBell", ("e1", "e2"), parties=("A", "B")),
+        Instruction("LocalGate", ("a", "e1"), gate=gate),
+        Instruction("Measure", ("e1",), outcome="m"),
+        Instruction("Measure", ("e2",), outcome="n"),
+        Instruction("CondGate", ("a",), gate="Z", condition=Condition(("n",))),
+    ), ("a",), ("a",))
+
+
+def test_a_record_that_is_no_unitary_stays_explicit():
+    # K_(m, n) = |m xor n><m xor n| / sqrt(2) up to Z^n: a projector, not c U
+    circuit = _measured_bell("CNOT")
+    assert compile_plan(circuit).gadgets == ()
+    state = _batch(circuit)
+    for merge in (False, True):
+        got = enumerate_branches(circuit, state, merge_equal=merge)
+        _assert_same_branches(got, enumerate_reference(circuit, state, merge), f"merge={merge}")
+
+
+def test_a_record_that_never_occurs_stays_explicit():
+    # e1 and e2 always agree: records (0, 1) and (1, 0) are pruned on every column, while
+    # K_(0, 0) = I / sqrt(2) and K_(1, 1) = Z Z / sqrt(2) are unitaries up to scale
+    circuit = _measured_bell("CZ")
+    assert compile_plan(circuit).gadgets == ()
+    state = _batch(circuit)
+    got = enumerate_branches(circuit, state)
+    assert [br.outcomes for br in got] == [(("m", 0), ("n", 0)), (("m", 1), ("n", 1))]
+    for merge in (False, True):
+        got = enumerate_branches(circuit, state, merge_equal=merge)
+        _assert_same_branches(got, enumerate_reference(circuit, state, merge), f"merge={merge}")
