@@ -22,6 +22,17 @@ or qudits (``RESOURCE_KINDS``). Only CreateQuditPair and CreateQuditGHZ carry
 Gate parameters serialize as exact multiples of pi ("pi/2", "-2pi/3") when the
 float is exactly representable that way, else as a repr'd decimal; both forms
 round-trip bit-stably.
+
+The wire bytes are the standard library's indent-2, sorted-key ASCII form,
+``json.dumps(doc, indent=2, sort_keys=True) + "\n"``, written directly: with
+``indent`` set, ``json`` would fall back to its pure-Python encoder. Reading
+checks each field once. ``deserialize`` checks what only JSON can get wrong (a
+string or object where a list belongs, an unknown gate name, the shape of a
+condition), ``Instruction`` checks the fields it holds, and a refusal raised
+while reading instruction i starts with "instruction i:". Since
+``Instruction`` refuses what the format has no form for (a bool or a numpy
+integer as "bits" or "layer", say), the writer meets only strings, integers,
+lists and dicts; anything else is a TypeError.
 """
 
 from __future__ import annotations
@@ -45,6 +56,10 @@ RESOURCE_KINDS = {
     "CreateQuditGHZ": (True, True),
 }
 _RESOURCE_KIND = {shape: kind for kind, shape in RESOURCE_KINDS.items()}
+_KIND_SET = frozenset(KINDS)
+# optional scalar fields of an Instruction: (name, type, noun); a bool is no integer
+_SCALAR_FIELDS = (("outcome", str, "a string"), ("symbol", str, "a string"),
+                  ("bits", int, "an integer"), ("layer", int, "an integer"))
 
 
 def resource_shape(parties: int, dim: int) -> tuple[bool, bool]:
@@ -118,15 +133,22 @@ class Instruction:
     def __post_init__(self):
         for name in ("targets", "parties"):
             value = getattr(self, name)
-            labels = () if isinstance(value, str) else tuple(value)
-            if isinstance(value, str) or not all(isinstance(v, str) for v in labels):
-                raise ValueError(f"{name} must be a sequence of label strings, got {value!r}")
-            object.__setattr__(self, name, labels)
-        object.__setattr__(self, "params", tuple(float(p) for p in self.params))
-        if self.kind not in KINDS:
-            raise ValueError(f"unknown instruction kind {self.kind!r}")
+            if type(value) is not tuple:  # a tuple passes through unchanged
+                if isinstance(value, str):  # not one label per character
+                    raise ValueError(f"{name!r} must be a list of strings, got {value!r}")
+                object.__setattr__(self, name, tuple(value))
+            if not all(isinstance(v, str) for v in getattr(self, name)):
+                raise ValueError(f"{name!r} must be a list of strings, got {value!r}")
+        if self.params or type(self.params) is not tuple:
+            object.__setattr__(self, "params", tuple(map(float, self.params)))
+        if not isinstance(self.kind, str) or self.kind not in _KIND_SET:
+            raise ValueError(f"unknown kind {self.kind!r}")
         if self.dim is not None and not _is_dimension(self.dim):
-            raise ValueError(f"dim must be an integer >= 2, got {self.dim!r}")
+            raise ValueError(f"'dim' must be an integer >= 2, got {self.dim!r}")
+        for name, item, noun in _SCALAR_FIELDS:
+            value = getattr(self, name)
+            if value is not None and (not isinstance(value, item) or isinstance(value, bool)):
+                raise ValueError(f"{name!r} must be {noun}, got {value!r}")
         if self.condition is not None and self.kind not in ("CondGate", "ClassicalSend"):
             raise ValueError(f"a {self.kind} takes no condition; "
                              "only CondGate and ClassicalSend do")
@@ -311,12 +333,6 @@ def parse_angle(text: str) -> float:
 # serialization
 # ---------------------------------------------------------------------------
 
-def _condition_to_json(cond: Condition) -> dict:
-    if cond.mod == 2:
-        return {"xor": list(cond.terms)}
-    return {"sum_mod": cond.mod, "terms": list(cond.terms)}
-
-
 def _labels_from_json(value, where: str) -> tuple[str, ...]:
     """A JSON list of label strings; a bare string is not split into characters."""
     if not isinstance(value, list) or not all(isinstance(v, str) for v in value):
@@ -333,9 +349,10 @@ def _object_from_json(value, where: str, item: type | None = None) -> dict:
     return value
 
 
-def _condition_from_json(obj, where: str) -> Condition:
+def _condition_from_json(obj, index: int) -> Condition:
+    where = f"instruction {index}: condition"
     if not isinstance(obj, dict):
-        raise CircuitParseError(f"condition must be an object, got {obj!r}")
+        raise CircuitParseError(f"{where} must be an object, got {obj!r}")
     if "xor" in obj:
         return Condition(_labels_from_json(obj["xor"], f"{where}: 'xor'"), 2)
     if "sum_mod" in obj:
@@ -343,83 +360,89 @@ def _condition_from_json(obj, where: str) -> Condition:
             raise CircuitParseError(
                 f"{where}: 'sum_mod' must be an integer >= 2, got {obj['sum_mod']!r}")
         return Condition(_labels_from_json(obj["terms"], f"{where}: 'terms'"), obj["sum_mod"])
-    raise CircuitParseError(f"condition must use 'xor' or 'sum_mod': {obj!r}")
+    raise CircuitParseError(f"{where} must use 'xor' or 'sum_mod': {obj!r}")
 
 
 def _instruction_to_json(ins: Instruction) -> dict:
-    out: dict = {"kind": ins.kind, "targets": list(ins.targets)}
+    out: dict = {"kind": ins.kind, "targets": ins.targets}
     if ins.gate is not None:
         out["gate"] = ins.gate
     if ins.params:
         out["params"] = [format_angle(p) for p in ins.params]
     if ins.condition is not None:
-        out["condition"] = _condition_to_json(ins.condition)
+        cond = ins.condition
+        out["condition"] = ({"xor": cond.terms} if cond.mod == 2
+                            else {"sum_mod": cond.mod, "terms": cond.terms})
     if ins.parties:
-        out["parties"] = list(ins.parties)
-    if ins.dim is not None:
-        out["dim"] = ins.dim
-    if ins.outcome is not None:
-        out["outcome"] = ins.outcome
-    if ins.symbol is not None:
-        out["symbol"] = ins.symbol
-    if ins.bits is not None:
-        out["bits"] = ins.bits
-    if ins.layer is not None:
-        out["layer"] = ins.layer
+        out["parties"] = ins.parties
+    for name in ("dim", "outcome", "symbol", "bits", "layer"):
+        value = getattr(ins, name)
+        if value is not None:
+            out[name] = value
     return out
 
 
 def _instruction_from_json(obj, index: int) -> Instruction:
+    """The instruction a JSON object describes; ``Instruction`` checks the fields it holds,
+    and any refusal names the instruction."""
     try:
         kind = obj["kind"]
     except (KeyError, TypeError):
         raise CircuitParseError(f"instruction {index}: missing 'kind'") from None
-    if kind not in KINDS:
-        raise CircuitParseError(f"instruction {index}: unknown kind {kind!r}")
     gate = obj.get("gate")
     if gate is not None and gate not in WIRE_GATES:
         raise CircuitParseError(f"instruction {index}: unknown gate name {gate!r}")
-    labels = {name: _labels_from_json(obj.get(name, []), f"instruction {index}: {name!r}")
-              for name in ("targets", "parties")}
-    dim = obj.get("dim")
-    if dim is not None and not _is_dimension(dim):
-        raise CircuitParseError(f"instruction {index}: 'dim' must be an integer >= 2, got {dim!r}")
-    for name, item, noun in (("outcome", str, "a string"), ("symbol", str, "a string"),
-                             ("bits", int, "an integer"), ("layer", int, "an integer")):
-        value = obj.get(name)
-        if value is not None and (not isinstance(value, item) or isinstance(value, bool)):
-            raise CircuitParseError(f"instruction {index}: {name!r} must be {noun}, got {value!r}")
+    targets, parties = obj.get("targets", []), obj.get("parties", [])
+    for name, value in (("targets", targets), ("parties", parties)):
+        if not isinstance(value, list):  # Instruction checks the items
+            raise CircuitParseError(
+                f"instruction {index}: {name!r} must be a list of strings, got {value!r}")
     params = obj.get("params", [])
     if not isinstance(params, list):
         raise CircuitParseError(f"instruction {index}: 'params' must be a list, got {params!r}")
     cond = obj.get("condition")
-    return Instruction(
-        kind=kind,
-        targets=labels["targets"],
-        gate=gate,
-        params=tuple(parse_angle(p) for p in params),
-        condition=(_condition_from_json(cond, f"instruction {index}: condition")
-                   if cond is not None else None),
-        parties=labels["parties"],
-        dim=dim,
-        outcome=obj.get("outcome"),
-        symbol=obj.get("symbol"),
-        bits=obj.get("bits"),
-        layer=obj.get("layer"),
-    )
+    condition = None if cond is None else _condition_from_json(cond, index)
+    try:
+        return Instruction(kind, targets, gate, tuple(map(parse_angle, params)), condition,
+                           parties, obj.get("dim"), obj.get("outcome"), obj.get("symbol"),
+                           obj.get("bits"), obj.get("layer"))
+    except ValueError as e:  # a rejected field or a bad angle
+        raise CircuitParseError(f"instruction {index}: {e}") from None
+
+
+_quote = json.encoder.encode_basestring_ascii
+
+
+def _json_text(value, pad: str = "") -> str:
+    """``value`` (str, int, list or tuple, dict) as ``json.dumps(value, indent=2,
+    sort_keys=True)`` writes it, nested at ``pad``; anything else is a TypeError."""
+    if isinstance(value, str):
+        return _quote(value)
+    if isinstance(value, int) and not isinstance(value, bool):
+        return int.__repr__(value)
+    inner = pad + "  "
+    if isinstance(value, (list, tuple)):  # a string item, the most common, skips the call
+        items = [_quote(v) if type(v) is str else _json_text(v, inner) for v in value]
+        open_, close = "[", "]"
+    elif isinstance(value, dict):
+        items = [_quote(k) + ": " + (_quote(v) if type(v) is str else _json_text(v, inner))
+                 for k, v in sorted(value.items())]
+        open_, close = "{", "}"
+    else:
+        raise TypeError(f"Object of type {type(value).__name__} is not JSON serializable")
+    if not items:
+        return open_ + close
+    return f"{open_}\n{inner}" + f",\n{inner}".join(items) + f"\n{pad}{close}"
 
 
 def serialize(circuit: DistCircuit) -> str:
     doc = {
-        "layout": {
-            "nodes": list(circuit.layout.nodes),
-            "placement": dict(circuit.layout.placement),
-        },
+        "layout": {"nodes": circuit.layout.nodes, "placement": circuit.layout.placement},
         "instructions": [_instruction_to_json(i) for i in circuit.instructions],
-        "inputs": list(circuit.inputs),
-        "outputs": list(circuit.outputs),
+        "inputs": circuit.inputs,
+        "outputs": circuit.outputs,
     }
-    return json.dumps(doc, indent=2, sort_keys=True) + "\n"
+    return _json_text(doc) + "\n"
 
 
 def deserialize(text: str) -> DistCircuit:
@@ -435,8 +458,21 @@ def deserialize(text: str) -> DistCircuit:
             placement=_object_from_json(layout_doc.get("placement", {}),
                                         "layout 'placement'", str),
         )
-        instructions = tuple(
-            _instruction_from_json(obj, i) for i, obj in enumerate(doc["instructions"]))
+        instructions = []
+        # a condition may only reference outcomes measured earlier; a malformed field
+        # anywhere in the document is reported before such a reference
+        defined: set[str] = set()
+        undefined = None
+        for i, obj in enumerate(doc["instructions"]):
+            ins = _instruction_from_json(obj, i)
+            if ins.condition is not None and undefined is None:
+                missing = [s for s in ins.condition.terms if s not in defined]
+                if missing:
+                    undefined = CircuitParseError(
+                        f"instruction {i}: condition references undefined outcome {missing[0]!r}")
+            if ins.kind == "Measure" and ins.outcome:
+                defined.add(ins.outcome)
+            instructions.append(ins)
         circuit = DistCircuit(
             layout=layout,
             instructions=instructions,
@@ -445,18 +481,10 @@ def deserialize(text: str) -> DistCircuit:
         )
     except CircuitParseError:
         raise
-    except (KeyError, TypeError, ValueError) as e:  # ValueError: a bad angle or a rejected field
+    except (KeyError, TypeError, ValueError) as e:
         raise CircuitParseError(f"malformed circuit document: {e}") from None
-    # a condition may only reference outcomes measured earlier
-    defined: set[str] = set()
-    for i, ins in enumerate(circuit.instructions):
-        if ins.condition is not None:
-            missing = [s for s in ins.condition.terms if s not in defined]
-            if missing:
-                raise CircuitParseError(
-                    f"instruction {i}: condition references undefined outcome {missing[0]!r}")
-        if ins.kind == "Measure" and ins.outcome:
-            defined.add(ins.outcome)
+    if undefined is not None:
+        raise undefined
     return circuit
 
 

@@ -3,6 +3,9 @@
 Exit codes: 0 success, 1 verification failure, 2 usage error. Angles accept
 exact forms like "pi/2" and "-2pi/3" as well as decimals. The register-size
 cap can be raised with the DISTGATES_MAX_DIM environment variable.
+
+The argument parser is built once per process, by the first ``main`` call (not
+at import), and reused by every later call.
 """
 
 from __future__ import annotations
@@ -254,13 +257,11 @@ def make_parser() -> argparse.ArgumentParser:
     p.add_argument("--epsilon", type=_epsilon, default="1.0",
                    help="GHZ cost in t_ep for the printed tally")
     p.add_argument("--out", help="write circuit JSON here (default stdout)")
-    p.set_defaults(func=cmd_compile)
 
     p = sub.add_parser("simulate", help="enumerate measurement branches on one input")
     p.add_argument("--circuit", required=True)
     p.add_argument("--input", help="basis digits, e.g. 1100 (default all zero)")
     p.add_argument("--merge", action="store_true", help="merge identical branches")
-    p.set_defaults(func=cmd_simulate)
 
     p = sub.add_parser("verify", help="branch-exhaustive check against an ideal gate")
     p.add_argument("--circuit", required=True)
@@ -276,7 +277,6 @@ def make_parser() -> argparse.ArgumentParser:
     p.add_argument("--seed", type=int, default=7)
     p.add_argument("--no-merge", action="store_true",
                    help="disable branch merging (exact branch records)")
-    p.set_defaults(func=cmd_verify)
 
     p = sub.add_parser("estimate", help="CSV sweep of resource formulas")
     p.add_argument("--sweep", required=True, help="n range as lo:hi[:step]")
@@ -285,21 +285,26 @@ def make_parser() -> argparse.ArgumentParser:
                    help="qubits per qudit (default: all of a node's qubits)")
     p.add_argument("--epsilon", type=_epsilon, default="1.0")
     p.add_argument("--out")
-    p.set_defaults(func=cmd_estimate)
 
     p = sub.add_parser("identities", help="check the gate-algebra identity suite")
     p.add_argument("--theta", default="pi/3")
-    p.set_defaults(func=cmd_identities)
     return parser
 
 
+_parser: argparse.ArgumentParser | None = None  # built by the first main() call
+
+
 def main(argv=None) -> int:
-    parser = make_parser()
-    args = parser.parse_args(argv)
+    global _parser
+    if _parser is None:
+        _parser = make_parser()
+    args = _parser.parse_args(argv)
     try:
         if getattr(args, "nodes", 1) < 1:  # compile and estimate divide by it
             raise UsageError(f"--nodes must be at least 1, got {args.nodes}")
-        return args.func(args)
+        # looked up per call, so a wrapper installed on cmd_<command> after the parser
+        # was built still runs
+        return globals()["cmd_" + args.command](args)
     except (UsageError, CircuitParseError, ValueError, OSError) as e:
         print(f"error: {e}", file=sys.stderr)
         return 2

@@ -285,3 +285,33 @@ def conditioned_document(kind: str = "LocalGate") -> str:
                                   "placement": {"a": "A", "b": "B", "e1": "A", "e2": "B"}},
                        "instructions": instructions, "inputs": ["a", "b"],
                        "outputs": ["a", "b"]})
+
+
+def serialize_reference(circuit) -> str:
+    """``circuit.serialize`` the plain way: the document as dicts and lists, written by
+    ``json.dumps(doc, indent=2, sort_keys=True)``."""
+    import json
+
+    from distgates.circuit import format_angle
+
+    def instruction(ins) -> dict:
+        out = {"kind": ins.kind, "targets": list(ins.targets)}
+        if ins.gate is not None:
+            out["gate"] = ins.gate
+        if ins.params:
+            out["params"] = [format_angle(p) for p in ins.params]
+        if ins.condition is not None:
+            terms, mod = list(ins.condition.terms), ins.condition.mod
+            out["condition"] = {"xor": terms} if mod == 2 else {"sum_mod": mod, "terms": terms}
+        if ins.parties:
+            out["parties"] = list(ins.parties)
+        for name in ("dim", "outcome", "symbol", "bits", "layer"):
+            if getattr(ins, name) is not None:
+                out[name] = getattr(ins, name)
+        return out
+
+    doc = {"layout": {"nodes": list(circuit.layout.nodes),
+                      "placement": dict(circuit.layout.placement)},
+           "instructions": [instruction(ins) for ins in circuit.instructions],
+           "inputs": list(circuit.inputs), "outputs": list(circuit.outputs)}
+    return json.dumps(doc, indent=2, sort_keys=True) + "\n"

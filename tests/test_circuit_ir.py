@@ -4,6 +4,7 @@ import json
 import math
 import random
 
+import numpy as np
 import pytest
 from conftest import bad_resource_documents, conditioned_document
 
@@ -196,6 +197,47 @@ def test_a_condition_outside_condgate_and_classicalsend_is_rejected(kind, fields
         Instruction(kind, condition=Condition(("m",)), **fields)
     with pytest.raises(CircuitParseError, match=f"a {kind} takes no condition"):
         deserialize(conditioned_document(kind))
+
+
+@pytest.mark.parametrize("text,fault,message", [
+    *[pytest.param(conditioned_document(kind), lambda ins: "condition" in ins,
+                   f"a {kind} takes no condition", id=f"conditioned {kind}")
+      for kind in ("LocalGate", "Measure", "CreateBell")],
+    pytest.param(bad_resource_documents()["bell_with_dim"], lambda ins: "dim" in ins,
+                 "CreateBell takes no dim, got 4", id="bell with dim"),
+    pytest.param(serialize(CORPUS["gms4_fanout"]).replace('"pi/2"', '"pi/"', 1),
+                 lambda ins: ins.get("params") == ["pi/"], "cannot parse angle 'pi/'",
+                 id="bad angle")])
+def test_errors_raised_while_building_an_instruction_name_it(text, fault, message):
+    index = next(i for i, ins in enumerate(json.loads(text)["instructions"]) if fault(ins))
+    with pytest.raises(CircuitParseError, match=f"^instruction {index}: {message}"):
+        deserialize(text)
+
+
+@pytest.mark.parametrize("field,value,noun", [
+    ("outcome", ["m0"], "a string"), ("outcome", 0, "a string"), ("symbol", b"m", "a string"),
+    ("symbol", 3, "a string"), ("bits", True, "an integer"), ("bits", np.int64(1), "an integer"),
+    ("bits", 1.0, "an integer"), ("layer", np.int64(3), "an integer"),
+    ("layer", False, "an integer"), ("layer", "3", "an integer")])
+def test_instruction_refuses_what_the_wire_format_refuses(field, value, noun):
+    # accepted, bits=True would be written as true and layer=np.int64(3) not at all
+    with pytest.raises(ValueError, match=f"'{field}' must be {noun}, got"):
+        Instruction("ClassicalSend", parties=("A", "B"), **{"symbol": "m", field: value})
+
+
+def test_instruction_keeps_tuples_and_normalizes_other_sequences():
+    targets = ("a", "b")
+    ins = Instruction("LocalGate", targets=targets, gate="CNOT", params=[], layer=2 ** 70)
+    assert ins.targets is targets and ins.params == () and ins.layer == 2 ** 70
+    assert Instruction("LocalGate", targets=["a"], gate="RZ", params=[1]).params == (1.0,)
+    with pytest.raises(ValueError, match="unknown kind"):
+        Instruction(["Measure"])
+
+
+def test_serialize_refuses_a_value_the_wire_format_has_no_form_for():
+    circuit = DistCircuit(NodeLayout(("A",), {"x": None}), (), ("x",), ("x",))
+    with pytest.raises(TypeError, match="NoneType is not JSON serializable"):
+        serialize(circuit)
 
 
 def test_a_classicalsend_may_carry_a_condition():

@@ -402,16 +402,41 @@ def test_resource_dim_contradicting_the_kind_exits_two(name, oracle, tmp_path, c
         assert err.startswith("error: ") and "dim" in err
 
 
+GCZ4 = ("compile", "--gate", "gcz", "--n", "4", "--nodes", "2")
+
+
 def test_a_conditioned_local_gate_exits_two(tmp_path, capsys):
     path = tmp_path / "c.json"
     path.write_text(conditioned_document("LocalGate"))
     for command in (["simulate"], ["verify", "--oracle", "gcz"]):
         code, out, err = run(capsys, command[0], "--circuit", str(path), *command[1:])
         assert code == 2 and out == ""
-        assert "a LocalGate takes no condition" in err
+        assert "error: instruction 3: a LocalGate takes no condition" in err
 
 
-GCZ4 = ("compile", "--gate", "gcz", "--n", "4", "--nodes", "2")
+def test_a_reused_parser_answers_like_a_fresh_one(tmp_path, capsys, monkeypatch):
+    import distgates.cli as cli
+
+    path = tmp_path / "c.json"
+    run(capsys, *GCZ4, "--out", str(path))
+    verify = ("verify", "--circuit", str(path), "--oracle", "gcz")
+    calls = [verify, (*verify, "--inputs", "random:2"),
+             ("compile", "--gate", "gcz", "--n", "6", "--nodes", "3")]
+    explicit = [(*verify, "--inputs", "basis", "--seed", "7",
+                 "--threshold", repr(DEFAULT_THRESHOLD)),
+                (*verify, "--inputs", "random:2", "--seed", "7"),
+                (*calls[2], "--epsilon", "1.0")]
+    with pytest.raises(SystemExit) as exc:  # a refused call leaves nothing behind
+        main(["compile", "--gate", "gcz", "--nodes", "3"])
+    assert exc.value.code == 2
+    capsys.readouterr()
+    reused = [run(capsys, *argv) for argv in calls]
+    fresh = []
+    for argv in calls:
+        monkeypatch.setattr(cli, "_parser", None)
+        fresh.append(run(capsys, *argv))
+    assert reused == fresh == [run(capsys, *argv) for argv in explicit]
+    assert [code for code, _, _ in reused] == [0, 0, 0]
 
 
 @pytest.mark.parametrize("extra,message", [

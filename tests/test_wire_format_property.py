@@ -1,18 +1,24 @@
-"""Property test: mutated builder documents parse cleanly or fail cleanly, never crash."""
+"""Property tests of the wire format: ``serialize`` writes the stdlib's bytes, and
+mutated builder documents parse cleanly or fail cleanly, never crash."""
 
 import contextlib
 import copy
 import io
 import json
+import math
 import tempfile
 from pathlib import Path
 
-from hypothesis import HealthCheck, given, settings
+import pytest
+from conftest import serialize_reference
+from hypothesis import HealthCheck, example, given, settings
 from hypothesis import strategies as st
 
-from distgates import catalog, deserialize, serialize, validate
-from distgates.circuit import CircuitParseError
+from distgates import (Condition, DistCircuit, Instruction, NodeLayout, catalog, deserialize,
+                       serialize, validate)
+from distgates.circuit import KINDS, RESOURCE_KINDS, CircuitParseError
 from distgates.cli import main
+from distgates.gates import WIRE_GATES
 from distgates.verify import OracleSpec
 
 CORPUS = catalog.tagged("corpus")
@@ -86,3 +92,58 @@ def test_mutated_documents_parse_or_fail_cleanly(data):
             code = main(["verify", "--circuit", str(path), *oracle_args(name),
                          "--inputs", "random:1"])
     assert code in (0, 1, 2)
+
+
+# labels the escaper must get right: empty, quotes, backslashes, control and non-ASCII
+# characters, astral and lone surrogate code points
+SPECIAL = ["", '"', "\\", '\\"', "\x00", "\x1f\x7f", "\n\t\r", "\u00e9", "\u91cf\u5b50",
+           "\U0001f600", "\ud800", "</x>"]
+LABELS = st.text(max_size=5) | st.sampled_from(SPECIAL)
+LABEL_LISTS = st.lists(LABELS, max_size=4)
+ANGLES = (st.floats(allow_nan=False, allow_infinity=False)
+          | st.builds(lambda p, q: math.pi * p / q, st.integers(-12, 12), st.integers(1, 12)))
+INTEGERS = st.integers(-2 ** 70, 2 ** 70)
+
+
+@st.composite
+def instructions(draw):
+    """Any instruction ``Instruction`` accepts, with the fields its kind may carry."""
+    kind = draw(st.sampled_from(KINDS))
+    fields = {"targets": draw(LABEL_LISTS), "layer": draw(st.none() | INTEGERS)}
+    if kind in ("LocalGate", "CondGate"):
+        fields["gate"] = draw(st.sampled_from(sorted(WIRE_GATES)) | LABELS)
+        fields["params"] = draw(st.lists(ANGLES, max_size=3))
+    if kind in ("CondGate", "ClassicalSend"):
+        fields["condition"] = draw(st.none() | st.builds(Condition, LABEL_LISTS,
+                                                         st.integers(2, 2 ** 40)))
+    if kind in RESOURCE_KINDS or kind == "ClassicalSend":
+        fields["parties"] = draw(LABEL_LISTS)
+    if kind in RESOURCE_KINDS and RESOURCE_KINDS[kind][1]:
+        fields["dim"] = draw(st.integers(3, 2 ** 40))
+    if kind == "Measure":
+        fields["outcome"] = draw(st.none() | LABELS)
+    if kind == "ClassicalSend":
+        fields["symbol"] = draw(st.none() | LABELS)
+        fields["bits"] = draw(st.none() | INTEGERS)
+    return Instruction(kind, **fields)
+
+
+CIRCUITS = st.builds(DistCircuit, st.builds(NodeLayout, LABEL_LISTS,
+                                            st.dictionaries(LABELS, LABELS, max_size=4)),
+                     st.lists(instructions(), max_size=6), LABEL_LISTS, LABEL_LISTS)
+
+
+@settings(max_examples=300, derandomize=True, deadline=None, database=None)
+@given(CIRCUITS)
+@example(DistCircuit(NodeLayout((), {}), (), (), ()))
+@example(DistCircuit(NodeLayout(("A", "B"), {}), (
+    Instruction("CondGate", ("q",), "RZ", (math.pi / 3, 0.7), Condition(("m", ""), 4)),
+    Instruction("CondGate", ("q",), "CZ4", (), Condition((), 2))), ("q",), ()))
+def test_serialize_writes_the_stdlib_bytes(circuit):
+    assert serialize(circuit) == serialize_reference(circuit)
+
+
+@pytest.mark.parametrize("entry", catalog.entries(), ids=lambda e: e.name)
+def test_serialize_writes_the_stdlib_bytes_for_every_catalog_entry(entry):
+    circuit = entry.build()
+    assert serialize(circuit) == serialize_reference(circuit)
