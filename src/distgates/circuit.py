@@ -29,10 +29,11 @@ The wire bytes are the standard library's indent-2, sorted-key ASCII form,
 checks each field once. ``deserialize`` checks what only JSON can get wrong (a
 string or object where a list belongs, an unknown gate name, the shape of a
 condition), ``Instruction`` checks the fields it holds, and a refusal raised
-while reading instruction i starts with "instruction i:". Since
-``Instruction`` refuses what the format has no form for (a bool or a numpy
-integer as "bits" or "layer", say), the writer meets only strings, integers,
-lists and dicts; anything else is a TypeError.
+while reading instruction i starts with "instruction i:". Since the data
+model refuses what the format has no form for (a bool or a numpy integer as
+"bits" or "layer", a label, node or condition term that is not a string, a
+modulus that is not an integer), each when its object is built, the writer
+meets only strings, integers, lists and dicts; anything else is a TypeError.
 """
 
 from __future__ import annotations
@@ -76,6 +77,30 @@ class CircuitParseError(ValueError):
     """Raised when circuit JSON cannot be parsed or references undefined names."""
 
 
+def _strings(items) -> bool:
+    """Whether every item is a string; ``str.join`` checks them in C, several times faster
+    than an ``isinstance`` loop."""
+    try:
+        "".join(items)
+    except TypeError:
+        return False
+    return True
+
+
+def _label_tuple(name: str, value) -> tuple[str, ...]:
+    """``value`` as a tuple of label strings (a tuple passes through unchanged), or the
+    wire format's refusal of field ``name`` as a ValueError."""
+    items = value
+    if type(items) is not tuple and not isinstance(items, str):  # not one label per character
+        try:
+            items = tuple(items)
+        except TypeError:
+            pass
+    if type(items) is not tuple or not _strings(items):
+        raise ValueError(f"{name!r} must be a list of strings, got {value!r}")
+    return items
+
+
 @dataclass(frozen=True)
 class GateRef:
     """A gate by wire-format name plus parameters (serializable form)."""
@@ -93,15 +118,20 @@ class Condition:
     """Classical expression over outcome symbols: their sum mod ``mod``.
 
     mod=2 is the XOR of qubit outcome bits; mod=d sums qudit outcomes mod d.
+    An ``Instruction`` refuses a condition whose terms are not all strings; a
+    bare Condition may name symbols by any key, as the gadget builds of
+    ``simulate`` do with integer ids.
     """
 
     terms: tuple[str, ...]
     mod: int = 2
 
     def __post_init__(self):
+        if isinstance(self.terms, str):  # not one symbol per character
+            raise ValueError(f"'terms' must be a list of strings, got {self.terms!r}")
         object.__setattr__(self, "terms", tuple(self.terms))
-        if self.mod < 2:
-            raise ValueError("condition modulus must be >= 2")
+        if not _is_dimension(self.mod):
+            raise ValueError(f"condition 'mod' must be an integer >= 2, got {self.mod!r}")
 
     def evaluate(self, values: Mapping[str, int]) -> int:
         total = 0
@@ -133,12 +163,8 @@ class Instruction:
     def __post_init__(self):
         for name in ("targets", "parties"):
             value = getattr(self, name)
-            if type(value) is not tuple:  # a tuple passes through unchanged
-                if isinstance(value, str):  # not one label per character
-                    raise ValueError(f"{name!r} must be a list of strings, got {value!r}")
-                object.__setattr__(self, name, tuple(value))
-            if not all(isinstance(v, str) for v in getattr(self, name)):
-                raise ValueError(f"{name!r} must be a list of strings, got {value!r}")
+            if type(value) is not tuple or not _strings(value):
+                object.__setattr__(self, name, _label_tuple(name, value))
         if self.params or type(self.params) is not tuple:
             object.__setattr__(self, "params", tuple(map(float, self.params)))
         if not isinstance(self.kind, str) or self.kind not in _KIND_SET:
@@ -149,9 +175,13 @@ class Instruction:
             value = getattr(self, name)
             if value is not None and (not isinstance(value, item) or isinstance(value, bool)):
                 raise ValueError(f"{name!r} must be {noun}, got {value!r}")
-        if self.condition is not None and self.kind not in ("CondGate", "ClassicalSend"):
-            raise ValueError(f"a {self.kind} takes no condition; "
-                             "only CondGate and ClassicalSend do")
+        if self.condition is not None:
+            if self.kind not in ("CondGate", "ClassicalSend"):
+                raise ValueError(f"a {self.kind} takes no condition; "
+                                 "only CondGate and ClassicalSend do")
+            terms = self.condition.terms
+            if not _strings(terms):
+                raise ValueError(f"'terms' must be a list of strings, got {terms!r}")
         if self.kind in RESOURCE_KINDS:
             qudit = RESOURCE_KINDS[self.kind][1]
             if (self.dim is not None) != qudit or self.dim == 2:
@@ -167,8 +197,11 @@ class NodeLayout:
     placement: dict[str, str] = field(default_factory=dict)
 
     def __post_init__(self):
-        object.__setattr__(self, "nodes", tuple(self.nodes))
-        object.__setattr__(self, "placement", dict(self.placement))
+        object.__setattr__(self, "nodes", _label_tuple("nodes", self.nodes))
+        placement = dict(self.placement)
+        if not (_strings(placement) and _strings(placement.values())):
+            raise ValueError(f"'placement' must be an object of str values, got {placement!r}")
+        object.__setattr__(self, "placement", placement)
 
     def node_of(self, label: str) -> str:
         try:
@@ -186,8 +219,8 @@ class DistCircuit:
 
     def __post_init__(self):
         object.__setattr__(self, "instructions", tuple(self.instructions))
-        object.__setattr__(self, "inputs", tuple(self.inputs))
-        object.__setattr__(self, "outputs", tuple(self.outputs))
+        object.__setattr__(self, "inputs", _label_tuple("inputs", self.inputs))
+        object.__setattr__(self, "outputs", _label_tuple("outputs", self.outputs))
 
 
 @dataclass

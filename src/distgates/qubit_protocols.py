@@ -8,10 +8,14 @@ directly. Targets on r remote nodes share one (r+1)-party GHZ state over Z_d
 (a Bell pair when r = 1), one share per node however many targets it hosts.
 The control's share absorbs the control value c through CSUM_d^dag, is
 complemented by K_d (|j> -> |-j mod d>) and measured; its outcome m shifts
-every remote share by X_d^m into |c>. Each remote share drives the controlled
-operations onto its node's targets and is measured in the Fourier basis F_d;
-Z_d^dag raised to the sum of those outcomes removes the phase left on the
-control. Messages carry log2(d) bits and conditions are sums mod d.
+every remote share by X_d^m into |c>. All r shifts run as soon as m arrives,
+before any share's own gates: after the last one no later condition reads m
+and the d branches forked on m hold equal states, so they merge before the
+per-share work instead of running it once per value of m. Each remote share
+then drives the controlled operations onto its node's targets and is measured
+in the Fourier basis F_d; Z_d^dag raised to the sum of those outcomes removes
+the phase left on the control. Messages carry log2(d) bits and conditions are
+sums mod d.
 
     role                         d = 2    d = 4
     control-to-share sum         CNOT     CSUM4_dag
@@ -140,9 +144,10 @@ def _fanout(b: CircuitBuilder, control: str, targets, dim: int, layer: int | Non
         b.gate(complement, (share0,), layer=layer)
     m0 = b.measure(share0, layer=layer)
     b.send(m0, cnode, list(remote), bits=bits, layer=layer)
+    for share in shares:  # all at once, so the branches forked on m0 merge here
+        b.cond(shift, (share,), (m0,), mod=dim, layer=layer)
     fourier_outcomes = []
     for (node, node_targets), share in zip(remote.items(), shares):
-        b.cond(shift, (share,), (m0,), mod=dim, layer=layer)
         for label, op, params in node_targets:
             _emit_controlled(b, share, label, op, params, dim, layer)
         b.gate(fourier, (share,), layer=layer)

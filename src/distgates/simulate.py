@@ -41,7 +41,13 @@ for both. The key is what lets a GHZ fan-out reconverge early: each share is
 measured in the X basis and one correction reads the parity of all the
 outcomes, so branches merge on that parity as the outcomes come in, where a
 key of every outcome read later would keep all 2^k of them apart until the
-correction.
+correction. The control share's outcome m leaves the key sooner still: the
+builders emit the shifts X^m of all the remote shares as one run right after
+m arrives (``qubit_protocols``), so after the last of them no condition reads
+m, the branches forked on m hold equal states and merge, and the shares' own
+gates and measurements run once instead of once per value of m. A circuit
+that spreads those shifts out, one before each share's gates, gets the same
+verdicts over wider frontiers.
 
 A merge runs only after a step where branches can meet: a conditioned gate,
 a measurement, or a ClassicalSend that changes the key (see ``Plan``). A

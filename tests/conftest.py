@@ -315,3 +315,34 @@ def serialize_reference(circuit) -> str:
            "instructions": [instruction(ins) for ins in circuit.instructions],
            "inputs": list(circuit.inputs), "outputs": list(circuit.outputs)}
     return json.dumps(doc, indent=2, sort_keys=True) + "\n"
+
+
+def old_order(circuit):
+    """``circuit`` with each GHZ fan-out's shifts in the order the builders used to emit
+    them: the CondGate that shifts a remote share by the control share's outcome moved
+    back to just before the first later instruction on the share's node, the first gate
+    of that share's controlled operations.
+
+    A GHZ resource's first share is the control's; a shift is a CondGate on one of the
+    other shares that reads only the control share's outcome. The shift commutes with
+    every instruction it moves past: they act on other nodes, or are ClassicalSends.
+    """
+    from distgates import DistCircuit
+    from distgates.circuit import RESOURCE_KINDS
+
+    instructions = list(circuit.instructions)
+    for resource in circuit.instructions:
+        if resource.kind not in RESOURCE_KINDS or not RESOURCE_KINDS[resource.kind][0]:
+            continue
+        control, *shares = resource.targets
+        m0 = next(ins.outcome for ins in instructions
+                  if ins.kind == "Measure" and ins.targets == (control,))
+        for share in shares:
+            start = next(j for j, ins in enumerate(instructions) if ins.kind == "CondGate"
+                         and ins.targets == (share,) and ins.condition.terms == (m0,))
+            shift = instructions.pop(start)
+            node = circuit.layout.placement[share]
+            instructions.insert(next(
+                j for j, ins in enumerate(instructions) if j >= start
+                and any(circuit.layout.placement[t] == node for t in ins.targets)), shift)
+    return DistCircuit(circuit.layout, instructions, circuit.inputs, circuit.outputs)

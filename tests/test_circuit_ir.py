@@ -235,9 +235,35 @@ def test_instruction_keeps_tuples_and_normalizes_other_sequences():
 
 
 def test_serialize_refuses_a_value_the_wire_format_has_no_form_for():
-    circuit = DistCircuit(NodeLayout(("A",), {"x": None}), (), ("x",), ("x",))
+    circuit = DistCircuit(NodeLayout(("A",), {"x": "A"}), (), ("x",), ("x",))
+    circuit.layout.placement["x"] = None  # the placement dict is checked once, when built
     with pytest.raises(TypeError, match="NoneType is not JSON serializable"):
         serialize(circuit)
+
+
+LAYOUT_X = NodeLayout(("A",), {"x": "A"})
+
+
+@pytest.mark.parametrize("build,message", [
+    (lambda: NodeLayout(("A", 1), {}), "'nodes' must be a list of strings, got"),
+    (lambda: NodeLayout("AB", {}), "'nodes' must be a list of strings, got 'AB'"),
+    # this circuit used to be built and written, and its text then failed to deserialize
+    (lambda: DistCircuit(NodeLayout(("A",), {"x": 1}), (), (3,), ("x",)),
+     "'placement' must be an object of str values, got {'x': 1}"),
+    (lambda: NodeLayout(("A",), {"x": None}), "'placement' must be an object of str values"),
+    (lambda: NodeLayout(("A",), {1: "A"}), "'placement' must be an object of str values"),
+    (lambda: DistCircuit(LAYOUT_X, (), (3,), ("x",)), "'inputs' must be a list of strings"),
+    (lambda: DistCircuit(LAYOUT_X, (), ("x",), "xy"), "'outputs' must be a list of strings"),
+    (lambda: DistCircuit(LAYOUT_X, (), ("x",), None), "'outputs' must be a list of strings"),
+    (lambda: Condition("m0"), "'terms' must be a list of strings, got 'm0'"),
+    (lambda: Instruction("CondGate", ("x",), gate="X", condition=Condition(("m", 0))),
+     "'terms' must be a list of strings, got \\('m', 0\\)"),
+    (lambda: Condition(("m",), 4.0), "condition 'mod' must be an integer >= 2, got 4.0"),
+    (lambda: Condition(("m",), True), "condition 'mod' must be an integer >= 2, got True"),
+])
+def test_layouts_circuits_and_conditions_refuse_what_the_wire_format_refuses(build, message):
+    with pytest.raises(ValueError, match=message):
+        build()
 
 
 def test_a_classicalsend_may_carry_a_condition():

@@ -1,17 +1,21 @@
 """Distributed qubit protocols: teleported controlled gates, fan-out, GMS, GCZ."""
 
 import math
+from collections import Counter
 
 import numpy as np
 import pytest
-from conftest import H, I2, X, expm_xx_sum, gcz_phase, kron_embed
+from conftest import H, I2, X, expm_xx_sum, gcz_phase, kron_embed, old_order
+from test_batched_verify import _dropped_variants
 
 from distgates import (GateRef, GmsSpec, MixedRegister, NodeLayout, apply_unitary,
                        build_dcontrol_u, build_dgms, build_fanout, catalog, count_messages,
                        enumerate_branches, fidelity_up_to_phase, lms_matrix, random_register,
                        tally, validate)
+from distgates.circuit import RESOURCE_KINDS
 from distgates.gates import gate_unitary
 from distgates.resources import GczConfig, gcz_costs
+from distgates.simulate import compile_plan
 from distgates.statevec import Unitary
 from distgates.verify import OracleSpec, basis_inputs, random_inputs, verify
 
@@ -295,3 +299,68 @@ def test_branch_determinism_up_to_corrections():
     first = branches[0].state
     for b in branches[1:]:
         assert fidelity_up_to_phase(b.state, first) > 1 - 1e-10
+
+
+# ---------------------------------------------------------------------------
+# GHZ fan-out order: every remote share is shifted as soon as the control's outcome arrives
+# ---------------------------------------------------------------------------
+
+GOLDEN = catalog.tagged("golden")
+
+
+def _ghz_resources(circuit):
+    return [ins for ins in circuit.instructions
+            if ins.kind in RESOURCE_KINDS and RESOURCE_KINDS[ins.kind][0]]
+
+
+@pytest.mark.parametrize("shape", sorted(GOLDEN))
+def test_ghz_shifts_run_right_after_the_control_outcome_is_sent(shape):
+    circuit = GOLDEN[shape].build()
+    instructions = circuit.instructions
+    for resource in _ghz_resources(circuit):
+        control, *shares = resource.targets
+        m0 = next(ins.outcome for ins in instructions
+                  if ins.kind == "Measure" and ins.targets == (control,))
+        sent = next(i for i, ins in enumerate(instructions)
+                    if ins.kind == "ClassicalSend" and ins.symbol == m0)
+        readers = [i for i, ins in enumerate(instructions)
+                   if ins.kind == "CondGate" and m0 in ins.condition.terms]
+        assert readers == list(range(sent + 1, sent + 1 + len(shares))), shape
+        assert [instructions[i].targets for i in readers] == [(share,) for share in shares]
+
+
+@pytest.mark.parametrize("shape", sorted(GOLDEN))
+def test_old_order_changes_nothing_but_the_order(shape, monkeypatch):
+    monkeypatch.setenv("DISTGATES_MAX_DIM", str(2 ** 20))  # plans of the over-cap entries too
+    circuit = GOLDEN[shape].build()
+    old = old_order(circuit)
+    assert (old.instructions != circuit.instructions) == bool(_ghz_resources(circuit))
+    assert Counter(old.instructions) == Counter(circuit.instructions)
+    for schedule in ("serial", "layered"):
+        assert tally(old, schedule=schedule) == tally(circuit, schedule=schedule)
+    new_plan, old_plan = compile_plan(circuit), compile_plan(old)
+    assert len(old_plan.gadgets) == len(new_plan.gadgets)
+    assert old_plan.simulated_peak == new_plan.simulated_peak
+
+
+@pytest.mark.parametrize("shape", ["gms5_fanout_pi_3", "gcz6_3n_fanout", "qudit_gcz6",
+                                   "corpus_dcsum4_multi", "corpus_dcz4_sq_multi"])
+def test_old_and_new_order_give_the_same_verdicts(shape):
+    entry = GOLDEN[shape]
+    circuit, oracle = entry.build(), entry.make_oracle()
+    old = old_order(circuit)
+    inputs = random_inputs(circuit, 4, seed=5)
+
+    def same_verdicts(a, b):
+        ra, rb = verify(a, oracle, inputs), verify(b, oracle, inputs)
+        assert (ra.branches, ra.passed) == (rb.branches, rb.passed)
+        assert abs(ra.min_fidelity - rb.min_fidelity) <= 1e-12
+        return ra.passed
+
+    assert same_verdicts(circuit, old)
+    new_variants, old_variants = (
+        {c.instructions[i]: variant for i, variant in _dropped_variants(c)} for c in (circuit, old))
+    assert len(new_variants) == sum(ins.kind == "CondGate" for ins in circuit.instructions)
+    assert new_variants.keys() == old_variants.keys()
+    for dropped, variant in new_variants.items():
+        assert not same_verdicts(variant, old_variants[dropped]), dropped

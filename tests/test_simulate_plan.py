@@ -399,11 +399,8 @@ def test_a_symbol_measured_again_is_keyed_on_its_new_value():
     assert _weights(circuit, state, None) == [2, 2]
 
 
-def test_gms_fanout_frontier_stays_narrow():
-    # each GHZ share is measured in the X basis and one correction reads the parity of all
-    # the outcomes: branches merge on that parity as the outcomes come in
-    circuit = catalog.gms(5, 5, math.pi / 3, "fanout")
-    inputs = random_inputs(circuit, 4, seed=9)
+def _frontier_widths(circuit, inputs) -> list[int]:
+    """The frontier's width after each step, before the merge that follows it."""
     batch = MixedRegister(inputs[0].dims, np.stack([s.amps for s in inputs], axis=1),
                           inputs[0].labels)
     widths = []
@@ -419,5 +416,28 @@ def test_gms_fanout_frontier_stays_narrow():
     traced = plan._replace(steps=tuple((step and recording(step), live)
                                        for step, live in plan.steps))
     enumerate_branches(circuit, batch, merge_equal=True, plan=traced)
-    assert max(widths) == 8
+    return widths
+
+
+def test_gms_fanout_frontier_stays_narrow():
+    # each GHZ share is measured in the X basis and one correction reads the parity of all
+    # the outcomes: branches merge on that parity as the outcomes come in, and the control
+    # share's outcome is merged away by the shifts that directly follow it
+    circuit = catalog.gms(5, 5, math.pi / 3, "fanout")
+    inputs = random_inputs(circuit, 4, seed=9)
+    widths = _frontier_widths(circuit, inputs)
+    assert max(widths) == 4
+    assert sum(widths) <= 104
     assert verify(circuit, OracleSpec("gms", math.pi / 3), inputs).passed
+
+
+def test_qudit_fanout_frontier_stays_narrow():
+    # a d = 4 measurement forks four ways; the four branches forked on the control share's
+    # outcome merge after the two shifts, before either share's own gates
+    entry = catalog.tagged("suite")["d(CZ4)^2 fan-out two targets"]
+    circuit = entry.build()
+    inputs = random_inputs(circuit, 4, seed=9)
+    widths = _frontier_widths(circuit, inputs)
+    assert max(widths) == 16
+    assert sum(widths) <= 64
+    assert verify(circuit, entry.make_oracle(), inputs).passed
