@@ -58,6 +58,20 @@ A dense gate on adjacent targets whose product would exceed
 at a time, each product under the size from which OpenBLAS starts a second
 thread: that thread spins, which doubles the CPU time of these small-matrix
 products and saves no wall time.
+
+A branch of ``simulate`` may hold only some rows of its register, in sorted
+order (a support; every other row is zero). ``row_layout`` splits those
+rows into their target index and their base, the row with the target
+digits cleared, and ``row_plan`` builds from it, by the matrix's structure,
+the rows the result holds and how ``apply_rows`` computes them: a diagonal
+matrix multiplies each row by its phase; a monomial one gathers the rows in
+the sorted order of their images, then multiplies by the entries; a dense
+one scatters the held rows into an ``(m, bases, k)`` block, zeros
+elsewhere, multiplies it by the matrix in one zgemm (in blocks past
+``GEMM_SERIAL_WORK``) and gathers the result in row order. The caller keeps
+the plans, so ``apply_rows`` costs one to three numpy calls, like
+``apply_matrix``. It is pure and takes no pool: a support keeps a branch
+small.
 """
 
 from __future__ import annotations
@@ -121,6 +135,12 @@ def _structure(key) -> tuple[np.ndarray | None, np.ndarray] | None:
         col = np.argmax(nonzero, axis=1)
         return _frozen(col), _frozen(mat[np.arange(shape[0]), col])
     return None
+
+
+def spreads(mat: np.ndarray) -> bool:
+    """Whether ``mat`` is dense: neither diagonal nor monomial, so that it can move a row's
+    amplitude onto several rows."""
+    return _structure((mat.shape, mat.dtype.str, mat.tobytes())) is None
 
 
 def _build_plan(key, dims: tuple[int, ...], axes: tuple[int, ...]):
@@ -211,6 +231,91 @@ def _matmul_blocks(mat: np.ndarray, src: np.ndarray, out: np.ndarray):
             prod = np.matmul(mat, gathered.reshape(m, -1),
                              out=buf[size:size + block.size].reshape(m, -1))
             out[p:p + rows, :, r:r + width] = prod.reshape(gathered.shape).transpose(1, 0, 2)
+
+
+def row_layout(dims: tuple[int, ...], axes: tuple[int, ...], rows: np.ndarray) -> tuple:
+    """``(targets, bases, offsets)`` of the register ``rows`` (sorted) for gates on ``axes``.
+
+    ``targets`` is each row's target index, big-endian over ``axes`` in the
+    order given, ``bases`` the row with its target digits set to 0, and
+    ``offsets[t]`` the flat offset of target index t, so that a row is its base
+    plus the offset of its target index. Shared by every matrix on those axes.
+    """
+    targets = np.zeros(rows.size, np.intp)
+    offsets = np.zeros(1, np.intp)
+    for a in axes:
+        stride = math.prod(dims[a + 1:])
+        targets = targets * dims[a] + rows // stride % dims[a]
+        offsets = (offsets[:, None] + np.arange(dims[a]) * stride).ravel()
+    return targets, rows - offsets[targets], offsets
+
+
+def row_plan(mat: np.ndarray, layout: tuple) -> tuple[np.ndarray, tuple]:
+    """``(out_rows, plan)``: how ``apply_rows`` applies ``mat`` to a branch's rows.
+
+    ``layout`` is ``row_layout`` of the rows and the target axes; ``out_rows``
+    are the sorted rows the result holds. A diagonal matrix keeps the rows and
+    multiplies each by its phase. A monomial one moves each row to the row of
+    its image and multiplies it by the entry: the plan gathers the rows in
+    sorted image order. A dense one reaches every row that shares a base with
+    a held row: the plan scatters the held rows into an ``(m, bases, k)``
+    block with zeros elsewhere, multiplies by the matrix, and gathers the
+    result in row order. ``plan`` is ``(kind, bases, index, order, phase)``:
+    the structure's name, the number of distinct bases (dense only), the
+    gather or scatter index, the final gather (dense only) and the row phases,
+    every array read-only.
+    """
+    targets, bases, offsets = layout
+    structure = _structure((mat.shape, mat.dtype.str, mat.tobytes()))
+    if structure is None:  # dense: targets first, then the distinct bases
+        held, slot = np.unique(bases, return_inverse=True)
+        full = (offsets[:, None] + held).ravel()
+        order = np.argsort(full, kind="stable")
+        out_rows = full[order]
+        index = targets * held.size + slot  # of each held row in the block
+        if index.size == full.size:  # every row of the block is held: gather it instead
+            index = np.argsort(index)
+        return out_rows, ("dense", held.size, _frozen(index), _frozen(order), None)
+    col, val = structure
+    if col is None:
+        phase = val[targets]
+        return bases + offsets[targets], ("diagonal", 0, None, None, _frozen(phase[:, None]))
+    image = np.argsort(col)[targets]  # col[image] = targets: the row each held row moves to
+    moved = bases + offsets[image]
+    order = np.argsort(moved)
+    phase = None if np.all(val == 1) else _frozen(val[image][order][:, None])
+    return moved[order], ("monomial", 0, _frozen(order), None, phase)
+
+
+def apply_rows(amps: np.ndarray, mat: np.ndarray, plan: tuple) -> np.ndarray:
+    """``apply_matrix`` on a branch that holds only some rows of its register.
+
+    ``amps`` is ``(rows, k)``, one row per held register row in sorted order,
+    and ``plan`` is ``row_plan``'s for ``mat`` and those rows. Returns the
+    ``(out_rows, k)`` result, in the order of ``row_plan``'s ``out_rows``. Pure:
+    the input is never written or returned.
+    """
+    kind, count, index, order, phase = plan  # count: the dense plan's bases
+    if kind == "diagonal":
+        return amps * phase
+    if kind == "monomial":
+        out = np.take(amps, index, axis=0)
+        if phase is not None:
+            out *= phase
+        return out
+    m, k = mat.shape[0], amps.shape[1]
+    if index.size == m * count:  # a gather of every block row
+        block = np.take(amps, index, axis=0)
+    else:
+        block = np.zeros((m * count, k), np.complex128)
+        block[index] = amps
+    block = block.reshape(m, count * k)
+    if m * block.size <= GEMM_SERIAL_WORK:
+        out = mat @ block
+    else:
+        out = np.empty_like(block)
+        _matmul_blocks(mat, block[None], out[None])
+    return np.take(out.reshape(m * count, k), order, axis=0)
 
 
 def apply_matrix(amps: np.ndarray, dims: tuple[int, ...], axes: tuple[int, ...],

@@ -28,8 +28,8 @@ The wire bytes are the standard library's indent-2, sorted-key ASCII form,
 ``indent`` set, ``json`` would fall back to its pure-Python encoder. Reading
 checks each field once. ``deserialize`` checks what only JSON can get wrong (a
 string or object where a list belongs, an unknown gate name, the shape of a
-condition), ``Instruction`` checks the fields it holds, and a refusal raised
-while reading instruction i starts with "instruction i:". Since the data
+condition), ``Instruction`` and ``Condition`` check the fields they hold, and a
+refusal raised while reading instruction i starts with "instruction i:". Since the data
 model refuses what the format has no form for (a bool or a numpy integer as
 "bits" or "layer", a label, node or condition term that is not a string, a
 modulus that is not an integer), each when its object is built, the writer
@@ -118,9 +118,7 @@ class Condition:
     """Classical expression over outcome symbols: their sum mod ``mod``.
 
     mod=2 is the XOR of qubit outcome bits; mod=d sums qudit outcomes mod d.
-    An ``Instruction`` refuses a condition whose terms are not all strings; a
-    bare Condition may name symbols by any key, as the gadget builds of
-    ``simulate`` do with integer ids.
+    Every term is a symbol's name, a string, as in the wire format.
     """
 
     terms: tuple[str, ...]
@@ -129,7 +127,10 @@ class Condition:
     def __post_init__(self):
         if isinstance(self.terms, str):  # not one symbol per character
             raise ValueError(f"'terms' must be a list of strings, got {self.terms!r}")
-        object.__setattr__(self, "terms", tuple(self.terms))
+        terms = tuple(self.terms)
+        if not _strings(terms):
+            raise ValueError(f"'terms' must be a list of strings, got {terms!r}")
+        object.__setattr__(self, "terms", terms)
         if not _is_dimension(self.mod):
             raise ValueError(f"condition 'mod' must be an integer >= 2, got {self.mod!r}")
 
@@ -179,9 +180,6 @@ class Instruction:
             if self.kind not in ("CondGate", "ClassicalSend"):
                 raise ValueError(f"a {self.kind} takes no condition; "
                                  "only CondGate and ClassicalSend do")
-            terms = self.condition.terms
-            if not _strings(terms):
-                raise ValueError(f"'terms' must be a list of strings, got {terms!r}")
         if self.kind in RESOURCE_KINDS:
             qudit = RESOURCE_KINDS[self.kind][1]
             if (self.dim is not None) != qudit or self.dim == 2:

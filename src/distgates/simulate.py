@@ -91,11 +91,12 @@ around it. A bad instruction therefore raises ``ValueError`` before any
 kernel runs, and before any gadget is built (see below). The branch loop,
 ``run_steps``, holds bare amplitude matrices (``_Branch``: amplitudes,
 per-column probability and alive mask, outcome record, symbol values,
-weight) and hands them straight to the kernels: each gate to
-``backend.apply_matrix``, each measurement to ``statevec.measure_amps`` and
-each resource to ``statevec.tensor_amps``, which are also the arithmetic of
-``measure_enumerate`` and ``tensor``, minus their per-call label lookups and
-checks. ``verify`` compiles one plan and shares it across its input chunks.
+weight, support) and its steps (module ``steps``) hand them straight to the
+kernels: each gate to ``backend.apply_matrix``, each measurement to
+``statevec.measure_amps`` and each resource to ``statevec.tensor_amps``,
+which are also the arithmetic of ``measure_enumerate`` and ``tensor``, minus
+their per-call label lookups and checks. ``verify`` compiles one plan and
+shares it across its input chunks.
 
 Gadgets. The teleported gates and fan-outs are chains of gate-teleportation
 gadgets (Gottesman & Chuang, Nature 402, 390 (1999); Eisert et al., PRA 62,
@@ -158,38 +159,87 @@ canonicalization. Each cache holds 1024 entries; the benchmark's suite and
 dropped-correction workloads together need 277 and 63, so nothing is built
 twice.
 
-``peak_register_dim`` and the cap check keep the explicit peak, the largest
-register of the per-instruction steps, so contraction accepts and rejects
-the same circuits. ``Plan.simulated_peak`` is the largest register a step of
-the plan actually builds: it sizes ``verify``'s chunks and decides whether
-a run owns a pool.
+Row-sparse branches. A GHZ state over n parties of dimension d multiplies
+the register by d^n but has only d nonzero amplitudes, so a branch that
+holds it has at most d nonzero rows per row before it (the state-sparsity
+method of Jaques & Haner, arXiv:2105.01533). A resource whose amplitudes
+are at most a quarter nonzero (``_sparse``: every GHZ state of three or more
+parties and every d >= 4 pair, but not a qubit Bell pair) therefore gives
+each branch a support (``steps._Support``): the sorted register rows it
+holds, with ``amps`` one row per support row. A dense branch has none
+(``rows`` is None) and runs exactly the dense kernels above, and a step
+before the plan's first sparse resource is built without the row kernels
+(``rowed``), so a plan with no sparse resource does the work it did before
+supports. The rows outside a support are exact zeros under every kernel,
+so the support loses nothing:
 
-A run whose simulated peak reaches ``backend.POOL_MIN_BYTES`` owns one
+- a diagonal gate multiplies each row by a phase and a monomial one moves
+  each row to one row, so a zero row stays zero;
+- a dense gate writes each row of a base (the row with the target digits
+  cleared) from the rows of that base alone, so only the bases the support
+  holds can become nonzero, and the support grows to all their rows
+  (``backend.row_plan``), with explicit zeros where the sums vanish;
+- a measurement sums squares, to which a zero row adds nothing, and keeps
+  each outcome's rows with that digit removed (``statevec.split_rows``);
+- a resource on a support multiplies it by the resource's nonzero rows.
+
+The support a step makes of a support, and its row plan, depend only on
+the two and the step, so they are built once and kept in a least-recently
+used cache of at most ``steps.ROW_CACHE_BYTES`` of arrays (``steps._ROWS``);
+a run's first support comes from there too (``steps._root``), so later
+plans that take the same steps reuse every row plan. A step's cost on a
+support is then one kernel call, as on a dense branch. A branch
+whose support comes to hold every row of its register goes back to dense
+(``_support``): its rows are then already in register order.
+``_merge`` compares two branches on the same support directly, and on
+different supports on the union of their rows, a row one of them lacks
+reading 0 (``_gap``): exactly the dense compare. ``enumerate_branches``
+scatters each support into a dense ``BranchResult``.
+
+``Plan.row_bound`` bounds the rows any branch holds at any step. The walk
+that finds the gadgets folds it in step order, from the input register:
+a sparse resource multiplies it by its nonzero amplitudes (and a dense one
+by its whole size while a branch may be dense), a dense gate, or a gadget
+with a dense unitary, by its dimension m, up to the register, and a
+measurement keeps it, up to the register after it. A plan with no sparse
+resource keeps every branch dense, and its bound is ``simulated_peak``.
+
+``peak_register_dim`` and the cap check keep the explicit peak, the largest
+register of the per-instruction steps, so contraction and supports accept
+and reject the same circuits; ``MAX_BRANCHES`` likewise counts branches
+whatever they hold. ``Plan.simulated_peak`` is the largest register a step
+of the plan actually builds; ``Plan.row_bound``, at most that, sizes
+``verify``'s chunks and decides whether a run owns a pool.
+
+A run whose row bound reaches ``backend.POOL_MIN_BYTES`` owns one
 ``backend.BufferPool``, handed to every gate and gadget step and dropped
 when the run returns (a smaller run has none). Its one foreign array is the
 caller's input batch; every other matrix in the frontier belongs to exactly
 one branch, so ``backend.apply_matrix`` may write a large one in place or
 recycle it (see ``backend``). A branch that a gadget step forks into more
 than one branch is read by all of their applies, so none of them gets the
-pool. Measurements, resources and merges recycle nothing: their kernels are
-pure, and a merged branch's matrix is simply dropped. Cached resource
-states, gate matrices and gadget unitaries are only read.
+pool. Measurements, resources, merges and the kernels on supports recycle
+nothing: they are pure, and a merged branch's matrix is simply dropped.
+Cached resource states, gate matrices, gadget unitaries and row plans are
+only read.
 """
 
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 from functools import lru_cache
 from typing import Callable, NamedTuple
 
 import numpy as np
 
 from . import backend
-from .circuit import RESOURCE_KINDS, Condition, DistCircuit, Instruction, resource_key
+from .circuit import RESOURCE_KINDS, DistCircuit, Instruction, resource_key
 from .gates import gate_arity, gate_power, gate_unitary
-from .statevec import (PRUNE_TOL, UNITARY_TOL, BranchResult, MixedRegister, Unitary,
-                       check_register_dim, label_axis, measure_amps, target_axes, tensor_amps)
+from .statevec import (PRUNE_TOL, UNITARY_TOL, BranchResult, MixedRegister, check_register_dim,
+                       label_axis, target_axes)
+from .steps import (_Branch, _cond_step, _gadget_step, _gap, _gate_step, _ghz_amps,
+                    _measure_step, _resource_amps, _resource_nonzero, _resource_step, _sparse,
+                    _spreads)
 
 MERGE_ATOL = 1e-12
 MAX_BRANCHES = 2 ** 16
@@ -289,104 +339,6 @@ def unmerged_branch_bound(circuit: DistCircuit, upto: int | None = None,
     return _bounds(circuit, upto, circuit_dims(circuit) if dims is None else dims)[1]
 
 
-def _ghz_amps(d: int, n: int) -> np.ndarray:
-    """The amplitudes of the n-party GHZ state over Z_d (a pair when n = 2)."""
-    amps = np.zeros(d ** n, dtype=np.complex128)
-    step = (d ** n - 1) // (d - 1)  # |kk...k> has flat index k * (1 + d + d^2 + ...)
-    amps[np.arange(d) * step] = 1 / math.sqrt(d)
-    return amps
-
-
-@lru_cache(maxsize=1024)
-def _resource_amps(d: int, n: int) -> np.ndarray:
-    """The read-only amplitudes of an n-party resource over Z_d, shared by every plan.
-
-    Validated once as a register of their own (``MixedRegister``); a resource
-    instruction brings its labels.
-    """
-    amps = MixedRegister((d,) * n, _ghz_amps(d, n), tuple(map(str, range(n)))).amps
-    amps.flags.writeable = False
-    return amps
-
-
-@dataclass(eq=False, slots=True)
-class _Branch:
-    amps: np.ndarray  # (state_dim, k), over the plan's labels and dims at this step
-    prob: np.ndarray  # per column; 0 where the column is dead
-    outcomes: tuple[tuple[str, int], ...]
-    values: dict[str, int]
-    weight: int
-    alive: np.ndarray
-
-
-@lru_cache(maxsize=backend.CACHE_SIZE)
-def _gate_plan(gate: Unitary, dims: tuple[int, ...], axes: tuple[int, ...]) -> tuple:
-    """The kernel plan of a cached gate (``gate_unitary``, ``gate_power``) on a register layout.
-
-    Keyed by the gate object, which the cache holds and whose entries are
-    read-only, so a plan needs no content key (see ``backend``).
-    """
-    return backend.kernel_plan(gate.entries, dims, axes, cached=False)
-
-
-def _gate_step(dims: tuple[int, ...], axes: tuple[int, ...], gate: Unitary):
-    """A LocalGate: one matrix on fixed axes of every branch."""
-    matrix, plan = gate.entries, _gate_plan(gate, dims, axes)
-
-    def run(frontier: list[_Branch], pool: backend.BufferPool | None, merge: bool) -> list[_Branch]:
-        apply = backend.apply_matrix
-        for br in frontier:
-            br.amps = apply(br.amps, dims, axes, matrix, plan, pool)
-        return frontier
-    return run
-
-
-def _cond_step(dims: tuple[int, ...], axes: tuple[int, ...], condition: Condition,
-               powers: tuple[Unitary, ...]):
-    """A CondGate: ``powers[v - 1]``, the gate to the power v, where the condition's value v is
-    nonzero. Each power's kernel plan is looked up once, when its value first occurs."""
-    plans: dict[int, tuple] = {}
-
-    def run(frontier: list[_Branch], pool: backend.BufferPool | None, merge: bool) -> list[_Branch]:
-        apply = backend.apply_matrix
-        for br in frontier:
-            value = condition.evaluate(br.values)
-            if value:
-                gate = powers[value - 1]
-                plan = plans.get(value)
-                if plan is None:
-                    plan = plans[value] = _gate_plan(gate, dims, axes)
-                br.amps = apply(br.amps, dims, axes, gate.entries, plan, pool)
-        return frontier
-    return run
-
-
-def _resource_step(factor: np.ndarray):
-    """A resource state, its amplitudes ``factor``, appended to every branch's register."""
-    def run(frontier: list[_Branch], pool: backend.BufferPool | None, merge: bool) -> list[_Branch]:
-        for br in frontier:
-            br.amps = tensor_amps(br.amps, factor)
-        return frontier
-    return run
-
-
-def _measure_step(dims: tuple[int, ...], axis: int, symbol: str):
-    """A measurement of ``axis``: every branch forks into one branch per kept outcome."""
-    pre, d, post = math.prod(dims[:axis]), dims[axis], math.prod(dims[axis + 1:])
-    records = [((symbol, outcome),) for outcome in range(d)]
-
-    def run(frontier: list[_Branch], pool: backend.BufferPool | None, merge: bool) -> list[_Branch]:
-        forked: list[_Branch] = []
-        for br in frontier:
-            kept, probs, alive, outs = measure_amps(br.amps, pre, d, post)
-            for outcome, out in zip(kept, outs):
-                forked.append(_Branch(
-                    out, br.prob * probs[outcome], br.outcomes + records[outcome],
-                    {**br.values, symbol: outcome}, br.weight, br.alive & alive[outcome]))
-        return forked
-    return run
-
-
 class _Gadget(NamedTuple):
     """A gadget's outcome records and their unitaries, built once per canonical key.
 
@@ -396,13 +348,15 @@ class _Gadget(NamedTuple):
     ``(record, count, p)``: the first record of each plan-time merge group, how
     many records it stands for and their summed probability. ``plans`` holds
     the kernel plan of each unitary per register layout, filled as layouts
-    occur.
+    occur. ``dense`` is whether some unitary is neither diagonal nor monomial,
+    so that it can spread a sparse branch over more rows.
     """
 
     unitaries: tuple[np.ndarray, ...]
     records: tuple[tuple[tuple[int, ...], int, float], ...]
     groups: tuple[tuple[int, int, float], ...]
     plans: dict
+    dense: bool
 
 
 @lru_cache(maxsize=1024)
@@ -433,7 +387,7 @@ def _gadget(key: tuple) -> _Gadget | None:
             steps.append((_gate_step(dims, axes, op[1]), None))
         else:  # "C", a conditioned gate with its powers from 1 on
             _, powers, terms, mod = op
-            steps.append((_cond_step(dims, axes, Condition(terms, mod), powers), None))
+            steps.append((_cond_step(dims, axes, terms, mod, powers), None))
     start = np.kron(np.eye(d_s, dtype=np.complex128), _ghz_amps(d, n).reshape(-1, 1))
     ones = np.ones(d_s)
     branches = run_steps(steps, [_Branch(start, ones, (), {}, 1, ones > 0)], None, False)
@@ -469,51 +423,8 @@ def _gadget(key: tuple) -> _Gadget | None:
                 break
         else:
             groups.append([r, 1, p])
-    return _Gadget(tuple(unitaries), tuple(records), tuple(map(tuple, groups)), {})
-
-
-def _gadget_step(gadget: _Gadget, dims: tuple[int, ...], axes: tuple[int, ...],
-                 symbols: tuple[str, ...]):
-    """A contracted gadget: every branch forks into the gadget's outcome records.
-
-    With merging, into one branch per plan-time group, of the group's weight;
-    without, into one branch per record. Each applies its record's unitary to
-    the data ``axes``. A branch that forks into more than one passes the pool
-    to none of its applies, since they all read its amplitudes.
-    """
-    forks: dict[bool, list] = {}
-
-    def make(merge: bool) -> list:
-        entries = gadget.groups if merge else [(r, 1, rec[2])
-                                               for r, rec in enumerate(gadget.records)]
-        out = []
-        for r, count, p in entries:
-            outcomes, index, _ = gadget.records[r]
-            u = gadget.unitaries[index]
-            key = (dims, axes, index)
-            plan = gadget.plans.get(key)
-            if plan is None:
-                plan = gadget.plans[key] = backend.kernel_plan(u, dims, axes, cached=False)
-            out.append((u, plan, tuple(zip(symbols, outcomes)), dict(zip(symbols, outcomes)),
-                        count, p))
-        return out
-
-    def run(frontier: list[_Branch], pool: backend.BufferPool | None, merge: bool) -> list[_Branch]:
-        fork = forks.get(merge)
-        if fork is None:
-            fork = forks[merge] = make(merge)
-        if len(fork) > 1:
-            pool = None
-        apply = backend.apply_matrix
-        forked: list[_Branch] = []
-        for br in frontier:
-            for u, plan, outcomes, values, count, p in fork:
-                forked.append(_Branch(
-                    apply(br.amps, dims, axes, u, plan, pool), br.prob * p,
-                    br.outcomes + outcomes, {**br.values, **values}, br.weight * count,
-                    br.alive))
-        return forked
-    return run
+    dense = any(backend.spreads(u) for u in unitaries)
+    return _Gadget(tuple(unitaries), tuple(records), tuple(map(tuple, groups)), {}, dense)
 
 
 class Plan(NamedTuple):
@@ -545,8 +456,9 @@ class Plan(NamedTuple):
     grouping, the budget and the cache). ``peak`` is
     the explicit peak register (``peak_register_dim``), which the cap check
     uses; ``simulated_peak`` is the largest register a step builds, at most
-    ``peak``. ``labels`` and ``out_dims`` describe the register after the
-    last step.
+    ``peak``; ``row_bound`` is the most rows a branch holds after any step,
+    at most ``simulated_peak`` (see the module docstring). ``labels`` and
+    ``out_dims`` describe the register after the last step.
     """
 
     circuit: DistCircuit
@@ -554,6 +466,7 @@ class Plan(NamedTuple):
     dims: dict[str, int]
     peak: int
     simulated_peak: int
+    row_bound: int
     branch_bound: int
     steps: tuple[tuple[Callable | None, tuple | None], ...]
     gadgets: tuple[tuple[int, int], ...]
@@ -655,7 +568,8 @@ def _distance(a: np.ndarray, b: np.ndarray) -> float:
 def _merge(frontier: list[_Branch], spec: tuple) -> list[_Branch]:
     """Merge each branch into the first earlier kept branch equal to it (see the module docstring).
 
-    ``spec`` is the step's merge key spec (see ``Plan``).
+    ``spec`` is the step's merge key spec (see ``Plan``). Branches on different
+    supports are compared on the union of their rows (``_gap``).
     """
     merged: list[_Branch] = []
     buckets: dict[tuple, list[_Branch]] = {}  # exact key -> kept branches
@@ -669,8 +583,13 @@ def _merge(frontier: list[_Branch], spec: tuple) -> list[_Branch]:
         small = br.amps.nbytes < backend.POOL_MIN_BYTES
         for kept in bucket:
             # np.allclose(rtol=0, atol=MERGE_ATOL) on finite amplitudes
-            if (abs(kept.amps - br.amps).max() if small else
-                    _distance(kept.amps, br.amps)) <= MERGE_ATOL:
+            if kept.rows is not br.rows:
+                far = _gap(kept, br)
+            elif small:
+                far = abs(kept.amps - br.amps).max()
+            else:
+                far = _distance(kept.amps, br.amps)
+            if far <= MERGE_ATOL:
                 kept.prob = kept.prob + br.prob
                 kept.weight += br.weight
                 break
@@ -693,15 +612,14 @@ class _Candidate:
     does not contract.
     """
 
-    __slots__ = ("start", "end", "resource", "labels", "dims", "grown", "pending", "measured",
-                 "ops", "makes")
+    __slots__ = ("start", "end", "resource", "labels", "dims", "pending", "measured", "ops",
+                 "makes")
 
     def __init__(self, start: int, resource: Instruction, labels: tuple[str, ...],
                  dims: tuple[int, ...]):
         self.start = self.end = start
         self.resource = resource
         self.labels, self.dims = labels, dims  # the register before the resource
-        self.grown = math.prod(dims) * (resource.dim or 2) ** len(resource.targets)  # and after
         self.pending = set(resource.targets)  # the labels of A not measured yet
         self.measured: set[str] = set()  # outcome symbols
         self.ops: list[tuple] = []
@@ -777,11 +695,36 @@ def _contract(shares: tuple[str, ...], d: int, ops: tuple, live: tuple[str, ...]
     return gadget and (gadget, tuple(data), tuple(symbols))
 
 
-def _explicit(makes) -> list[tuple]:
-    """The ``(step, merge key)`` pairs of per-instruction ``(constructor and arguments, merge
-    key)`` pairs; a free ClassicalSend (None) has none, a merging one (``()``) no step."""
-    return [(make[0](*make[1:]) if make else None, live) for make, live in makes
-            if make is not None]
+def _bounded(make: tuple, bound: int | None, size: int) -> tuple[int | None, int]:
+    """``(bound, size)`` after the step ``make`` describes: the most rows a branch holds (None
+    while every branch is dense) and the register.
+
+    While every branch is dense, only a resource is read, and the register
+    before it is its own: a dense one grows the register, and a sparse one
+    starts the bound at the register before it. Then a resource multiplies
+    the bound by its nonzero amplitudes, or by all of them when a dense
+    resource meets a branch that may be dense (the bound is the whole
+    register); a gate that is neither diagonal nor monomial multiplies it by
+    its dimension m, up to the register; a measurement keeps it, up to the
+    register after it.
+    """
+    step = make[0]
+    if step is _resource_step:
+        amps, d, n, before = make[1:]
+        if bound is None:
+            if not _sparse(d, n):
+                return None, before * amps.size
+            bound = size = before
+        bound *= _resource_nonzero(d, n)[0].size if _sparse(d, n) or bound < size else amps.size
+        return bound, size * amps.size
+    if step is _measure_step:
+        size //= make[1][make[2]]
+        return min(bound, size), size
+    if bound < size:  # a gate or a conditioned gate, classified by its (first) power
+        gate = make[3] if step is _gate_step else make[5][0]
+        if _spreads(gate):
+            bound = min(bound * gate.dim, size)
+    return bound, size
 
 
 def _axis_map(labels: tuple[str, ...]) -> dict[str, int]:
@@ -822,10 +765,10 @@ def compile_plan(circuit: DistCircuit, upto: int | None = None) -> Plan:
     labels = tuple(circuit.inputs)
     reg_dims = tuple(dims[label] for label in labels)
     axis_of = _axis_map(labels)
-    built = math.prod(reg_dims)  # the largest register a step builds
+    start = math.prod(reg_dims)
     instructions = circuit.instructions[:upto]
     keys, readers, unmeasured = _symbol_uses(circuit.instructions)
-    steps: list = []  # (step, merge key) per instruction, or a _Candidate for a gadget
+    steps: list = []  # (step constructor and arguments, merge key), or a _Candidate for a gadget
     candidate = None  # the gadget being read
     for i, ins in enumerate(instructions):
         kind = ins.kind
@@ -847,18 +790,19 @@ def compile_plan(circuit: DistCircuit, upto: int | None = None) -> Plan:
                 if condition.mod > 2:
                     gate += tuple([gate_power(ins.gate, ins.params, v)
                                    for v in range(2, condition.mod)])
-                make = (_cond_step, reg_dims, axes, condition, gate)
+                make = (_cond_step, reg_dims, axes, condition.terms, condition.mod, gate)
         elif kind in RESOURCE_KINDS:
             added = ins.targets
             if len(set(added)) != len(added):
                 raise ValueError("labels must be unique")
-            amps = _resource_amps(ins.dim or 2, len(added))
+            d = ins.dim or 2
+            amps = _resource_amps(d, len(added))
             if collision := set(labels) & set(added):
                 raise ValueError(f"label collision: {collision}")
-            make = (_resource_step, amps)
+            make = (_resource_step, amps, d, len(added), math.prod(reg_dims))
             before = labels, reg_dims
             axis_of.update(zip(added, range(len(labels), len(labels) + len(added))))
-            labels, reg_dims = labels + added, reg_dims + (ins.dim or 2,) * len(added)
+            labels, reg_dims = labels + added, reg_dims + (d,) * len(added)
         elif kind == "Measure":
             axis = axis_of.get(ins.targets[0])
             if axis is None:
@@ -875,46 +819,59 @@ def compile_plan(circuit: DistCircuit, upto: int | None = None) -> Plan:
         live = None if kind == "LocalGate" or kind in RESOURCE_KINDS else keys[i + 1]
         if candidate is not None:
             if candidate.add(i, ins, gate, readers):
-                candidate.makes.append((make, live))
+                if make is not None:  # a free ClassicalSend has no step
+                    candidate.makes.append((make, live))
                 if not candidate.pending and i >= candidate.end:
                     steps.append(candidate)
                     candidate = None
                 continue
-            steps += _explicit(candidate.makes)  # no gadget: the steps of its instructions
-            built = max(built, candidate.grown)
+            steps += candidate.makes  # no gadget: the steps of its instructions
             candidate = None
         if kind in RESOURCE_KINDS:
             candidate = _Candidate(i, ins, *before)
             candidate.makes.append((make, live))
         elif make is not None:
-            steps.append((make[0](*make[1:]) if make else None, live))
+            steps.append((make, live))
     if candidate is not None:  # cut by upto
-        steps += _explicit(candidate.makes)
-        built = max(built, candidate.grown)
+        steps += candidate.makes
 
-    plan_steps, gadgets = [], []  # every check has run: contract the gadgets
+    # every check has run: contract the gadgets, build each step with the row kernels once a
+    # branch may hold a support, and fold the largest register and the row bound in
+    plan_steps, gadgets = [], []
+    bound, size, built, most = None, start, start, start  # see _bounded
     for entry in steps:
-        if type(entry) is not _Candidate:
-            plan_steps.append(entry)
-            continue
-        live = keys[entry.end + 1]
-        read = set()  # the symbols the key reads; grouping on their values is finer, and sound
-        for terms, _ in live:
-            read.update(terms)
-        res = entry.resource
-        found = _contract(res.targets, res.dim or 2, tuple(entry.ops),
-                          tuple(sorted(entry.measured & read)))
-        if found:
-            gadget, data, symbols = found
-            axes = tuple([entry.labels.index(label) for label in data])
-            plan_steps.append((_gadget_step(gadget, entry.dims, axes, symbols), live))
-            gadgets.append((entry.start, entry.end))
-            built = max(built, math.prod(entry.dims))
+        if type(entry) is _Candidate:
+            if found := _gadget_of(entry, keys):  # its register is the one before it
+                gadget, data, symbols = found
+                axes = tuple([entry.labels.index(label) for label in data])
+                plan_steps.append((_gadget_step(gadget, entry.dims, axes, symbols,
+                                                bound is not None), keys[entry.end + 1]))
+                gadgets.append((entry.start, entry.end))
+                if bound is not None and gadget.dense:
+                    bound = min(bound * math.prod([entry.dims[a] for a in axes]), size)
+                    most = max(most, bound)
+                continue
+            entry = entry.makes
         else:
-            plan_steps += _explicit(entry.makes)
-            built = max(built, entry.grown)
-    return Plan(circuit, upto, dict(dims), peak, built, branch_bound, tuple(plan_steps),
+            entry = (entry,)
+        for make, live in entry:
+            plan_steps.append((make[0](*make[1:], bound is not None) if make else None, live))
+            if make and (bound is not None or make[0] is _resource_step):
+                bound, size = _bounded(make, bound, size)
+                built = max(built, size)
+                most = max(most, size if bound is None else bound)
+    return Plan(circuit, upto, dict(dims), peak, built, most, branch_bound, tuple(plan_steps),
                 tuple(gadgets), labels, reg_dims)
+
+
+def _gadget_of(entry: _Candidate, keys: list[tuple]):
+    """``_contract`` of the gadget ``entry`` has read, with ``keys`` from ``_symbol_uses``."""
+    read = set()  # the symbols the key reads; grouping on their values is finer, and sound
+    for terms, _ in keys[entry.end + 1]:
+        read.update(terms)
+    res = entry.resource
+    return _contract(res.targets, res.dim or 2, tuple(entry.ops),
+                     tuple(sorted(entry.measured & read)))
 
 
 def run_steps(steps, frontier: list[_Branch], pool: backend.BufferPool | None,
@@ -965,13 +922,18 @@ def enumerate_branches(circuit: DistCircuit, input_state: MixedRegister | None =
 
     amps = input_state.amps.reshape(input_state.amps.shape[0], -1)  # a single state: k = 1
     k = amps.shape[1]
-    pool = None  # the run's large buffers, dropped on return; none when every register is small
-    if plan.simulated_peak * k * amps.itemsize >= backend.POOL_MIN_BYTES:
+    pool = None  # the run's large buffers, dropped on return; none when every branch is small
+    if plan.row_bound * k * amps.itemsize >= backend.POOL_MIN_BYTES:
         pool = backend.BufferPool(foreign=amps)
     ones = np.ones(k)  # the first frontier is built in the call, so that the runner drops it
     frontier = run_steps(plan.steps, [_Branch(amps, ones, (), {}, 1, ones > 0)], pool, merge_equal)
 
     labels, out_dims = plan.labels, plan.out_dims
+    for br in frontier:  # a sparse branch's rows, scattered into its register
+        if br.rows is not None:
+            full = np.zeros((br.rows.size, k), np.complex128)
+            full[br.rows.rows] = br.amps
+            br.amps = full
     if input_state.amps.ndim == 1:
         return [BranchResult(br.outcomes, float(br.prob[0]),
                              MixedRegister._wrap(out_dims, br.amps[:, 0], labels), br.weight)

@@ -26,6 +26,14 @@ directly. From ``backend.POOL_MIN_BYTES`` on, neither broadcasts over the
 batch axis, which is innermost and only a few columns wide: a measurement
 copies each kept slice and scales it in place along long rows, and a product
 writes one block per resource amplitude, zeros without a multiply.
+
+A branch that holds only some rows of its register (a support, see
+``simulate``) is measured by ``measure_rows``, with the grouping that
+``split_rows`` builds once per support: the held rows gathered by the
+measured digit, the squares of each group summed once, and each kept
+outcome's group scaled, over the outcome's rows with the digit removed. A
+resource on a support is ``tensor_amps`` with the resource's nonzero
+amplitudes alone.
 """
 
 from __future__ import annotations
@@ -253,6 +261,64 @@ def measure_amps(amps: np.ndarray, pre: int, d: int, post: int) -> tuple:
             for i, outcome in enumerate(kept):
                 np.multiply(t[outcome], scale[outcome], out=scaled[i])
         outs = scaled.reshape((len(kept), pre * post) + batch)
+    return kept, np.where(alive, prob, 0.0), alive, outs
+
+
+def split_rows(rows: np.ndarray, d: int, post: int) -> tuple[tuple, list]:
+    """``(plan, outcome_rows)`` of measuring the axis of ``d`` levels and ``post`` rows
+    below it, on a branch that holds only the register ``rows`` (sorted).
+
+    ``outcome_rows[o]`` are the rows with digit o, that digit removed (sorted;
+    None when there are none). ``plan`` is ``measure_rows``'s: the gather that
+    groups the rows by digit (None when they are grouped already), the first
+    position of each nonempty group, the digits of those groups, the size of
+    every group when all d are equally large (else 0), and each digit's
+    ``(start, stop)`` in the grouped rows.
+    """
+    digit = rows // post % d
+    order = np.argsort(digit, kind="stable")
+    counts = np.bincount(digit, minlength=d)
+    present = np.flatnonzero(counts)
+    starts = np.concatenate(([0], np.cumsum(counts)[:-1]))
+    grouped = rows[order]
+    outcome_rows = []
+    for o in range(d):
+        held = grouped[starts[o]:starts[o] + counts[o]]
+        outcome_rows.append(held // (d * post) * post + held % post if held.size else None)
+    if np.array_equal(order, np.arange(rows.size)):
+        order = None
+    equal = int(counts[0]) if np.all(counts == counts[0]) else 0
+    spans = [(int(s), int(s + c)) for s, c in zip(starts, counts)]
+    return (order, starts[present], present, equal, spans), outcome_rows
+
+
+def measure_rows(amps: np.ndarray, d: int, plan: tuple) -> tuple:
+    """``measure_amps`` on a branch that holds only some register rows (``split_rows``).
+
+    ``amps`` is ``(rows, k)``. Returns ``(kept, probs, alive, outs)`` as
+    ``measure_amps`` does, each kept outcome's amplitudes over the rows of
+    ``split_rows``'s ``outcome_rows``. Rows a branch does not hold are zeros,
+    which add nothing to a probability, so only the held ones are read: once
+    for the squares summed per digit group, once for the scaled copies.
+    """
+    order, starts, present, equal, spans = plan
+    k = amps.shape[1]
+    grouped = amps if order is None else np.take(amps, order, axis=0)
+    x = grouped.view(np.float64)
+    weights = np.add.reduceat(x * x, starts, axis=0).reshape(-1, k, 2).sum(axis=2)
+    if present.size == d:
+        prob = weights
+    else:
+        prob = np.zeros((d, k))
+        prob[present] = weights
+    alive = prob >= PRUNE_TOL
+    scale = 1.0 / np.sqrt(np.where(alive, prob, np.inf))
+    kept = [outcome for outcome, any_alive in enumerate(alive.any(axis=1).tolist()) if any_alive]
+    if equal:
+        scaled = grouped.reshape(d, equal, k) * scale[:, None, :]
+        outs = [scaled[outcome] for outcome in kept]
+    else:
+        outs = [grouped[slice(*spans[outcome])] * scale[outcome] for outcome in kept]
     return kept, np.where(alive, prob, 0.0), alive, outs
 
 

@@ -1,0 +1,478 @@
+"""The steps a compiled plan runs, and the branches they run on.
+
+A step is a function from a frontier of branches (``_Branch``), the run's
+buffer pool and whether branches merge, to the next frontier; ``simulate``
+compiles a circuit into them and runs them (``simulate.run_steps``). Each
+branch holds every row of its register, or only the rows of a support
+(``_Support``): the row-sparse branches that a GHZ resource starts. The
+module docstring of ``simulate`` says why a support loses nothing, how the
+row bound is kept and when a branch returns to dense; a step given
+``rowed=False`` runs only the dense kernels, which is all a plan without a
+support runs.
+"""
+
+from __future__ import annotations
+
+import math
+from dataclasses import dataclass
+from functools import lru_cache
+from typing import TYPE_CHECKING
+
+import numpy as np
+
+from . import backend
+from .statevec import (MixedRegister, Unitary, measure_amps, measure_rows, split_rows,
+                       tensor_amps)
+
+if TYPE_CHECKING:
+    from .simulate import _Gadget
+
+
+def _ghz_amps(d: int, n: int) -> np.ndarray:
+    """The amplitudes of the n-party GHZ state over Z_d (a pair when n = 2)."""
+    amps = np.zeros(d ** n, dtype=np.complex128)
+    step = (d ** n - 1) // (d - 1)  # |kk...k> has flat index k * (1 + d + d^2 + ...)
+    amps[np.arange(d) * step] = 1 / math.sqrt(d)
+    return amps
+
+
+@lru_cache(maxsize=1024)
+def _resource_amps(d: int, n: int) -> np.ndarray:
+    """The read-only amplitudes of an n-party resource over Z_d, shared by every plan.
+
+    Validated once as a register of their own (``MixedRegister``); a resource
+    instruction brings its labels.
+    """
+    amps = MixedRegister((d,) * n, _ghz_amps(d, n), tuple(map(str, range(n)))).amps
+    amps.flags.writeable = False
+    return amps
+
+
+@lru_cache(maxsize=1024)
+def _resource_nonzero(d: int, n: int) -> tuple[np.ndarray, np.ndarray]:
+    """``(rows, values)``: the nonzero amplitudes of ``_resource_amps(d, n)``, read-only."""
+    amps = _resource_amps(d, n)
+    rows = np.flatnonzero(amps)
+    values = amps[rows]
+    rows.flags.writeable = values.flags.writeable = False
+    return rows, values
+
+
+@lru_cache(maxsize=1024)
+def _sparse(d: int, n: int) -> bool:
+    """Whether the resource starts a support: at most a quarter of its amplitudes are nonzero
+    (every GHZ state of three or more parties and every d >= 4 pair, but not a qubit Bell pair)."""
+    return 4 * _resource_nonzero(d, n)[0].size <= d ** n
+
+
+ROW_CACHE_BYTES = 8 * 2 ** 20  # of row arrays; the benchmark's three workloads hold about 1 MiB
+
+
+class _RowCache:
+    """A least-recently-used map whose values hold at most ``limit`` bytes of arrays.
+
+    It holds every support a step makes of a support and its row plan (see
+    ``_Support``), so a later run that takes the same steps reuses them. The
+    oldest entries go first once the sum passes ``limit``; a dropped entry is
+    only built again.
+    """
+
+    __slots__ = ("entries", "nbytes", "limit")
+
+    def __init__(self, limit: int):
+        self.entries: dict = {}  # key -> (value, bytes), oldest first
+        self.nbytes, self.limit = 0, limit
+
+    def get(self, key, build):
+        """The value under ``key``, ``build()`` and kept when there is none."""
+        entry = self.entries.pop(key, None)
+        if entry is None:
+            value = build()
+            entry = value, _nbytes(value)
+            self.nbytes += entry[1]
+            while self.entries and self.nbytes > self.limit:
+                self.nbytes -= self.entries.pop(next(iter(self.entries)))[1]
+        self.entries[key] = entry
+        return entry[0]
+
+
+def _nbytes(value) -> int:
+    """The bytes of the arrays in ``value``, a cache value of nested tuples, lists and supports."""
+    if isinstance(value, np.ndarray):
+        return value.nbytes
+    if isinstance(value, _Support):
+        return value.rows.nbytes
+    if isinstance(value, (tuple, list)):
+        return sum(map(_nbytes, value))
+    return 0
+
+
+class _Support:
+    """The register rows a sparse branch holds: ``rows``, sorted, of a register of ``size``.
+
+    What a step makes of these rows, and a row plan for it, is built once and
+    kept in ``_ROWS`` under the support, compared by identity, and the step:
+    a run's first support comes from there too (``_root``), so every later
+    plan that takes the same steps reaches the same supports and reuses their
+    row plans. Each step also keeps what it found per support for the life of
+    its plan, so a run does not depend on what the cache drops.
+    """
+
+    __slots__ = ("rows", "size")
+
+    def __init__(self, rows: np.ndarray, size: int):
+        rows.flags.writeable = False
+        self.rows, self.size = rows, size
+
+
+_ROWS = _RowCache(ROW_CACHE_BYTES)
+
+
+def _support(rows: np.ndarray, size: int, like: _Support | None = None) -> _Support | None:
+    """The support of ``rows`` (sorted) in a register of ``size``: None when that is every row,
+    ``like`` when it holds the same rows."""
+    if rows.size == size:
+        return None
+    if like is not None and rows.size == like.rows.size and np.array_equal(rows, like.rows):
+        return like
+    return _Support(rows, size)
+
+
+def _grow(rows: np.ndarray, d: int, n: int) -> np.ndarray:
+    """The rows of a register of rows ``rows`` (sorted) times the nonzero rows of the n-party
+    resource over Z_d, sorted."""
+    return (rows[:, None] * d ** n + _resource_nonzero(d, n)[0]).ravel()
+
+
+def _root(size: int, d: int, n: int) -> _Support:
+    """The support a sparse resource starts on a dense register of ``size`` rows."""
+    return _ROWS.get(("root", size, d, n),
+                     lambda: _Support(_grow(np.arange(size), d, n), size * d ** n))
+
+
+def _linked(support: _Support, matrix: np.ndarray, dims: tuple[int, ...],
+            axes: tuple[int, ...]) -> tuple:
+    """``(support after, row plan, matrix)`` of ``matrix`` on ``axes`` of the rows ``support``,
+    kept under the matrix's ``id`` and the layout (the entry holds the matrix, so the id
+    stays its own)."""
+    def build():
+        rows, plan = backend.row_plan(matrix, backend.row_layout(dims, axes, support.rows))
+        return _support(rows, support.size, support), plan, matrix
+    return _ROWS.get((support, id(matrix), dims, axes), build)
+
+
+def _tensored(support: _Support, d: int, n: int) -> _Support:
+    """The support of the rows ``support`` times an n-party resource over Z_d."""
+    return _ROWS.get((support, "resource", d, n),
+                     lambda: _Support(_grow(support.rows, d, n), support.size * d ** n))
+
+
+def _split(support: _Support, d: int, post: int) -> tuple:
+    """``(measure_rows plan, support of each outcome)`` of measuring the axis of d levels and
+    ``post`` rows below it; outcomes that keep equal rows share one support, and an outcome
+    without rows, which is never kept, has None."""
+    def build():
+        plan, outcome_rows = split_rows(support.rows, d, post)
+        supports: list = []
+        for rows in outcome_rows:
+            held = None if rows is None else _support(rows, support.size // d)
+            if held is not None:
+                held = next((s for s in supports if s is not None
+                             and np.array_equal(s.rows, rows)), held)
+            supports.append(held)
+        return plan, supports
+    return _ROWS.get((support, "measure", d, post), build)
+
+
+@dataclass(eq=False, slots=True)
+class _Branch:
+    amps: np.ndarray  # (rows, k): every register row, or those of ``rows``, in order
+    prob: np.ndarray  # per column; 0 where the column is dead
+    outcomes: tuple[tuple[str, int], ...]
+    values: dict[str, int]
+    weight: int
+    alive: np.ndarray
+    rows: _Support | None = None  # the rows held, over the plan's labels and dims at this step
+
+
+@lru_cache(maxsize=backend.CACHE_SIZE)
+def _spreads(gate: Unitary) -> bool:
+    """``backend.spreads`` of a cached gate, keyed by the gate object (see ``_gate_plan``)."""
+    return backend.spreads(gate.entries)
+
+
+@lru_cache(maxsize=backend.CACHE_SIZE)
+def _gate_plan(gate: Unitary, dims: tuple[int, ...], axes: tuple[int, ...]) -> tuple:
+    """The kernel plan of a cached gate (``gate_unitary``, ``gate_power``) on a register layout.
+
+    Keyed by the gate object, which the cache holds and whose entries are
+    read-only, so a plan needs no content key (see ``backend``).
+    """
+    return backend.kernel_plan(gate.entries, dims, axes, cached=False)
+
+
+def _gate_step(dims: tuple[int, ...], axes: tuple[int, ...], gate: Unitary,
+               rowed: bool = False):
+    """A LocalGate: one matrix on fixed axes of every branch.
+
+    ``rowed`` when a branch may hold a support here: the step then also runs
+    the row kernels (see the module docstring); without, it runs only the
+    dense kernel, and a plan with no support runs exactly that.
+    """
+    matrix, plan = gate.entries, _gate_plan(gate, dims, axes)
+
+    def run(frontier: list[_Branch], pool: backend.BufferPool | None, merge: bool) -> list[_Branch]:
+        apply = backend.apply_matrix
+        for br in frontier:
+            br.amps = apply(br.amps, dims, axes, matrix, plan, pool)
+        return frontier
+    if not rowed:
+        return run
+    moves: dict = {}  # support -> _linked's entry
+
+    def run_rows(frontier: list[_Branch], pool: backend.BufferPool | None,
+                 merge: bool) -> list[_Branch]:
+        for br in frontier:
+            support = br.rows
+            if support is None:
+                run([br], pool, merge)
+                continue
+            entry = moves.get(support)
+            if entry is None:
+                entry = moves[support] = _linked(support, matrix, dims, axes)
+            br.rows = entry[0]
+            br.amps = backend.apply_rows(br.amps, matrix, entry[1])
+        return frontier
+    return run_rows
+
+
+def _cond_step(dims: tuple[int, ...], axes: tuple[int, ...], terms: tuple, mod: int,
+               powers: tuple[Unitary, ...], rowed: bool = False):
+    """A CondGate: ``powers[v - 1]``, the gate to the power v, where the value v of its condition,
+    the sum of the ``terms``' values mod ``mod``, is nonzero. Each power's kernel plan is looked
+    up once, when its value first occurs. ``rowed`` as for ``_gate_step``."""
+    plans: dict[int, tuple] = {}
+
+    def run(frontier: list[_Branch], pool: backend.BufferPool | None, merge: bool) -> list[_Branch]:
+        apply = backend.apply_matrix
+        for br in frontier:
+            values, value = br.values, 0
+            for term in terms:  # a loop: a list comprehension's call costs more than the sum
+                value += values[term]
+            value %= mod
+            if value:
+                gate = powers[value - 1]
+                plan = plans.get(value)
+                if plan is None:
+                    plan = plans[value] = _gate_plan(gate, dims, axes)
+                br.amps = apply(br.amps, dims, axes, gate.entries, plan, pool)
+        return frontier
+    if not rowed:
+        return run
+    moves: dict = {}  # (value, support) -> _linked's entry
+
+    def run_rows(frontier: list[_Branch], pool: backend.BufferPool | None,
+                 merge: bool) -> list[_Branch]:
+        for br in frontier:
+            support = br.rows
+            if support is None:
+                run([br], pool, merge)
+                continue
+            values, value = br.values, 0
+            for term in terms:
+                value += values[term]
+            value %= mod
+            if value:
+                matrix = powers[value - 1].entries
+                entry = moves.get((value, support))
+                if entry is None:
+                    entry = moves[value, support] = _linked(support, matrix, dims, axes)
+                br.rows = entry[0]
+                br.amps = backend.apply_rows(br.amps, matrix, entry[1])
+        return frontier
+    return run_rows
+
+
+def _resource_step(factor: np.ndarray, d: int, n: int, size: int, rowed: bool = False):
+    """A resource state, its amplitudes ``factor`` over n parties of dimension d, appended to every
+    branch's register of ``size`` rows.
+
+    A sparse resource (``_sparse``) gives each branch the support of its rows
+    times the resource's nonzero rows; a dense one keeps a dense branch dense
+    and grows a sparse one the same way. ``rowed`` as for ``_gate_step``.
+    """
+    sparse = _sparse(d, n)
+
+    def run(frontier: list[_Branch], pool: backend.BufferPool | None, merge: bool) -> list[_Branch]:
+        for br in frontier:
+            br.amps = tensor_amps(br.amps, factor)
+        return frontier
+    if not (rowed or sparse):
+        return run
+    nonzero = _resource_nonzero(d, n)[1]
+    moves: dict = {}  # support (None: dense) -> the support after
+
+    def run_rows(frontier: list[_Branch], pool: backend.BufferPool | None,
+                 merge: bool) -> list[_Branch]:
+        for br in frontier:
+            support = br.rows
+            if support is None and not sparse:
+                run([br], pool, merge)
+                continue
+            after = moves.get(support)
+            if after is None:
+                after = moves[support] = (_root(size, d, n) if support is None
+                                          else _tensored(support, d, n))
+            br.rows = after
+            br.amps = tensor_amps(br.amps, nonzero)
+        return frontier
+    return run_rows
+
+
+def _measure_step(dims: tuple[int, ...], axis: int, symbol: str, rowed: bool = False):
+    """A measurement of ``axis``: every branch forks into one branch per kept outcome.
+
+    A sparse branch's outcomes each keep the rows of the support with that
+    outcome's digit, the digit removed (``_split``). ``rowed`` as for
+    ``_gate_step``.
+    """
+    pre, d, post = math.prod(dims[:axis]), dims[axis], math.prod(dims[axis + 1:])
+    records = [((symbol, outcome),) for outcome in range(d)]
+
+    def run(frontier: list[_Branch], pool: backend.BufferPool | None, merge: bool) -> list[_Branch]:
+        forked: list[_Branch] = []
+        for br in frontier:
+            kept, probs, alive, outs = measure_amps(br.amps, pre, d, post)
+            for outcome, out in zip(kept, outs):
+                forked.append(_Branch(
+                    out, br.prob * probs[outcome], br.outcomes + records[outcome],
+                    {**br.values, symbol: outcome}, br.weight, br.alive & alive[outcome]))
+        return forked
+    if not rowed:
+        return run
+
+    splits: dict = {}  # support -> _split's entry
+
+    def run_rows(frontier: list[_Branch], pool: backend.BufferPool | None,
+                 merge: bool) -> list[_Branch]:
+        forked: list[_Branch] = []
+        for br in frontier:
+            support = br.rows
+            if support is None:
+                forked += run([br], pool, merge)
+                continue
+            entry = splits.get(support)
+            if entry is None:
+                entry = splits[support] = _split(support, d, post)
+            plan, supports = entry
+            kept, probs, alive, outs = measure_rows(br.amps, d, plan)
+            for outcome, out in zip(kept, outs):
+                forked.append(_Branch(
+                    out, br.prob * probs[outcome], br.outcomes + records[outcome],
+                    {**br.values, symbol: outcome}, br.weight, br.alive & alive[outcome],
+                    supports[outcome]))
+        return forked
+    return run_rows
+
+
+def _gadget_step(gadget: _Gadget, dims: tuple[int, ...], axes: tuple[int, ...],
+                 symbols: tuple[str, ...], rowed: bool = False):
+    """A contracted gadget: every branch forks into the gadget's outcome records.
+
+    With merging, into one branch per plan-time group, of the group's weight;
+    without, into one branch per record. Each applies its record's unitary to
+    the data ``axes``. A branch that forks into more than one passes the pool
+    to none of its applies, since they all read its amplitudes. ``rowed`` as
+    for ``_gate_step``.
+    """
+    forks: dict[bool, list] = {}
+
+    def make(merge: bool) -> list:
+        entries = gadget.groups if merge else [(r, 1, rec[2])
+                                               for r, rec in enumerate(gadget.records)]
+        out = []
+        for r, count, p in entries:
+            outcomes, index, _ = gadget.records[r]
+            u = gadget.unitaries[index]
+            key = (dims, axes, index)
+            plan = gadget.plans.get(key)
+            if plan is None:
+                plan = gadget.plans[key] = backend.kernel_plan(u, dims, axes, cached=False)
+            out.append((u, plan, tuple(zip(symbols, outcomes)), dict(zip(symbols, outcomes)),
+                        count, p))
+        return out
+
+    def run(frontier: list[_Branch], pool: backend.BufferPool | None, merge: bool) -> list[_Branch]:
+        fork = forks.get(merge)
+        if fork is None:
+            fork = forks[merge] = make(merge)
+        if len(fork) > 1:
+            pool = None
+        apply = backend.apply_matrix
+        forked: list[_Branch] = []
+        for br in frontier:
+            for u, plan, outcomes, values, count, p in fork:
+                forked.append(_Branch(
+                    apply(br.amps, dims, axes, u, plan, pool), br.prob * p,
+                    br.outcomes + outcomes, {**br.values, **values}, br.weight * count,
+                    br.alive))
+        return forked
+    if not rowed:
+        return run
+    moves: dict = {}  # (merge, support) -> _linked's entry per fork
+
+    def run_rows(frontier: list[_Branch], pool: backend.BufferPool | None,
+                 merge: bool) -> list[_Branch]:
+        fork = forks.get(merge)
+        if fork is None:
+            fork = forks[merge] = make(merge)
+        forked: list[_Branch] = []
+        for br in frontier:
+            support = br.rows
+            if support is None:
+                forked += run([br], pool, merge)
+                continue
+            linked = moves.get((merge, support))
+            if linked is None:
+                linked = moves[merge, support] = [_linked(support, u, dims, axes)
+                                                  for u, *_ in fork]
+            for (u, _, outcomes, values, count, p), (after, rplan, _) in zip(fork, linked):
+                forked.append(_Branch(
+                    backend.apply_rows(br.amps, u, rplan), br.prob * p, br.outcomes + outcomes,
+                    {**br.values, **values}, br.weight * count, br.alive, after))
+        return forked
+    return run_rows
+
+
+def _gap(a: _Branch, b: _Branch) -> float:
+    """``abs(a - b).max()`` of two branches on different supports, a row one lacks reading 0.
+
+    How the supports meet is worked out once per pair of supports and kept in
+    ``_ROWS``: equal rows (None), or the union's size and where each branch's
+    rows sit in it (None for a dense branch).
+    """
+    if a.rows is None:
+        a, b = b, a
+    union = _ROWS.get((a.rows, b.rows), lambda: _union(a.rows, b.rows))
+    if union is None:
+        return abs(a.amps - b.amps).max()
+    size, at_a, at_b = union
+    if at_b is None:
+        diff = -b.amps
+    else:
+        diff = np.zeros((size, b.amps.shape[1]), np.complex128)
+        diff[at_b] = -b.amps
+    diff[at_a] += a.amps
+    return abs(diff).max()
+
+
+def _union(a: _Support, b: _Support | None) -> tuple | None:
+    """``_gap``'s view of the supports ``a`` and ``b``: None when they hold the same rows, else
+    ``(size, where a's rows sit, where b's rows sit)`` in their union (None for a dense b)."""
+    if b is None:
+        return a.size, a.rows, None
+    if np.array_equal(a.rows, b.rows):
+        return None
+    rows = np.sort(np.concatenate((a.rows, b.rows)))
+    rows = rows[np.insert(rows[1:] != rows[:-1], 0, True)]  # np.union1d imports numpy.ma
+    return rows.size, np.searchsorted(rows, a.rows), np.searchsorted(rows, b.rows)

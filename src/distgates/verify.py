@@ -39,19 +39,20 @@ register against the declared outputs done before anything is allocated.
 All chunks share that plan. The report's resource tally is
 ``tally(circuit)``'s, counted by the walk that infers the circuit's dims
 (``simulate.resource_counts``), so a verify walks no instruction list for
-it. A chunk holds ``max(1, CHUNK_AMPLITUDES // plan.simulated_peak)``
-inputs, so a branch's amplitude matrix holds about ``CHUNK_AMPLITUDES``
-amplitudes (2^16, 1 MiB) at the largest register the plan's steps build; a
-circuit whose register reaches the budget runs one input at a time. That register is smaller than
-the explicit peak ``plan.peak`` when the plan contracts the gadget that
-would build the peak (see ``simulate``): a contracted teleported gate never
-adds its resource to the register. The budget is a fixed work size, apart
-from the register cap: ``DISTGATES_MAX_DIM`` only bounds ``plan.peak``, the
-register of one input, and does not set the chunk width. Wider chunks pay
-fewer per-call costs but hold larger branch matrices: on a 2-core x86 host,
-2^15 was slower on registers of 2^14 dimensions and 2^17 faster but with
-about 15 % more peak memory. Each branch is checked on its alive columns
-only, and failures are recorded under the original input index.
+it. A chunk holds ``max(1, CHUNK_AMPLITUDES // plan.row_bound)`` inputs,
+so a branch's amplitude matrix holds at most about ``CHUNK_AMPLITUDES``
+amplitudes (2^16, 1 MiB): ``plan.row_bound`` bounds the rows any branch
+holds at any step, and a circuit whose branches can reach the budget runs
+one input at a time. The bound is below the explicit peak ``plan.peak``
+when the plan contracts the gadget that would build the peak (a contracted
+teleported gate never adds its resource to the register), and below the
+largest register a step builds when a GHZ resource leaves its branches
+holding only some rows (see ``simulate``): GMS n=7 fan-out reaches 16,384
+register rows but its bound is 2,048, so 16 inputs run as one chunk. The
+budget is a fixed work size, apart from the register cap:
+``DISTGATES_MAX_DIM`` only bounds ``plan.peak``, the register of one input,
+and does not set the chunk width. Each branch is checked on its alive
+columns only, and failures are recorded under the original input index.
 
 A batch merges two branches only when they agree on every input of the chunk,
 so it can keep apart two branches that one input alone would merge. Their
@@ -80,7 +81,7 @@ from .statevec import (UNITARY_TOL, MixedRegister, Unitary, check_register_dim,
                        fidelity_up_to_phase, permute, random_register)
 
 DEFAULT_THRESHOLD = 1 - 1e-9
-CHUNK_AMPLITUDES = 2 ** 16  # per branch matrix of a chunk, at the plan's peak register
+CHUNK_AMPLITUDES = 2 ** 16  # per branch matrix of a chunk, at the plan's row bound
 
 
 @dataclass(frozen=True, eq=False)
@@ -397,7 +398,7 @@ def verify(circuit: DistCircuit, oracle, inputs, threshold: float = DEFAULT_THRE
         return report
     psi = np.stack([state.amps for state in inputs], axis=1)
     expected = oracle.apply(psi)
-    chunk = max(1, CHUNK_AMPLITUDES // plan.simulated_peak)
+    chunk = max(1, CHUNK_AMPLITUDES // plan.row_bound)
     for start in range(0, len(inputs), chunk):
         cols = slice(start, start + chunk)
         batch = MixedRegister._wrap(in_dims, np.ascontiguousarray(psi[:, cols]),

@@ -9,8 +9,10 @@ from conftest import merge_reference
 from test_acceptance import _protocol_suite
 
 from distgates import (DistCircuit, GateRef, MixedRegister, NodeLayout, Unitary, backend,
-                       build_dcontrol_u, catalog, enumerate_branches, peak_register_dim, simulate)
-from distgates.simulate import MAX_BRANCHES, MERGE_ATOL, _Branch, _merge, unmerged_branch_bound
+                       build_dcontrol_u, catalog, enumerate_branches, peak_register_dim, simulate,
+                       steps)
+from distgates.simulate import MAX_BRANCHES, MERGE_ATOL, _merge, unmerged_branch_bound
+from distgates.steps import _Branch
 from distgates.verify import (OracleSpec, PhaseOracle, ProductOracle, basis_inputs,
                               oracle_gcz, random_inputs, verify)
 
@@ -85,7 +87,7 @@ def test_chunked_verify_gives_the_same_report(monkeypatch):
     monkeypatch.setattr(verify_module, "enumerate_branches", counting)
     for name, circuit, oracle in cases:
         inputs = basis_inputs(circuit) + random_inputs(circuit, 7, seed=5)
-        peak = simulate.compile_plan(circuit).simulated_peak  # the chunk width's register
+        peak = simulate.compile_plan(circuit).row_bound  # the chunk width's rows
         assert peak_register_dim(circuit) >= peak, name
         monkeypatch.setattr(verify_module, "CHUNK_AMPLITUDES", len(inputs) * peak)
         calls.clear()
@@ -126,11 +128,14 @@ def test_over_cap_circuit_is_rejected_before_any_simulation(monkeypatch):
 
 
 def test_register_cap_does_not_set_the_chunk_width(monkeypatch):
-    # DISTGATES_MAX_DIM bounds one input's register; the chunk width is CHUNK_AMPLITUDES's alone
+    # DISTGATES_MAX_DIM bounds one input's register; the chunk width is CHUNK_AMPLITUDES's
+    # over the most rows a branch holds, which is under the register here
     entry = catalog.tagged("corpus")["qudit_gcz6"]
     circuit, oracle = entry.build(), entry.oracle
     peak = peak_register_dim(circuit)
-    inputs = random_inputs(circuit, 40)
+    rows = simulate.compile_plan(circuit).row_bound
+    assert rows < peak
+    inputs = random_inputs(circuit, 100)
     widths = []
 
     def counting(*args, **kwargs):
@@ -138,7 +143,7 @@ def test_register_cap_does_not_set_the_chunk_width(monkeypatch):
         return enumerate_branches(*args, **kwargs)
 
     monkeypatch.setattr(verify_module, "enumerate_branches", counting)
-    width = max(1, verify_module.CHUNK_AMPLITUDES // peak)
+    width = max(1, verify_module.CHUNK_AMPLITUDES // rows)
     expected = [min(width, len(inputs) - s) for s in range(0, len(inputs), width)]
     assert len(expected) > 1
     default = verify(circuit, oracle, inputs)
@@ -165,8 +170,9 @@ def test_unmerged_branch_budget_is_checked_before_any_simulation(monkeypatch, tm
         raise AssertionError("simulated a circuit over the branch budget")
 
     monkeypatch.setattr(backend, "apply_matrix", forbidden)
-    monkeypatch.setattr(simulate, "measure_amps", forbidden)
-    monkeypatch.setattr(simulate, "tensor_amps", forbidden)
+    monkeypatch.setattr(backend, "apply_rows", forbidden)
+    for kernel in ("measure_amps", "measure_rows", "tensor_amps"):
+        monkeypatch.setattr(steps, kernel, forbidden)
     with pytest.raises(ValueError, match=f"up to {2 ** 24} unmerged branches exceed the "
                                          f"limit {MAX_BRANCHES}; merging"):
         enumerate_branches(circuit, random_inputs(circuit, 1)[0])
@@ -185,23 +191,30 @@ def test_corpus_circuits_under_the_branch_budget_are_unaffected():
     assert max(b for name, b in bounds.items() if not name.endswith("_pairwise")) <= 4096
 
 
-def test_peak_register_dim_is_the_largest_register_simulated(monkeypatch):
-    seen = []
+def test_peak_register_dim_is_the_largest_register_simulated():
+    # a branch on a support holds fewer rows than its register: both are recorded per step
+    registers, rows = [], []
 
-    def recording(a, b):
-        out = tensor_amps(a, b)
-        seen.append(out.shape[0])
-        return out
+    def recording(step):
+        def run(frontier, pool, merge):
+            frontier = step(frontier, pool, merge)
+            registers.extend(br.amps.shape[0] if br.rows is None else br.rows.size
+                             for br in frontier)
+            rows.extend(br.amps.shape[0] for br in frontier)
+            return frontier
+        return run
 
-    tensor_amps = simulate.tensor_amps  # the resource kernel the branch loop calls
-    monkeypatch.setattr(simulate, "tensor_amps", recording)
     for name, circuit in catalog.circuits("corpus").items():
-        seen.clear()
+        registers.clear()
+        rows.clear()
         start = random_inputs(circuit, 1)[0]
-        enumerate_branches(circuit, start, merge_equal=True)
-        simulated = simulate.compile_plan(circuit).simulated_peak  # contracted gadgets grow none
-        assert simulated == max(seen + [start.amps.size]), name
+        plan = simulate.compile_plan(circuit)
+        steps = tuple((step and recording(step), live) for step, live in plan.steps)
+        enumerate_branches(circuit, start, merge_equal=True, plan=plan._replace(steps=steps))
+        simulated = plan.simulated_peak  # contracted gadgets grow none
+        assert simulated == max(registers + [start.amps.size]), name
         assert peak_register_dim(circuit) >= simulated, name
+        assert plan.row_bound >= max(rows + [start.amps.size]), name
 
 
 def test_verify_with_no_inputs():

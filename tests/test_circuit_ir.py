@@ -256,6 +256,7 @@ LAYOUT_X = NodeLayout(("A",), {"x": "A"})
     (lambda: DistCircuit(LAYOUT_X, (), ("x",), "xy"), "'outputs' must be a list of strings"),
     (lambda: DistCircuit(LAYOUT_X, (), ("x",), None), "'outputs' must be a list of strings"),
     (lambda: Condition("m0"), "'terms' must be a list of strings, got 'm0'"),
+    (lambda: Condition((0,), 2), "'terms' must be a list of strings, got \\(0,\\)"),
     (lambda: Instruction("CondGate", ("x",), gate="X", condition=Condition(("m", 0))),
      "'terms' must be a list of strings, got \\('m', 0\\)"),
     (lambda: Condition(("m",), 4.0), "condition 'mod' must be an integer >= 2, got 4.0"),

@@ -28,9 +28,9 @@ def built(monkeypatch):
     steps = []
     real = simulate._gadget_step
 
-    def recording(gadget, dims, axes, symbols):
+    def recording(gadget, dims, axes, symbols, rowed=False):
         steps.append((gadget, dims, axes, symbols))
-        return real(gadget, dims, axes, symbols)
+        return real(gadget, dims, axes, symbols, rowed)
 
     monkeypatch.setattr(simulate, "_gadget_step", recording)
     return steps

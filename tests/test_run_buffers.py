@@ -14,9 +14,10 @@ from test_batched_verify import _dropped_variants
 from distgates import backend
 from distgates.circuit import RESOURCE_KINDS
 from distgates.gates import gate_power, gate_unitary, h_matrix
-from distgates.simulate import MERGE_ATOL, _distance, _resource_amps, enumerate_branches
+from distgates.simulate import MERGE_ATOL, _distance, enumerate_branches
 from distgates.statevec import (DEFAULT_MAX_DIM, PRUNE_TOL, MixedRegister, measure_amps,
                                 measure_enumerate, tensor_amps)
+from distgates.steps import _resource_amps
 from distgates.verify import basis_inputs, random_inputs, verify
 
 verify_module = importlib.import_module("distgates.verify")  # the package attribute is the function
