@@ -137,10 +137,17 @@ def _structure(key) -> tuple[np.ndarray | None, np.ndarray] | None:
     return None
 
 
+def _structure_of(key):
+    """``_structure(key)``, cached only for a matrix of at most 16 x 16 (every gate): a larger
+    one, a gadget's unitary, would keep its bytes in the key, and its callers keep what they
+    build from it."""
+    return (_structure if len(key[2]) <= 4096 else _structure.__wrapped__)(key)
+
+
 def spreads(mat: np.ndarray) -> bool:
     """Whether ``mat`` is dense: neither diagonal nor monomial, so that it can move a row's
     amplitude onto several rows."""
-    return _structure((mat.shape, mat.dtype.str, mat.tobytes())) is None
+    return _structure_of((mat.shape, mat.dtype.str, mat.tobytes())) is None
 
 
 def _build_plan(key, dims: tuple[int, ...], axes: tuple[int, ...]):
@@ -160,7 +167,7 @@ def _build_plan(key, dims: tuple[int, ...], axes: tuple[int, ...]):
     (None for a diagonal matrix): output amplitude ``i`` is input amplitude
     ``src[i]``.
     """
-    structure = _structure(key)
+    structure = _structure_of(key)
     if structure is None:
         if axes == tuple(range(axes[0], axes[0] + len(axes))):  # adjacent, in order
             pre, m = math.prod(dims[:axes[0]]), math.prod(dims[a] for a in axes)
@@ -266,7 +273,7 @@ def row_plan(mat: np.ndarray, layout: tuple) -> tuple[np.ndarray, tuple]:
     every array read-only.
     """
     targets, bases, offsets = layout
-    structure = _structure((mat.shape, mat.dtype.str, mat.tobytes()))
+    structure = _structure_of((mat.shape, mat.dtype.str, mat.tobytes()))
     if structure is None:  # dense: targets first, then the distinct bases
         held, slot = np.unique(bases, return_inverse=True)
         full = (offsets[:, None] + held).ravel()

@@ -32,8 +32,9 @@ condition), ``Instruction`` and ``Condition`` check the fields they hold, and a
 refusal raised while reading instruction i starts with "instruction i:". Since the data
 model refuses what the format has no form for (a bool or a numpy integer as
 "bits" or "layer", a label, node or condition term that is not a string, a
-modulus that is not an integer), each when its object is built, the writer
-meets only strings, integers, lists and dicts; anything else is a TypeError.
+modulus that is not an integer), each when its object is built, and a layout's
+placement is read-only, the writer meets only strings, integers, lists and dicts;
+anything else is a TypeError.
 """
 
 from __future__ import annotations
@@ -43,6 +44,7 @@ import math
 import re
 from dataclasses import dataclass, field
 from fractions import Fraction
+from types import MappingProxyType
 from typing import Mapping, NamedTuple
 
 from .gates import WIRE_GATES, gate_arity
@@ -189,17 +191,21 @@ class Instruction:
 
 @dataclass(frozen=True)
 class NodeLayout:
-    """Placement of subsystems onto named nodes."""
+    """Placement of subsystems onto named nodes.
+
+    ``placement`` is a read-only view of the layout's own copy, checked once
+    when the layout is built: setting a label in it raises TypeError.
+    """
 
     nodes: tuple[str, ...]
-    placement: dict[str, str] = field(default_factory=dict)
+    placement: Mapping[str, str] = field(default_factory=dict)
 
     def __post_init__(self):
         object.__setattr__(self, "nodes", _label_tuple("nodes", self.nodes))
         placement = dict(self.placement)
         if not (_strings(placement) and _strings(placement.values())):
             raise ValueError(f"'placement' must be an object of str values, got {placement!r}")
-        object.__setattr__(self, "placement", placement)
+        object.__setattr__(self, "placement", MappingProxyType(placement))
 
     def node_of(self, label: str) -> str:
         try:
@@ -445,8 +451,8 @@ _quote = json.encoder.encode_basestring_ascii
 
 
 def _json_text(value, pad: str = "") -> str:
-    """``value`` (str, int, list or tuple, dict) as ``json.dumps(value, indent=2,
-    sort_keys=True)`` writes it, nested at ``pad``; anything else is a TypeError."""
+    """``value`` (str, int, list or tuple, dict or its read-only view) as ``json.dumps(value,
+    indent=2, sort_keys=True)`` writes it, nested at ``pad``; anything else is a TypeError."""
     if isinstance(value, str):
         return _quote(value)
     if isinstance(value, int) and not isinstance(value, bool):
@@ -455,7 +461,7 @@ def _json_text(value, pad: str = "") -> str:
     if isinstance(value, (list, tuple)):  # a string item, the most common, skips the call
         items = [_quote(v) if type(v) is str else _json_text(v, inner) for v in value]
         open_, close = "[", "]"
-    elif isinstance(value, dict):
+    elif isinstance(value, (dict, MappingProxyType)):
         items = [_quote(k) + ": " + (_quote(v) if type(v) is str else _json_text(v, inner))
                  for k, v in sorted(value.items())]
         open_, close = "{", "}"

@@ -109,21 +109,20 @@ resolves the instructions also reads each gadget (``_Candidate``), so
 finding the gadgets is linear in the circuit. A gadget
 contracts when it measures only A, holds no other resource, conditions only
 on outcomes it has measured, ends within ``upto``, touches some data labels
-S, and d_S^2 d_A <= ``GADGET_AMPLITUDES`` (the build's register, below). At
-2^12 every two-qubit gadget and every fan-out with d_S <= 16 qualifies. The
-larger ones (the qudit gadgets with d_S = 64, the GHZ(7) layer of a 7-qubit
-GMS fan-out) keep their per-instruction steps, as does a circuit that
-measures a data qubit (``teleport_all``).
+S, and its build (below) stays within ``BUILD_AMPLITUDES`` and finds every
+outcome record a unitary. Every gadget of the benchmark's correct circuits
+contracts, the GHZ fan-outs and the d = 4 gadgets included; a circuit that
+measures a data qubit (``teleport_all``) keeps its per-instruction steps, as
+does a gadget whose build passes the cap (a GHZ(8) layer, whose unitary
+alone has 2^16 entries, or a d_S = 64 qudit gadget that a dropped
+correction keeps from merging).
 
-The build (``_gadget``) runs the gadget's instructions as the plan's own
-steps (``run_steps``, without merging) on the identity batch over S
-tensored with the resource state. Record r ends as a branch whose column i
-is K_r e_i renormalized, of probability ||K_r e_i||^2, for the record's
-Kraus operator K_r on S: K_r is those amplitudes times the square roots of
-those probabilities. The gadget contracts only when all d_A records survive
-and each has K_r^dagger K_r = p_r I (within ``UNITARY_TOL``) and p_r >=
-``PRUNE_TOL``; otherwise its per-instruction steps stay. On a column psi
-those steps then compute conditional probabilities of at least p_r (each is
+Record r of a gadget, the outcome of each of its measurements, has a Kraus
+operator K_r on S: on a normalized input column psi the per-instruction
+steps end with K_r psi, renormalized, of probability ||K_r psi||^2. The
+gadget contracts only when all d_A records survive and each has
+K_r^dagger K_r = p_r I (within ``UNITARY_TOL``) and p_r >= ``PRUNE_TOL``.
+Those steps then compute conditional probabilities of at least p_r (each is
 the summed p of the records that share that prefix of r), so they prune
 nothing, and end with K_r psi / sqrt(p_r) = U_r psi, U_r unitary, of
 probability p_r. So the contracted step forks every branch into the
@@ -135,29 +134,47 @@ stays dead), and applies each U_r to the data axes with
 within ``MERGE_ATOL / d_S`` of zero are rounding noise and are set to zero,
 so that the kernel sees a diagonal or monomial U_r as such.
 
-With merging, the records are grouped at plan time: a record joins the first
-group whose first record has the same values of the gadget's symbols that
-the merge key after the gadget reads and a unitary within
-``MERGE_ATOL / d_S`` of its own. Those values decide the key's partial sums
-there, so the grouping is at least as fine as the merge key. For every
-normalized column the two states then differ by at most ``MERGE_ATOL`` in
-each amplitude, so the first-match merge would merge them anyway. A group
-forks one branch, of the group's size as weight and the sum of its records'
-probabilities, which keeps its first record; the usual merge follows the
-step. Without merging every record is a branch of its own, so
-``MAX_BRANCHES`` and ``unmerged_branch_bound`` hold as before.
+With merging, the step forks into the gadget's merge groups instead: one
+branch per group, of the group's record count as weight and the sum of its
+records' probabilities, which keeps the group's first record and applies
+its unitary; the usual merge follows the step. The build (``_gadget``)
+finds the groups without ever holding the d_A records. It runs the
+gadget's own steps, merging as a run does, on the identity batch over S,
+which it holds as one column over an extra reference axis of d_S levels,
+the vector sum_i |i>|i> / sqrt(d_S): column i of the batch sits at
+reference value i, so the vector's nonzero rows are the batch's, and they
+are a support from the start (see below). The merge key reads the partial
+sums of the gadget's own later conditions and the value of every outcome
+that the merge key after the gadget reads, so the groups are at least as
+fine as that key. Each branch left at the end is one group. The build
+refuses, and the gadget stays explicit, when a measurement leaves a column
+dead or the columns' probabilities unequal, when the groups' weights do not
+sum to d_A, or when a group is no unitary; ``_gadget`` bounds how far the
+merges inside one build may move a state. The merged build of GHZ(7), the
+7-qubit GMS fan-out's widest gadget, holds at most 512 amplitudes where the
+d_A = 128 records held 128 matrices of 128 x 128.
+
+Without merging, a contracted gadget's step runs its per-instruction steps
+(``_Candidate.makes``), built with the row kernels when an unmerged run
+first needs them, so every record is a branch of its own and
+``MAX_BRANCHES`` and ``unmerged_branch_bound`` hold as before. Those runs
+build the per-instruction registers, up to the explicit peak: the plan's
+``simulated_peak`` and ``row_bound`` describe merged runs. A branch they
+leave on a support after the gadget holds every row of its register (U_r
+has no zero row), so it is dense again for the plan's next step.
 
 Builds are cached by a canonical key (``_gadget``): data and resource
 labels are numbered in order of use, outcome symbols by their measurement,
 gates are their resolved unitaries, and ClassicalSends are left out, so the
-60 teleported CZs of a 12-qubit pairwise GCZ share one build. A build
-stores each distinct unitary once and keeps their kernel plans per register
-layout itself, outside the backend's LRU. A second cache (``_contract``)
-maps a gadget in its own labels and symbols to its build, so that compiling
-a circuit again, or another circuit with the same gadgets, repeats no
-canonicalization. Each cache holds 1024 entries; the benchmark's suite and
-dropped-correction workloads together need 277 and 63, so nothing is built
-twice.
+60 teleported CZs of a 12-qubit pairwise GCZ share one build. A build keeps
+its groups' unitaries and their kernel plans per register layout itself,
+outside the backend's LRU, and runs with a row cache of its own
+(``steps._private_rows``), since no later run meets its supports. A second
+cache (``_contract``) maps a gadget in its own labels and symbols to its
+build, so that compiling a circuit again, or another circuit with the same
+gadgets, repeats no canonicalization. Each cache holds 1024 entries; the
+benchmark's dropped-correction workload, which holds the most, needs 268
+and 70, so nothing is built twice.
 
 Row-sparse branches. A GHZ state over n parties of dimension d multiplies
 the register by d^n but has only d nonzero amplitudes, so a branch that
@@ -196,13 +213,17 @@ different supports on the union of their rows, a row one of them lacks
 reading 0 (``_gap``): exactly the dense compare. ``enumerate_branches``
 scatters each support into a dense ``BranchResult``.
 
-``Plan.row_bound`` bounds the rows any branch holds at any step. The walk
-that finds the gadgets folds it in step order, from the input register:
-a sparse resource multiplies it by its nonzero amplitudes (and a dense one
-by its whole size while a branch may be dense), a dense gate, or a gadget
-with a dense unitary, by its dimension m, up to the register, and a
-measurement keeps it, up to the register after it. A plan with no sparse
-resource keeps every branch dense, and its bound is ``simulated_peak``.
+``Plan.row_bound`` bounds the rows any branch of a merged run holds at any
+step. The walk that finds the gadgets folds it in step order, from the input
+register: a sparse resource multiplies it by its nonzero amplitudes (and a
+dense one by its whole size while a branch may be dense), a dense gate, or a
+gadget with a dense unitary, by its dimension m, up to the register, and a
+measurement keeps it, up to the register after it. A contracted gadget
+grows no register, so its resource enters neither the bound nor
+``simulated_peak``: only a sparse resource of a gadget that stays explicit
+gives a merged run's branches supports. A plan with no such resource keeps
+every branch dense, and its bound is ``simulated_peak``, which is the input
+register when every gadget contracts.
 
 ``peak_register_dim`` and the cap check keep the explicit peak, the largest
 register of the per-instruction steps, so contraction and supports accept
@@ -237,16 +258,16 @@ from .circuit import RESOURCE_KINDS, DistCircuit, Instruction, resource_key
 from .gates import gate_arity, gate_power, gate_unitary
 from .statevec import (PRUNE_TOL, UNITARY_TOL, BranchResult, MixedRegister, check_register_dim,
                        label_axis, target_axes)
-from .steps import (_Branch, _cond_step, _gadget_step, _gap, _gate_step, _ghz_amps,
-                    _measure_step, _resource_amps, _resource_nonzero, _resource_step, _sparse,
-                    _spreads)
+from .steps import (_Branch, _cond_step, _gadget_step, _gap, _gate_step, _measure_step,
+                    _private_rows, _resource_amps, _resource_nonzero, _resource_step, _sparse,
+                    _spreads, _Support)
 
 MERGE_ATOL = 1e-12
 MAX_BRANCHES = 2 ** 16
 MAX_INPUT_AMPLITUDES = 2 ** 24  # random inputs times their dimension; 256 MiB of amplitudes
 MAX_SWEEP_QUBITS = 2 ** 20  # the summed n of the rows of an `estimate --sweep`; a row costs O(n)
 MAX_COMPILE_PAIRS = 2 ** 15  # qubit pairs of a `compile` shape (n <= 256); a build costs O(pairs)
-GADGET_AMPLITUDES = 2 ** 12  # d_S^2 d_A of a gadget's build (see the module docstring)
+BUILD_AMPLITUDES = 2 ** 15  # a gadget build holds at most this many, its unitaries too (_gadget)
 
 
 def circuit_dims(circuit: DistCircuit) -> dict[str, int]:
@@ -340,91 +361,182 @@ def unmerged_branch_bound(circuit: DistCircuit, upto: int | None = None,
 
 
 class _Gadget(NamedTuple):
-    """A gadget's outcome records and their unitaries, built once per canonical key.
+    """A gadget's merge groups and their unitaries, built once per canonical key.
 
-    ``records`` holds ``(outcomes, u, p)`` per outcome record, in record order:
-    the outcome of each measurement in measurement order, the index of its
-    unitary in ``unitaries`` and its probability. ``groups`` holds
-    ``(record, count, p)``: the first record of each plan-time merge group, how
-    many records it stands for and their summed probability. ``plans`` holds
-    the kernel plan of each unitary per register layout, filled as layouts
-    occur. ``dense`` is whether some unitary is neither diagonal nor monomial,
-    so that it can spread a sparse branch over more rows.
+    ``groups`` holds ``(outcomes, u, count, p)`` per group, in the order of
+    their first records: the outcome of each measurement of the group's first
+    record, in measurement order, the unitary every record of the group
+    applies, how many records the group stands for and their summed
+    probability. ``plans`` holds the kernel plan of each group's unitary per
+    register layout, filled as layouts occur. ``dense`` is whether some
+    unitary is neither diagonal nor monomial, so that it can spread a sparse
+    branch over more rows.
     """
 
-    unitaries: tuple[np.ndarray, ...]
-    records: tuple[tuple[tuple[int, ...], int, float], ...]
-    groups: tuple[tuple[int, int, float], ...]
+    groups: tuple[tuple[tuple[int, ...], np.ndarray, int, float], ...]
     plans: dict
     dense: bool
+
+
+def _build_keys(ops: tuple, live: tuple[int, ...], d: int) -> list[tuple | None]:
+    """The merge key spec after each of a gadget build's ``ops`` (see ``Plan``), None after a gate.
+
+    It holds, for each later conditioned gate of the gadget, the sum of its
+    terms measured so far mod its modulus, and ``((s,), d)``, the outcome
+    itself, for each symbol ``s`` in ``live``.
+    """
+    specs: list[tuple | None] = []
+    measured: set[int] = set()
+    for j, (kind, *op) in enumerate(ops):
+        if kind == "G":
+            specs.append(None)
+            continue
+        if kind == "M":
+            measured.add(op[1])
+        entries = dict.fromkeys(((s,), d) for s in live)
+        for later in ops[j + 1:]:
+            if later[0] == "C":
+                terms = tuple([t for t in later[3] if t in measured])
+                if terms:
+                    entries[terms, later[4]] = None
+        specs.append(tuple(entries))
+    return specs
+
+
+def _flat(br: _Branch, d_s: int) -> bool:
+    """Whether every column of the identity batch that a build's branch holds (see ``_gadget``)
+    is alive, with one probability for all of them: the branch's probability times d_S times
+    the weight of each value of the reference axis, the first one."""
+    weights = br.amps.real[:, 0] ** 2 + br.amps.imag[:, 0] ** 2
+    if br.rows is None:
+        per = weights.reshape(d_s, -1).sum(axis=1)
+    else:
+        per = np.bincount(br.rows.rows // (br.rows.size // d_s), weights, d_s)
+    probs = br.prob[0] * d_s * per
+    return probs.min() >= PRUNE_TOL and probs.max() - probs.min() <= UNITARY_TOL
 
 
 @lru_cache(maxsize=1024)
 def _gadget(key: tuple) -> _Gadget | None:
     """Build the gadget ``key`` describes (see ``_contract``), or None when it does not contract.
 
-    Runs the gadget's ops as the plan's own steps, without merging or a pool,
-    and takes each record's K_r from its branch (see the module docstring).
-    It contracts when all d^n records survive and every K_r^dagger K_r is p_r I
-    within ``UNITARY_TOL`` with p_r >= ``PRUNE_TOL``; record r then applies
-    U_r = K_r / sqrt(p_r).
+    Runs the gadget's ops as the plan's own steps, with merging and the row
+    kernels and without a pool, on the identity batch over the data labels S
+    held as one column: the vector sum_i |i>|i> / sqrt(d_S) over a reference
+    axis of d_S levels, which no step touches, and S. Its d_S nonzero rows are
+    a support, and so are the batch's nonzero rows after every step: the build
+    holds only those amplitudes (see the module docstring). A branch of
+    probability p holds K e_i / sqrt(d_S p) at reference value i, for the
+    Kraus operator K on S of the outcomes so far: column i of the batch, of
+    probability P_i = ||K e_i||^2, scaled to norm sqrt(P_i / (d_S p)). Every
+    surviving branch is one group, which stands for ``weight`` records; it
+    keeps its first record's outcomes and takes U = K / sqrt(p) of its summed
+    probability p.
+
+    - *Column-constant probabilities.* After every measurement, and so at
+      every merge and at the end (a gate keeps each column's norm), each
+      branch must have every column alive and one probability for all of
+      them (``_flat``: every P_i at least ``PRUNE_TOL`` and all within
+      ``UNITARY_TOL``); the build refuses otherwise. The check refuses no
+      gadget that contracts: when every record's K_r^dagger K_r is p_r I, the
+      records below a branch sum to its own K^dagger K, which is therefore
+      (sum p_r) I. It refuses early what the test at the end would refuse,
+      and it ties the vector to the batch: with every P_i equal to p, the
+      vector at reference value i is column i renormalized, over sqrt(d_S).
+      Two records with complementary column weights, whose renormalized
+      columns agree, therefore never merge here: their vectors differ, where
+      a batch of separately renormalized columns would merge them into a
+      branch that passes the test at the end.
+    - *Merge tolerance.* Branches merge within ``MERGE_ATOL / d_S^1.5``, which
+      is ``MERGE_ATOL / d_S`` on each renormalized column K e_i / sqrt(P_i),
+      under a key (``_build_keys``) at least as fine as the plan's key there.
+      So on any normalized input, whose coefficients sum to at most sqrt(d_S)
+      in modulus, the two states differ by at most ``MERGE_ATOL / sqrt(d_S)``
+      in each amplitude: the run's first-match merge, at the same point of the
+      per-instruction steps, would merge them as well. Merges compound
+      additively and no more. A merge at a step where a branch holds at most
+      H amplitudes moves each merged branch by at most sqrt(H) ``MERGE_ATOL``
+      / d_S in 2-norm on any normalized input, times the square root of its
+      probability; those probabilities sum to at most 1, and the later steps
+      (unitaries, projections) never lengthen a difference summed over the
+      records it reaches. So on any normalized input the contracted gadget's
+      outcome states, weighted by the square roots of their probabilities,
+      lie within ``MERGE_ATOL`` sqrt(``BUILD_AMPLITUDES``) / d_S of the exact
+      ones per merge step of the build.
+    - *Pruned records.* The groups' weights must sum to d_A, the number of
+      records; a record pruned on every column is missing from them.
+
+    It contracts when, further, every group's K^dagger K is p I within
+    ``UNITARY_TOL`` with p >= ``PRUNE_TOL``. A build aborts, and its gadget
+    stays explicit, before a step that could take its frontier past
+    ``BUILD_AMPLITUDES`` amplitudes (a resource multiplies them by its
+    nonzero amplitudes, a gate that is neither diagonal nor monomial by its
+    dimension), or when its groups' d_S x d_S unitaries, which the gadget
+    keeps, would hold more.
     """
     s_dims, d, n, ops, live = key
     d_s = math.prod(s_dims)
-    register = list(range(len(s_dims))) + [-1 - k for k in range(n)]  # label ids, as in the key
-    dims = s_dims + (d,) * n
-    steps = []
-    for kind, *op in ops:
+    # label ids, as in the key; "R" is the reference axis
+    register = ["R"] + list(range(len(s_dims))) + [-1 - k for k in range(n)]
+    dims = (d_s,) + s_dims + (d,) * n
+    # (step, merge key spec, the most it multiplies the frontier's amplitudes by, whether it
+    # measures: a gate keeps each column's norm)
+    steps = [(_resource_step(_resource_amps(d, n), d, n, d_s * d_s, True), None,
+              _resource_nonzero(d, n)[0].size, False)]
+    for (kind, *op), spec in zip(ops, _build_keys(ops, live, d)):
         if kind == "M":
             share, symbol = op
             axis = register.index(share)
-            steps.append((_measure_step(dims, axis, symbol), None))
+            steps.append((_measure_step(dims, axis, symbol, True), spec, 1, True))
             register.pop(axis)
             dims = dims[:axis] + dims[axis + 1:]
             continue
         axes = tuple(register.index(label) for label in op[0])
+        gates = (op[1],) if kind == "G" else op[1]
+        grows = max([gate.dim if _spreads(gate) else 1 for gate in gates])
         if kind == "G":
-            steps.append((_gate_step(dims, axes, op[1]), None))
+            steps.append((_gate_step(dims, axes, op[1], True), spec, grows, False))
         else:  # "C", a conditioned gate with its powers from 1 on
             _, powers, terms, mod = op
-            steps.append((_cond_step(dims, axes, terms, mod, powers), None))
-    start = np.kron(np.eye(d_s, dtype=np.complex128), _ghz_amps(d, n).reshape(-1, 1))
-    ones = np.ones(d_s)
-    branches = run_steps(steps, [_Branch(start, ones, (), {}, 1, ones > 0)], None, False)
-    if len(branches) < d ** n:  # a record pruned on every column
+            steps.append((_cond_step(dims, axes, terms, mod, powers, True), spec, grows, False))
+    atol = MERGE_ATOL / d_s  # a column's amplitudes then move by at most MERGE_ATOL
+    start = np.full((d_s, 1), 1 / math.sqrt(d_s), np.complex128)
+    frontier = [_Branch(start, np.ones(1), (), {}, 1, np.ones(1, bool),
+                        _Support(np.arange(d_s) * (d_s + 1), d_s * d_s))]
+    held = d_s
+    with _private_rows():
+        for step, spec, grows, measures in steps:
+            if held * grows > BUILD_AMPLITUDES:
+                return None
+            frontier = step(frontier, None, True)
+            if measures and not all([_flat(br, d_s) for br in frontier]):
+                return None
+            if spec is not None and len(frontier) > 1:
+                frontier = _merge(frontier, spec, atol / math.sqrt(d_s))
+            held = sum([br.amps.shape[0] for br in frontier])
+    # the groups' unitaries count against the cap too: the gadget holds them
+    if len(frontier) * d_s * d_s > BUILD_AMPLITUDES:
+        return None
+    if sum([br.weight for br in frontier]) != d ** n:  # a record pruned on every column
         return None
     eye = np.eye(d_s)
-    atol = MERGE_ATOL / d_s  # a column's amplitudes then move by at most MERGE_ATOL
-    unitaries: list[np.ndarray] = []
-    records = []
-    for br in branches:
-        k = br.amps * np.sqrt(br.prob)
-        gram = k.conj().T @ k
-        p = gram.trace().real / d_s
-        if not (p >= PRUNE_TOL and abs(gram - p * eye).max() <= UNITARY_TOL):
+    groups = []
+    for br in frontier:
+        psi = br.amps[:, 0]
+        if br.rows is not None:
+            psi = np.zeros(d_s * d_s, np.complex128)
+            psi[br.rows.rows] = br.amps[:, 0]
+        p = float(br.prob[0])
+        u = np.ascontiguousarray(psi.reshape(d_s, d_s).T) * math.sqrt(d_s)  # K / sqrt(p)
+        gram = np.empty((1, d_s, d_s), np.complex128)  # u^dagger u, without OpenBLAS's threads
+        backend._matmul_blocks(u.conj().T, u[None], gram)
+        if not (p >= PRUNE_TOL and p * abs(gram[0] - eye).max() <= UNITARY_TOL):
             return None
-        u = k / math.sqrt(p)
         u[abs(u) <= atol] = 0  # rounding noise, which would make the kernel dense
-        index = next((i for i, v in enumerate(unitaries) if np.array_equal(u, v)), None)
-        if index is None:
-            u.flags.writeable = False  # shared by every plan of this key
-            index = len(unitaries)
-            unitaries.append(u)
-        records.append((tuple([outcome for _, outcome in br.outcomes]), index, p))
-    groups: list[list] = []  # [record, count, p]
-    for r, (outcomes, index, p) in enumerate(records):
-        same = [outcomes[i] for i in live]
-        for group in groups:
-            first = records[group[0]]
-            if ([first[0][i] for i in live] == same
-                    and abs(unitaries[first[1]] - unitaries[index]).max() <= atol):
-                group[1] += 1
-                group[2] += p
-                break
-        else:
-            groups.append([r, 1, p])
-    dense = any(backend.spreads(u) for u in unitaries)
-    return _Gadget(tuple(unitaries), tuple(records), tuple(map(tuple, groups)), {}, dense)
+        u.flags.writeable = False  # shared by every plan of this key
+        groups.append((tuple([outcome for _, outcome in br.outcomes]), u, br.weight, p))
+    dense = any(backend.spreads(u) for _, u, _, _ in groups)
+    return _Gadget(tuple(groups), {}, dense)
 
 
 class Plan(NamedTuple):
@@ -451,14 +563,15 @@ class Plan(NamedTuple):
       nothing.
 
     ``gadgets`` holds the first and last instruction index of each contracted
-    gadget, in order; its one step stands for the steps of all of those
-    instructions (see the module docstring for the rule, the proof, the
-    grouping, the budget and the cache). ``peak`` is
-    the explicit peak register (``peak_register_dim``), which the cap check
-    uses; ``simulated_peak`` is the largest register a step builds, at most
-    ``peak``; ``row_bound`` is the most rows a branch holds after any step,
-    at most ``simulated_peak`` (see the module docstring). ``labels`` and
-    ``out_dims`` describe the register after the last step.
+    gadget, in order; with merging, its one step stands for the steps of all
+    of those instructions, and without, it runs them (see the module
+    docstring for the rule, the proof, the build, the cap and the cache).
+    ``peak`` is the explicit peak register (``peak_register_dim``), which the
+    cap check uses; ``simulated_peak`` is the largest register a step of a
+    merged run builds, at most ``peak``; ``row_bound`` is the most rows a
+    branch of a merged run holds after any step, at most ``simulated_peak``
+    (see the module docstring). ``labels`` and ``out_dims`` describe the
+    register after the last step.
     """
 
     circuit: DistCircuit
@@ -542,11 +655,11 @@ def _symbol_uses(instructions) -> tuple[list[tuple], dict[int, int], dict[int, s
     return keys, readers, unmeasured
 
 
-def _distance(a: np.ndarray, b: np.ndarray) -> float:
-    """A value at most ``MERGE_ATOL`` exactly when ``abs(a - b).max()`` of two large matrices is.
+def _distance(a: np.ndarray, b: np.ndarray, atol: float = MERGE_ATOL) -> float:
+    """A value at most ``atol`` exactly when ``abs(a - b).max()`` of two large matrices is.
 
     Compared a block of rows at a time, so the temporaries stay small, up to
-    the first block over ``MERGE_ATOL``. A block's largest real or imaginary
+    the first block over ``atol``. A block's largest real or imaginary
     difference m bounds its largest modulus from both sides,
     m <= max |a - b| <= sqrt(2) m, so the modulus is taken only when m alone
     cannot decide; the decisions are those of the modulus.
@@ -557,19 +670,21 @@ def _distance(a: np.ndarray, b: np.ndarray) -> float:
         diff = a[start:start + rows] - b[start:start + rows]
         parts = diff.view(np.float64)
         m = max(parts.max(), -parts.min())
-        if MERGE_ATOL / math.sqrt(2) < m <= MERGE_ATOL:  # only the modulus can decide
+        if atol / math.sqrt(2) < m <= atol:  # only the modulus can decide
             m = abs(diff).max()
         worst = max(worst, m)
-        if worst > MERGE_ATOL:
+        if worst > atol:
             break
     return worst
 
 
-def _merge(frontier: list[_Branch], spec: tuple) -> list[_Branch]:
+def _merge(frontier: list[_Branch], spec: tuple, atol: float = MERGE_ATOL) -> list[_Branch]:
     """Merge each branch into the first earlier kept branch equal to it (see the module docstring).
 
-    ``spec`` is the step's merge key spec (see ``Plan``). Branches on different
-    supports are compared on the union of their rows (``_gap``).
+    ``spec`` is the step's merge key spec (see ``Plan``); equal means within
+    ``atol`` in every amplitude, which a gadget build narrows (``_gadget``).
+    Branches on different supports are compared on the union of their rows
+    (``_gap``).
     """
     merged: list[_Branch] = []
     buckets: dict[tuple, list[_Branch]] = {}  # exact key -> kept branches
@@ -582,14 +697,14 @@ def _merge(frontier: list[_Branch], spec: tuple) -> list[_Branch]:
         bucket = buckets.setdefault(key, [])
         small = br.amps.nbytes < backend.POOL_MIN_BYTES
         for kept in bucket:
-            # np.allclose(rtol=0, atol=MERGE_ATOL) on finite amplitudes
+            # np.allclose(rtol=0, atol=atol) on finite amplitudes
             if kept.rows is not br.rows:
                 far = _gap(kept, br)
             elif small:
                 far = abs(kept.amps - br.amps).max()
             else:
-                far = _distance(kept.amps, br.amps)
-            if far <= MERGE_ATOL:
+                far = _distance(kept.amps, br.amps, atol)
+            if far <= atol:
                 kept.prob = kept.prob + br.prob
                 kept.weight += br.weight
                 break
@@ -609,7 +724,7 @@ class _Candidate:
     a condition on an outcome the gadget has not measured. Meanwhile it
     collects the gadget's operations, in its own labels and symbols, for
     ``_contract``, and the per-instruction steps, ``makes``, that stand if it
-    does not contract.
+    does not contract and that an unmerged run of its contracted step runs.
     """
 
     __slots__ = ("start", "end", "resource", "labels", "dims", "pending", "measured", "ops",
@@ -655,8 +770,7 @@ def _contract(shares: tuple[str, ...], d: int, ops: tuple, live: tuple[str, ...]
     ``shares`` are the resource's labels and ``d`` their dimension; ``ops``
     are the gadget's operations from ``_Candidate`` and ``live`` its outcome
     symbols that the merge key after it reads. None when the gadget touches
-    no data label, its build would pass ``GADGET_AMPLITUDES``, or ``_gadget``
-    finds a record that is not unitary.
+    no data label or ``_gadget`` refuses to contract it.
 
     The build's key is canonical: data labels are numbered 0, 1, ... in order
     of first use and the resource's labels -1, -2, ...; each measurement's
@@ -688,7 +802,7 @@ def _contract(shares: tuple[str, ...], d: int, ops: tuple, live: tuple[str, ...]
             canonical.append(("G", ids, rest[0]))
         else:
             canonical.append(("C", ids, rest[0], tuple(position[t] for t in rest[1]), rest[2]))
-    if not data or math.prod(s_dims) ** 2 * d ** len(shares) > GADGET_AMPLITUDES:
+    if not data:
         return None
     kept = tuple(sorted(position[s] for s in live))
     gadget = _gadget((tuple(s_dims), d, len(shares), tuple(canonical), kept))
@@ -844,7 +958,8 @@ def compile_plan(circuit: DistCircuit, upto: int | None = None) -> Plan:
             if found := _gadget_of(entry, keys):  # its register is the one before it
                 gadget, data, symbols = found
                 axes = tuple([entry.labels.index(label) for label in data])
-                plan_steps.append((_gadget_step(gadget, entry.dims, axes, symbols,
+                explicit = tuple([make for make, _ in entry.makes if make])
+                plan_steps.append((_gadget_step(gadget, entry.dims, axes, symbols, explicit,
                                                 bound is not None), keys[entry.end + 1]))
                 gadgets.append((entry.start, entry.end))
                 if bound is not None and gadget.dense:

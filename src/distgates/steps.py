@@ -14,6 +14,7 @@ support runs.
 from __future__ import annotations
 
 import math
+from contextlib import contextmanager
 from dataclasses import dataclass
 from functools import lru_cache
 from typing import TYPE_CHECKING
@@ -128,6 +129,18 @@ class _Support:
 _ROWS = _RowCache(ROW_CACHE_BYTES)
 
 
+@contextmanager
+def _private_rows():
+    """Run with a row cache of its own, dropped on exit: for a gadget build, whose supports no
+    later run meets, so that its row plans take no room from those of the runs."""
+    global _ROWS
+    kept, _ROWS = _ROWS, _RowCache(ROW_CACHE_BYTES)
+    try:
+        yield
+    finally:
+        _ROWS = kept
+
+
 def _support(rows: np.ndarray, size: int, like: _Support | None = None) -> _Support | None:
     """The support of ``rows`` (sorted) in a register of ``size``: None when that is every row,
     ``like`` when it holds the same rows."""
@@ -219,9 +232,13 @@ def _gate_step(dims: tuple[int, ...], axes: tuple[int, ...], gate: Unitary,
     the row kernels (see the module docstring); without, it runs only the
     dense kernel, and a plan with no support runs exactly that.
     """
-    matrix, plan = gate.entries, _gate_plan(gate, dims, axes)
+    matrix = gate.entries
+    plan = None if rowed else _gate_plan(gate, dims, axes)  # else looked up for a dense branch
 
     def run(frontier: list[_Branch], pool: backend.BufferPool | None, merge: bool) -> list[_Branch]:
+        nonlocal plan
+        if plan is None:
+            plan = _gate_plan(gate, dims, axes)
         apply = backend.apply_matrix
         for br in frontier:
             br.amps = apply(br.amps, dims, axes, matrix, plan, pool)
@@ -376,36 +393,43 @@ def _measure_step(dims: tuple[int, ...], axis: int, symbol: str, rowed: bool = F
 
 
 def _gadget_step(gadget: _Gadget, dims: tuple[int, ...], axes: tuple[int, ...],
-                 symbols: tuple[str, ...], rowed: bool = False):
-    """A contracted gadget: every branch forks into the gadget's outcome records.
+                 symbols: tuple[str, ...], explicit: tuple, rowed: bool = False):
+    """A contracted gadget.
 
-    With merging, into one branch per plan-time group, of the group's weight;
-    without, into one branch per record. Each applies its record's unitary to
-    the data ``axes``. A branch that forks into more than one passes the pool
-    to none of its applies, since they all read its amplitudes. ``rowed`` as
-    for ``_gate_step``.
+    With merging, every branch forks into the gadget's groups, each of its
+    group's weight, applying the group's unitary to the data ``axes``; a
+    branch that forks into more than one passes the pool to none of its
+    applies, since they all read its amplitudes. Without merging, the
+    gadget's per-instruction steps run instead, so that every outcome record
+    is a branch of its own: ``explicit`` holds their constructors and
+    arguments, and they are built, with the row kernels, when an unmerged run
+    first needs them. ``rowed`` as for ``_gate_step``.
     """
-    forks: dict[bool, list] = {}
+    fork: list = []  # per group: (u, plan, outcomes, values, count, p), made at the first use
+    steps: list = []  # the per-instruction steps, built at the first unmerged run
 
-    def make(merge: bool) -> list:
-        entries = gadget.groups if merge else [(r, 1, rec[2])
-                                               for r, rec in enumerate(gadget.records)]
-        out = []
-        for r, count, p in entries:
-            outcomes, index, _ = gadget.records[r]
-            u = gadget.unitaries[index]
-            key = (dims, axes, index)
-            plan = gadget.plans.get(key)
-            if plan is None:
-                plan = gadget.plans[key] = backend.kernel_plan(u, dims, axes, cached=False)
-            out.append((u, plan, tuple(zip(symbols, outcomes)), dict(zip(symbols, outcomes)),
-                        count, p))
-        return out
+    def groups() -> list:
+        if not fork:
+            for index, (outcomes, u, count, p) in enumerate(gadget.groups):
+                key = (dims, axes, index)
+                plan = gadget.plans.get(key)
+                if plan is None:
+                    plan = gadget.plans[key] = backend.kernel_plan(u, dims, axes, cached=False)
+                fork.append((u, plan, tuple(zip(symbols, outcomes)),
+                             dict(zip(symbols, outcomes)), count, p))
+        return fork
+
+    def unmerged(frontier: list[_Branch], pool: backend.BufferPool | None) -> list[_Branch]:
+        if not steps:
+            steps.extend(make[0](*make[1:], True) for make in explicit)
+        for step in steps:
+            frontier = step(frontier, pool, False)
+        return frontier
 
     def run(frontier: list[_Branch], pool: backend.BufferPool | None, merge: bool) -> list[_Branch]:
-        fork = forks.get(merge)
-        if fork is None:
-            fork = forks[merge] = make(merge)
+        if not merge:
+            return unmerged(frontier, pool)
+        fork = groups()
         if len(fork) > 1:
             pool = None
         apply = backend.apply_matrix
@@ -419,23 +443,22 @@ def _gadget_step(gadget: _Gadget, dims: tuple[int, ...], axes: tuple[int, ...],
         return forked
     if not rowed:
         return run
-    moves: dict = {}  # (merge, support) -> _linked's entry per fork
+    moves: dict = {}  # support -> _linked's entry per group
 
     def run_rows(frontier: list[_Branch], pool: backend.BufferPool | None,
                  merge: bool) -> list[_Branch]:
-        fork = forks.get(merge)
-        if fork is None:
-            fork = forks[merge] = make(merge)
+        if not merge:
+            return unmerged(frontier, pool)
+        fork = groups()
         forked: list[_Branch] = []
         for br in frontier:
             support = br.rows
             if support is None:
                 forked += run([br], pool, merge)
                 continue
-            linked = moves.get((merge, support))
+            linked = moves.get(support)
             if linked is None:
-                linked = moves[merge, support] = [_linked(support, u, dims, axes)
-                                                  for u, *_ in fork]
+                linked = moves[support] = [_linked(support, u, dims, axes) for u, *_ in fork]
             for (u, _, outcomes, values, count, p), (after, rplan, _) in zip(fork, linked):
                 forked.append(_Branch(
                     backend.apply_rows(br.amps, u, rplan), br.prob * p, br.outcomes + outcomes,

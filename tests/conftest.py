@@ -232,6 +232,89 @@ def enumerate_reference(circuit, input_state, merge_equal: bool = False, upto=No
     return [(br[2], br[1], br[0], br[4], br[5]) for br in frontier]
 
 
+def cap_builds(monkeypatch, amplitudes: int):
+    """Cap gadget builds at ``amplitudes`` (``simulate.BUILD_AMPLITUDES``) for the test, with
+    empty build caches of its own, so that every gadget whose build passes the cap stays
+    explicit. At 512 these are the gadgets with d_S >= 32, which the builds before
+    ``BUILD_AMPLITUDES`` left explicit too: every one with d_S^2 d_A > 2^12 in the suite."""
+    from functools import lru_cache
+
+    from distgates import simulate
+
+    monkeypatch.setattr(simulate, "BUILD_AMPLITUDES", amplitudes)
+    monkeypatch.setattr(simulate, "_contract",
+                        lru_cache(maxsize=None)(simulate._contract.__wrapped__))
+    monkeypatch.setattr(simulate, "_gadget", lru_cache(maxsize=None)(simulate._gadget.__wrapped__))
+
+
+def gadget_reference(key):
+    """``simulate._gadget(key)``'s groups the record way, or None when the gadget does not
+    contract: ``(outcomes, u, count, p)`` per group, as in ``simulate._Gadget``.
+
+    The gadget's steps run without merging on the identity batch over its data
+    labels tensored with the resource state, so that record r ends as a branch of
+    its own, whose column i is K_r e_i renormalized, of probability ||K_r e_i||^2.
+    It contracts when all d_A records survive and each K_r^dagger K_r is p_r I
+    within ``UNITARY_TOL`` with p_r >= ``PRUNE_TOL``; record r applies
+    U_r = K_r / sqrt(p_r). A record joins the first group whose first record has
+    the same values of the live symbols and a unitary within ``MERGE_ATOL / d_S`` of
+    its own; a group's p is its records' sum. It holds d_A matrices of d_S x d_S.
+    """
+    import math
+
+    from distgates.simulate import MERGE_ATOL, run_steps
+    from distgates.statevec import PRUNE_TOL, UNITARY_TOL
+    from distgates.steps import (_Branch, _cond_step, _ghz_amps, _gate_step,
+                                 _measure_step)
+
+    s_dims, d, n, ops, live = key
+    d_s = math.prod(s_dims)
+    register = list(range(len(s_dims))) + [-1 - k for k in range(n)]
+    dims = s_dims + (d,) * n
+    steps = []
+    for kind, *op in ops:
+        if kind == "M":
+            share, symbol = op
+            axis = register.index(share)
+            steps.append((_measure_step(dims, axis, symbol), None))
+            register.pop(axis)
+            dims = dims[:axis] + dims[axis + 1:]
+            continue
+        axes = tuple(register.index(label) for label in op[0])
+        if kind == "G":
+            steps.append((_gate_step(dims, axes, op[1]), None))
+        else:
+            _, powers, terms, mod = op
+            steps.append((_cond_step(dims, axes, terms, mod, powers), None))
+    start = np.kron(np.eye(d_s, dtype=np.complex128), _ghz_amps(d, n).reshape(-1, 1))
+    ones = np.ones(d_s)
+    branches = run_steps(steps, [_Branch(start, ones, (), {}, 1, ones > 0)], None, False)
+    if len(branches) < d ** n:
+        return None
+    atol = MERGE_ATOL / d_s
+    records = []  # (outcomes, u, p)
+    for br in branches:
+        k = br.amps * np.sqrt(br.prob)
+        gram = k.conj().T @ k
+        p = gram.trace().real / d_s
+        if not (p >= PRUNE_TOL and abs(gram - p * np.eye(d_s)).max() <= UNITARY_TOL):
+            return None
+        u = k / math.sqrt(p)
+        u[abs(u) <= atol] = 0
+        records.append((tuple(outcome for _, outcome in br.outcomes), u, p))
+    groups = []  # [outcomes, u, count, p]
+    for outcomes, u, p in records:
+        for group in groups:
+            if ([group[0][i] for i in live] == [outcomes[i] for i in live]
+                    and abs(group[1] - u).max() <= atol):
+                group[2] += 1
+                group[3] += p
+                break
+        else:
+            groups.append([outcomes, u, 1, p])
+    return [tuple(group) for group in groups]
+
+
 def random_unitary(dim: int, rng) -> np.ndarray:
     m = rng.standard_normal((dim, dim)) + 1j * rng.standard_normal((dim, dim))
     q, r = np.linalg.qr(m)

@@ -135,7 +135,8 @@ def test_register_cap_does_not_set_the_chunk_width(monkeypatch):
     peak = peak_register_dim(circuit)
     rows = simulate.compile_plan(circuit).row_bound
     assert rows < peak
-    inputs = random_inputs(circuit, 100)
+    width = max(1, verify_module.CHUNK_AMPLITUDES // rows)
+    inputs = random_inputs(circuit, width + 36)  # two chunks
     widths = []
 
     def counting(*args, **kwargs):
@@ -143,7 +144,6 @@ def test_register_cap_does_not_set_the_chunk_width(monkeypatch):
         return enumerate_branches(*args, **kwargs)
 
     monkeypatch.setattr(verify_module, "enumerate_branches", counting)
-    width = max(1, verify_module.CHUNK_AMPLITUDES // rows)
     expected = [min(width, len(inputs) - s) for s in range(0, len(inputs), width)]
     assert len(expected) > 1
     default = verify(circuit, oracle, inputs)

@@ -10,7 +10,7 @@ from conftest import bad_resource_documents, conditioned_document
 
 from distgates import (Condition, DistCircuit, Instruction, NodeLayout, catalog,
                        count_messages, deserialize, serialize, tally, validate)
-from distgates.circuit import CircuitParseError, format_angle, parse_angle
+from distgates.circuit import CircuitParseError, _json_text, format_angle, parse_angle
 
 CORPUS = catalog.circuits("corpus")
 
@@ -236,9 +236,12 @@ def test_instruction_keeps_tuples_and_normalizes_other_sequences():
 
 def test_serialize_refuses_a_value_the_wire_format_has_no_form_for():
     circuit = DistCircuit(NodeLayout(("A",), {"x": "A"}), (), ("x",), ("x",))
-    circuit.layout.placement["x"] = None  # the placement dict is checked once, when built
+    with pytest.raises(TypeError):  # the placement is checked once, when built, and read-only
+        circuit.layout.placement["x"] = None
+    assert deserialize(serialize(circuit)) == circuit
+    # the writer itself refuses a value it meets that JSON has no form for
     with pytest.raises(TypeError, match="NoneType is not JSON serializable"):
-        serialize(circuit)
+        _json_text({"layout": {"placement": {"x": None}}})
 
 
 LAYOUT_X = NodeLayout(("A",), {"x": "A"})

@@ -6,7 +6,7 @@ import math
 
 import numpy as np
 import pytest
-from conftest import enumerate_reference
+from conftest import cap_builds, enumerate_reference
 
 from distgates import (Condition, DistCircuit, Instruction, MixedRegister, NodeLayout, backend,
                        catalog, enumerate_branches, infer_dims, peak_register_dim, simulate,
@@ -296,12 +296,13 @@ def test_merge_runs_only_after_the_steps_that_carry_one(monkeypatch):
             return frontier
         return run
 
-    def counting(frontier, live):
+    def counting(frontier, live, *atol):  # a gadget build passes its own tolerance
         trace.append(("merge",))
-        return merge(frontier, live)
+        return merge(frontier, live, *atol)
 
     merge = simulate._merge
     monkeypatch.setattr(simulate, "_merge", counting)
+    cap_builds(monkeypatch, 512)  # the fan-out's GHZ gadgets run instruction by instruction
     wide_unmerged_steps = contracted = 0
     for name in ("dGMS n=4 pairwise theta=pi/3", "dGCZ n=6/3 nodes fanout"):
         circuit = catalog.tagged("suite")[name].build()
@@ -425,24 +426,30 @@ def _frontier_widths(circuit, inputs) -> list[int]:
     return widths
 
 
-def test_gms_fanout_frontier_stays_narrow():
+def test_gms_fanout_frontier_stays_narrow(monkeypatch):
     # each GHZ share is measured in the X basis and one correction reads the parity of all
     # the outcomes: branches merge on that parity as the outcomes come in, and the control
-    # share's outcome is merged away by the shifts that directly follow it
+    # share's outcome is merged away by the shifts that directly follow it. A contracted
+    # gadget is one group, so its step forks nothing: the GHZ(5) layer runs instruction by
+    # instruction once builds are capped (cap_builds)
     circuit = catalog.gms(5, 5, math.pi / 3, "fanout")
     inputs = random_inputs(circuit, 4, seed=9)
+    assert set(_frontier_widths(circuit, inputs)) == {1}
+    cap_builds(monkeypatch, 512)
     widths = _frontier_widths(circuit, inputs)
     assert max(widths) == 4
     assert sum(widths) <= 104
     assert verify(circuit, OracleSpec("gms", math.pi / 3), inputs).passed
 
 
-def test_qudit_fanout_frontier_stays_narrow():
+def test_qudit_fanout_frontier_stays_narrow(monkeypatch):
     # a d = 4 measurement forks four ways; the four branches forked on the control share's
     # outcome merge after the two shifts, before either share's own gates
     entry = catalog.tagged("suite")["d(CZ4)^2 fan-out two targets"]
     circuit = entry.build()
     inputs = random_inputs(circuit, 4, seed=9)
+    assert set(_frontier_widths(circuit, inputs)) == {1}
+    cap_builds(monkeypatch, 512)
     widths = _frontier_widths(circuit, inputs)
     assert max(widths) == 16
     assert sum(widths) <= 64

@@ -8,7 +8,7 @@ import tracemalloc
 
 import numpy as np
 import pytest
-from conftest import enumerate_reference
+from conftest import cap_builds, enumerate_reference
 from test_acceptance import _protocol_suite
 
 from distgates import MixedRegister, backend, catalog, enumerate_branches, steps
@@ -69,17 +69,24 @@ def test_equivalence_cases_cover_the_corpus_suite_and_every_variant():
     assert len(cases) == len(catalog.tagged("corpus")) + 35 + 274
 
 
+def _holds_supports(circuit) -> bool:
+    """Whether a run of the circuit holds branches on supports: it has a sparse resource, whose
+    gadget's build runs on supports, as do its steps when it stays explicit or runs unmerged."""
+    return any(steps._sparse(ins.dim or 2, len(ins.targets))
+               for ins in circuit.instructions if ins.kind in RESOURCE_KINDS)
+
+
 @pytest.mark.parametrize("part", range(4))
 def test_sparse_branches_match_the_per_branch_loop(part):
     # merging on everywhere; off wherever the branch budget allows, except on a variant whose
-    # plan holds no branch on a support: those run only the dense kernels, and their
+    # runs hold no branch on a support: those run only the dense kernels, and their
     # unmerged reference runs would take about 50 s
     cases = _everything()[part::4]
     sparse = 0
     for name, circuit in cases:
         batch = _batch(circuit)
         plan = compile_plan(circuit)
-        rowed = plan.row_bound < plan.simulated_peak
+        rowed = _holds_supports(circuit)
         sparse += rowed
         for merge in (True, False):
             if not merge and (unmerged_branch_bound(circuit) > MAX_BRANCHES
@@ -218,7 +225,8 @@ def test_without_a_sparse_resource_the_bound_is_the_simulated_peak(build):
 def test_wide_gms_fanout_runs_as_one_chunk(monkeypatch):
     circuit = catalog.gms(7, 7, math.pi / 3, "fanout")
     plan = compile_plan(circuit)
-    assert (plan.peak, plan.simulated_peak, plan.row_bound) == (2 ** 14, 2 ** 14, 2 ** 11)
+    # every gadget contracts, so no step builds more than the data register
+    assert (plan.peak, plan.simulated_peak, plan.row_bound) == (2 ** 14, 2 ** 7, 2 ** 7)
     calls = []
 
     def counting(*args, **kwargs):
@@ -261,6 +269,7 @@ def _verify_gms_fanouts(count: int):
 
 
 def test_row_plans_of_many_circuits_stay_under_the_cache_limit(monkeypatch):
+    cap_builds(monkeypatch, 512)  # the GHZ(5) layer runs instruction by instruction, on supports
     limit = 16 * 1024
     monkeypatch.setattr(steps, "_ROWS", steps._RowCache(2 ** 40))
     assert _verify_gms_fanouts(12) > 4 * limit  # what an unbounded cache would hold
