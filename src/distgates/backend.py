@@ -33,7 +33,10 @@ Building the content key copies the matrix's bytes, which costs about as much
 as the arithmetic on the small registers of a branch enumeration. A caller
 that applies one matrix to many registers of the same layout therefore looks
 its plan up once with ``kernel_plan`` and hands it to every ``apply_matrix``
-call; the plan is only valid for the matrix content it was made from.
+call; the plan is only valid for the matrix content it was made from. A
+plan may also be composed: ``simulate`` makes a run of diagonal and monomial
+plans on one layout one ``((R, -1), phase, src)`` plan over the register's R
+rows, and ``mat`` then only names its kind.
 
 Without a pool, ``apply_matrix`` is pure: it returns a new array and never
 writes its input. A branch enumeration passes a ``BufferPool``, which marks

@@ -50,7 +50,8 @@ that spreads those shifts out, one before each share's gates, gets the same
 verdicts over wider frontiers.
 
 A merge runs only after a step where branches can meet: a conditioned gate,
-a measurement, or a ClassicalSend that changes the key (see ``Plan``). A
+a measurement, or a ClassicalSend that changes the key (see ``Plan``; a
+fused step merges once, after its last member that would, see below). A
 LocalGate or a resource applies one map to every branch and leaves the key
 as it was, and the merge before it has already compared those branches under
 the same key. One caveat: the merge test is on the largest amplitude
@@ -176,6 +177,45 @@ gadgets, repeats no canonicalization. Each cache holds 1024 entries; the
 benchmark's dropped-correction workload, which holds the most, needs 268
 and 70, so nothing is built twice.
 
+Fused runs. A run of two or more plan steps that each apply one diagonal or
+monomial map to every branch runs as one step (``_fuse``,
+``steps._fused_step``): a LocalGate whose gate does not spread, and a
+contracted gadget of one merge group whose unitary is not dense; steps that
+run nothing (a ClassicalSend's) may stand between them. Each member's kernel
+plan (``_gate_plan``, ``steps._group_plan``) is a gather of register rows
+and a phase per row, so the run is one such plan over the whole register,
+composed member by member as ``src[s]`` and ``phase[s] * ph``
+(``steps._composed``), which ``backend.apply_matrix`` runs as one multiply,
+or one gather and a multiply. No dense matrix or ``Unitary`` is built: a
+pairwise GCZ's 66 CZ steps are one phase multiply. The members' classical
+parts are folded when the plan is compiled, since every branch takes the
+same ones: one outcome record and set of symbol values, the product of the
+weights, and the probabilities, which multiply each branch's in member
+order, so that they are the bits the members compute one at a time. Only
+the amplitudes round differently, where the phases do not compose exactly.
+
+The fused step carries the merge key spec of its last member that has one,
+so with merging it merges once, at its end. This loses no merge. Take two
+branches entering the run and any point i inside it. Every member applies
+one monomial map to both, whose entries have modulus 1 (up to rounding), so
+it moves their amplitude differences to other rows and keeps the largest
+one: the two are as far apart at the end as at i. Every member also gives
+both the same outcome values. A condition that the key at the end reads
+lies after i, so its entry at the end is its entry at i plus the terms
+measured between i and the end, which both branches share: equal keys at i
+are equal keys at the end. So two branches that a merge at i would join
+are joined at the end, whether the merge at i follows a gadget or a
+ClassicalSend that changes the key, and the merge at the end is the last
+member's, after maps both take. Runs are fused only while every branch is
+dense (before the plan's first sparse resource): on a support each member
+runs its own row plan, and supports are left out. Without merging, a fused
+step runs its members' own steps in order, so every record stays a branch
+of its own. The composed plan is kept in the row cache (``steps._ROWS``)
+under the members' plan objects and the layout, so that compiling the
+circuit again, or another circuit with the same steps, composes nothing;
+the entry holds those plans, so their ids stay their own. ``Plan.fused``
+holds the instruction range of each fused step.
+
 Row-sparse branches. A GHZ state over n parties of dimension d multiplies
 the register by d^n but has only d nonzero amplitudes, so a branch that
 holds it has at most d nonzero rows per row before it (the state-sparsity
@@ -258,9 +298,9 @@ from .circuit import RESOURCE_KINDS, DistCircuit, Instruction, resource_key
 from .gates import gate_arity, gate_power, gate_unitary
 from .statevec import (PRUNE_TOL, UNITARY_TOL, BranchResult, MixedRegister, check_register_dim,
                        label_axis, target_axes)
-from .steps import (_Branch, _cond_step, _gadget_step, _gap, _gate_step, _measure_step,
-                    _private_rows, _resource_amps, _resource_nonzero, _resource_step, _sparse,
-                    _spreads, _Support)
+from .steps import (_Branch, _cond_step, _fused_step, _gadget_step, _gap, _gate_plan, _gate_step,
+                    _group_plan, _measure_step, _private_rows, _resource_amps, _resource_nonzero,
+                    _resource_step, _sparse, _spreads, _Support)
 
 MERGE_ATOL = 1e-12
 MAX_BRANCHES = 2 ** 16
@@ -551,7 +591,9 @@ class Plan(NamedTuple):
     values mod ``mod``. Branches can only meet after a step that treats them
     differently, or after which the key reads less of them:
 
-    - a contracted gadget, a CondGate or a Measure is followed by a merge;
+    - a contracted gadget, a CondGate or a Measure is followed by a merge, and
+      so is a fused step that stands for one, or for a ClassicalSend that
+      gets a merge;
     - a LocalGate or a resource applies one map to every branch and leaves
       the key as it was, so the merge after it would find nothing the merge
       before it missed, and it gets None (but see the caveat in the module
@@ -566,6 +608,10 @@ class Plan(NamedTuple):
     gadget, in order; with merging, its one step stands for the steps of all
     of those instructions, and without, it runs them (see the module
     docstring for the rule, the proof, the build, the cap and the cache).
+    ``fused`` holds the first and last instruction index of each fused step,
+    in order: its one step stands for the steps of every instruction in that
+    range and carries the merge of its last member that has one (see the
+    module docstring for the rule, the merge proof and the cache).
     ``peak`` is the explicit peak register (``peak_register_dim``), which the
     cap check uses; ``simulated_peak`` is the largest register a step of a
     merged run builds, at most ``peak``; ``row_bound`` is the most rows a
@@ -583,6 +629,7 @@ class Plan(NamedTuple):
     branch_bound: int
     steps: tuple[tuple[Callable | None, tuple | None], ...]
     gadgets: tuple[tuple[int, int], ...]
+    fused: tuple[tuple[int, int], ...]
     labels: tuple[str, ...]
     out_dims: tuple[int, ...]
 
@@ -738,7 +785,7 @@ class _Candidate:
         self.pending = set(resource.targets)  # the labels of A not measured yet
         self.measured: set[str] = set()  # outcome symbols
         self.ops: list[tuple] = []
-        self.makes: list[tuple] = []  # (step constructor and arguments, merge key)
+        self.makes: list[tuple] = []  # (step constructor and arguments, merge key, index)
 
     def add(self, i: int, ins: Instruction, gate, readers: dict[int, int]) -> bool:
         """Read instruction ``i``, whose resolved gate is ``gate``; False if it is no gadget's."""
@@ -882,7 +929,8 @@ def compile_plan(circuit: DistCircuit, upto: int | None = None) -> Plan:
     start = math.prod(reg_dims)
     instructions = circuit.instructions[:upto]
     keys, readers, unmeasured = _symbol_uses(circuit.instructions)
-    steps: list = []  # (step constructor and arguments, merge key), or a _Candidate for a gadget
+    # (step constructor and arguments, merge key, instruction index), or a _Candidate for a gadget
+    steps: list = []
     candidate = None  # the gadget being read
     for i, ins in enumerate(instructions):
         kind = ins.kind
@@ -934,7 +982,7 @@ def compile_plan(circuit: DistCircuit, upto: int | None = None) -> Plan:
         if candidate is not None:
             if candidate.add(i, ins, gate, readers):
                 if make is not None:  # a free ClassicalSend has no step
-                    candidate.makes.append((make, live))
+                    candidate.makes.append((make, live, i))
                 if not candidate.pending and i >= candidate.end:
                     steps.append(candidate)
                     candidate = None
@@ -943,25 +991,29 @@ def compile_plan(circuit: DistCircuit, upto: int | None = None) -> Plan:
             candidate = None
         if kind in RESOURCE_KINDS:
             candidate = _Candidate(i, ins, *before)
-            candidate.makes.append((make, live))
+            candidate.makes.append((make, live, i))
         elif make is not None:
-            steps.append((make, live))
+            steps.append((make, live, i))
     if candidate is not None:  # cut by upto
         steps += candidate.makes
 
     # every check has run: contract the gadgets, build each step with the row kernels once a
-    # branch may hold a support, and fold the largest register and the row bound in
-    plan_steps, gadgets = [], []
+    # branch may hold a support, fold the largest register and the row bound in, and note
+    # each step's instruction range and, while every branch is dense, its kernel if it fuses
+    plan_steps, gadgets, spans, kernels = [], [], [], []
     bound, size, built, most = None, start, start, start  # see _bounded
     for entry in steps:
         if type(entry) is _Candidate:
             if found := _gadget_of(entry, keys):  # its register is the one before it
                 gadget, data, symbols = found
                 axes = tuple([entry.labels.index(label) for label in data])
-                explicit = tuple([make for make, _ in entry.makes if make])
+                explicit = tuple([make for make, _, _ in entry.makes if make])
                 plan_steps.append((_gadget_step(gadget, entry.dims, axes, symbols, explicit,
                                                 bound is not None), keys[entry.end + 1]))
                 gadgets.append((entry.start, entry.end))
+                spans.append((entry.start, entry.end))
+                fuses = bound is None and len(gadget.groups) == 1 and not gadget.dense
+                kernels.append(_group_kernel(gadget, entry.dims, axes, symbols) if fuses else None)
                 if bound is not None and gadget.dense:
                     bound = min(bound * math.prod([entry.dims[a] for a in axes]), size)
                     most = max(most, bound)
@@ -969,14 +1021,18 @@ def compile_plan(circuit: DistCircuit, upto: int | None = None) -> Plan:
             entry = entry.makes
         else:
             entry = (entry,)
-        for make, live in entry:
+        for make, live, i in entry:
             plan_steps.append((make[0](*make[1:], bound is not None) if make else None, live))
+            spans.append((i, i))
+            kernels.append(None if bound is not None or not make or make[0] is not _gate_step
+                           or _spreads(make[3]) else _gate_kernel(*make[1:]))
             if make and (bound is not None or make[0] is _resource_step):
                 bound, size = _bounded(make, bound, size)
                 built = max(built, size)
                 most = max(most, size if bound is None else bound)
+    plan_steps, fused = _fuse(plan_steps, spans, kernels)
     return Plan(circuit, upto, dict(dims), peak, built, most, branch_bound, tuple(plan_steps),
-                tuple(gadgets), labels, reg_dims)
+                tuple(gadgets), fused, labels, reg_dims)
 
 
 def _gadget_of(entry: _Candidate, keys: list[tuple]):
@@ -987,6 +1043,58 @@ def _gadget_of(entry: _Candidate, keys: list[tuple]):
     res = entry.resource
     return _contract(res.targets, res.dim or 2, tuple(entry.ops),
                      tuple(sorted(entry.measured & read)))
+
+
+def _gate_kernel(dims: tuple[int, ...], axes: tuple[int, ...], gate) -> tuple:
+    """``(dims, kernel plan, matrix, None)`` of a LocalGate's step that may fuse (see ``_fuse``)."""
+    return dims, _gate_plan(gate, dims, axes), gate.entries, None
+
+
+def _group_kernel(gadget: _Gadget, dims: tuple[int, ...], axes: tuple[int, ...],
+                  symbols: tuple[str, ...]) -> tuple:
+    """``(dims, kernel plan, matrix, (outcome records, weight, p))`` of the step of a contracted
+    gadget of one group, which may fuse (see ``_fuse``)."""
+    outcomes, u, count, p = gadget.groups[0]
+    return dims, _group_plan(gadget, dims, axes, 0), u, (tuple(zip(symbols, outcomes)), count, p)
+
+
+def _fuse(steps: list, spans: list, kernels: list) -> tuple[list, tuple[tuple[int, int], ...]]:
+    """``(steps, fused)``: each maximal run of two or more plan steps with a kernel (``kernels``,
+    None for a step that does not fuse), with at most steps that run nothing (a ClassicalSend's)
+    between them, made one ``steps._fused_step``, and the instruction range of each fused step
+    (from ``spans``, each step's). It carries the merge key spec of its last member that has one
+    (see the module docstring)."""
+    out, fused = [], []
+    i = 0
+    while i < len(steps):
+        members = [] if kernels[i] is None else [i]
+        j = i + 1
+        while members and j < len(steps) and (kernels[j] is not None or steps[j][0] is None):
+            if kernels[j] is not None:
+                members.append(j)
+            j += 1
+        if len(members) < 2:
+            out.append(steps[i])
+            i += 1
+            continue
+        first, last = members[0], members[-1]
+        outcomes, values, weight, probs = (), {}, 1, []
+        for m in members:
+            if kernels[m][3] is not None:  # a gadget's
+                pairs, count, p = kernels[m][3]
+                outcomes += pairs
+                values.update(pairs)
+                weight *= count
+                if p != 1.0:  # x * 1.0 is x
+                    probs.append(p)
+        live = next((spec for _, spec in reversed(steps[first:last + 1]) if spec is not None),
+                    None)
+        out.append((_fused_step(kernels[first][0], tuple([steps[m][0] for m in members]),
+                                tuple([kernels[m][1:3] for m in members]),
+                                (outcomes, values, weight, tuple(probs))), live))
+        fused.append((spans[first][0], spans[last][1]))
+        i = last + 1
+    return out, tuple(fused)
 
 
 def run_steps(steps, frontier: list[_Branch], pool: backend.BufferPool | None,

@@ -146,7 +146,9 @@ class Unitary:
         dim = math.prod(self.arity)
         if mat.shape != (dim, dim):
             raise ValueError(f"matrix shape {mat.shape} does not match arity {self.arity}")
-        dev = np.max(np.abs(mat @ mat.conj().T - np.eye(dim)))
+        gram = np.empty((1, dim, dim), np.complex128)  # U U+, without OpenBLAS's threads
+        backend._matmul_blocks(mat, mat.conj().T[None], gram)
+        dev = np.max(np.abs(gram[0] - np.eye(dim)))
         if not dev <= UNITARY_TOL:  # NaN fails too
             raise ValueError(f"matrix is not unitary (max |U U+ - I| = {dev:.3e})")
 

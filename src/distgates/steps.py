@@ -73,7 +73,8 @@ class _RowCache:
     """A least-recently-used map whose values hold at most ``limit`` bytes of arrays.
 
     It holds every support a step makes of a support and its row plan (see
-    ``_Support``), so a later run that takes the same steps reuses them. The
+    ``_Support``), so a later run that takes the same steps reuses them, and
+    the composed kernel plan of each fused run (``_composed``). The
     oldest entries go first once the sum passes ``limit``; a dropped entry is
     only built again.
     """
@@ -392,6 +393,18 @@ def _measure_step(dims: tuple[int, ...], axis: int, symbol: str, rowed: bool = F
     return run_rows
 
 
+def _group_plan(gadget: _Gadget, dims: tuple[int, ...], axes: tuple[int, ...],
+                index: int) -> tuple:
+    """The kernel plan of the unitary of ``gadget``'s group ``index`` on a register layout,
+    built once and kept by the gadget."""
+    key = (dims, axes, index)
+    plan = gadget.plans.get(key)
+    if plan is None:
+        plan = gadget.plans[key] = backend.kernel_plan(gadget.groups[index][1], dims, axes,
+                                                       cached=False)
+    return plan
+
+
 def _gadget_step(gadget: _Gadget, dims: tuple[int, ...], axes: tuple[int, ...],
                  symbols: tuple[str, ...], explicit: tuple, rowed: bool = False):
     """A contracted gadget.
@@ -411,12 +424,8 @@ def _gadget_step(gadget: _Gadget, dims: tuple[int, ...], axes: tuple[int, ...],
     def groups() -> list:
         if not fork:
             for index, (outcomes, u, count, p) in enumerate(gadget.groups):
-                key = (dims, axes, index)
-                plan = gadget.plans.get(key)
-                if plan is None:
-                    plan = gadget.plans[key] = backend.kernel_plan(u, dims, axes, cached=False)
-                fork.append((u, plan, tuple(zip(symbols, outcomes)),
-                             dict(zip(symbols, outcomes)), count, p))
+                fork.append((u, _group_plan(gadget, dims, axes, index),
+                             tuple(zip(symbols, outcomes)), dict(zip(symbols, outcomes)), count, p))
         return fork
 
     def unmerged(frontier: list[_Branch], pool: backend.BufferPool | None) -> list[_Branch]:
@@ -465,6 +474,76 @@ def _gadget_step(gadget: _Gadget, dims: tuple[int, ...], axes: tuple[int, ...],
                     {**br.values, **values}, br.weight * count, br.alive, after))
         return forked
     return run_rows
+
+
+def _composed(dims: tuple[int, ...], kernels: tuple) -> tuple:
+    """``(plan, matrix)``: the ``(kernel plan, matrix)`` pairs ``kernels``, of diagonal and
+    monomial matrices on a register over ``dims``, applied in order, as one plan.
+
+    The plan is ``((R, -1), phase, src, None, None)`` over the R rows of the
+    register, which ``backend.apply_matrix`` runs as one multiply or one gather
+    and a multiply: a member's gather ``s`` and row phases ``ph`` turn the
+    composition's into ``src[s]`` and ``phase[s] * ph``. ``matrix`` is a
+    member's, of the composition's kind, which the plan does not read. Kept in
+    ``_ROWS`` under the members' plan objects and the layout; the entry holds
+    those plans, so their ids stay their own.
+    """
+    plans = tuple([plan for plan, _ in kernels])
+
+    def build():
+        size = math.prod(dims)
+        phase = src = None
+        for shape, ph, s, _, _ in plans:
+            if s is not None:
+                src = s if src is None else src[s]
+                phase = None if phase is None else phase[s]
+            if ph is not None:
+                rows = shape[:-1] + (size // math.prod(shape[:-1]),)
+                ph = np.broadcast_to(ph, rows).reshape(-1)
+                phase = ph if phase is None else phase * ph
+        if phase is not None:
+            phase = backend._frozen(phase.reshape(size, 1))
+        if src is not None:
+            src = backend._frozen(src)
+        matrix = next(mat for plan, mat in kernels if (plan[2] is None) == (src is None))
+        return ((size, -1), phase, src, None, None), matrix, plans
+    return _ROWS.get(("fused", dims, tuple(map(id, plans))), build)[:2]
+
+
+def _fused_step(dims: tuple[int, ...], members: tuple, kernels: tuple, fold: tuple):
+    """A run of steps that each apply one diagonal or monomial map to every dense branch, as one.
+
+    ``kernels`` holds each member's ``(kernel plan, matrix)``, and their
+    composition (``_composed``) runs as one ``backend.apply_matrix`` call.
+    ``fold`` is the members' classical part, folded in order: ``(outcomes,
+    values, weight, probs)``, the outcome records and symbol values the
+    members' contracted gadgets add, the product of their weights, and their
+    probabilities other than 1, which multiply each branch's in member order
+    (so that it is the bits the members compute). Without merging the member
+    steps, ``members``, run in order instead, so that every record stays a
+    branch of its own (see ``simulate``).
+    """
+    plan, matrix = _composed(dims, kernels)
+    outcomes, values, weight, probs = fold
+
+    def run(frontier: list[_Branch], pool: backend.BufferPool | None, merge: bool) -> list[_Branch]:
+        if not merge:
+            for step in members:
+                frontier = step(frontier, pool, False)
+            return frontier
+        apply = backend.apply_matrix
+        for br in frontier:
+            br.amps = apply(br.amps, dims, (), matrix, plan, pool)
+            if outcomes:
+                prob = br.prob
+                for p in probs:
+                    prob = prob * p
+                br.prob = prob
+                br.outcomes += outcomes
+                br.values = {**br.values, **values}
+                br.weight *= weight
+        return frontier
+    return run
 
 
 def _gap(a: _Branch, b: _Branch) -> float:

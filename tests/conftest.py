@@ -429,3 +429,11 @@ def old_order(circuit):
                 j for j, ins in enumerate(instructions) if j >= start
                 and any(circuit.layout.placement[t] == node for t in ins.targets)), shift)
     return DistCircuit(circuit.layout, instructions, circuit.inputs, circuit.outputs)
+
+
+def no_fusion(monkeypatch):
+    """Compile plans without fused runs for the rest of the test: ``simulate._fuse`` leaves the
+    steps as they are, so every step runs on its own, as the fused plans must match."""
+    from distgates import simulate
+
+    monkeypatch.setattr(simulate, "_fuse", lambda steps, spans, kernels: (steps, ()))

@@ -252,38 +252,48 @@ def test_conditioned_powers_are_resolved_once_per_value(monkeypatch):
 # merges only after the steps where branches can meet
 # ---------------------------------------------------------------------------
 
-def _merges_expected(circuit, gadgets) -> list[bool]:
+def _merges_expected(circuit, gadgets, fused) -> list[bool]:
     """Per plan step, whether a merge follows it: after every contracted gadget, CondGate and
     Measure and after a ClassicalSend that retires an outcome symbol; never after a LocalGate
-    or a resource. ``gadgets`` are the plan's contracted instruction ranges."""
+    or a resource. ``gadgets`` are the plan's contracted instruction ranges. Each of its
+    ``fused`` ranges is one step, which carries the merge of its last member that has one."""
     def live(i):
         return {s for ins in circuit.instructions[i:] if ins.condition is not None
                 for s in ins.condition.terms}
 
     inside = {i: first == i for first, last in gadgets for i in range(first, last + 1)}
-    expected = []
+    steps = []  # (instruction index, whether a merge follows its step)
     for i, ins in enumerate(circuit.instructions):
         if i in inside:
             if inside[i]:
-                expected.append(True)
+                steps.append((i, True))
         elif ins.kind == "ClassicalSend":
             if live(i + 1) != live(i):
-                expected.append(True)
+                steps.append((i, True))
         else:
-            expected.append(ins.kind in ("CondGate", "Measure"))
+            steps.append((i, ins.kind in ("CondGate", "Measure")))
+    expected, last = [], None
+    for i, merges in steps:
+        span = next((f for f in fused if f[0] <= i <= f[1]), None)
+        if span is not None and span == last:  # a later member of the same fused step
+            expected[-1] = expected[-1] or merges
+        else:
+            expected.append(merges)
+        last = span
     return expected
 
 
 def test_only_steps_where_branches_can_meet_carry_a_merge():
     circuits = [catalog.tagged("golden")[name].build() for name in UNDER_CAP]
     circuits.append(DistCircuit(LAYOUT, PREFIX, ("a", "b"), ("a", "b")))
-    contracted = 0
+    contracted = fused = 0
     for circuit in circuits:
         plan = compile_plan(circuit)
         assert ([live is not None for _, live in plan.steps]
-                == _merges_expected(circuit, plan.gadgets))
+                == _merges_expected(circuit, plan.gadgets, plan.fused))
         contracted += len(plan.gadgets)
-    assert contracted > 0
+        fused += len(plan.fused)
+    assert contracted > 0 and fused > 0
 
 
 def test_merge_runs_only_after_the_steps_that_carry_one(monkeypatch):

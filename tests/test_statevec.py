@@ -1,6 +1,7 @@
 """Statevector core: gate application, measurement enumeration, tensor, fidelity."""
 
 import math
+import re
 
 import numpy as np
 import pytest
@@ -63,6 +64,21 @@ def test_norm_preserved_random_gates():
         state = apply_unitary(state, u2, ("c",))
         state = apply_unitary(state, u8, ("a", "b"))
     assert abs(np.linalg.norm(state.amps) - 1) < 1e-12
+
+
+def test_a_64_by_64_unitary_is_checked_as_the_plain_product_checks_it():
+    rng = np.random.default_rng(5)
+    mat = random_unitary(64, rng)
+    np.testing.assert_array_equal(Unitary(mat, (4, 4, 4)).entries, mat)
+    bad = mat.copy()
+    bad[3, 5] += 1e-9
+    dev = np.max(np.abs(bad @ bad.conj().T - np.eye(64)))
+    with pytest.raises(ValueError, match=re.escape(f"matrix is not unitary (max |U U+ - I| = "
+                                                   f"{dev:.3e})")):
+        Unitary(bad, (4, 4, 4))
+    bad[3, 5] = np.nan
+    with pytest.raises(ValueError, match="matrix is not unitary"):
+        Unitary(bad, (4, 4, 4))
 
 
 def test_disjoint_targets_commute():
