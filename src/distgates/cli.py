@@ -40,7 +40,7 @@ def _epsilon(text: str) -> float:
         eps = parse_angle(text)
     except ValueError as e:
         raise argparse.ArgumentTypeError(str(e)) from None
-    if not math.isfinite(eps) or eps < 0:
+    if eps < 0:
         raise argparse.ArgumentTypeError(f"must be a finite cost >= 0, got {text!r}")
     return eps
 

@@ -370,6 +370,16 @@ def conditioned_document(kind: str = "LocalGate") -> str:
                        "outputs": ["a", "b"]})
 
 
+def with_first_param(text: str, token: str) -> tuple[str, int]:
+    """Circuit JSON ``text`` with its first gate parameter written as the raw JSON
+    ``token`` (e.g. ``"inf"`` quoted, or ``NaN`` bare), and that instruction's index."""
+    import json
+
+    index = next(i for i, ins in enumerate(json.loads(text)["instructions"]) if "params" in ins)
+    start = text.index('"', text.index('"params": [') + len('"params": ['))
+    return text[:start] + token + text[text.index('"', start + 1) + 1:], index
+
+
 def serialize_reference(circuit) -> str:
     """``circuit.serialize`` the plain way: the document as dicts and lists, written by
     ``json.dumps(doc, indent=2, sort_keys=True)``."""

@@ -1,16 +1,17 @@
 """Circuit IR: JSON round-trips, validation rules, resource tally."""
 
+import dataclasses
 import json
 import math
 import random
 
 import numpy as np
 import pytest
-from conftest import bad_resource_documents, conditioned_document
+from conftest import bad_resource_documents, conditioned_document, with_first_param
 
 from distgates import (Condition, DistCircuit, Instruction, NodeLayout, catalog,
                        count_messages, deserialize, serialize, tally, validate)
-from distgates.circuit import CircuitParseError, _json_text, format_angle, parse_angle
+from distgates.circuit import CircuitParseError, format_angle, parse_angle
 
 CORPUS = catalog.circuits("corpus")
 
@@ -234,14 +235,74 @@ def test_instruction_keeps_tuples_and_normalizes_other_sequences():
         Instruction(["Measure"])
 
 
+def test_instruction_keeps_the_dataclass_contract():
+    # its own __init__ takes the fields in the order and with the defaults of the dataclass
+    assert [(f.name, f.default) for f in dataclasses.fields(Instruction)] == [
+        ("kind", dataclasses.MISSING), ("targets", ()), ("gate", None), ("params", ()),
+        ("condition", None), ("parties", ()), ("dim", None), ("outcome", None),
+        ("symbol", None), ("bits", None), ("layer", None)]
+    cond = Condition(("m0",), 4)
+    keyword = Instruction(kind="CondGate", targets=("q",), gate="Z4", params=(0.5,),
+                          condition=cond, parties=("A",), dim=4, outcome="o", symbol="s",
+                          bits=2, layer=3)
+    positional = Instruction("CondGate", ["q"], "Z4", [0.5], cond, ["A"], 4, "o", "s", 2, 3)
+    assert positional == keyword and hash(positional) == hash(keyword)
+    assert keyword != dataclasses.replace(keyword, layer=4)
+    assert Instruction("Measure") == Instruction("Measure", (), None, (), None, (), None,
+                                                 None, None, None, None)
+    assert repr(keyword) == (
+        "Instruction(kind='CondGate', targets=('q',), gate='Z4', params=(0.5,), "
+        "condition=Condition(terms=('m0',), mod=4), parties=('A',), dim=4, outcome='o', "
+        "symbol='s', bits=2, layer=3)")
+    with pytest.raises(dataclasses.FrozenInstanceError):
+        keyword.layer = 4
+    with pytest.raises(dataclasses.FrozenInstanceError):
+        del keyword.gate
+    moved = dataclasses.replace(keyword, params=[1], layer=None)
+    assert moved.params == (1.0,) and moved.layer is None and moved.targets is keyword.targets
+    with pytest.raises(ValueError, match="'layer' must be an integer, got '4'"):
+        dataclasses.replace(keyword, layer="4")  # replace runs the same checks
+    assert not hasattr(keyword, "__dict__")  # compact: the fields live in slots
+    with pytest.raises(ValueError, match="'gate' must be a string, got 3"):
+        Instruction("LocalGate", ("a",), 3)  # the writer has only a string's form for it
+
+
+@pytest.mark.parametrize("value", [math.inf, -math.inf, math.nan, "inf", "nan"])
+def test_instruction_refuses_a_non_finite_parameter(value):
+    with pytest.raises(ValueError, match=r"'params' must be finite angles, got \(0\.5, "):
+        Instruction("LocalGate", ("a",), "RZ", (0.5, value))
+
+
+@pytest.mark.parametrize("text", ["inf", "-inf", "nan", "NaN", "1e999", " -1e400 ", "inf*pi"])
+def test_parse_angle_refuses_a_non_finite_angle(text):
+    with pytest.raises(ValueError, match="is not finite|cannot parse angle"):
+        parse_angle(text)
+
+
+@pytest.mark.parametrize("text", ["9" * 400 + "pi", "pi/" + "9" * 400, "-" + "9" * 400 + "pi/3"])
+def test_parse_angle_refuses_a_multiple_of_pi_past_the_float_range(text):
+    with pytest.raises(ValueError, match="is out of range"):
+        parse_angle(text)
+
+
+@pytest.mark.parametrize("param,shown", [('"inf"', "'inf'"), ("1e999", "inf"), ("NaN", "nan"),
+                                         ('"-inf"', "'-inf'")])
+def test_a_non_finite_parameter_in_a_document_is_a_parse_error(param, shown):
+    text, index = with_first_param(serialize(CORPUS["gms4_fanout"]), param)
+    message = f"^instruction {index}: angle {shown} is not finite"
+    with pytest.raises(CircuitParseError, match=message):
+        deserialize(text)
+
+
 def test_serialize_refuses_a_value_the_wire_format_has_no_form_for():
     circuit = DistCircuit(NodeLayout(("A",), {"x": "A"}), (), ("x",), ("x",))
     with pytest.raises(TypeError):  # the placement is checked once, when built, and read-only
         circuit.layout.placement["x"] = None
     assert deserialize(serialize(circuit)) == circuit
     # the writer itself refuses a value it meets that JSON has no form for
-    with pytest.raises(TypeError, match="NoneType is not JSON serializable"):
-        _json_text({"layout": {"placement": {"x": None}}})
+    object.__setattr__(circuit.layout, "placement", {"x": None})
+    with pytest.raises(TypeError, match="must be a string, not NoneType"):
+        serialize(circuit)
 
 
 LAYOUT_X = NodeLayout(("A",), {"x": "A"})

@@ -3,9 +3,10 @@
 import csv
 import io
 import json
+import warnings
 
 import pytest
-from conftest import bad_resource_documents, conditioned_document
+from conftest import bad_resource_documents, conditioned_document, with_first_param
 
 from distgates import MixedRegister, deserialize, enumerate_branches, infer_dims, tally
 from distgates.cli import main
@@ -121,6 +122,37 @@ def test_verify_rejects_nan_inputs(tmp_path, capsys):
                          "--inputs", str(states))
     assert code == 2 and out == ""
     assert "not normalized" in err
+
+
+@pytest.mark.parametrize("param", ['"inf"', "1e999", "NaN", '"-inf"'])
+@pytest.mark.parametrize("command", [("simulate",),
+                                     ("verify", "--oracle", "gms", "--theta", "pi/3")])
+def test_a_non_finite_gate_parameter_in_a_file_exits_2(tmp_path, capsys, command, param):
+    path = tmp_path / "gms.json"
+    run(capsys, "compile", "--gate", "gms", "--n", "3", "--nodes", "3", "--theta", "pi/3",
+        "--out", str(path))
+    text, index = with_first_param(path.read_text(), param)
+    path.write_text(text)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")  # refused while reading, before any numpy arithmetic
+        code, out, err = run(capsys, command[0], "--circuit", str(path), *command[1:])
+    assert code == 2 and out == ""
+    assert err.startswith(f"error: instruction {index}: angle ") and "is not finite" in err
+
+
+@pytest.mark.parametrize("theta", ["inf", "-inf", "nan", "1e308", "1e999"])
+def test_a_non_finite_theta_exits_2(theta, tmp_path, capsys):
+    # 1e308 parses, but a builder's angle derived from it overflows to inf
+    code, out, err = run(capsys, "compile", "--gate", "gms", "--n", "3", "--nodes", "3",
+                         f"--theta={theta}")
+    assert code == 2 and out == ""
+    assert err.startswith("error: ") and "finite" in err and "Traceback" not in err
+    path = tmp_path / "gms.json"
+    run(capsys, "compile", "--gate", "gms", "--n", "3", "--nodes", "3", "--out", str(path))
+    if theta != "1e308":  # a finite oracle angle, however large, is a usable one
+        code, out, err = run(capsys, "verify", "--circuit", str(path), "--oracle", "gms",
+                             f"--theta={theta}")
+        assert code == 2 and out == "" and err == f"error: angle {theta!r} is not finite\n"
 
 
 def test_simulate_lists_branches(tmp_path, capsys):

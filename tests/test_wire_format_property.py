@@ -128,9 +128,27 @@ def instructions(draw):
     return Instruction(kind, **fields)
 
 
+@st.composite
+def every_field(draw):
+    """A CondGate or ClassicalSend that carries all eleven fields, which no builder writes
+    but the data model accepts: every key of the wire format in one object."""
+    return Instruction(
+        draw(st.sampled_from(("CondGate", "ClassicalSend"))), draw(LABEL_LISTS),
+        draw(st.sampled_from(sorted(WIRE_GATES)) | LABELS), draw(st.lists(ANGLES, max_size=3)),
+        draw(st.builds(Condition, LABEL_LISTS, st.sampled_from([2]) | st.integers(3, 2 ** 40))),
+        draw(LABEL_LISTS), draw(st.integers(2, 2 ** 40)), draw(LABELS), draw(LABELS),
+        draw(INTEGERS), draw(INTEGERS))
+
+
 CIRCUITS = st.builds(DistCircuit, st.builds(NodeLayout, LABEL_LISTS,
                                             st.dictionaries(LABELS, LABELS, max_size=4)),
-                     st.lists(instructions(), max_size=6), LABEL_LISTS, LABEL_LISTS)
+                     st.lists(instructions() | every_field(), max_size=6),
+                     LABEL_LISTS, LABEL_LISTS)
+# one instruction with every field set, under each form of condition
+EVERY_FIELD = [Instruction("CondGate", ("q", "r"), "CZ", (math.pi / 2, 0.7),
+                           Condition(("m0", "m1")), ("A", "B"), 3, "o", "s", 2, 5),
+               Instruction("ClassicalSend", ("q",), "RZ", (-math.pi,), Condition(("m0",), 4),
+                           ("A", "B", "C"), 2, "", '"', 0, -1)]
 
 
 @settings(max_examples=300, derandomize=True, deadline=None, database=None)
@@ -139,6 +157,8 @@ CIRCUITS = st.builds(DistCircuit, st.builds(NodeLayout, LABEL_LISTS,
 @example(DistCircuit(NodeLayout(("A", "B"), {}), (
     Instruction("CondGate", ("q",), "RZ", (math.pi / 3, 0.7), Condition(("m", ""), 4)),
     Instruction("CondGate", ("q",), "CZ4", (), Condition((), 2))), ("q",), ()))
+@example(DistCircuit(NodeLayout(("A", "B", "C"), {"q": "A", "r": "A"}), EVERY_FIELD, ("q",),
+                     ("q", "r")))
 def test_serialize_writes_the_stdlib_bytes(circuit):
     assert serialize(circuit) == serialize_reference(circuit)
 
