@@ -38,23 +38,19 @@ plan may also be composed: ``simulate`` makes a run of diagonal and monomial
 plans on one layout one ``((R, -1), phase, src)`` plan over the register's R
 rows, and ``mat`` then only names its kind.
 
-Without a pool, ``apply_matrix`` is pure: it returns a new array and never
-writes its input. A branch enumeration passes a ``BufferPool``, which marks
-the amplitudes as run-owned (every array but the pool's ``foreign`` one, the
-caller's input). On a register of ``POOL_MIN_BYTES`` or more, a diagonal gate
-then multiplies run-owned amplitudes in place, a dense gate writes its result
-back into them, and a monomial gate gathers into a buffer taken from the pool
-and gives its input back; small registers keep the pure path, where
-allocation is cheap.
-
-The gather is the pool's only user, and which array a kernel may overwrite or
-recycle is decided here alone. A gather cannot work in place, so each
-monomial gate on a large register (the CNOTs and X corrections of teleported
-gates and fan-outs) needs a fresh register-sized buffer and frees one. Every
-other array comes from ``np.empty`` and goes back to no one: in A/B pairs of
-the benchmark on a 2-core host, the pooled gather saved 29-33 % of the wide
-CLI workload's wall time, while also pooling measurement outputs, products,
-merged branches and dense-block scratch cost the suite about 6 %.
+Unless told it owns its input (``owned``), ``apply_matrix`` is pure: it
+returns a new array and never writes its input. A branch enumeration on
+large registers passes ``owned``: every array in its frontier then belongs
+to exactly one branch, except the caller's input, which enters the run as a
+read-only view. On a writeable register of ``POOL_MIN_BYTES`` or more, a
+diagonal gate then multiplies it in place and a dense gate writes its
+result back into it; small registers keep the pure path, where allocation
+is cheap. Which array a kernel may overwrite is decided here alone. The
+in-place writes stay because without them the wide CLI workload's verify
+set read 8.6 % slower in A/B pairs on a 2-core host. A gather cannot work
+in place, so a monomial gate writes a fresh array; its buffers are not
+recycled, since with every gadget contracted a benchmark pass gathers into
+a large register only a few times.
 
 A dense gate on adjacent targets whose product would exceed
 ``GEMM_SERIAL_WORK`` (m^2 times columns) runs one block of rows and columns
@@ -73,8 +69,8 @@ one scatters the held rows into an ``(m, bases, k)`` block, zeros
 elsewhere, multiplies it by the matrix in one zgemm (in blocks past
 ``GEMM_SERIAL_WORK``) and gathers the result in row order. The caller keeps
 the plans, so ``apply_rows`` costs one to three numpy calls, like
-``apply_matrix``. It is pure and takes no pool: a support keeps a branch
-small.
+``apply_matrix``. It is pure and writes nothing in place: a support keeps a
+branch small.
 """
 
 from __future__ import annotations
@@ -86,36 +82,8 @@ import numpy as np
 
 CACHE_SIZE = 256
 POOL_MIN_BYTES = 128 * 1024  # glibc's default mmap threshold: smaller arrays come from the heap
-POOL_DEPTH = 3  # free arrays kept per shape
 GEMM_SERIAL_WORK = 2 ** 15  # m * m * columns of one zgemm call; OpenBLAS threads from 2^16
 BLOCK_AMPLITUDES = 2 ** 13  # of one block of a blocked kernel, whose temporaries stay small
-
-
-class BufferPool:
-    """Free lists of large registers for one run's gathers, reused instead of freshly faulted in.
-
-    Every array the run hands to a kernel with this pool is the run's own and
-    read by no one else, except ``foreign`` (the caller's input), which is
-    never written or recycled. Only ``apply_matrix``'s gather takes and gives
-    (see the module docstring). Each shape keeps at most ``POOL_DEPTH`` free
-    arrays; the pool is dropped with the run.
-    """
-
-    def __init__(self, foreign: np.ndarray | None = None):
-        self.foreign = foreign
-        self.free: dict[tuple, list[np.ndarray]] = {}
-
-    def take(self, shape: tuple[int, ...], dtype=np.complex128) -> np.ndarray:
-        """An uninitialized array of ``shape``, recycled when one is free."""
-        free = self.free.get((shape, dtype))
-        return free.pop() if free else np.empty(shape, dtype)
-
-    def give(self, arr: np.ndarray):
-        """Recycle ``arr``, which the run no longer reads; small arrays and views are left alone."""
-        if arr.base is None and arr.nbytes >= POOL_MIN_BYTES and arr is not self.foreign:
-            free = self.free.setdefault((arr.shape, arr.dtype.type), [])
-            if len(free) < POOL_DEPTH:
-                free.append(arr)
 
 
 def _frozen(a: np.ndarray) -> np.ndarray:
@@ -329,21 +297,19 @@ def apply_rows(amps: np.ndarray, mat: np.ndarray, plan: tuple) -> np.ndarray:
 
 
 def apply_matrix(amps: np.ndarray, dims: tuple[int, ...], axes: tuple[int, ...],
-                 mat: np.ndarray, plan: tuple | None = None,
-                 pool: BufferPool | None = None) -> np.ndarray:
+                 mat: np.ndarray, plan: tuple | None = None, owned: bool = False) -> np.ndarray:
     """Apply ``mat`` to the given subsystem axes of a flat amplitude array.
 
     ``amps`` has shape ``(prod(dims),)`` or ``(prod(dims), k)``. The matrix
     row/column index runs over the target subsystems in the order given by
     ``axes``, big-endian (first axis is the most significant digit). Returns
     an array of the same shape. ``plan`` is ``kernel_plan(mat, dims, axes)``,
-    looked up here when not given. Without ``pool`` the input is never
-    modified; with it, the input is consumed: a large run-owned array may be
-    written in place and returned, or recycled into the pool (see the module
-    docstring).
+    looked up here when not given. Unless ``owned`` the input is never
+    modified; with it, a large writeable input is consumed: it may be written
+    in place and returned (see the module docstring).
     """
     shape, phase, src, perm, inverse = plan or kernel_plan(mat, dims, axes)
-    owned = amps.nbytes >= POOL_MIN_BYTES and pool is not None and amps is not pool.foreign
+    owned = amps.nbytes >= POOL_MIN_BYTES and owned and amps.flags.writeable
     if perm is not None:  # dense
         m = mat.shape[0]
         adjacent = len(shape) == 3 and shape[1] == m  # the plan's (pre, m, rest) layout
@@ -360,11 +326,7 @@ def apply_matrix(amps: np.ndarray, dims: tuple[int, ...], axes: tuple[int, ...],
             view *= phase
             return amps
         return (amps.reshape(shape) * phase).reshape(amps.shape)
-    if owned:  # 'clip' gathers straight into `out` ('raise' would buffer); src is in range
-        out = np.take(amps, src, axis=0, out=pool.take(amps.shape), mode="clip")
-        pool.give(amps)
-    else:
-        out = np.take(amps, src, axis=0)
+    out = np.take(amps, src, axis=0)
     if phase is not None:
         view = out.reshape(shape)
         view *= phase

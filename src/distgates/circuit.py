@@ -542,6 +542,8 @@ def deserialize(text: str) -> DistCircuit:
         doc = json.loads(text)
     except json.JSONDecodeError as e:
         raise CircuitParseError(f"parse error at line {e.lineno}, column {e.colno}: {e.msg}") from None
+    except RecursionError:  # json's decoder recurses once per nested array or object
+        raise CircuitParseError("parse error: the document nests too deeply") from None
     try:
         layout_doc = _object_from_json(_object_from_json(doc, "circuit document")["layout"],
                                        "'layout'")

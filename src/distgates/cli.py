@@ -149,7 +149,10 @@ def cmd_verify(args) -> int:
         inputs = random_inputs(circuit, count, seed=args.seed)
     else:
         with open(args.inputs) as fh:
-            doc = json.load(fh)
+            try:
+                doc = json.load(fh)
+            except RecursionError:  # json's decoder recurses once per nested list
+                raise UsageError(f"inputs file {args.inputs} nests too deeply") from None
         if not isinstance(doc, list) or not doc:
             raise UsageError(f"inputs file {args.inputs} must hold a non-empty list of "
                              "amplitude lists")

@@ -156,9 +156,9 @@ merges inside one build may move a state. The merged build of GHZ(7), the
 d_A = 128 records held 128 matrices of 128 x 128.
 
 Without merging, a contracted gadget's step runs its per-instruction steps
-(``_Candidate.makes``), built with the row kernels when an unmerged run
-first needs them, so every record is a branch of its own and
-``MAX_BRANCHES`` and ``unmerged_branch_bound`` hold as before. Those runs
+(``_Candidate.makes``), built when an unmerged run first needs them, so
+every record is a branch of its own and ``MAX_BRANCHES`` and
+``unmerged_branch_bound`` hold as before. Those runs
 build the per-instruction registers, up to the explicit peak: the plan's
 ``simulated_peak`` and ``row_bound`` describe merged runs. A branch they
 leave on a support after the gadget holds every row of its register (U_r
@@ -224,11 +224,10 @@ are at most a quarter nonzero (``_sparse``: every GHZ state of three or more
 parties and every d >= 4 pair, but not a qubit Bell pair) therefore gives
 each branch a support (``steps._Support``): the sorted register rows it
 holds, with ``amps`` one row per support row. A dense branch has none
-(``rows`` is None) and runs exactly the dense kernels above, and a step
-before the plan's first sparse resource is built without the row kernels
-(``rowed``), so a plan with no sparse resource does the work it did before
-supports. The rows outside a support are exact zeros under every kernel,
-so the support loses nothing:
+(``rows`` is None) and runs exactly the dense kernels above: each step
+picks the kernel per branch, so a plan with no sparse resource does the
+work it did before supports. The rows outside a support are exact zeros
+under every kernel, so the support loses nothing:
 
 - a diagonal gate multiplies each row by a phase and a monomial one moves
   each row to one row, so a zero row stays zero;
@@ -270,19 +269,17 @@ register of the per-instruction steps, so contraction and supports accept
 and reject the same circuits; ``MAX_BRANCHES`` likewise counts branches
 whatever they hold. ``Plan.simulated_peak`` is the largest register a step
 of the plan actually builds; ``Plan.row_bound``, at most that, sizes
-``verify``'s chunks and decides whether a run owns a pool.
+``verify``'s chunks and decides whether a run owns its arrays.
 
-A run whose row bound reaches ``backend.POOL_MIN_BYTES`` owns one
-``backend.BufferPool``, handed to every gate and gadget step and dropped
-when the run returns (a smaller run has none). Its one foreign array is the
-caller's input batch; every other matrix in the frontier belongs to exactly
-one branch, so ``backend.apply_matrix`` may write a large one in place or
-recycle it (see ``backend``). A branch that a gadget step forks into more
-than one branch is read by all of their applies, so none of them gets the
-pool. Measurements, resources, merges and the kernels on supports recycle
-nothing: they are pure, and a merged branch's matrix is simply dropped.
-Cached resource states, gate matrices, gadget unitaries and row plans are
-only read.
+A run whose row bound reaches ``backend.POOL_MIN_BYTES`` owns its arrays
+(``owned``, handed to every step; a smaller run does not). The caller's
+input batch enters it as a read-only view; every other matrix in the
+frontier belongs to exactly one branch, so ``backend.apply_matrix`` may
+write a large writeable one in place (see ``backend``). A branch that a
+gadget step forks into more than one branch is read by all of their
+applies, so none of them owns it. Measurements, resources, merges and the
+kernels on supports write nothing in place. Cached resource states, gate
+matrices, gadget unitaries and row plans are only read.
 """
 
 from __future__ import annotations
@@ -460,10 +457,10 @@ def _flat(br: _Branch, d_s: int) -> bool:
 def _gadget(key: tuple) -> _Gadget | None:
     """Build the gadget ``key`` describes (see ``_contract``), or None when it does not contract.
 
-    Runs the gadget's ops as the plan's own steps, with merging and the row
-    kernels and without a pool, on the identity batch over the data labels S
-    held as one column: the vector sum_i |i>|i> / sqrt(d_S) over a reference
-    axis of d_S levels, which no step touches, and S. Its d_S nonzero rows are
+    Runs the gadget's ops as the plan's own steps, with merging and owning no
+    array, on the identity batch over the data labels S held as one column:
+    the vector sum_i |i>|i> / sqrt(d_S) over a reference axis of d_S levels,
+    which no step touches, and S. Its d_S nonzero rows are
     a support, and so are the batch's nonzero rows after every step: the build
     holds only those amplitudes (see the module docstring). A branch of
     probability p holds K e_i / sqrt(d_S p) at reference value i, for the
@@ -521,13 +518,13 @@ def _gadget(key: tuple) -> _Gadget | None:
     dims = (d_s,) + s_dims + (d,) * n
     # (step, merge key spec, the most it multiplies the frontier's amplitudes by, whether it
     # measures: a gate keeps each column's norm)
-    steps = [(_resource_step(_resource_amps(d, n), d, n, d_s * d_s, True), None,
+    steps = [(_resource_step(_resource_amps(d, n), d, n, d_s * d_s), None,
               _resource_nonzero(d, n)[0].size, False)]
     for (kind, *op), spec in zip(ops, _build_keys(ops, live, d)):
         if kind == "M":
             share, symbol = op
             axis = register.index(share)
-            steps.append((_measure_step(dims, axis, symbol, True), spec, 1, True))
+            steps.append((_measure_step(dims, axis, symbol), spec, 1, True))
             register.pop(axis)
             dims = dims[:axis] + dims[axis + 1:]
             continue
@@ -535,10 +532,10 @@ def _gadget(key: tuple) -> _Gadget | None:
         gates = (op[1],) if kind == "G" else op[1]
         grows = max([gate.dim if _spreads(gate) else 1 for gate in gates])
         if kind == "G":
-            steps.append((_gate_step(dims, axes, op[1], True), spec, grows, False))
+            steps.append((_gate_step(dims, axes, op[1]), spec, grows, False))
         else:  # "C", a conditioned gate with its powers from 1 on
             _, powers, terms, mod = op
-            steps.append((_cond_step(dims, axes, terms, mod, powers, True), spec, grows, False))
+            steps.append((_cond_step(dims, axes, terms, mod, powers), spec, grows, False))
     atol = MERGE_ATOL / d_s  # a column's amplitudes then move by at most MERGE_ATOL
     start = np.full((d_s, 1), 1 / math.sqrt(d_s), np.complex128)
     frontier = [_Branch(start, np.ones(1), (), {}, 1, np.ones(1, bool),
@@ -548,7 +545,7 @@ def _gadget(key: tuple) -> _Gadget | None:
         for step, spec, grows, measures in steps:
             if held * grows > BUILD_AMPLITUDES:
                 return None
-            frontier = step(frontier, None, True)
+            frontier = step(frontier, False, True)
             if measures and not all([_flat(br, d_s) for br in frontier]):
                 return None
             if spec is not None and len(frontier) > 1:
@@ -582,10 +579,10 @@ def _gadget(key: tuple) -> _Gadget | None:
 class Plan(NamedTuple):
     """A circuit's first ``upto`` instructions resolved once for every branch.
 
-    ``steps`` pairs each step, a function from frontier, the run's pool
-    (which only gate and gadget steps use) and whether branches merge to
-    frontier, with the merge key spec after it, or with None when no merge
-    follows the step; ``run_steps`` runs them. A spec is a tuple of
+    ``steps`` pairs each step, a function from frontier, whether the run
+    owns its arrays (which only the steps that apply gates read) and whether
+    branches merge to frontier, with the merge key spec after it, or with
+    None when no merge follows the step; ``run_steps`` runs them. A spec is a tuple of
     ``(terms, mod)`` entries, one for each distinct partial sum that a later
     condition will read (see the module docstring): the sum of the terms'
     values mod ``mod``. Branches can only meet after a step that treats them
@@ -997,9 +994,9 @@ def compile_plan(circuit: DistCircuit, upto: int | None = None) -> Plan:
     if candidate is not None:  # cut by upto
         steps += candidate.makes
 
-    # every check has run: contract the gadgets, build each step with the row kernels once a
-    # branch may hold a support, fold the largest register and the row bound in, and note
-    # each step's instruction range and, while every branch is dense, its kernel if it fuses
+    # every check has run: contract the gadgets, build the steps, fold the largest register and
+    # the row bound in, and note each step's instruction range and, while every branch is
+    # dense, its kernel if it fuses
     plan_steps, gadgets, spans, kernels = [], [], [], []
     bound, size, built, most = None, start, start, start  # see _bounded
     for entry in steps:
@@ -1008,8 +1005,8 @@ def compile_plan(circuit: DistCircuit, upto: int | None = None) -> Plan:
                 gadget, data, symbols = found
                 axes = tuple([entry.labels.index(label) for label in data])
                 explicit = tuple([make for make, _, _ in entry.makes if make])
-                plan_steps.append((_gadget_step(gadget, entry.dims, axes, symbols, explicit,
-                                                bound is not None), keys[entry.end + 1]))
+                plan_steps.append((_gadget_step(gadget, entry.dims, axes, symbols, explicit),
+                                   keys[entry.end + 1]))
                 gadgets.append((entry.start, entry.end))
                 spans.append((entry.start, entry.end))
                 fuses = bound is None and len(gadget.groups) == 1 and not gadget.dense
@@ -1022,7 +1019,7 @@ def compile_plan(circuit: DistCircuit, upto: int | None = None) -> Plan:
         else:
             entry = (entry,)
         for make, live, i in entry:
-            plan_steps.append((make[0](*make[1:], bound is not None) if make else None, live))
+            plan_steps.append((make[0](*make[1:]) if make else None, live))
             spans.append((i, i))
             kernels.append(None if bound is not None or not make or make[0] is not _gate_step
                            or _spreads(make[3]) else _gate_kernel(*make[1:]))
@@ -1097,15 +1094,14 @@ def _fuse(steps: list, spans: list, kernels: list) -> tuple[list, tuple[tuple[in
     return out, tuple(fused)
 
 
-def run_steps(steps, frontier: list[_Branch], pool: backend.BufferPool | None,
-              merge: bool) -> list[_Branch]:
+def run_steps(steps, frontier: list[_Branch], owned: bool, merge: bool) -> list[_Branch]:
     """Run ``(step, merge key spec)`` pairs (see ``Plan``) on ``frontier``; returns the last one.
 
     With ``merge``, a spec that is not None merges the frontier after its step.
     """
     for step, live in steps:
         if step is not None:
-            frontier = step(frontier, pool, merge)
+            frontier = step(frontier, owned, merge)
         if merge and live is not None and len(frontier) > 1:
             frontier = _merge(frontier, live)
     return frontier
@@ -1144,12 +1140,12 @@ def enumerate_branches(circuit: DistCircuit, input_state: MixedRegister | None =
             raise ValueError(f"input {label!r} has dimension {d}, circuit expects {dims[label]}")
 
     amps = input_state.amps.reshape(input_state.amps.shape[0], -1)  # a single state: k = 1
+    amps.flags.writeable = False  # the caller's data, which the run only reads (see backend)
     k = amps.shape[1]
-    pool = None  # the run's large buffers, dropped on return; none when every branch is small
-    if plan.row_bound * k * amps.itemsize >= backend.POOL_MIN_BYTES:
-        pool = backend.BufferPool(foreign=amps)
+    owned = plan.row_bound * k * amps.itemsize >= backend.POOL_MIN_BYTES  # else all small
     ones = np.ones(k)  # the first frontier is built in the call, so that the runner drops it
-    frontier = run_steps(plan.steps, [_Branch(amps, ones, (), {}, 1, ones > 0)], pool, merge_equal)
+    frontier = run_steps(plan.steps, [_Branch(amps, ones, (), {}, 1, ones > 0)], owned,
+                         merge_equal)
 
     labels, out_dims = plan.labels, plan.out_dims
     for br in frontier:  # a sparse branch's rows, scattered into its register

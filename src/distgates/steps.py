@@ -1,14 +1,15 @@
 """The steps a compiled plan runs, and the branches they run on.
 
-A step is a function from a frontier of branches (``_Branch``), the run's
-buffer pool and whether branches merge, to the next frontier; ``simulate``
-compiles a circuit into them and runs them (``simulate.run_steps``). Each
-branch holds every row of its register, or only the rows of a support
-(``_Support``): the row-sparse branches that a GHZ resource starts. The
-module docstring of ``simulate`` says why a support loses nothing, how the
-row bound is kept and when a branch returns to dense; a step given
-``rowed=False`` runs only the dense kernels, which is all a plan without a
-support runs.
+A step is a function from a frontier of branches (``_Branch``), whether the
+run owns its large arrays (see ``backend``) and whether branches merge, to
+the next frontier; ``simulate`` compiles a circuit into them and runs them
+(``simulate.run_steps``). Each branch holds every row of its register, or
+only the rows of a support (``_Support``): the row-sparse branches that a
+GHZ resource starts. A step picks the kernel per branch: the register
+kernel for a dense branch (``rows`` None), the row kernel of its support
+for a sparse one. The module docstring of ``simulate`` says why a support
+loses nothing, how the row bound is kept and when a branch returns to
+dense.
 """
 
 from __future__ import annotations
@@ -225,117 +226,69 @@ def _gate_plan(gate: Unitary, dims: tuple[int, ...], axes: tuple[int, ...]) -> t
     return backend.kernel_plan(gate.entries, dims, axes, cached=False)
 
 
-def _gate_step(dims: tuple[int, ...], axes: tuple[int, ...], gate: Unitary,
-               rowed: bool = False):
-    """A LocalGate: one matrix on fixed axes of every branch.
+def _apply(br: _Branch, gate: Unitary, dims: tuple[int, ...], axes: tuple[int, ...],
+           plans: dict, key, owned: bool):
+    """Apply ``gate`` on ``axes`` to ``br``: the register kernel to a dense branch, the row kernel
+    of its support to a sparse one, each looked up once and kept in ``plans`` under ``key``."""
+    support = br.rows
+    plan = plans.get(key)
+    if plan is None:
+        plan = plans[key] = (_gate_plan(gate, dims, axes) if support is None
+                             else _linked(support, gate.entries, dims, axes))
+    if support is None:
+        br.amps = backend.apply_matrix(br.amps, dims, axes, gate.entries, plan, owned)
+    else:
+        br.rows = plan[0]
+        br.amps = backend.apply_rows(br.amps, gate.entries, plan[1])
 
-    ``rowed`` when a branch may hold a support here: the step then also runs
-    the row kernels (see the module docstring); without, it runs only the
-    dense kernel, and a plan with no support runs exactly that.
-    """
-    matrix = gate.entries
-    plan = None if rowed else _gate_plan(gate, dims, axes)  # else looked up for a dense branch
 
-    def run(frontier: list[_Branch], pool: backend.BufferPool | None, merge: bool) -> list[_Branch]:
-        nonlocal plan
-        if plan is None:
-            plan = _gate_plan(gate, dims, axes)
-        apply = backend.apply_matrix
+def _gate_step(dims: tuple[int, ...], axes: tuple[int, ...], gate: Unitary):
+    """A LocalGate: one matrix on fixed axes of every branch (``_apply``)."""
+    plans: dict = {}  # support (None: dense) -> the kernel plan, or _linked's entry
+
+    def run(frontier: list[_Branch], owned: bool, merge: bool) -> list[_Branch]:
         for br in frontier:
-            br.amps = apply(br.amps, dims, axes, matrix, plan, pool)
+            _apply(br, gate, dims, axes, plans, br.rows, owned)
         return frontier
-    if not rowed:
-        return run
-    moves: dict = {}  # support -> _linked's entry
-
-    def run_rows(frontier: list[_Branch], pool: backend.BufferPool | None,
-                 merge: bool) -> list[_Branch]:
-        for br in frontier:
-            support = br.rows
-            if support is None:
-                run([br], pool, merge)
-                continue
-            entry = moves.get(support)
-            if entry is None:
-                entry = moves[support] = _linked(support, matrix, dims, axes)
-            br.rows = entry[0]
-            br.amps = backend.apply_rows(br.amps, matrix, entry[1])
-        return frontier
-    return run_rows
+    return run
 
 
 def _cond_step(dims: tuple[int, ...], axes: tuple[int, ...], terms: tuple, mod: int,
-               powers: tuple[Unitary, ...], rowed: bool = False):
+               powers: tuple[Unitary, ...]):
     """A CondGate: ``powers[v - 1]``, the gate to the power v, where the value v of its condition,
-    the sum of the ``terms``' values mod ``mod``, is nonzero. Each power's kernel plan is looked
-    up once, when its value first occurs. ``rowed`` as for ``_gate_step``."""
-    plans: dict[int, tuple] = {}
+    the sum of the ``terms``' values mod ``mod``, is nonzero (``_apply``). Each power's kernel is
+    looked up when its value first occurs."""
+    plans: dict = {}  # (value, support) -> as in _gate_step
 
-    def run(frontier: list[_Branch], pool: backend.BufferPool | None, merge: bool) -> list[_Branch]:
-        apply = backend.apply_matrix
+    def run(frontier: list[_Branch], owned: bool, merge: bool) -> list[_Branch]:
         for br in frontier:
             values, value = br.values, 0
             for term in terms:  # a loop: a list comprehension's call costs more than the sum
                 value += values[term]
             value %= mod
             if value:
-                gate = powers[value - 1]
-                plan = plans.get(value)
-                if plan is None:
-                    plan = plans[value] = _gate_plan(gate, dims, axes)
-                br.amps = apply(br.amps, dims, axes, gate.entries, plan, pool)
+                _apply(br, powers[value - 1], dims, axes, plans, (value, br.rows), owned)
         return frontier
-    if not rowed:
-        return run
-    moves: dict = {}  # (value, support) -> _linked's entry
-
-    def run_rows(frontier: list[_Branch], pool: backend.BufferPool | None,
-                 merge: bool) -> list[_Branch]:
-        for br in frontier:
-            support = br.rows
-            if support is None:
-                run([br], pool, merge)
-                continue
-            values, value = br.values, 0
-            for term in terms:
-                value += values[term]
-            value %= mod
-            if value:
-                matrix = powers[value - 1].entries
-                entry = moves.get((value, support))
-                if entry is None:
-                    entry = moves[value, support] = _linked(support, matrix, dims, axes)
-                br.rows = entry[0]
-                br.amps = backend.apply_rows(br.amps, matrix, entry[1])
-        return frontier
-    return run_rows
+    return run
 
 
-def _resource_step(factor: np.ndarray, d: int, n: int, size: int, rowed: bool = False):
+def _resource_step(factor: np.ndarray, d: int, n: int, size: int):
     """A resource state, its amplitudes ``factor`` over n parties of dimension d, appended to every
     branch's register of ``size`` rows.
 
     A sparse resource (``_sparse``) gives each branch the support of its rows
     times the resource's nonzero rows; a dense one keeps a dense branch dense
-    and grows a sparse one the same way. ``rowed`` as for ``_gate_step``.
+    and grows a sparse one the same way.
     """
     sparse = _sparse(d, n)
-
-    def run(frontier: list[_Branch], pool: backend.BufferPool | None, merge: bool) -> list[_Branch]:
-        for br in frontier:
-            br.amps = tensor_amps(br.amps, factor)
-        return frontier
-    if not (rowed or sparse):
-        return run
     nonzero = _resource_nonzero(d, n)[1]
     moves: dict = {}  # support (None: dense) -> the support after
 
-    def run_rows(frontier: list[_Branch], pool: backend.BufferPool | None,
-                 merge: bool) -> list[_Branch]:
+    def run(frontier: list[_Branch], owned: bool, merge: bool) -> list[_Branch]:
         for br in frontier:
             support = br.rows
             if support is None and not sparse:
-                run([br], pool, merge)
+                br.amps = tensor_amps(br.amps, factor)
                 continue
             after = moves.get(support)
             if after is None:
@@ -344,53 +297,40 @@ def _resource_step(factor: np.ndarray, d: int, n: int, size: int, rowed: bool = 
             br.rows = after
             br.amps = tensor_amps(br.amps, nonzero)
         return frontier
-    return run_rows
+    return run
 
 
-def _measure_step(dims: tuple[int, ...], axis: int, symbol: str, rowed: bool = False):
+def _measure_step(dims: tuple[int, ...], axis: int, symbol: str):
     """A measurement of ``axis``: every branch forks into one branch per kept outcome.
 
     A sparse branch's outcomes each keep the rows of the support with that
-    outcome's digit, the digit removed (``_split``). ``rowed`` as for
-    ``_gate_step``.
+    outcome's digit, the digit removed (``_split``).
     """
     pre, d, post = math.prod(dims[:axis]), dims[axis], math.prod(dims[axis + 1:])
     records = [((symbol, outcome),) for outcome in range(d)]
-
-    def run(frontier: list[_Branch], pool: backend.BufferPool | None, merge: bool) -> list[_Branch]:
-        forked: list[_Branch] = []
-        for br in frontier:
-            kept, probs, alive, outs = measure_amps(br.amps, pre, d, post)
-            for outcome, out in zip(kept, outs):
-                forked.append(_Branch(
-                    out, br.prob * probs[outcome], br.outcomes + records[outcome],
-                    {**br.values, symbol: outcome}, br.weight, br.alive & alive[outcome]))
-        return forked
-    if not rowed:
-        return run
-
+    dense = (None,) * d  # the support of each outcome of a dense branch
     splits: dict = {}  # support -> _split's entry
 
-    def run_rows(frontier: list[_Branch], pool: backend.BufferPool | None,
-                 merge: bool) -> list[_Branch]:
+    def run(frontier: list[_Branch], owned: bool, merge: bool) -> list[_Branch]:
         forked: list[_Branch] = []
         for br in frontier:
             support = br.rows
             if support is None:
-                forked += run([br], pool, merge)
-                continue
-            entry = splits.get(support)
-            if entry is None:
-                entry = splits[support] = _split(support, d, post)
-            plan, supports = entry
-            kept, probs, alive, outs = measure_rows(br.amps, d, plan)
+                kept, probs, alive, outs = measure_amps(br.amps, pre, d, post)
+                supports = dense
+            else:
+                entry = splits.get(support)
+                if entry is None:
+                    entry = splits[support] = _split(support, d, post)
+                plan, supports = entry
+                kept, probs, alive, outs = measure_rows(br.amps, d, plan)
             for outcome, out in zip(kept, outs):
                 forked.append(_Branch(
                     out, br.prob * probs[outcome], br.outcomes + records[outcome],
                     {**br.values, symbol: outcome}, br.weight, br.alive & alive[outcome],
                     supports[outcome]))
         return forked
-    return run_rows
+    return run
 
 
 def _group_plan(gadget: _Gadget, dims: tuple[int, ...], axes: tuple[int, ...],
@@ -406,74 +346,53 @@ def _group_plan(gadget: _Gadget, dims: tuple[int, ...], axes: tuple[int, ...],
 
 
 def _gadget_step(gadget: _Gadget, dims: tuple[int, ...], axes: tuple[int, ...],
-                 symbols: tuple[str, ...], explicit: tuple, rowed: bool = False):
+                 symbols: tuple[str, ...], explicit: tuple):
     """A contracted gadget.
 
     With merging, every branch forks into the gadget's groups, each of its
-    group's weight, applying the group's unitary to the data ``axes``; a
-    branch that forks into more than one passes the pool to none of its
-    applies, since they all read its amplitudes. Without merging, the
-    gadget's per-instruction steps run instead, so that every outcome record
-    is a branch of its own: ``explicit`` holds their constructors and
-    arguments, and they are built, with the row kernels, when an unmerged run
-    first needs them. ``rowed`` as for ``_gate_step``.
+    group's weight, applying the group's unitary to the data ``axes`` (the row
+    kernel of each group on a sparse branch); a branch that forks into more
+    than one group owns its amplitudes for none of its applies, since they
+    all read them. Without merging, the gadget's per-instruction steps run
+    instead, so that every outcome record is a branch of its own:
+    ``explicit`` holds their constructors and arguments, and they are built
+    when an unmerged run first needs them.
     """
     fork: list = []  # per group: (u, plan, outcomes, values, count, p), made at the first use
     steps: list = []  # the per-instruction steps, built at the first unmerged run
+    moves: dict = {}  # support -> _linked's entry per group
 
-    def groups() -> list:
+    def run(frontier: list[_Branch], owned: bool, merge: bool) -> list[_Branch]:
+        if not merge:
+            if not steps:
+                steps.extend(make[0](*make[1:]) for make in explicit)
+            for step in steps:
+                frontier = step(frontier, owned, False)
+            return frontier
         if not fork:
             for index, (outcomes, u, count, p) in enumerate(gadget.groups):
                 fork.append((u, _group_plan(gadget, dims, axes, index),
                              tuple(zip(symbols, outcomes)), dict(zip(symbols, outcomes)), count, p))
-        return fork
-
-    def unmerged(frontier: list[_Branch], pool: backend.BufferPool | None) -> list[_Branch]:
-        if not steps:
-            steps.extend(make[0](*make[1:], True) for make in explicit)
-        for step in steps:
-            frontier = step(frontier, pool, False)
-        return frontier
-
-    def run(frontier: list[_Branch], pool: backend.BufferPool | None, merge: bool) -> list[_Branch]:
-        if not merge:
-            return unmerged(frontier, pool)
-        fork = groups()
-        if len(fork) > 1:
-            pool = None
-        apply = backend.apply_matrix
-        forked: list[_Branch] = []
-        for br in frontier:
-            for u, plan, outcomes, values, count, p in fork:
-                forked.append(_Branch(
-                    apply(br.amps, dims, axes, u, plan, pool), br.prob * p,
-                    br.outcomes + outcomes, {**br.values, **values}, br.weight * count,
-                    br.alive))
-        return forked
-    if not rowed:
-        return run
-    moves: dict = {}  # support -> _linked's entry per group
-
-    def run_rows(frontier: list[_Branch], pool: backend.BufferPool | None,
-                 merge: bool) -> list[_Branch]:
-        if not merge:
-            return unmerged(frontier, pool)
-        fork = groups()
+        owned = owned and len(fork) == 1
         forked: list[_Branch] = []
         for br in frontier:
             support = br.rows
             if support is None:
-                forked += run([br], pool, merge)
+                for u, plan, outcomes, values, count, p in fork:
+                    forked.append(_Branch(
+                        backend.apply_matrix(br.amps, dims, axes, u, plan, owned), br.prob * p,
+                        br.outcomes + outcomes, {**br.values, **values}, br.weight * count,
+                        br.alive))
                 continue
             linked = moves.get(support)
             if linked is None:
                 linked = moves[support] = [_linked(support, u, dims, axes) for u, *_ in fork]
-            for (u, _, outcomes, values, count, p), (after, rplan, _) in zip(fork, linked):
+            for (u, _, outcomes, values, count, p), (after, plan, _) in zip(fork, linked):
                 forked.append(_Branch(
-                    backend.apply_rows(br.amps, u, rplan), br.prob * p, br.outcomes + outcomes,
+                    backend.apply_rows(br.amps, u, plan), br.prob * p, br.outcomes + outcomes,
                     {**br.values, **values}, br.weight * count, br.alive, after))
         return forked
-    return run_rows
+    return run
 
 
 def _composed(dims: tuple[int, ...], kernels: tuple) -> tuple:
@@ -526,14 +445,14 @@ def _fused_step(dims: tuple[int, ...], members: tuple, kernels: tuple, fold: tup
     plan, matrix = _composed(dims, kernels)
     outcomes, values, weight, probs = fold
 
-    def run(frontier: list[_Branch], pool: backend.BufferPool | None, merge: bool) -> list[_Branch]:
+    def run(frontier: list[_Branch], owned: bool, merge: bool) -> list[_Branch]:
         if not merge:
             for step in members:
-                frontier = step(frontier, pool, False)
+                frontier = step(frontier, owned, False)
             return frontier
         apply = backend.apply_matrix
         for br in frontier:
-            br.amps = apply(br.amps, dims, (), matrix, plan, pool)
+            br.amps = apply(br.amps, dims, (), matrix, plan, owned)
             if outcomes:
                 prob = br.prob
                 for p in probs:

@@ -196,8 +196,8 @@ def test_peak_register_dim_is_the_largest_register_simulated():
     registers, rows = [], []
 
     def recording(step):
-        def run(frontier, pool, merge):
-            frontier = step(frontier, pool, merge)
+        def run(frontier, owned, merge):
+            frontier = step(frontier, owned, merge)
             registers.extend(br.amps.shape[0] if br.rows is None else br.rows.size
                              for br in frontier)
             rows.extend(br.amps.shape[0] for br in frontier)

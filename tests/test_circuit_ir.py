@@ -90,6 +90,11 @@ def test_malformed_json_reports_position():
         deserialize("{\n  \"layout\": ,\n}")
 
 
+def test_deeply_nested_json_is_a_parse_error():
+    with pytest.raises(CircuitParseError, match="nests too deeply"):
+        deserialize("[" * 100_000)
+
+
 def test_unknown_gate_name_rejected():
     text = serialize(CORPUS["dcnot"]).replace('"CNOT"', '"CROT"')
     with pytest.raises(CircuitParseError, match="unknown gate"):

@@ -112,6 +112,23 @@ def test_verify_with_nothing_to_check_is_a_usage_error(tmp_path, capsys):
         assert err.startswith("error: ") and inputs in err
 
 
+@pytest.mark.parametrize("command", [("simulate", "--circuit"),
+                                     ("verify", "--oracle", "gcz", "--circuit"),
+                                     ("verify", "--oracle", "gcz", "--inputs")])
+def test_a_deeply_nested_file_exits_2(tmp_path, capsys, command):
+    path = tmp_path / "c.json"
+    run(capsys, "compile", "--gate", "gcz", "--n", "2", "--nodes", "2",
+        "--strategy", "pairwise", "--out", str(path))
+    deep = tmp_path / "deep.json"
+    deep.write_text("[" * 100_000)
+    args = [*command, str(deep)]
+    if "--circuit" not in args:
+        args += ["--circuit", str(path)]
+    code, out, err = run(capsys, *args)
+    assert code == 2 and out == ""
+    assert err.startswith("error: ") and err.count("\n") == 1 and "nests too deeply" in err
+
+
 def test_verify_rejects_nan_inputs(tmp_path, capsys):
     path = tmp_path / "c.json"
     run(capsys, "compile", "--gate", "gcz", "--n", "2", "--nodes", "2",

@@ -32,9 +32,9 @@ def built(monkeypatch):
     steps = []
     real = simulate._gadget_step
 
-    def recording(gadget, dims, axes, symbols, explicit, rowed=False):
+    def recording(gadget, dims, axes, symbols, explicit):
         steps.append((gadget, dims, axes, symbols))
-        return real(gadget, dims, axes, symbols, explicit, rowed)
+        return real(gadget, dims, axes, symbols, explicit)
 
     monkeypatch.setattr(simulate, "_gadget_step", recording)
     return steps

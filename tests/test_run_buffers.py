@@ -1,8 +1,7 @@
-"""Blocked kernels and run-owned buffers: the same results, and the caller's data never written."""
+"""Blocked kernels and run-owned arrays: the same results, and the caller's data never written."""
 
 import importlib
 import itertools
-import sys
 
 import numpy as np
 import pytest
@@ -11,8 +10,8 @@ from conftest import (apply_matrix_reference, measure_loop_reference, measure_re
 from test_acceptance import _protocol_suite
 from test_batched_verify import _dropped_variants
 
-from distgates import backend
-from distgates.circuit import RESOURCE_KINDS
+from distgates import backend, catalog
+from distgates.circuit import RESOURCE_KINDS, Instruction
 from distgates.gates import gate_power, gate_unitary, h_matrix
 from distgates.simulate import MERGE_ATOL, _distance, enumerate_branches
 from distgates.statevec import (DEFAULT_MAX_DIM, PRUNE_TOL, MixedRegister, measure_amps,
@@ -25,15 +24,16 @@ verify_module = importlib.import_module("distgates.verify")  # the package attri
 H4 = np.exp(2j * np.pi * np.outer(range(4), range(4)) / 4) / 2
 
 
-def _unpooled_unblocked(monkeypatch):
-    """The kernels as they were before blocking and pooling, and chunks set by the register cap."""
+def _unowned_unblocked(monkeypatch):
+    """The kernels as they were before blocking and in-place writes, and chunks set by the
+    register cap."""
     monkeypatch.setattr(backend, "POOL_MIN_BYTES", float("inf"))
     monkeypatch.setattr(backend, "GEMM_SERIAL_WORK", 2 ** 62)
     monkeypatch.setattr(verify_module, "CHUNK_AMPLITUDES", DEFAULT_MAX_DIM)
 
 
-def _pooled_and_blocked_everywhere(monkeypatch):
-    """Every register pooled, written in place and blocked, down to the smallest."""
+def _owned_and_blocked_everywhere(monkeypatch):
+    """Every register owned, written in place and blocked, down to the smallest."""
     monkeypatch.setattr(backend, "POOL_MIN_BYTES", 0)
     monkeypatch.setattr(backend, "GEMM_SERIAL_WORK", 2 ** 8)
     monkeypatch.setattr(backend, "BLOCK_AMPLITUDES", 2 ** 8)
@@ -64,41 +64,32 @@ def test_blocked_dense_kernel_matches_the_reference(dims, k):
         want = apply_matrix_reference(amps, dims, axes, mat)
         got = backend.apply_matrix(amps, dims, axes, mat)
         assert np.abs(got - want).max() <= 1e-12, axes
-        np.testing.assert_array_equal(amps, before)  # no pool: the input is only read
-        owned = amps.copy()
-        pool = backend.BufferPool()
-        got = backend.apply_matrix(owned, dims, axes, mat, pool=pool)
+        np.testing.assert_array_equal(amps, before)  # not owned: the input is only read
+        got = backend.apply_matrix(amps.copy(), dims, axes, mat, owned=True)
         assert np.abs(got - want).max() <= 1e-12, axes
-        foreign = backend.BufferPool(foreign=amps)
-        got = backend.apply_matrix(amps, dims, axes, mat, pool=foreign)
+        foreign = amps.view()  # owned, but read-only: the caller's input as a run holds it
+        foreign.flags.writeable = False
+        got = backend.apply_matrix(foreign, dims, axes, mat, owned=True)
         assert np.abs(got - want).max() <= 1e-12, axes
         np.testing.assert_array_equal(amps, before)
-        assert not foreign.free
 
 
 def _run_owned(amps, dims):
-    """``amps`` as a run holds them after two monomial gates: bitwise equal, in a buffer a
-    pooled gather took, with the run's pool, which holds the buffers the gathers gave back."""
-    pool = backend.BufferPool()
+    """``amps`` as a run holds them after two monomial gates: bitwise equal, in the array
+    an owned gather wrote."""
     shift = np.roll(np.eye(dims[0]), 1, axis=0)
-    once = backend.apply_matrix(amps.copy(), dims, (0,), shift, pool=pool)
-    return backend.apply_matrix(once, dims, (0,), shift.T, pool=pool), pool
-
-
-def _pooled(pool):
-    return [x for free in pool.free.values() for x in free]
+    once = backend.apply_matrix(amps.copy(), dims, (0,), shift, owned=True)
+    return backend.apply_matrix(once, dims, (0,), shift.T, owned=True)
 
 
 @pytest.mark.parametrize("dims,k", LARGE)
-@pytest.mark.parametrize("pooled", [False, True], ids=["plain", "pool"])
-def test_large_measurement_matches_the_reference(dims, k, pooled):
-    # pooled: the register comes out of a run's gathers; the measurement still writes
-    # fresh arrays, which no gather recycles
+@pytest.mark.parametrize("owned", [False, True], ids=["plain", "owned"])
+def test_large_measurement_matches_the_reference(dims, k, owned):
+    # owned: the register comes out of a run's gathers; the measurement still writes
+    # fresh arrays
     amps = _random_batch(dims, k, 2)
-    pool = backend.BufferPool()
-    if pooled:
-        amps, pool = _run_owned(amps, dims)
-        assert _pooled(pool)
+    if owned:
+        amps = _run_owned(amps, dims)
     labels = tuple(f"q{i}" for i in range(len(dims)))
     state = MixedRegister(dims, amps, labels)
     before = amps.copy()
@@ -110,8 +101,7 @@ def test_large_measurement_matches_the_reference(dims, k, pooled):
             assert np.abs(b.probability - prob).max() <= 1e-12
             assert np.abs(b.state.amps - ref).max() <= 1e-12
         np.testing.assert_array_equal(state.amps, before)
-        for x, y in itertools.combinations([b.state.amps for b in got] + [state.amps]
-                                           + _pooled(pool), 2):
+        for x, y in itertools.combinations([b.state.amps for b in got] + [state.amps], 2):
             assert not np.shares_memory(x, y)
 
 
@@ -152,10 +142,10 @@ def _reports(monkeypatch, configure):
                 for name, circuit, oracle, inputs in _suite_and_variants()}
 
 
-@pytest.mark.parametrize("configure", [lambda patch: None, _pooled_and_blocked_everywhere],
+@pytest.mark.parametrize("configure", [lambda patch: None, _owned_and_blocked_everywhere],
                          ids=["default", "everywhere"])
-def test_verify_reports_match_the_unpooled_unblocked_kernels(monkeypatch, configure):
-    want = _reports(monkeypatch, _unpooled_unblocked)
+def test_verify_reports_match_the_unowned_unblocked_kernels(monkeypatch, configure):
+    want = _reports(monkeypatch, _unowned_unblocked)
     got = _reports(monkeypatch, configure)
     assert len(got) == 35 + 274
     assert sum(not r.passed for r in got.values()) == 274
@@ -188,31 +178,19 @@ def _read_only(state):
     return state
 
 
-@pytest.mark.parametrize("configure", [lambda patch: None, _pooled_and_blocked_everywhere],
+@pytest.mark.parametrize("configure", [lambda patch: None, _owned_and_blocked_everywhere],
                          ids=["default", "everywhere"])
 def test_callers_data_is_never_written(monkeypatch, configure):
     configure(monkeypatch)
-    shared = []  # the caller's and the caches' arrays: no pool may ever keep one
-    give = backend.BufferPool.give
-
-    def checked_give(pool, arr):
-        give(pool, arr)
-        if any(arr is free for frees in pool.free.values() for free in frees):
-            assert not any(np.may_share_memory(arr, other) for other in shared)
-
-    monkeypatch.setattr(backend.BufferPool, "give", checked_give)
     for name, circuit, oracle, inputs in _suite_and_variants():
         cached = _cached_data(circuit)
-        shared[:] = [arr for arr, _ in cached] + [s.amps for s in inputs]
         frozen = [_read_only(MixedRegister(s.dims, s.amps.copy(), s.labels)) for s in inputs]
-        shared += [s.amps for s in frozen]
         assert (verify(circuit, oracle, frozen).to_json()
                 == verify(circuit, oracle, inputs).to_json()), name
         batch = _read_only(MixedRegister(inputs[0].dims,
                                          np.stack([s.amps for s in inputs], axis=1),
                                          inputs[0].labels))
         before = batch.amps.copy()
-        shared.append(batch.amps)
         results = enumerate_branches(circuit, batch, merge_equal=True)
         np.testing.assert_array_equal(batch.amps, before)
         for x, y in itertools.combinations([r.state.amps for r in results], 2):
@@ -221,24 +199,30 @@ def test_callers_data_is_never_written(monkeypatch, configure):
             np.testing.assert_array_equal(arr, copy)
 
 
-@pytest.mark.parametrize("configure", [lambda patch: None, _pooled_and_blocked_everywhere],
-                         ids=["default", "everywhere"])
-def test_only_the_monomial_gather_uses_the_pool(monkeypatch, configure):
-    calls = []  # (module, function, the kernel plan's gather index is set) of each caller
-
-    def recorded(method):
-        def call(pool, *args):
-            caller = sys._getframe(1)
-            calls.append((caller.f_globals["__name__"], caller.f_code.co_name,
-                          caller.f_locals.get("src") is not None))
-            return method(pool, *args)
-        return call
-
-    monkeypatch.setattr(backend.BufferPool, "take", recorded(backend.BufferPool.take))
-    monkeypatch.setattr(backend.BufferPool, "give", recorded(backend.BufferPool.give))
-    _reports(monkeypatch, configure)
-    assert calls
-    assert set(calls) == {("distgates.backend", "apply_matrix", True)}
+@pytest.mark.parametrize("writeable", [True, False], ids=["writeable", "read-only"])
+def test_an_owned_run_never_writes_its_input(monkeypatch, writeable):
+    # a diagonal gate first, on every register owned: it would multiply the input in place
+    # (a dense gate follows, so that the diagonal one runs as a step of its own)
+    base = catalog.tagged("corpus")["dcnot"].build()
+    first = tuple([Instruction("LocalGate", (base.inputs[0],), gate=gate) for gate in "ZH"])
+    circuit = type(base)(base.layout, first + base.instructions, base.inputs, base.outputs)
+    inputs = random_inputs(circuit, 3, seed=4)
+    amps = np.stack([s.amps for s in inputs], axis=1)
+    batch = MixedRegister(inputs[0].dims, amps, inputs[0].labels)
+    amps = batch.amps
+    amps.flags.writeable = writeable
+    before = amps.copy()
+    with monkeypatch.context() as patch:
+        patch.setattr(backend, "POOL_MIN_BYTES", float("inf"))
+        want = enumerate_branches(circuit, batch, merge_equal=True)
+    monkeypatch.setattr(backend, "POOL_MIN_BYTES", 0)
+    got = enumerate_branches(circuit, batch, merge_equal=True)
+    np.testing.assert_array_equal(amps, before)
+    assert amps.flags.writeable == writeable
+    assert [r.outcomes for r in got] == [r.outcomes for r in want]
+    for r, w in zip(got, want):
+        assert r.state.amps.tobytes() == w.state.amps.tobytes()
+        assert r.probability.tobytes() == w.probability.tobytes()
 
 
 # ---------------------------------------------------------------------------
@@ -270,10 +254,10 @@ def _measure_broadcast_reference(amps, pre, d, post):
 
 
 @pytest.mark.parametrize("dims,k", KERNEL_CASES)
-@pytest.mark.parametrize("pooled", [False, True], ids=["plain", "pool"])
-def test_large_measurement_kernel_is_bitwise_the_broadcast(dims, k, pooled):
-    # pooled: the register comes out of a run's gathers, and each kept outcome then goes
-    # through a pooled gather of its own, as a correction would, leaving the others intact
+@pytest.mark.parametrize("owned", [False, True], ids=["plain", "owned"])
+def test_large_measurement_kernel_is_bitwise_the_broadcast(dims, k, owned):
+    # owned: the register comes out of a run's gathers, and each kept outcome then goes
+    # through an owned gather of its own, as a correction would, leaving the others intact
     amps = _random_batch(dims, k, 4)
     # column 0 has no weight on the first outcome of the first subsystem: pruned there,
     # and with k = 1 that outcome is dropped
@@ -281,9 +265,8 @@ def test_large_measurement_kernel_is_bitwise_the_broadcast(dims, k, pooled):
     amps /= np.linalg.norm(amps, axis=0)
     assert amps.nbytes >= backend.POOL_MIN_BYTES
     for batch in (amps, amps[:, 0].copy()) if k == 1 else (amps,):
-        pool = backend.BufferPool()
-        if pooled:
-            batch, pool = _run_owned(batch, dims)
+        if owned:
+            batch = _run_owned(batch, dims)
         before = batch.copy()
         for axis in range(len(dims)):
             pre, d, post = (int(np.prod(dims[:axis])), dims[axis],
@@ -300,12 +283,12 @@ def test_large_measurement_kernel_is_bitwise_the_broadcast(dims, k, pooled):
             for out, want in zip(outs, want_outs):
                 assert out.shape == want.shape and out.tobytes() == want.tobytes(), axis
             np.testing.assert_array_equal(batch, before)
-            for x, y in itertools.combinations(list(outs) + [batch] + _pooled(pool), 2):
+            for x, y in itertools.combinations(list(outs) + [batch], 2):
                 assert not np.shares_memory(x, y)
-            if pooled:
+            if owned:
                 out_dims = dims[:axis] + dims[axis + 1:]
                 shift = np.roll(np.eye(out_dims[0]), 1, axis=0)
-                shifted = [backend.apply_matrix(out, out_dims, (0,), shift, pool=pool)
+                shifted = [backend.apply_matrix(out, out_dims, (0,), shift, owned=True)
                            for out in outs]
                 for got, want in zip(shifted, want_outs):
                     assert got.tobytes() == backend.apply_matrix(

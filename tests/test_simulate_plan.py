@@ -300,8 +300,8 @@ def test_merge_runs_only_after_the_steps_that_carry_one(monkeypatch):
     trace = []  # ("step", carries a merge, branches after it) and ("merge",), in order
 
     def recording(step, live):
-        def run(frontier, pool, merge):
-            frontier = frontier if step is None else step(frontier, pool, merge)
+        def run(frontier, owned, merge):
+            frontier = frontier if step is None else step(frontier, owned, merge)
             trace.append(("step", live is not None, len(frontier)))
             return frontier
         return run
@@ -423,8 +423,8 @@ def _frontier_widths(circuit, inputs) -> list[int]:
     widths = []
 
     def recording(step):
-        def run(frontier, pool, merge):
-            frontier = step(frontier, pool, merge)
+        def run(frontier, owned, merge):
+            frontier = step(frontier, owned, merge)
             widths.append(len(frontier))
             return frontier
         return run

@@ -15,7 +15,7 @@ from distgates import MixedRegister, backend, catalog, enumerate_branches, steps
 from distgates.circuit import RESOURCE_KINDS
 from distgates.simulate import MAX_BRANCHES, MERGE_ATOL, _merge, compile_plan, unmerged_branch_bound
 from distgates.steps import _Branch, _Support
-from distgates.statevec import measure_amps, measure_rows, split_rows
+from distgates.statevec import measure_amps, measure_rows, split_rows, tensor_amps
 from distgates.verify import OracleSpec, random_inputs, verify
 
 verify_module = importlib.import_module("distgates.verify")  # the package attribute is the function
@@ -56,8 +56,8 @@ def _batch(circuit, k=2, seed=3):
 def _recording(plan, rows: list):
     """``plan`` with every step wrapped to append each branch's held row count to ``rows``."""
     def wrap(step):
-        def run(frontier, pool, merge):
-            frontier = step(frontier, pool, merge)
+        def run(frontier, owned, merge):
+            frontier = step(frontier, owned, merge)
             rows.extend(br.amps.shape[0] for br in frontier)
             return frontier
         return run
@@ -275,3 +275,91 @@ def test_row_plans_of_many_circuits_stay_under_the_cache_limit(monkeypatch):
     assert _verify_gms_fanouts(12) > 4 * limit  # what an unbounded cache would hold
     monkeypatch.setattr(steps, "_ROWS", steps._RowCache(limit))
     assert _verify_gms_fanouts(12) <= limit
+
+
+def _two_kinds(dims, rows, values=None, seed=0, k=2):
+    """A dense branch and a sparse branch holding one random state on ``rows`` of a register
+    over ``dims``, with the symbol ``values``."""
+    size = math.prod(dims)
+    rng = np.random.default_rng(seed)
+    held = rng.standard_normal((rows.size, k)) + 1j * rng.standard_normal((rows.size, k))
+    held /= np.linalg.norm(held, axis=0)
+    dense = np.zeros((size, k), complex)
+    dense[rows] = held
+    return [_Branch(amps, np.full(k, 0.5), (), dict(values or {}), 1, np.ones(k, bool), support)
+            for amps, support in ((dense, None), (held, _Support(rows.copy(), size)))]
+
+
+def _scattered(br):
+    if br.rows is None:
+        return br.amps
+    full = np.zeros((br.rows.size, br.amps.shape[1]), complex)
+    full[br.rows.rows] = br.amps
+    return full
+
+
+def _same_rows(got, want):
+    """Whether the supports ``got`` and ``want`` (None: dense) hold the same rows."""
+    if got is None or want is None:
+        return got is want
+    return got.size == want.size and np.array_equal(got.rows, want.rows)
+
+
+def test_one_frontier_holds_dense_and_sparse_branches_for_every_step_kind():
+    # each step picks the register kernel or the row kernel per branch; the sparse branch,
+    # scattered, must equal the dense one, on the support the row helpers give
+    from distgates.gates import gate_unitary
+    from distgates.simulate import _Gadget
+    from distgates.steps import (_cond_step, _gadget_step, _gate_step, _linked, _measure_step,
+                                 _resource_amps, _resource_step, _root, _split, _tensored)
+    dims = (2, 4, 2)
+    size = math.prod(dims)
+    rows = np.array([1, 6, 9, 12])
+    rows.flags.writeable = False  # as a support holds them
+    z, x, h = (gate_unitary(g) for g in "ZXH")
+    gates = [("CZ", (0, 2)), ("X4", (1,)), ("CNOT", (2, 0)), ("H", (2,))]
+    for name, axes in gates:  # diagonal, monomial, monomial, dense
+        gate = gate_unitary(name)
+        dense, sparse = _gate_step(dims, axes, gate)(_two_kinds(dims, rows), False, True)
+        assert dense.rows is None, name
+        want = _linked(_Support(rows, size), gate.entries, dims, axes)[0]
+        assert want is not None and _same_rows(sparse.rows, want), name
+        np.testing.assert_allclose(_scattered(sparse), dense.amps, atol=1e-15, rtol=0)
+
+    step = _cond_step(dims, (2,), ("m",), 2, (x,))
+    for value in (0, 1):
+        dense, sparse = step(_two_kinds(dims, rows, {"m": value}), False, True)
+        want = _Support(rows, size)
+        if value:
+            want = _linked(want, x.entries, dims, (2,))[0]
+        assert dense.rows is None and _same_rows(sparse.rows, want), value
+        np.testing.assert_allclose(_scattered(sparse), dense.amps, atol=1e-15, rtol=0)
+
+    for d, n in ((2, 3), (2, 2)):  # a sparse GHZ(3) resource, then a dense Bell pair
+        factor = _resource_amps(d, n)
+        frontier = _two_kinds(dims, rows)
+        want = tensor_amps(frontier[0].amps, factor)
+        dense, sparse = _resource_step(factor, d, n, size)(frontier, False, True)
+        assert _same_rows(dense.rows, _root(size, d, n) if n == 3 else None), n
+        assert _same_rows(sparse.rows, _tensored(_Support(rows, size), d, n)), n
+        np.testing.assert_array_equal(_scattered(dense), want)
+        np.testing.assert_allclose(_scattered(sparse), want, atol=1e-15, rtol=0)
+
+    forked = _measure_step(dims, 1, "m")(_two_kinds(dims, rows), False, True)
+    half = len(forked) // 2
+    supports = _split(_Support(rows, size), 4, 2)[1]
+    assert half and [br.outcomes for br in forked[:half]] == [br.outcomes for br in forked[half:]]
+    for dense, sparse in zip(forked[:half], forked[half:]):
+        outcome = dense.outcomes[-1][1]
+        assert dense.rows is None and _same_rows(sparse.rows, supports[outcome]), outcome
+        np.testing.assert_allclose(_scattered(sparse), dense.amps, atol=1e-15, rtol=0)
+        np.testing.assert_allclose(sparse.prob, dense.prob, atol=1e-15, rtol=0)
+
+    groups = (((0,), z.entries, 1, 0.5), ((1,), h.entries, 1, 0.5))
+    step = _gadget_step(_Gadget(groups, {}, True), dims, (2,), ("m",), ())
+    forked = step(_two_kinds(dims, rows), False, True)
+    assert len(forked) == 4
+    for (dense, sparse), (_, u, _, _) in zip(zip(forked[:2], forked[2:]), groups):
+        assert dense.values == sparse.values and dense.rows is None
+        assert _same_rows(sparse.rows, _linked(_Support(rows, size), u, dims, (2,))[0])
+        np.testing.assert_allclose(_scattered(sparse), dense.amps, atol=1e-15, rtol=0)
