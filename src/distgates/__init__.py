@@ -13,8 +13,7 @@ from .circuit import (Condition, DistCircuit, GateRef, Instruction, NodeLayout,
 from .qubit_protocols import (GmsSpec, Partition, build_dcontrol_u, build_dgcz,
                               build_dgms, build_fanout, lms_matrix)
 from .qudit_protocols import (QuditEncoding, build_dcsum4, build_dcsum4_multitarget,
-                              build_dcz4_pow, build_qudit_gcz, decode, encode,
-                              qudit_gcz_local_pair)
+                              build_dcz4_pow, build_qudit_gcz, decode, encode)
 from .resources import GczConfig, fanout_gain, gcz_costs, gms_costs
 from .simulate import enumerate_branches, infer_dims, peak_register_dim
 from .statevec import (BranchResult, MixedRegister, Unitary, apply_unitary,

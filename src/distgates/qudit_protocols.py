@@ -76,21 +76,6 @@ def decode(state: MixedRegister, enc: QuditEncoding) -> MixedRegister:
     return MixedRegister(dims, ordered.amps, enc.qubit_order)
 
 
-def qudit_gcz_local_pair() -> list[tuple[str, tuple[int, ...]]]:
-    """Gate sequence equal to the encoded 4-qubit GCZ on two dimension-4 qudits.
-
-    Returned as (gate name, qudit slots) in execution order: X23 conjugation
-    around a double CZ_4 produces the cross-pair parity phase, then P3 adds
-    the intra-pair phases.
-    """
-    return [
-        ("X23", (0,)), ("X23", (1,)),
-        ("CZ4", (0, 1)), ("CZ4", (0, 1)),
-        ("X23", (0,)), ("X23", (1,)),
-        ("P3", (0,)), ("P3", (1,)),
-    ]
-
-
 def build_dcsum4(q1: str, q2: str, layout: NodeLayout) -> DistCircuit:
     """Teleported CSUM_4 between qudits on two nodes, using one qudit pair."""
     b = CircuitBuilder(layout)

@@ -67,37 +67,42 @@ measurements remove them, the same way in every branch. So ``peak_register_dim``
 finds the largest register from the instruction list alone, and an over-cap
 circuit is rejected before anything is simulated. Likewise, without merging, a
 circuit whose measurements could fork more than ``MAX_BRANCHES`` branches
-(``unmerged_branch_bound``) is rejected up front. Both bounds come from one
-forward walk (``_bounds``). The subsystem dimensions they need are inferred
-once per circuit object and held by it (``circuit_dims``): ``infer_dims``,
-``verify``'s input generators and ``compile_plan`` on one circuit walk its
-instructions for them once, and ``infer_dims`` hands each caller a copy. The
-same walk counts the resources that ``verify`` reports (``resource_counts``).
+(``unmerged_branch_bound``) is rejected up front. The subsystem dimensions
+are inferred once per circuit object and held by it (``circuit_dims``):
+``infer_dims``, ``verify``'s input generators and ``compile_plan`` on one
+circuit walk its instructions for them once, and ``infer_dims`` hands each
+caller a copy. The same walk counts the resources that ``verify`` reports
+(``resource_counts``) and collects the resources and measurements, over
+which both bounds of the whole circuit are folded once the dimensions are
+known (``_bounds``), and held beside them. A prefix (``upto``) folds its own
+bounds from its instructions.
 
 For the same reason the instruction list is compiled once into a ``Plan``
-(``compile_plan``) before any branch runs, walking the register layout the way
-``peak_register_dim`` does. A label map, updated at each resource and
-measurement, gives each target's axis; wherever it finds no valid axes,
-``statevec.target_axes`` or ``label_axis`` resolves the targets again and
-raises its error. A gate gets its target axes, its matrix and the matrix's
-kernel plan, and a conditioned gate its axes and its powers, each resolved
-once per value, with the duplicate-target, unknown-label and arity checks; a
-power's kernel plan is looked up when its value first occurs. Gates and
-powers are the cached, read-only ``Unitary`` objects of ``gates``, so their
-kernel plans are cached by gate object and layout (``_gate_plan``), without
-the content key of ``backend.kernel_plan``. A resource gets its state's
-amplitudes, read-only and cached by dimension and party count, and the
-label-collision check, and a measurement its target's axis and the sizes
-around it. A bad instruction therefore raises ``ValueError`` before any
-kernel runs, and before any gadget is built (see below). The branch loop,
-``run_steps``, holds bare amplitude matrices (``_Branch``: amplitudes,
-per-column probability and alive mask, outcome record, symbol values,
-weight, support) and its steps (module ``steps``) hand them straight to the
-kernels: each gate to ``backend.apply_matrix``, each measurement to
-``statevec.measure_amps`` and each resource to ``statevec.tensor_amps``,
-which are also the arithmetic of ``measure_enumerate`` and ``tensor``, minus
-their per-call label lookups and checks. ``verify`` compiles one plan and
-shares it across its input chunks.
+(``compile_plan``) before any branch runs. One forward walk follows the
+register layout as ``peak_register_dim`` does, checks every instruction and
+reads the gadgets. Each target's axis is its index in the register's label
+tuple. ``circuit_dims`` has already matched each target's dimension with the
+gate's arity, so where a label is unknown or repeated, or the gate takes
+another number of targets, ``statevec.target_axes`` or ``label_axis``
+resolves the targets again and raises its error. A gate gets its target axes
+and its matrix, and a conditioned gate its axes and its powers, each
+resolved once per value, with the duplicate-target, unknown-label and arity
+checks; a gate's kernel plan is looked up after the walk, and a power's when
+its value first occurs. Gates and powers are the cached, read-only
+``Unitary`` objects of ``gates``, so their kernel plans are cached by gate
+object and layout (``_gate_plan``), without the content key of
+``backend.kernel_plan``. A resource gets its state's amplitudes, read-only
+and cached by dimension and party count, and the label-collision check, and
+a measurement its target's axis and the sizes around it. A bad instruction
+therefore raises ``ValueError`` before any kernel runs, and before any
+gadget is built (see below). The branch loop, ``run_steps``, holds bare
+amplitude matrices (``_Branch``: amplitudes, per-column probability and
+alive mask, outcome record, symbol values, weight, support) and its steps
+(module ``steps``) hand them straight to the kernels: each gate to
+``backend.apply_matrix``, each measurement to ``statevec.measure_amps`` and
+each resource to ``statevec.tensor_amps``, which are also the arithmetic of
+``measure_enumerate`` and ``tensor``, minus their per-call label lookups and
+checks. ``verify`` compiles one plan and shares it across its input chunks.
 
 Gadgets. The teleported gates and fan-outs are chains of gate-teleportation
 gadgets (Gottesman & Chuang, Nature 402, 390 (1999); Eisert et al., PRA 62,
@@ -106,7 +111,7 @@ compiled. A gadget is a resource instruction over labels A, every later
 instruction through the measurement of all of A, and then through the last
 CondGate that reads one of those outcomes. One backward pass
 (``_symbol_uses``) finds every measurement's last reader, and the walk that
-resolves the instructions also reads each gadget (``_Candidate``), so
+checks the instructions also reads each gadget as it goes (``_Read``), so
 finding the gadgets is linear in the circuit. A gadget
 contracts when it measures only A, holds no other resource, conditions only
 on outcomes it has measured, ends within ``upto``, touches some data labels
@@ -156,7 +161,7 @@ merges inside one build may move a state. The merged build of GHZ(7), the
 d_A = 128 records held 128 matrices of 128 x 128.
 
 Without merging, a contracted gadget's step runs its per-instruction steps
-(``_Candidate.makes``), built when an unmerged run first needs them, so
+(``_Read.makes``), built when an unmerged run first needs them, so
 every record is a branch of its own and ``MAX_BRANCHES`` and
 ``unmerged_branch_bound`` hold as before. Those runs
 build the per-instruction registers, up to the explicit peak: the plan's
@@ -200,21 +205,22 @@ branches entering the run and any point i inside it. Every member applies
 one monomial map to both, whose entries have modulus 1 (up to rounding), so
 it moves their amplitude differences to other rows and keeps the largest
 one: the two are as far apart at the end as at i. Every member also gives
-both the same outcome values. A condition that the key at the end reads
-lies after i, so its entry at the end is its entry at i plus the terms
-measured between i and the end, which both branches share: equal keys at i
-are equal keys at the end. So two branches that a merge at i would join
-are joined at the end, whether the merge at i follows a gadget or a
-ClassicalSend that changes the key, and the merge at the end is the last
-member's, after maps both take. Runs are fused only while every branch is
-dense (before the plan's first sparse resource): on a support each member
-runs its own row plan, and supports are left out. Without merging, a fused
-step runs its members' own steps in order, so every record stays a branch
-of its own. The composed plan is kept in the row cache (``steps._ROWS``)
-under the members' plan objects and the layout, so that compiling the
-circuit again, or another circuit with the same steps, composes nothing;
-the entry holds those plans, so their ids stay their own. ``Plan.fused``
-holds the instruction range of each fused step.
+both the same outcome values. A condition that the key at the end reads lies
+after i, so its entry at the end is its entry at i plus the terms measured
+between i and the end, which both branches share: equal keys at i are equal
+keys at the end. So two branches that a merge at i would join are joined at
+the end, whether the merge at i follows a gadget or a ClassicalSend that
+changes the key, and the merge at the end is the last member's, after maps
+both take. Runs are fused only while every branch is dense (before the
+plan's first sparse resource): on a support each member runs its own row
+plan, and supports are left out. Without merging, a fused step runs its
+members' own steps in order, so every record stays a branch of its own; they
+are built when an unmerged run first needs them, and so are the
+per-instruction steps of a gadget among them. The composed plan is kept in
+the row cache (``steps._ROWS``) under the members' plan objects and the
+layout, so that compiling the circuit again, or another circuit with the
+same steps, composes nothing; the entry holds those plans, so their ids stay
+their own. ``Plan.fused`` holds the instruction range of each fused step.
 
 Row-sparse branches. A GHZ state over n parties of dimension d multiplies
 the register by d^n but has only d nonzero amplitudes, so a branch that
@@ -312,21 +318,30 @@ def circuit_dims(circuit: DistCircuit) -> dict[str, int]:
 
     A circuit is frozen, so its dims never change; callers only read the
     dict. A circuit whose dims conflict holds nothing and raises on every call.
-    The same walk counts the resources (``resource_counts``).
+    The same walk counts the resources (``resource_counts``) and collects the
+    resources and measurements, over which the whole circuit's bounds are
+    folded once its dims are known (``_bounds``).
     """
     held = vars(circuit)
     if "_dims" in held:
         return held["_dims"]
     dims: dict[str, int] = {}
     resources: dict[tuple[int, int], int] = {}
+    moves = []  # the resources and measurements, in order
     for ins in circuit.instructions:
-        if ins.kind in ("LocalGate", "CondGate") and ins.gate is not None:
+        kind = ins.kind
+        if kind == "LocalGate" or kind == "CondGate":
+            if ins.gate is None:
+                continue
             pairs = zip(ins.targets, gate_arity(ins.gate))
-        elif ins.kind in RESOURCE_KINDS:
+        elif kind in RESOURCE_KINDS:
             pairs = zip(ins.targets, (ins.dim or 2,) * len(ins.targets))
             key = resource_key(ins)
             resources[key] = resources.get(key, 0) + 1
+            moves.append(ins)
         else:
+            if kind == "Measure":
+                moves.append(ins)
             continue
         for label, d in pairs:
             if dims.setdefault(label, d) != d:
@@ -335,6 +350,7 @@ def circuit_dims(circuit: DistCircuit) -> dict[str, int]:
     for label in circuit.inputs:
         dims.setdefault(label, 2)
     held["_resources"] = resources
+    held["_bounds"] = _bounds(moves, circuit.inputs, dims)
     held["_dims"] = dims
     return dims
 
@@ -354,13 +370,13 @@ def infer_dims(circuit: DistCircuit) -> dict[str, int]:
     return dict(circuit_dims(circuit))
 
 
-def _bounds(circuit: DistCircuit, upto: int | None, dims: dict[str, int]) -> tuple[int, int]:
-    """``(peak_register_dim, unmerged_branch_bound)`` of the first ``upto`` instructions, from
-    one walk."""
-    present = {label: dims[label] for label in circuit.inputs}
+def _bounds(instructions, inputs: tuple[str, ...], dims: dict[str, int]) -> tuple[int, int]:
+    """``(peak_register_dim, unmerged_branch_bound)`` after ``instructions``, from one walk; only
+    resources and measurements count."""
+    present = {label: dims[label] for label in inputs}
     size = peak = math.prod(present.values())
     branches = 1
-    for ins in circuit.instructions[:upto]:
+    for ins in instructions:
         kind = ins.kind
         if kind == "Measure":
             if ins.targets:
@@ -376,6 +392,16 @@ def _bounds(circuit: DistCircuit, upto: int | None, dims: dict[str, int]) -> tup
     return peak, branches
 
 
+def _bounds_of(circuit: DistCircuit, upto: int | None, dims: dict[str, int] | None):
+    """``_bounds`` of the first ``upto`` instructions: the whole circuit's from ``circuit_dims``,
+    a prefix's, or with other ``dims``, from a walk of its own."""
+    if upto is None and dims is None:
+        circuit_dims(circuit)
+        return vars(circuit)["_bounds"]
+    return _bounds(circuit.instructions[:upto], circuit.inputs,
+                   circuit_dims(circuit) if dims is None else dims)
+
+
 def peak_register_dim(circuit: DistCircuit, upto: int | None = None,
                       dims: dict[str, int] | None = None) -> int:
     """Largest register dimension any branch reaches in the first ``upto`` instructions.
@@ -384,7 +410,7 @@ def peak_register_dim(circuit: DistCircuit, upto: int | None = None,
     measurements remove them, the same way in every branch. ``dims`` is
     ``infer_dims(circuit)``, taken from the circuit when not given.
     """
-    return _bounds(circuit, upto, circuit_dims(circuit) if dims is None else dims)[0]
+    return _bounds_of(circuit, upto, dims)[0]
 
 
 def unmerged_branch_bound(circuit: DistCircuit, upto: int | None = None,
@@ -394,7 +420,7 @@ def unmerged_branch_bound(circuit: DistCircuit, upto: int | None = None,
     The product of the measured subsystems' dimensions: one fork per outcome.
     ``dims`` is ``infer_dims(circuit)``, taken from the circuit when not given.
     """
-    return _bounds(circuit, upto, circuit_dims(circuit) if dims is None else dims)[1]
+    return _bounds_of(circuit, upto, dims)[1]
 
 
 class _Gadget(NamedTuple):
@@ -647,27 +673,18 @@ def _symbol_uses(instructions) -> tuple[list[tuple], dict[int, int], dict[int, s
     """
     keys: list[tuple] = [()] * (len(instructions) + 1)
     readers: dict[int, int] = {}
-    last: dict[str, int] = {}  # symbol -> its last reader after the current index
     rest: dict[int, tuple] = {}  # condition -> its entry, (its terms left, its modulus)
-    holders: dict[str, list[int]] = {}  # symbol -> the conditions in rest that hold it
+    holders: dict[str, list[int]] = {}  # symbol -> the conditions in rest that hold it, last first
     entries: dict[tuple, int] = {}  # entry -> how many conditions in rest have it
-
-    def enter(j: int, terms: tuple, mod: int) -> bool:
-        """Give condition j the entry ``(terms, mod)``; True if no condition had it."""
-        entry = rest[j] = terms, mod
-        count = entries.get(entry, 0)
-        entries[entry] = count + 1
-        return not count
-
     spec: tuple | None = ()  # None once the entries have changed
     for i in range(len(instructions) - 1, -1, -1):
         ins = instructions[i]
         if ins.kind == "Measure":
             symbol = ins.outcome or f"_m{i}"
-            reader = last.pop(symbol, None)
-            if reader is not None:
-                readers[i] = reader
+            reader = None
             for j in holders.pop(symbol, ()):
+                if reader is None and instructions[j].kind == "CondGate":
+                    reader = readers[i] = j
                 old = rest.pop(j)
                 count = entries.pop(old)
                 if count > 1:
@@ -676,20 +693,23 @@ def _symbol_uses(instructions) -> tuple[list[tuple], dict[int, int], dict[int, s
                     spec = None
                 if len(old[0]) > 1:  # else the condition has no term left
                     terms = tuple([t for t in old[0] if t != symbol])
-                    if terms and enter(j, terms, old[1]):
-                        spec = None
-        condition = ins.condition
-        if condition is not None and condition.terms:  # read before a measurement at i
+                    if terms:
+                        entry = rest[j] = terms, old[1]
+                        count = entries.get(entry, 0)
+                        entries[entry] = count + 1
+                        if not count:
+                            spec = None
+        elif (condition := ins.condition) is not None and condition.terms:
             terms = condition.terms
-            if ins.kind == "CondGate":
-                for symbol in terms:
-                    last.setdefault(symbol, i)
             if len(terms) == 1:
                 holders.setdefault(terms[0], []).append(i)
             else:
                 for symbol in set(terms):
                     holders.setdefault(symbol, []).append(i)
-            if enter(i, terms, condition.mod):
+            entry = rest[i] = terms, condition.mod
+            count = entries.get(entry, 0)
+            entries[entry] = count + 1
+            if not count:
                 spec = None
         if spec is None:
             spec = tuple(entries)
@@ -758,53 +778,26 @@ def _merge(frontier: list[_Branch], spec: tuple, atol: float = MERGE_ATOL) -> li
     return merged
 
 
-class _Candidate:
-    """A gadget that ``compile_plan`` is reading, one instruction at a time.
+class _Read(NamedTuple):
+    """A gadget as ``compile_plan``'s walk has read it (see the module docstring).
 
-    It opens at a resource over labels A and closes once all of A is measured
-    and the last CondGate reading one of those outcomes (``readers``) has
-    been read. ``add`` returns False when an instruction shows that the
-    instructions are no gadget: another resource, a measurement outside A, or
-    a condition on an outcome the gadget has not measured. Meanwhile it
-    collects the gadget's operations, in its own labels and symbols, for
-    ``_contract``, and the per-instruction steps, ``makes``, that stand if it
-    does not contract and that an unmerged run of its contracted step runs.
+    It opens at ``resource``, instruction ``start``, over labels A, and closes
+    at ``end``, once all of A is measured and the last CondGate that reads one
+    of those outcomes has been read. ``labels`` and ``dims`` are the register
+    before the resource, ``measured`` the gadget's outcome symbols, ``ops`` its
+    operations in its own labels and symbols, for ``_contract``, and ``makes``
+    the per-instruction steps that stand if it does not contract and that an
+    unmerged run of its contracted step runs.
     """
 
-    __slots__ = ("start", "end", "resource", "labels", "dims", "pending", "measured", "ops",
-                 "makes")
-
-    def __init__(self, start: int, resource: Instruction, labels: tuple[str, ...],
-                 dims: tuple[int, ...]):
-        self.start = self.end = start
-        self.resource = resource
-        self.labels, self.dims = labels, dims  # the register before the resource
-        self.pending = set(resource.targets)  # the labels of A not measured yet
-        self.measured: set[str] = set()  # outcome symbols
-        self.ops: list[tuple] = []
-        self.makes: list[tuple] = []  # (step constructor and arguments, merge key, index)
-
-    def add(self, i: int, ins: Instruction, gate, readers: dict[int, int]) -> bool:
-        """Read instruction ``i``, whose resolved gate is ``gate``; False if it is no gadget's."""
-        kind = ins.kind
-        if kind == "LocalGate":
-            self.ops.append(("G", ins.targets, gate))
-        elif kind == "CondGate":  # compile_plan has checked that it has a condition
-            for term in ins.condition.terms:
-                if term not in self.measured:
-                    return False
-            self.ops.append(("C", ins.targets, gate, ins.condition.terms, ins.condition.mod))
-        elif kind == "Measure":
-            if ins.targets[0] not in self.pending:
-                return False
-            self.pending.remove(ins.targets[0])
-            symbol = ins.outcome or f"_m{i}"
-            self.measured.add(symbol)
-            self.ops.append(("M", ins.targets[0], symbol))
-            self.end = max(self.end, readers.get(i, i))
-        elif kind != "ClassicalSend":  # another resource
-            return False
-        return True
+    start: int
+    end: int
+    resource: Instruction
+    labels: tuple[str, ...]
+    dims: tuple[int, ...]
+    measured: set
+    ops: list
+    makes: list
 
 
 @lru_cache(maxsize=1024)
@@ -812,7 +805,7 @@ def _contract(shares: tuple[str, ...], d: int, ops: tuple, live: tuple[str, ...]
     """``(gadget, data labels, outcome symbols)`` of a gadget, or None when it does not contract.
 
     ``shares`` are the resource's labels and ``d`` their dimension; ``ops``
-    are the gadget's operations from ``_Candidate`` and ``live`` its outcome
+    are the gadget's operations (``_Read``) and ``live`` its outcome
     symbols that the merge key after it reads. None when the gadget touches
     no data label or ``_gadget`` refuses to contract it.
 
@@ -885,128 +878,134 @@ def _bounded(make: tuple, bound: int | None, size: int) -> tuple[int | None, int
     return bound, size
 
 
-def _axis_map(labels: tuple[str, ...]) -> dict[str, int]:
-    """Each label's axis in a register over ``labels``, the first one as ``labels.index`` finds."""
-    return dict(zip(reversed(labels), range(len(labels) - 1, -1, -1)))
-
-
-def _target_axes(axis_of: dict[str, int], labels: tuple[str, ...], dims: tuple[int, ...],
-                 targets: tuple[str, ...], arity: tuple[int, ...]) -> tuple[int, ...]:
-    """``statevec.target_axes`` through the label map ``axis_of`` of ``labels``.
-
-    Wherever the map finds no valid answer, ``target_axes`` resolves the
-    targets again, and raises its error.
-    """
-    if len(targets) == 1:
-        axis = axis_of.get(targets[0])
-        if axis is not None and (dims[axis],) == arity:
-            return (axis,)
-    else:
-        axes = tuple([axis_of.get(t) for t in targets])
-        if (None not in axes and len(set(axes)) == len(axes)
-                and tuple([dims[a] for a in axes]) == arity):
-            return axes
-    return target_axes(labels, dims, targets, arity)
-
-
 def compile_plan(circuit: DistCircuit, upto: int | None = None) -> Plan:
     """Resolve the first ``upto`` instructions against the register layout (see the module docstring).
 
-    Checks the register cap first, then every instruction, and raises
-    ValueError for the first bad one (a CondGate that reads a symbol never
-    measured before it among them). Only then are the gadgets contracted;
-    no simulation kernel runs.
+    Checks the register cap first, then, in one forward walk that also reads
+    the gadgets, every instruction, and raises ValueError for the first bad
+    one (a CondGate that reads a symbol never measured before it among them).
+    Only then are the gadgets contracted and the steps built; no simulation
+    kernel runs.
     """
     dims = circuit_dims(circuit)
-    peak, branch_bound = _bounds(circuit, upto, dims)
+    peak, branch_bound = _bounds_of(circuit, upto, None)
     check_register_dim(peak)
     labels = tuple(circuit.inputs)
-    reg_dims = tuple(dims[label] for label in labels)
-    axis_of = _axis_map(labels)
+    reg_dims = tuple([dims[label] for label in labels])
     start = math.prod(reg_dims)
-    instructions = circuit.instructions[:upto]
     keys, readers, unmeasured = _symbol_uses(circuit.instructions)
-    # (step constructor and arguments, merge key, instruction index), or a _Candidate for a gadget
+    # (step constructor and arguments, merge key spec, instruction index), or a _Read for a
+    # gadget; no merge after a LocalGate or a resource (see Plan)
     steps: list = []
-    candidate = None  # the gadget being read
-    for i, ins in enumerate(instructions):
+    makes = None  # the steps of the gadget being read, while one is
+    for i, ins in enumerate(circuit.instructions[:upto]):
         kind = ins.kind
-        gate = None  # a gate's unitary, or a conditioned gate's powers from 1 on
         if kind == "LocalGate" or kind == "CondGate":
-            gate = u = gate_unitary(ins.gate, ins.params)
-            axes = _target_axes(axis_of, labels, reg_dims, ins.targets, u.arity)
+            u = gate_unitary(ins.gate, ins.params)
+            targets = ins.targets
+            # circuit_dims has matched each target's dims with the gate's arity, so the axes
+            # are wrong only where a label is unknown or repeated or the counts differ, and
+            # target_axes then raises its error
+            try:
+                axes = ((labels.index(targets[0]),) if len(targets) == 1
+                        else tuple([labels.index(t) for t in targets]))
+            except ValueError:
+                axes = ()
+            if len(axes) != len(u.arity) or len(axes) > 1 and len(set(axes)) < len(axes):
+                target_axes(labels, reg_dims, targets, u.arity)
             if kind == "LocalGate":
-                make = (_gate_step, reg_dims, axes, u)
+                step = (_gate_step, reg_dims, axes, u), None, i
+                joins = makes is not None
+                if joins:
+                    ops.append(("G", targets, u))
             else:  # each power once per value; the conditions are evaluated at run time
                 condition = ins.condition
                 if condition is None:
                     raise ValueError(f"instruction {i}: CondGate {ins.gate} on "
-                                     f"{list(ins.targets)} has no condition")
+                                     f"{list(targets)} has no condition")
                 if i in unmeasured:
                     raise ValueError(f"instruction {i}: condition references unmeasured "
                                      f"symbol {unmeasured[i]!r}")
-                gate = (u,)
-                if condition.mod > 2:
-                    gate += tuple([gate_power(ins.gate, ins.params, v)
-                                   for v in range(2, condition.mod)])
-                make = (_cond_step, reg_dims, axes, condition.terms, condition.mod, gate)
+                terms, mod = condition.terms, condition.mod
+                powers = (u,)
+                if mod > 2:
+                    powers += tuple([gate_power(ins.gate, ins.params, v) for v in range(2, mod)])
+                step = (_cond_step, reg_dims, axes, terms, mod, powers), keys[i + 1], i
+                joins = makes is not None and measured.issuperset(terms)
+                if joins:
+                    ops.append(("C", targets, powers, terms, mod))
+        elif kind == "Measure":
+            label = ins.targets[0]
+            try:
+                axis = labels.index(label)
+            except ValueError:
+                label_axis(labels, label)  # raises
+            symbol = ins.outcome or f"_m{i}"
+            step = (_measure_step, reg_dims, axis, symbol), keys[i + 1], i
+            labels = labels[:axis] + labels[axis + 1:]
+            reg_dims = reg_dims[:axis] + reg_dims[axis + 1:]
+            joins = makes is not None and label in pending
+            if joins:
+                pending.remove(label)
+                measured.add(symbol)
+                ops.append(("M", label, symbol))
+                end = max(end, readers.get(i, i))
         elif kind in RESOURCE_KINDS:
             added = ins.targets
-            if len(set(added)) != len(added):
+            shares = set(added)
+            if len(shares) != len(added):
                 raise ValueError("labels must be unique")
             d = ins.dim or 2
             amps = _resource_amps(d, len(added))
-            if collision := set(labels) & set(added):
-                raise ValueError(f"label collision: {collision}")
-            make = (_resource_step, amps, d, len(added), math.prod(reg_dims))
-            before = labels, reg_dims
-            axis_of.update(zip(added, range(len(labels), len(labels) + len(added))))
+            if not shares.isdisjoint(labels):
+                raise ValueError(f"label collision: {set(labels) & shares}")
+            if makes is not None:  # no gadget: the steps of its instructions
+                steps += makes
+            # a gadget opens
+            begin, end, resource, before = i, i, ins, (labels, reg_dims)
+            pending, measured, ops = set(added), set(), []
+            makes = [((_resource_step, amps, d, len(added), math.prod(reg_dims)), None, i)]
             labels, reg_dims = labels + added, reg_dims + (d,) * len(added)
-        elif kind == "Measure":
-            axis = axis_of.get(ins.targets[0])
-            if axis is None:
-                axis = label_axis(labels, ins.targets[0])  # raises
-            make = (_measure_step, reg_dims, axis, ins.outcome or f"_m{i}")
-            labels = labels[:axis] + labels[axis + 1:]
-            reg_dims = reg_dims[:axis] + reg_dims[axis + 1:]
-            axis_of = _axis_map(labels)
+            continue
         elif kind == "ClassicalSend":
-            make = None if keys[i + 1] == keys[i] else ()
+            live = keys[i + 1]
+            step = None if live == keys[i] else ((), live, i)
+            joins = makes is not None
         else:  # pragma: no cover - Instruction rejects unknown kinds
             raise ValueError(f"unknown instruction kind {kind!r}")
-        # no merge after a LocalGate or a resource: see Plan
-        live = None if kind == "LocalGate" or kind in RESOURCE_KINDS else keys[i + 1]
-        if candidate is not None:
-            if candidate.add(i, ins, gate, readers):
-                if make is not None:  # a free ClassicalSend has no step
-                    candidate.makes.append((make, live, i))
-                if not candidate.pending and i >= candidate.end:
-                    steps.append(candidate)
-                    candidate = None
-                continue
-            steps += candidate.makes  # no gadget: the steps of its instructions
-            candidate = None
-        if kind in RESOURCE_KINDS:
-            candidate = _Candidate(i, ins, *before)
-            candidate.makes.append((make, live, i))
-        elif make is not None:
-            steps.append((make, live, i))
-    if candidate is not None:  # cut by upto
-        steps += candidate.makes
+        if joins:
+            if step is not None:
+                makes.append(step)
+            if not pending and i >= end:
+                steps.append(_Read(begin, end, resource, *before, measured, ops, makes))
+                makes = None
+            continue
+        if makes is not None:  # no gadget: the steps of its instructions
+            steps += makes
+            makes = None
+        if step is not None:
+            steps.append(step)
+    if makes is not None:  # cut by upto
+        steps += makes
 
-    # every check has run: contract the gadgets, build the steps, fold the largest register and
-    # the row bound in, and note each step's instruction range and, while every branch is
-    # dense, its kernel if it fuses
+    # every check has run: contract the gadgets, fold the largest register and the row bound
+    # in, and note each step's instruction range and, while every branch is dense, its kernel
+    # if it fuses
     plan_steps, gadgets, spans, kernels = [], [], [], []
     bound, size, built, most = None, start, start, start  # see _bounded
     for entry in steps:
-        if type(entry) is _Candidate:
-            if found := _gadget_of(entry, keys):  # its register is the one before it
+        if type(entry) is _Read:
+            live = keys[entry.end + 1]
+            # its outcome symbols that the key reads: grouping on them is finer, and sound
+            read = live and tuple(sorted(entry.measured.intersection(
+                [t for terms, _ in live for t in terms])))
+            res = entry.resource
+            found = _contract(res.targets, res.dim or 2, tuple(entry.ops), read)
+            if found:  # its register is the one before it
                 gadget, data, symbols = found
                 axes = tuple([entry.labels.index(label) for label in data])
-                explicit = tuple([make for make, _, _ in entry.makes if make])
-                plan_steps.append((_gadget_step(gadget, entry.dims, axes, symbols, explicit),
-                                   keys[entry.end + 1]))
+                plan_steps.append(((_gadget_step, gadget, entry.dims, axes, symbols, entry.makes),
+                                   live))
                 gadgets.append((entry.start, entry.end))
                 spans.append((entry.start, entry.end))
                 fuses = bound is None and len(gadget.groups) == 1 and not gadget.dense
@@ -1019,7 +1018,7 @@ def compile_plan(circuit: DistCircuit, upto: int | None = None) -> Plan:
         else:
             entry = (entry,)
         for make, live, i in entry:
-            plan_steps.append((make[0](*make[1:]) if make else None, live))
+            plan_steps.append((make or None, live))
             spans.append((i, i))
             kernels.append(None if bound is not None or not make or make[0] is not _gate_step
                            or _spreads(make[3]) else _gate_kernel(*make[1:]))
@@ -1032,64 +1031,64 @@ def compile_plan(circuit: DistCircuit, upto: int | None = None) -> Plan:
                 tuple(gadgets), fused, labels, reg_dims)
 
 
-def _gadget_of(entry: _Candidate, keys: list[tuple]):
-    """``_contract`` of the gadget ``entry`` has read, with ``keys`` from ``_symbol_uses``."""
-    read = set()  # the symbols the key reads; grouping on their values is finer, and sound
-    for terms, _ in keys[entry.end + 1]:
-        read.update(terms)
-    res = entry.resource
-    return _contract(res.targets, res.dim or 2, tuple(entry.ops),
-                     tuple(sorted(entry.measured & read)))
-
-
 def _gate_kernel(dims: tuple[int, ...], axes: tuple[int, ...], gate) -> tuple:
-    """``(dims, kernel plan, matrix, None)`` of a LocalGate's step that may fuse (see ``_fuse``)."""
-    return dims, _gate_plan(gate, dims, axes), gate.entries, None
+    """``(dims, (kernel plan, matrix), None)`` of a LocalGate's step that may fuse (see
+    ``_fuse``)."""
+    return dims, (_gate_plan(gate, dims, axes), gate.entries), None
 
 
 def _group_kernel(gadget: _Gadget, dims: tuple[int, ...], axes: tuple[int, ...],
                   symbols: tuple[str, ...]) -> tuple:
-    """``(dims, kernel plan, matrix, (outcome records, weight, p))`` of the step of a contracted
-    gadget of one group, which may fuse (see ``_fuse``)."""
+    """``(dims, (kernel plan, matrix), (outcome records, weight, p))`` of the step of a
+    contracted gadget of one group, which may fuse (see ``_fuse``)."""
     outcomes, u, count, p = gadget.groups[0]
-    return dims, _group_plan(gadget, dims, axes, 0), u, (tuple(zip(symbols, outcomes)), count, p)
+    return (dims, (_group_plan(gadget, dims, axes, 0), u),
+            (tuple(zip(symbols, outcomes)), count, p))
 
 
 def _fuse(steps: list, spans: list, kernels: list) -> tuple[list, tuple[tuple[int, int], ...]]:
-    """``(steps, fused)``: each maximal run of two or more plan steps with a kernel (``kernels``,
-    None for a step that does not fuse), with at most steps that run nothing (a ClassicalSend's)
-    between them, made one ``steps._fused_step``, and the instruction range of each fused step
-    (from ``spans``, each step's). It carries the merge key spec of its last member that has one
-    (see the module docstring)."""
+    """``(steps, fused)``: the plan's ``(step, merge key spec)`` pairs of ``steps``' ``(step
+    constructor and arguments, spec)`` pairs, and the instruction range of each fused step.
+
+    Each maximal run of two or more steps with a kernel (``kernels``, None for a
+    step that does not fuse), with at most steps that run nothing (a
+    ClassicalSend's, None) between them, becomes one ``steps._fused_step``,
+    which carries the merge key spec of its last member that has one (see the
+    module docstring) and gets its range from ``spans``, each step's. Its
+    members' own steps are built only when an unmerged run needs them; every
+    other step is built here.
+    """
     out, fused = [], []
     i = 0
     while i < len(steps):
-        members = [] if kernels[i] is None else [i]
-        j = i + 1
-        while members and j < len(steps) and (kernels[j] is not None or steps[j][0] is None):
-            if kernels[j] is not None:
-                members.append(j)
-            j += 1
-        if len(members) < 2:
-            out.append(steps[i])
+        make, live = steps[i]
+        last = i  # the run's last member
+        if kernels[i] is not None:
+            j, spec = i + 1, live
+            while j < len(steps) and (kernels[j] is not None or steps[j][0] is None):
+                if steps[j][1] is not None:
+                    spec = steps[j][1]
+                if kernels[j] is not None:
+                    last, live = j, spec
+                j += 1
+        if last == i:
+            out.append((make and make[0](*make[1:]), live))
             i += 1
             continue
-        first, last = members[0], members[-1]
+        members = [m for m in range(i, last + 1) if kernels[m] is not None]
         outcomes, values, weight, probs = (), {}, 1, []
         for m in members:
-            if kernels[m][3] is not None:  # a gadget's
-                pairs, count, p = kernels[m][3]
+            if kernels[m][2] is not None:  # a gadget's
+                pairs, count, p = kernels[m][2]
                 outcomes += pairs
                 values.update(pairs)
                 weight *= count
                 if p != 1.0:  # x * 1.0 is x
                     probs.append(p)
-        live = next((spec for _, spec in reversed(steps[first:last + 1]) if spec is not None),
-                    None)
-        out.append((_fused_step(kernels[first][0], tuple([steps[m][0] for m in members]),
-                                tuple([kernels[m][1:3] for m in members]),
+        out.append((_fused_step(kernels[i][0], tuple([steps[m][0] for m in members]),
+                                tuple([kernels[m][1] for m in members]),
                                 (outcomes, values, weight, tuple(probs))), live))
-        fused.append((spans[first][0], spans[last][1]))
+        fused.append((spans[i][0], spans[last][1]))
         i = last + 1
     return out, tuple(fused)
 

@@ -58,17 +58,28 @@ _ONES.flags.writeable = False
 
 
 def max_register_dim() -> int:
-    """Register size cap (total dimension); override with DISTGATES_MAX_DIM."""
+    """Register size cap (total dimension); override with DISTGATES_MAX_DIM, a positive integer.
+
+    Raises ValueError, naming the variable, for any other value.
+    """
     raw = os.environ.get("DISTGATES_MAX_DIM", "")
-    return int(raw) if raw else DEFAULT_MAX_DIM
+    if not raw:
+        return DEFAULT_MAX_DIM
+    try:
+        cap = int(raw)
+    except ValueError:
+        cap = 0
+    if cap < 1:
+        raise ValueError(f"DISTGATES_MAX_DIM must be a positive integer, got {raw!r}")
+    return cap
 
 
 def check_register_dim(total: int):
     """Raise ValueError when a register of ``total`` dimensions exceeds the cap."""
-    if total > max_register_dim():
+    cap = max_register_dim()
+    if total > cap:
         raise ValueError(
-            f"register dimension {total} exceeds cap {max_register_dim()} "
-            "(set DISTGATES_MAX_DIM to raise it)")
+            f"register dimension {total} exceeds cap {cap} (set DISTGATES_MAX_DIM to raise it)")
 
 
 @dataclass(frozen=True, eq=False)

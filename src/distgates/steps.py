@@ -346,7 +346,7 @@ def _group_plan(gadget: _Gadget, dims: tuple[int, ...], axes: tuple[int, ...],
 
 
 def _gadget_step(gadget: _Gadget, dims: tuple[int, ...], axes: tuple[int, ...],
-                 symbols: tuple[str, ...], explicit: tuple):
+                 symbols: tuple[str, ...], explicit: list):
     """A contracted gadget.
 
     With merging, every branch forks into the gadget's groups, each of its
@@ -355,8 +355,9 @@ def _gadget_step(gadget: _Gadget, dims: tuple[int, ...], axes: tuple[int, ...],
     than one group owns its amplitudes for none of its applies, since they
     all read them. Without merging, the gadget's per-instruction steps run
     instead, so that every outcome record is a branch of its own:
-    ``explicit`` holds their constructors and arguments, and they are built
-    when an unmerged run first needs them.
+    ``explicit`` holds each instruction's step constructor and arguments (none
+    for a step that runs nothing), merge key spec and index, and the steps are
+    built when an unmerged run first needs them.
     """
     fork: list = []  # per group: (u, plan, outcomes, values, count, p), made at the first use
     steps: list = []  # the per-instruction steps, built at the first unmerged run
@@ -365,7 +366,7 @@ def _gadget_step(gadget: _Gadget, dims: tuple[int, ...], axes: tuple[int, ...],
     def run(frontier: list[_Branch], owned: bool, merge: bool) -> list[_Branch]:
         if not merge:
             if not steps:
-                steps.extend(make[0](*make[1:]) for make in explicit)
+                steps.extend(make[0](*make[1:]) for make, _, _ in explicit if make)
             for step in steps:
                 frontier = step(frontier, owned, False)
             return frontier
@@ -439,15 +440,19 @@ def _fused_step(dims: tuple[int, ...], members: tuple, kernels: tuple, fold: tup
     members' contracted gadgets add, the product of their weights, and their
     probabilities other than 1, which multiply each branch's in member order
     (so that it is the bits the members compute). Without merging the member
-    steps, ``members``, run in order instead, so that every record stays a
-    branch of its own (see ``simulate``).
+    steps run in order instead, so that every record stays a branch of its own
+    (see ``simulate``): ``members`` holds their constructors and arguments, and
+    they are built when an unmerged run first needs them.
     """
     plan, matrix = _composed(dims, kernels)
     outcomes, values, weight, probs = fold
+    steps: list = []  # the member steps, built at the first unmerged run
 
     def run(frontier: list[_Branch], owned: bool, merge: bool) -> list[_Branch]:
         if not merge:
-            for step in members:
+            if not steps:
+                steps.extend(make[0](*make[1:]) for make in members)
+            for step in steps:
                 frontier = step(frontier, owned, False)
             return frontier
         apply = backend.apply_matrix

@@ -315,6 +315,21 @@ def gadget_reference(key):
     return [tuple(group) for group in groups]
 
 
+def qudit_gcz_local_pair() -> list[tuple[str, tuple[int, ...]]]:
+    """Gate sequence equal to the encoded 4-qubit GCZ on two dimension-4 qudits.
+
+    Returned as (gate name, qudit slots) in execution order: X23 conjugation
+    around a double CZ_4 produces the cross-pair parity phase, then P3 adds
+    the intra-pair phases.
+    """
+    return [
+        ("X23", (0,)), ("X23", (1,)),
+        ("CZ4", (0, 1)), ("CZ4", (0, 1)),
+        ("X23", (0,)), ("X23", (1,)),
+        ("P3", (0,)), ("P3", (1,)),
+    ]
+
+
 def random_unitary(dim: int, rng) -> np.ndarray:
     m = rng.standard_normal((dim, dim)) + 1j * rng.standard_normal((dim, dim))
     q, r = np.linalg.qr(m)
@@ -442,8 +457,10 @@ def old_order(circuit):
 
 
 def no_fusion(monkeypatch):
-    """Compile plans without fused runs for the rest of the test: ``simulate._fuse`` leaves the
-    steps as they are, so every step runs on its own, as the fused plans must match."""
+    """Compile plans without fused runs for the rest of the test: ``simulate._fuse`` finds no
+    step with a kernel and builds every step on its own, as the fused plans must match."""
     from distgates import simulate
 
-    monkeypatch.setattr(simulate, "_fuse", lambda steps, spans, kernels: (steps, ()))
+    fuse = simulate._fuse
+    monkeypatch.setattr(simulate, "_fuse",
+                        lambda steps, spans, kernels: fuse(steps, spans, [None] * len(steps)))

@@ -2,6 +2,7 @@
 
 import importlib
 import math
+import re
 
 import numpy as np
 import pytest
@@ -12,6 +13,7 @@ from distgates import (DistCircuit, GateRef, MixedRegister, NodeLayout, Unitary,
                        build_dcontrol_u, catalog, enumerate_branches, peak_register_dim, simulate,
                        steps)
 from distgates.simulate import MAX_BRANCHES, MERGE_ATOL, _merge, unmerged_branch_bound
+from distgates.statevec import max_register_dim
 from distgates.steps import _Branch
 from distgates.verify import (OracleSpec, PhaseOracle, ProductOracle, basis_inputs,
                               oracle_gcz, random_inputs, verify)
@@ -125,6 +127,18 @@ def test_over_cap_circuit_is_rejected_before_any_simulation(monkeypatch):
     monkeypatch.setenv("DISTGATES_MAX_DIM", str(peak))
     assert peak_register_dim(circuit, upto=0) < peak
     enumerate_branches(circuit, state, upto=0)
+
+
+@pytest.mark.parametrize("raw", ["abc", "1e4", "-5", "0", "2.5"])
+def test_a_bad_register_cap_names_the_variable(raw, monkeypatch):
+    circuit = catalog.tagged("corpus")["gcz6_3n_fanout"].build()
+    inputs = random_inputs(circuit, 1)
+    monkeypatch.setenv("DISTGATES_MAX_DIM", raw)
+    message = f"DISTGATES_MAX_DIM must be a positive integer, got {re.escape(repr(raw))}"
+    with pytest.raises(ValueError, match=message):
+        max_register_dim()
+    with pytest.raises(ValueError, match=message):
+        verify(circuit, OracleSpec("gcz"), inputs)
 
 
 def test_register_cap_does_not_set_the_chunk_width(monkeypatch):

@@ -112,6 +112,17 @@ def test_verify_with_nothing_to_check_is_a_usage_error(tmp_path, capsys):
         assert err.startswith("error: ") and inputs in err
 
 
+@pytest.mark.parametrize("raw", ["abc", "1e4", "-5"])
+def test_a_bad_register_cap_exits_2_naming_the_variable(tmp_path, capsys, monkeypatch, raw):
+    path = tmp_path / "c.json"
+    run(capsys, "compile", "--gate", "gcz", "--n", "2", "--nodes", "2",
+        "--strategy", "pairwise", "--out", str(path))
+    monkeypatch.setenv("DISTGATES_MAX_DIM", raw)
+    code, out, err = run(capsys, "verify", "--circuit", str(path), "--oracle", "gcz")
+    assert code == 2 and out == ""
+    assert err == f"error: DISTGATES_MAX_DIM must be a positive integer, got {raw!r}\n"
+
+
 @pytest.mark.parametrize("command", [("simulate", "--circuit"),
                                      ("verify", "--oracle", "gcz", "--circuit"),
                                      ("verify", "--oracle", "gcz", "--inputs")])

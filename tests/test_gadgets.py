@@ -8,7 +8,7 @@ from functools import lru_cache
 import numpy as np
 import pytest
 from conftest import cap_builds, enumerate_reference, gadget_reference
-from test_simulate_plan import BAD, LAYOUT, PREFIX, _assert_same_branches
+from test_simulate_plan import CASES, LAYOUT, PREFIX, _assert_same_branches, bad_circuit
 from test_sparse_rows import CLI_WIDE, _everything
 
 from distgates import (Condition, DistCircuit, Instruction, MixedRegister, NodeLayout, catalog,
@@ -194,10 +194,9 @@ def test_the_pairwise_gcz_gadgets_share_one_build(monkeypatch):
     assert contract.cache_info().misses == 60 and build.cache_info().misses == 1
 
 
-@pytest.mark.parametrize("case", sorted(BAD))
+@pytest.mark.parametrize("case", CASES)
 def test_a_bad_instruction_after_a_gadget_raises_before_any_build(case, monkeypatch):
-    bad, message = BAD[case]
-    circuit = DistCircuit(LAYOUT, PREFIX + (bad,), ("a", "b"), ("a", "b"))
+    circuit, message = bad_circuit(case)
 
     def forbidden(*args):
         raise AssertionError("a gadget was built before the instruction checks")

@@ -5,13 +5,12 @@ import math
 
 import numpy as np
 import pytest
-from conftest import digits_of, gcz_phase, kron_embed
+from conftest import digits_of, gcz_phase, kron_embed, qudit_gcz_local_pair
 
 from distgates import (MixedRegister, NodeLayout, QuditEncoding, apply_unitary,
                        build_dcsum4, build_dcsum4_multitarget, build_dcz4_pow,
                        build_qudit_gcz, catalog, decode, encode, enumerate_branches,
-                       fidelity_up_to_phase, qudit_gcz_local_pair, random_register,
-                       tally, validate)
+                       fidelity_up_to_phase, random_register, tally, validate)
 from distgates.gates import cz4_sq_matrix, gate_unitary, level_swap_matrix
 from distgates.statevec import Unitary
 from distgates.verify import (OracleSpec, basis_inputs, oracle_gcz, random_inputs,

@@ -147,6 +147,33 @@ BAD = {
 }
 
 
+# the same checks while the walk is reading PREFIX's gadget: the bad instruction right after
+# its Measure e1, before the CondGate that closes it
+INSIDE = {
+    "gate on the measured share": (Instruction("LocalGate", ("e1",), gate="H"),
+                                   "unknown subsystem label 'e1'"),
+    "duplicate target": (Instruction("LocalGate", ("e2", "e2"), gate="CZ"),
+                         "duplicate target in \\('e2', 'e2'\\)"),
+    "condition on an unmeasured symbol": (
+        Instruction("CondGate", ("e2",), gate="X", condition=Condition(("zz",))),
+        "instruction 3: condition references unmeasured symbol 'zz'"),
+    "conditioned gate without a condition": (
+        Instruction("CondGate", ("e2",), gate="X"),
+        "instruction 3: CondGate X on \\['e2'\\] has no condition"),
+}
+CASES = sorted(BAD) + [f"inside: {case}" for case in sorted(INSIDE)]
+
+
+def bad_circuit(case: str):
+    """``(circuit, message)`` of a key of ``CASES``: the valid prefix with the bad instruction
+    after its gadget (``BAD``) or inside it (``INSIDE``)."""
+    if case in BAD:
+        bad, message = BAD[case]
+        return DistCircuit(LAYOUT, PREFIX + (bad,), ("a", "b"), ("a", "b")), message
+    bad, message = INSIDE[case.removeprefix("inside: ")]
+    return DistCircuit(LAYOUT, PREFIX[:3] + (bad,) + PREFIX[3:], ("a", "b"), ("a", "b")), message
+
+
 def _forbid_kernels(monkeypatch):
     def forbidden(*args, **kwargs):
         raise AssertionError("a kernel ran before the instruction checks")
@@ -163,10 +190,9 @@ def test_the_valid_prefix_runs():
     assert report.passed and report.branches == 16
 
 
-@pytest.mark.parametrize("case", sorted(BAD))
+@pytest.mark.parametrize("case", CASES)
 def test_instruction_checks_raise_before_any_kernel(case, monkeypatch):
-    bad, message = BAD[case]
-    circuit = DistCircuit(LAYOUT, PREFIX + (bad,), ("a", "b"), ("a", "b"))
+    circuit, message = bad_circuit(case)
     state = random_register(("a", "b"), (2, 2), seed=3)  # random_inputs would check the dims
     _forbid_kernels(monkeypatch)
     with pytest.raises(ValueError, match=message):
