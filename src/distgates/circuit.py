@@ -31,17 +31,36 @@ every key and indent itself: an instruction's fields straight from the
 instruction, in sorted-key order, each string through the ``json`` module's
 C escaper and each integer through ``int.__repr__``.
 
-Reading checks each field once. ``deserialize`` checks what only JSON can get
-wrong: a string or object where a list belongs, an unknown gate name, the shape
-of a condition. ``Instruction`` and ``Condition`` check the fields they hold,
-and a refusal raised while reading instruction i starts with "instruction i:".
-``parse_angle`` refuses an angle that is not finite, and ``Instruction`` a
-parameter that is not finite from any other source, such as a builder's angle
-that overflowed. The data model refuses, each when its object is built, what
-the format has no form for: a bool or a numpy integer as "bits" or "layer", a
-gate, label, node or condition term that is not a string, a modulus that is not
-an integer. A layout's placement is read-only. So the writer meets only strings
-and integers where the format has them; anything else is a TypeError.
+Every rule on a circuit has one home, the first place that can decide it:
+
+- ``Instruction`` refuses, when it is built, what the instruction alone
+  decides: its fields' types, a condition on a kind that takes none, a
+  LocalGate or CondGate without a known gate or with other than the gate's
+  number of targets or a repeated one, a CondGate without a condition, a
+  Measure of other than one target, a resource of the wrong party count or
+  dim for its kind, of other than one share per party or of a repeated share,
+  and a ClassicalSend without a symbol or with fewer than two parties. The
+  refusal is a ValueError whose text is "rule: detail", such as "measure
+  arity: one target needed, got ()".
+- The compile walk (``simulate.circuit_dims`` and ``simulate.compile_plan``)
+  refuses what needs the circuit: a label used with two dimensions, a
+  condition term no earlier Measure names as its outcome, a label that is
+  not in the register where it is used or that a resource creates again,
+  and a register over the cap.
+- ``validate`` checks the layout, which the simulator ignores: placements and
+  parties on undeclared nodes, unplaced targets, local gates that span nodes
+  and resource shares never measured nor output.
+
+``deserialize`` checks only what JSON can get wrong: a string or object where
+a list belongs, the shape of a condition, a missing key. A refusal raised while
+reading instruction i starts with "instruction i:". ``parse_angle`` refuses an
+angle that is not finite, and ``Instruction`` a parameter that is not finite
+from any other source, such as a builder's angle that overflowed. The data
+model refuses, each when its object is built, what the format has no form for:
+a bool or a numpy integer as "bits" or "layer", a gate, label, node or
+condition term that is not a string, a modulus that is not an integer. A
+layout's placement is read-only. So the writer meets only strings and integers
+where the format has them; anything else is a TypeError.
 """
 
 from __future__ import annotations
@@ -67,6 +86,7 @@ RESOURCE_KINDS = {
 }
 _RESOURCE_KIND = {shape: kind for kind, shape in RESOURCE_KINDS.items()}
 _KIND_SET = frozenset(KINDS)
+_GATE_TARGETS = {name: len(gate_arity(name)) for name in WIRE_GATES}
 
 
 def resource_shape(parties: int, dim: int) -> tuple[bool, bool]:
@@ -80,7 +100,8 @@ def resource_key(ins: Instruction) -> tuple[int, int]:
 
 
 class CircuitParseError(ValueError):
-    """Raised when circuit JSON cannot be parsed or references undefined names."""
+    """Raised by ``deserialize`` for a document that is not JSON, has the wrong shape, or
+    holds an instruction that ``Instruction`` refuses; the compile walk refuses the rest."""
 
 
 def _strings(items) -> bool:
@@ -140,14 +161,6 @@ class Condition:
         if not _is_dimension(self.mod):
             raise ValueError(f"condition 'mod' must be an integer >= 2, got {self.mod!r}")
 
-    def evaluate(self, values: Mapping[str, int]) -> int:
-        total = 0
-        for sym in self.terms:
-            if sym not in values:
-                raise ValueError(f"condition references unmeasured symbol {sym!r}")
-            total += values[sym]
-        return total % self.mod
-
 
 def _is_dimension(value) -> bool:
     return isinstance(value, int) and not isinstance(value, bool) and value >= 2
@@ -159,11 +172,13 @@ class Instruction:
 
     Every builder, reader and layer handles instructions one at a time, so an
     instruction must be cheap to build and to read. Its own ``__init__`` checks
-    each field once and stores it once. The generated ``__init__`` plus a
-    ``__post_init__`` took 2.7 us to build a LocalGate by keyword, and stored
-    each normalized field twice; this one takes 1.9 us (CPython 3.11.7, 2-core
-    x86 Xeon). ``slots=True`` keeps an instance at 120 bytes with no dict of its
-    own, against 344 for an instance and its shared-key dict.
+    each field once, refuses what the instruction alone decides (the rules of
+    its kind, listed in the module docstring), and stores each field once. The
+    generated ``__init__`` plus a ``__post_init__`` took 2.7 us to build a
+    LocalGate by keyword, and stored each normalized field twice; this one takes
+    2.1 us, 0.2 us of it for the rules (CPython 3.11.7, 2-core x86 Xeon).
+    ``slots=True`` keeps an instance at 120 bytes with no dict of its own,
+    against 344 for an instance and its shared-key dict.
 
     Never store the fields with ``self.__dict__.update``. That builds in 0.7 us,
     but every instance then holds a 464-byte dict of its own, and every field
@@ -198,8 +213,12 @@ class Instruction:
             raise ValueError(f"unknown kind {kind!r}")
         if dim is not None and not _is_dimension(dim):
             raise ValueError(f"'dim' must be an integer >= 2, got {dim!r}")
-        if gate is not None and not isinstance(gate, str):
-            raise ValueError(f"'gate' must be a string, got {gate!r}")
+        if gate is not None:
+            if not isinstance(gate, str):
+                raise ValueError(f"'gate' must be a string, got {gate!r}")
+            n = _GATE_TARGETS.get(gate)  # the gate's number of targets
+            if n is None:
+                raise ValueError(f"unknown gate name: {gate!r}")
         if outcome is not None and not isinstance(outcome, str):
             raise ValueError(f"'outcome' must be a string, got {outcome!r}")
         if symbol is not None and not isinstance(symbol, str):
@@ -210,11 +229,36 @@ class Instruction:
             raise ValueError(f"'layer' must be an integer, got {layer!r}")
         if condition is not None and kind != "CondGate" and kind != "ClassicalSend":
             raise ValueError(f"a {kind} takes no condition; only CondGate and ClassicalSend do")
-        if kind in RESOURCE_KINDS:
-            qudit = RESOURCE_KINDS[kind][1]
+        # the rules one instruction decides (see the module docstring)
+        if kind == "LocalGate" or kind == "CondGate":
+            if gate is None:
+                raise ValueError(f"missing gate name: {kind}")
+            if len(targets) != n:
+                raise ValueError(f"gate arity: {gate} acts on {n} subsystems, got {targets}")
+            if n > 1 and len(set(targets)) < n:
+                raise ValueError(f"duplicate target: {targets}")
+            if condition is None and kind == "CondGate":
+                raise ValueError("missing condition: CondGate without condition")
+        elif kind == "Measure":
+            if len(targets) != 1:
+                raise ValueError(f"measure arity: one target needed, got {targets}")
+        elif kind == "ClassicalSend":
+            if symbol is None:
+                raise ValueError("missing symbol: ClassicalSend without symbol")
+            if len(parties) < 2:
+                raise ValueError("message parties: need source and >= 1 destination")
+        else:  # a resource
+            ghz, qudit = RESOURCE_KINDS[kind]
             if (dim is not None) != qudit or dim == 2:
                 raise ValueError(f"{kind} takes {'a dim > 2' if qudit else 'no dim'}, "
                                  f"got {dim!r}")
+            if len(parties) < 2 or (len(parties) > 2) != ghz:
+                raise ValueError(f"resource arity: {kind} needs " + (
+                    ">= 3 parties (2 parties is a pair)" if ghz else "exactly 2 parties"))
+            if len(targets) != len(parties):
+                raise ValueError("resource shape: one created subsystem per party")
+            if len(set(targets)) < len(targets):
+                raise ValueError(f"duplicate target: {targets}")
         put = object.__setattr__
         put(self, "kind", kind)
         put(self, "targets", targets)
@@ -456,9 +500,6 @@ def _instruction_from_json(obj, index: int) -> Instruction:
         kind = obj["kind"]
     except (KeyError, TypeError):
         raise CircuitParseError(f"instruction {index}: missing 'kind'") from None
-    gate = obj.get("gate")
-    if gate is not None and gate not in WIRE_GATES:
-        raise CircuitParseError(f"instruction {index}: unknown gate name {gate!r}")
     # a tuple is the default; Instruction checks the items
     targets, parties = obj.get("targets", ()), obj.get("parties", ())
     params = obj.get("params", ())
@@ -470,7 +511,8 @@ def _instruction_from_json(obj, index: int) -> Instruction:
     cond = obj.get("condition")
     condition = None if cond is None else _condition_from_json(cond, index)
     try:
-        return Instruction(kind, targets, gate, tuple(map(parse_angle, params)) if params else (),
+        return Instruction(kind, targets, obj.get("gate"),
+                           tuple(map(parse_angle, params)) if params else (),
                            condition, parties, obj.get("dim"), obj.get("outcome"),
                            obj.get("symbol"), obj.get("bits"), obj.get("layer"))
     except ValueError as e:  # a rejected field or a bad angle
@@ -552,24 +594,10 @@ def deserialize(text: str) -> DistCircuit:
             placement=_object_from_json(layout_doc.get("placement", {}),
                                         "layout 'placement'", str),
         )
-        instructions = []
-        # a condition may only reference outcomes measured earlier; a malformed field
-        # anywhere in the document is reported before such a reference
-        defined: set[str] = set()
-        undefined = None
-        for i, obj in enumerate(doc["instructions"]):
-            ins = _instruction_from_json(obj, i)
-            if ins.condition is not None and undefined is None:
-                missing = [s for s in ins.condition.terms if s not in defined]
-                if missing:
-                    undefined = CircuitParseError(
-                        f"instruction {i}: condition references undefined outcome {missing[0]!r}")
-            if ins.kind == "Measure" and ins.outcome:
-                defined.add(ins.outcome)
-            instructions.append(ins)
         circuit = DistCircuit(
             layout=layout,
-            instructions=instructions,
+            instructions=[_instruction_from_json(obj, i)
+                          for i, obj in enumerate(doc["instructions"])],
             inputs=_labels_from_json(doc["inputs"], "'inputs'"),
             outputs=_labels_from_json(doc["outputs"], "'outputs'"),
         )
@@ -577,8 +605,6 @@ def deserialize(text: str) -> DistCircuit:
         raise
     except (KeyError, TypeError, ValueError) as e:
         raise CircuitParseError(f"malformed circuit document: {e}") from None
-    if undefined is not None:
-        raise undefined
     return circuit
 
 
@@ -597,63 +623,40 @@ class Violation(NamedTuple):
 
 
 def validate(circuit: DistCircuit) -> list[Violation]:
-    """Check every structural invariant; empty list means the circuit is well formed."""
+    """Check the layout: every node a label or party names is declared, every target is
+    placed, no local gate spans nodes, and every resource share is measured or an output.
+
+    The simulator ignores placement, so these are the only rules it does not
+    check itself; an empty list means the layout is sound. An instruction
+    refuses its own defects when it is built (``Instruction``), and the compile
+    walk those that need the circuit (``simulate.compile_plan``).
+    """
     v: list[Violation] = []
-    layout = circuit.layout
-    declared = set(layout.nodes)
-    for label, node in layout.placement.items():
+    placement = circuit.layout.placement
+    declared = set(circuit.layout.nodes)
+    for label, node in placement.items():
         if node not in declared:
             v.append(Violation(None, "placement on undeclared node", f"{label} -> {node}"))
-
-    defined: set[str] = set()
     created: dict[str, int] = {}
     measured: set[str] = set()
     for i, ins in enumerate(circuit.instructions):
         for label in ins.targets:
-            if label not in layout.placement:
+            if label not in placement:
                 v.append(Violation(i, "unplaced subsystem", label))
-        if ins.kind in ("LocalGate", "CondGate"):
-            nodes = {layout.placement.get(t) for t in ins.targets}
+        kind = ins.kind
+        if kind == "LocalGate" or kind == "CondGate":
+            nodes = {placement.get(t) for t in ins.targets}
             if len(nodes) > 1:
                 v.append(Violation(i, "cross-node local gate",
                                    f"targets {ins.targets} span nodes {sorted(map(str, nodes))}"))
-            if ins.gate is None:
-                v.append(Violation(i, "missing gate name", ins.kind))
-            elif ins.gate not in WIRE_GATES:
-                v.append(Violation(i, "unknown gate name", ins.gate))
-            elif len(ins.targets) != len(gate_arity(ins.gate)):
-                v.append(Violation(i, "gate arity", f"{ins.gate} acts on "
-                                   f"{len(gate_arity(ins.gate))} subsystems, got {ins.targets}"))
-        if ins.kind in RESOURCE_KINDS:
-            ghz = RESOURCE_KINDS[ins.kind][0]
-            if len(ins.parties) < 2 or (len(ins.parties) > 2) != ghz:
-                v.append(Violation(i, "resource arity", f"{ins.kind} needs " + (
-                    ">= 3 parties (2 parties is a pair)" if ghz else "exactly 2 parties")))
+        elif kind == "Measure":
+            measured.update(ins.targets)
+        elif kind in RESOURCE_KINDS:
             for node in ins.parties:
                 if node not in declared:
                     v.append(Violation(i, "undeclared party node", node))
-            if len(ins.targets) != len(ins.parties):
-                v.append(Violation(i, "resource shape", "one created subsystem per party"))
             for label in ins.targets:
                 created[label] = i
-        if ins.kind == "CondGate":
-            if ins.condition is None:
-                v.append(Violation(i, "missing condition", "CondGate without condition"))
-            else:
-                for sym in ins.condition.terms:
-                    if sym not in defined:
-                        v.append(Violation(i, "unknown outcome symbol", sym))
-        if ins.kind == "Measure":
-            if len(ins.targets) != 1:
-                v.append(Violation(i, "measure arity", f"one target needed, got {ins.targets}"))
-            if ins.outcome:
-                defined.add(ins.outcome)
-            measured.update(ins.targets)
-        if ins.kind == "ClassicalSend":
-            if ins.symbol is None:
-                v.append(Violation(i, "missing symbol", "ClassicalSend without symbol"))
-            if len(ins.parties) < 2:
-                v.append(Violation(i, "message parties", "need source and >= 1 destination"))
 
     keep = set(circuit.outputs)
     for label, where in created.items():

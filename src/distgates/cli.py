@@ -113,11 +113,13 @@ def cmd_simulate(args) -> int:
         return 2
     dims = infer_dims(circuit)
     in_dims = tuple(dims[l] for l in circuit.inputs)
-    if args.input:
-        digits = [int(c) for c in args.input]
-        state = MixedRegister.basis(circuit.inputs, in_dims, digits)
-    else:
-        state = MixedRegister.basis(circuit.inputs, in_dims, (0,) * len(in_dims))
+    digits = args.input or "0" * len(in_dims)
+    if len(digits) != len(in_dims) or not all(
+            "0" <= c <= "9" and int(c) < d for c, d in zip(digits, in_dims)):
+        raise UsageError(f"--input {digits!r}: expected {len(in_dims)} basis digits, one per "
+                         f"circuit input, each below its dimension {list(in_dims)}, "
+                         f"e.g. {'0' * len(in_dims)}")
+    state = MixedRegister.basis(circuit.inputs, in_dims, [int(c) for c in digits])
     branches = enumerate_branches(circuit, state, merge_equal=args.merge)
     for br in branches:
         record = " ".join(f"{s}={v}" for s, v in br.outcomes) or "(no measurements)"

@@ -79,16 +79,19 @@ bounds from its instructions.
 
 For the same reason the instruction list is compiled once into a ``Plan``
 (``compile_plan``) before any branch runs. One forward walk follows the
-register layout as ``peak_register_dim`` does, checks every instruction and
-reads the gadgets. Each target's axis is its index in the register's label
-tuple. ``circuit_dims`` has already matched each target's dimension with the
-gate's arity, so where a label is unknown or repeated, or the gate takes
-another number of targets, ``statevec.target_axes`` or ``label_axis``
-resolves the targets again and raises its error. A gate gets its target axes
-and its matrix, and a conditioned gate its axes and its powers, each
-resolved once per value, with the duplicate-target, unknown-label and arity
-checks; a gate's kernel plan is looked up after the walk, and a power's when
-its value first occurs. Gates and powers are the cached, read-only
+register layout as ``peak_register_dim`` does, checks the rules that need the
+circuit and reads the gadgets. An instruction has refused its own defects
+when it was built (``circuit.Instruction``: a gate's name, target count and
+distinct targets, a Measure's one target, a resource's parties and shares, a
+CondGate's condition), and ``circuit_dims`` has matched each target's
+dimension with the gate's arity. The walk refuses a condition term that no
+earlier Measure names as its outcome (``_symbol_uses``, for a CondGate and a
+ClassicalSend alike), a label that is not in the register where it is used
+(``label_axis``) and a resource label already in it. Each target's axis is
+its index in the register's label tuple. A gate gets its target axes and its
+matrix, and a conditioned gate its axes and its powers, each resolved once
+per value; a gate's kernel plan is looked up after the walk, and a power's
+when its value first occurs. Gates and powers are the cached, read-only
 ``Unitary`` objects of ``gates``, so their kernel plans are cached by gate
 object and layout (``_gate_plan``), without the content key of
 ``backend.kernel_plan``. A resource gets its state's amplitudes, read-only
@@ -300,7 +303,7 @@ from . import backend
 from .circuit import RESOURCE_KINDS, DistCircuit, Instruction, resource_key
 from .gates import gate_arity, gate_power, gate_unitary
 from .statevec import (PRUNE_TOL, UNITARY_TOL, BranchResult, MixedRegister, check_register_dim,
-                       label_axis, target_axes)
+                       label_axis)
 from .steps import (_Branch, _cond_step, _fused_step, _gadget_step, _gap, _gate_plan, _gate_step,
                     _group_plan, _measure_step, _private_rows, _resource_amps, _resource_nonzero,
                     _resource_step, _sparse, _spreads, _Support)
@@ -331,8 +334,6 @@ def circuit_dims(circuit: DistCircuit) -> dict[str, int]:
     for ins in circuit.instructions:
         kind = ins.kind
         if kind == "LocalGate" or kind == "CondGate":
-            if ins.gate is None:
-                continue
             pairs = zip(ins.targets, gate_arity(ins.gate))
         elif kind in RESOURCE_KINDS:
             pairs = zip(ins.targets, (ins.dim or 2,) * len(ins.targets))
@@ -379,11 +380,10 @@ def _bounds(instructions, inputs: tuple[str, ...], dims: dict[str, int]) -> tupl
     for ins in instructions:
         kind = ins.kind
         if kind == "Measure":
-            if ins.targets:
-                label = ins.targets[0]
-                branches *= dims.get(label, 1)
-                if label in present:
-                    size //= present.pop(label)
+            label = ins.targets[0]
+            branches *= dims.get(label, 1)
+            if label in present:
+                size //= present.pop(label)
         elif kind in RESOURCE_KINDS:
             for label in ins.targets:
                 present[label] = dims[label]
@@ -392,35 +392,30 @@ def _bounds(instructions, inputs: tuple[str, ...], dims: dict[str, int]) -> tupl
     return peak, branches
 
 
-def _bounds_of(circuit: DistCircuit, upto: int | None, dims: dict[str, int] | None):
+def _bounds_of(circuit: DistCircuit, upto: int | None):
     """``_bounds`` of the first ``upto`` instructions: the whole circuit's from ``circuit_dims``,
-    a prefix's, or with other ``dims``, from a walk of its own."""
-    if upto is None and dims is None:
-        circuit_dims(circuit)
+    a prefix's from a walk of its own."""
+    dims = circuit_dims(circuit)
+    if upto is None:
         return vars(circuit)["_bounds"]
-    return _bounds(circuit.instructions[:upto], circuit.inputs,
-                   circuit_dims(circuit) if dims is None else dims)
+    return _bounds(circuit.instructions[:upto], circuit.inputs, dims)
 
 
-def peak_register_dim(circuit: DistCircuit, upto: int | None = None,
-                      dims: dict[str, int] | None = None) -> int:
+def peak_register_dim(circuit: DistCircuit, upto: int | None = None) -> int:
     """Largest register dimension any branch reaches in the first ``upto`` instructions.
 
     Computed from the instruction list alone: resources add subsystems and
-    measurements remove them, the same way in every branch. ``dims`` is
-    ``infer_dims(circuit)``, taken from the circuit when not given.
+    measurements remove them, the same way in every branch.
     """
-    return _bounds_of(circuit, upto, dims)[0]
+    return _bounds_of(circuit, upto)[0]
 
 
-def unmerged_branch_bound(circuit: DistCircuit, upto: int | None = None,
-                          dims: dict[str, int] | None = None) -> int:
+def unmerged_branch_bound(circuit: DistCircuit, upto: int | None = None) -> int:
     """Most branches an enumeration without merging can reach in the first ``upto`` instructions.
 
     The product of the measured subsystems' dimensions: one fork per outcome.
-    ``dims`` is ``infer_dims(circuit)``, taken from the circuit when not given.
     """
-    return _bounds_of(circuit, upto, dims)[1]
+    return _bounds_of(circuit, upto)[1]
 
 
 class _Gadget(NamedTuple):
@@ -667,9 +662,11 @@ def _symbol_uses(instructions) -> tuple[list[tuple], dict[int, int], dict[int, s
     Equal entries appear once, and a spec is rebuilt only where its entries
     change. ``readers`` maps each Measure index to the last CondGate that
     reads its outcome before the symbol is measured again. ``unmeasured`` maps
-    each CondGate that reads a symbol never measured before it to the first
-    such symbol. Only a CondGate or a ClassicalSend has a condition (see
-    ``Instruction``); a ClassicalSend's is never evaluated: an unmeasured term reads 0.
+    each condition that reads a symbol no earlier Measure names as its outcome
+    to the first such symbol, which ``compile_plan`` refuses. Only a CondGate
+    or a ClassicalSend has a condition (see ``Instruction``); a ClassicalSend's
+    is never evaluated, but its symbols stay in the key until it has run. A
+    Measure without an outcome records ``_m<i>``, which no condition may read.
     """
     keys: list[tuple] = [()] * (len(instructions) + 1)
     readers: dict[int, int] = {}
@@ -679,8 +676,8 @@ def _symbol_uses(instructions) -> tuple[list[tuple], dict[int, int], dict[int, s
     spec: tuple | None = ()  # None once the entries have changed
     for i in range(len(instructions) - 1, -1, -1):
         ins = instructions[i]
-        if ins.kind == "Measure":
-            symbol = ins.outcome or f"_m{i}"
+        if ins.kind == "Measure" and ins.outcome:  # an unnamed outcome is read by no condition
+            symbol = ins.outcome
             reader = None
             for j in holders.pop(symbol, ()):
                 if reader is None and instructions[j].kind == "CondGate":
@@ -714,9 +711,7 @@ def _symbol_uses(instructions) -> tuple[list[tuple], dict[int, int], dict[int, s
         if spec is None:
             spec = tuple(entries)
         keys[i] = spec
-    unmeasured = {j: entry[0][0] for j, entry in rest.items()
-                  if instructions[j].kind == "CondGate"}
-    return keys, readers, unmeasured
+    return keys, readers, {j: entry[0][0] for j, entry in rest.items()}
 
 
 def _distance(a: np.ndarray, b: np.ndarray, atol: float = MERGE_ATOL) -> float:
@@ -882,13 +877,15 @@ def compile_plan(circuit: DistCircuit, upto: int | None = None) -> Plan:
     """Resolve the first ``upto`` instructions against the register layout (see the module docstring).
 
     Checks the register cap first, then, in one forward walk that also reads
-    the gadgets, every instruction, and raises ValueError for the first bad
-    one (a CondGate that reads a symbol never measured before it among them).
-    Only then are the gadgets contracted and the steps built; no simulation
-    kernel runs.
+    the gadgets, the rules that need the circuit, and raises ValueError for
+    the first instruction that breaks one: a condition term that no earlier
+    Measure names, a label not in the register where it is used, a resource
+    label already in it. Each instruction has checked itself when it was built,
+    and ``circuit_dims`` the dimensions. Only then are the gadgets contracted
+    and the steps built; no simulation kernel runs.
     """
     dims = circuit_dims(circuit)
-    peak, branch_bound = _bounds_of(circuit, upto, None)
+    peak, branch_bound = _bounds_of(circuit, upto)
     check_register_dim(peak)
     labels = tuple(circuit.inputs)
     reg_dims = tuple([dims[label] for label in labels])
@@ -900,33 +897,27 @@ def compile_plan(circuit: DistCircuit, upto: int | None = None) -> Plan:
     makes = None  # the steps of the gadget being read, while one is
     for i, ins in enumerate(circuit.instructions[:upto]):
         kind = ins.kind
+        if unmeasured and i in unmeasured:
+            raise ValueError(f"instruction {i}: condition references unmeasured "
+                             f"symbol {unmeasured[i]!r}")
         if kind == "LocalGate" or kind == "CondGate":
             u = gate_unitary(ins.gate, ins.params)
             targets = ins.targets
-            # circuit_dims has matched each target's dims with the gate's arity, so the axes
-            # are wrong only where a label is unknown or repeated or the counts differ, and
-            # target_axes then raises its error
+            # the instruction has matched its targets with the gate, and circuit_dims their
+            # dims, so only a label missing from the register is left to find
             try:
                 axes = ((labels.index(targets[0]),) if len(targets) == 1
                         else tuple([labels.index(t) for t in targets]))
             except ValueError:
-                axes = ()
-            if len(axes) != len(u.arity) or len(axes) > 1 and len(set(axes)) < len(axes):
-                target_axes(labels, reg_dims, targets, u.arity)
+                for t in targets:
+                    label_axis(labels, t)  # raises for the first unknown label
             if kind == "LocalGate":
                 step = (_gate_step, reg_dims, axes, u), None, i
                 joins = makes is not None
                 if joins:
                     ops.append(("G", targets, u))
             else:  # each power once per value; the conditions are evaluated at run time
-                condition = ins.condition
-                if condition is None:
-                    raise ValueError(f"instruction {i}: CondGate {ins.gate} on "
-                                     f"{list(targets)} has no condition")
-                if i in unmeasured:
-                    raise ValueError(f"instruction {i}: condition references unmeasured "
-                                     f"symbol {unmeasured[i]!r}")
-                terms, mod = condition.terms, condition.mod
+                terms, mod = ins.condition.terms, ins.condition.mod
                 powers = (u,)
                 if mod > 2:
                     powers += tuple([gate_power(ins.gate, ins.params, v) for v in range(2, mod)])
@@ -953,8 +944,6 @@ def compile_plan(circuit: DistCircuit, upto: int | None = None) -> Plan:
         elif kind in RESOURCE_KINDS:
             added = ins.targets
             shares = set(added)
-            if len(shares) != len(added):
-                raise ValueError("labels must be unique")
             d = ins.dim or 2
             amps = _resource_amps(d, len(added))
             if not shares.isdisjoint(labels):

@@ -176,6 +176,17 @@ def merge_reference(frontier: list[list], keys) -> list[list]:
     return kept
 
 
+def evaluate(condition, values) -> int:
+    """The value of ``condition`` over the outcome ``values`` measured so far: the sum of
+    its terms mod its modulus; a term not yet measured is an error."""
+    total = 0
+    for sym in condition.terms:
+        if sym not in values:
+            raise ValueError(f"condition references unmeasured symbol {sym!r}")
+        total += values[sym]
+    return total % condition.mod
+
+
 def enumerate_reference(circuit, input_state, merge_equal: bool = False, upto=None):
     """``simulate.enumerate_branches`` the per-branch way: a register per branch, every
     instruction looked up again in every branch.
@@ -220,7 +231,7 @@ def enumerate_reference(circuit, input_state, merge_equal: bool = False, upto=No
                         for br in frontier for sub in measure_enumerate(br[0], ins.targets[0])]
         elif ins.kind == "CondGate":
             for br in frontier:
-                if value := ins.condition.evaluate(br[3]):
+                if value := evaluate(ins.condition, br[3]):
                     br[0] = apply_unitary(br[0], gate_power(ins.gate, ins.params, value),
                                           ins.targets)
         if merge_equal:

@@ -12,6 +12,7 @@ from conftest import bad_resource_documents, conditioned_document, with_first_pa
 from distgates import (Condition, DistCircuit, Instruction, NodeLayout, catalog,
                        count_messages, deserialize, serialize, tally, validate)
 from distgates.circuit import CircuitParseError, format_angle, parse_angle
+from distgates.simulate import compile_plan
 
 CORPUS = catalog.circuits("corpus")
 
@@ -159,14 +160,6 @@ def test_document_fields_of_the_wrong_type_are_parse_errors(mutate, match):
         deserialize(json.dumps(doc))
 
 
-def test_validate_measure_and_gate_arity():
-    circuit = DistCircuit(
-        NodeLayout(("A",), {"x": "A", "y": "A"}),
-        (Instruction("LocalGate", targets=("x",), gate="CNOT"), Instruction("Measure")),
-        ("x", "y"), ("x", "y"))
-    assert [v.rule for v in validate(circuit)] == ["gate arity", "measure arity"]
-
-
 def test_instruction_rejects_bad_labels_and_dims():
     with pytest.raises(ValueError, match="targets"):
         Instruction("Measure", targets="ctrl")
@@ -247,16 +240,16 @@ def test_instruction_keeps_the_dataclass_contract():
         ("condition", None), ("parties", ()), ("dim", None), ("outcome", None),
         ("symbol", None), ("bits", None), ("layer", None)]
     cond = Condition(("m0",), 4)
-    keyword = Instruction(kind="CondGate", targets=("q",), gate="Z4", params=(0.5,),
+    keyword = Instruction(kind="CondGate", targets=("q",), gate="RZ", params=(0.5,),
                           condition=cond, parties=("A",), dim=4, outcome="o", symbol="s",
                           bits=2, layer=3)
-    positional = Instruction("CondGate", ["q"], "Z4", [0.5], cond, ["A"], 4, "o", "s", 2, 3)
+    positional = Instruction("CondGate", ["q"], "RZ", [0.5], cond, ["A"], 4, "o", "s", 2, 3)
     assert positional == keyword and hash(positional) == hash(keyword)
     assert keyword != dataclasses.replace(keyword, layer=4)
-    assert Instruction("Measure") == Instruction("Measure", (), None, (), None, (), None,
-                                                 None, None, None, None)
+    assert Instruction("Measure", ("q",)) == Instruction("Measure", ("q",), None, (), None, (),
+                                                         None, None, None, None, None)
     assert repr(keyword) == (
-        "Instruction(kind='CondGate', targets=('q',), gate='Z4', params=(0.5,), "
+        "Instruction(kind='CondGate', targets=('q',), gate='RZ', params=(0.5,), "
         "condition=Condition(terms=('m0',), mod=4), parties=('A',), dim=4, outcome='o', "
         "symbol='s', bits=2, layer=3)")
     with pytest.raises(dataclasses.FrozenInstanceError):
@@ -345,10 +338,15 @@ def test_a_classicalsend_may_carry_a_condition():
 
 
 def test_undefined_outcome_symbol_rejected():
-    # renaming the first measurement's outcome leaves its condition dangling
+    # renaming the first measurement's outcome leaves its condition dangling: the document
+    # is well formed, and the compile walk, which sees the whole circuit, refuses it
     text = serialize(CORPUS["dcnot"]).replace('"outcome": "m0"', '"outcome": "m9"')
-    with pytest.raises(CircuitParseError, match="undefined outcome"):
-        deserialize(text)
+    circuit = deserialize(text)
+    reader = next(i for i, ins in enumerate(circuit.instructions)
+                  if ins.condition is not None and "m0" in ins.condition.terms)
+    with pytest.raises(ValueError, match=f"^instruction {reader}: condition references "
+                                         "unmeasured symbol 'm0'"):
+        compile_plan(circuit)
 
 
 def test_validate_cross_node_local_gate():
@@ -358,26 +356,6 @@ def test_validate_cross_node_local_gate():
         ("x", "y"), ("x", "y"))
     rules = [v.rule for v in validate(circuit)]
     assert "cross-node local gate" in rules
-
-
-def test_validate_unknown_outcome():
-    circuit = DistCircuit(
-        NodeLayout(("A",), {"x": "A"}),
-        (Instruction("CondGate", targets=("x",), gate="X",
-                     condition=Condition(("m9",), 2)),),
-        ("x",), ("x",))
-    violations = validate(circuit)
-    assert any(v.rule == "unknown outcome symbol" and v.detail == "m9" for v in violations)
-
-
-def test_validate_resource_arity_and_unmeasured_comm():
-    circuit = DistCircuit(
-        NodeLayout(("A", "B"), {"x": "A", "a0": "A", "a1": "B"}),
-        (Instruction("CreateGHZ", targets=("a0", "a1"), parties=("A", "B")),),
-        ("x",), ("x",))
-    rules = {v.rule for v in validate(circuit)}
-    assert "resource arity" in rules
-    assert "unconsumed communication subsystem" in rules
 
 
 def test_validate_accepts_every_builder_output():

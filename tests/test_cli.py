@@ -194,6 +194,18 @@ def test_simulate_lists_branches(tmp_path, capsys):
     assert "|11>" in out
 
 
+@pytest.mark.parametrize("digits", ["12a", "-1", "1", "111", "12", "1²", "١١"])
+def test_simulate_names_a_bad_input_and_its_form(digits, tmp_path, capsys):
+    # one ASCII digit per input, each below its dimension (2 and 2 here)
+    path = tmp_path / "c.json"
+    run(capsys, "compile", "--gate", "gcz", "--n", "2", "--nodes", "2",
+        "--strategy", "pairwise", "--out", str(path))
+    code, out, err = run(capsys, "simulate", "--circuit", str(path), "--input", digits)
+    assert code == 2 and out == ""
+    assert err == (f"error: --input {digits!r}: expected 2 basis digits, one per circuit input, "
+                   "each below its dimension [2, 2], e.g. 00\n")
+
+
 def test_simulate_kets_match_digit_expansion(tmp_path, capsys):
     # mixed qudit/qubit registers: each ket digit is the big-endian expansion
     # of the amplitude index over the branch's subsystem dimensions

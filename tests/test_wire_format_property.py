@@ -18,7 +18,7 @@ from distgates import (Condition, DistCircuit, Instruction, NodeLayout, catalog,
                        serialize, validate)
 from distgates.circuit import KINDS, RESOURCE_KINDS, CircuitParseError
 from distgates.cli import main
-from distgates.gates import WIRE_GATES
+from distgates.gates import WIRE_GATES, gate_arity
 from distgates.verify import OracleSpec
 
 CORPUS = catalog.tagged("corpus")
@@ -103,28 +103,44 @@ LABEL_LISTS = st.lists(LABELS, max_size=4)
 ANGLES = (st.floats(allow_nan=False, allow_infinity=False)
           | st.builds(lambda p, q: math.pi * p / q, st.integers(-12, 12), st.integers(1, 12)))
 INTEGERS = st.integers(-2 ** 70, 2 ** 70)
+CONDITIONS = st.builds(Condition, LABEL_LISTS, st.integers(2, 2 ** 40))
+
+
+GATES = st.sampled_from(sorted(WIRE_GATES))
+
+
+def distinct_labels(n: int):
+    return st.lists(LABELS, min_size=n, max_size=n, unique=True)
 
 
 @st.composite
 def instructions(draw):
     """Any instruction ``Instruction`` accepts, with the fields its kind may carry."""
     kind = draw(st.sampled_from(KINDS))
-    fields = {"targets": draw(LABEL_LISTS), "layer": draw(st.none() | INTEGERS)}
+    fields = {"layer": draw(st.none() | INTEGERS)}
     if kind in ("LocalGate", "CondGate"):
-        fields["gate"] = draw(st.sampled_from(sorted(WIRE_GATES)) | LABELS)
+        gate = fields["gate"] = draw(GATES)
+        fields["targets"] = draw(distinct_labels(len(gate_arity(gate))))
         fields["params"] = draw(st.lists(ANGLES, max_size=3))
-    if kind in ("CondGate", "ClassicalSend"):
-        fields["condition"] = draw(st.none() | st.builds(Condition, LABEL_LISTS,
-                                                         st.integers(2, 2 ** 40)))
-    if kind in RESOURCE_KINDS or kind == "ClassicalSend":
-        fields["parties"] = draw(LABEL_LISTS)
-    if kind in RESOURCE_KINDS and RESOURCE_KINDS[kind][1]:
-        fields["dim"] = draw(st.integers(3, 2 ** 40))
-    if kind == "Measure":
+    elif kind == "Measure":
+        fields["targets"] = (draw(LABELS),)
         fields["outcome"] = draw(st.none() | LABELS)
-    if kind == "ClassicalSend":
-        fields["symbol"] = draw(st.none() | LABELS)
+    elif kind == "ClassicalSend":
+        fields["targets"] = draw(LABEL_LISTS)
+        fields["parties"] = draw(st.lists(LABELS, min_size=2, max_size=4))
+        fields["symbol"] = draw(LABELS)
         fields["bits"] = draw(st.none() | INTEGERS)
+    else:  # a resource: one distinct share per party, two parties for a pair
+        ghz, qudit = RESOURCE_KINDS[kind]
+        parties = draw(st.integers(3, 4)) if ghz else 2
+        fields["targets"] = draw(distinct_labels(parties))
+        fields["parties"] = draw(st.lists(LABELS, min_size=parties, max_size=parties))
+        if qudit:
+            fields["dim"] = draw(st.integers(3, 2 ** 40))
+    if kind == "CondGate":
+        fields["condition"] = draw(CONDITIONS)
+    elif kind == "ClassicalSend":
+        fields["condition"] = draw(st.none() | CONDITIONS)
     return Instruction(kind, **fields)
 
 
@@ -132,12 +148,16 @@ def instructions(draw):
 def every_field(draw):
     """A CondGate or ClassicalSend that carries all eleven fields, which no builder writes
     but the data model accepts: every key of the wire format in one object."""
+    kind = draw(st.sampled_from(("CondGate", "ClassicalSend")))
+    gate = draw(GATES)
     return Instruction(
-        draw(st.sampled_from(("CondGate", "ClassicalSend"))), draw(LABEL_LISTS),
-        draw(st.sampled_from(sorted(WIRE_GATES)) | LABELS), draw(st.lists(ANGLES, max_size=3)),
+        kind, draw(distinct_labels(len(gate_arity(gate))) if kind == "CondGate"
+                   else LABEL_LISTS),
+        gate, draw(st.lists(ANGLES, max_size=3)),
         draw(st.builds(Condition, LABEL_LISTS, st.sampled_from([2]) | st.integers(3, 2 ** 40))),
-        draw(LABEL_LISTS), draw(st.integers(2, 2 ** 40)), draw(LABELS), draw(LABELS),
-        draw(INTEGERS), draw(INTEGERS))
+        draw(st.lists(LABELS, min_size=0 if kind == "CondGate" else 2, max_size=4)),
+        draw(st.integers(2, 2 ** 40)), draw(LABELS), draw(LABELS), draw(INTEGERS),
+        draw(INTEGERS))
 
 
 CIRCUITS = st.builds(DistCircuit, st.builds(NodeLayout, LABEL_LISTS,
@@ -156,7 +176,7 @@ EVERY_FIELD = [Instruction("CondGate", ("q", "r"), "CZ", (math.pi / 2, 0.7),
 @example(DistCircuit(NodeLayout((), {}), (), (), ()))
 @example(DistCircuit(NodeLayout(("A", "B"), {}), (
     Instruction("CondGate", ("q",), "RZ", (math.pi / 3, 0.7), Condition(("m", ""), 4)),
-    Instruction("CondGate", ("q",), "CZ4", (), Condition((), 2))), ("q",), ()))
+    Instruction("CondGate", ("q", "r"), "CZ4", (), Condition((), 2))), ("q",), ()))
 @example(DistCircuit(NodeLayout(("A", "B", "C"), {"q": "A", "r": "A"}), EVERY_FIELD, ("q",),
                      ("q", "r")))
 def test_serialize_writes_the_stdlib_bytes(circuit):
