@@ -34,9 +34,11 @@ C escaper and each integer through ``int.__repr__``.
 Every rule on a circuit has one home, the first place that can decide it:
 
 - ``Instruction`` refuses, when it is built, what the instruction alone
-  decides: its fields' types, a condition on a kind that takes none, a
-  LocalGate or CondGate without a known gate or with other than the gate's
-  number of targets or a repeated one, a CondGate without a condition, a
+  decides: its fields' types, a field its kind never reads (a condition
+  outside a CondGate or a ClassicalSend, a gate on a Measure, parties on a
+  CondGate; "layer" is taken by every kind), a LocalGate or CondGate without
+  a known gate or with other than the gate's number of targets or
+  parameters or a repeated target, a CondGate without a condition, a
   Measure of other than one target, a resource of the wrong party count or
   dim for its kind, of other than one share per party or of a repeated share,
   and a ClassicalSend without a symbol or with fewer than two parties. The
@@ -73,7 +75,7 @@ from fractions import Fraction
 from types import MappingProxyType
 from typing import Mapping, NamedTuple
 
-from .gates import WIRE_GATES, gate_arity
+from .gates import WIRE_GATES, gate_arity, gate_params
 
 KINDS = ("LocalGate", "CreateBell", "CreateGHZ", "CreateQuditPair", "CreateQuditGHZ",
          "Measure", "ClassicalSend", "CondGate")
@@ -86,7 +88,8 @@ RESOURCE_KINDS = {
 }
 _RESOURCE_KIND = {shape: kind for kind, shape in RESOURCE_KINDS.items()}
 _KIND_SET = frozenset(KINDS)
-_GATE_TARGETS = {name: len(gate_arity(name)) for name in WIRE_GATES}
+# gate -> (its number of targets, its number of parameters)
+_GATE_SHAPE = {name: (len(gate_arity(name)), gate_params(name)) for name in WIRE_GATES}
 
 
 def resource_shape(parties: int, dim: int) -> tuple[bool, bool]:
@@ -162,6 +165,14 @@ class Condition:
             raise ValueError(f"condition 'mod' must be an integer >= 2, got {self.mod!r}")
 
 
+def _unread(kind: str, **fields):
+    """Refuse the first of ``fields`` that is set: a field that a ``kind`` never reads."""
+    for name, value in fields.items():
+        if value is not None and value != ():
+            only = "; only CondGate and ClassicalSend do" if name == "condition" else ""
+            raise ValueError(f"a {kind} takes no {name}{only}")
+
+
 def _is_dimension(value) -> bool:
     return isinstance(value, int) and not isinstance(value, bool) and value >= 2
 
@@ -216,8 +227,8 @@ class Instruction:
         if gate is not None:
             if not isinstance(gate, str):
                 raise ValueError(f"'gate' must be a string, got {gate!r}")
-            n = _GATE_TARGETS.get(gate)  # the gate's number of targets
-            if n is None:
+            shape = _GATE_SHAPE.get(gate)  # the gate's numbers of targets and parameters
+            if shape is None:
                 raise ValueError(f"unknown gate name: {gate!r}")
         if outcome is not None and not isinstance(outcome, str):
             raise ValueError(f"'outcome' must be a string, got {outcome!r}")
@@ -227,27 +238,46 @@ class Instruction:
             raise ValueError(f"'bits' must be an integer, got {bits!r}")
         if layer is not None and (not isinstance(layer, int) or isinstance(layer, bool)):
             raise ValueError(f"'layer' must be an integer, got {layer!r}")
-        if condition is not None and kind != "CondGate" and kind != "ClassicalSend":
-            raise ValueError(f"a {kind} takes no condition; only CondGate and ClassicalSend do")
-        # the rules one instruction decides (see the module docstring)
+        # the rules one instruction decides (see the module docstring); each kind first refuses
+        # the fields it never reads (layer is read by none and taken by every kind)
         if kind == "LocalGate" or kind == "CondGate":
+            if condition is not None and kind == "LocalGate":
+                _unread(kind, condition=condition)
+            if (parties or dim is not None or outcome is not None or symbol is not None
+                    or bits is not None):
+                _unread(kind, parties=parties, dim=dim, outcome=outcome, symbol=symbol, bits=bits)
             if gate is None:
                 raise ValueError(f"missing gate name: {kind}")
+            n, count = shape
             if len(targets) != n:
                 raise ValueError(f"gate arity: {gate} acts on {n} subsystems, got {targets}")
             if n > 1 and len(set(targets)) < n:
                 raise ValueError(f"duplicate target: {targets}")
+            if len(params) != count:
+                raise ValueError(f"gate {gate} takes {count} parameter(s), got {len(params)}")
             if condition is None and kind == "CondGate":
                 raise ValueError("missing condition: CondGate without condition")
         elif kind == "Measure":
+            if (gate is not None or params or condition is not None or parties or dim is not None
+                    or symbol is not None or bits is not None):
+                _unread(kind, gate=gate, params=params, condition=condition, parties=parties,
+                        dim=dim, symbol=symbol, bits=bits)
             if len(targets) != 1:
                 raise ValueError(f"measure arity: one target needed, got {targets}")
         elif kind == "ClassicalSend":
+            if (targets or gate is not None or params or dim is not None
+                    or outcome is not None):
+                _unread(kind, targets=targets, gate=gate, params=params, dim=dim,
+                        outcome=outcome)
             if symbol is None:
                 raise ValueError("missing symbol: ClassicalSend without symbol")
             if len(parties) < 2:
                 raise ValueError("message parties: need source and >= 1 destination")
         else:  # a resource
+            if (gate is not None or params or condition is not None or outcome is not None
+                    or symbol is not None or bits is not None):
+                _unread(kind, gate=gate, params=params, condition=condition, outcome=outcome,
+                        symbol=symbol, bits=bits)
             ghz, qudit = RESOURCE_KINDS[kind]
             if (dim is not None) != qudit or dim == 2:
                 raise ValueError(f"{kind} takes {'a dim > 2' if qudit else 'no dim'}, "

@@ -158,6 +158,12 @@ def gate_arity(name: str) -> tuple[int, ...]:
     return _REGISTRY[name][1]
 
 
+def gate_params(name: str) -> int:
+    """How many parameters the named gate takes."""
+    gate_arity(name)  # validates the name
+    return _REGISTRY[name][2]
+
+
 def _read_only(u: Unitary) -> Unitary:
     # cached and shared by every caller in the process: a write would change
     # every later circuit that uses the gate

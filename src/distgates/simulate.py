@@ -107,55 +107,80 @@ each resource to ``statevec.tensor_amps``, which are also the arithmetic of
 ``measure_enumerate`` and ``tensor``, minus their per-call label lookups and
 checks. ``verify`` compiles one plan and shares it across its input chunks.
 
-Gadgets. The teleported gates and fan-outs are chains of gate-teleportation
-gadgets (Gottesman & Chuang, Nature 402, 390 (1999); Eisert et al., PRA 62,
-052317 (2000)), and each is contracted into one step when the plan is
-compiled. A gadget is a resource instruction over labels A, every later
-instruction through the measurement of all of A, and then through the last
-CondGate that reads one of those outcomes. One backward pass
+Gadgets. The teleported gates, teleportations and fan-outs are chains of
+gate-teleportation gadgets (Gottesman & Chuang, Nature 402, 390 (1999);
+Eisert et al., PRA 62, 052317 (2000)); a teleportation (Bennett et al., PRL
+70, 1895 (1993)) is the simplest, the identity with its label renamed. Each
+is contracted into one step when the plan is compiled. A gadget is a
+resource instruction over labels A and every later instruction through its
+measurements M, and then through the last CondGate that reads one of their
+outcomes. A Measure joins the gadget when its label is in A, or is a data
+label that an earlier op of the gadget touched; the gadget's measurements
+are complete once their dimensions multiply to d_A. One backward pass
 (``_symbol_uses``) finds every measurement's last reader, and the walk that
 checks the instructions also reads each gadget as it goes (``_Read``), so
-finding the gadgets is linear in the circuit. A gadget
-contracts when it measures only A, holds no other resource, conditions only
-on outcomes it has measured, ends within ``upto``, touches some data labels
-S, and its build (below) stays within ``BUILD_AMPLITUDES`` and finds every
-outcome record a unitary. Every gadget of the benchmark's correct circuits
-contracts, the GHZ fan-outs and the d = 4 gadgets included; a circuit that
-measures a data qubit (``teleport_all``) keeps its per-instruction steps, as
-does a gadget whose build passes the cap (a GHZ(8) layer, whose unitary
-alone has 2^16 entries, or a d_S = 64 qudit gadget that a dropped
-correction keeps from merging).
+finding the gadgets is linear in the circuit. The gadget touches data
+labels S_in and leaves S_out = (S_in + A) - M, of the same dimension d_S
+(its measured dimensions multiply to d_A). A teleported gate or a fan-out
+measures all of A, so S_out = S_in; a teleportation measures one share and
+its data qubit s, so S_in = {s} and S_out is the share it keeps. A gadget
+contracts when it holds no other resource, measures no data label it has
+not touched, conditions only on outcomes it has measured, ends within
+``upto``, touches some data labels, and its build (below) stays within
+``BUILD_AMPLITUDES`` and finds every outcome record a unitary; one whose
+S_out is not S_in contracts only while every branch is dense (before the
+plan's first sparse resource, see below). Every gadget of the benchmark's
+correct circuits contracts, the GHZ fan-outs, the d = 4 gadgets and
+``teleport_all``'s teleportations included; a gadget whose build passes the
+cap keeps its per-instruction steps (a GHZ(8) layer, whose unitary alone
+has 2^16 entries, or a d_S = 64 qudit gadget that a dropped correction
+keeps from merging).
 
 Record r of a gadget, the outcome of each of its measurements, has a Kraus
-operator K_r on S: on a normalized input column psi the per-instruction
-steps end with K_r psi, renormalized, of probability ||K_r psi||^2. The
-gadget contracts only when all d_A records survive and each has
-K_r^dagger K_r = p_r I (within ``UNITARY_TOL``) and p_r >= ``PRUNE_TOL``.
-Those steps then compute conditional probabilities of at least p_r (each is
-the summed p of the records that share that prefix of r), so they prune
-nothing, and end with K_r psi / sqrt(p_r) = U_r psi, U_r unitary, of
-probability p_r. So the contracted step forks every branch into the
-gadget's records in the per-instruction order (lexicographic in measurement
-order), with the same outcome records and symbol values, the probability
-times p_r and the alive mask unchanged (a dead column, zero amplitudes,
-stays dead), and applies each U_r to the data axes with
-``backend.apply_matrix``: the register never grows by A. Entries of U_r
-within ``MERGE_ATOL / d_S`` of zero are rounding noise and are set to zero,
-so that the kernel sees a diagonal or monomial U_r as such.
+operator K_r from S_in to S_out: on a normalized input column psi the
+per-instruction steps end with K_r psi, renormalized, of probability
+||K_r psi||^2. The gadget contracts only when all d_A records survive and
+each has K_r^dagger K_r = p_r I (within ``UNITARY_TOL``) and
+p_r >= ``PRUNE_TOL``. Those steps then compute conditional probabilities of
+at least p_r (each is the summed p of the records that share that prefix of
+r), so they prune nothing, and end with K_r psi / sqrt(p_r) = U_r psi, U_r
+unitary from S_in to S_out, of probability p_r. So the contracted step forks
+every branch into the gadget's records in the per-instruction order
+(lexicographic in measurement order), with the same outcome records and
+symbol values, the probability times p_r and the alive mask unchanged (a
+dead column, zero amplitudes, stays dead), and applies each U_r to the data
+axes with ``backend.apply_matrix``: the register never grows by A. Entries
+of U_r within ``MERGE_ATOL / d_S`` of zero are rounding noise and are set to
+zero, so that the kernel sees a diagonal or monomial U_r as such.
+
+When S_out is not S_in, the register after the step must be the one the
+per-instruction steps leave, since the later steps' axes, the unmerged path
+and ``Plan.labels`` all read it: the labels before the resource, without
+the measured data labels, then the surviving shares. The kernel writes U_r's
+output index where the input index sat, and a fixed gather of the register
+rows (``steps._relabel``) moves it there. For a diagonal or monomial U_r
+the gather is folded into its kernel plan (``steps._group_plan``), so a
+contracted teleportation is one gather and can fuse with the steps around
+it; a dense U_r is followed by the gather. This is sound: a measured data
+label has left the register, so the walk refuses any later instruction
+that reads it (``label_axis``), exactly as it does for the explicit steps,
+and every group maps S_in to S_out with d_in = d_out, so the step keeps the
+register's size and its rows are those of the per-instruction steps.
 
 With merging, the step forks into the gadget's merge groups instead: one
 branch per group, of the group's record count as weight and the sum of its
 records' probabilities, which keeps the group's first record and applies
 its unitary; the usual merge follows the step. The build (``_gadget``)
 finds the groups without ever holding the d_A records. It runs the
-gadget's own steps, merging as a run does, on the identity batch over S,
+gadget's own steps, merging as a run does, on the identity batch over S_in,
 which it holds as one column over an extra reference axis of d_S levels,
 the vector sum_i |i>|i> / sqrt(d_S): column i of the batch sits at
 reference value i, so the vector's nonzero rows are the batch's, and they
 are a support from the start (see below). The merge key reads the partial
 sums of the gadget's own later conditions and the value of every outcome
 that the merge key after the gadget reads, so the groups are at least as
-fine as that key. Each branch left at the end is one group. The build
+fine as that key. Each branch left at the end is one group, whose matrix
+is read between the reference axis and the labels S_out left. The build
 refuses, and the gadget stays explicit, when a measurement leaves a column
 dead or the columns' probabilities unequal, when the groups' weights do not
 sum to d_A, or when a group is no unitary; ``_gadget`` bounds how far the
@@ -182,8 +207,8 @@ outside the backend's LRU, and runs with a row cache of its own
 cache (``_contract``) maps a gadget in its own labels and symbols to its
 build, so that compiling a circuit again, or another circuit with the same
 gadgets, repeats no canonicalization. Each cache holds 1024 entries; the
-benchmark's dropped-correction workload, which holds the most, needs 268
-and 70, so nothing is built twice.
+35 suite circuits and their 274 dropped-correction variants together need
+295 and 78, so nothing is built twice.
 
 Fused runs. A run of two or more plan steps that each apply one diagonal or
 monomial map to every branch runs as one step (``_fuse``,
@@ -423,17 +448,22 @@ class _Gadget(NamedTuple):
 
     ``groups`` holds ``(outcomes, u, count, p)`` per group, in the order of
     their first records: the outcome of each measurement of the group's first
-    record, in measurement order, the unitary every record of the group
-    applies, how many records the group stands for and their summed
-    probability. ``plans`` holds the kernel plan of each group's unitary per
-    register layout, filled as layouts occur. ``dense`` is whether some
-    unitary is neither diagonal nor monomial, so that it can spread a sparse
-    branch over more rows.
+    record, in measurement order, the unitary from S_in to S_out that every
+    record of the group applies, how many records the group stands for and
+    their summed probability. ``plans`` holds the kernel plan of each group's
+    unitary per register layout, filled as layouts occur
+    (``steps._group_plan``). ``dense`` is whether some unitary is neither
+    diagonal nor monomial, so that it can spread a sparse branch over more
+    rows. ``out`` is None when S_out is S_in, the gadget measuring only its
+    resource; else it holds ``(id, dim)`` of each label of S_out in the order
+    of the unitaries' rows, in the key's label ids (see ``_contract``): the
+    surviving data labels in order, then the surviving shares.
     """
 
     groups: tuple[tuple[tuple[int, ...], np.ndarray, int, float], ...]
     plans: dict
     dense: bool
+    out: tuple[tuple[int, int], ...] | None = None
 
 
 def _build_keys(ops: tuple, live: tuple[int, ...], d: int) -> list[tuple | None]:
@@ -479,17 +509,20 @@ def _gadget(key: tuple) -> _Gadget | None:
     """Build the gadget ``key`` describes (see ``_contract``), or None when it does not contract.
 
     Runs the gadget's ops as the plan's own steps, with merging and owning no
-    array, on the identity batch over the data labels S held as one column:
+    array, on the identity batch over the data labels S_in held as one column:
     the vector sum_i |i>|i> / sqrt(d_S) over a reference axis of d_S levels,
-    which no step touches, and S. Its d_S nonzero rows are
+    which no step touches, and S_in. Its d_S nonzero rows are
     a support, and so are the batch's nonzero rows after every step: the build
     holds only those amplitudes (see the module docstring). A branch of
     probability p holds K e_i / sqrt(d_S p) at reference value i, for the
-    Kraus operator K on S of the outcomes so far: column i of the batch, of
-    probability P_i = ||K e_i||^2, scaled to norm sqrt(P_i / (d_S p)). Every
-    surviving branch is one group, which stands for ``weight`` records; it
-    keeps its first record's outcomes and takes U = K / sqrt(p) of its summed
-    probability p.
+    Kraus operator K from S_in to the labels left of S_in and the resource
+    after the outcomes so far: column i of the batch, of probability
+    P_i = ||K e_i||^2, scaled to norm sqrt(P_i / (d_S p)). At the end the
+    labels left are S_out, of dimension d_S too (the measured labels'
+    dimensions multiply to d_A), and each group's d_S x d_S matrix is read
+    between the reference axis and them. Every surviving branch is one group,
+    which stands for ``weight`` records; it keeps its first record's outcomes
+    and takes U = K / sqrt(p) of its summed probability p.
 
     - *Column-constant probabilities.* After every measurement, and so at
       every merge and at the end (a gate keeps each column's norm), each
@@ -578,6 +611,7 @@ def _gadget(key: tuple) -> _Gadget | None:
     if sum([br.weight for br in frontier]) != d ** n:  # a record pruned on every column
         return None
     eye = np.eye(d_s)
+    out = tuple([(label, d if label < 0 else s_dims[label]) for label in register[1:]])
     groups = []
     for br in frontier:
         psi = br.amps[:, 0]
@@ -594,7 +628,8 @@ def _gadget(key: tuple) -> _Gadget | None:
         u.flags.writeable = False  # shared by every plan of this key
         groups.append((tuple([outcome for _, outcome in br.outcomes]), u, br.weight, p))
     dense = any(backend.spreads(u) for _, u, _, _ in groups)
-    return _Gadget(tuple(groups), {}, dense)
+    return _Gadget(tuple(groups), {}, dense,
+                   None if out == tuple(zip(range(len(s_dims)), s_dims)) else out)
 
 
 class Plan(NamedTuple):
@@ -776,13 +811,16 @@ def _merge(frontier: list[_Branch], spec: tuple, atol: float = MERGE_ATOL) -> li
 class _Read(NamedTuple):
     """A gadget as ``compile_plan``'s walk has read it (see the module docstring).
 
-    It opens at ``resource``, instruction ``start``, over labels A, and closes
-    at ``end``, once all of A is measured and the last CondGate that reads one
-    of those outcomes has been read. ``labels`` and ``dims`` are the register
-    before the resource, ``measured`` the gadget's outcome symbols, ``ops`` its
-    operations in its own labels and symbols, for ``_contract``, and ``makes``
-    the per-instruction steps that stand if it does not contract and that an
-    unmerged run of its contracted step runs.
+    It opens at ``resource``, instruction ``start``, over labels A. A Measure
+    joins it when its label is in A or a data label that an earlier op of the
+    gadget touched; it closes at ``end``, once the dimensions of its measured
+    labels M multiply to d_A and the last CondGate that reads one of its
+    outcomes has been read. The labels it leaves are S_out = (S_in + A) - M.
+    ``labels`` and ``dims`` are the register before the resource, ``measured``
+    the gadget's outcome symbols, ``ops`` its operations in its own labels and
+    symbols, for ``_contract``, and ``makes`` the per-instruction steps that
+    stand if it does not contract and that an unmerged run of its contracted
+    step runs.
     """
 
     start: int
@@ -806,10 +844,11 @@ def _contract(shares: tuple[str, ...], d: int, ops: tuple, live: tuple[str, ...]
 
     The build's key is canonical: data labels are numbered 0, 1, ... in order
     of first use and the resource's labels -1, -2, ...; each measurement's
-    symbol is its position among the measurements, and gates are their
-    resolved unitaries (a conditioned gate's powers from 1 on).
-    ClassicalSends are left out. Gadgets that differ only in labels and
-    symbols therefore share one build.
+    label and symbol are that number and its position among the measurements,
+    so the key records which labels survive; gates are their resolved
+    unitaries (a conditioned gate's powers from 1 on). ClassicalSends are left
+    out. Gadgets that differ only in labels and symbols therefore share one
+    build, and its ``out`` holds the survivors in these numbers.
     """
     numbers = {label: -1 - k for k, label in enumerate(shares)}
     data: list[str] = []
@@ -916,6 +955,7 @@ def compile_plan(circuit: DistCircuit, upto: int | None = None) -> Plan:
                 joins = makes is not None
                 if joins:
                     ops.append(("G", targets, u))
+                    touched.update(targets)
             else:  # each power once per value; the conditions are evaluated at run time
                 terms, mod = ins.condition.terms, ins.condition.mod
                 powers = (u,)
@@ -925,6 +965,7 @@ def compile_plan(circuit: DistCircuit, upto: int | None = None) -> Plan:
                 joins = makes is not None and measured.issuperset(terms)
                 if joins:
                     ops.append(("C", targets, powers, terms, mod))
+                    touched.update(targets)
         elif kind == "Measure":
             label = ins.targets[0]
             try:
@@ -933,14 +974,15 @@ def compile_plan(circuit: DistCircuit, upto: int | None = None) -> Plan:
                 label_axis(labels, label)  # raises
             symbol = ins.outcome or f"_m{i}"
             step = (_measure_step, reg_dims, axis, symbol), keys[i + 1], i
-            labels = labels[:axis] + labels[axis + 1:]
-            reg_dims = reg_dims[:axis] + reg_dims[axis + 1:]
-            joins = makes is not None and label in pending
+            # a share, or a data label an op of the gadget touched, while M can still reach d_A
+            joins = makes is not None and label in touched and d_a % (taken * reg_dims[axis]) == 0
             if joins:
-                pending.remove(label)
+                taken *= reg_dims[axis]
                 measured.add(symbol)
                 ops.append(("M", label, symbol))
                 end = max(end, readers.get(i, i))
+            labels = labels[:axis] + labels[axis + 1:]
+            reg_dims = reg_dims[:axis] + reg_dims[axis + 1:]
         elif kind in RESOURCE_KINDS:
             added = ins.targets
             shares = set(added)
@@ -950,9 +992,9 @@ def compile_plan(circuit: DistCircuit, upto: int | None = None) -> Plan:
                 raise ValueError(f"label collision: {set(labels) & shares}")
             if makes is not None:  # no gadget: the steps of its instructions
                 steps += makes
-            # a gadget opens
+            # a gadget opens; touched holds its shares and the data labels its ops touch
             begin, end, resource, before = i, i, ins, (labels, reg_dims)
-            pending, measured, ops = set(added), set(), []
+            touched, measured, ops, d_a, taken = set(added), set(), [], amps.size, 1
             makes = [((_resource_step, amps, d, len(added), math.prod(reg_dims)), None, i)]
             labels, reg_dims = labels + added, reg_dims + (d,) * len(added)
             continue
@@ -965,7 +1007,7 @@ def compile_plan(circuit: DistCircuit, upto: int | None = None) -> Plan:
         if joins:
             if step is not None:
                 makes.append(step)
-            if not pending and i >= end:
+            if taken == d_a and i >= end:
                 steps.append(_Read(begin, end, resource, *before, measured, ops, makes))
                 makes = None
             continue
@@ -990,7 +1032,9 @@ def compile_plan(circuit: DistCircuit, upto: int | None = None) -> Plan:
                 [t for terms, _ in live for t in terms])))
             res = entry.resource
             found = _contract(res.targets, res.dim or 2, tuple(entry.ops), read)
-            if found:  # its register is the one before it
+            # its register is the one before it; one that moves labels runs only while every
+            # branch is dense (see the module docstring)
+            if found and (bound is None or found[0].out is None):
                 gadget, data, symbols = found
                 axes = tuple([entry.labels.index(label) for label in data])
                 plan_steps.append(((_gadget_step, gadget, entry.dims, axes, symbols, entry.makes),
@@ -1031,7 +1075,7 @@ def _group_kernel(gadget: _Gadget, dims: tuple[int, ...], axes: tuple[int, ...],
     """``(dims, (kernel plan, matrix), (outcome records, weight, p))`` of the step of a
     contracted gadget of one group, which may fuse (see ``_fuse``)."""
     outcomes, u, count, p = gadget.groups[0]
-    return (dims, (_group_plan(gadget, dims, axes, 0), u),
+    return (dims, (_group_plan(gadget, dims, axes, 0)[0], u),
             (tuple(zip(symbols, outcomes)), count, p))
 
 

@@ -333,16 +333,45 @@ def _measure_step(dims: tuple[int, ...], axis: int, symbol: str):
     return run
 
 
+def _relabel(dims: tuple[int, ...], axes: tuple[int, ...], out: tuple) -> np.ndarray:
+    """The gather from a register over ``dims`` whose data ``axes`` hold a gadget's output
+    index to the register the gadget's own steps leave.
+
+    The output index is big-endian over the labels ``out`` (``_Gadget.out``)
+    and sits where the input index sat: in the digits of ``axes``, big-endian
+    in that order. The register after keeps the other axes and the surviving
+    data labels in place, without the measured ones, and ends with the
+    surviving shares: output row i is input row ``move[i]``.
+    """
+    rest = [a for a in range(len(dims)) if a not in axes]
+    index = np.arange(math.prod(dims), dtype=np.int32).reshape(dims).transpose(rest + list(axes))
+    index = index.reshape([dims[a] for a in rest] + [d for _, d in out])
+    at = {a: k for k, a in enumerate(rest)}  # register axis -> axis of index
+    at.update({axes[o]: len(rest) + k for k, (o, _) in enumerate(out) if o >= 0})
+    order = [at[a] for a in sorted(at)] + [len(rest) + k for k, (o, _) in enumerate(out) if o < 0]
+    return backend._frozen(np.ascontiguousarray(index.transpose(order)).reshape(-1))
+
+
 def _group_plan(gadget: _Gadget, dims: tuple[int, ...], axes: tuple[int, ...],
                 index: int) -> tuple:
-    """The kernel plan of the unitary of ``gadget``'s group ``index`` on a register layout,
-    built once and kept by the gadget."""
+    """``(kernel plan, move)`` of the unitary of ``gadget``'s group ``index`` on a register
+    layout, built once and kept by the gadget.
+
+    ``move`` is None, or, for a dense group of a gadget that measures a data
+    label, the gather (``_relabel``) that takes the kernel's result to the
+    register after the gadget. A diagonal or monomial group's plan has that
+    gather folded in (``_compose``): it is one gather and a multiply.
+    """
     key = (dims, axes, index)
-    plan = gadget.plans.get(key)
-    if plan is None:
-        plan = gadget.plans[key] = backend.kernel_plan(gadget.groups[index][1], dims, axes,
-                                                       cached=False)
-    return plan
+    entry = gadget.plans.get(key)
+    if entry is None:
+        plan = backend.kernel_plan(gadget.groups[index][1], dims, axes, cached=False)
+        move = None if gadget.out is None else _relabel(dims, axes, gadget.out)
+        if move is not None and plan[3] is None:  # diagonal or monomial
+            size = math.prod(dims)
+            plan, move = _compose(size, (plan, ((size, -1), None, move, None, None))), None
+        entry = gadget.plans[key] = plan, move
+    return entry
 
 
 def _gadget_step(gadget: _Gadget, dims: tuple[int, ...], axes: tuple[int, ...],
@@ -351,7 +380,10 @@ def _gadget_step(gadget: _Gadget, dims: tuple[int, ...], axes: tuple[int, ...],
 
     With merging, every branch forks into the gadget's groups, each of its
     group's weight, applying the group's unitary to the data ``axes`` (the row
-    kernel of each group on a sparse branch); a branch that forks into more
+    kernel of each group on a sparse branch) and, when the gadget measures a
+    data label, moving the axes to the layout its own steps leave
+    (``_group_plan``; such a gadget runs only on dense branches, see
+    ``simulate``); a branch that forks into more
     than one group owns its amplitudes for none of its applies, since they
     all read them. Without merging, the gadget's per-instruction steps run
     instead, so that every outcome record is a branch of its own:
@@ -359,7 +391,7 @@ def _gadget_step(gadget: _Gadget, dims: tuple[int, ...], axes: tuple[int, ...],
     for a step that runs nothing), merge key spec and index, and the steps are
     built when an unmerged run first needs them.
     """
-    fork: list = []  # per group: (u, plan, outcomes, values, count, p), made at the first use
+    fork: list = []  # per group: (u, plan, move, outcomes, values, count, p), made at first use
     steps: list = []  # the per-instruction steps, built at the first unmerged run
     moves: dict = {}  # support -> _linked's entry per group
 
@@ -372,23 +404,24 @@ def _gadget_step(gadget: _Gadget, dims: tuple[int, ...], axes: tuple[int, ...],
             return frontier
         if not fork:
             for index, (outcomes, u, count, p) in enumerate(gadget.groups):
-                fork.append((u, _group_plan(gadget, dims, axes, index),
+                fork.append((u, *_group_plan(gadget, dims, axes, index),
                              tuple(zip(symbols, outcomes)), dict(zip(symbols, outcomes)), count, p))
         owned = owned and len(fork) == 1
         forked: list[_Branch] = []
         for br in frontier:
             support = br.rows
             if support is None:
-                for u, plan, outcomes, values, count, p in fork:
-                    forked.append(_Branch(
-                        backend.apply_matrix(br.amps, dims, axes, u, plan, owned), br.prob * p,
-                        br.outcomes + outcomes, {**br.values, **values}, br.weight * count,
-                        br.alive))
+                for u, plan, move, outcomes, values, count, p in fork:
+                    amps = backend.apply_matrix(br.amps, dims, axes, u, plan, owned)
+                    if move is not None:
+                        amps = np.take(amps, move, axis=0)
+                    forked.append(_Branch(amps, br.prob * p, br.outcomes + outcomes,
+                                          {**br.values, **values}, br.weight * count, br.alive))
                 continue
             linked = moves.get(support)
             if linked is None:
                 linked = moves[support] = [_linked(support, u, dims, axes) for u, *_ in fork]
-            for (u, _, outcomes, values, count, p), (after, plan, _) in zip(fork, linked):
+            for (u, _, _, outcomes, values, count, p), (after, plan, _) in zip(fork, linked):
                 forked.append(_Branch(
                     backend.apply_rows(br.amps, u, plan), br.prob * p, br.outcomes + outcomes,
                     {**br.values, **values}, br.weight * count, br.alive, after))
@@ -396,37 +429,43 @@ def _gadget_step(gadget: _Gadget, dims: tuple[int, ...], axes: tuple[int, ...],
     return run
 
 
+def _compose(size: int, plans: tuple) -> tuple:
+    """The kernel plans ``plans``, diagonal or monomial, each on a register of ``size`` rows in
+    its own layout, applied in order, as one ``((size, -1), phase, src, None, None)`` plan,
+    which ``backend.apply_matrix`` runs as one multiply or one gather and a multiply: a
+    member's gather ``s`` and row phases ``ph`` turn the composition's into ``src[s]`` and
+    ``phase[s] * ph``."""
+    phase = src = None
+    for shape, ph, s, _, _ in plans:
+        if s is not None:
+            src = s if src is None else src[s]
+            phase = None if phase is None else phase[s]
+        if ph is not None:
+            rows = shape[:-1] + (size // math.prod(shape[:-1]),)
+            ph = np.broadcast_to(ph, rows).reshape(-1)
+            phase = ph if phase is None else phase * ph
+    if phase is not None:
+        phase = backend._frozen(phase.reshape(size, 1))
+    if src is not None:
+        src = backend._frozen(src)
+    return (size, -1), phase, src, None, None
+
+
 def _composed(dims: tuple[int, ...], kernels: tuple) -> tuple:
     """``(plan, matrix)``: the ``(kernel plan, matrix)`` pairs ``kernels``, of diagonal and
-    monomial matrices on a register over ``dims``, applied in order, as one plan.
+    monomial matrices on a register over ``dims``, applied in order, as one plan (``_compose``).
 
-    The plan is ``((R, -1), phase, src, None, None)`` over the R rows of the
-    register, which ``backend.apply_matrix`` runs as one multiply or one gather
-    and a multiply: a member's gather ``s`` and row phases ``ph`` turn the
-    composition's into ``src[s]`` and ``phase[s] * ph``. ``matrix`` is a
-    member's, of the composition's kind, which the plan does not read. Kept in
+    ``matrix`` is a member's, which the plan does not read: one whose plan
+    gathers when the composition does, else one whose plan does not. Kept in
     ``_ROWS`` under the members' plan objects and the layout; the entry holds
     those plans, so their ids stay their own.
     """
     plans = tuple([plan for plan, _ in kernels])
 
     def build():
-        size = math.prod(dims)
-        phase = src = None
-        for shape, ph, s, _, _ in plans:
-            if s is not None:
-                src = s if src is None else src[s]
-                phase = None if phase is None else phase[s]
-            if ph is not None:
-                rows = shape[:-1] + (size // math.prod(shape[:-1]),)
-                ph = np.broadcast_to(ph, rows).reshape(-1)
-                phase = ph if phase is None else phase * ph
-        if phase is not None:
-            phase = backend._frozen(phase.reshape(size, 1))
-        if src is not None:
-            src = backend._frozen(src)
-        matrix = next(mat for plan, mat in kernels if (plan[2] is None) == (src is None))
-        return ((size, -1), phase, src, None, None), matrix, plans
+        plan = _compose(math.prod(dims), plans)
+        matrix = next(mat for p, mat in kernels if (p[2] is None) == (plan[2] is None))
+        return plan, matrix, plans
     return _ROWS.get(("fused", dims, tuple(map(id, plans))), build)[:2]
 
 

@@ -241,17 +241,25 @@ def test_instruction_keeps_the_dataclass_contract():
         ("symbol", None), ("bits", None), ("layer", None)]
     cond = Condition(("m0",), 4)
     keyword = Instruction(kind="CondGate", targets=("q",), gate="RZ", params=(0.5,),
-                          condition=cond, parties=("A",), dim=4, outcome="o", symbol="s",
-                          bits=2, layer=3)
-    positional = Instruction("CondGate", ["q"], "RZ", [0.5], cond, ["A"], 4, "o", "s", 2, 3)
+                          condition=cond, layer=3)
+    positional = Instruction("CondGate", ["q"], "RZ", [0.5], cond, (), None, None, None, None, 3)
     assert positional == keyword and hash(positional) == hash(keyword)
+    # no kind takes every field: each other field in its position, on a kind that takes it
+    for fields, args in [
+            (dict(kind="ClassicalSend", condition=cond, parties=("A", "B"), symbol="s", bits=2),
+             ("ClassicalSend", (), None, (), cond, ["A", "B"], None, None, "s", 2)),
+            (dict(kind="CreateQuditPair", targets=("e1", "e2"), parties=("A", "B"), dim=4),
+             ("CreateQuditPair", ["e1", "e2"], None, (), None, ["A", "B"], 4)),
+            (dict(kind="Measure", targets=("q",), outcome="o"),
+             ("Measure", ["q"], None, (), None, (), None, "o"))]:
+        assert Instruction(**fields) == Instruction(*args), fields["kind"]
     assert keyword != dataclasses.replace(keyword, layer=4)
     assert Instruction("Measure", ("q",)) == Instruction("Measure", ("q",), None, (), None, (),
                                                          None, None, None, None, None)
     assert repr(keyword) == (
         "Instruction(kind='CondGate', targets=('q',), gate='RZ', params=(0.5,), "
-        "condition=Condition(terms=('m0',), mod=4), parties=('A',), dim=4, outcome='o', "
-        "symbol='s', bits=2, layer=3)")
+        "condition=Condition(terms=('m0',), mod=4), parties=(), dim=None, outcome=None, "
+        "symbol=None, bits=None, layer=3)")
     with pytest.raises(dataclasses.FrozenInstanceError):
         keyword.layer = 4
     with pytest.raises(dataclasses.FrozenInstanceError):

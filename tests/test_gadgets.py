@@ -40,6 +40,23 @@ def built(monkeypatch):
     return steps
 
 
+@pytest.fixture
+def contracted(monkeypatch):
+    """Records ``(gadget, data labels, symbols)`` of every gadget a plan contracts, fused or
+    not."""
+    found = []
+    real = simulate._contract
+
+    def recording(*args):
+        result = real(*args)
+        if result:
+            found.append(result)
+        return result
+
+    monkeypatch.setattr(simulate, "_contract", recording)
+    return found
+
+
 def _batch(circuit, k=3, seed=5):
     inputs = random_inputs(circuit, k, seed=seed)
     return MixedRegister(inputs[0].dims, np.stack([s.amps for s in inputs], axis=1),
@@ -126,21 +143,138 @@ def test_a_dropped_correction_twists_the_records_by_weyl_operators(name, built):
                               f"{name} -#{drop}", True)
 
 
-def test_teleport_all_stays_explicit():
-    circuit = catalog.gcz(6, 2, "teleport_all")  # it measures a data qubit
+def test_teleport_all_contracts_every_teleport(contracted):
+    # six teleports, three in and three back, around the local CZs: one fused step
+    circuit = catalog.gcz(6, 2, "teleport_all")
     plan = compile_plan(circuit)
-    assert plan.gadgets == () and plan.simulated_peak == plan.peak
+    assert plan.gadgets == ((0, 8), (9, 17), (18, 26), (42, 50), (51, 59), (60, 68))
+    assert len(plan.steps) == 1 and plan.fused == ((0, 68),)
+    assert plan.simulated_peak == plan.row_bound == 2 ** 6 < plan.peak
+    # each teleport is the identity from its data qubit to the Bell share it keeps
+    assert len(contracted) == 6
+    for gadget, data, _ in contracted:
+        (outcomes, u, count, p), = gadget.groups
+        assert (outcomes, count, len(data)) == ((0, 0), 4, 1)
+        assert abs(p - 1) <= 1e-15 and np.abs(u - np.eye(2)).max() <= 1e-15
+        assert gadget.out == ((-2, 2),)  # the resource's second share
 
 
-def test_a_gadget_cut_by_upto_stays_explicit():
-    circuit = DistCircuit(LAYOUT, PREFIX, ("a", "b"), ("a", "b"))
+def _teleport_all_variants():
+    circuit = catalog.gcz(6, 2, "teleport_all")
+    return [(i, DistCircuit(circuit.layout, circuit.instructions[:i]
+                            + circuit.instructions[i + 1:], circuit.inputs, circuit.outputs))
+            for i, ins in enumerate(circuit.instructions) if ins.kind == "CondGate"]
+
+
+VARIANTS = _teleport_all_variants()  # (the dropped CondGate's index, the variant)
+
+
+@pytest.mark.parametrize("drop,variant", VARIANTS, ids=[f"-#{i}" for i, _ in VARIANTS])
+def test_a_teleport_with_a_dropped_correction_twists_by_weyl_operators(drop, variant,
+                                                                       contracted):
+    plan = compile_plan(variant)
+    assert len(plan.gadgets) == 6 and len(contracted) == 6, drop
+    for gadget, _, _ in contracted:
+        assert all(_is_weyl(u, [2]) for _, u, _, _ in gadget.groups), drop
+    twisted = [gadget for gadget, _, _ in contracted if len(gadget.groups) > 1]
+    assert len(twisted) == 1, drop  # the teleport whose correction was dropped
+    assert any(np.abs(u - np.eye(2)).max() <= 1e-12 for _, u, _, _ in twisted[0].groups), drop
+    state = _batch(variant, k=2)
+    for merge in (False, True):
+        got = enumerate_branches(variant, state, merge_equal=merge)
+        _assert_same_branches(got, enumerate_reference(variant, state, merge),
+                              f"-#{drop} merge={merge}", True)
+
+
+def _teleport(*before) -> DistCircuit:
+    """Qubit s teleported from node A to its share t of a Bell pair, after the ``before``
+    instructions; the inputs are b, s and c, with b and c left as they are."""
+    layout = NodeLayout(("A", "B"), {"b": "A", "s": "A", "c": "B", "e": "A", "t": "B"})
+    return DistCircuit(layout, (
+        Instruction("CreateBell", ("e", "t"), parties=("A", "B")),
+        *before,
+        Instruction("LocalGate", ("s", "e"), gate="CNOT"),
+        Instruction("LocalGate", ("s",), gate="H"),
+        Instruction("Measure", ("e",), outcome="m"),
+        Instruction("Measure", ("s",), outcome="n"),
+        Instruction("ClassicalSend", parties=("A", "B"), symbol="m"),
+        Instruction("ClassicalSend", parties=("A", "B"), symbol="n"),
+        Instruction("CondGate", ("t",), gate="X", condition=Condition(("m",))),
+        Instruction("CondGate", ("t",), gate="Z", condition=Condition(("n",))),
+    ), ("b", "s", "c"), ("b", "t", "c"))
+
+
+@pytest.mark.parametrize("before,u", [
+    ((), np.eye(2)),
+    ((Instruction("LocalGate", ("s",), gate="H"),), gate_unitary("H").entries),
+    # touches s, then b: S_in is (s, b) and S_out (b, t), a CZ between them
+    ((Instruction("LocalGate", ("s", "b"), gate="CZ"),), gate_unitary("CZ").entries[[0, 2, 1, 3]])],
+    ids=["identity", "dense", "two data labels"])
+def test_a_teleport_moves_its_label(before, u, built):
+    circuit = _teleport(*before)
+    plan = compile_plan(circuit)
+    assert plan.gadgets == ((0, len(circuit.instructions) - 1),)
+    assert plan.labels == ("b", "c", "t")  # as the per-instruction steps leave them
+    (gadget, _, axes, _), = built
+    (_, got, _, _), = gadget.groups
+    assert np.abs(got - u).max() <= 1e-15
+    assert gadget.out == ((-2, 2),) if len(axes) == 1 else ((1, 2), (-2, 2))
     state = _batch(circuit)
-    for upto in range(len(PREFIX)):
+    for merge in (False, True):
+        _assert_same_branches(enumerate_branches(circuit, state, merge_equal=merge),
+                              enumerate_reference(circuit, state, merge), f"merge={merge}", True)
+
+
+def test_a_measured_data_label_the_gadget_never_touched_stays_explicit():
+    # b is measured between the teleport's measurements; the gadget never touched it
+    circuit = _teleport()
+    ins = circuit.instructions
+    untouched = DistCircuit(circuit.layout,
+                            ins[:4] + (Instruction("Measure", ("b",), outcome="q"),) + ins[4:],
+                            circuit.inputs, ("t", "c"))
+    assert compile_plan(untouched).gadgets == ()
+    state = _batch(untouched)
+    for merge in (False, True):
+        _assert_same_branches(enumerate_branches(untouched, state, merge_equal=merge),
+                              enumerate_reference(untouched, state, merge), f"merge={merge}")
+
+
+def test_a_teleport_on_a_sparse_branch_stays_explicit():
+    # a GHZ state opened before the teleport and measured after it puts every branch on a
+    # support, where a step that moves labels does not run
+    circuit = _teleport()
+    layout = NodeLayout(("A", "B", "C"), {**circuit.layout.placement,
+                                          "g1": "A", "g2": "B", "g3": "C"})
+    ghz = Instruction("CreateGHZ", ("g1", "g2", "g3"), parties=("A", "B", "C"))
+    measures = tuple(Instruction("Measure", (g,), outcome=f"o{g}") for g in ("g1", "g2", "g3"))
+    sparse = DistCircuit(layout, (ghz,) + circuit.instructions + measures, circuit.inputs,
+                         circuit.outputs)
+    plan = compile_plan(sparse)
+    assert plan.gadgets == () and plan.row_bound < plan.simulated_peak
+    dense = DistCircuit(layout, circuit.instructions + (ghz,) + measures, circuit.inputs,
+                        circuit.outputs)
+    assert compile_plan(dense).gadgets[0] == (0, len(circuit.instructions) - 1)
+    state = _batch(sparse)
+    for merge in (False, True):
+        _assert_same_branches(enumerate_branches(sparse, state, merge_equal=merge),
+                              enumerate_reference(sparse, state, merge), f"merge={merge}",
+                              rowed=True)
+
+
+@pytest.mark.parametrize("circuit", [DistCircuit(LAYOUT, PREFIX, ("a", "b"), ("a", "b")),
+                                     _teleport()], ids=["teleported CZ", "teleport"])
+def test_a_gadget_cut_by_upto_stays_explicit(circuit):
+    state = _batch(circuit)
+    end = len(circuit.instructions)
+    for upto in range(end):
         plan = compile_plan(circuit, upto)
-        assert plan.gadgets == () and len(plan.steps) == upto, upto
+        assert plan.gadgets == (), upto
+        # one step per instruction; a send whose key changes nothing gets none
+        sends = [ins.kind for ins in circuit.instructions[:upto]].count("ClassicalSend")
+        assert len(plan.steps) == upto - sends, upto
         got = enumerate_branches(circuit, state, merge_equal=True, upto=upto)
         _assert_same_branches(got, enumerate_reference(circuit, state, True, upto), upto)
-    assert compile_plan(circuit, len(PREFIX)).gadgets == ((0, len(PREFIX) - 1),)
+    assert compile_plan(circuit, end).gadgets == ((0, end - 1),)
 
 
 def test_a_condition_on_an_outer_symbol_stays_explicit():

@@ -79,8 +79,33 @@ RULES = [
                  "duplicate target: ('a', 'a')", id="duplicate target"),
     pytest.param("instruction", append({**cond_x("b", "m"), "targets": ["b", "b"], "gate": "CZ"}),
                  "duplicate target: ('b', 'b')", id="duplicate conditioned target"),
+    pytest.param("instruction", append({"kind": "LocalGate", "targets": ["a"], "gate": "RZ"}),
+                 "gate RZ takes 1 parameter(s), got 0", id="parameter count"),
+    pytest.param("instruction", append({**cond_x("a", "m"), "params": ["0.5"]}),
+                 "gate X takes 0 parameter(s), got 1", id="conditioned parameter count"),
     pytest.param("instruction", append({"kind": "CondGate", "targets": ["a"], "gate": "X"}),
                  "missing condition: CondGate without condition", id="missing condition"),
+    pytest.param("instruction",
+                 append({"kind": "LocalGate", "targets": ["a"], "gate": "X",
+                         "condition": {"xor": ["m"]}}),
+                 "a LocalGate takes no condition; only CondGate and ClassicalSend do",
+                 id="conditioned local gate"),
+    pytest.param("instruction", append({"kind": "LocalGate", "targets": ["a"], "gate": "X",
+                                        "bits": 1}),
+                 "a LocalGate takes no bits", id="local gate with bits"),
+    pytest.param("instruction", append({**cond_x("a", "m"), "parties": ["A"]}),
+                 "a CondGate takes no parties", id="conditioned gate with parties"),
+    pytest.param("instruction", append({**cond_x("a", "m"), "dim": 4}),
+                 "a CondGate takes no dim", id="conditioned gate with a dim"),
+    pytest.param("instruction", append({**cond_x("a", "m"), "symbol": "m"}),
+                 "a CondGate takes no symbol", id="conditioned gate with a symbol"),
+    pytest.param("instruction", append({**measure("a", outcome="z"), "gate": "H"}),
+                 "a Measure takes no gate", id="measure with a gate"),
+    pytest.param("instruction", append({"kind": "ClassicalSend", "targets": ["a"],
+                                        "parties": ["A", "B"], "symbol": "m"}),
+                 "a ClassicalSend takes no targets", id="send with targets"),
+    pytest.param("instruction", append({**bell("f1", "f2"), "outcome": "z"}),
+                 "a CreateBell takes no outcome", id="resource with an outcome"),
     pytest.param("instruction", append(measure(outcome="z")),
                  "measure arity: one target needed, got ()", id="measure of no target"),
     pytest.param("instruction", append(measure("a", "b", outcome="z")),

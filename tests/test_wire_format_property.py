@@ -18,7 +18,7 @@ from distgates import (Condition, DistCircuit, Instruction, NodeLayout, catalog,
                        serialize, validate)
 from distgates.circuit import KINDS, RESOURCE_KINDS, CircuitParseError
 from distgates.cli import main
-from distgates.gates import WIRE_GATES, gate_arity
+from distgates.gates import WIRE_GATES, gate_arity, gate_params
 from distgates.verify import OracleSpec
 
 CORPUS = catalog.tagged("corpus")
@@ -113,6 +113,11 @@ def distinct_labels(n: int):
     return st.lists(LABELS, min_size=n, max_size=n, unique=True)
 
 
+def angles_of(gate: str):
+    """As many angles as ``gate`` takes."""
+    return st.lists(ANGLES, min_size=gate_params(gate), max_size=gate_params(gate))
+
+
 @st.composite
 def instructions(draw):
     """Any instruction ``Instruction`` accepts, with the fields its kind may carry."""
@@ -121,12 +126,11 @@ def instructions(draw):
     if kind in ("LocalGate", "CondGate"):
         gate = fields["gate"] = draw(GATES)
         fields["targets"] = draw(distinct_labels(len(gate_arity(gate))))
-        fields["params"] = draw(st.lists(ANGLES, max_size=3))
+        fields["params"] = draw(angles_of(gate))
     elif kind == "Measure":
         fields["targets"] = (draw(LABELS),)
         fields["outcome"] = draw(st.none() | LABELS)
     elif kind == "ClassicalSend":
-        fields["targets"] = draw(LABEL_LISTS)
         fields["parties"] = draw(st.lists(LABELS, min_size=2, max_size=4))
         fields["symbol"] = draw(LABELS)
         fields["bits"] = draw(st.none() | INTEGERS)
@@ -146,36 +150,38 @@ def instructions(draw):
 
 @st.composite
 def every_field(draw):
-    """A CondGate or ClassicalSend that carries all eleven fields, which no builder writes
-    but the data model accepts: every key of the wire format in one object."""
-    kind = draw(st.sampled_from(("CondGate", "ClassicalSend")))
-    gate = draw(GATES)
-    return Instruction(
-        kind, draw(distinct_labels(len(gate_arity(gate))) if kind == "CondGate"
-                   else LABEL_LISTS),
-        gate, draw(st.lists(ANGLES, max_size=3)),
-        draw(st.builds(Condition, LABEL_LISTS, st.sampled_from([2]) | st.integers(3, 2 ** 40))),
-        draw(st.lists(LABELS, min_size=0 if kind == "CondGate" else 2, max_size=4)),
-        draw(st.integers(2, 2 ** 40)), draw(LABELS), draw(LABELS), draw(INTEGERS),
-        draw(INTEGERS))
+    """A CondGate or ClassicalSend that carries every field its kind accepts, each set: a
+    CondGate its targets, gate, angles, condition and layer, a ClassicalSend its parties,
+    symbol, condition, bits and layer."""
+    condition = draw(st.builds(Condition, LABEL_LISTS,
+                               st.sampled_from([2]) | st.integers(3, 2 ** 40)))
+    if draw(st.booleans()):
+        gate = draw(GATES)
+        return Instruction("CondGate", draw(distinct_labels(len(gate_arity(gate)))), gate,
+                           draw(angles_of(gate)), condition, layer=draw(INTEGERS))
+    return Instruction("ClassicalSend", parties=draw(st.lists(LABELS, min_size=2, max_size=4)),
+                       condition=condition, symbol=draw(LABELS), bits=draw(INTEGERS),
+                       layer=draw(INTEGERS))
 
 
 CIRCUITS = st.builds(DistCircuit, st.builds(NodeLayout, LABEL_LISTS,
                                             st.dictionaries(LABELS, LABELS, max_size=4)),
                      st.lists(instructions() | every_field(), max_size=6),
                      LABEL_LISTS, LABEL_LISTS)
-# one instruction with every field set, under each form of condition
-EVERY_FIELD = [Instruction("CondGate", ("q", "r"), "CZ", (math.pi / 2, 0.7),
-                           Condition(("m0", "m1")), ("A", "B"), 3, "o", "s", 2, 5),
-               Instruction("ClassicalSend", ("q",), "RZ", (-math.pi,), Condition(("m0",), 4),
-                           ("A", "B", "C"), 2, "", '"', 0, -1)]
+# every field of the wire format, each on a kind that accepts it, under each form of condition
+EVERY_FIELD = [Instruction("CondGate", ("q",), "RZ", (math.pi / 2,), Condition(("m0", "m1")),
+                           layer=5),
+               Instruction("ClassicalSend", parties=("A", "B", "C"), symbol='"',
+                           condition=Condition(("m0",), 4), bits=0, layer=-1),
+               Instruction("CreateQuditPair", ("q", "r"), parties=("A", "B"), dim=3, layer=2),
+               Instruction("Measure", ("q",), outcome="", layer=0)]
 
 
 @settings(max_examples=300, derandomize=True, deadline=None, database=None)
 @given(CIRCUITS)
 @example(DistCircuit(NodeLayout((), {}), (), (), ()))
 @example(DistCircuit(NodeLayout(("A", "B"), {}), (
-    Instruction("CondGate", ("q",), "RZ", (math.pi / 3, 0.7), Condition(("m", ""), 4)),
+    Instruction("CondGate", ("q",), "RZ", (math.pi / 3,), Condition(("m", ""), 4)),
     Instruction("CondGate", ("q", "r"), "CZ4", (), Condition((), 2))), ("q",), ()))
 @example(DistCircuit(NodeLayout(("A", "B", "C"), {"q": "A", "r": "A"}), EVERY_FIELD, ("q",),
                      ("q", "r")))
