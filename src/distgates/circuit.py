@@ -561,9 +561,18 @@ def _list_text(items, pad: str) -> str:
     return "[" + inner + ("," + inner).join(map(_quote, items)) + "\n" + pad + "]"
 
 
-def _instruction_text(ins: Instruction) -> str:
+class _Angles(dict):
+    """The text of each angle, formatted when first looked up."""
+
+    def __missing__(self, angle: float) -> str:
+        text = self[angle] = format_angle(angle)
+        return text
+
+
+def _instruction_text(ins: Instruction, angles: _Angles) -> str:
     """``ins`` as the fourth-level object of the document, written straight from its
-    fields in the wire format's sorted-key order; a field left at its default is left out."""
+    fields in the wire format's sorted-key order; a field left at its default is left out.
+    ``angles`` holds the text of each angle the document has written so far."""
     out = []
     if ins.bits is not None:
         out.append('"bits": ' + int.__repr__(ins.bits))
@@ -584,7 +593,7 @@ def _instruction_text(ins: Instruction) -> str:
     if ins.outcome is not None:
         out.append('"outcome": ' + _quote(ins.outcome))
     if ins.params:
-        out.append('"params": ' + _list_text([format_angle(p) for p in ins.params], "      "))
+        out.append('"params": ' + _list_text([angles[p] for p in ins.params], "      "))
     if ins.parties:
         out.append('"parties": ' + _list_text(ins.parties, "      "))
     if ins.symbol is not None:
@@ -595,13 +604,15 @@ def _instruction_text(ins: Instruction) -> str:
 
 def serialize(circuit: DistCircuit) -> str:
     """The circuit's wire bytes, ``json.dumps(doc, indent=2, sort_keys=True) + "\\n"``
-    (see the module docstring), written straight from the data model."""
+    (see the module docstring), written straight from the data model. Each distinct
+    angle is formatted once per call: a GMS circuit repeats two angles many times."""
     layout = circuit.layout
     placement = "{}" if not layout.placement else "{\n      " + ",\n      ".join(
         _quote(label) + ": " + _quote(node)
         for label, node in sorted(layout.placement.items())) + "\n    }"
+    angles = _Angles()
     instructions = "[]" if not circuit.instructions else "[\n    " + ",\n    ".join(
-        map(_instruction_text, circuit.instructions)) + "\n  ]"
+        _instruction_text(ins, angles) for ins in circuit.instructions) + "\n  ]"
     return ('{\n  "inputs": ' + _list_text(circuit.inputs, "  ")
             + ',\n  "instructions": ' + instructions
             + ',\n  "layout": {\n    "nodes": ' + _list_text(layout.nodes, "    ")

@@ -28,6 +28,19 @@ At d = 2, CSUM_2^dag is CNOT, F_2 is H, Z_2^dag is Z, and K_2 is the
 identity because -j = j mod 2, so no complement gate is emitted: this is the
 qubit fan-out of Yimsiriwattana & Lomonaco (quant-ph/0402148).
 
+A global MS gate is a global ZZ rotation seen in the X basis (Molmer &
+Sorensen, PRL 82, 1835 (1999)):
+
+    GMS(theta) = H^(x)n . prod_{i<j} exp(-i theta/2 Z_i Z_j) . H^(x)n.
+
+``build_dgms`` builds every strategy in that one shared frame: H on each data
+qubit once before the interactions and once after them, and between them only
+ZZ rotations, which are fan-outs and RZ gates. A Hadamard pair per factor or
+per layer would cancel exactly, and the frame uses no entanglement, so the
+resource counts are those of ``resources.gms_costs``. Every piece of the body
+is then an RZ or a fan-out that contracts to a diagonal or monomial step, and a
+merged run takes the whole body as one fused step (see ``simulate``).
+
 All builders are pure: they take a layout of computation qubits, allocate
 communication qubits and outcome symbols, and return an immutable circuit.
 Entanglement use follows the standard accounting: a teleported controlled
@@ -191,61 +204,57 @@ def build_dcontrol_u(control: str, target: str, u: GateRef,
 
 
 def build_dgms(spec: GmsSpec, layout: NodeLayout, strategy: str) -> DistCircuit:
-    """Distributed global MS gate.
+    """Distributed global MS gate, built as a global ZZ rotation in one shared
+    Hadamard frame.
 
-    pairwise: every two-qubit MS factor via two teleported CNOTs around a
-    local RZ(theta), so n(n-1) Bell pairs. pairwise_conditional: each factor
-    in the conditional form H (x) H . C(RZ(theta), RZ(-theta)) . H (x) H,
-    needing one distributed controlled RZ(-2 theta) per factor, so n(n-1)/2
-    Bell pairs. fanout: one layer per control qubit; each layer drives a
-    controlled RZ(-2 theta) onto every later qubit through a single GHZ
-    state, with the per-layer H pairs on the control collapsed; the last
-    layer degenerates to one Bell pair.
+    GMS(theta) = exp(-i theta/2 sum_{i<j} X_i X_j)
+               = H^(x)n . prod_{i<j} exp(-i theta/2 Z_i Z_j) . H^(x)n,
+
+    so every strategy emits H on each data qubit, in label order, once before
+    its interactions and once after them, and builds the body from ZZ
+    rotations alone. A frame per factor or per layer would cancel: between two
+    of its Hadamards on one qubit stand only gates on other qubits.
+
+    pairwise: every ZZ factor via two teleported CNOTs around a local
+    RZ(theta), so n(n-1) Bell pairs. pairwise_conditional: each factor as
+    RZ(theta) on the second qubit and one distributed controlled RZ(-2 theta)
+    from the first, so n(n-1)/2 Bell pairs. fanout: one layer per control
+    qubit; each layer drives a controlled RZ(-2 theta) onto every later qubit
+    through a single GHZ state, so the last layer degenerates to one Bell
+    pair. The frame adds no resource, so the counts are those of
+    ``resources.gms_costs``.
     """
     labels = spec.qubit_labels
     n = len(labels)
     theta = spec.theta
     b = CircuitBuilder(layout)
+    if strategy not in ("pairwise", "pairwise_conditional", "fanout"):
+        raise ValueError(f"unknown GMS strategy {strategy!r}")
+    if strategy == "fanout" and len({b.node_of(q) for q in labels}) != n:
+        raise ValueError("fanout strategy assumes one qubit per node; "
+                         "use the GCZ builder for multi-qubit nodes")
 
-    if strategy == "pairwise":
-        for i in range(n):
-            for j in range(i + 1, n):
-                qi, qj = labels[i], labels[j]
-                b.gate("H", (qi,))
-                b.gate("H", (qj,))
-                _fanout(b, qi, [(qj, "X", ())], 2)
-                b.gate("RZ", (qj,), (theta,))
-                _fanout(b, qi, [(qj, "X", ())], 2)
-                b.gate("H", (qi,))
-                b.gate("H", (qj,))
-    elif strategy == "pairwise_conditional":
-        for i in range(n):
-            for j in range(i + 1, n):
-                qi, qj = labels[i], labels[j]
-                b.gate("H", (qi,))
-                b.gate("H", (qj,))
-                b.gate("RZ", (qj,), (theta,))
-                _fanout(b, qi, [(qj, "RZ", (-2 * theta,))], 2)
-                b.gate("H", (qi,))
-                b.gate("H", (qj,))
-    elif strategy == "fanout":
-        nodes = [b.node_of(q) for q in labels]
-        if len(set(nodes)) != n:
-            raise ValueError("fanout strategy assumes one qubit per node; "
-                             "use the GCZ builder for multi-qubit nodes")
-        for i in range(n - 1):
-            control = labels[i]
+    for q in labels:
+        b.gate("H", (q,))
+    if strategy == "fanout":
+        for i, control in enumerate(labels[:-1]):
             rest = labels[i + 1:]
-            b.gate("H", (control,), layer=i)
             for t in rest:
-                b.gate("H", (t,), layer=i)
                 b.gate("RZ", (t,), (theta,), layer=i)
             _fanout(b, control, [(t, "RZ", (-2 * theta,)) for t in rest], 2, layer=i)
-            for t in rest:
-                b.gate("H", (t,), layer=i)
-            b.gate("H", (control,), layer=i)
     else:
-        raise ValueError(f"unknown GMS strategy {strategy!r}")
+        for i in range(n):
+            for j in range(i + 1, n):
+                qi, qj = labels[i], labels[j]
+                if strategy == "pairwise":
+                    _fanout(b, qi, [(qj, "X", ())], 2)
+                    b.gate("RZ", (qj,), (theta,))
+                    _fanout(b, qi, [(qj, "X", ())], 2)
+                else:
+                    b.gate("RZ", (qj,), (theta,))
+                    _fanout(b, qi, [(qj, "RZ", (-2 * theta,))], 2)
+    for q in labels:
+        b.gate("H", (q,))
     return b.build(labels)
 
 

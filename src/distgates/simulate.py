@@ -220,12 +220,16 @@ and a phase per row, so the run is one such plan over the whole register,
 composed member by member as ``src[s]`` and ``phase[s] * ph``
 (``steps._composed``), which ``backend.apply_matrix`` runs as one multiply,
 or one gather and a multiply. No dense matrix or ``Unitary`` is built: a
-pairwise GCZ's 66 CZ steps are one phase multiply. The members' classical
-parts are folded when the plan is compiled, since every branch takes the
-same ones: one outcome record and set of symbol values, the product of the
-weights, and the probabilities, which multiply each branch's in member
-order, so that they are the bits the members compute one at a time. Only
-the amplitudes round differently, where the phases do not compose exactly.
+pairwise GCZ's 66 CZ steps are one phase multiply. A GMS circuit on n
+qubits, of any strategy, runs as 2n + 1 steps: the n dense Hadamards of its
+shared frame on each side, and its whole ZZ body, every contracted fan-out
+and RZ, as one fused step between them (``qubit_protocols``). The members'
+classical parts are folded when the plan is compiled, since every branch
+takes the same ones: one outcome record and set of symbol values, the
+product of the weights, and the probabilities, which multiply each branch's
+in member order, so that they are the bits the members compute one at a
+time. Only the amplitudes round differently, where the phases do not compose
+exactly.
 
 The fused step carries the merge key spec of its last member that has one,
 so with merging it merges once, at its end. This loses no merge. Take two

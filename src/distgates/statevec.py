@@ -451,9 +451,14 @@ def permute(state: MixedRegister, labels) -> MixedRegister:
     return MixedRegister._wrap(tuple(state.dims[p] for p in perm), amps, labels)
 
 
+def random_amps(n: int, rng: np.random.Generator) -> np.ndarray:
+    """n normalized complex Gaussian amplitudes: one ``standard_normal(n)`` draw for the
+    real parts, then one for the imaginary parts."""
+    vec = rng.standard_normal(n) + 1j * rng.standard_normal(n)
+    return vec / np.linalg.norm(vec)
+
+
 def random_register(labels, dims, seed=None) -> MixedRegister:
     """Haar-ish random pure state: normalized complex Gaussian amplitudes."""
     rng = seed if isinstance(seed, np.random.Generator) else np.random.default_rng(seed)
-    n = math.prod(tuple(dims))
-    vec = rng.standard_normal(n) + 1j * rng.standard_normal(n)
-    return MixedRegister(tuple(dims), vec / np.linalg.norm(vec), tuple(labels))
+    return MixedRegister(tuple(dims), random_amps(math.prod(tuple(dims)), rng), tuple(labels))

@@ -78,7 +78,7 @@ from .qubit_protocols import lms_matrix
 from .simulate import (MAX_INPUT_AMPLITUDES, circuit_dims, compile_plan, enumerate_branches,
                        resource_counts)
 from .statevec import (UNITARY_TOL, MixedRegister, Unitary, check_register_dim,
-                       fidelity_up_to_phase, permute, random_register)
+                       fidelity_up_to_phase, permute, random_amps)
 
 DEFAULT_THRESHOLD = 1 - 1e-9
 CHUNK_AMPLITUDES = 2 ** 16  # per branch matrix of a chunk, at the plan's row bound
@@ -361,7 +361,10 @@ def random_inputs(circuit: DistCircuit, count: int, seed: int = 7) -> list[Mixed
         raise ValueError(f"{count} random inputs of {math.prod(in_dims)} amplitudes each "
                          f"exceed the limit of {MAX_INPUT_AMPLITUDES} amplitudes")
     rng = np.random.default_rng(seed)
-    return [random_register(circuit.inputs, in_dims, rng) for _ in range(count)]
+    n = math.prod(in_dims)
+    # random_register's states, each normalized once and, valid by construction, not checked
+    return [MixedRegister._wrap(in_dims, random_amps(n, rng), circuit.inputs)
+            for _ in range(count)]
 
 
 def verify(circuit: DistCircuit, oracle, inputs, threshold: float = DEFAULT_THRESHOLD,

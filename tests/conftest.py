@@ -467,6 +467,57 @@ def old_order(circuit):
     return DistCircuit(circuit.layout, instructions, circuit.inputs, circuit.outputs)
 
 
+def per_factor_dgms(spec, layout, strategy):
+    """``qubit_protocols.build_dgms`` as it was before the shared Hadamard frame: each
+    pairwise factor, and each fan-out layer, wrapped in an H pair of its own.
+
+    Removing every H on a data qubit leaves exactly the instructions of the shared-frame
+    builder, in the same order: each dropped pair sits on one qubit with only other
+    qubits' gates between its two H's, so the two builds are the same gate.
+    """
+    from distgates.circuit import CircuitBuilder
+    from distgates.qubit_protocols import _fanout
+
+    labels = spec.qubit_labels
+    n = len(labels)
+    theta = spec.theta
+    b = CircuitBuilder(layout)
+    if strategy == "pairwise":
+        for i in range(n):
+            for j in range(i + 1, n):
+                qi, qj = labels[i], labels[j]
+                b.gate("H", (qi,))
+                b.gate("H", (qj,))
+                _fanout(b, qi, [(qj, "X", ())], 2)
+                b.gate("RZ", (qj,), (theta,))
+                _fanout(b, qi, [(qj, "X", ())], 2)
+                b.gate("H", (qi,))
+                b.gate("H", (qj,))
+    elif strategy == "pairwise_conditional":
+        for i in range(n):
+            for j in range(i + 1, n):
+                qi, qj = labels[i], labels[j]
+                b.gate("H", (qi,))
+                b.gate("H", (qj,))
+                b.gate("RZ", (qj,), (theta,))
+                _fanout(b, qi, [(qj, "RZ", (-2 * theta,))], 2)
+                b.gate("H", (qi,))
+                b.gate("H", (qj,))
+    else:
+        for i in range(n - 1):
+            control = labels[i]
+            rest = labels[i + 1:]
+            b.gate("H", (control,), layer=i)
+            for t in rest:
+                b.gate("H", (t,), layer=i)
+                b.gate("RZ", (t,), (theta,), layer=i)
+            _fanout(b, control, [(t, "RZ", (-2 * theta,)) for t in rest], 2, layer=i)
+            for t in rest:
+                b.gate("H", (t,), layer=i)
+            b.gate("H", (control,), layer=i)
+    return b.build(labels)
+
+
 def no_fusion(monkeypatch):
     """Compile plans without fused runs for the rest of the test: ``simulate._fuse`` finds no
     step with a kernel and builds every step on its own, as the fused plans must match."""

@@ -114,3 +114,18 @@ def test_composed_kernels_are_kept_once_and_bounded(monkeypatch):
     no_fusion(monkeypatch)
     _assert_equal_branches(enumerate_branches(circuit, batch, merge_equal=True, plan=plan),
                            enumerate_branches(circuit, batch, merge_equal=True), "rebuilt")
+
+
+@pytest.mark.parametrize("strategy", ["pairwise", "pairwise_conditional", "fanout"])
+@pytest.mark.parametrize("n", range(2, 8))
+def test_a_gms_plan_is_its_frame_around_one_fused_body(n, strategy):
+    # n Hadamard steps, the whole ZZ body as one fused step, n Hadamard steps
+    circuit = catalog.gms(n, n, math.pi / 3, strategy)
+    last = len(circuit.instructions) - 1
+    frame = [i for i, ins in enumerate(circuit.instructions)
+             if ins.gate == "H" and ins.targets[0] in circuit.inputs]
+    assert frame == list(range(n)) + list(range(last - n + 1, last + 1))
+    plan = compile_plan(circuit)
+    assert plan.fused == ((n, last - n),)
+    kinds = [step and step.__qualname__.split(".")[0] for step, _ in plan.steps]
+    assert kinds == ["_gate_step"] * n + ["_fused_step"] + ["_gate_step"] * n

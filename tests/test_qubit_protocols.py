@@ -1,11 +1,13 @@
 """Distributed qubit protocols: teleported controlled gates, fan-out, GMS, GCZ."""
 
 import math
+import re
 from collections import Counter
 
 import numpy as np
 import pytest
-from conftest import H, I2, X, expm_xx_sum, gcz_phase, kron_embed, old_order
+from conftest import (H, I2, X, expm_xx_sum, gcz_phase, kron_embed, old_order,
+                      per_factor_dgms)
 from test_batched_verify import _dropped_variants
 
 from distgates import (GateRef, GmsSpec, MixedRegister, NodeLayout, apply_unitary,
@@ -14,7 +16,7 @@ from distgates import (GateRef, GmsSpec, MixedRegister, NodeLayout, apply_unitar
                        tally, validate)
 from distgates.circuit import RESOURCE_KINDS
 from distgates.gates import gate_unitary
-from distgates.resources import GczConfig, gcz_costs
+from distgates.resources import GczConfig, gcz_costs, gms_costs
 from distgates.simulate import compile_plan
 from distgates.statevec import Unitary
 from distgates.verify import OracleSpec, basis_inputs, random_inputs, verify
@@ -190,6 +192,40 @@ def test_dgms_n3_branch_correctness(strategy):
     oracle = Unitary(expm_xx_sum(3, theta), (2, 2, 2))
     rep = verify(circuit, oracle, basis_inputs(circuit) + random_inputs(circuit, 8))
     assert rep.min_fidelity > 1 - 1e-9, f"{strategy}: {rep.min_fidelity}"
+
+
+GMS_GOLDEN = {name: entry for name, entry in catalog.tagged("golden").items()
+              if name.startswith("gms")}
+GMS_NAME = re.compile(r"gms(\d)_(pairwise|pairwise_conditional|fanout)_(?:pi_2|pi_3|0\.7)")
+
+
+def _without_data_hadamards(circuit):
+    return [ins for ins in circuit.instructions
+            if not (ins.gate == "H" and ins.targets[0] in circuit.inputs)]
+
+
+@pytest.mark.parametrize("name", sorted(GMS_GOLDEN))
+def test_the_shared_frame_builds_the_per_factor_circuit(name):
+    # the H pairs of each factor or layer cancel: the same instructions without them, the
+    # same resources, verdicts and dropped-correction variants
+    n, strategy = GMS_NAME.fullmatch(name).groups()
+    n, entry = int(n), GMS_GOLDEN[name]
+    layout, labels = catalog.block_layout(n, n)
+    circuit = entry.build()
+    reference = per_factor_dgms(GmsSpec(labels, entry.oracle.theta), layout, strategy)
+    assert _without_data_hadamards(circuit) == _without_data_hadamards(reference)
+    for built in (circuit, reference):
+        assert tally(built) == tally(built, schedule="layered") == gms_costs(n)[strategy]
+    inputs = random_inputs(circuit, 4)
+    got, want = (verify(built, entry.make_oracle(), inputs) for built in (circuit, reference))
+    assert (got.branches, got.passed) == (want.branches, want.passed) and got.passed
+    assert abs(got.min_fidelity - want.min_fidelity) <= 1e-12
+    variants = [{built.instructions[i]: variant for i, variant in _dropped_variants(built)}
+                for built in (circuit, reference)]
+    assert variants[0].keys() == variants[1].keys()
+    for dropped in variants:
+        for variant in dropped.values():
+            assert not verify(variant, entry.make_oracle(), inputs).passed
 
 
 def test_dgms_fanout_rejects_multi_qubit_nodes():

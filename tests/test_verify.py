@@ -10,8 +10,8 @@ from conftest import (H, I2, X, bits_of, csum_multi_reference, digits_of, expm_x
                       gcz_phase, kron_embed)
 
 from distgates import (DistCircuit, GateRef, MixedRegister, NodeLayout, Unitary, backend,
-                       build_dcontrol_u, build_dcsum4, catalog, enumerate_branches, lms_matrix,
-                       tally)
+                       build_dcontrol_u, build_dcsum4, catalog, enumerate_branches, infer_dims,
+                       lms_matrix, random_register, tally)
 from distgates.gates import s_dag_matrix
 from distgates.verify import (OracleSpec, PhaseOracle, ProductOracle, basis_inputs,
                               identity_checks, oracle_csum4, oracle_csum4_multi, oracle_cz4_pow,
@@ -133,6 +133,24 @@ def test_random_inputs_are_seeded():
     b = random_inputs(circuit, 3, seed=11)
     for x, y in zip(a, b):
         np.testing.assert_array_equal(x.amps, y.amps)
+
+
+@pytest.mark.parametrize("seed", [0, 7, 2024])
+@pytest.mark.parametrize("name", ["dcnot", "dcsum4", "fanout_local_remote", "gcz6_3n_fanout",
+                                  "qudit_gcz4"])
+def test_random_inputs_are_random_register_draws(name, seed):
+    # the same states, bit for bit, as drawing each through random_register in turn
+    circuit = catalog.tagged("corpus")[name].build()
+    dims = tuple(infer_dims(circuit)[label] for label in circuit.inputs)
+    rng = np.random.default_rng(seed)
+    want = [random_register(circuit.inputs, dims, rng) for _ in range(5)]
+    got = random_inputs(circuit, 5, seed=seed)
+    assert len(got) == len(want)
+    for g, w in zip(got, want):
+        assert (g.dims, g.labels) == (w.dims, w.labels)
+        assert g.amps.dtype == w.amps.dtype and g.amps.flags.c_contiguous
+        assert g.amps.tobytes() == w.amps.tobytes()
+    assert random_inputs(circuit, 0, seed=seed) == []
 
 
 def test_verify_merged_and_exact_agree():
