@@ -154,12 +154,12 @@ of U_r within ``MERGE_ATOL / d_S`` of zero are rounding noise and are set to
 zero, so that the kernel sees a diagonal or monomial U_r as such.
 
 When S_out is not S_in, the register after the step must be the one the
-per-instruction steps leave, since the later steps' axes, the unmerged path
-and ``Plan.labels`` all read it: the labels before the resource, without
-the measured data labels, then the surviving shares. The kernel writes U_r's
-output index where the input index sat, and a fixed gather of the register
-rows (``steps._relabel``) moves it there. For a diagonal or monomial U_r
-the gather is folded into its kernel plan (``steps._group_plan``), so a
+per-instruction steps leave, since the later steps' axes and ``Plan.labels``
+read it: the labels before the resource, without the measured data labels,
+then the surviving shares. The kernel writes U_r's output index where the
+input index sat, and a fixed gather of the register rows
+(``steps._relabel``) moves it there. For a diagonal or monomial U_r the
+gather is folded into its kernel plan (``steps._group_plan``), so a
 contracted teleportation is one gather and can fuse with the steps around
 it; a dense U_r is followed by the gather. This is sound: a measured data
 label has left the register, so the walk refuses any later instruction
@@ -167,7 +167,7 @@ that reads it (``label_axis``), exactly as it does for the explicit steps,
 and every group maps S_in to S_out with d_in = d_out, so the step keeps the
 register's size and its rows are those of the per-instruction steps.
 
-With merging, the step forks into the gadget's merge groups instead: one
+The step a merged run runs forks into the gadget's merge groups instead: one
 branch per group, of the group's record count as weight and the sum of its
 records' probabilities, which keeps the group's first record and applies
 its unitary; the usual merge follows the step. The build (``_gadget``)
@@ -187,15 +187,6 @@ sum to d_A, or when a group is no unitary; ``_gadget`` bounds how far the
 merges inside one build may move a state. The merged build of GHZ(7), the
 7-qubit GMS fan-out's widest gadget, holds at most 512 amplitudes where the
 d_A = 128 records held 128 matrices of 128 x 128.
-
-Without merging, a contracted gadget's step runs its per-instruction steps
-(``_Read.makes``), built when an unmerged run first needs them, so
-every record is a branch of its own and ``MAX_BRANCHES`` and
-``unmerged_branch_bound`` hold as before. Those runs
-build the per-instruction registers, up to the explicit peak: the plan's
-``simulated_peak`` and ``row_bound`` describe merged runs. A branch they
-leave on a support after the gadget holds every row of its register (U_r
-has no zero row), so it is dense again for the plan's next step.
 
 Builds are cached by a canonical key (``_gadget``): data and resource
 labels are numbered in order of use, outcome symbols by their measurement,
@@ -245,14 +236,24 @@ the end, whether the merge at i follows a gadget or a ClassicalSend that
 changes the key, and the merge at the end is the last member's, after maps
 both take. Runs are fused only while every branch is dense (before the
 plan's first sparse resource): on a support each member runs its own row
-plan, and supports are left out. Without merging, a fused step runs its
-members' own steps in order, so every record stays a branch of its own; they
-are built when an unmerged run first needs them, and so are the
-per-instruction steps of a gadget among them. The composed plan is kept in
+plan, and supports are left out. The composed plan is kept in
 the row cache (``steps._ROWS``) under the members' plan objects and the
 layout, so that compiling the circuit again, or another circuit with the
 same steps, composes nothing; the entry holds those plans, so their ids stay
 their own. ``Plan.fused`` holds the instruction range of each fused step.
+
+Unmerged runs. A contracted gadget and a fused step stand for their
+instructions only where branches merge. Without merging,
+``enumerate_branches`` runs ``Plan.explicit`` instead: the step constructor
+and arguments of each instruction, in order, which the compile walk lists
+once. A gadget it reads (``_Read``) is a range of that list, which stays in
+the merged plan, run step by step, when the gadget does not contract. An
+unmerged run builds the steps of the list, skipping the entries of
+ClassicalSends, which build nothing, and runs them with no merge, so every
+outcome record is a branch of its own and ``MAX_BRANCHES`` and
+``unmerged_branch_bound`` hold. These runs build the per-instruction
+registers, up to the explicit peak: ``simulated_peak`` and ``row_bound``
+describe merged runs.
 
 Row-sparse branches. A GHZ state over n parties of dimension d multiplies
 the register by d^n but has only d nonzero amplitudes, so a branch that
@@ -603,7 +604,7 @@ def _gadget(key: tuple) -> _Gadget | None:
         for step, spec, grows, measures in steps:
             if held * grows > BUILD_AMPLITUDES:
                 return None
-            frontier = step(frontier, False, True)
+            frontier = step(frontier, False)
             if measures and not all([_flat(br, d_s) for br in frontier]):
                 return None
             if spec is not None and len(frontier) > 1:
@@ -639,10 +640,10 @@ def _gadget(key: tuple) -> _Gadget | None:
 class Plan(NamedTuple):
     """A circuit's first ``upto`` instructions resolved once for every branch.
 
-    ``steps`` pairs each step, a function from frontier, whether the run
-    owns its arrays (which only the steps that apply gates read) and whether
-    branches merge to frontier, with the merge key spec after it, or with
-    None when no merge follows the step; ``run_steps`` runs them. A spec is a tuple of
+    ``steps`` pairs each step of a merged run, a function from frontier and
+    whether the run owns its arrays (which only the steps that apply gates
+    read) to frontier, with the merge key spec after it, or with None when no
+    merge follows the step; ``run_steps`` runs them. A spec is a tuple of
     ``(terms, mod)`` entries, one for each distinct partial sum that a later
     condition will read (see the module docstring): the sum of the terms'
     values mod ``mod``. Branches can only meet after a step that treats them
@@ -661,10 +662,16 @@ class Plan(NamedTuple):
       frontier under the same keys as the merge before it, and so merge
       nothing.
 
-    ``gadgets`` holds the first and last instruction index of each contracted
-    gadget, in order; with merging, its one step stands for the steps of all
-    of those instructions, and without, it runs them (see the module
-    docstring for the rule, the proof, the build, the cap and the cache).
+    ``explicit`` holds, per instruction in order, the constructor and
+    arguments of its own step (``()`` for a ClassicalSend, which runs
+    nothing, and no entry for one that gets no pair), its merge key spec as
+    above, and its index. An unmerged run builds and runs these steps, and a
+    merged run those of ``steps``, which are built from the same entries
+    wherever no gadget contracts and no run fuses (see the module
+    docstring). ``gadgets`` holds the first and last instruction index of
+    each contracted gadget, in order: its one step stands for the steps of
+    all of those instructions (see the module docstring for the rule, the
+    proof, the build, the cap and the cache).
     ``fused`` holds the first and last instruction index of each fused step,
     in order: its one step stands for the steps of every instruction in that
     range and carries the merge of its last member that has one (see the
@@ -685,6 +692,7 @@ class Plan(NamedTuple):
     row_bound: int
     branch_bound: int
     steps: tuple[tuple[Callable | None, tuple | None], ...]
+    explicit: tuple[tuple[tuple, tuple | None, int], ...]
     gadgets: tuple[tuple[int, int], ...]
     fused: tuple[tuple[int, int], ...]
     labels: tuple[str, ...]
@@ -822,9 +830,9 @@ class _Read(NamedTuple):
     outcomes has been read. The labels it leaves are S_out = (S_in + A) - M.
     ``labels`` and ``dims`` are the register before the resource, ``measured``
     the gadget's outcome symbols, ``ops`` its operations in its own labels and
-    symbols, for ``_contract``, and ``makes`` the per-instruction steps that
-    stand if it does not contract and that an unmerged run of its contracted
-    step runs.
+    symbols, for ``_contract``, and ``first`` and ``stop`` the range of
+    ``Plan.explicit`` that its instructions' steps fill, which the plan runs
+    step by step unless the gadget contracts.
     """
 
     start: int
@@ -834,7 +842,8 @@ class _Read(NamedTuple):
     dims: tuple[int, ...]
     measured: set
     ops: list
-    makes: list
+    first: int
+    stop: int
 
 
 @lru_cache(maxsize=1024)
@@ -934,10 +943,11 @@ def compile_plan(circuit: DistCircuit, upto: int | None = None) -> Plan:
     reg_dims = tuple([dims[label] for label in labels])
     start = math.prod(reg_dims)
     keys, readers, unmeasured = _symbol_uses(circuit.instructions)
-    # (step constructor and arguments, merge key spec, instruction index), or a _Read for a
-    # gadget; no merge after a LocalGate or a resource (see Plan)
-    steps: list = []
-    makes = None  # the steps of the gadget being read, while one is
+    # (step constructor and arguments, merge key spec, instruction index) per instruction; no
+    # merge after a LocalGate or a resource (see Plan)
+    explicit: list = []
+    reads: list = []  # the gadgets read, in order
+    first = None  # the position in explicit of the resource of the gadget being read, while one is
     for i, ins in enumerate(circuit.instructions[:upto]):
         kind = ins.kind
         if unmeasured and i in unmeasured:
@@ -956,7 +966,7 @@ def compile_plan(circuit: DistCircuit, upto: int | None = None) -> Plan:
                     label_axis(labels, t)  # raises for the first unknown label
             if kind == "LocalGate":
                 step = (_gate_step, reg_dims, axes, u), None, i
-                joins = makes is not None
+                joins = first is not None
                 if joins:
                     ops.append(("G", targets, u))
                     touched.update(targets)
@@ -966,7 +976,7 @@ def compile_plan(circuit: DistCircuit, upto: int | None = None) -> Plan:
                 if mod > 2:
                     powers += tuple([gate_power(ins.gate, ins.params, v) for v in range(2, mod)])
                 step = (_cond_step, reg_dims, axes, terms, mod, powers), keys[i + 1], i
-                joins = makes is not None and measured.issuperset(terms)
+                joins = first is not None and measured.issuperset(terms)
                 if joins:
                     ops.append(("C", targets, powers, terms, mod))
                     touched.update(targets)
@@ -979,7 +989,7 @@ def compile_plan(circuit: DistCircuit, upto: int | None = None) -> Plan:
             symbol = ins.outcome or f"_m{i}"
             step = (_measure_step, reg_dims, axis, symbol), keys[i + 1], i
             # a share, or a data label an op of the gadget touched, while M can still reach d_A
-            joins = makes is not None and label in touched and d_a % (taken * reg_dims[axis]) == 0
+            joins = first is not None and label in touched and d_a % (taken * reg_dims[axis]) == 0
             if joins:
                 taken *= reg_dims[axis]
                 measured.add(symbol)
@@ -994,67 +1004,37 @@ def compile_plan(circuit: DistCircuit, upto: int | None = None) -> Plan:
             amps = _resource_amps(d, len(added))
             if not shares.isdisjoint(labels):
                 raise ValueError(f"label collision: {set(labels) & shares}")
-            if makes is not None:  # no gadget: the steps of its instructions
-                steps += makes
-            # a gadget opens; touched holds its shares and the data labels its ops touch
+            # a gadget opens, and one being read stays explicit; touched holds its shares and
+            # the data labels its ops touch
             begin, end, resource, before = i, i, ins, (labels, reg_dims)
             touched, measured, ops, d_a, taken = set(added), set(), [], amps.size, 1
-            makes = [((_resource_step, amps, d, len(added), math.prod(reg_dims)), None, i)]
+            first = len(explicit)
+            explicit.append(((_resource_step, amps, d, len(added), math.prod(reg_dims)), None, i))
             labels, reg_dims = labels + added, reg_dims + (d,) * len(added)
             continue
         elif kind == "ClassicalSend":
             live = keys[i + 1]
             step = None if live == keys[i] else ((), live, i)
-            joins = makes is not None
+            joins = first is not None
         else:  # pragma: no cover - Instruction rejects unknown kinds
             raise ValueError(f"unknown instruction kind {kind!r}")
-        if joins:
-            if step is not None:
-                makes.append(step)
-            if taken == d_a and i >= end:
-                steps.append(_Read(begin, end, resource, *before, measured, ops, makes))
-                makes = None
-            continue
-        if makes is not None:  # no gadget: the steps of its instructions
-            steps += makes
-            makes = None
         if step is not None:
-            steps.append(step)
-    if makes is not None:  # cut by upto
-        steps += makes
+            explicit.append(step)
+        if not joins:
+            first = None  # no gadget: its range stays explicit
+        elif taken == d_a and i >= end:
+            reads.append(_Read(begin, end, resource, *before, measured, ops, first,
+                               len(explicit)))
+            first = None
 
     # every check has run: contract the gadgets, fold the largest register and the row bound
     # in, and note each step's instruction range and, while every branch is dense, its kernel
     # if it fuses
     plan_steps, gadgets, spans, kernels = [], [], [], []
     bound, size, built, most = None, start, start, start  # see _bounded
-    for entry in steps:
-        if type(entry) is _Read:
-            live = keys[entry.end + 1]
-            # its outcome symbols that the key reads: grouping on them is finer, and sound
-            read = live and tuple(sorted(entry.measured.intersection(
-                [t for terms, _ in live for t in terms])))
-            res = entry.resource
-            found = _contract(res.targets, res.dim or 2, tuple(entry.ops), read)
-            # its register is the one before it; one that moves labels runs only while every
-            # branch is dense (see the module docstring)
-            if found and (bound is None or found[0].out is None):
-                gadget, data, symbols = found
-                axes = tuple([entry.labels.index(label) for label in data])
-                plan_steps.append(((_gadget_step, gadget, entry.dims, axes, symbols, entry.makes),
-                                   live))
-                gadgets.append((entry.start, entry.end))
-                spans.append((entry.start, entry.end))
-                fuses = bound is None and len(gadget.groups) == 1 and not gadget.dense
-                kernels.append(_group_kernel(gadget, entry.dims, axes, symbols) if fuses else None)
-                if bound is not None and gadget.dense:
-                    bound = min(bound * math.prod([entry.dims[a] for a in axes]), size)
-                    most = max(most, bound)
-                continue
-            entry = entry.makes
-        else:
-            entry = (entry,)
-        for make, live, i in entry:
+    at = 0  # the position in explicit of the next step
+    for entry in reads + [None]:
+        for make, live, i in explicit[at:len(explicit) if entry is None else entry.first]:
             plan_steps.append((make or None, live))
             spans.append((i, i))
             kernels.append(None if bound is not None or not make or make[0] is not _gate_step
@@ -1063,9 +1043,32 @@ def compile_plan(circuit: DistCircuit, upto: int | None = None) -> Plan:
                 bound, size = _bounded(make, bound, size)
                 built = max(built, size)
                 most = max(most, size if bound is None else bound)
+        if entry is None:
+            break
+        at = entry.first  # unless it contracts, its range runs next, step by step
+        live = keys[entry.end + 1]
+        # its outcome symbols that the key reads: grouping on them is finer, and sound
+        read = live and tuple(sorted(entry.measured.intersection(
+            [t for terms, _ in live for t in terms])))
+        res = entry.resource
+        found = _contract(res.targets, res.dim or 2, tuple(entry.ops), read)
+        # its register is the one before it; one that moves labels runs only while every
+        # branch is dense (see the module docstring)
+        if found and (bound is None or found[0].out is None):
+            gadget, data, symbols = found
+            axes = tuple([entry.labels.index(label) for label in data])
+            plan_steps.append(((_gadget_step, gadget, entry.dims, axes, symbols), live))
+            gadgets.append((entry.start, entry.end))
+            spans.append((entry.start, entry.end))
+            fuses = bound is None and len(gadget.groups) == 1 and not gadget.dense
+            kernels.append(_group_kernel(gadget, entry.dims, axes, symbols) if fuses else None)
+            if bound is not None and gadget.dense:
+                bound = min(bound * math.prod([entry.dims[a] for a in axes]), size)
+                most = max(most, bound)
+            at = entry.stop
     plan_steps, fused = _fuse(plan_steps, spans, kernels)
     return Plan(circuit, upto, dict(dims), peak, built, most, branch_bound, tuple(plan_steps),
-                tuple(gadgets), fused, labels, reg_dims)
+                tuple(explicit), tuple(gadgets), fused, labels, reg_dims)
 
 
 def _gate_kernel(dims: tuple[int, ...], axes: tuple[int, ...], gate) -> tuple:
@@ -1092,8 +1095,7 @@ def _fuse(steps: list, spans: list, kernels: list) -> tuple[list, tuple[tuple[in
     ClassicalSend's, None) between them, becomes one ``steps._fused_step``,
     which carries the merge key spec of its last member that has one (see the
     module docstring) and gets its range from ``spans``, each step's. Its
-    members' own steps are built only when an unmerged run needs them; every
-    other step is built here.
+    members' own steps are not built; every other step is built here.
     """
     out, fused = [], []
     i = 0
@@ -1122,23 +1124,23 @@ def _fuse(steps: list, spans: list, kernels: list) -> tuple[list, tuple[tuple[in
                 weight *= count
                 if p != 1.0:  # x * 1.0 is x
                     probs.append(p)
-        out.append((_fused_step(kernels[i][0], tuple([steps[m][0] for m in members]),
-                                tuple([kernels[m][1] for m in members]),
+        out.append((_fused_step(kernels[i][0], tuple([kernels[m][1] for m in members]),
                                 (outcomes, values, weight, tuple(probs))), live))
         fused.append((spans[i][0], spans[last][1]))
         i = last + 1
     return out, tuple(fused)
 
 
-def run_steps(steps, frontier: list[_Branch], owned: bool, merge: bool) -> list[_Branch]:
+def run_steps(steps, frontier: list[_Branch], owned: bool) -> list[_Branch]:
     """Run ``(step, merge key spec)`` pairs (see ``Plan``) on ``frontier``; returns the last one.
 
-    With ``merge``, a spec that is not None merges the frontier after its step.
+    A spec that is not None merges the frontier after its step; an unmerged
+    run's pairs all carry None.
     """
     for step, live in steps:
         if step is not None:
-            frontier = step(frontier, owned, merge)
-        if merge and live is not None and len(frontier) > 1:
+            frontier = step(frontier, owned)
+        if live is not None and len(frontier) > 1:
             frontier = _merge(frontier, live)
     return frontier
 
@@ -1154,7 +1156,9 @@ def enumerate_branches(circuit: DistCircuit, input_state: MixedRegister | None =
     ``alive`` marks the columns the branch occurs for. ``upto`` executes only
     the first ``upto`` instructions, which exposes intermediate protocol states.
     ``plan`` is ``compile_plan(circuit, upto)``, compiled here when not given;
-    a caller running several batches compiles it once; ``run_steps`` runs its steps.
+    a caller running several batches compiles it once. ``run_steps`` runs its
+    steps with merging, and without it the steps of ``plan.explicit``, one per
+    instruction, built here.
     """
     if plan is None:
         plan = compile_plan(circuit, upto)
@@ -1179,9 +1183,10 @@ def enumerate_branches(circuit: DistCircuit, input_state: MixedRegister | None =
     amps.flags.writeable = False  # the caller's data, which the run only reads (see backend)
     k = amps.shape[1]
     owned = plan.row_bound * k * amps.itemsize >= backend.POOL_MIN_BYTES  # else all small
+    steps = plan.steps if merge_equal else [(make[0](*make[1:]), None)
+                                            for make, _, _ in plan.explicit if make]
     ones = np.ones(k)  # the first frontier is built in the call, so that the runner drops it
-    frontier = run_steps(plan.steps, [_Branch(amps, ones, (), {}, 1, ones > 0)], owned,
-                         merge_equal)
+    frontier = run_steps(steps, [_Branch(amps, ones, (), {}, 1, ones > 0)], owned)
 
     labels, out_dims = plan.labels, plan.out_dims
     for br in frontier:  # a sparse branch's rows, scattered into its register

@@ -1,9 +1,11 @@
 """The steps a compiled plan runs, and the branches they run on.
 
-A step is a function from a frontier of branches (``_Branch``), whether the
-run owns its large arrays (see ``backend``) and whether branches merge, to
-the next frontier; ``simulate`` compiles a circuit into them and runs them
-(``simulate.run_steps``). Each branch holds every row of its register, or
+A step is a function ``run(frontier, owned)`` from a frontier of branches
+(``_Branch``) and whether the run owns its large arrays (see ``backend``)
+to the next frontier; ``simulate`` compiles a circuit into them and runs
+them (``simulate.run_steps``). A merged run runs the plan's steps and an
+unmerged one a step per instruction (``simulate.Plan``); no step knows
+which run it is in. Each branch holds every row of its register, or
 only the rows of a support (``_Support``): the row-sparse branches that a
 GHZ resource starts. A step picks the kernel per branch: the register
 kernel for a dense branch (``rows`` None), the row kernel of its support
@@ -246,7 +248,7 @@ def _gate_step(dims: tuple[int, ...], axes: tuple[int, ...], gate: Unitary):
     """A LocalGate: one matrix on fixed axes of every branch (``_apply``)."""
     plans: dict = {}  # support (None: dense) -> the kernel plan, or _linked's entry
 
-    def run(frontier: list[_Branch], owned: bool, merge: bool) -> list[_Branch]:
+    def run(frontier: list[_Branch], owned: bool) -> list[_Branch]:
         for br in frontier:
             _apply(br, gate, dims, axes, plans, br.rows, owned)
         return frontier
@@ -260,7 +262,7 @@ def _cond_step(dims: tuple[int, ...], axes: tuple[int, ...], terms: tuple, mod: 
     looked up when its value first occurs."""
     plans: dict = {}  # (value, support) -> as in _gate_step
 
-    def run(frontier: list[_Branch], owned: bool, merge: bool) -> list[_Branch]:
+    def run(frontier: list[_Branch], owned: bool) -> list[_Branch]:
         for br in frontier:
             values, value = br.values, 0
             for term in terms:  # a loop: a list comprehension's call costs more than the sum
@@ -284,7 +286,7 @@ def _resource_step(factor: np.ndarray, d: int, n: int, size: int):
     nonzero = _resource_nonzero(d, n)[1]
     moves: dict = {}  # support (None: dense) -> the support after
 
-    def run(frontier: list[_Branch], owned: bool, merge: bool) -> list[_Branch]:
+    def run(frontier: list[_Branch], owned: bool) -> list[_Branch]:
         for br in frontier:
             support = br.rows
             if support is None and not sparse:
@@ -311,7 +313,7 @@ def _measure_step(dims: tuple[int, ...], axis: int, symbol: str):
     dense = (None,) * d  # the support of each outcome of a dense branch
     splits: dict = {}  # support -> _split's entry
 
-    def run(frontier: list[_Branch], owned: bool, merge: bool) -> list[_Branch]:
+    def run(frontier: list[_Branch], owned: bool) -> list[_Branch]:
         forked: list[_Branch] = []
         for br in frontier:
             support = br.rows
@@ -375,33 +377,21 @@ def _group_plan(gadget: _Gadget, dims: tuple[int, ...], axes: tuple[int, ...],
 
 
 def _gadget_step(gadget: _Gadget, dims: tuple[int, ...], axes: tuple[int, ...],
-                 symbols: tuple[str, ...], explicit: list):
-    """A contracted gadget.
+                 symbols: tuple[str, ...]):
+    """A contracted gadget, which only a merged run runs.
 
-    With merging, every branch forks into the gadget's groups, each of its
-    group's weight, applying the group's unitary to the data ``axes`` (the row
-    kernel of each group on a sparse branch) and, when the gadget measures a
-    data label, moving the axes to the layout its own steps leave
-    (``_group_plan``; such a gadget runs only on dense branches, see
-    ``simulate``); a branch that forks into more
-    than one group owns its amplitudes for none of its applies, since they
-    all read them. Without merging, the gadget's per-instruction steps run
-    instead, so that every outcome record is a branch of its own:
-    ``explicit`` holds each instruction's step constructor and arguments (none
-    for a step that runs nothing), merge key spec and index, and the steps are
-    built when an unmerged run first needs them.
+    Every branch forks into the gadget's groups, each of its group's weight,
+    applying the group's unitary to the data ``axes`` (the row kernel of each
+    group on a sparse branch) and, when the gadget measures a data label,
+    moving the axes to the layout its own steps leave (``_group_plan``; such
+    a gadget runs only on dense branches, see ``simulate``); a branch that
+    forks into more than one group owns its amplitudes for none of its
+    applies, since they all read them.
     """
     fork: list = []  # per group: (u, plan, move, outcomes, values, count, p), made at first use
-    steps: list = []  # the per-instruction steps, built at the first unmerged run
     moves: dict = {}  # support -> _linked's entry per group
 
-    def run(frontier: list[_Branch], owned: bool, merge: bool) -> list[_Branch]:
-        if not merge:
-            if not steps:
-                steps.extend(make[0](*make[1:]) for make, _, _ in explicit if make)
-            for step in steps:
-                frontier = step(frontier, owned, False)
-            return frontier
+    def run(frontier: list[_Branch], owned: bool) -> list[_Branch]:
         if not fork:
             for index, (outcomes, u, count, p) in enumerate(gadget.groups):
                 fork.append((u, *_group_plan(gadget, dims, axes, index),
@@ -469,8 +459,9 @@ def _composed(dims: tuple[int, ...], kernels: tuple) -> tuple:
     return _ROWS.get(("fused", dims, tuple(map(id, plans))), build)[:2]
 
 
-def _fused_step(dims: tuple[int, ...], members: tuple, kernels: tuple, fold: tuple):
-    """A run of steps that each apply one diagonal or monomial map to every dense branch, as one.
+def _fused_step(dims: tuple[int, ...], kernels: tuple, fold: tuple):
+    """A run of steps that each apply one diagonal or monomial map to every dense branch, as
+    one, which only a merged run runs.
 
     ``kernels`` holds each member's ``(kernel plan, matrix)``, and their
     composition (``_composed``) runs as one ``backend.apply_matrix`` call.
@@ -478,22 +469,12 @@ def _fused_step(dims: tuple[int, ...], members: tuple, kernels: tuple, fold: tup
     values, weight, probs)``, the outcome records and symbol values the
     members' contracted gadgets add, the product of their weights, and their
     probabilities other than 1, which multiply each branch's in member order
-    (so that it is the bits the members compute). Without merging the member
-    steps run in order instead, so that every record stays a branch of its own
-    (see ``simulate``): ``members`` holds their constructors and arguments, and
-    they are built when an unmerged run first needs them.
+    (so that it is the bits the members compute).
     """
     plan, matrix = _composed(dims, kernels)
     outcomes, values, weight, probs = fold
-    steps: list = []  # the member steps, built at the first unmerged run
 
-    def run(frontier: list[_Branch], owned: bool, merge: bool) -> list[_Branch]:
-        if not merge:
-            if not steps:
-                steps.extend(make[0](*make[1:]) for make in members)
-            for step in steps:
-                frontier = step(frontier, owned, False)
-            return frontier
+    def run(frontier: list[_Branch], owned: bool) -> list[_Branch]:
         apply = backend.apply_matrix
         for br in frontier:
             br.amps = apply(br.amps, dims, (), matrix, plan, owned)

@@ -11,9 +11,7 @@ from test_sparse_rows import CLI_WIDE, _batch, _everything
 from distgates import NodeLayout, catalog, enumerate_branches, steps
 from distgates.circuit import CircuitBuilder
 from distgates.qubit_protocols import _fanout
-from distgates.simulate import compile_plan, unmerged_branch_bound
-
-UNMERGED_BRANCHES = 64  # unmerged runs are compared where they fork at most this many
+from distgates.simulate import compile_plan
 
 
 def _assert_equal_branches(got, want, name):
@@ -32,27 +30,19 @@ def _cases():
 
 
 def test_fused_plans_match_the_plans_without_fusion(monkeypatch):
+    # merged runs only: an unmerged run never runs a fused step (see
+    # test_simulate_plan.py::test_an_unmerged_run_runs_only_the_explicit_steps)
     cases = [(name, circuit, compile_plan(circuit)) for name, circuit in _cases()]
     cases = [case for case in cases if case[2].fused]
     assert len(cases) > 250
-    unmerged = 0
     no_fusion(monkeypatch)
     for name, circuit, plan in cases:
         batch = _batch(circuit, 3, seed=7)
         want = compile_plan(circuit)
         assert want.fused == ()
-        for merge in (True, False):
-            if not merge and unmerged_branch_bound(circuit) > UNMERGED_BRANCHES:
-                continue
-            unmerged += not merge
-            label = f"{name} merge={merge}"
-            got = enumerate_branches(circuit, batch, merge_equal=merge, plan=plan)
-            ref = enumerate_branches(circuit, batch, merge_equal=merge, plan=want)
-            _assert_equal_branches(got, ref, label)
-            if not merge:  # the fused steps run their members' own steps
-                for g, w in zip(got, ref):
-                    np.testing.assert_array_equal(g.state.amps, w.state.amps, err_msg=label)
-    assert unmerged >= 50, unmerged
+        got = enumerate_branches(circuit, batch, merge_equal=True, plan=plan)
+        ref = enumerate_branches(circuit, batch, merge_equal=True, plan=want)
+        _assert_equal_branches(got, ref, name)
 
 
 def _rz_chain(reps: int):

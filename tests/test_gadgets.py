@@ -32,9 +32,9 @@ def built(monkeypatch):
     steps = []
     real = simulate._gadget_step
 
-    def recording(gadget, dims, axes, symbols, explicit):
+    def recording(gadget, dims, axes, symbols):
         steps.append((gadget, dims, axes, symbols))
-        return real(gadget, dims, axes, symbols, explicit)
+        return real(gadget, dims, axes, symbols)
 
     monkeypatch.setattr(simulate, "_gadget_step", recording)
     return steps

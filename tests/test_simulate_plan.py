@@ -316,8 +316,8 @@ def test_merge_runs_only_after_the_steps_that_carry_one(monkeypatch):
     trace = []  # ("step", carries a merge, branches after it) and ("merge",), in order
 
     def recording(step, live):
-        def run(frontier, owned, merge):
-            frontier = frontier if step is None else step(frontier, owned, merge)
+        def run(frontier, owned):
+            frontier = frontier if step is None else step(frontier, owned)
             trace.append(("step", live is not None, len(frontier)))
             return frontier
         return run
@@ -439,8 +439,8 @@ def _frontier_widths(circuit, inputs) -> list[int]:
     widths = []
 
     def recording(step):
-        def run(frontier, owned, merge):
-            frontier = step(frontier, owned, merge)
+        def run(frontier, owned):
+            frontier = step(frontier, owned)
             widths.append(len(frontier))
             return frontier
         return run
@@ -480,3 +480,58 @@ def test_qudit_fanout_frontier_stays_narrow(monkeypatch):
     assert max(widths) == 16
     assert sum(widths) <= 64
     assert verify(circuit, entry.make_oracle(), inputs).passed
+
+
+# unmerged runs: one step per instruction (Plan.explicit)
+
+def _raising(plan):
+    """``plan`` whose steps raise when they run, whatever they are handed."""
+    def run(*_):
+        raise AssertionError("a plan step ran")
+    return plan._replace(steps=tuple((run, live) for _, live in plan.steps))
+
+
+def test_an_unmerged_run_runs_only_the_explicit_steps():
+    # contracted gadgets and fused steps stand for their instructions only where branches
+    # merge; an unmerged run keeps every outcome record apart and never runs them
+    cases = list(catalog.circuits("corpus").items()) + list(catalog.circuits("suite").items())
+    ran = 0
+    for name, circuit in cases:
+        if unmerged_branch_bound(circuit) > simulate.MAX_BRANCHES:
+            continue
+        plan = compile_plan(circuit)
+        inputs = random_inputs(circuit, 2, seed=5)
+        batch = MixedRegister(inputs[0].dims, np.stack([s.amps for s in inputs], axis=1),
+                              inputs[0].labels)
+        with pytest.raises(AssertionError, match="a plan step ran"):
+            enumerate_branches(circuit, batch, merge_equal=True, plan=_raising(plan))
+        got = enumerate_branches(circuit, batch, plan=_raising(plan))
+        want = enumerate_branches(circuit, batch, plan=plan)
+        assert [br.outcomes for br in got] == [br.outcomes for br in want], name
+        assert [br.weight for br in got] == [br.weight for br in want], name
+        for g, w in zip(got, want):
+            np.testing.assert_array_equal(g.alive, w.alive, err_msg=name)
+            np.testing.assert_array_equal(g.probability, w.probability, err_msg=name)
+            assert (g.state.labels, g.state.dims) == (w.state.labels, w.state.dims), name
+            np.testing.assert_array_equal(g.state.amps, w.state.amps, err_msg=name)
+        ran += 1
+    assert ran >= 45, ran
+
+
+def test_the_explicit_steps_are_one_per_instruction_in_order():
+    # every instruction but a ClassicalSend has its own step constructor, in instruction order;
+    # a ClassicalSend that changes the merge key has an entry that builds nothing
+    kinds = {"LocalGate": steps._gate_step, "CondGate": steps._cond_step,
+             "Measure": steps._measure_step}
+    for name in UNDER_CAP:
+        circuit = catalog.tagged("golden")[name].build()
+        for upto in (None, len(circuit.instructions) // 2):
+            plan = compile_plan(circuit, upto)
+            instructions = circuit.instructions[:upto]
+            want = [(i, kinds.get(ins.kind, steps._resource_step))
+                    for i, ins in enumerate(instructions) if ins.kind != "ClassicalSend"]
+            assert [(i, make[0]) for make, _, i in plan.explicit if make] == want, name
+            assert all(instructions[i].kind == "ClassicalSend"
+                       for make, _, i in plan.explicit if not make), name
+            assert [i for _, _, i in plan.explicit] == sorted({i for _, _, i in plan.explicit})
+    assert len(UNDER_CAP) == 109
