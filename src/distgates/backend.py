@@ -38,19 +38,8 @@ plan may also be composed: ``simulate`` makes a run of diagonal and monomial
 plans on one layout one ``((R, -1), phase, src)`` plan over the register's R
 rows, and ``mat`` then only names its kind.
 
-Unless told it owns its input (``owned``), ``apply_matrix`` is pure: it
-returns a new array and never writes its input. A branch enumeration on
-large registers passes ``owned``: every array in its frontier then belongs
-to exactly one branch, except the caller's input, which enters the run as a
-read-only view. On a writeable register of ``POOL_MIN_BYTES`` or more, a
-diagonal gate then multiplies it in place and a dense gate writes its
-result back into it; small registers keep the pure path, where allocation
-is cheap. Which array a kernel may overwrite is decided here alone. The
-in-place writes stay because without them the wide CLI workload's verify
-set read 8.6 % slower in A/B pairs on a 2-core host. A gather cannot work
-in place, so a monomial gate writes a fresh array; its buffers are not
-recycled, since with every gadget contracted a benchmark pass gathers into
-a large register only a few times.
+Every kernel returns a new array and never writes its input, so a caller
+may hand it an array that other branches, a cache or the user still hold.
 
 A dense gate on adjacent targets whose product would exceed
 ``GEMM_SERIAL_WORK`` (m^2 times columns) runs one block of rows and columns
@@ -69,8 +58,7 @@ one scatters the held rows into an ``(m, bases, k)`` block, zeros
 elsewhere, multiplies it by the matrix in one zgemm (in blocks past
 ``GEMM_SERIAL_WORK``) and gathers the result in row order. The caller keeps
 the plans, so ``apply_rows`` costs one to three numpy calls, like
-``apply_matrix``. It is pure and writes nothing in place: a support keeps a
-branch small.
+``apply_matrix``.
 """
 
 from __future__ import annotations
@@ -81,7 +69,6 @@ from functools import lru_cache
 import numpy as np
 
 CACHE_SIZE = 256
-POOL_MIN_BYTES = 128 * 1024  # glibc's default mmap threshold: smaller arrays come from the heap
 GEMM_SERIAL_WORK = 2 ** 15  # m * m * columns of one zgemm call; OpenBLAS threads from 2^16
 BLOCK_AMPLITUDES = 2 ** 13  # of one block of a blocked kernel, whose temporaries stay small
 
@@ -191,8 +178,8 @@ def _matmul_blocks(mat: np.ndarray, src: np.ndarray, out: np.ndarray):
     """``out[p] = mat @ src[p]`` over ``(pre, m, rest)`` views, one small block at a time.
 
     A block holds at most ``BLOCK_AMPLITUDES`` amplitudes and one product at
-    most ``GEMM_SERIAL_WORK``. Each block is copied out of ``src`` before its
-    product is written, so ``out`` may be ``src``.
+    most ``GEMM_SERIAL_WORK``. Each block is copied out of ``src`` into one
+    contiguous buffer before its product.
     """
     m = mat.shape[0]
     pre, _, rest = src.shape
@@ -297,34 +284,27 @@ def apply_rows(amps: np.ndarray, mat: np.ndarray, plan: tuple) -> np.ndarray:
 
 
 def apply_matrix(amps: np.ndarray, dims: tuple[int, ...], axes: tuple[int, ...],
-                 mat: np.ndarray, plan: tuple | None = None, owned: bool = False) -> np.ndarray:
+                 mat: np.ndarray, plan: tuple | None = None) -> np.ndarray:
     """Apply ``mat`` to the given subsystem axes of a flat amplitude array.
 
     ``amps`` has shape ``(prod(dims),)`` or ``(prod(dims), k)``. The matrix
     row/column index runs over the target subsystems in the order given by
     ``axes``, big-endian (first axis is the most significant digit). Returns
-    an array of the same shape. ``plan`` is ``kernel_plan(mat, dims, axes)``,
-    looked up here when not given. Unless ``owned`` the input is never
-    modified; with it, a large writeable input is consumed: it may be written
-    in place and returned (see the module docstring).
+    a new array of the same shape; the input is never written. ``plan`` is
+    ``kernel_plan(mat, dims, axes)``, looked up here when not given.
     """
     shape, phase, src, perm, inverse = plan or kernel_plan(mat, dims, axes)
-    owned = amps.nbytes >= POOL_MIN_BYTES and owned and amps.flags.writeable
     if perm is not None:  # dense
         m = mat.shape[0]
         adjacent = len(shape) == 3 and shape[1] == m  # the plan's (pre, m, rest) layout
-        if not adjacent or not owned and m * amps.size <= GEMM_SERIAL_WORK:  # one zgemm
+        if not adjacent or m * amps.size <= GEMM_SERIAL_WORK:  # one zgemm
             t = amps.reshape(shape).transpose(perm)
             out = (mat @ t.reshape(m, -1)).reshape(t.shape)
             return np.ascontiguousarray(out.transpose(inverse)).reshape(amps.shape)
-        out = amps if owned else np.empty(amps.shape, np.complex128)
+        out = np.empty(amps.shape, np.complex128)
         _matmul_blocks(mat, amps.reshape(shape), out.reshape(shape))
         return out
     if src is None:  # diagonal
-        if owned:
-            view = amps.reshape(shape)
-            view *= phase
-            return amps
         return (amps.reshape(shape) * phase).reshape(amps.shape)
     out = np.take(amps, src, axis=0)
     if phase is not None:

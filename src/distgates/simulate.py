@@ -308,17 +308,12 @@ register of the per-instruction steps, so contraction and supports accept
 and reject the same circuits; ``MAX_BRANCHES`` likewise counts branches
 whatever they hold. ``Plan.simulated_peak`` is the largest register a step
 of the plan actually builds; ``Plan.row_bound``, at most that, sizes
-``verify``'s chunks and decides whether a run owns its arrays.
+``verify``'s chunks.
 
-A run whose row bound reaches ``backend.POOL_MIN_BYTES`` owns its arrays
-(``owned``, handed to every step; a smaller run does not). The caller's
-input batch enters it as a read-only view; every other matrix in the
-frontier belongs to exactly one branch, so ``backend.apply_matrix`` may
-write a large writeable one in place (see ``backend``). A branch that a
-gadget step forks into more than one branch is read by all of their
-applies, so none of them owns it. Measurements, resources, merges and the
-kernels on supports write nothing in place. Cached resource states, gate
-matrices, gadget unitaries and row plans are only read.
+Every kernel a step calls returns a new array and never writes its input
+(see ``backend``), so the caller's input batch, a branch that a gadget step
+forks into several, cached resource states, gate matrices, gadget unitaries
+and row plans are only read.
 """
 
 from __future__ import annotations
@@ -604,7 +599,7 @@ def _gadget(key: tuple) -> _Gadget | None:
         for step, spec, grows, measures in steps:
             if held * grows > BUILD_AMPLITUDES:
                 return None
-            frontier = step(frontier, False)
+            frontier = step(frontier)
             if measures and not all([_flat(br, d_s) for br in frontier]):
                 return None
             if spec is not None and len(frontier) > 1:
@@ -640,10 +635,9 @@ def _gadget(key: tuple) -> _Gadget | None:
 class Plan(NamedTuple):
     """A circuit's first ``upto`` instructions resolved once for every branch.
 
-    ``steps`` pairs each step of a merged run, a function from frontier and
-    whether the run owns its arrays (which only the steps that apply gates
-    read) to frontier, with the merge key spec after it, or with None when no
-    merge follows the step; ``run_steps`` runs them. A spec is a tuple of
+    ``steps`` pairs each step of a merged run, a function from frontier to
+    frontier, with the merge key spec after it, or with None when no merge
+    follows the step; ``run_steps`` runs them. A spec is a tuple of
     ``(terms, mod)`` entries, one for each distinct partial sum that a later
     condition will read (see the module docstring): the sum of the terms'
     values mod ``mod``. Branches can only meet after a step that treats them
@@ -761,29 +755,6 @@ def _symbol_uses(instructions) -> tuple[list[tuple], dict[int, int], dict[int, s
     return keys, readers, {j: entry[0][0] for j, entry in rest.items()}
 
 
-def _distance(a: np.ndarray, b: np.ndarray, atol: float = MERGE_ATOL) -> float:
-    """A value at most ``atol`` exactly when ``abs(a - b).max()`` of two large matrices is.
-
-    Compared a block of rows at a time, so the temporaries stay small, up to
-    the first block over ``atol``. A block's largest real or imaginary
-    difference m bounds its largest modulus from both sides,
-    m <= max |a - b| <= sqrt(2) m, so the modulus is taken only when m alone
-    cannot decide; the decisions are those of the modulus.
-    """
-    rows = max(1, backend.BLOCK_AMPLITUDES // a.shape[1])
-    worst = 0.0
-    for start in range(0, a.shape[0], rows):
-        diff = a[start:start + rows] - b[start:start + rows]
-        parts = diff.view(np.float64)
-        m = max(parts.max(), -parts.min())
-        if atol / math.sqrt(2) < m <= atol:  # only the modulus can decide
-            m = abs(diff).max()
-        worst = max(worst, m)
-        if worst > atol:
-            break
-    return worst
-
-
 def _merge(frontier: list[_Branch], spec: tuple, atol: float = MERGE_ATOL) -> list[_Branch]:
     """Merge each branch into the first earlier kept branch equal to it (see the module docstring).
 
@@ -801,15 +772,12 @@ def _merge(frontier: list[_Branch], spec: tuple, atol: float = MERGE_ATOL) -> li
         key = (br.alive.tobytes(),
                tuple([sum([get(t, 0) for t in terms]) % mod for terms, mod in spec]))
         bucket = buckets.setdefault(key, [])
-        small = br.amps.nbytes < backend.POOL_MIN_BYTES
         for kept in bucket:
             # np.allclose(rtol=0, atol=atol) on finite amplitudes
             if kept.rows is not br.rows:
                 far = _gap(kept, br)
-            elif small:
-                far = abs(kept.amps - br.amps).max()
             else:
-                far = _distance(kept.amps, br.amps, atol)
+                far = abs(kept.amps - br.amps).max()
             if far <= atol:
                 kept.prob = kept.prob + br.prob
                 kept.weight += br.weight
@@ -1131,7 +1099,7 @@ def _fuse(steps: list, spans: list, kernels: list) -> tuple[list, tuple[tuple[in
     return out, tuple(fused)
 
 
-def run_steps(steps, frontier: list[_Branch], owned: bool) -> list[_Branch]:
+def run_steps(steps, frontier: list[_Branch]) -> list[_Branch]:
     """Run ``(step, merge key spec)`` pairs (see ``Plan``) on ``frontier``; returns the last one.
 
     A spec that is not None merges the frontier after its step; an unmerged
@@ -1139,7 +1107,7 @@ def run_steps(steps, frontier: list[_Branch], owned: bool) -> list[_Branch]:
     """
     for step, live in steps:
         if step is not None:
-            frontier = step(frontier, owned)
+            frontier = step(frontier)
         if live is not None and len(frontier) > 1:
             frontier = _merge(frontier, live)
     return frontier
@@ -1180,13 +1148,11 @@ def enumerate_branches(circuit: DistCircuit, input_state: MixedRegister | None =
             raise ValueError(f"input {label!r} has dimension {d}, circuit expects {dims[label]}")
 
     amps = input_state.amps.reshape(input_state.amps.shape[0], -1)  # a single state: k = 1
-    amps.flags.writeable = False  # the caller's data, which the run only reads (see backend)
     k = amps.shape[1]
-    owned = plan.row_bound * k * amps.itemsize >= backend.POOL_MIN_BYTES  # else all small
     steps = plan.steps if merge_equal else [(make[0](*make[1:]), None)
                                             for make, _, _ in plan.explicit if make]
     ones = np.ones(k)  # the first frontier is built in the call, so that the runner drops it
-    frontier = run_steps(steps, [_Branch(amps, ones, (), {}, 1, ones > 0)], owned)
+    frontier = run_steps(steps, [_Branch(amps, ones, (), {}, 1, ones > 0)])
 
     labels, out_dims = plan.labels, plan.out_dims
     for br in frontier:  # a sparse branch's rows, scattered into its register

@@ -19,13 +19,10 @@ slices holds every kept outcome's renormalized branch; an outcome below
 ``PRUNE_TOL`` is pruned.
 
 Measurement and the tensor product each have one kernel over bare amplitude
-arrays, ``measure_amps`` and ``tensor_amps``. ``measure_enumerate`` and
-``tensor`` check and unwrap a register and call them; a branch enumeration,
-whose plan has already resolved the layout and made the checks, calls them
-directly. From ``backend.POOL_MIN_BYTES`` on, neither broadcasts over the
-batch axis, which is innermost and only a few columns wide: a measurement
-copies each kept slice and scales it in place along long rows, and a product
-writes one block per resource amplitude, zeros without a multiply.
+arrays, ``measure_amps`` and ``tensor_amps``, whatever the register's size.
+``measure_enumerate`` and ``tensor`` check and unwrap a register and call
+them; a branch enumeration, whose plan has already resolved the layout and
+made the checks, calls them directly.
 
 A branch that holds only some rows of its register (a support, see
 ``simulate``) is measured by ``measure_rows``, with the grouping that
@@ -50,7 +47,6 @@ DEFAULT_MAX_DIM = 2 ** 14
 PRUNE_TOL = 1e-14
 NORM_TOL = 1e-10
 UNITARY_TOL = 1e-12
-RUN_AMPLITUDES = 4096  # of one row of a large measurement's in-place scaling
 
 # measure_enumerate sums over its leading `pre` subsystems with a slice of this
 _ONES = np.ones(DEFAULT_MAX_DIM // 2)
@@ -239,12 +235,9 @@ def measure_amps(amps: np.ndarray, pre: int, d: int, post: int) -> tuple:
     """
     batch = amps.shape[1:]
     k = batch[0] if batch else 1  # a single state is a batch of one
-    large = amps.nbytes >= backend.POOL_MIN_BYTES
     # pass 1: the squared real and imaginary parts, summed over `pre`
     x = amps.view(np.float64).reshape(pre, -1)
-    if large:
-        weights = np.einsum("ij,ij->j", x, x)
-    elif pre == 1:
+    if pre == 1:
         weights = (x * x).reshape(-1)  # what the gemv would give, bitwise
     else:  # np.dot, not `@`, which bypasses BLAS and is slower
         weights = np.dot(_ONES[:pre] if pre <= _ONES.size else np.ones(pre), x * x)
@@ -254,26 +247,14 @@ def measure_amps(amps: np.ndarray, pre: int, d: int, post: int) -> tuple:
     scale = 1.0 / np.sqrt(np.where(alive, prob, np.inf))
     kept = [outcome for outcome, any_alive in enumerate(alive.any(axis=1).tolist()) if any_alive]
     # pass 2: outs[i] is the state of the i-th kept outcome
-    t = amps.reshape(pre, d, post, k)
-    if large:  # copy each slice, then scale it along rows of about RUN_AMPLITUDES
-        rows = math.gcd(pre * post, max(1, RUN_AMPLITUDES // k))
-        tiled = np.tile(scale, rows)
-        outs = []
-        for outcome in kept:
-            out = np.empty((pre * post,) + batch, np.complex128)
-            np.copyto(out.reshape(pre, post, k), t[:, outcome])
-            view = out.reshape(-1, rows * k)
-            view *= tiled[outcome]
-            outs.append(out)
-    else:
-        t = t.transpose(1, 0, 2, 3)
-        scaled = np.empty((len(kept), pre, post, k), dtype=np.complex128)
-        if len(kept) == d:
-            np.multiply(t, scale[:, None, None, :], out=scaled)
-        else:  # a dropped outcome is neither copied nor held
-            for i, outcome in enumerate(kept):
-                np.multiply(t[outcome], scale[outcome], out=scaled[i])
-        outs = scaled.reshape((len(kept), pre * post) + batch)
+    t = amps.reshape(pre, d, post, k).transpose(1, 0, 2, 3)
+    scaled = np.empty((len(kept), pre, post, k), dtype=np.complex128)
+    if len(kept) == d:
+        np.multiply(t, scale[:, None, None, :], out=scaled)
+    else:  # a dropped outcome is neither copied nor held
+        for i, outcome in enumerate(kept):
+            np.multiply(t[outcome], scale[outcome], out=scaled[i])
+    outs = scaled.reshape((len(kept), pre * post) + batch)
     return kept, np.where(alive, prob, 0.0), alive, outs
 
 
@@ -351,19 +332,12 @@ def measure_enumerate(state: MixedRegister, target: str) -> list[BranchResult]:
     and imaginary parts of every amplitude and sums them over the subsystems
     before the measured one, and then over the few entries left for each
     (outcome, column) weight; every outcome's probability and scale follow
-    from those weights at once. On a small register the sum over the leading
-    subsystems is one matrix-vector product of the squares (just the squares
-    when there are none); from ``backend.POOL_MIN_BYTES`` on it is one
-    ``einsum``, which needs neither a squared copy nor a BLAS call, whose
-    threads would spin. The second pass, on a small register, copies the kept
-    outcomes' slices, scaled, into one buffer with the measured axis first, so
-    each kept outcome's state is a contiguous slice of it (one multiply when
-    every outcome is kept). On a large register it copies each kept outcome's
-    slice into a buffer of its own and scales it in place along rows of about
-    ``RUN_AMPLITUDES`` amplitudes, with the per-column scales tiled to match:
-    a broadcast over a batch of k columns would run numpy's inner loop only k
-    amplitudes long. Both give the same products, bitwise. The input is never
-    written or aliased.
+    from those weights at once. The sum over the leading subsystems is one
+    matrix-vector product of the squares (just the squares when there are
+    none). The second pass copies the kept outcomes' slices, scaled, into one
+    buffer with the measured axis first, so each kept outcome's state is a
+    contiguous slice of it (one multiply when every outcome is kept). The
+    input is never written or aliased.
     """
     axis = state.axis(target)
     dims = state.dims
@@ -399,21 +373,8 @@ def tensor_amps(a: np.ndarray, b: np.ndarray) -> np.ndarray:
     branch enumeration calls this directly, its plan having made them.
     """
     batch = a.shape[1:]
-    n, m = a.shape[0], b.shape[0]
-    shape = (n * m,) + batch
-    if a.nbytes * m < backend.POOL_MIN_BYTES:
-        return (a[:, None] * b.reshape((-1,) + (1,) * len(batch))).reshape(shape)
-    out = np.empty(shape, np.complex128)
-    blocks = out.reshape((n, m) + batch)
-    start = 0  # the first block not yet written
-    for j in np.flatnonzero(b).tolist():
-        if j > start:
-            blocks[:, start:j] = 0
-        np.multiply(a, b[j], out=blocks[:, j])
-        start = j + 1
-    if start < m:
-        blocks[:, start:] = 0
-    return out
+    shape = (a.shape[0] * b.shape[0],) + batch
+    return (a[:, None] * b.reshape((-1,) + (1,) * len(batch))).reshape(shape)
 
 
 def tensor(a: MixedRegister, b: MixedRegister) -> MixedRegister:
@@ -421,12 +382,7 @@ def tensor(a: MixedRegister, b: MixedRegister) -> MixedRegister:
 
     ``a`` may be a batch (each column is tensored with ``b``); ``b`` may not.
     The arithmetic is ``tensor_amps``, the one kernel a branch enumeration
-    also calls. A small product is one broadcast multiply. From
-    ``backend.POOL_MIN_BYTES`` on, the product is written one block per
-    amplitude of ``b``: ``a`` times each nonzero amplitude, and zeros for each
-    run of zero amplitudes, where the broadcast would multiply every zero (a
-    GHZ state has d nonzeros out of d^n) over a batch axis only k columns
-    long. The values are those of the broadcast. Neither factor is written.
+    also calls: one broadcast multiply. Neither factor is written.
     """
     if set(a.labels) & set(b.labels):
         raise ValueError(f"label collision: {set(a.labels) & set(b.labels)}")

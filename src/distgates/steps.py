@@ -1,17 +1,17 @@
 """The steps a compiled plan runs, and the branches they run on.
 
-A step is a function ``run(frontier, owned)`` from a frontier of branches
-(``_Branch``) and whether the run owns its large arrays (see ``backend``)
-to the next frontier; ``simulate`` compiles a circuit into them and runs
-them (``simulate.run_steps``). A merged run runs the plan's steps and an
-unmerged one a step per instruction (``simulate.Plan``); no step knows
-which run it is in. Each branch holds every row of its register, or
-only the rows of a support (``_Support``): the row-sparse branches that a
-GHZ resource starts. A step picks the kernel per branch: the register
-kernel for a dense branch (``rows`` None), the row kernel of its support
-for a sparse one. The module docstring of ``simulate`` says why a support
-loses nothing, how the row bound is kept and when a branch returns to
-dense.
+A step is a function ``run(frontier)`` from a frontier of branches
+(``_Branch``) to the next frontier; ``simulate`` compiles a circuit into
+them and runs them (``simulate.run_steps``). A step may replace a branch's
+arrays but never writes one: every kernel it calls returns a new array. A
+merged run runs the plan's steps and an unmerged one a step per
+instruction (``simulate.Plan``); no step knows which run it is in. Each
+branch holds every row of its register, or only the rows of a support
+(``_Support``): the row-sparse branches that a GHZ resource starts. A step
+picks the kernel per branch: the register kernel for a dense branch
+(``rows`` None), the row kernel of its support for a sparse one. The
+module docstring of ``simulate`` says why a support loses nothing, how the
+row bound is kept and when a branch returns to dense.
 """
 
 from __future__ import annotations
@@ -229,7 +229,7 @@ def _gate_plan(gate: Unitary, dims: tuple[int, ...], axes: tuple[int, ...]) -> t
 
 
 def _apply(br: _Branch, gate: Unitary, dims: tuple[int, ...], axes: tuple[int, ...],
-           plans: dict, key, owned: bool):
+           plans: dict, key):
     """Apply ``gate`` on ``axes`` to ``br``: the register kernel to a dense branch, the row kernel
     of its support to a sparse one, each looked up once and kept in ``plans`` under ``key``."""
     support = br.rows
@@ -238,7 +238,7 @@ def _apply(br: _Branch, gate: Unitary, dims: tuple[int, ...], axes: tuple[int, .
         plan = plans[key] = (_gate_plan(gate, dims, axes) if support is None
                              else _linked(support, gate.entries, dims, axes))
     if support is None:
-        br.amps = backend.apply_matrix(br.amps, dims, axes, gate.entries, plan, owned)
+        br.amps = backend.apply_matrix(br.amps, dims, axes, gate.entries, plan)
     else:
         br.rows = plan[0]
         br.amps = backend.apply_rows(br.amps, gate.entries, plan[1])
@@ -248,9 +248,9 @@ def _gate_step(dims: tuple[int, ...], axes: tuple[int, ...], gate: Unitary):
     """A LocalGate: one matrix on fixed axes of every branch (``_apply``)."""
     plans: dict = {}  # support (None: dense) -> the kernel plan, or _linked's entry
 
-    def run(frontier: list[_Branch], owned: bool) -> list[_Branch]:
+    def run(frontier: list[_Branch]) -> list[_Branch]:
         for br in frontier:
-            _apply(br, gate, dims, axes, plans, br.rows, owned)
+            _apply(br, gate, dims, axes, plans, br.rows)
         return frontier
     return run
 
@@ -262,14 +262,14 @@ def _cond_step(dims: tuple[int, ...], axes: tuple[int, ...], terms: tuple, mod: 
     looked up when its value first occurs."""
     plans: dict = {}  # (value, support) -> as in _gate_step
 
-    def run(frontier: list[_Branch], owned: bool) -> list[_Branch]:
+    def run(frontier: list[_Branch]) -> list[_Branch]:
         for br in frontier:
             values, value = br.values, 0
             for term in terms:  # a loop: a list comprehension's call costs more than the sum
                 value += values[term]
             value %= mod
             if value:
-                _apply(br, powers[value - 1], dims, axes, plans, (value, br.rows), owned)
+                _apply(br, powers[value - 1], dims, axes, plans, (value, br.rows))
         return frontier
     return run
 
@@ -286,7 +286,7 @@ def _resource_step(factor: np.ndarray, d: int, n: int, size: int):
     nonzero = _resource_nonzero(d, n)[1]
     moves: dict = {}  # support (None: dense) -> the support after
 
-    def run(frontier: list[_Branch], owned: bool) -> list[_Branch]:
+    def run(frontier: list[_Branch]) -> list[_Branch]:
         for br in frontier:
             support = br.rows
             if support is None and not sparse:
@@ -313,7 +313,7 @@ def _measure_step(dims: tuple[int, ...], axis: int, symbol: str):
     dense = (None,) * d  # the support of each outcome of a dense branch
     splits: dict = {}  # support -> _split's entry
 
-    def run(frontier: list[_Branch], owned: bool) -> list[_Branch]:
+    def run(frontier: list[_Branch]) -> list[_Branch]:
         forked: list[_Branch] = []
         for br in frontier:
             support = br.rows
@@ -384,25 +384,23 @@ def _gadget_step(gadget: _Gadget, dims: tuple[int, ...], axes: tuple[int, ...],
     applying the group's unitary to the data ``axes`` (the row kernel of each
     group on a sparse branch) and, when the gadget measures a data label,
     moving the axes to the layout its own steps leave (``_group_plan``; such
-    a gadget runs only on dense branches, see ``simulate``); a branch that
-    forks into more than one group owns its amplitudes for none of its
-    applies, since they all read them.
+    a gadget runs only on dense branches, see ``simulate``). Every group
+    reads the branch's amplitudes, and none writes them.
     """
     fork: list = []  # per group: (u, plan, move, outcomes, values, count, p), made at first use
     moves: dict = {}  # support -> _linked's entry per group
 
-    def run(frontier: list[_Branch], owned: bool) -> list[_Branch]:
+    def run(frontier: list[_Branch]) -> list[_Branch]:
         if not fork:
             for index, (outcomes, u, count, p) in enumerate(gadget.groups):
                 fork.append((u, *_group_plan(gadget, dims, axes, index),
                              tuple(zip(symbols, outcomes)), dict(zip(symbols, outcomes)), count, p))
-        owned = owned and len(fork) == 1
         forked: list[_Branch] = []
         for br in frontier:
             support = br.rows
             if support is None:
                 for u, plan, move, outcomes, values, count, p in fork:
-                    amps = backend.apply_matrix(br.amps, dims, axes, u, plan, owned)
+                    amps = backend.apply_matrix(br.amps, dims, axes, u, plan)
                     if move is not None:
                         amps = np.take(amps, move, axis=0)
                     forked.append(_Branch(amps, br.prob * p, br.outcomes + outcomes,
@@ -474,10 +472,10 @@ def _fused_step(dims: tuple[int, ...], kernels: tuple, fold: tuple):
     plan, matrix = _composed(dims, kernels)
     outcomes, values, weight, probs = fold
 
-    def run(frontier: list[_Branch], owned: bool) -> list[_Branch]:
+    def run(frontier: list[_Branch]) -> list[_Branch]:
         apply = backend.apply_matrix
         for br in frontier:
-            br.amps = apply(br.amps, dims, (), matrix, plan, owned)
+            br.amps = apply(br.amps, dims, (), matrix, plan)
             if outcomes:
                 prob = br.prob
                 for p in probs:

@@ -299,7 +299,7 @@ def gadget_reference(key):
             steps.append((_cond_step(dims, axes, terms, mod, powers), None))
     start = np.kron(np.eye(d_s, dtype=np.complex128), _ghz_amps(d, n).reshape(-1, 1))
     ones = np.ones(d_s)
-    branches = run_steps(steps, [_Branch(start, ones, (), {}, 1, ones > 0)], False)
+    branches = run_steps(steps, [_Branch(start, ones, (), {}, 1, ones > 0)])
     if len(branches) < d ** n:
         return None
     atol = MERGE_ATOL / d_s

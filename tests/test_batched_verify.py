@@ -210,8 +210,8 @@ def test_peak_register_dim_is_the_largest_register_simulated():
     registers, rows = [], []
 
     def recording(step):
-        def run(frontier, owned):
-            frontier = step(frontier, owned)
+        def run(frontier):
+            frontier = step(frontier)
             registers.extend(br.amps.shape[0] if br.rows is None else br.rows.size
                              for br in frontier)
             rows.extend(br.amps.shape[0] for br in frontier)

@@ -1,4 +1,5 @@
-"""Blocked kernels and run-owned arrays: the same results, and the caller's data never written."""
+"""Blocked kernels and the one kernel of each operation on large registers: the same results,
+and the caller's data never written."""
 
 import importlib
 import itertools
@@ -13,9 +14,9 @@ from test_batched_verify import _dropped_variants
 from distgates import backend, catalog
 from distgates.circuit import RESOURCE_KINDS, Instruction
 from distgates.gates import gate_power, gate_unitary, h_matrix
-from distgates.simulate import MERGE_ATOL, _distance, enumerate_branches
-from distgates.statevec import (DEFAULT_MAX_DIM, PRUNE_TOL, MixedRegister, measure_amps,
-                                measure_enumerate, tensor_amps)
+from distgates.simulate import enumerate_branches
+from distgates.statevec import (DEFAULT_MAX_DIM, MixedRegister, measure_amps, measure_enumerate,
+                                tensor_amps)
 from distgates.steps import _resource_amps
 from distgates.verify import basis_inputs, random_inputs, verify
 
@@ -25,16 +26,13 @@ H4 = np.exp(2j * np.pi * np.outer(range(4), range(4)) / 4) / 2
 
 
 def _unowned_unblocked(monkeypatch):
-    """The kernels as they were before blocking and in-place writes, and chunks set by the
-    register cap."""
-    monkeypatch.setattr(backend, "POOL_MIN_BYTES", float("inf"))
+    """The kernels as they were before blocking, and chunks set by the register cap."""
     monkeypatch.setattr(backend, "GEMM_SERIAL_WORK", 2 ** 62)
     monkeypatch.setattr(verify_module, "CHUNK_AMPLITUDES", DEFAULT_MAX_DIM)
 
 
-def _owned_and_blocked_everywhere(monkeypatch):
-    """Every register owned, written in place and blocked, down to the smallest."""
-    monkeypatch.setattr(backend, "POOL_MIN_BYTES", 0)
+def _blocked_everywhere(monkeypatch):
+    """Every dense product blocked, down to the smallest register."""
     monkeypatch.setattr(backend, "GEMM_SERIAL_WORK", 2 ** 8)
     monkeypatch.setattr(backend, "BLOCK_AMPLITUDES", 2 ** 8)
 
@@ -46,7 +44,7 @@ def _random_batch(dims, k, seed):
     return amps / np.linalg.norm(amps, axis=0)
 
 
-# (dims, batch width): 2^16, 2^14 and 24576 amplitudes, all at least POOL_MIN_BYTES
+# (dims, batch width): 2^16, 2^14 and 24576 amplitudes, 256 KiB to 1 MiB each
 LARGE = [((2,) * 14, 4), ((4,) * 6, 4), ((2, 3, 4, 2, 4, 2, 4), 16)]
 
 
@@ -64,32 +62,13 @@ def test_blocked_dense_kernel_matches_the_reference(dims, k):
         want = apply_matrix_reference(amps, dims, axes, mat)
         got = backend.apply_matrix(amps, dims, axes, mat)
         assert np.abs(got - want).max() <= 1e-12, axes
-        np.testing.assert_array_equal(amps, before)  # not owned: the input is only read
-        got = backend.apply_matrix(amps.copy(), dims, axes, mat, owned=True)
-        assert np.abs(got - want).max() <= 1e-12, axes
-        foreign = amps.view()  # owned, but read-only: the caller's input as a run holds it
-        foreign.flags.writeable = False
-        got = backend.apply_matrix(foreign, dims, axes, mat, owned=True)
-        assert np.abs(got - want).max() <= 1e-12, axes
-        np.testing.assert_array_equal(amps, before)
-
-
-def _run_owned(amps, dims):
-    """``amps`` as a run holds them after two monomial gates: bitwise equal, in the array
-    an owned gather wrote."""
-    shift = np.roll(np.eye(dims[0]), 1, axis=0)
-    once = backend.apply_matrix(amps.copy(), dims, (0,), shift, owned=True)
-    return backend.apply_matrix(once, dims, (0,), shift.T, owned=True)
+        np.testing.assert_array_equal(amps, before)  # the input is only read
+        assert not np.shares_memory(got, amps)
 
 
 @pytest.mark.parametrize("dims,k", LARGE)
-@pytest.mark.parametrize("owned", [False, True], ids=["plain", "owned"])
-def test_large_measurement_matches_the_reference(dims, k, owned):
-    # owned: the register comes out of a run's gathers; the measurement still writes
-    # fresh arrays
+def test_large_measurement_matches_the_reference(dims, k):
     amps = _random_batch(dims, k, 2)
-    if owned:
-        amps = _run_owned(amps, dims)
     labels = tuple(f"q{i}" for i in range(len(dims)))
     state = MixedRegister(dims, amps, labels)
     before = amps.copy()
@@ -142,7 +121,7 @@ def _reports(monkeypatch, configure):
                 for name, circuit, oracle, inputs in _suite_and_variants()}
 
 
-@pytest.mark.parametrize("configure", [lambda patch: None, _owned_and_blocked_everywhere],
+@pytest.mark.parametrize("configure", [lambda patch: None, _blocked_everywhere],
                          ids=["default", "everywhere"])
 def test_verify_reports_match_the_unowned_unblocked_kernels(monkeypatch, configure):
     want = _reports(monkeypatch, _unowned_unblocked)
@@ -178,7 +157,7 @@ def _read_only(state):
     return state
 
 
-@pytest.mark.parametrize("configure", [lambda patch: None, _owned_and_blocked_everywhere],
+@pytest.mark.parametrize("configure", [lambda patch: None, _blocked_everywhere],
                          ids=["default", "everywhere"])
 def test_callers_data_is_never_written(monkeypatch, configure):
     configure(monkeypatch)
@@ -199,26 +178,22 @@ def test_callers_data_is_never_written(monkeypatch, configure):
             np.testing.assert_array_equal(arr, copy)
 
 
-@pytest.mark.parametrize("writeable", [True, False], ids=["writeable", "read-only"])
-def test_an_owned_run_never_writes_its_input(monkeypatch, writeable):
-    # a diagonal gate first, on every register owned: it would multiply the input in place
-    # (a dense gate follows, so that the diagonal one runs as a step of its own)
+def test_a_run_never_writes_its_input():
+    # a diagonal gate first, which a kernel writing in place would apply to the input (a dense
+    # gate follows, so that the diagonal one runs as a step of its own)
     base = catalog.tagged("corpus")["dcnot"].build()
     first = tuple([Instruction("LocalGate", (base.inputs[0],), gate=gate) for gate in "ZH"])
     circuit = type(base)(base.layout, first + base.instructions, base.inputs, base.outputs)
     inputs = random_inputs(circuit, 3, seed=4)
-    amps = np.stack([s.amps for s in inputs], axis=1)
-    batch = MixedRegister(inputs[0].dims, amps, inputs[0].labels)
+    batch = MixedRegister(inputs[0].dims, np.stack([s.amps for s in inputs], axis=1),
+                          inputs[0].labels)
     amps = batch.amps
-    amps.flags.writeable = writeable
     before = amps.copy()
-    with monkeypatch.context() as patch:
-        patch.setattr(backend, "POOL_MIN_BYTES", float("inf"))
-        want = enumerate_branches(circuit, batch, merge_equal=True)
-    monkeypatch.setattr(backend, "POOL_MIN_BYTES", 0)
+    frozen = _read_only(MixedRegister(batch.dims, amps.copy(), batch.labels))
+    want = enumerate_branches(circuit, frozen, merge_equal=True)
     got = enumerate_branches(circuit, batch, merge_equal=True)
     np.testing.assert_array_equal(amps, before)
-    assert amps.flags.writeable == writeable
+    assert amps.flags.writeable
     assert [r.outcomes for r in got] == [r.outcomes for r in want]
     for r, w in zip(got, want):
         assert r.state.amps.tobytes() == w.state.amps.tobytes()
@@ -226,73 +201,45 @@ def test_an_owned_run_never_writes_its_input(monkeypatch, writeable):
 
 
 # ---------------------------------------------------------------------------
-# the compiled measurement and resource kernels on large registers, against the
-# broadcast forms they replace
+# the measurement and resource kernels on large registers, against the references
 # ---------------------------------------------------------------------------
 
-# (dims, batch width), each register at least POOL_MIN_BYTES: powers of two and mixed
-# dimensions, whose row length for the in-place scaling is not a power of two
+# (dims, batch width), each register 128 KiB or more: powers of two and mixed dimensions
 KERNEL_CASES = [((2,) * 13, 1), ((2, 3, 4, 2, 4, 2, 4, 2, 4), 1),
                 ((2,) * 12, 2), ((2, 3, 4, 2, 4, 2, 4, 2, 2), 2),
                 ((4,) * 6, 4), ((3, 2, 4, 2, 4, 2, 4, 2), 4),
                 ((2,) * 10, 16), ((2, 3, 4, 2, 4, 2, 4), 16)]
 
 
-def _measure_broadcast_reference(amps, pre, d, post):
-    """``measure_amps`` on a large register with each kept outcome scaled by one broadcast
-    multiply of its slice by its per-column scales."""
-    batch = amps.shape[1:]
-    k = batch[0] if batch else 1
-    x = amps.view(np.float64).reshape(pre, -1)
-    prob = np.einsum("ij,ij->j", x, x).reshape(d, post, k, 2).sum(axis=(1, 3))
-    alive = prob >= PRUNE_TOL
-    scale = 1.0 / np.sqrt(np.where(alive, prob, np.inf))
-    t = amps.reshape(pre, d, post, k)
-    kept = [outcome for outcome in range(d) if alive[outcome].any()]
-    outs = [(t[:, outcome] * scale[outcome]).reshape((-1,) + batch) for outcome in kept]
-    return kept, np.where(alive, prob, 0.0), alive, outs
-
-
 @pytest.mark.parametrize("dims,k", KERNEL_CASES)
-@pytest.mark.parametrize("owned", [False, True], ids=["plain", "owned"])
-def test_large_measurement_kernel_is_bitwise_the_broadcast(dims, k, owned):
-    # owned: the register comes out of a run's gathers, and each kept outcome then goes
-    # through an owned gather of its own, as a correction would, leaving the others intact
+def test_large_measurement_kernel_is_bitwise_the_broadcast(dims, k):
+    # the broadcast kernel of every register size, bitwise the one-outcome-at-a-time loop
     amps = _random_batch(dims, k, 4)
     # column 0 has no weight on the first outcome of the first subsystem: pruned there,
     # and with k = 1 that outcome is dropped
     amps[:amps.shape[0] // dims[0], 0] = 0
     amps /= np.linalg.norm(amps, axis=0)
-    assert amps.nbytes >= backend.POOL_MIN_BYTES
+    assert amps.nbytes >= 2 ** 17
+    labels = tuple(f"q{i}" for i in range(len(dims)))
     for batch in (amps, amps[:, 0].copy()) if k == 1 else (amps,):
-        if owned:
-            batch = _run_owned(batch, dims)
+        state = MixedRegister(dims, batch, labels)
         before = batch.copy()
         for axis in range(len(dims)):
             pre, d, post = (int(np.prod(dims[:axis])), dims[axis],
                             int(np.prod(dims[axis + 1:])))
             kept, probs, alive, outs = measure_amps(batch, pre, d, post)
-            want_kept, want_probs, want_alive, want_outs = _measure_broadcast_reference(
-                batch, pre, d, post)
-            assert kept == want_kept, axis
+            want = measure_loop_reference(state, labels[axis])
+            assert kept == [outcome for outcome, _, _ in want], axis
             if axis == 0:
                 assert kept == list(range(k == 1, d)) and not alive[0, 0]
-            assert probs.tobytes() == want_probs.tobytes(), axis
-            np.testing.assert_array_equal(alive, want_alive)
+            np.testing.assert_array_equal(alive, probs > 0)
             assert len(outs) == len(kept)
-            for out, want in zip(outs, want_outs):
-                assert out.shape == want.shape and out.tobytes() == want.tobytes(), axis
+            for outcome, out, (_, prob, ref) in zip(kept, outs, want):
+                assert probs[outcome].tobytes() == np.asarray(prob, float).reshape(-1).tobytes()
+                assert out.shape == ref.shape and out.tobytes() == ref.tobytes(), axis
             np.testing.assert_array_equal(batch, before)
             for x, y in itertools.combinations(list(outs) + [batch], 2):
                 assert not np.shares_memory(x, y)
-            if owned:
-                out_dims = dims[:axis] + dims[axis + 1:]
-                shift = np.roll(np.eye(out_dims[0]), 1, axis=0)
-                shifted = [backend.apply_matrix(out, out_dims, (0,), shift, owned=True)
-                           for out in outs]
-                for got, want in zip(shifted, want_outs):
-                    assert got.tobytes() == backend.apply_matrix(
-                        want, out_dims, (0,), shift).tobytes(), axis
 
 
 RESOURCES = {  # amplitude vectors of b, with runs of zeros inside, at the ends or none
@@ -307,39 +254,16 @@ RESOURCES = {  # amplitude vectors of b, with runs of zeros inside, at the ends 
 @pytest.mark.parametrize("k", [1, 2, 4, 16])
 @pytest.mark.parametrize("resource", sorted(RESOURCES))
 def test_large_resource_kernel_equals_the_broadcast(k, resource):
+    # the broadcast kernel of every register size, against np.kron of each column
     b = RESOURCES[resource].astype(np.complex128)
     amps = _random_batch((2,) * 12, k, 5)
     for a in (amps, amps[:, 0].copy()) if k == 1 else (amps,):
-        assert a.nbytes * b.size >= backend.POOL_MIN_BYTES
-        batch = a.shape[1:]
-        want = (a[:, None] * b.reshape((-1,) + (1,) * len(batch))).reshape(
-            (a.shape[0] * b.size,) + batch)
+        assert a.nbytes * b.size >= 2 ** 17
         before, b_before = a.copy(), b.copy()
         got = tensor_amps(a, b)
-        np.testing.assert_array_equal(got, want)
+        want = np.stack([np.kron(column, b) for column in a.reshape(a.shape[0], -1).T], axis=1)
+        np.testing.assert_array_equal(got.reshape(want.shape), want)
+        assert got.shape == (a.shape[0] * b.size,) + a.shape[1:]
         np.testing.assert_array_equal(a, before)  # only read
         assert not np.shares_memory(got, a)
         np.testing.assert_array_equal(b, b_before)
-
-
-@pytest.mark.parametrize("delta,close", [  # in units of MERGE_ATOL
-    (0.8 * (1 + 1j), False),  # each part under 1, the modulus 1.131: decided by the modulus
-    (0.72 * (1 - 1j), False),  # modulus 1.018
-    (0.75 + 0.6j, True),  # modulus 0.960
-    (0.9, True),  # modulus 0.9
-    (0.70 * (1 + 1j), True),  # each part under 1/sqrt(2): decided by the parts alone
-    (-1.1, False),  # a part over 1: decided by the parts alone
-    (1.1j, False),
-])
-def test_distance_decides_as_the_complex_modulus(delta, close):
-    a = _random_batch((2,) * 14, 4, 6)
-    rows = backend.BLOCK_AMPLITUDES // 4
-    for where in ((5, 1), (5 * rows + 3, 2), (a.shape[0] - 1, 3)):  # first, middle, last block
-        b = a.copy()
-        b[where] += delta * MERGE_ATOL
-        # an earlier block that only its modulus shows to be close
-        b[rows + 7, 0] += (0.75 + 0.5j) * MERGE_ATOL
-        want = np.abs(a - b).max() <= MERGE_ATOL
-        assert want == close, where
-        assert (_distance(a, b) <= MERGE_ATOL) == want, where
-        assert (_distance(b, a) <= MERGE_ATOL) == want, where

@@ -316,8 +316,8 @@ def test_merge_runs_only_after_the_steps_that_carry_one(monkeypatch):
     trace = []  # ("step", carries a merge, branches after it) and ("merge",), in order
 
     def recording(step, live):
-        def run(frontier, owned):
-            frontier = frontier if step is None else step(frontier, owned)
+        def run(frontier):
+            frontier = frontier if step is None else step(frontier)
             trace.append(("step", live is not None, len(frontier)))
             return frontier
         return run
@@ -439,8 +439,8 @@ def _frontier_widths(circuit, inputs) -> list[int]:
     widths = []
 
     def recording(step):
-        def run(frontier, owned):
-            frontier = step(frontier, owned)
+        def run(frontier):
+            frontier = step(frontier)
             widths.append(len(frontier))
             return frontier
         return run

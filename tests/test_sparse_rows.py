@@ -56,8 +56,8 @@ def _batch(circuit, k=2, seed=3):
 def _recording(plan, rows: list):
     """``plan`` with every step wrapped to append each branch's held row count to ``rows``."""
     def wrap(step):
-        def run(frontier, owned):
-            frontier = step(frontier, owned)
+        def run(frontier):
+            frontier = step(frontier)
             rows.extend(br.amps.shape[0] for br in frontier)
             return frontier
         return run
@@ -320,7 +320,7 @@ def test_one_frontier_holds_dense_and_sparse_branches_for_every_step_kind():
     gates = [("CZ", (0, 2)), ("X4", (1,)), ("CNOT", (2, 0)), ("H", (2,))]
     for name, axes in gates:  # diagonal, monomial, monomial, dense
         gate = gate_unitary(name)
-        dense, sparse = _gate_step(dims, axes, gate)(_two_kinds(dims, rows), False)
+        dense, sparse = _gate_step(dims, axes, gate)(_two_kinds(dims, rows))
         assert dense.rows is None, name
         want = _linked(_Support(rows, size), gate.entries, dims, axes)[0]
         assert want is not None and _same_rows(sparse.rows, want), name
@@ -328,7 +328,7 @@ def test_one_frontier_holds_dense_and_sparse_branches_for_every_step_kind():
 
     step = _cond_step(dims, (2,), ("m",), 2, (x,))
     for value in (0, 1):
-        dense, sparse = step(_two_kinds(dims, rows, {"m": value}), False)
+        dense, sparse = step(_two_kinds(dims, rows, {"m": value}))
         want = _Support(rows, size)
         if value:
             want = _linked(want, x.entries, dims, (2,))[0]
@@ -339,13 +339,13 @@ def test_one_frontier_holds_dense_and_sparse_branches_for_every_step_kind():
         factor = _resource_amps(d, n)
         frontier = _two_kinds(dims, rows)
         want = tensor_amps(frontier[0].amps, factor)
-        dense, sparse = _resource_step(factor, d, n, size)(frontier, False)
+        dense, sparse = _resource_step(factor, d, n, size)(frontier)
         assert _same_rows(dense.rows, _root(size, d, n) if n == 3 else None), n
         assert _same_rows(sparse.rows, _tensored(_Support(rows, size), d, n)), n
         np.testing.assert_array_equal(_scattered(dense), want)
         np.testing.assert_allclose(_scattered(sparse), want, atol=1e-15, rtol=0)
 
-    forked = _measure_step(dims, 1, "m")(_two_kinds(dims, rows), False)
+    forked = _measure_step(dims, 1, "m")(_two_kinds(dims, rows))
     half = len(forked) // 2
     supports = _split(_Support(rows, size), 4, 2)[1]
     assert half and [br.outcomes for br in forked[:half]] == [br.outcomes for br in forked[half:]]
@@ -357,7 +357,7 @@ def test_one_frontier_holds_dense_and_sparse_branches_for_every_step_kind():
 
     groups = (((0,), z.entries, 1, 0.5), ((1,), h.entries, 1, 0.5))
     step = _gadget_step(_Gadget(groups, {}, True), dims, (2,), ("m",))
-    forked = step(_two_kinds(dims, rows), False)
+    forked = step(_two_kinds(dims, rows))
     assert len(forked) == 4
     for (dense, sparse), (_, u, _, _) in zip(zip(forked[:2], forked[2:]), groups):
         assert dense.values == sparse.values and dense.rows is None

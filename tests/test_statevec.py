@@ -7,7 +7,6 @@ import numpy as np
 import pytest
 from conftest import digits_of, measure_loop_reference, measure_reference, random_unitary
 
-from distgates import backend
 from distgates.gates import czd_matrix, gate_unitary
 from distgates.statevec import (MixedRegister, Unitary, apply_unitary,
                                 fidelity_up_to_phase, measure_enumerate, permute,
@@ -208,10 +207,8 @@ def test_measure_is_bitwise_the_per_outcome_loop(axis, batched, columns):
 @pytest.mark.parametrize("n", [14, 15])
 def test_measure_sums_over_the_largest_registers(n, monkeypatch):
     # measuring the last qubit sums over 2^(n - 1) amplitudes: all of the shared ones
-    # vector at the default cap of 2^14, and more than it holds when the cap is raised.
-    # Registers this large take the einsum sum, so the gemv path is forced here.
+    # vector at the default cap of 2^14, and more than it holds when the cap is raised
     monkeypatch.setenv("DISTGATES_MAX_DIM", str(2 ** n))
-    monkeypatch.setattr(backend, "POOL_MIN_BYTES", 2 ** 40)
     rng = np.random.default_rng(n)
     amps = rng.standard_normal((2 ** n, 2)) + 1j * rng.standard_normal((2 ** n, 2))
     labels = tuple(f"q{i}" for i in range(n))
