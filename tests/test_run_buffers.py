@@ -14,10 +14,10 @@ from test_batched_verify import _dropped_variants
 from distgates import backend, catalog
 from distgates.circuit import RESOURCE_KINDS, Instruction
 from distgates.gates import gate_power, gate_unitary, h_matrix
-from distgates.simulate import enumerate_branches
+from distgates.simulate import MERGE_ATOL, _merge, enumerate_branches
 from distgates.statevec import (DEFAULT_MAX_DIM, MixedRegister, measure_amps, measure_enumerate,
                                 tensor_amps)
-from distgates.steps import _resource_amps
+from distgates.steps import _Branch, _gap, _resource_amps, _Support
 from distgates.verify import basis_inputs, random_inputs, verify
 
 verify_module = importlib.import_module("distgates.verify")  # the package attribute is the function
@@ -66,9 +66,24 @@ def test_blocked_dense_kernel_matches_the_reference(dims, k):
         assert not np.shares_memory(got, amps)
 
 
+def _gathered(amps, dims):
+    """``amps`` as a run holds them after two monomial gates: bitwise equal, in the array the
+    second gather wrote."""
+    shift = np.roll(np.eye(dims[0]), 1, axis=0)
+    once = backend.apply_matrix(amps, dims, (0,), shift)
+    twice = backend.apply_matrix(once, dims, (0,), shift.T)
+    assert twice.tobytes() == amps.tobytes() and not np.shares_memory(twice, amps)
+    return twice
+
+
 @pytest.mark.parametrize("dims,k", LARGE)
-def test_large_measurement_matches_the_reference(dims, k):
+@pytest.mark.parametrize("gathered", [False, True], ids=["plain", "gathered"])
+def test_large_measurement_matches_the_reference(dims, k, gathered):
+    # gathered: the register comes out of a run's gathers; the measurement still writes
+    # fresh arrays
     amps = _random_batch(dims, k, 2)
+    if gathered:
+        amps = _gathered(amps, dims)
     labels = tuple(f"q{i}" for i in range(len(dims)))
     state = MixedRegister(dims, amps, labels)
     before = amps.copy()
@@ -178,9 +193,11 @@ def test_callers_data_is_never_written(monkeypatch, configure):
             np.testing.assert_array_equal(arr, copy)
 
 
-def test_a_run_never_writes_its_input():
+@pytest.mark.parametrize("writeable", [True, False], ids=["writeable", "read-only"])
+def test_a_run_never_writes_its_input(writeable):
     # a diagonal gate first, which a kernel writing in place would apply to the input (a dense
-    # gate follows, so that the diagonal one runs as a step of its own)
+    # gate follows, so that the diagonal one runs as a step of its own); the run leaves the
+    # input's writeable flag as the caller set it
     base = catalog.tagged("corpus")["dcnot"].build()
     first = tuple([Instruction("LocalGate", (base.inputs[0],), gate=gate) for gate in "ZH"])
     circuit = type(base)(base.layout, first + base.instructions, base.inputs, base.outputs)
@@ -188,12 +205,14 @@ def test_a_run_never_writes_its_input():
     batch = MixedRegister(inputs[0].dims, np.stack([s.amps for s in inputs], axis=1),
                           inputs[0].labels)
     amps = batch.amps
+    amps.flags.writeable = writeable
     before = amps.copy()
-    frozen = _read_only(MixedRegister(batch.dims, amps.copy(), batch.labels))
-    want = enumerate_branches(circuit, frozen, merge_equal=True)
+    other = MixedRegister(batch.dims, amps.copy(), batch.labels)  # the other flag
+    other.amps.flags.writeable = not writeable
+    want = enumerate_branches(circuit, other, merge_equal=True)
     got = enumerate_branches(circuit, batch, merge_equal=True)
     np.testing.assert_array_equal(amps, before)
-    assert amps.flags.writeable
+    assert amps.flags.writeable == writeable
     assert [r.outcomes for r in got] == [r.outcomes for r in want]
     for r, w in zip(got, want):
         assert r.state.amps.tobytes() == w.state.amps.tobytes()
@@ -212,8 +231,11 @@ KERNEL_CASES = [((2,) * 13, 1), ((2, 3, 4, 2, 4, 2, 4, 2, 4), 1),
 
 
 @pytest.mark.parametrize("dims,k", KERNEL_CASES)
-def test_large_measurement_kernel_is_bitwise_the_broadcast(dims, k):
-    # the broadcast kernel of every register size, bitwise the one-outcome-at-a-time loop
+@pytest.mark.parametrize("gathered", [False, True], ids=["plain", "gathered"])
+def test_large_measurement_kernel_is_bitwise_the_broadcast(dims, k, gathered):
+    # the broadcast kernel of every register size, bitwise the one-outcome-at-a-time loop;
+    # gathered: the register comes out of a run's gathers, and each kept outcome then goes
+    # through a gather of its own, as a correction would, leaving the others intact
     amps = _random_batch(dims, k, 4)
     # column 0 has no weight on the first outcome of the first subsystem: pruned there,
     # and with k = 1 that outcome is dropped
@@ -222,6 +244,8 @@ def test_large_measurement_kernel_is_bitwise_the_broadcast(dims, k):
     assert amps.nbytes >= 2 ** 17
     labels = tuple(f"q{i}" for i in range(len(dims)))
     for batch in (amps, amps[:, 0].copy()) if k == 1 else (amps,):
+        if gathered:
+            batch = _gathered(batch, dims)
         state = MixedRegister(dims, batch, labels)
         before = batch.copy()
         for axis in range(len(dims)):
@@ -240,6 +264,14 @@ def test_large_measurement_kernel_is_bitwise_the_broadcast(dims, k):
             np.testing.assert_array_equal(batch, before)
             for x, y in itertools.combinations(list(outs) + [batch], 2):
                 assert not np.shares_memory(x, y)
+            if gathered:
+                out_dims = dims[:axis] + dims[axis + 1:]
+                shift = np.roll(np.eye(out_dims[0]), 1, axis=0)
+                shifted = [backend.apply_matrix(out, out_dims, (0,), shift) for out in outs]
+                for got, out, (_, _, ref) in zip(shifted, outs, want):
+                    assert got.tobytes() == backend.apply_matrix(
+                        ref, out_dims, (0,), shift).tobytes(), axis
+                    assert out.tobytes() == ref.tobytes(), axis
 
 
 RESOURCES = {  # amplitude vectors of b, with runs of zeros inside, at the ends or none
@@ -267,3 +299,37 @@ def test_large_resource_kernel_equals_the_broadcast(k, resource):
         np.testing.assert_array_equal(a, before)  # only read
         assert not np.shares_memory(got, a)
         np.testing.assert_array_equal(b, b_before)
+
+
+def _branch(amps, rows=None):
+    ones = np.ones(amps.shape[1])
+    return _Branch(amps, ones, (), {}, 1, ones > 0, rows)
+
+
+@pytest.mark.parametrize("delta,close", [  # in units of MERGE_ATOL
+    (0.8 * (1 + 1j), False),  # each part under 1, the modulus 1.131: decided by the modulus
+    (0.72 * (1 - 1j), False),  # modulus 1.018
+    (0.75 + 0.6j, True),  # modulus 0.960
+    (0.9, True),  # modulus 0.9
+    (0.70 * (1 + 1j), True),  # each part under 1/sqrt(2): decided by the parts alone
+    (-1.1, False),  # a part over 1: decided by the parts alone
+    (1.1j, False),
+])
+def test_distance_decides_as_the_complex_modulus(delta, close):
+    # the merge distance of two branches, on the same rows and on a sparse and a dense branch
+    a = _random_batch((2,) * 14, 4, 6)
+    rows = backend.BLOCK_AMPLITUDES // 4
+    every = _Support(np.arange(a.shape[0], dtype=np.intp), a.shape[0])
+    for where in ((5, 1), (5 * rows + 3, 2), (a.shape[0] - 1, 3)):  # first, middle, last block
+        b = a.copy()
+        b[where] += delta * MERGE_ATOL
+        # an earlier amplitude that only its modulus shows to be close
+        b[rows + 7, 0] += (0.75 + 0.5j) * MERGE_ATOL
+        want = np.abs(a - b).max() <= MERGE_ATOL
+        assert want == close, where
+        for x, y in ((a, b), (b, a)):
+            merged = _merge([_branch(x), _branch(y)], ())
+            assert len(merged) == (1 if close else 2), where
+            assert merged[0].weight == (2 if close else 1), where
+            assert (_gap(_branch(x, every), _branch(y)) <= MERGE_ATOL) == close, where
+            assert (_gap(_branch(x), _branch(y, every)) <= MERGE_ATOL) == close, where
